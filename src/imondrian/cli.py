@@ -114,7 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dim", type=int, default=8)
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--bench-threads", type=int, default=2, help="worker count for the multi-thread pass")
     bench.add_argument("--out", help="timing table path (CSV)")
     bench.set_defaults(func=cmd_bench)
     return parser
@@ -132,7 +131,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     positive("folds", 2)
     positive("grid", 2)
     positive("repeats")
-    positive("bench-threads")
     positive("inliers", 0)
     positive("outliers", 0)
     psi = getattr(args, "psi", None)
@@ -308,41 +306,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CliUsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     if not sizes or any(s < 2 for s in sizes):
         raise CliUsageError(f"--sizes entries must be >= 2, got {args.sizes!r}")
-    thread_counts = [1]
-    if args.bench_threads > 1:
-        thread_counts.append(args.bench_threads)
+    points = measure_scaling(
+        sizes,
+        num_trees=args.trees,
+        dim=args.dim,
+        repeats=args.repeats,
+        seed=args.seed,
+    )
     rows = []
-    for threads in thread_counts:
-        points = measure_scaling(
-            sizes,
-            num_trees=args.trees,
-            dim=args.dim,
-            repeats=args.repeats,
-            threads=threads,
-            seed=args.seed,
-        )
-        for phase in ("train", "score", "extend"):
-            series = sorted((p for p in points if p.phase == phase), key=lambda p: p.n)
-            ratios = doubling_ratios(points, phase)
-            for i, cell in enumerate(series):
-                ratio = ratios[i - 1] if i > 0 else float("nan")
-                rows.append(
-                    {
-                        "n": cell.n,
-                        "phase": phase,
-                        "threads": threads,
-                        "seconds_median": cell.median_seconds,
-                        "seconds_min": float(min(cell.seconds)),
-                        "seconds_max": float(max(cell.seconds)),
-                        "ratio_vs_prev": ratio,
-                    }
-                )
-                print(
-                    f"n={cell.n:>6} {phase:<7} threads={threads} "
-                    f"median={cell.median_seconds:.4f}s "
-                    f"spread=[{min(cell.seconds):.4f}, {max(cell.seconds):.4f}] "
-                    + (f"ratio={ratio:.2f}" if i > 0 else "")
-                )
+    for phase in ("train", "score", "extend"):
+        series = sorted((p for p in points if p.phase == phase), key=lambda p: p.n)
+        ratios = doubling_ratios(points, phase)
+        for i, cell in enumerate(series):
+            ratio = ratios[i - 1] if i > 0 else float("nan")
+            rows.append(
+                {
+                    "n": cell.n,
+                    "phase": phase,
+                    "seconds_median": cell.median_seconds,
+                    "seconds_min": float(min(cell.seconds)),
+                    "seconds_max": float(max(cell.seconds)),
+                    "ratio_vs_prev": ratio,
+                }
+            )
+            print(
+                f"n={cell.n:>6} {phase:<7} "
+                f"median={cell.median_seconds:.4f}s "
+                f"spread=[{min(cell.seconds):.4f}, {max(cell.seconds):.4f}] "
+                + (f"ratio={ratio:.2f}" if i > 0 else "")
+            )
     if args.out:
         write_rows(args.out, rows)
         print(f"timing table written to {args.out}")

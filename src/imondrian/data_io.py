@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
 from .forest import Forest, ForestConfig, ScoreReport
-from .tree import NO_NODE, MondrianTree
+from .tree import NO_NODE, ForestArena, MondrianTree
 
 MODEL_MAGIC = "imondrian-forest"
 MODEL_VERSION = 1
@@ -346,10 +346,15 @@ def load_model(path) -> Forest:
         raise ModelFormatError(f"{path}: payload is not valid JSON: {exc}") from exc
     try:
         dim = int(payload["dim"])
-        trees = [_deserialize_tree(blob, dim) for blob in payload["trees"]]
+        blobs = payload["trees"]
+        if len(blobs) != payload["num_trees"] or not blobs:
+            raise ModelFormatError(f"{path}: tree count does not match header")
+        capacity = max(len(blob.get("nodes") or ()) for blob in blobs)
+        trees = (_deserialize_tree(blob, dim) for blob in blobs)
+        arena = ForestArena.pack(trees, len(blobs), dim, capacity)
         psi = payload["psi"]
         forest = Forest(
-            trees=trees,
+            arena=arena,
             n_effective=int(payload["n_effective"]),
             psi=None if psi is None else int(psi),
             seed=int(payload["seed"]),
@@ -360,11 +365,61 @@ def load_model(path) -> Forest:
                 seed=int(payload["seed"]),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed payload: {exc}") from exc
-    if len(forest.trees) != payload["num_trees"]:
-        raise ModelFormatError(f"{path}: tree count does not match header")
+    problem = _structure_problem(arena)
+    if problem is not None:
+        raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
+
+
+def _structure_problem(arena: ForestArena) -> str | None:
+    """Why the packed trees are not valid partition trees, or None.
+
+    Checked for every tree at once: links stay inside the tree's used slots;
+    every node but the root is the child of exactly one internal node and
+    links back to it; nodes have zero or two children; split times rise
+    from parent to child (so links cannot form a cycle); split dimensions
+    lie in [0, dim); split values lie inside their node's box; and child
+    boxes nest inside their parent's.
+    """
+    T, C = arena.left.shape
+    size = arena.size[:, None]
+    used = np.arange(C) < size
+    if not ((arena.root >= 0) & (arena.root < arena.size)).all():
+        return "root link out of range"
+    for name in ("left", "right", "parent"):
+        link = getattr(arena, name)
+        if ((link < NO_NODE) | (link >= size))[used].any():
+            return f"{name} link out of range"
+    leaf = arena.left == NO_NODE
+    if (leaf != (arena.right == NO_NODE))[used].any():
+        return "node with exactly one child"
+    inner = np.flatnonzero(used & ~leaf)  # flat index t * C + node
+    parents = np.concatenate([inner, inner])
+    rows = parents - parents % C
+    kids = rows + np.concatenate([arena.left.ravel()[inner], arena.right.ravel()[inner]])
+    roots = np.arange(T) * C + arena.root
+    expected = used.ravel().astype(np.int64)
+    expected[roots] = 0
+    if not np.array_equal(np.bincount(kids, minlength=T * C), expected):
+        return "some node is not the child of exactly one internal node"
+    if (arena.parent.ravel()[roots] != NO_NODE).any() or (rows + arena.parent.ravel()[kids] != parents).any():
+        return "parent link does not match child link"
+    split_time = arena.split_time.ravel()
+    if not ((split_time[roots] > 0.0).all() and (split_time[kids] > split_time[parents]).all()):
+        return "split times do not increase from parent to child"
+    q = arena.split_dim.ravel()[inner].astype(np.int64)
+    if ((q < 0) | (q >= arena.dim)).any():
+        return "split dimension out of range"
+    box_min = arena.box_min.reshape(T * C, -1)
+    box_max = arena.box_max.reshape(T * C, -1)
+    p = arena.split_val.ravel()[inner]
+    if not ((box_min[inner, q] <= p) & (p <= box_max[inner, q])).all():
+        return "split value outside its node's box"
+    if not ((box_min[kids] >= box_min[parents]).all() and (box_max[kids] <= box_max[parents]).all()):
+        return "child box not nested in its parent's"
+    return None
 
 
 # -- result export -------------------------------------------------------------

@@ -210,7 +210,6 @@ def run_stream_experiment(
     num_stages: int = 5,
     seed: int = 0,
     window: int | None = None,
-    n_jobs: int = 1,
 ) -> ExperimentResult:
     """Train on stage 1, extend with stages 2..k, re-scoring after each.
 
@@ -233,12 +232,12 @@ def run_stream_experiment(
     for stage_index in range(plan.num_stages):
         start = time.perf_counter()
         if stage_index == 0:
-            forest = train_batch(X[seen], cfg, n_jobs=n_jobs)
+            forest = train_batch(X[seen], cfg)
         else:
             batch = plan.stages[stage_index]
-            extend_forest(forest, X[batch], n_jobs=n_jobs)
+            extend_forest(forest, X[batch])
             seen = np.concatenate([seen, batch])
-        reports = rescore_window(forest, X[seen], window=window, n_jobs=n_jobs)
+        reports = rescore_window(forest, X[seen], window=window)
         elapsed = time.perf_counter() - start
         scored = seen[[r.point_index for r in reports]]
         stage_auc.append(auc([r.score for r in reports], y[scored]))
@@ -273,7 +272,6 @@ def run_kfold_experiment(
     config: ForestConfig | None = None,
     k: int = 10,
     seed: int = 0,
-    n_jobs: int = 1,
 ) -> list[FoldResult]:
     """Per-fold in-sample and held-out AUC with separate timings.
 
@@ -284,11 +282,11 @@ def run_kfold_experiment(
     results = []
     for fold, (train_idx, test_idx) in enumerate(kfold_split(dataset, k, seed=seed)):
         t0 = time.perf_counter()
-        forest = train_batch(dataset.points[train_idx], cfg, n_jobs=n_jobs)
-        train_reports = score_all(dataset.points[train_idx], forest, n_jobs=n_jobs)
+        forest = train_batch(dataset.points[train_idx], cfg)
+        train_reports = score_all(dataset.points[train_idx], forest)
         t_train = time.perf_counter() - t0
         t0 = time.perf_counter()
-        test_reports = score_all(dataset.points[test_idx], forest, n_jobs=n_jobs)
+        test_reports = score_all(dataset.points[test_idx], forest)
         t_test = time.perf_counter() - t0
         results.append(
             FoldResult(
@@ -325,11 +323,10 @@ def fold_rows(dataset_name: str, config: ForestConfig, results: list[FoldResult]
 
 @dataclass
 class BenchPoint:
-    """Median-of-repeats wall time for one (phase, n, threads) cell."""
+    """Median-of-repeats wall time for one (phase, n) cell."""
 
     phase: str
     n: int
-    threads: int
     seconds: list[float]
 
     @property
@@ -343,7 +340,6 @@ def measure_scaling(
     dim: int = 8,
     repeats: int = 3,
     extend_count: int = 256,
-    threads: int = 1,
     seed: int = 0,
 ) -> list[BenchPoint]:
     """Time train / score / extend on uniform random data of growing size.
@@ -360,20 +356,20 @@ def measure_scaling(
             cfg = ForestConfig(num_trees=num_trees, psi=None, seed=seed + rep)
 
             t0 = time.perf_counter()
-            forest = train_batch(X, cfg, n_jobs=threads)
+            forest = train_batch(X, cfg)
             t_train = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            score_all(X, forest, n_jobs=threads)
+            score_all(X, forest)
             t_score = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            extend_forest(forest, X_new, n_jobs=threads)
+            extend_forest(forest, X_new)
             t_extend = time.perf_counter() - t0
 
             for phase, seconds in (("train", t_train), ("score", t_score), ("extend", t_extend)):
                 cell = cells.setdefault(
-                    (phase, n), BenchPoint(phase=phase, n=n, threads=threads, seconds=[])
+                    (phase, n), BenchPoint(phase=phase, n=n, seconds=[])
                 )
                 cell.seconds.append(seconds)
     return list(cells.values())

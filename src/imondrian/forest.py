@@ -10,12 +10,11 @@ expected average scores 0.5.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import MondrianTree, as_point, as_points, extend_tree, fit_tree, path_length, path_lengths
+from .tree import ForestArena, MondrianTree, as_point, as_points, fit_tree
 
 # truncated Euler-Mascheroni constant, exactly as used by the normalization
 EULER_GAMMA = 0.5772156649
@@ -78,7 +77,7 @@ class ScoreReport:
 
 @dataclass
 class Forest:
-    """A trained ensemble.
+    """A trained ensemble, its trees packed into one arena.
 
     ``n_effective`` is the sample size the score normalization uses: the
     subsample size when subsampling was applied, the batch size otherwise.
@@ -86,7 +85,7 @@ class Forest:
     across stages.
     """
 
-    trees: list[MondrianTree]
+    arena: ForestArena = field(repr=False)
     n_effective: int
     psi: int | None
     seed: int
@@ -94,29 +93,27 @@ class Forest:
     config: ForestConfig = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
+    def trees(self) -> tuple[MondrianTree, ...]:
+        """Read-only views of the trees as they are now (see ForestArena.tree)."""
+        return tuple(self.arena.tree(t) for t in range(self.arena.num_trees))
+
+    @property
     def num_trees(self) -> int:
-        return len(self.trees)
+        return self.arena.num_trees
 
     @property
     def total_population(self) -> int:
         """Points inserted into each tree (batch sample plus extensions)."""
-        return int(self.trees[0].population[self.trees[0].root])
+        return int(self.arena.population[0, self.arena.root[0]])
 
 
-def _map_trees(fn, count: int, n_jobs: int):
-    """Apply fn(tree_index) for all indices, preserving index order."""
-    if n_jobs and n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(t) for t in range(count)]
-
-
-def train_batch(points, config: ForestConfig | None = None, n_jobs: int = 1) -> Forest:
+def train_batch(points, config: ForestConfig | None = None) -> Forest:
     """Train a forest: one tree per independent subsample (Exp-clock cuts).
 
-    Each tree owns a generator seeded ``config.seed + tree_index``; the
-    subsample draw (when active) comes from that same generator, so a
-    (data, config) pair reproduces the forest tree for tree.
+    Each tree owns a generator spawned from ``SeedSequence(config.seed)``,
+    so no two trees of any two seeds share a stream; the subsample draw
+    (when active) comes from that same generator, so a (data, config) pair
+    reproduces the forest tree for tree.
     """
     cfg = config or ForestConfig()
     X = as_points(points)
@@ -126,17 +123,18 @@ def train_batch(points, config: ForestConfig | None = None, n_jobs: int = 1) -> 
     subsampling = cfg.psi is not None and n > cfg.psi
     n_effective = cfg.psi if subsampling else n
 
-    def build(t: int) -> MondrianTree:
-        gen = np.random.default_rng(cfg.seed + t)
+    def build(seq: np.random.SeedSequence) -> MondrianTree:
+        gen = np.random.default_rng(seq)
         if subsampling:
             sample = X[gen.choice(n, size=cfg.psi, replace=False)]
         else:
             sample = X
         return fit_tree(sample, rng=gen)
 
-    trees = _map_trees(build, cfg.num_trees, n_jobs)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
+    arena = ForestArena.pack(map(build, seeds), cfg.num_trees, d, capacity=2 * n_effective - 1)
     return Forest(
-        trees=trees,
+        arena=arena,
         n_effective=int(n_effective),
         psi=cfg.psi,
         seed=cfg.seed,
@@ -145,39 +143,31 @@ def train_batch(points, config: ForestConfig | None = None, n_jobs: int = 1) -> 
     )
 
 
+def _reports(depth_sum: np.ndarray, forest: Forest, first_index: int = 0) -> list[ScoreReport]:
+    expected = depth_sum / forest.num_trees
+    scores = anomaly_score(expected, forest.n_effective)
+    return [
+        ScoreReport(point_index=first_index + i, expected_path_length=e, score=s)
+        for i, (e, s) in enumerate(zip(expected.tolist(), scores.tolist()))
+    ]
+
+
 def score(x, forest: Forest, point_index: int = 0) -> ScoreReport:
     """Score a single point: mean path length over trees, then 2^(-E/c)."""
     pt = as_point(x, forest.dim)
-    total = 0
-    for tree in forest.trees:
-        total += path_length(pt, tree)
-    expected = total / forest.num_trees
-    return ScoreReport(
-        point_index=point_index,
-        expected_path_length=expected,
-        score=float(anomaly_score(expected, forest.n_effective)),
-    )
+    return _reports(forest.arena.route(pt.reshape(1, -1)), forest, point_index)[0]
 
 
-def score_all(points, forest: Forest, n_jobs: int = 1) -> list[ScoreReport]:
+def score_all(points, forest: Forest) -> list[ScoreReport]:
     """Elementwise scores for a batch, preserving input order.
 
-    Per-tree depth sums are accumulated in tree-index order regardless of
-    worker scheduling, so results are deterministic under parallelism.
+    All trees are walked in lockstep; scalar and batch scoring share one
+    expression, so their results are bit-identical.
     """
     if _is_empty(points):
         return []
     X = as_points(points, forest.dim)
-    per_tree = _map_trees(lambda t: path_lengths(forest.trees[t], X), forest.num_trees, n_jobs)
-    depth_sum = np.zeros(X.shape[0], dtype=np.int64)
-    for depths in per_tree:
-        depth_sum += depths
-    expected = depth_sum / forest.num_trees
-    scores = anomaly_score(expected, forest.n_effective)
-    return [
-        ScoreReport(point_index=i, expected_path_length=float(expected[i]), score=float(scores[i]))
-        for i in range(X.shape[0])
-    ]
+    return _reports(forest.arena.route(X), forest)
 
 
 def _is_empty(points) -> bool:
@@ -191,18 +181,19 @@ def _is_empty(points) -> bool:
         return False
 
 
-def extend_forest(forest: Forest, new_points, n_jobs: int = 1) -> Forest:
+def extend_forest(forest: Forest, new_points) -> Forest:
     """Insert streamed points one by one, in arrival order, into every tree.
 
     Each point is validated before any tree sees it, so a bad point aborts
-    without partially mutating the forest for that point. ``n_effective``
-    is deliberately left unchanged. Mutates in place and returns the forest.
+    without partially mutating the forest for that point; all trees take a
+    point in one lockstep pass, each bit-identical to ``extend_tree``.
+    ``n_effective`` is deliberately left unchanged. Mutates in place and
+    returns the forest.
     """
     if _is_empty(new_points):
         return forest
     for raw in new_points:
-        x = as_point(raw, forest.dim)
-        _map_trees(lambda t: extend_tree(forest.trees[t], x), forest.num_trees, n_jobs)
+        forest.arena.extend(as_point(raw, forest.dim))
     return forest
 
 
@@ -210,7 +201,6 @@ def rescore_window(
     forest: Forest,
     retained_points,
     window: int | None = None,
-    n_jobs: int = 1,
 ) -> list[ScoreReport]:
     """Recompute scores for the last ``window`` retained points (all if None).
 
@@ -224,7 +214,4 @@ def rescore_window(
     X = as_points(retained_points, forest.dim)
     n = X.shape[0]
     start = 0 if window is None else max(0, n - window)
-    reports = score_all(X[start:], forest, n_jobs=n_jobs)
-    for rep in reports:
-        rep.point_index += start
-    return reports
+    return _reports(forest.arena.route(X[start:]), forest, start)

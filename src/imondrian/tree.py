@@ -11,10 +11,15 @@ node *above* it, instead of only growing the tree at the leaves.
 Nodes live in a growable structure-of-arrays arena addressed by integer
 index; ``NO_NODE`` (-1) marks an absent link. A node is a leaf iff it has
 no left child, and leaves always carry an infinite split time.
+
+A forest packs all of its trees into one ``ForestArena``, whose kernels walk
+every tree in lockstep. The scalar ``path_length`` and ``extend_tree`` on a
+single ``MondrianTree`` stay as the reference the kernels are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,43 @@ import numpy as np
 from .errors import DegenerateBoxError, DimensionMismatchError
 
 NO_NODE = -1
+
+# per-node fields: (name, dtype, value of an unused slot); boxes add a dim
+# axis and come first, so growing one field at a time peaks lowest
+_FIELDS = (
+    ("box_min", np.float64, 0.0),
+    ("box_max", np.float64, 0.0),
+    ("split_dim", np.int32, -1),
+    ("split_val", np.float64, 0.0),
+    ("split_time", np.float64, np.inf),
+    ("left", np.int32, NO_NODE),
+    ("right", np.int32, NO_NODE),
+    ("parent", np.int32, NO_NODE),
+    ("population", np.int64, 0),
+)
+FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
+
+# (tree, point) lanes routed per numpy pass by ForestArena.route; passes of
+# 2^14 lanes kept the working set in cache and routed fastest when measured
+ROUTE_LANES = 1 << 14
+
+
+def _alloc_fields(owner, lead: tuple[int, ...], dim: int) -> None:
+    for name, dtype, fill in _FIELDS:
+        shape = lead + ((dim,) if name.startswith("box") else ())
+        setattr(owner, name, np.full(shape, fill, dtype=dtype))
+
+
+def _grow_fields(owner, axis: int) -> None:
+    """Double the node axis of every field, one field at a time."""
+    for name, _, fill in _FIELDS:
+        old = getattr(owner, name)
+        cap = old.shape[axis]
+        shape = list(old.shape)
+        shape[axis] = max(2 * cap, 8)
+        new = np.full(shape, fill, dtype=old.dtype)
+        new[(slice(None),) * axis + (slice(0, cap),)] = old
+        setattr(owner, name, new)
 
 
 def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -120,6 +162,9 @@ def _draw_split(
     rng: np.random.Generator,
 ) -> tuple[float, int, float]:
     """Draw (e, q, p) for a box with positive linear dimension ``rate``."""
+    if rate == np.inf:
+        # the clock would fire at time 0 forever
+        raise ValueError("box is too large: its linear dimension overflows to infinity")
     scale = 1.0 / rate
     e = rng.exponential(scale)
     while e == 0.0:
@@ -189,15 +234,7 @@ class MondrianTree:
         self.rng = _as_generator(rng)
         self.root = NO_NODE
         self.size = 0
-        self.split_dim = np.full(capacity, -1, dtype=np.int32)
-        self.split_val = np.zeros(capacity)
-        self.split_time = np.full(capacity, np.inf)
-        self.left = np.full(capacity, NO_NODE, dtype=np.int32)
-        self.right = np.full(capacity, NO_NODE, dtype=np.int32)
-        self.parent = np.full(capacity, NO_NODE, dtype=np.int32)
-        self.population = np.zeros(capacity, dtype=np.int64)
-        self.box_min = np.zeros((capacity, dim))
-        self.box_max = np.zeros((capacity, dim))
+        _alloc_fields(self, (capacity,), self.dim)
 
     # -- arena ---------------------------------------------------------------
 
@@ -205,23 +242,9 @@ class MondrianTree:
     def capacity(self) -> int:
         return self.left.size
 
-    def _grow(self) -> None:
-        old = self.capacity
-        new = max(2 * old, 8)
-        ext = new - old
-        self.split_dim = np.concatenate([self.split_dim, np.full(ext, -1, dtype=np.int32)])
-        self.split_val = np.concatenate([self.split_val, np.zeros(ext)])
-        self.split_time = np.concatenate([self.split_time, np.full(ext, np.inf)])
-        self.left = np.concatenate([self.left, np.full(ext, NO_NODE, dtype=np.int32)])
-        self.right = np.concatenate([self.right, np.full(ext, NO_NODE, dtype=np.int32)])
-        self.parent = np.concatenate([self.parent, np.full(ext, NO_NODE, dtype=np.int32)])
-        self.population = np.concatenate([self.population, np.zeros(ext, dtype=np.int64)])
-        self.box_min = np.concatenate([self.box_min, np.zeros((ext, self.dim))])
-        self.box_max = np.concatenate([self.box_max, np.zeros((ext, self.dim))])
-
     def _new_node(self) -> int:
         if self.size == self.capacity:
-            self._grow()
+            _grow_fields(self, axis=0)
         idx = self.size
         self.size += 1
         return idx
@@ -255,7 +278,8 @@ def fit_tree(points, tau_parent: float = 0.0, rng: np.random.Generator | int | N
     and the points are partitioned into {x : x[q] < p} and {x : x[q] >= p}.
     Anything else terminates as a leaf (so a block of identical points
     becomes a leaf carrying the whole block's population). The root's
-    parent time is ``tau_parent`` (0 for a fresh tree).
+    parent time is ``tau_parent`` (0 for a fresh tree). Raises ValueError
+    when the points' box is so large that its linear dimension overflows.
     """
     X = as_points(points)
     n, d = X.shape
@@ -349,12 +373,17 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
     it (population bump only).
 
     Uses the tree's own generator unless ``rng`` is given. Mutates in place
-    and returns the tree.
+    and returns the tree. Raises ValueError, before drawing or writing
+    anything, on a read-only tree view and on a point so far from the root's
+    box that a deviation rate would overflow.
     """
     x = as_point(x_new, tree.dim)
     gen = tree.rng if rng is None else _as_generator(rng)
     if tree.root == NO_NODE:
         raise ValueError("cannot extend an empty tree")
+    if not tree.left.flags.writeable:
+        raise ValueError("tree is a read-only view of a forest; extend the forest instead")
+    _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)
     node = tree.root
     tau = 0.0
     while True:
@@ -381,6 +410,16 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
             node = int(tree.left[node])
         else:
             node = int(tree.right[node])
+
+
+def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarray) -> None:
+    """Raise ValueError unless the root box enlarged to admit x has a finite
+    linear dimension. Every box on x's path lies inside that enlarged box,
+    so this bounds x's deviation rate at every node it will visit."""
+    with np.errstate(over="ignore"):
+        span = (np.maximum(root_max, x) - np.minimum(root_min, x)).sum(axis=-1)
+    if not np.isfinite(span).all():
+        raise ValueError("point is too far from the tree's box: its deviation rate overflows")
 
 
 def _splice_above(
@@ -447,14 +486,260 @@ def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
     if a.dim != b.dim or a.size != b.size or a.root != b.root:
         return False
     n = a.size
-    return (
-        np.array_equal(a.split_dim[:n], b.split_dim[:n])
-        and np.array_equal(a.split_val[:n], b.split_val[:n])
-        and np.array_equal(a.split_time[:n], b.split_time[:n])
-        and np.array_equal(a.left[:n], b.left[:n])
-        and np.array_equal(a.right[:n], b.right[:n])
-        and np.array_equal(a.parent[:n], b.parent[:n])
-        and np.array_equal(a.population[:n], b.population[:n])
-        and np.array_equal(a.box_min[:n], b.box_min[:n])
-        and np.array_equal(a.box_max[:n], b.box_max[:n])
-    )
+    return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in FIELD_NAMES)
+
+
+class ForestArena:
+    """Every tree of a forest packed into one structure-of-arrays arena.
+
+    Each node field has shape ``(num_trees, capacity)`` (boxes add a ``dim``
+    axis); row t holds tree t, with int32 links local to that row. ``root``,
+    ``size`` and ``rngs`` hold each tree's root, used slot count and own
+    generator. Slots past a tree's size keep the unused-slot values, and when
+    a row fills, the capacity of every row doubles.
+
+    The kernels move all trees down one depth level per numpy step: ``route``
+    sums depths for a batch of points, and ``extend`` inserts one point into
+    every tree. Each tree draws from its own generator in the same order as
+    ``extend_tree``, so a tree's result is bit-identical to the per-tree
+    reference. The waiting times use the Exp(1) / rate form of the Mondrian
+    process clock (Roy & Teh 2008), as in Mondrian-forest extension
+    (Lakshminarayanan, Roy & Teh 2014).
+    """
+
+    def __init__(self, num_trees: int, dim: int, capacity: int):
+        self.dim = int(dim)
+        self.root = np.full(num_trees, NO_NODE, dtype=np.int64)
+        self.size = np.zeros(num_trees, dtype=np.int64)
+        self.rngs: list[np.random.Generator | None] = [None] * num_trees
+        _alloc_fields(self, (num_trees, max(int(capacity), 1)), self.dim)
+
+    @classmethod
+    def pack(cls, trees: Iterable[MondrianTree], num_trees: int, dim: int, capacity: int) -> ForestArena:
+        """Copy ``num_trees`` trees of dimension ``dim`` into a new arena, one
+        row each, taking ownership of their generators. Trees are consumed
+        one at a time, so a generator of trees never holds more than one in
+        memory."""
+        arena = cls(num_trees, dim, capacity)
+        for t, tree in enumerate(trees):
+            n = tree.size
+            while n > arena.capacity:
+                _grow_fields(arena, axis=1)
+            for name in FIELD_NAMES:
+                getattr(arena, name)[t, :n] = getattr(tree, name)[:n]
+            arena.root[t] = tree.root
+            arena.size[t] = n
+            arena.rngs[t] = tree.rng
+        return arena
+
+    @property
+    def num_trees(self) -> int:
+        return self.root.size
+
+    @property
+    def capacity(self) -> int:
+        return self.left.shape[1]
+
+    def tree(self, t: int) -> MondrianTree:
+        """Read-only view of tree t as it is now: its arrays alias the arena
+        row and cannot be written. Take a fresh view after extending."""
+        view = MondrianTree.__new__(MondrianTree)
+        view.dim = self.dim
+        view.rng = self.rngs[t]
+        view.root = int(self.root[t])
+        view.size = int(self.size[t])
+        for name in FIELD_NAMES:
+            row = getattr(self, name)[t]
+            row.flags.writeable = False
+            setattr(view, name, row)
+        return view
+
+    def _flat(self, name: str) -> np.ndarray:
+        """A field with the tree and node axes merged: index ``t * capacity + node``."""
+        arr = getattr(self, name)
+        return arr.reshape((-1,) + arr.shape[2:])
+
+    def route(self, X: np.ndarray) -> np.ndarray:
+        """Sum over trees of each point's root-to-leaf edge count (int64).
+
+        ``X`` is a validated (n, dim) array. Lanes are (tree, point) pairs
+        in tree-major order, routed about ROUTE_LANES at a time so memory
+        stays flat; each pass drops the lanes that reached a leaf.
+        """
+        n, d = X.shape
+        C = self.capacity
+        flat_x = np.ascontiguousarray(X).ravel()
+        left, right = self._flat("left"), self._flat("right")
+        split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
+        depth_sum = np.zeros(n, dtype=np.int64)
+        block = min(n, ROUTE_LANES)
+        trees_per_pass = max(ROUTE_LANES // block, 1)
+        for p0 in range(0, n, block):
+            offsets = np.arange(p0, min(p0 + block, n)) * d  # row starts in flat_x
+            for t0 in range(0, self.num_trees, trees_per_pass):
+                trees = np.arange(t0, min(t0 + trees_per_pass, self.num_trees))
+                base = np.repeat(trees * C, offsets.size)
+                node = base + np.repeat(self.root[trees], offsets.size)
+                xrow = np.tile(offsets, trees.size)
+                lane = np.arange(base.size)
+                depth = np.zeros(base.size, dtype=np.int64)
+                level = 0
+                while True:
+                    child = left[node]
+                    inner = child != NO_NODE
+                    if not inner.all():
+                        depth[lane[~inner]] = level
+                        lane, node, base, xrow, child = (
+                            lane[inner], node[inner], base[inner], xrow[inner], child[inner]
+                        )
+                        if not lane.size:
+                            break
+                    go_left = flat_x[xrow + split_dim[node]] < split_val[node]
+                    node = base + np.where(go_left, child, right[node])
+                    level += 1
+                depth_sum[p0 : p0 + offsets.size] += depth.reshape(trees.size, -1).sum(axis=0)
+        return depth_sum
+
+    def extend(self, x: np.ndarray) -> None:
+        """Insert one validated point into every tree, as ``extend_tree`` would.
+
+        1. Route x down every tree and record the path nodes.
+        2. Compute every deviation rate on those paths at once, then let
+           each tree draw its waiting times, in path order, from its own
+           generator until its clock fires (tau + e below the node's time).
+        3. Enlarge the boxes and bump the populations of the nodes passed
+           before the clock fired, and splice a new internal node and leaf
+           above the node where it fired.
+
+        Raises ValueError before any tree is touched if a rate would
+        overflow in some tree.
+        """
+        path_tree, path_node, dev, rate, fired, fire_time, draws = self._race(x)
+        # 3. grow before taking views of the fields, so that each old field
+        # is freed as soon as its replacement is filled
+        while fired.size and self.size[path_tree[fired]].max() + 2 > self.capacity:
+            _grow_fields(self, axis=1)
+        path_flat = path_tree * self.capacity + path_node
+        stop = np.full(self.num_trees, path_tree.size)
+        stop[path_tree[fired]] = fired
+        passed = path_flat[np.arange(path_tree.size) < stop[path_tree]]
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        box_min[passed] = np.minimum(box_min[passed], x)
+        box_max[passed] = np.maximum(box_max[passed], x)
+        self._flat("population")[passed] += 1
+        if fired.size:
+            self._splice(path_tree[fired], path_node[fired], x, fire_time, dev[fired], rate[fired], draws)
+
+    def _race(self, x: np.ndarray):
+        """Phases 1 and 2 of ``extend``: the path of x in every tree as
+        tree-major (tree, local node) pairs, the deviations and rates along
+        it, and for each tree whose clock fired its path position, firing
+        time and the two uniforms its splice draws next."""
+        T, C = self.left.shape
+        trees = np.arange(T)
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        root = trees * C + self.root
+        _check_rates_finite(box_min[root], box_max[root], x)
+
+        # 1. path nodes, level by level, then reordered tree-major
+        left, right = self._flat("left"), self._flat("right")
+        split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
+        level_trees, level_nodes = [], []
+        t, node = trees, self.root
+        while t.size:
+            level_trees.append(t)
+            level_nodes.append(node)
+            flat = t * C + node
+            child = left[flat]
+            inner = child != NO_NODE
+            t, flat, child = t[inner], flat[inner], child[inner]
+            go_left = x[split_dim[flat]] < split_val[flat]
+            node = np.where(go_left, child, right[flat])
+        path_tree = np.concatenate(level_trees)
+        order = np.argsort(path_tree, kind="stable")
+        path_tree = path_tree[order]
+        path_node = np.concatenate(level_nodes)[order]
+        path_flat = path_tree * C + path_node
+
+        # 2. rates and parent times on every path node, then per-tree clocks
+        dev = np.maximum(box_min[path_flat] - x, 0.0) + np.maximum(x - box_max[path_flat], 0.0)
+        rate = dev.sum(axis=1)
+        node_time = self._flat("split_time")[path_flat]
+        tau = np.empty_like(node_time)
+        tau[0] = 0.0
+        tau[1:] = node_time[:-1]
+        tau[np.flatnonzero(np.diff(path_tree)) + 1] = 0.0  # roots have parent time 0
+        cand = np.flatnonzero(rate > 0.0)
+        cand_tree = path_tree[cand]
+        starts = np.flatnonzero(np.diff(cand_tree, prepend=-1))
+        ends = np.append(starts[1:], cand.size)
+        scale = (1.0 / rate[cand]).tolist()
+        cand_tau = tau[cand].tolist()
+        cand_time = node_time[cand].tolist()
+        fired, fire_time, draws = [], [], []
+        for t, lo, hi in zip(cand_tree[starts].tolist(), starts.tolist(), ends.tolist()):
+            gen = self.rngs[t]
+            for j in range(lo, hi):
+                e = scale[j] * gen.standard_exponential()
+                while e == 0.0:
+                    e = scale[j] * gen.standard_exponential()
+                if cand_tau[j] + e < cand_time[j]:
+                    fired.append(cand[j])
+                    fire_time.append(cand_tau[j] + e)
+                    draws.append((gen.random(), gen.random()))  # cut dim, cut value
+                    break
+        return (path_tree, path_node, dev, rate, np.asarray(fired, dtype=np.int64),
+                np.asarray(fire_time), np.asarray(draws).reshape(-1, 2))
+
+    def _splice(self, t, node, x, time, rates, rate, draws) -> None:
+        """Vectorized ``_splice_above`` for trees t (each once) at local nodes."""
+        C = self.capacity
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
+        population = self._flat("population")
+        d = x.size
+        k = np.arange(t.size)
+
+        u = draws[:, 0] * rate
+        q = (np.cumsum(rates, axis=1) <= u[:, None]).sum(axis=1)
+        # float roundoff pushed u onto/past a boundary; take the last deviating dim
+        last = d - 1 - np.argmax(rates[:, ::-1] > 0.0, axis=1)
+        q = np.where((q >= d) | (rates[k, np.minimum(q, d - 1)] <= 0.0), last, q)
+        flat = t * C + node
+        xq = x[q]
+        above = xq > box_max[flat, q]
+        lo = np.where(above, box_max[flat, q], xq)
+        hi = np.where(above, xq, box_min[flat, q])
+        p = lo + (hi - lo) * draws[:, 1]
+        p = np.where(p <= lo, hi, p)
+
+        internal = self.size[t].copy()
+        leaf = internal + 1
+        self.size[t] += 2
+        inner_flat = t * C + internal
+        leaf_flat = t * C + leaf
+        old_parent = parent[flat].astype(np.int64)
+
+        box_min[leaf_flat] = x
+        box_max[leaf_flat] = x
+        population[leaf_flat] = 1
+        parent[leaf_flat] = internal
+
+        self._flat("split_dim")[inner_flat] = q
+        self._flat("split_val")[inner_flat] = p
+        self._flat("split_time")[inner_flat] = time
+        box_min[inner_flat] = np.minimum(box_min[flat], x)
+        box_max[inner_flat] = np.maximum(box_max[flat], x)
+        population[inner_flat] = population[flat] + 1
+        parent[inner_flat] = old_parent
+        left[inner_flat] = np.where(above, node, leaf)
+        right[inner_flat] = np.where(above, leaf, node)
+        parent[flat] = internal
+
+        at_root = old_parent == NO_NODE
+        self.root[t[at_root]] = internal[at_root]
+        t, node, internal, old_parent = t[~at_root], node[~at_root], internal[~at_root], old_parent[~at_root]
+        up = t * C + old_parent
+        via_left = left[up] == node
+        left[up[via_left]] = internal[via_left]
+        right[up[~via_left]] = internal[~via_left]

@@ -7,6 +7,8 @@ pairwise comparison, 2-means from scanning every sorted split.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -187,3 +189,15 @@ def random_dataset(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         for dst in rng.integers(0, n, size=3):
             X[dst] = X[src]
     return X
+
+
+def reseal_model(path, edit) -> None:
+    """Apply edit(payload) to a saved model file and write it back with a
+    matching checksum, as a hand edit that keeps the file well-formed would."""
+    header, text = path.read_text().split("\n", 1)
+    payload = json.loads(text)
+    edit(payload)
+    text = json.dumps(payload, separators=(",", ":"))
+    magic, version, _ = header.split()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    path.write_text(f"{magic} {version} sha256={digest}\n{text}")

@@ -233,7 +233,7 @@ def test_criterion_6_streaming_stability():
 
 def test_criterion_7_training_scaling():
     points = measure_scaling(
-        [4096, 8192, 16384], num_trees=20, dim=8, repeats=3, threads=1, seed=1
+        [4096, 8192, 16384], num_trees=20, dim=8, repeats=3, seed=1
     )
     ratios = doubling_ratios(points, "train")
     median_ratio = float(np.median(ratios))

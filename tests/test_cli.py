@@ -8,6 +8,8 @@ import pytest
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 
+from helpers import reseal_model
+
 
 def _write_csv(path, points, labels=None):
     cols = [f"f{i}" for i in range(points.shape[1])]
@@ -81,6 +83,13 @@ class TestFit:
         code = main(["fit", "--data", str(tmp_path / "nope.csv")])
         assert code == EXIT_DATA
 
+    def test_overflowing_box_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        _write_csv(data, np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0]]))
+        code = main(["fit", "--data", str(data), "--trees", "2"])
+        assert code == EXIT_DATA
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestScore:
     @pytest.fixture()
@@ -110,6 +119,17 @@ class TestScore:
         _write_csv(bad, np.zeros((4, 3)))
         code = main(["score", "--model", str(model), "--data", str(bad)])
         assert code == EXIT_DATA
+
+    def test_resealed_bad_split_dim_is_data_error(self, tmp_path, blob_csv, fitted, capsys):
+        model, _ = fitted
+
+        def edit(payload):
+            payload["trees"][0]["nodes"][0]["split_dim"] = 7
+
+        reseal_model(model, edit)
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+        assert code == EXIT_DATA
+        assert "split dimension" in capsys.readouterr().err
 
     def test_empty_points_file(self, tmp_path, fitted):
         model, _ = fitted
@@ -193,12 +213,12 @@ class TestBench:
         out = tmp_path / "bench.csv"
         code = main([
             "bench", "--sizes", "64,128", "--trees", "2", "--dim", "3",
-            "--repeats", "1", "--bench-threads", "2", "--out", str(out),
+            "--repeats", "1", "--out", str(out),
         ])
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
-        # header + 2 sizes x 3 phases x 2 thread counts
-        assert len(lines) == 13
+        # header + 2 sizes x 3 phases
+        assert len(lines) == 7
         printed = capsys.readouterr().out
         assert "train" in printed and "ratio=" in printed
 

@@ -19,6 +19,24 @@ from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
 from imondrian.tree import structurally_equal
 
+from helpers import reseal_model
+
+
+def _set_root(field, value):
+    def edit(payload):
+        payload["trees"][0]["nodes"][0][field] = value
+    return edit
+
+
+def _widen_first_child(payload):
+    child = payload["trees"][0]["nodes"][1]
+    child["box_max"] = [v + 100.0 for v in child["box_max"]]
+
+
+def _root_cut_outside_box(payload):
+    root = payload["trees"][0]["nodes"][0]
+    root["split_val"] = root["box_max"][root["split_dim"]] + 1.0
+
 
 class TestLoadCsv:
     def test_plain_numeric(self, tmp_path):
@@ -186,6 +204,25 @@ class TestModelRoundTrip:
         blob = path.read_text()
         path.write_text(blob.replace(" v1 ", " v9 ", 1))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (_set_root("split_dim", 3), "split dimension"),
+            (_set_root("split_dim", -2), "split dimension"),
+            (_set_root("split_time", -1.0), "split times"),
+            (_root_cut_outside_box, "split value"),
+            (_widen_first_child, "nested"),
+        ],
+    )
+    def test_resealed_invalid_structure_rejected(self, tmp_path, edit, problem):
+        X, forest = self._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        load_model(path)  # the untouched file is valid
+        reseal_model(path, edit)
+        with pytest.raises(ModelFormatError, match=problem):
             load_model(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

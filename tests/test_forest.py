@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,9 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import path_length, structurally_equal
+from imondrian.tree import extend_tree, path_length, structurally_equal
 
-from helpers import check_tree_invariants, depth_oracle
+from helpers import check_tree_invariants, depth_oracle, random_dataset
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -101,12 +103,15 @@ class TestTrainBatch:
         with pytest.raises(ValueError):
             ForestConfig(psi=1)
 
-    def test_threaded_training_matches_serial(self):
+    def test_neighbouring_seeds_share_no_tree(self):
+        # per-tree streams come from SeedSequence(seed).spawn, not seed + t
         X = np.random.default_rng(4).normal(size=(200, 3))
-        cfg = ForestConfig(num_trees=8, psi=None, seed=5)
-        serial = train_batch(X, cfg, n_jobs=1)
-        threaded = train_batch(X, cfg, n_jobs=4)
-        assert all(structurally_equal(a, b) for a, b in zip(serial.trees, threaded.trees))
+        seed0 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=0))
+        seed1 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
+        assert not structurally_equal(seed1.trees[0], seed0.trees[1])
+        assert not any(structurally_equal(a, b) for a in seed0.trees for b in seed1.trees)
+        again = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
+        assert all(structurally_equal(a, b) for a, b in zip(seed1.trees, again.trees))
 
 
 class TestScore:
@@ -193,13 +198,17 @@ class TestScoreAll:
             gaps.append(s[ds.labels == 1].mean() - s[ds.labels == 0].mean())
         assert np.mean(gaps) > 0.1
 
-    def test_threaded_scoring_matches_serial(self):
+    def test_expected_path_length_is_mean_over_trees(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(100, 4))
         forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=4))
-        serial = [r.score for r in score_all(X, forest, n_jobs=1)]
-        threaded = [r.score for r in score_all(X, forest, n_jobs=3)]
-        assert serial == threaded
+        extend_forest(forest, rng.normal(scale=3.0, size=(30, 4)))
+        probes = np.vstack([X, rng.uniform(-9.0, 9.0, size=(20, 4))])
+        reports = score_all(probes, forest)
+        for x, rep in zip(probes, reports):
+            mean = sum(path_length(x, t) for t in forest.trees) / forest.num_trees
+            assert rep.expected_path_length == mean
+            assert score(x, forest).expected_path_length == mean
 
 
 class TestExtendForest:
@@ -257,6 +266,95 @@ class TestExtendForest:
         everything = np.vstack([X, stream])
         for tree in forest.trees:
             check_tree_invariants(tree, points=everything, expected_population=110)
+
+
+def _lockstep_datasets(rng):
+    """random_dataset shapes plus the edge cases: d = 1, n = 2, exact
+    duplicates (down to a single repeated point) and a constant column."""
+    sets = [random_dataset(rng, int(rng.integers(2, 60)), int(rng.integers(1, 6))) for _ in range(8)]
+    sets.append(rng.normal(size=(30, 1)))
+    sets.append(rng.normal(size=(2, 3)))
+    sets.append(np.repeat(rng.normal(size=(3, 2)), 5, axis=0))
+    sets.append(np.tile(rng.normal(size=(1, 2)), (4, 1)))
+    constant = rng.normal(size=(25, 3))
+    constant[:, 1] = 4.0
+    sets.append(constant)
+    return sets
+
+
+def _stream(rng, X, count):
+    """Points inside the data's box, far outside it, and exact duplicates."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    points = []
+    for j in range(count):
+        kind = j % 3
+        if kind == 0:
+            points.append(rng.uniform(lo, hi))
+        elif kind == 1:
+            points.append(rng.uniform(lo - 10.0, hi + 10.0))
+        else:
+            points.append(X[int(rng.integers(0, X.shape[0]))].copy())
+    return np.asarray(points)
+
+
+class TestLockstepArena:
+    def _assert_matches_reference(self, forest, reference, points=None):
+        for tree, ref in zip(forest.trees, reference):
+            assert structurally_equal(tree, ref)
+            assert tree.rng.bit_generator.state == ref.rng.bit_generator.state
+            check_tree_invariants(tree, points=points)
+
+    def test_extension_matches_per_tree_reference(self):
+        rng = np.random.default_rng(20)
+        for i, X in enumerate(_lockstep_datasets(rng)):
+            psi = None if i % 2 else 16
+            forest = train_batch(X, ForestConfig(num_trees=5, psi=psi, seed=i))
+            reference = [copy.deepcopy(tree) for tree in forest.trees]
+            stream = _stream(rng, X, 30)
+            extend_forest(forest, stream)
+            for x in stream:
+                for ref in reference:
+                    extend_tree(ref, x)
+            self._assert_matches_reference(forest, reference, points=stream)
+
+    def test_growth_across_capacity_boundary(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(2, 2))
+        forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=3))
+        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        start = forest.arena.capacity
+        stream = rng.uniform(-20.0, 20.0, size=(40, 2))
+        for x in stream:
+            extend_forest(forest, [x])
+            for ref in reference:
+                extend_tree(ref, x)
+        assert forest.arena.capacity > 4 * start
+        self._assert_matches_reference(forest, reference, points=np.vstack([X, stream]))
+        assert forest.total_population == 42
+
+    def test_tree_views_are_read_only(self):
+        X = np.random.default_rng(22).normal(size=(30, 2))
+        forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
+        view = forest.trees[1]
+        state = view.rng.bit_generator.state
+        with pytest.raises(ValueError):
+            view.left[view.root] = 0
+        with pytest.raises(ValueError):
+            view.box_min[0, 0] = 1e9
+        with pytest.raises(ValueError):
+            extend_tree(view, [50.0, 50.0])
+        assert forest.arena.rngs[1].bit_generator.state == state
+        assert forest.total_population == 30
+
+    def test_overflowing_rate_raises_before_any_write(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
+        forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
+        snapshot = [copy.deepcopy(tree) for tree in forest.trees]
+        with pytest.raises(ValueError, match="overflow"):
+            extend_forest(forest, [[1e308, 1e308]])
+        for tree, before in zip(forest.trees, snapshot):
+            assert structurally_equal(tree, before)
+            assert tree.rng.bit_generator.state == before.rng.bit_generator.state
 
 
 class TestRescoreWindow:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -138,6 +139,10 @@ class TestFitTree:
         tree = fit_tree([(1.0, 2.0)] * 5, rng=9)
         assert tree.node_count == 1
         assert tree.population[tree.root] == 5
+
+    def test_overflowing_linear_dimension_rejected(self):
+        with pytest.raises(ValueError, match="overflow"):
+            fit_tree([[-1e308, -1e308], [1e308, 1e308]], rng=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -284,6 +289,14 @@ class TestExtendTree:
         tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
         with pytest.raises(ValueError):
             extend_tree(tree, (np.inf, 0.0))
+
+    def test_overflowing_rate_rejected_before_any_write(self):
+        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
+        before = copy.deepcopy(tree)
+        with pytest.raises(ValueError, match="overflow"):
+            extend_tree(tree, (1e308, 1e308))
+        assert structurally_equal(tree, before)
+        assert tree.rng.bit_generator.state == before.rng.bit_generator.state
 
 
 class TestBoundingBox:
