@@ -133,9 +133,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     positive("repeats")
     positive("inliers", 0)
     positive("outliers", 0)
+    positive("dim")
     psi = getattr(args, "psi", None)
-    if psi is not None and psi < 0:
-        parser.error(f"--psi must be >= 0 (0 disables subsampling), got {psi}")
+    if psi is not None and (psi < 0 or psi == 1):
+        parser.error(f"--psi must be 0 (no subsampling) or >= 2, got {psi}")
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not 0.0 < threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
@@ -193,12 +194,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.model:
         save_model(forest, args.model)
         print(f"model written to {args.model}")
-    reports = score_all(points, forest)
-    scores = np.asarray([r.score for r in reports])
+    _, scores = score_all(points, forest)
     _, predicted = _decide(scores, args.mode, args.threshold)
     if args.out:
-        write_scores(args.out, reports, predicted, args.mode)
-        print(f"{len(reports)} score rows written to {args.out}")
+        write_scores(args.out, scores, predicted, args.mode)
+        print(f"{scores.size} score rows written to {args.out}")
     print(
         f"fit {name}: n={points.shape[0]} d={points.shape[1]} trees={args.trees} "
         f"n_effective={forest.n_effective} config={config_hash(config)}"
@@ -238,12 +238,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             write_scores(args.out, [], [], args.mode)
             print(f"0 score rows written to {args.out}")
         return EXIT_OK
-    reports = score_all(points, forest)
-    scores = np.asarray([r.score for r in reports])
+    _, scores = score_all(points, forest)
     _, predicted = _decide(scores, args.mode, args.threshold)
     if args.out:
-        write_scores(args.out, reports, predicted, args.mode)
-        print(f"{len(reports)} score rows written to {args.out}")
+        write_scores(args.out, scores, predicted, args.mode)
+        print(f"{scores.size} score rows written to {args.out}")
     print(f"scored {points.shape[0]} points against {args.model}")
     if labels is not None:
         print(f"AUC: {auc(scores, labels):.4f}")
@@ -287,8 +286,7 @@ def _dump_grid(args: argparse.Namespace, dataset: LabeledDataset, result) -> Non
     ys = np.linspace(lo[1] - margin[1], hi[1] + margin[1], args.grid)
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    reports = score_all(lattice, result.forest)
-    scores = np.asarray([r.score for r in reports])
+    _, scores = score_all(lattice, result.forest)
     predicted = assign_all(model, scores)
     rows = [
         {"x": float(lattice[i, 0]), "y": float(lattice[i, 1]), "score": float(scores[i]), "label": int(predicted[i])}

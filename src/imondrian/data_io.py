@@ -1,9 +1,9 @@
 """Dataset ingestion, synthetic data generation, and persistence.
 
-The model file is a self-describing text format: a one-line header carrying
-magic, version, and a SHA-256 checksum of the JSON payload that follows.
-Node lists are stored per tree in preorder; floats go through JSON's
-shortest-round-trip encoding, so reloaded structures are bit-identical.
+The model file stores a forest's packed arena as it is in memory: a one-line
+header carrying magic, version and a SHA-256 checksum, one JSON metadata
+line, then the node arrays as raw little-endian bytes, so reloaded
+structures are bit-identical (see ``save_model``).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,11 +19,11 @@ import numpy as np
 
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
-from .forest import Forest, ForestConfig, ScoreReport
-from .tree import NO_NODE, ForestArena, MondrianTree
+from .forest import Forest
+from .tree import NO_NODE, ForestArena, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -234,143 +235,107 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 # -- model persistence ---------------------------------------------------------
 
 
-def _serialize_tree(tree: MondrianTree) -> dict:
-    nodes = []
-    stack = [tree.root]
-    while stack:
-        idx = stack.pop()
-        if tree.is_leaf(idx):
-            nodes.append(
-                {
-                    "kind": "leaf",
-                    "population": int(tree.population[idx]),
-                    "box_min": tree.box_min[idx].tolist(),
-                    "box_max": tree.box_max[idx].tolist(),
-                }
-            )
-        else:
-            nodes.append(
-                {
-                    "kind": "internal",
-                    "split_dim": int(tree.split_dim[idx]),
-                    "split_val": float(tree.split_val[idx]),
-                    "split_time": float(tree.split_time[idx]),
-                    "population": int(tree.population[idx]),
-                    "box_min": tree.box_min[idx].tolist(),
-                    "box_max": tree.box_max[idx].tolist(),
-                }
-            )
-            stack.append(int(tree.right[idx]))
-            stack.append(int(tree.left[idx]))
-    return {"rng_state": tree.rng.bit_generator.state, "nodes": nodes}
-
-
-def _deserialize_tree(blob: dict, dim: int) -> MondrianTree:
-    nodes = blob.get("nodes")
-    if not nodes:
-        raise ModelFormatError("tree with no nodes")
-    tree = MondrianTree(dim, rng=None, capacity=len(nodes))
-    try:
-        tree.rng.bit_generator.state = blob["rng_state"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ModelFormatError(f"bad generator state: {exc}") from exc
-    pending: list[tuple[int, bool]] = [(NO_NODE, False)]
-    for record in nodes:
-        if not pending:
-            raise ModelFormatError("extra nodes after the preorder walk completed")
-        parent, is_right = pending.pop()
-        idx = tree._new_node()
-        tree.parent[idx] = parent
-        if parent == NO_NODE:
-            tree.root = idx
-        elif is_right:
-            tree.right[parent] = idx
-        else:
-            tree.left[parent] = idx
-        try:
-            tree.population[idx] = int(record["population"])
-            tree.box_min[idx] = np.asarray(record["box_min"], dtype=float)
-            tree.box_max[idx] = np.asarray(record["box_max"], dtype=float)
-            if record["kind"] == "internal":
-                tree.split_dim[idx] = int(record["split_dim"])
-                tree.split_val[idx] = float(record["split_val"])
-                tree.split_time[idx] = float(record["split_time"])
-                pending.append((idx, True))
-                pending.append((idx, False))
-            elif record["kind"] != "leaf":
-                raise ModelFormatError(f"unknown node kind {record['kind']!r}")
-        except (KeyError, ValueError) as exc:
-            raise ModelFormatError(f"malformed node record: {exc}") from exc
-    if pending:
-        raise ModelFormatError("truncated node list: children missing")
-    return tree
-
-
 def save_model(forest: Forest, path) -> None:
-    """Persist a forest; the round trip is structurally and bit exact."""
-    payload = {
+    """Persist a forest as its packed arena; the round trip is bit exact.
+
+    The file is a header line ``imondrian-forest v2 sha256=<hex>``, one JSON
+    line (the forest's scalars, the stored width W = the largest tree's
+    size, and every tree's root, size and generator state), then the first
+    W slots of every node field as raw little-endian bytes, in
+    ``tree.node_fields`` order. The checksum covers everything after the
+    header line.
+    """
+    arena = forest.arena
+    width = int(arena.size.max())
+    meta = {
         "n_effective": forest.n_effective,
         "psi": forest.psi,
         "seed": forest.seed,
         "dim": forest.dim,
         "num_trees": forest.num_trees,
-        "trees": [_serialize_tree(tree) for tree in forest.trees],
+        "width": width,
+        "root": arena.root.tolist(),
+        "size": arena.size.tolist(),
+        "rng_states": [gen.bit_generator.state for gen in arena.rngs],
     }
-    text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    header = f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest}\n"
-    Path(path).write_text(header + text)
+    body = [json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"]
+    for name, dtype, _, _ in node_fields((), forest.dim):
+        body.append(getattr(arena, name)[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    with Path(path).open("wb") as handle:
+        handle.write(f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest.hexdigest()}\n".encode())
+        handle.writelines(body)
 
 
 def load_model(path) -> Forest:
-    """Load a persisted forest, verifying magic, version, and checksum."""
-    raw = Path(path).read_text()
-    newline = raw.find("\n")
+    """Load a persisted forest, verifying magic, version, checksum, array
+    sizes and tree structure; any problem raises ModelFormatError."""
+    raw = Path(path).read_bytes()
+    newline = raw.find(b"\n")
     if newline < 0:
         raise ModelFormatError(f"{path}: not a model file (missing header)")
-    header, text = raw[:newline], raw[newline + 1 :]
-    parts = header.split()
+    header = raw[:newline]
+    parts = header.decode("ascii", "replace").split()
     if len(parts) != 3 or parts[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {header!r}")
+        raise ModelFormatError(f"{path}: bad magic {header[:64]!r}")
     if parts[1] != f"v{MODEL_VERSION}":
-        raise ModelFormatError(f"{path}: unsupported version {parts[1]}")
+        raise ModelFormatError(
+            f"{path}: unsupported version {parts[1]} (this build reads v{MODEL_VERSION})"
+        )
     if not parts[2].startswith("sha256="):
         raise ModelFormatError(f"{path}: malformed checksum field")
-    expected = parts[2][len("sha256=") :]
-    actual = hashlib.sha256(text.encode()).hexdigest()
-    if actual != expected:
+    if hashlib.sha256(memoryview(raw)[newline + 1 :]).hexdigest() != parts[2][len("sha256=") :]:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
+    meta_end = raw.find(b"\n", newline + 1)
+    if meta_end < 0:
+        raise ModelFormatError(f"{path}: no array section after the metadata line")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: payload is not valid JSON: {exc}") from exc
-    try:
-        dim = int(payload["dim"])
-        blobs = payload["trees"]
-        if len(blobs) != payload["num_trees"] or not blobs:
-            raise ModelFormatError(f"{path}: tree count does not match header")
-        capacity = max(len(blob.get("nodes") or ()) for blob in blobs)
-        trees = (_deserialize_tree(blob, dim) for blob in blobs)
-        arena = ForestArena.pack(trees, len(blobs), dim, capacity)
-        psi = payload["psi"]
-        forest = Forest(
-            arena=arena,
-            n_effective=int(payload["n_effective"]),
-            psi=None if psi is None else int(psi),
-            seed=int(payload["seed"]),
-            dim=dim,
-            config=ForestConfig(
-                num_trees=int(payload["num_trees"]),
-                psi=None if psi is None else int(psi),
-                seed=int(payload["seed"]),
-            ),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        forest = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed payload: {exc}") from exc
-    problem = _structure_problem(arena)
+    problem = _structure_problem(forest.arena)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
+
+
+def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
+    """The forest described by a metadata dict and the arrays in ``raw``
+    from ``offset`` on; ValueError if they do not fit together. Only each
+    tree's used slots are copied, so unused slots keep the fill values of a
+    fresh arena."""
+    num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
+    root = np.asarray(meta["root"], dtype=np.int64)
+    size = np.asarray(meta["size"], dtype=np.int64)
+    states = meta["rng_states"]
+    if num_trees < 1 or dim < 1 or not root.shape == size.shape == (num_trees,) or len(states) != num_trees:
+        raise ValueError("tree count or dimension does not match the metadata")
+    if size.min() < 1 or size.max() != width:
+        raise ValueError("tree sizes do not fit the stored width")
+    fields = node_fields((num_trees, width), dim)
+    expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields)
+    if len(raw) - offset != expected:
+        raise ValueError(f"array section holds {len(raw) - offset} bytes, expected {expected}")
+    arena = ForestArena(num_trees, dim, width)
+    used = np.arange(width) < size[:, None]
+    for name, dtype, shape, _ in fields:
+        stored = np.frombuffer(raw, dtype.newbyteorder("<"), math.prod(shape), offset).reshape(shape)
+        getattr(arena, name)[used] = stored[used]
+        offset += stored.nbytes
+    arena.root[:] = root
+    arena.size[:] = size
+    for t, state in enumerate(states):
+        arena.rngs[t] = np.random.default_rng()
+        arena.rngs[t].bit_generator.state = state
+    psi = meta["psi"]
+    return Forest(
+        arena=arena,
+        n_effective=int(meta["n_effective"]),
+        psi=None if psi is None else int(psi),
+        seed=int(meta["seed"]),
+    )
 
 
 def _structure_problem(arena: ForestArena) -> str | None:
@@ -379,9 +344,11 @@ def _structure_problem(arena: ForestArena) -> str | None:
     Checked for every tree at once: links stay inside the tree's used slots;
     every node but the root is the child of exactly one internal node and
     links back to it; nodes have zero or two children; split times rise
-    from parent to child (so links cannot form a cycle); split dimensions
-    lie in [0, dim); split values lie inside their node's box; and child
-    boxes nest inside their parent's.
+    from parent to child (so links cannot form a cycle) and leaves have an
+    infinite split time; every node holds at least one point and an internal
+    node exactly its children's points; split dimensions lie in [0, dim);
+    split values lie inside their node's box; and boxes are ordered and
+    nest inside their parent's.
     """
     T, C = arena.left.shape
     size = arena.size[:, None]
@@ -409,6 +376,13 @@ def _structure_problem(arena: ForestArena) -> str | None:
     split_time = arena.split_time.ravel()
     if not ((split_time[roots] > 0.0).all() and (split_time[kids] > split_time[parents]).all()):
         return "split times do not increase from parent to child"
+    if not np.isposinf(split_time[np.flatnonzero(used & leaf)]).all():
+        return "leaf split time is not infinite"
+    population = arena.population.ravel()
+    if (population[used.ravel()] < 1).any():
+        return "population below 1"
+    if (population[kids[: inner.size]] + population[kids[inner.size :]] != population[inner]).any():
+        return "internal population is not the sum of its children's"
     q = arena.split_dim.ravel()[inner].astype(np.int64)
     if ((q < 0) | (q >= arena.dim)).any():
         return "split dimension out of range"
@@ -417,6 +391,8 @@ def _structure_problem(arena: ForestArena) -> str | None:
     p = arena.split_val.ravel()[inner]
     if not ((box_min[inner, q] <= p) & (p <= box_max[inner, q])).all():
         return "split value outside its node's box"
+    if not (box_min[used.ravel()] <= box_max[used.ravel()]).all():
+        return "box with its minimum above its maximum"
     if not ((box_min[kids] >= box_min[parents]).all() and (box_max[kids] <= box_max[parents]).all()):
         return "child box not nested in its parent's"
     return None
@@ -425,18 +401,20 @@ def _structure_problem(arena: ForestArena) -> str | None:
 # -- result export -------------------------------------------------------------
 
 
-def write_scores(path, reports: list[ScoreReport], labels, mode: str) -> None:
-    """Score export: one ``index,score,label,mode`` row per point.
+def write_scores(path, scores, labels, mode: str) -> None:
+    """Score export: one ``index,score,label,mode`` row per point, indices
+    0..n-1 in the order of ``scores``.
 
     Scores are written with shortest-round-trip precision so identical runs
     produce byte-identical files.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=float).tolist()  # repr of a float, not of np.float64
+    labels = np.asarray(labels, dtype=np.int64).tolist()
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["index", "score", "label", "mode"])
-        for rep, label in zip(reports, labels):
-            writer.writerow([rep.point_index, repr(rep.score), int(label), mode])
+        for index, (score, label) in enumerate(zip(scores, labels)):
+            writer.writerow([index, repr(score), label, mode])
 
 
 def write_rows(path, rows: list[dict]) -> None:

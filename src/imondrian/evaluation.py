@@ -170,9 +170,10 @@ def config_hash(config: ForestConfig) -> str:
 class ExperimentResult:
     """Per-stage metrics from one streaming run.
 
-    ``final_scores`` are the recalculated scores of every point seen by the
-    last stage (aligned with ``seen_indices``); the forest itself rides
-    along for callers that want to keep scoring, e.g. a grid dump.
+    ``final_scores`` are the recalculated scores of the points seen by the
+    last stage (all of them, or the trailing ``window``), aligned with the
+    tail of ``seen_indices``; the forest itself rides along for callers that
+    want to keep scoring, e.g. a grid dump.
     """
 
     dataset: str
@@ -228,7 +229,7 @@ def run_stream_experiment(
     stage_sizes: list[int] = []
     seen = plan.stages[0]
     forest = None
-    reports = None
+    scores = None
     for stage_index in range(plan.num_stages):
         start = time.perf_counter()
         if stage_index == 0:
@@ -237,10 +238,9 @@ def run_stream_experiment(
             batch = plan.stages[stage_index]
             extend_forest(forest, X[batch])
             seen = np.concatenate([seen, batch])
-        reports = rescore_window(forest, X[seen], window=window)
+        _, scores = rescore_window(forest, X[seen], window=window)
         elapsed = time.perf_counter() - start
-        scored = seen[[r.point_index for r in reports]]
-        stage_auc.append(auc([r.score for r in reports], y[scored]))
+        stage_auc.append(auc(scores, y[seen[seen.size - scores.size :]]))
         stage_seconds.append(elapsed)
         stage_sizes.append(int(seen.size))
     return ExperimentResult(
@@ -251,7 +251,7 @@ def run_stream_experiment(
         stage_seconds=stage_seconds,
         window=window,
         seen_indices=seen,
-        final_scores=np.asarray([r.score for r in reports]),
+        final_scores=scores,
         forest=forest,
     )
 
@@ -283,16 +283,16 @@ def run_kfold_experiment(
     for fold, (train_idx, test_idx) in enumerate(kfold_split(dataset, k, seed=seed)):
         t0 = time.perf_counter()
         forest = train_batch(dataset.points[train_idx], cfg)
-        train_reports = score_all(dataset.points[train_idx], forest)
+        _, train_scores = score_all(dataset.points[train_idx], forest)
         t_train = time.perf_counter() - t0
         t0 = time.perf_counter()
-        test_reports = score_all(dataset.points[test_idx], forest)
+        _, test_scores = score_all(dataset.points[test_idx], forest)
         t_test = time.perf_counter() - t0
         results.append(
             FoldResult(
                 fold=fold,
-                train_auc=auc([r.score for r in train_reports], dataset.labels[train_idx]),
-                test_auc=auc([r.score for r in test_reports], dataset.labels[test_idx]),
+                train_auc=auc(train_scores, dataset.labels[train_idx]),
+                test_auc=auc(test_scores, dataset.labels[test_idx]),
                 train_seconds=t_train,
                 test_seconds=t_test,
             )

@@ -38,11 +38,8 @@ def c_factor(n: int) -> float:
 
 
 def anomaly_score(expected_path_length, n_effective: int):
-    """Map an expected path length to the (0, 1] anomaly scale.
-
-    Accepts a scalar or an array; both scalar and batch scoring funnel
-    through this one expression so their results are bit-identical.
-    """
+    """Map an expected path length (a scalar or an array) to the (0, 1]
+    anomaly scale."""
     return np.exp2(-np.asarray(expected_path_length, dtype=float) / c_factor(n_effective))
 
 
@@ -67,15 +64,6 @@ class ForestConfig:
 
 
 @dataclass
-class ScoreReport:
-    """Anomaly score of one point plus the path-length evidence behind it."""
-
-    point_index: int
-    expected_path_length: float
-    score: float
-
-
-@dataclass
 class Forest:
     """A trained ensemble, its trees packed into one arena.
 
@@ -89,8 +77,6 @@ class Forest:
     n_effective: int
     psi: int | None
     seed: int
-    dim: int
-    config: ForestConfig = field(repr=False, default=None)  # type: ignore[assignment]
 
     @property
     def trees(self) -> tuple[MondrianTree, ...]:
@@ -100,6 +86,10 @@ class Forest:
     @property
     def num_trees(self) -> int:
         return self.arena.num_trees
+
+    @property
+    def dim(self) -> int:
+        return self.arena.dim
 
     @property
     def total_population(self) -> int:
@@ -133,41 +123,24 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
     arena = ForestArena.pack(map(build, seeds), cfg.num_trees, d, capacity=2 * n_effective - 1)
-    return Forest(
-        arena=arena,
-        n_effective=int(n_effective),
-        psi=cfg.psi,
-        seed=cfg.seed,
-        dim=d,
-        config=cfg,
-    )
+    return Forest(arena=arena, n_effective=int(n_effective), psi=cfg.psi, seed=cfg.seed)
 
 
-def _reports(depth_sum: np.ndarray, forest: Forest, first_index: int = 0) -> list[ScoreReport]:
+def _scores(depth_sum: np.ndarray, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     expected = depth_sum / forest.num_trees
-    scores = anomaly_score(expected, forest.n_effective)
-    return [
-        ScoreReport(point_index=first_index + i, expected_path_length=e, score=s)
-        for i, (e, s) in enumerate(zip(expected.tolist(), scores.tolist()))
-    ]
+    return expected, anomaly_score(expected, forest.n_effective)
 
 
-def score(x, forest: Forest, point_index: int = 0) -> ScoreReport:
-    """Score a single point: mean path length over trees, then 2^(-E/c)."""
-    pt = as_point(x, forest.dim)
-    return _reports(forest.arena.route(pt.reshape(1, -1)), forest, point_index)[0]
+def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
+    """Score a batch: ``(expected_path_length, score)`` float64 arrays in
+    input order. A single point is scored as a one-row batch.
 
-
-def score_all(points, forest: Forest) -> list[ScoreReport]:
-    """Elementwise scores for a batch, preserving input order.
-
-    All trees are walked in lockstep; scalar and batch scoring share one
-    expression, so their results are bit-identical.
+    All trees are walked in lockstep, one depth level per numpy step.
     """
     if _is_empty(points):
-        return []
+        return np.zeros(0), np.zeros(0)
     X = as_points(points, forest.dim)
-    return _reports(forest.arena.route(X), forest)
+    return _scores(forest.arena.route(X), forest)
 
 
 def _is_empty(points) -> bool:
@@ -201,17 +174,17 @@ def rescore_window(
     forest: Forest,
     retained_points,
     window: int | None = None,
-) -> list[ScoreReport]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Recompute scores for the last ``window`` retained points (all if None).
 
-    Pure read: point indices in the reports are absolute positions within
-    the retained history.
+    Pure read: returns ``(expected_path_length, score)`` arrays whose rows
+    are the last ``window`` rows of ``retained_points``.
     """
     if window is not None and window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if _is_empty(retained_points):
-        return []
+        return np.zeros(0), np.zeros(0)
     X = as_points(retained_points, forest.dim)
-    n = X.shape[0]
-    start = 0 if window is None else max(0, n - window)
-    return _reports(forest.arena.route(X[start:]), forest, start)
+    if window is not None:
+        X = X[-window:]
+    return _scores(forest.arena.route(X), forest)

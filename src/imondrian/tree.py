@@ -48,9 +48,17 @@ FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 ROUTE_LANES = 1 << 14
 
 
+def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tuple[int, ...], object]]:
+    """(name, dtype, shape, unused-slot value) of every node field over the
+    leading axes ``lead``, in ``_FIELDS`` order; boxes add a ``dim`` axis."""
+    return [
+        (name, np.dtype(dtype), lead + ((dim,) if name.startswith("box") else ()), fill)
+        for name, dtype, fill in _FIELDS
+    ]
+
+
 def _alloc_fields(owner, lead: tuple[int, ...], dim: int) -> None:
-    for name, dtype, fill in _FIELDS:
-        shape = lead + ((dim,) if name.startswith("box") else ())
+    for name, dtype, shape, fill in node_fields(lead, dim):
         setattr(owner, name, np.full(shape, fill, dtype=dtype))
 
 
@@ -265,9 +273,6 @@ class MondrianTree:
     @property
     def internal_count(self) -> int:
         return self.size - self.leaf_count
-
-    def bbox(self, node: int) -> BoundingBox:
-        return BoundingBox(self.box_min[node].copy(), self.box_max[node].copy())
 
 
 def fit_tree(points, tau_parent: float = 0.0, rng: np.random.Generator | int | None = None) -> MondrianTree:
@@ -516,15 +521,13 @@ class ForestArena:
 
     @classmethod
     def pack(cls, trees: Iterable[MondrianTree], num_trees: int, dim: int, capacity: int) -> ForestArena:
-        """Copy ``num_trees`` trees of dimension ``dim`` into a new arena, one
-        row each, taking ownership of their generators. Trees are consumed
-        one at a time, so a generator of trees never holds more than one in
-        memory."""
+        """Copy ``num_trees`` trees of dimension ``dim``, each of at most
+        ``capacity`` nodes, into a new arena, one row each, taking ownership
+        of their generators. Trees are consumed one at a time, so a generator
+        of trees never holds more than one in memory."""
         arena = cls(num_trees, dim, capacity)
         for t, tree in enumerate(trees):
             n = tree.size
-            while n > arena.capacity:
-                _grow_fields(arena, axis=1)
             for name in FIELD_NAMES:
                 getattr(arena, name)[t, :n] = getattr(tree, name)[:n]
             arena.root[t] = tree.root

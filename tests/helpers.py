@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from imondrian.tree import NO_NODE, MondrianTree
+from imondrian.tree import NO_NODE, MondrianTree, node_fields
 
 
 def check_tree_invariants(
@@ -191,13 +191,48 @@ def random_dataset(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return X
 
 
+# A one-tree model in the retired format v1 (a JSON record per node), as a
+# v1 build wrote it.
+V1_MODEL = (
+    "imondrian-forest v1 sha256=b679dcc28b926c42b269671f9d6a0a4c55707fb94b865971377576d00752db1d\n"
+    '{"n_effective":3,"psi":null,"seed":0,"dim":2,"num_trees":1,"trees":[{"rng_state":{"b'
+    'it_generator":"PCG64","state":{"state":167992483628264729109646010800399094899,"inc"'
+    ':273096372282096494456322297521699537235},"has_uint32":0,"uinteger":0},"nodes":[{"ki'
+    'nd":"internal","split_dim":0,"split_val":2.1670277659494763,"split_time":0.658705558'
+    '1619655,"population":3,"box_min":[0.0,0.0],"box_max":[3.0,2.0]},{"kind":"internal","'
+    'split_dim":1,"split_val":1.2960761951745656,"split_time":0.7340220570974417,"populat'
+    'ion":2,"box_min":[0.0,0.0],"box_max":[1.0,2.0]},{"kind":"leaf","population":1,"box_m'
+    'in":[0.0,0.0],"box_max":[0.0,0.0]},{"kind":"leaf","population":1,"box_min":[1.0,2.0]'
+    ',"box_max":[1.0,2.0]},{"kind":"leaf","population":1,"box_min":[3.0,1.0],"box_max":[3'
+    '.0,1.0]}]}]}'
+)
+
+
+def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The metadata dict and writable node arrays of a saved model file,
+    parsed by hand from the layout ``save_model`` documents."""
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n")
+    meta_end = raw.index(b"\n", header_end + 1)
+    meta = json.loads(raw[header_end + 1 : meta_end])
+    lead = (meta["num_trees"], meta["width"])
+    arrays, offset = {}, meta_end + 1
+    for name, dtype, shape, _ in node_fields(lead, meta["dim"]):
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(raw, dtype.newbyteorder("<"), count, offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
+    assert offset == len(raw), "trailing bytes after the node arrays"
+    return meta, arrays
+
+
 def reseal_model(path, edit) -> None:
-    """Apply edit(payload) to a saved model file and write it back with a
-    matching checksum, as a hand edit that keeps the file well-formed would."""
-    header, text = path.read_text().split("\n", 1)
-    payload = json.loads(text)
-    edit(payload)
-    text = json.dumps(payload, separators=(",", ":"))
+    """Apply edit(meta, arrays) to a saved model file and write it back with
+    a matching checksum, as a hand edit that keeps the file well-formed would."""
+    header = path.read_bytes().split(b"\n", 1)[0].decode()
+    meta, arrays = read_model(path)
+    edit(meta, arrays)
+    body = json.dumps(meta, separators=(",", ":")).encode() + b"\n"
+    body += b"".join(arrays[name].astype(arrays[name].dtype.newbyteorder("<")).tobytes() for name in arrays)
     magic, version, _ = header.split()
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    path.write_text(f"{magic} {version} sha256={digest}\n{text}")
+    digest = hashlib.sha256(body).hexdigest()
+    path.write_bytes(f"{magic} {version} sha256={digest}\n".encode() + body)

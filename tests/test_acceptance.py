@@ -34,7 +34,6 @@ from imondrian.forest import (
     ForestConfig,
     c_factor,
     extend_forest,
-    score,
     score_all,
     train_batch,
 )
@@ -94,16 +93,16 @@ def test_criterion_2_scoring_oracle():
         X = rng.uniform(-3.0, 3.0, size=(n, d))
         forest = train_batch(X, ForestConfig(num_trees=trees, psi=None, seed=n + trees))
         probes = np.vstack([X, rng.uniform(-4.0, 4.0, size=(5, d))])
-        batch = score_all(probes, forest)
+        batch_epl, batch_score = score_all(probes, forest)
         for idx, x in enumerate(probes):
             expected = sum(depth_oracle(t, x) for t in forest.trees) / trees
             want_score = 2.0 ** (-expected / c_factor(n))
-            got = score(x, forest)
+            (one_epl,), (one_score,) = score_all([x], forest)
             for value, target in (
-                (got.expected_path_length, expected),
-                (got.score, want_score),
-                (batch[idx].expected_path_length, expected),
-                (batch[idx].score, want_score),
+                (one_epl, expected),
+                (one_score, want_score),
+                (batch_epl[idx], expected),
+                (batch_score[idx], want_score),
             ):
                 rel = abs(value - target) / max(abs(target), 1e-300)
                 worst = max(worst, rel)
@@ -134,7 +133,7 @@ def test_criterion_4_synthetic_batch():
     for seed in range(10):
         ds = gen_synthetic(SyntheticSpec(kind="gaussian-blob", n_inliers=255, n_outliers=45, seed=seed))
         forest = train_batch(ds.points, ForestConfig(num_trees=100, psi=256, seed=seed))
-        s = np.asarray([r.score for r in score_all(ds.points, forest)])
+        _, s = score_all(ds.points, forest)
         aucs.append(auc(s, ds.labels))
         thresholded = label_threshold(s, 0.5)
         clustered = assign_all(fit_kmeans2(s), s)
@@ -171,7 +170,7 @@ def _mean_train_auc(ds: LabeledDataset, seeds: int = 5) -> float:
     values = []
     for seed in range(seeds):
         forest = train_batch(ds.points, ForestConfig(num_trees=100, psi=256, seed=seed))
-        s = [r.score for r in score_all(ds.points, forest)]
+        _, s = score_all(ds.points, forest)
         values.append(auc(s, ds.labels))
     return float(np.mean(values))
 
@@ -251,10 +250,10 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     exports = []
     for name in ("run1.csv", "run2.csv"):
         forest = train_batch(ds.points, cfg)
-        reports = score_all(ds.points, forest)
-        labels = label_threshold([r.score for r in reports], 0.5)
+        _, scores = score_all(ds.points, forest)
+        labels = label_threshold(scores, 0.5)
         path = tmp_path / name
-        write_scores(path, reports, labels, "threshold")
+        write_scores(path, scores, labels, "threshold")
         exports.append(path.read_bytes())
     byte_identical = exports[0] == exports[1]
 
@@ -263,9 +262,9 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     save_model(forest, model_path)
     loaded = load_model(model_path)
     probes = np.random.default_rng(99).uniform(-10.0, 10.0, size=(100, 2))
-    before = [r.score for r in score_all(probes, forest)]
-    after = [r.score for r in score_all(probes, loaded)]
-    round_trip_exact = before == after
+    before = score_all(probes, forest)
+    after = score_all(probes, loaded)
+    round_trip_exact = all(np.array_equal(a, b) for a, b in zip(before, after))
     structural = all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
     report(
         8,
@@ -322,6 +321,6 @@ def test_forest_extension_keeps_scoring_alive():
     forest = train_batch(ds.points, ForestConfig(num_trees=20, psi=None, seed=4))
     stream = rng.uniform(-10, 10, size=(200, 2))
     extend_forest(forest, stream)
-    reports = score_all(np.vstack([ds.points, stream]), forest)
-    assert len(reports) == ds.n + 200
-    assert all(0.0 < r.score <= 1.0 for r in reports)
+    _, scores = score_all(np.vstack([ds.points, stream]), forest)
+    assert scores.shape == (ds.n + 200,)
+    assert ((0.0 < scores) & (scores <= 1.0)).all()

@@ -8,7 +8,7 @@ import pytest
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 
-from helpers import reseal_model
+from helpers import V1_MODEL, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -49,6 +49,13 @@ class TestFit:
         with pytest.raises(SystemExit) as err:
             main(["fit", "--synthetic", "gaussian-blob", "--trees", "0"])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("psi", ["1", "-1"])
+    def test_bad_psi_is_usage_error(self, psi, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fit", "--synthetic", "gaussian-blob", "--psi", psi])
+        assert err.value.code == EXIT_USAGE
+        assert "--psi" in capsys.readouterr().err
 
     def test_data_and_synthetic_are_exclusive(self, blob_csv):
         with pytest.raises(SystemExit) as err:
@@ -123,8 +130,8 @@ class TestScore:
     def test_resealed_bad_split_dim_is_data_error(self, tmp_path, blob_csv, fitted, capsys):
         model, _ = fitted
 
-        def edit(payload):
-            payload["trees"][0]["nodes"][0]["split_dim"] = 7
+        def edit(meta, arrays):
+            arrays["split_dim"][0, meta["root"][0]] = 7
 
         reseal_model(model, edit)
         code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
@@ -145,9 +152,22 @@ class TestScore:
 
     def test_corrupt_model_is_data_error(self, tmp_path, fitted):
         model, _ = fitted
-        blob = model.read_text()
-        model.write_text(blob[:-30])
+        blob = model.read_bytes()
+        model.write_bytes(blob[:-30])
         code = main(["score", "--model", str(model), "--data", str(model)])
+        assert code == EXIT_DATA
+
+    def test_version_1_model_is_data_error(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "old.imf"
+        model.write_text(V1_MODEL)
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+        assert code == EXIT_DATA
+        assert "version v1" in capsys.readouterr().err
+
+    def test_binary_garbage_model_is_data_error(self, tmp_path, blob_csv):
+        model = tmp_path / "garbage.imf"
+        model.write_bytes(np.random.default_rng(0).bytes(4096))
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
         assert code == EXIT_DATA
 
 
@@ -225,6 +245,12 @@ class TestBench:
     def test_bad_sizes_usage_error(self):
         code = main(["bench", "--sizes", "abc"])
         assert code == EXIT_USAGE
+
+    def test_dim_zero_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--sizes", "64", "--dim", "0"])
+        assert err.value.code == EXIT_USAGE
+        assert "--dim" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -19,23 +19,37 @@ from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
 from imondrian.tree import structurally_equal
 
-from helpers import reseal_model
+from helpers import V1_MODEL, read_model, reseal_model
 
 
 def _set_root(field, value):
-    def edit(payload):
-        payload["trees"][0]["nodes"][0][field] = value
+    def edit(meta, arrays):
+        arrays[field][0, meta["root"][0]] = value
     return edit
 
 
-def _widen_first_child(payload):
-    child = payload["trees"][0]["nodes"][1]
-    child["box_max"] = [v + 100.0 for v in child["box_max"]]
+def _widen_first_child(meta, arrays):
+    child = arrays["left"][0, meta["root"][0]]
+    arrays["box_max"][0, child] += 100.0
 
 
-def _root_cut_outside_box(payload):
-    root = payload["trees"][0]["nodes"][0]
-    root["split_val"] = root["box_max"][root["split_dim"]] + 1.0
+def _root_cut_outside_box(meta, arrays):
+    root = meta["root"][0]
+    arrays["split_val"][0, root] = arrays["box_max"][0, root, arrays["split_dim"][0, root]] + 1.0
+
+
+def _bump_root_population(meta, arrays):
+    arrays["population"][0, meta["root"][0]] += 1
+
+
+def _empty_leaf(meta, arrays):
+    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
+    arrays["population"][0, leaf] = 0
+
+
+def _finite_leaf_time(meta, arrays):
+    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
+    arrays["split_time"][0, leaf] = 1e9
 
 
 class TestLoadCsv:
@@ -165,9 +179,8 @@ class TestModelRoundTrip:
         assert loaded.dim == forest.dim
         assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
         probes = np.random.default_rng(1).uniform(-5, 5, size=(100, 3))
-        before = [r.score for r in score_all(probes, forest)]
-        after = [r.score for r in score_all(probes, loaded)]
-        assert before == after  # bit-exact
+        for before, after in zip(score_all(probes, forest), score_all(probes, loaded)):
+            assert np.array_equal(before, after)  # bit-exact
 
     def test_round_trip_preserves_generator_stream(self, tmp_path):
         X, forest = self._forest(seed=5)
@@ -179,15 +192,39 @@ class TestModelRoundTrip:
         extend_forest(loaded, stream)
         assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
 
+    def test_round_trip_after_capacity_doubled(self, tmp_path):
+        X, forest = self._forest(seed=7)
+        start_capacity = forest.arena.capacity
+        rng = np.random.default_rng(3)
+        while forest.arena.capacity == start_capacity:
+            extend_forest(forest, rng.uniform(-40.0, 40.0, size=(10, 3)))
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        meta, arrays = read_model(path)
+        width = int(forest.arena.size.max())
+        assert meta["width"] == width < forest.arena.capacity
+        assert arrays["left"].shape == (forest.num_trees, width)
+        loaded = load_model(path)
+        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert [g.bit_generator.state for g in forest.arena.rngs] == [
+            g.bit_generator.state for g in loaded.arena.rngs
+        ]
+        probes = rng.uniform(-50.0, 50.0, size=(60, 3))
+        assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
+        more = rng.uniform(-60.0, 60.0, size=(40, 3))
+        extend_forest(forest, more)
+        extend_forest(loaded, more)
+        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
+
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         X, forest = self._forest()
         path = tmp_path / "model.imf"
         save_model(forest, path)
-        blob = path.read_text()
-        # flip one digit inside the payload
-        pos = blob.index("\n") + 50
-        flipped = "7" if blob[pos] != "7" else "3"
-        path.write_text(blob[:pos] + flipped + blob[pos + 1 :])
+        blob = bytearray(path.read_bytes())
+        # flip one bit inside the node arrays
+        blob[len(blob) // 2] ^= 0x10
+        path.write_bytes(bytes(blob))
         with pytest.raises(ModelFormatError, match="checksum"):
             load_model(path)
 
@@ -197,13 +234,26 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_binary_garbage_rejected(self, tmp_path):
+        path = tmp_path / "garbage.imf"
+        for seed in range(5):
+            path.write_bytes(np.random.default_rng(seed).bytes(4096))
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         X, forest = self._forest()
         path = tmp_path / "model.imf"
         save_model(forest, path)
-        blob = path.read_text()
-        path.write_text(blob.replace(" v1 ", " v9 ", 1))
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b" v2 ", b" v9 ", 1))
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "model.imf"
+        path.write_text(V1_MODEL)
+        with pytest.raises(ModelFormatError, match="version v1"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -214,6 +264,10 @@ class TestModelRoundTrip:
             (_set_root("split_time", -1.0), "split times"),
             (_root_cut_outside_box, "split value"),
             (_widen_first_child, "nested"),
+            (_set_root("population", -5), "population below 1"),
+            (_empty_leaf, "population below 1"),
+            (_bump_root_population, "sum of its children"),
+            (_finite_leaf_time, "leaf split time"),
         ],
     )
     def test_resealed_invalid_structure_rejected(self, tmp_path, edit, problem):
@@ -229,9 +283,22 @@ class TestModelRoundTrip:
         X, forest = self._forest()
         path = tmp_path / "model.imf"
         save_model(forest, path)
-        blob = path.read_text()
-        path.write_text(blob[: int(len(blob) * 0.8)])
+        blob = path.read_bytes()
+        path.write_bytes(blob[: int(len(blob) * 0.8)])
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_resealed_wrong_byte_count_rejected(self, tmp_path):
+        X, forest = self._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+
+        def shrink(meta, arrays):
+            meta["width"] -= 1
+            meta["size"] = [min(s, meta["width"]) for s in meta["size"]]
+
+        reseal_model(path, shrink)  # arrays keep their old width
+        with pytest.raises(ModelFormatError, match="bytes"):
             load_model(path)
 
 
@@ -243,9 +310,9 @@ class TestScoreExport:
         paths = []
         for name in ("a.csv", "b.csv"):
             forest = train_batch(X, cfg)
-            reports = score_all(X, forest)
+            _, scores = score_all(X, forest)
             path = tmp_path / name
-            write_scores(path, reports, np.zeros(40, dtype=int), "threshold")
+            write_scores(path, scores, np.zeros(40, dtype=int), "threshold")
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
@@ -254,8 +321,16 @@ class TestScoreExport:
         X = rng.normal(size=(5, 2))
         forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
         path = tmp_path / "scores.csv"
-        write_scores(path, score_all(X, forest), [0, 1, 0, 1, 0], "kmeans")
+        write_scores(path, score_all(X, forest)[1], [0, 1, 0, 1, 0], "kmeans")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,score,label,mode"
         assert len(lines) == 6
         assert lines[1].endswith(",kmeans")
+
+    def test_rows_hold_plain_float_reprs(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores(path, np.array([0.5, 0.1 + 0.2]), np.array([0, 1]), "threshold")
+        assert path.read_text().splitlines()[1:] == [
+            "0,0.5,0,threshold",
+            "1,0.30000000000000004,1,threshold",
+        ]

@@ -160,7 +160,7 @@ class TestRunStreamExperiment:
         assert result.stage_sizes == [ds.n]
         # stage-1 scores equal a plain batch run on the same (permuted) subset
         forest = train_batch(ds.points[result.seen_indices], cfg)
-        want = [r.score for r in score_all(ds.points[result.seen_indices], forest)]
+        _, want = score_all(ds.points[result.seen_indices], forest)
         assert np.allclose(result.final_scores, want, rtol=0, atol=0)
 
     def test_stage_counts_and_accumulation(self):
@@ -209,7 +209,7 @@ class TestRunStreamExperiment:
             stage1 = plan.stages[0]
             inliers_s1 = stage1[ds.labels[stage1] == 0]
             forest = train_batch(ds.points[stage1], cfg)
-            early = np.mean([r.score for r in score_all(ds.points[inliers_s1], forest)])
+            early = np.mean(score_all(ds.points[inliers_s1], forest)[1])
             result = run_stream_experiment(ds, cfg, num_stages=5, seed=seed)
             final_lookup = dict(zip(result.seen_indices.tolist(), result.final_scores))
             late = np.mean([final_lookup[i] for i in inliers_s1.tolist()])

@@ -18,7 +18,6 @@ from imondrian.forest import (
     extend_forest,
     harmonic,
     rescore_window,
-    score,
     score_all,
     train_batch,
 )
@@ -122,71 +121,72 @@ class TestScore:
         forest.n_effective = 256
         probe = X[0]
         depths = [path_length(probe, t) for t in forest.trees]
-        rep = score(probe, forest)
-        assert rep.expected_path_length == pytest.approx(sum(depths) / 2, abs=0)
-        assert rep.score == pytest.approx(
-            2.0 ** (-rep.expected_path_length / c_factor(256)), rel=1e-15
-        )
+        (epl,), (s,) = score_all([probe], forest)
+        assert epl == pytest.approx(sum(depths) / 2, abs=0)
+        assert s == pytest.approx(2.0 ** (-epl / c_factor(256)), rel=1e-15)
         # and the spec'd instance of that formula
         assert anomaly_score(4.0, 256) == pytest.approx(0.7628952638224997, rel=1e-12)
 
     def test_single_leaf_trees_score_one(self):
         forest = train_batch([[0.0], [0.0]], ForestConfig(num_trees=4, psi=None, seed=0))
         # identical points collapse every tree to one leaf: E(l) = 0
-        rep = score([0.0], forest)
-        assert rep.expected_path_length == 0.0
-        assert rep.score == 1.0
+        (epl,), (s,) = score_all([[0.0]], forest)
+        assert epl == 0.0
+        assert s == 1.0
 
     def test_matches_brute_force_depth_tables(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(size=(16, 3))
         forest = train_batch(X, ForestConfig(num_trees=8, psi=None, seed=11))
         for x in X:
-            rep = score(x, forest)
+            (epl,), (s,) = score_all([x], forest)
             expected = np.mean([depth_oracle(t, x) for t in forest.trees])
             want = 2.0 ** (-expected / c_factor(16))
-            assert rep.expected_path_length == pytest.approx(expected, rel=1e-12)
-            assert rep.score == pytest.approx(want, rel=1e-12)
+            assert epl == pytest.approx(expected, rel=1e-12)
+            assert s == pytest.approx(want, rel=1e-12)
 
     def test_score_bounds(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(64, 2))
         forest = train_batch(X, ForestConfig(num_trees=10, psi=None, seed=3))
         probes = np.vstack([X, rng.uniform(-30, 30, size=(50, 2))])
-        for rep in score_all(probes, forest):
-            assert 0.0 < rep.score <= 1.0
+        _, s = score_all(probes, forest)
+        assert ((0.0 < s) & (s <= 1.0)).all()
 
     def test_dimension_mismatch(self):
         forest = train_batch(np.zeros((10, 2)) + np.arange(10)[:, None], ForestConfig(num_trees=1, psi=None, seed=0))
         with pytest.raises(DimensionMismatchError):
-            score([1.0, 2.0, 3.0], forest)
+            score_all([[1.0, 2.0, 3.0]], forest)
 
 
 class TestScoreAll:
     def test_empty_input(self):
         X = np.random.default_rng(8).normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
-        assert score_all([], forest) == []
-        assert score_all(np.zeros((0, 2)), forest) == []
+        for empty in ([], np.zeros((0, 2))):
+            epl, s = score_all(empty, forest)
+            assert epl.dtype == s.dtype == np.float64
+            assert epl.shape == s.shape == (0,)
 
     def test_matches_scalar_scoring(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 3))
         forest = train_batch(X, ForestConfig(num_trees=5, psi=None, seed=2))
-        reports = score_all(X, forest)
-        assert [r.point_index for r in reports] == list(range(50))
-        for i, rep in enumerate(reports):
-            solo = score(X[i], forest)
-            assert rep.score == solo.score
-            assert rep.expected_path_length == solo.expected_path_length
+        epl, s = score_all(X, forest)
+        assert epl.dtype == s.dtype == np.float64
+        assert epl.shape == s.shape == (50,)
+        for i in range(50):
+            (solo_epl,), (solo_s,) = score_all(X[i : i + 1], forest)
+            assert s[i] == solo_s
+            assert epl[i] == solo_epl
 
     def test_permutation_gives_same_multiset(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 2))
         forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
         perm = rng.permutation(40)
-        direct = sorted(r.score for r in score_all(X, forest))
-        shuffled = sorted(r.score for r in score_all(X[perm], forest))
+        direct = sorted(score_all(X, forest)[1])
+        shuffled = sorted(score_all(X[perm], forest)[1])
         assert direct == shuffled
 
     def test_outliers_outscore_inliers(self):
@@ -194,7 +194,7 @@ class TestScoreAll:
         for seed in range(10):
             ds = gen_synthetic(SyntheticSpec(n_inliers=120, n_outliers=30, seed=seed))
             forest = train_batch(ds.points, ForestConfig(num_trees=40, psi=None, seed=seed))
-            s = np.asarray([r.score for r in score_all(ds.points, forest)])
+            _, s = score_all(ds.points, forest)
             gaps.append(s[ds.labels == 1].mean() - s[ds.labels == 0].mean())
         assert np.mean(gaps) > 0.1
 
@@ -204,11 +204,11 @@ class TestScoreAll:
         forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=4))
         extend_forest(forest, rng.normal(scale=3.0, size=(30, 4)))
         probes = np.vstack([X, rng.uniform(-9.0, 9.0, size=(20, 4))])
-        reports = score_all(probes, forest)
-        for x, rep in zip(probes, reports):
+        epl, _ = score_all(probes, forest)
+        for x, e in zip(probes, epl):
             mean = sum(path_length(x, t) for t in forest.trees) / forest.num_trees
-            assert rep.expected_path_length == mean
-            assert score(x, forest).expected_path_length == mean
+            assert e == mean
+            assert score_all([x], forest)[0][0] == mean
 
 
 class TestExtendForest:
@@ -253,9 +253,9 @@ class TestExtendForest:
             base = rng.normal(size=(150, 2))
             forest = train_batch(base, ForestConfig(num_trees=30, psi=None, seed=seed))
             probe_region = rng.normal(loc=(6.0, 6.0), scale=0.3, size=(40, 2))
-            before = np.mean([r.score for r in score_all(probe_region, forest)])
+            before = np.mean(score_all(probe_region, forest)[1])
             extend_forest(forest, probe_region)
-            after = np.mean([r.score for r in score_all(probe_region, forest)])
+            after = np.mean(score_all(probe_region, forest)[1])
             drops.append(before - after)
         assert np.mean(drops) > 0.05
 
@@ -362,28 +362,27 @@ class TestRescoreWindow:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(40, 2))
         forest = train_batch(X, ForestConfig(num_trees=5, psi=None, seed=0))
-        first = [r.score for r in score_all(X, forest)]
-        again = [r.score for r in rescore_window(forest, X, window=None)]
-        assert first == again
+        first = score_all(X, forest)
+        again = rescore_window(forest, X, window=None)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
     def test_window_selects_most_recent(self):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
-        reports = rescore_window(forest, X, window=7)
-        assert len(reports) == 7
-        assert [r.point_index for r in reports] == list(range(23, 30))
-        full = score_all(X, forest)
-        for rep in reports:
-            assert rep.score == full[rep.point_index].score
+        epl, s = rescore_window(forest, X, window=7)
+        assert epl.shape == s.shape == (7,)
+        full_epl, full_s = score_all(X, forest)
+        assert np.array_equal(epl, full_epl[23:])
+        assert np.array_equal(s, full_s[23:])
 
     def test_rescore_changes_after_extension(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(80, 2))
         forest = train_batch(X, ForestConfig(num_trees=10, psi=None, seed=1))
-        stale = np.asarray([r.score for r in score_all(X, forest)])
+        _, stale = score_all(X, forest)
         extend_forest(forest, rng.uniform(-6, 6, size=(40, 2)))
-        fresh = np.asarray([r.score for r in rescore_window(forest, X)])
+        _, fresh = rescore_window(forest, X)
         assert np.any(stale != fresh)
 
     def test_invalid_window_rejected(self):
@@ -392,6 +391,14 @@ class TestRescoreWindow:
         with pytest.raises(ValueError):
             rescore_window(forest, X, window=0)
 
+    def test_empty_input(self):
+        X = np.random.default_rng(17).normal(size=(10, 2))
+        forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
+        for window in (None, 3):
+            epl, s = rescore_window(forest, np.zeros((0, 2)), window=window)
+            assert epl.dtype == s.dtype == np.float64
+            assert epl.shape == s.shape == (0,)
+
 
 class TestAnomalyOrdering:
     def test_synthetic_blob_auc(self):
@@ -399,6 +406,6 @@ class TestAnomalyOrdering:
         for seed in range(10):
             ds = gen_synthetic(SyntheticSpec(n_inliers=255, n_outliers=45, seed=seed))
             forest = train_batch(ds.points, ForestConfig(num_trees=50, psi=256, seed=seed))
-            scores = [r.score for r in score_all(ds.points, forest)]
+            _, scores = score_all(ds.points, forest)
             values.append(auc(scores, ds.labels))
         assert np.mean(values) >= 0.95
