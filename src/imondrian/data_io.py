@@ -104,7 +104,44 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
                     f"label column {schema.label_column!r} not in header {header_row}"
                 ) from None
 
-    offset = 2 if schema.header else 1  # 1-based data row numbering in messages
+    parsed = _parse_table(rows, label_idx)
+    if parsed is None:
+        parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
+    data, labels = parsed
+    if label_idx is None:
+        return data
+    return LabeledDataset(points=data, labels=labels, name=path.stem)
+
+
+def _parse_table(rows: list[list[str]], label_idx: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) in one numpy conversion, or None when the rows
+    are not a rectangle of numbers with finite features and 0/1 labels.
+
+    numpy converts each string as ``float()`` does (whitespace stripped,
+    ``1_0``, ``nan`` and ``inf`` accepted), so the values match the
+    per-cell parse exactly.
+    """
+    try:
+        table = np.asarray(rows, dtype=float)
+    except ValueError:
+        return None
+    if table.ndim != 2 or (label_idx is not None and label_idx >= table.shape[1]):
+        return None
+    labels = np.zeros(0, dtype=np.int64)
+    if label_idx is not None:
+        column = table[:, label_idx]
+        if not ((column == 0.0) | (column == 1.0)).all():
+            return None
+        labels = column.astype(np.int64)
+        table = np.delete(table, label_idx, axis=1)
+    if not np.isfinite(table).all():
+        return None
+    return table, labels
+
+
+def _parse_cells(rows: list[list[str]], label_idx: int | None, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-by-cell parse that reports the first bad cell by its row and
+    column; ``offset`` is the 1-based file row of ``rows[0]``."""
     features: list[list[float]] = []
     labels: list[int] = []
     for i, row in enumerate(rows):
@@ -122,11 +159,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
                 f"row {row_no}: {len(feats)} features, expected {len(features[0])}"
             )
         features.append(feats)
-
     data = np.asarray(features, dtype=float) if features else np.zeros((0, 0))
-    if label_idx is None:
-        return data
-    return LabeledDataset(points=data, labels=np.asarray(labels), name=path.stem)
+    return data, np.asarray(labels, dtype=np.int64)
 
 
 # -- synthetic data ------------------------------------------------------------

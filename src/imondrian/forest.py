@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import ForestArena, MondrianTree, as_point, as_points, fit_tree
+from .tree import ForestArena, MondrianTree, as_point, as_points
 
 # truncated Euler-Mascheroni constant, exactly as used by the normalization
 EULER_GAMMA = 0.5772156649
@@ -102,28 +102,20 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
 
     Each tree owns a generator spawned from ``SeedSequence(config.seed)``,
     so no two trees of any two seeds share a stream; the subsample draw
-    (when active) comes from that same generator, so a (data, config) pair
-    reproduces the forest tree for tree.
+    (when active) and then the tree's cuts come from that same generator,
+    so a (data, config) pair reproduces the forest tree for tree, and tree t
+    does not depend on ``num_trees``. All trees are built level by level in
+    one arena (see ``ForestArena.grow``).
     """
     cfg = config or ForestConfig()
     X = as_points(points)
-    n, d = X.shape
+    n = X.shape[0]
     if n < 2:
         raise ValueError(f"training needs at least 2 points, got {n}")
     subsampling = cfg.psi is not None and n > cfg.psi
-    n_effective = cfg.psi if subsampling else n
-
-    def build(seq: np.random.SeedSequence) -> MondrianTree:
-        gen = np.random.default_rng(seq)
-        if subsampling:
-            sample = X[gen.choice(n, size=cfg.psi, replace=False)]
-        else:
-            sample = X
-        return fit_tree(sample, rng=gen)
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)
-    arena = ForestArena.pack(map(build, seeds), cfg.num_trees, d, capacity=2 * n_effective - 1)
-    return Forest(arena=arena, n_effective=int(n_effective), psi=cfg.psi, seed=cfg.seed)
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)]
+    arena = ForestArena.grow(X, rngs, cfg.psi if subsampling else None)
+    return Forest(arena=arena, n_effective=cfg.psi if subsampling else n, psi=cfg.psi, seed=cfg.seed)
 
 
 def _scores(depth_sum: np.ndarray, forest: Forest) -> tuple[np.ndarray, np.ndarray]:

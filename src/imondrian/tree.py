@@ -13,13 +13,17 @@ index; ``NO_NODE`` (-1) marks an absent link. A node is a leaf iff it has
 no left child, and leaves always carry an infinite split time.
 
 A forest packs all of its trees into one ``ForestArena``, whose kernels walk
-every tree in lockstep. The scalar ``path_length`` and ``extend_tree`` on a
-single ``MondrianTree`` stay as the reference the kernels are tested against.
+every tree in lockstep, one depth level per numpy pass. The build is one of
+them: every open node of every tree at a depth gets its box from a segment
+min/max over the node's points, its split time and cut from its tree's own
+generator, and its children's points from a stable partition, so slots are
+numbered breadth first and ``fit_tree`` is the one-tree case. The scalar
+``path_length`` and ``extend_tree`` on a single ``MondrianTree`` stay as the
+reference the routing and extension kernels are tested against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +47,9 @@ _FIELDS = (
 )
 FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 
-# (tree, point) lanes routed per numpy pass by ForestArena.route; passes of
-# 2^14 lanes kept the working set in cache and routed fastest when measured
+# (tree, point) lanes per numpy pass of ForestArena.route and ForestArena.grow;
+# passes of 2^14 lanes kept the working set in cache and routed fastest when
+# measured, and they bound the build's working set
 ROUTE_LANES = 1 << 14
 
 
@@ -55,11 +60,6 @@ def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tu
         (name, np.dtype(dtype), lead + ((dim,) if name.startswith("box") else ()), fill)
         for name, dtype, fill in _FIELDS
     ]
-
-
-def _alloc_fields(owner, lead: tuple[int, ...], dim: int) -> None:
-    for name, dtype, shape, fill in node_fields(lead, dim):
-        setattr(owner, name, np.full(shape, fill, dtype=dtype))
 
 
 def _grow_fields(owner, axis: int) -> None:
@@ -162,50 +162,53 @@ def smallest_block(points) -> BoundingBox:
     return BoundingBox(pts.min(axis=0), pts.max(axis=0))
 
 
-def _draw_split(
-    bmin: np.ndarray,
-    bmax: np.ndarray,
-    widths: np.ndarray,
-    rate: float,
-    rng: np.random.Generator,
-) -> tuple[float, int, float]:
-    """Draw (e, q, p) for a box with positive linear dimension ``rate``."""
-    if rate == np.inf:
-        # the clock would fire at time 0 forever
-        raise ValueError("box is too large: its linear dimension overflows to infinity")
-    scale = 1.0 / rate
-    e = rng.exponential(scale)
-    while e == 0.0:
-        e = rng.exponential(scale)
-    cuts = np.cumsum(widths)
-    u = rng.random() * rate
-    q = int(np.searchsorted(cuts, u, side="right"))
-    if q >= widths.size or widths[q] <= 0.0:
-        # float roundoff pushed u onto/past a boundary; take the last usable dim
-        q = int(np.flatnonzero(widths > 0.0)[-1])
-    lo = float(bmin[q])
-    hi = float(bmax[q])
-    p = float(rng.uniform(lo, hi))
-    if p <= lo:
-        # uniform() includes its lower endpoint; a cut at the boundary would
-        # leave one side empty
-        p = hi
-    return float(e), q, p
+def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u: np.ndarray):
+    """The cut rule for k boxes at once: split dimensions q and values p.
+
+    ``widths`` (k, d) are the lengths the dimension is drawn in proportion
+    to, ``rate`` their positive row sums, and ``lo``/``hi`` (k, d) the ends of
+    the interval each dimension is cut in; ``u`` holds two uniforms on
+    [0, 1) per box. q is the first dimension whose cumulative width exceeds
+    ``u[:, 0] * rate``, and p = lo + (hi - lo) * u[:, 1] on dimension q.
+    """
+    k, d = widths.shape
+    rows = np.arange(k)
+    q = (np.cumsum(widths, axis=1) <= (u[:, 0] * rate)[:, None]).sum(axis=1)
+    # float roundoff pushed u onto/past a boundary; take the last usable dim
+    last = d - 1 - np.argmax(widths[:, ::-1] > 0.0, axis=1)
+    q = np.where((q >= d) | (widths[rows, np.minimum(q, d - 1)] <= 0.0), last, q)
+    lo, hi = lo[rows, q], hi[rows, q]
+    p = lo + (hi - lo) * u[:, 1]
+    # a cut exactly on the interval's lower end would leave one side empty
+    return q, np.where(p <= lo, hi, p)
+
+
+# a box this large would make the split clock fire at time 0 forever
+_OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 
 
 def sample_split(bbox: BoundingBox, rng: np.random.Generator | int | None = None):
     """Sample a cut for a box: waiting time, dimension, and cut value.
 
-    The waiting time is Exp(rate = linear dimension), the dimension is drawn
-    proportionally to side lengths, and the value uniformly within the chosen
-    side. Raises DegenerateBoxError when every side has zero length.
+    The waiting time is Exp(1) / rate with rate the linear dimension, the
+    dimension is drawn proportionally to side lengths, and the value
+    uniformly within the chosen side, by the same rule the tree build uses.
+    Raises DegenerateBoxError when every side has zero length and
+    ValueError when the linear dimension overflows.
     """
     gen = _as_generator(rng)
-    widths = bbox.dim_max - bbox.dim_min
-    rate = float(widths.sum())
+    with np.errstate(over="ignore"):
+        widths = bbox.dim_max - bbox.dim_min
+        rate = float(widths.sum())
     if rate <= 0.0:
         raise DegenerateBoxError("box has zero linear dimension; nothing to split")
-    return _draw_split(bbox.dim_min, bbox.dim_max, widths, rate, gen)
+    if rate == np.inf:
+        raise ValueError(_OVERFLOW)
+    e = gen.standard_exponential() / rate
+    while e == 0.0:
+        e = gen.standard_exponential() / rate
+    q, p = _cut(bbox.dim_min[None], bbox.dim_max[None], widths[None], np.array([rate]), gen.random((1, 2)))
+    return float(e), int(q[0]), float(p[0])
 
 
 class MondrianTree:
@@ -215,7 +218,8 @@ class MondrianTree:
     child and parent links, subtree population, and the smallest box of the
     points the node was built from (enlarged as streamed points pass
     through). The tree owns its random generator so that a (seed, data)
-    pair fully determines every structure it will ever grow into.
+    pair fully determines every structure it will ever grow into. Trees come
+    from ``fit_tree`` or as views of a ``ForestArena`` row.
     """
 
     __slots__ = (
@@ -233,16 +237,6 @@ class MondrianTree:
         "box_min",
         "box_max",
     )
-
-    def __init__(self, dim: int, rng: np.random.Generator | int | None = None, capacity: int = 64):
-        if dim < 1:
-            raise ValueError(f"dimensionality must be >= 1, got {dim}")
-        capacity = max(int(capacity), 1)
-        self.dim = int(dim)
-        self.rng = _as_generator(rng)
-        self.root = NO_NODE
-        self.size = 0
-        _alloc_fields(self, (capacity,), self.dim)
 
     # -- arena ---------------------------------------------------------------
 
@@ -275,54 +269,22 @@ class MondrianTree:
         return self.size - self.leaf_count
 
 
-def fit_tree(points, tau_parent: float = 0.0, rng: np.random.Generator | int | None = None) -> MondrianTree:
+def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTree:
     """Build a tree on a nonempty point set by recursive random cuts.
 
-    A node holding more than one point and a box with positive linear
-    dimension draws (e, q, p); its split time is the parent's time plus e,
-    and the points are partitioned into {x : x[q] < p} and {x : x[q] >= p}.
-    Anything else terminates as a leaf (so a block of identical points
-    becomes a leaf carrying the whole block's population). The root's
-    parent time is ``tau_parent`` (0 for a fresh tree). Raises ValueError
-    when the points' box is so large that its linear dimension overflows.
+    The one-tree case of ``ForestArena.grow``: a node holding more than one
+    point and a box with positive linear dimension draws a split time (the
+    parent's time plus Exp(1) / linear dimension; 0 is the root's parent
+    time) and a cut (q, p), and its points are partitioned into
+    {x : x[q] < p} and {x : x[q] >= p}. Anything else terminates as a leaf
+    (so a block of identical points becomes a leaf carrying the whole
+    block's population). Returns a writable tree owning the generator.
+    Raises ValueError when the points' box is so large that its linear
+    dimension overflows.
     """
     X = as_points(points)
-    n, d = X.shape
-    gen = _as_generator(rng)
-    tree = MondrianTree(d, gen, capacity=2 * n - 1)
-    # explicit stack, preorder (node, then left subtree, then right subtree)
-    stack: list[tuple[np.ndarray, int, bool, float]] = [
-        (np.arange(n), NO_NODE, False, float(tau_parent))
-    ]
-    while stack:
-        idx, parent, is_right, tau = stack.pop()
-        node = tree._new_node()
-        tree.parent[node] = parent
-        if parent == NO_NODE:
-            tree.root = node
-        elif is_right:
-            tree.right[parent] = node
-        else:
-            tree.left[parent] = node
-        sub = X[idx]
-        bmin = sub.min(axis=0)
-        bmax = sub.max(axis=0)
-        tree.box_min[node] = bmin
-        tree.box_max[node] = bmax
-        tree.population[node] = idx.size
-        widths = bmax - bmin
-        rate = float(widths.sum())
-        if idx.size > 1 and rate > 0.0:
-            e, q, p = _draw_split(bmin, bmax, widths, rate, gen)
-            t = tau + e
-            tree.split_dim[node] = q
-            tree.split_val[node] = p
-            tree.split_time[node] = t
-            go_left = sub[:, q] < p
-            stack.append((idx[~go_left], node, True, t))
-            stack.append((idx[go_left], node, False, t))
-        # else: leaf; allocation defaults (no children, infinite time) stand
-    return tree
+    arena = ForestArena.grow(X, [_as_generator(rng)])
+    return arena._view(0)
 
 
 def path_length(x, tree: MondrianTree) -> int:
@@ -384,8 +346,6 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
     """
     x = as_point(x_new, tree.dim)
     gen = tree.rng if rng is None else _as_generator(rng)
-    if tree.root == NO_NODE:
-        raise ValueError("cannot extend an empty tree")
     if not tree.left.flags.writeable:
         raise ValueError("tree is a read-only view of a forest; extend the forest instead")
     _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)
@@ -503,11 +463,21 @@ class ForestArena:
     generator. Slots past a tree's size keep the unused-slot values, and when
     a row fills, the capacity of every row doubles.
 
-    The kernels move all trees down one depth level per numpy step: ``route``
-    sums depths for a batch of points, and ``extend`` inserts one point into
-    every tree. Each tree draws from its own generator in the same order as
+    The kernels move all trees down one depth level per numpy step: ``grow``
+    builds the trees, ``route`` sums depths for a batch of points, and
+    ``extend`` inserts one point into every tree.
+
+    ``grow`` builds every node of a depth in one pass over the trees of a
+    group. Tree t draws only from its own generator: first its subsample,
+    then, level by level, the standard exponentials of its open nodes in
+    slot order, then two uniforms per such node (cut dimension and value),
+    then a fresh exponential for any waiting time that rounded to 0. So a
+    tree depends on its generator and the data alone, not on the other
+    trees or on how trees are grouped; slots are numbered breadth first.
+
+    ``extend`` draws from each tree's generator in the same order as
     ``extend_tree``, so a tree's result is bit-identical to the per-tree
-    reference. The waiting times use the Exp(1) / rate form of the Mondrian
+    reference. Waiting times use the Exp(1) / rate form of the Mondrian
     process clock (Roy & Teh 2008), as in Mondrian-forest extension
     (Lakshminarayanan, Roy & Teh 2014).
     """
@@ -517,23 +487,110 @@ class ForestArena:
         self.root = np.full(num_trees, NO_NODE, dtype=np.int64)
         self.size = np.zeros(num_trees, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
-        _alloc_fields(self, (num_trees, max(int(capacity), 1)), self.dim)
+        for name, dtype, shape, fill in node_fields((num_trees, max(int(capacity), 1)), self.dim):
+            setattr(self, name, np.full(shape, fill, dtype=dtype))
 
     @classmethod
-    def pack(cls, trees: Iterable[MondrianTree], num_trees: int, dim: int, capacity: int) -> ForestArena:
-        """Copy ``num_trees`` trees of dimension ``dim``, each of at most
-        ``capacity`` nodes, into a new arena, one row each, taking ownership
-        of their generators. Trees are consumed one at a time, so a generator
-        of trees never holds more than one in memory."""
-        arena = cls(num_trees, dim, capacity)
-        for t, tree in enumerate(trees):
-            n = tree.size
-            for name in FIELD_NAMES:
-                getattr(arena, name)[t, :n] = getattr(tree, name)[:n]
-            arena.root[t] = tree.root
-            arena.size[t] = n
-            arena.rngs[t] = tree.rng
+    def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> ForestArena:
+        """Build one tree per generator on the validated (n, d) array ``X``.
+
+        Each tree is built on ``sample_size`` rows drawn without replacement
+        by its own generator, or on all of ``X`` when ``sample_size`` is
+        None, and takes ownership of that generator. Trees are built in
+        groups of about ROUTE_LANES (tree, point) lanes, so memory stays flat.
+        Raises ValueError when a box's linear dimension overflows.
+        """
+        n, d = X.shape
+        m = n if sample_size is None else sample_size
+        arena = cls(len(rngs), d, 2 * m - 1)
+        arena.rngs = list(rngs)
+        per_group = max(ROUTE_LANES // m, 1)
+        for t0 in range(0, len(rngs), per_group):
+            trees = np.arange(t0, min(t0 + per_group, len(rngs)))
+            if sample_size is None:
+                pts = np.tile(X, (trees.size, 1))
+            else:
+                pts = X[np.concatenate([arena.rngs[t].choice(n, size=m, replace=False) for t in trees])]
+            arena._grow_levels(trees, pts, m)
         return arena
+
+    def _grow_levels(self, trees: np.ndarray, pts: np.ndarray, m: int) -> None:
+        """Build trees ``trees`` (ascending) on ``pts``, whose rows are each
+        tree's m points in turn.
+
+        Each open node owns a contiguous segment of ``pts``; segments are in
+        (tree, slot) order. One pass per depth level:
+        1. boxes and populations of the open nodes, by segment min/max;
+        2. nodes with one point or a zero-width box stay leaves and their
+           points drop out; the rest draw split times and cuts;
+        3. each tree's children take the next slots in order, and a stable
+           partition makes each node's points the segments of its children.
+        """
+        C = self.capacity
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
+        self.root[trees] = 0
+        self.size[trees] = 1
+        seg_tree = trees  # the open nodes: tree, local slot, point count, parent time
+        seg_node = np.zeros(trees.size, dtype=np.int64)
+        seg_len = np.full(trees.size, m)
+        seg_tau = np.zeros(trees.size)
+        while seg_len.size:
+            # 1. boxes of the open nodes
+            flat = seg_tree * C + seg_node
+            starts = np.cumsum(seg_len) - seg_len
+            lo = np.minimum.reduceat(pts, starts, axis=0)
+            hi = np.maximum.reduceat(pts, starts, axis=0)
+            box_min[flat] = lo
+            box_max[flat] = hi
+            self._flat("population")[flat] = seg_len
+            with np.errstate(over="ignore"):
+                widths = hi - lo
+                rate = widths.sum(axis=1)
+            # 2. split the nodes with two or more points and a positive rate
+            split = np.flatnonzero((seg_len > 1) & (rate > 0.0))
+            if not split.size:
+                break
+            if rate[split].max() == np.inf:
+                raise ValueError(_OVERFLOW)
+            t, node, rate, k = seg_tree[split], seg_node[split], rate[split], split.size
+            first = np.flatnonzero(np.diff(t, prepend=-1))  # each tree's first split
+            count = np.diff(first, append=k)
+            e, u = np.empty(k), np.empty((k, 2))
+            for tree, a, b in zip(t[first].tolist(), first.tolist(), (first + count).tolist()):
+                gen = self.rngs[tree]
+                gen.standard_exponential(out=e[a:b])
+                gen.random(out=u[a:b])
+            e /= rate
+            for j in np.flatnonzero(e == 0.0).tolist():
+                while e[j] == 0.0:
+                    e[j] = self.rngs[t[j]].standard_exponential() / rate[j]
+            time = seg_tau[split] + e
+            q, p = _cut(lo[split], hi[split], widths[split], rate, u)
+            flat = flat[split]
+            self._flat("split_dim")[flat] = q
+            self._flat("split_val")[flat] = p
+            self._flat("split_time")[flat] = time
+            # 3. children in the next slots of each tree, left before right
+            kid_l = self.size[t] + 2 * (np.arange(k) - np.repeat(first, count))
+            self.size[t[first]] += 2 * count
+            left[flat] = kid_l
+            right[flat] = kid_l + 1
+            parent[t * C + kid_l] = node
+            parent[t * C + kid_l + 1] = node
+            # the stable partition: each split node's points, left side first
+            rank = np.full(seg_len.size, -1)
+            rank[split] = np.arange(k)
+            lane_seg = np.repeat(rank, seg_len)
+            keep = np.flatnonzero(lane_seg >= 0)
+            lane_seg = lane_seg[keep]
+            go_right = pts[keep, q[lane_seg]] >= p[lane_seg]
+            pts = pts[keep[np.argsort(2 * lane_seg + go_right, kind="stable")]]
+            n_left = np.bincount(lane_seg[~go_right], minlength=k)
+            seg_len = np.column_stack((n_left, seg_len[split] - n_left)).ravel()
+            seg_tree = np.repeat(t, 2)
+            seg_node = np.column_stack((kid_l, kid_l + 1)).ravel()
+            seg_tau = np.repeat(time, 2)
 
     @property
     def num_trees(self) -> int:
@@ -546,15 +603,20 @@ class ForestArena:
     def tree(self, t: int) -> MondrianTree:
         """Read-only view of tree t as it is now: its arrays alias the arena
         row and cannot be written. Take a fresh view after extending."""
-        view = MondrianTree.__new__(MondrianTree)
+        view = self._view(t)
+        for name in FIELD_NAMES:
+            getattr(view, name).flags.writeable = False
+        return view
+
+    def _view(self, t: int) -> MondrianTree:
+        """Tree t as a MondrianTree whose arrays alias the arena row."""
+        view = MondrianTree()
         view.dim = self.dim
         view.rng = self.rngs[t]
         view.root = int(self.root[t])
         view.size = int(self.size[t])
         for name in FIELD_NAMES:
-            row = getattr(self, name)[t]
-            row.flags.writeable = False
-            setattr(view, name, row)
+            setattr(view, name, getattr(self, name)[t])
         return view
 
     def _flat(self, name: str) -> np.ndarray:
@@ -700,21 +762,11 @@ class ForestArena:
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         population = self._flat("population")
-        d = x.size
-        k = np.arange(t.size)
-
-        u = draws[:, 0] * rate
-        q = (np.cumsum(rates, axis=1) <= u[:, None]).sum(axis=1)
-        # float roundoff pushed u onto/past a boundary; take the last deviating dim
-        last = d - 1 - np.argmax(rates[:, ::-1] > 0.0, axis=1)
-        q = np.where((q >= d) | (rates[k, np.minimum(q, d - 1)] <= 0.0), last, q)
         flat = t * C + node
-        xq = x[q]
-        above = xq > box_max[flat, q]
-        lo = np.where(above, box_max[flat, q], xq)
-        hi = np.where(above, xq, box_min[flat, q])
-        p = lo + (hi - lo) * draws[:, 1]
-        p = np.where(p <= lo, hi, p)
+        # each deviating dim is cut between the box and x
+        over = x > box_max[flat]
+        q, p = _cut(np.where(over, box_max[flat], x), np.where(over, x, box_min[flat]), rates, rate, draws)
+        above = over[np.arange(t.size), q]
 
         internal = self.size[t].copy()
         leaf = internal + 1

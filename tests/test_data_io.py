@@ -8,6 +8,8 @@ import pytest
 from imondrian.data_io import (
     CsvSchema,
     SyntheticSpec,
+    _parse_cells,
+    _parse_table,
     gen_synthetic,
     load_csv,
     load_model,
@@ -120,6 +122,38 @@ class TestLoadCsv:
         p.write_text("\n".join(values) + "\n")
         data = load_csv(p, CsvSchema(header=False))
         assert data.ravel().tolist() == [float(v) for v in values]
+
+    def test_table_parse_matches_cell_parse(self, tmp_path):
+        # whitespace, digit separators and signed zeros, a label in the middle
+        rows = [[" 1.5", "0", "-0"], ["1_0", " 1 ", "2e-3 "], ["\t-7", "-0", "+3"]]
+        fast = _parse_table(rows, 1)
+        slow = _parse_cells(rows, 1, offset=1)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        p = tmp_path / "spaced.csv"
+        p.write_text("a,y,b\n" + "\n".join(",".join(row) for row in rows) + "\n")
+        ds = load_csv(p, CsvSchema(label_column="y"))
+        assert ds.points.tobytes() == slow[0].tobytes()
+        assert ds.labels.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "rows, label_idx",
+        [
+            ([["1", "2"], ["3"]], None),
+            ([["1", "x"]], None),
+            ([["1", "inf"]], None),
+            ([["2", "1"]], 0),
+            ([["1", "nan"]], 1),
+            ([["1", "0"]], 2),
+        ],
+        ids=["ragged", "garbage", "infinite", "label-2", "label-nan", "no-label-column"],
+    )
+    def test_table_parse_defers_bad_input(self, rows, label_idx):
+        # the cell parse then names the offending row and column
+        assert _parse_table(rows, label_idx) is None
+        with pytest.raises(DataFormatError, match=r"row \d"):
+            _parse_cells(rows, label_idx, offset=1)
 
 
 class TestGenSynthetic:

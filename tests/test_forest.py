@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import extend_tree, path_length, structurally_equal
+from imondrian.tree import ROUTE_LANES, extend_tree, fit_tree, path_length, structurally_equal
 
 from helpers import check_tree_invariants, depth_oracle, random_dataset
 
@@ -111,6 +112,37 @@ class TestTrainBatch:
         assert not any(structurally_equal(a, b) for a in seed0.trees for b in seed1.trees)
         again = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
         assert all(structurally_equal(a, b) for a, b in zip(seed1.trees, again.trees))
+
+    def test_trees_do_not_depend_on_num_trees_or_grouping(self):
+        # 7 trees take two build groups, 3 trees one; tree t is the same
+        n = ROUTE_LANES // 5 + 1
+        X = np.random.default_rng(23).normal(size=(n, 3))
+        small = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
+        large = train_batch(X, ForestConfig(num_trees=7, psi=None, seed=8))
+        assert ROUTE_LANES // n < 7
+        for a, b in zip(small.trees, large.trees):
+            assert structurally_equal(a, b)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            check_tree_invariants(a)
+
+    def test_fit_tree_is_a_one_tree_train_batch(self):
+        X = np.random.default_rng(24).normal(size=(120, 2))
+        for psi in (None, 50):
+            forest = train_batch(X, ForestConfig(num_trees=4, psi=psi, seed=6))
+            child = np.random.SeedSequence(6).spawn(4)[2]
+            gen = np.random.default_rng(child)
+            sample = X if psi is None else X[gen.choice(120, size=psi, replace=False)]
+            tree = fit_tree(sample, rng=gen)
+            assert structurally_equal(tree, forest.trees[2])
+            assert tree.rng.bit_generator.state == forest.trees[2].rng.bit_generator.state
+
+    def test_overflowing_box_raises_without_runtime_warning(self):
+        X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflow"):
+                train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestScore:

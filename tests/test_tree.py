@@ -10,7 +10,9 @@ import pytest
 
 from imondrian.errors import DegenerateBoxError, DimensionMismatchError
 from imondrian.tree import (
+    NO_NODE,
     BoundingBox,
+    ForestArena,
     extend_tree,
     fit_tree,
     path_length,
@@ -165,6 +167,55 @@ class TestFitTree:
             X = random_dataset(rng, n, d)
             tree = fit_tree(X, rng=1000 + i)
             check_tree_invariants(tree, points=X, expected_population=n)
+
+    def test_slots_are_breadth_first(self):
+        X = np.random.default_rng(12).normal(size=(200, 3))
+        tree = fit_tree(X, rng=4)
+        depth = np.zeros(tree.size, dtype=int)
+        for node in range(1, tree.size):
+            assert tree.parent[node] < node
+            depth[node] = depth[tree.parent[node]] + 1
+        assert tree.root == 0 and tree.parent[0] == NO_NODE
+        assert np.all(np.diff(depth) >= 0)
+
+    def test_zero_waiting_time_is_redrawn(self):
+        class ZeroFirst(np.random.Generator):
+            """Its first batch of exponentials comes out as zeros."""
+
+            zeroed = False
+
+            def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+                draws = super().standard_exponential(size, dtype, method, out)
+                if out is not None and not self.zeroed:
+                    self.zeroed = True
+                    out[:] = 0.0
+                return draws
+
+        gen = ZeroFirst(np.random.PCG64(0))
+        X = np.random.default_rng(13).normal(size=(10, 2))
+        tree = ForestArena.grow(X, [gen]).tree(0)
+        assert gen.zeroed
+        assert tree.split_time[tree.root] > 0.0
+        check_tree_invariants(tree, points=X, expected_population=10)
+
+
+    def test_cut_on_lower_end_moves_to_upper_end(self):
+        class ZeroUniforms(np.random.Generator):
+            """Every batch of uniforms comes out as zeros."""
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                draws = super().random(size, dtype, out)
+                if out is not None:
+                    out[:] = 0.0
+                return draws
+
+        X = np.random.default_rng(14).normal(size=(10, 2))
+        tree = ForestArena.grow(X, [ZeroUniforms(np.random.PCG64(0))]).tree(0)
+        # each cut lands on dim 0 at the box's upper end: the largest point goes right
+        assert tree.split_dim[tree.root] == 0
+        assert tree.split_val[tree.root] == X[:, 0].max()
+        assert tree.population[tree.right[tree.root]] == 1
+        check_tree_invariants(tree, points=X, expected_population=10)
 
 
 class TestPathLength:
