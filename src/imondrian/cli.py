@@ -50,7 +50,7 @@ class CliUsageError(Exception):
 
 
 def _add_data_flags(sub: argparse.ArgumentParser, synthetic: bool = True) -> None:
-    sub.add_argument("--data", help="CSV dataset path")
+    sub.add_argument("--data", required=not synthetic, help="CSV dataset path")
     if synthetic:
         sub.add_argument(
             "--synthetic",
@@ -189,6 +189,8 @@ def _decide(scores: np.ndarray, mode: str, threshold: float) -> tuple[DecisionMo
 
 def cmd_fit(args: argparse.Namespace) -> int:
     points, labels, name = _load_any(args)
+    if args.folds and labels is None:
+        raise DataFormatError("--folds needs ground-truth labels (use --label-column)")
     config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
     forest = train_batch(points, config)
     if args.model:
@@ -219,16 +221,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 fold_path = Path(args.out).with_suffix(".folds.csv")
                 write_rows(fold_path, rows)
                 print(f"fold table written to {fold_path}")
-    elif args.folds:
-        raise DataFormatError("--folds needs ground-truth labels (use --label-column)")
     return EXIT_OK
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     forest = load_model(args.model)
-    loaded = load_csv(args.data, _schema(args)) if args.data else None
-    if loaded is None:
-        raise DataFormatError("--data is required for scoring")
+    loaded = load_csv(args.data, _schema(args))
     if isinstance(loaded, LabeledDataset):
         points, labels = loaded.points, loaded.labels
     else:

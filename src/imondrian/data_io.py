@@ -360,6 +360,7 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
         offset += stored.nbytes
     arena.root[:] = root
     arena.size[:] = size
+    arena._relink()
     for t, state in enumerate(states):
         arena.rngs[t] = np.random.default_rng()
         arena.rngs[t].bit_generator.state = state

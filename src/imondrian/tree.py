@@ -17,9 +17,12 @@ every tree in lockstep, one depth level per numpy pass. The build is one of
 them: every open node of every tree at a depth gets its box from a segment
 min/max over the node's points, its split time and cut from its tree's own
 generator, and its children's points from a stable partition, so slots are
-numbered breadth first and ``fit_tree`` is the one-tree case. The scalar
-``path_length`` and ``extend_tree`` on a single ``MondrianTree`` stay as the
-reference the routing and extension kernels are tested against.
+numbered breadth first and ``fit_tree`` is the one-tree case. Routing and
+extension descend through a child table derived from the links, in which a
+leaf points to itself, so one gather per level moves every lane and a lane
+that reached its leaf stays there. The scalar ``path_length`` and
+``extend_tree`` on a single ``MondrianTree`` stay as the reference the
+routing and extension kernels are tested against.
 """
 
 from __future__ import annotations
@@ -480,6 +483,29 @@ class ForestArena:
     reference. Waiting times use the Exp(1) / rate form of the Mondrian
     process clock (Roy & Teh 2008), as in Mondrian-forest extension
     (Lakshminarayanan, Roy & Teh 2014).
+
+    ``route`` and ``extend`` descend through ``child``, an int64 table of
+    length 2 * T * C (T trees, capacity C). Entry ``side * T * C + g`` holds
+    the flat index ``t * C + slot`` of flat node g's left (side 0) or right
+    (side 1) child; a leaf or an unused slot holds g itself on both sides,
+    so a lane that reaches its leaf parks there. One level is then: gather
+    the split dimension and value, compare (right iff x[q] >= p), gather
+    ``child[go * T * C + node]``. A parked lane's comparison is ignored, so
+    a leaf's ``split_dim`` of -1 may read any valid coordinate.
+
+    ``left``, ``right`` and ``NO_NODE`` stay the source of truth for tree
+    views, invariants and the model file, and ``child`` is never saved. The
+    arena's own writers keep it current: the constructor makes every slot
+    a self loop, ``_grow_levels`` writes both entries of each node it
+    splits, ``_splice`` writes the new internal node, the new leaf's self
+    loop and the old parent's entry, ``extend`` calls ``_relink`` after the
+    capacity doubles, and ``data_io`` calls it after loading the fields.
+    It is kept current rather than rebuilt per call because a rebuild of a
+    100-tree, 1022-slot stream forest takes about 1 ms on a 2-core VM, two
+    to three times a one-point ``score_all``, which every arrival makes.
+    Writes through a writable ``MondrianTree`` view (such as the one
+    ``fit_tree`` returns, which ``extend_tree`` may then grow) do not
+    update it; nothing routes the arena behind such a view.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -489,6 +515,19 @@ class ForestArena:
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
         for name, dtype, shape, fill in node_fields((num_trees, max(int(capacity), 1)), self.dim):
             setattr(self, name, np.full(shape, fill, dtype=dtype))
+        self._relink()
+
+    def _relink(self) -> None:
+        """Rebuild ``child`` from ``left`` and ``right``: flat child indices
+        of internal nodes, self loops for leaves and unused slots."""
+        T, C = self.left.shape
+        flat = np.arange(T * C)
+        inner = np.flatnonzero(self.left.ravel() != NO_NODE)
+        base = flat[inner] - flat[inner] % C
+        child = np.concatenate((flat, flat))
+        child[inner] = base + self.left.ravel()[inner]
+        child[T * C + inner] = base + self.right.ravel()[inner]
+        self.child = child
 
     @classmethod
     def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> ForestArena:
@@ -526,7 +565,7 @@ class ForestArena:
         3. each tree's children take the next slots in order, and a stable
            partition makes each node's points the segments of its children.
         """
-        C = self.capacity
+        C, TC = self.capacity, self.left.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         self.root[trees] = 0
@@ -576,6 +615,8 @@ class ForestArena:
             self.size[t[first]] += 2 * count
             left[flat] = kid_l
             right[flat] = kid_l + 1
+            self.child[flat] = t * C + kid_l
+            self.child[TC + flat] = t * C + kid_l + 1
             parent[t * C + kid_l] = node
             parent[t * C + kid_l + 1] = node
             # the stable partition: each split node's points, left side first
@@ -629,12 +670,13 @@ class ForestArena:
 
         ``X`` is a validated (n, dim) array. Lanes are (tree, point) pairs
         in tree-major order, routed about ROUTE_LANES at a time so memory
-        stays flat; each pass drops the lanes that reached a leaf.
+        stays flat. Each level is one step through ``child``; a lane's depth
+        is its number of moves, lanes are compacted once at least half of
+        them have parked on their leaves, and the walk ends when none moved.
         """
         n, d = X.shape
-        C = self.capacity
+        C, TC = self.capacity, self.left.size
         flat_x = np.ascontiguousarray(X).ravel()
-        left, right = self._flat("left"), self._flat("right")
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
         depth_sum = np.zeros(n, dtype=np.int64)
         block = min(n, ROUTE_LANES)
@@ -643,26 +685,26 @@ class ForestArena:
             offsets = np.arange(p0, min(p0 + block, n)) * d  # row starts in flat_x
             for t0 in range(0, self.num_trees, trees_per_pass):
                 trees = np.arange(t0, min(t0 + trees_per_pass, self.num_trees))
-                base = np.repeat(trees * C, offsets.size)
-                node = base + np.repeat(self.root[trees], offsets.size)
+                node = np.repeat(trees * C + self.root[trees], offsets.size)
                 xrow = np.tile(offsets, trees.size)
-                lane = np.arange(base.size)
-                depth = np.zeros(base.size, dtype=np.int64)
-                level = 0
+                lane = np.arange(node.size)
+                depth = np.zeros(node.size, dtype=np.int64)
+                out = np.empty_like(depth)
                 while True:
-                    child = left[node]
-                    inner = child != NO_NODE
-                    if not inner.all():
-                        depth[lane[~inner]] = level
-                        lane, node, base, xrow, child = (
-                            lane[inner], node[inner], base[inner], xrow[inner], child[inner]
-                        )
-                        if not lane.size:
-                            break
-                    go_left = flat_x[xrow + split_dim[node]] < split_val[node]
-                    node = base + np.where(go_left, child, right[node])
-                    level += 1
-                depth_sum[p0 : p0 + offsets.size] += depth.reshape(trees.size, -1).sum(axis=0)
+                    go = flat_x[xrow + split_dim[node]] >= split_val[node]
+                    nxt = self.child[go * TC + node]
+                    moved = nxt != node
+                    live = np.count_nonzero(moved)
+                    if not live:
+                        break
+                    node = nxt
+                    depth += moved
+                    if 2 * live <= moved.size:
+                        parked = ~moved
+                        out[lane[parked]] = depth[parked]
+                        lane, node, xrow, depth = lane[moved], node[moved], xrow[moved], depth[moved]
+                out[lane] = depth
+                depth_sum[p0 : p0 + offsets.size] += out.reshape(trees.size, -1).sum(axis=0)
         return depth_sum
 
     def extend(self, x: np.ndarray) -> None:
@@ -682,8 +724,9 @@ class ForestArena:
         path_tree, path_node, dev, rate, fired, fire_time, draws = self._race(x)
         # 3. grow before taking views of the fields, so that each old field
         # is freed as soon as its replacement is filled
-        while fired.size and self.size[path_tree[fired]].max() + 2 > self.capacity:
-            _grow_fields(self, axis=1)
+        if fired.size and self.size[path_tree[fired]].max() + 2 > self.capacity:
+            _grow_fields(self, axis=1)  # a doubled row always has room for two more
+            self._relink()
         path_flat = path_tree * self.capacity + path_node
         stop = np.full(self.num_trees, path_tree.size)
         stop[path_tree[fired]] = fired
@@ -706,25 +749,22 @@ class ForestArena:
         root = trees * C + self.root
         _check_rates_finite(box_min[root], box_max[root], x)
 
-        # 1. path nodes, level by level, then reordered tree-major
-        left, right = self._flat("left"), self._flat("right")
+        # 1. path nodes, level by level through ``child``, then tree-major
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
-        level_trees, level_nodes = [], []
-        t, node = trees, self.root
-        while t.size:
-            level_trees.append(t)
-            level_nodes.append(node)
-            flat = t * C + node
-            child = left[flat]
-            inner = child != NO_NODE
-            t, flat, child = t[inner], flat[inner], child[inner]
-            go_left = x[split_dim[flat]] < split_val[flat]
-            node = np.where(go_left, child, right[flat])
-        path_tree = np.concatenate(level_trees)
+        levels = [root]
+        flat = root
+        while True:
+            nxt = self.child[(x[split_dim[flat]] >= split_val[flat]) * (T * C) + flat]
+            moved = nxt != flat
+            if not moved.any():
+                break
+            flat = nxt[moved]
+            levels.append(flat)
+        path_flat = np.concatenate(levels)
+        path_tree = path_flat // C
         order = np.argsort(path_tree, kind="stable")
-        path_tree = path_tree[order]
-        path_node = np.concatenate(level_nodes)[order]
-        path_flat = path_tree * C + path_node
+        path_tree, path_flat = path_tree[order], path_flat[order]
+        path_node = path_flat - path_tree * C
 
         # 2. rates and parent times on every path node, then per-tree clocks
         dev = np.maximum(box_min[path_flat] - x, 0.0) + np.maximum(x - box_max[path_flat], 0.0)
@@ -758,7 +798,7 @@ class ForestArena:
 
     def _splice(self, t, node, x, time, rates, rate, draws) -> None:
         """Vectorized ``_splice_above`` for trees t (each once) at local nodes."""
-        C = self.capacity
+        C, TC = self.capacity, self.left.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         population = self._flat("population")
@@ -790,11 +830,17 @@ class ForestArena:
         left[inner_flat] = np.where(above, node, leaf)
         right[inner_flat] = np.where(above, leaf, node)
         parent[flat] = internal
+        self.child[inner_flat] = np.where(above, flat, leaf_flat)
+        self.child[TC + inner_flat] = np.where(above, leaf_flat, flat)
+        self.child[leaf_flat] = self.child[TC + leaf_flat] = leaf_flat
 
         at_root = old_parent == NO_NODE
         self.root[t[at_root]] = internal[at_root]
-        t, node, internal, old_parent = t[~at_root], node[~at_root], internal[~at_root], old_parent[~at_root]
+        t, node, internal, inner_flat, old_parent = (
+            a[~at_root] for a in (t, node, internal, inner_flat, old_parent)
+        )
         up = t * C + old_parent
         via_left = left[up] == node
         left[up[via_left]] = internal[via_left]
         right[up[~via_left]] = internal[~via_left]
+        self.child[(~via_left) * TC + up] = inner_flat

@@ -86,6 +86,20 @@ class TestFit:
         assert "fold 2" in printed
         assert (tmp_path / "scores.folds.csv").exists()
 
+    def test_folds_without_labels_fails_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "unlabelled.csv"
+        _write_csv(data, np.random.default_rng(4).normal(size=(40, 2)))
+        out, model = tmp_path / "scores.csv", tmp_path / "model.imf"
+        code = main([
+            "fit", "--data", str(data), "--trees", "5", "--folds", "2",
+            "--out", str(out), "--model", str(model),
+        ])
+        assert code == EXIT_DATA
+        assert not out.exists() and not model.exists()
+        captured = capsys.readouterr()
+        assert "--folds needs ground-truth labels" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv")])
         assert code == EXIT_DATA
@@ -119,6 +133,13 @@ class TestScore:
         ])
         assert code == EXIT_OK
         assert out.read_bytes() == fit_out.read_bytes()
+
+    def test_missing_data_is_usage_error(self, fitted, capsys):
+        model, _ = fitted
+        with pytest.raises(SystemExit) as err:
+            main(["score", "--model", str(model)])
+        assert err.value.code == EXIT_USAGE
+        assert "--data" in capsys.readouterr().err
 
     def test_dimension_mismatch_is_data_error(self, tmp_path, fitted):
         model, _ = fitted

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from imondrian.data_io import SyntheticSpec, gen_synthetic
+from imondrian.data_io import SyntheticSpec, gen_synthetic, load_model, save_model
 from imondrian.errors import DimensionMismatchError
 from imondrian.evaluation import auc
 from imondrian.forest import (
@@ -387,6 +387,61 @@ class TestLockstepArena:
         for tree, before in zip(forest.trees, snapshot):
             assert structurally_equal(tree, before)
             assert tree.rng.bit_generator.state == before.rng.bit_generator.state
+
+
+def _assert_table_current(arena):
+    """The arena's routing table equals one rebuilt from its links."""
+    fresh = copy.deepcopy(arena)
+    fresh._relink()
+    assert np.array_equal(arena.child, fresh.child)
+
+
+def _assert_scores_match_oracle(forest, X):
+    """score_all's expected path lengths are the per-tree path_length means."""
+    trees = forest.trees
+    expected = [sum(path_length(x, t) for t in trees) / forest.num_trees for x in X]
+    epl, _ = score_all(X, forest)
+    assert epl.tolist() == expected
+
+
+class TestRoutingTable:
+    def test_table_current_after_multi_group_build(self):
+        # ROUTE_LANES // n = 3 trees per build group, so 5 trees take two groups
+        X = np.random.default_rng(30).normal(size=(ROUTE_LANES // 4 + 1, 2))
+        forest = train_batch(X, ForestConfig(num_trees=5, psi=None, seed=2))
+        _assert_table_current(forest.arena)
+
+    def test_two_point_blocks_match_oracle(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(ROUTE_LANES + 3, 2))
+        X[-3:] = rng.uniform(-8.0, 8.0, size=(3, 2))
+        forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=4))
+        _assert_table_current(forest.arena)
+        _assert_scores_match_oracle(forest, X)
+
+    def test_edge_cases_through_doubling_and_round_trip(self, tmp_path):
+        rng = np.random.default_rng(32)
+        for i, X in enumerate(_lockstep_datasets(rng)):
+            forest = train_batch(X, ForestConfig(num_trees=4, psi=None if i % 2 else 16, seed=i))
+            _assert_table_current(forest.arena)
+            _assert_scores_match_oracle(forest, X)
+            start = forest.arena.capacity
+            arrivals = []
+            for x in _stream(rng, X, 400):
+                extend_forest(forest, [x])
+                arrivals.append(x)
+                if forest.arena.capacity > start:
+                    break
+            assert forest.arena.capacity > start
+            extend_forest(forest, _stream(rng, X, 6))
+            probes = np.vstack([X, arrivals, _stream(rng, X, 9)])
+            _assert_table_current(forest.arena)
+            _assert_scores_match_oracle(forest, probes)
+            path = tmp_path / f"forest{i}.imf"
+            save_model(forest, path)
+            loaded = load_model(path)
+            _assert_table_current(loaded.arena)
+            _assert_scores_match_oracle(loaded, probes)
 
 
 class TestRescoreWindow:
