@@ -20,9 +20,12 @@ generator, and its children's points from a stable partition, so slots are
 numbered breadth first and ``fit_tree`` is the one-tree case. Routing and
 extension descend through a child table derived from the links, in which a
 leaf points to itself, so one gather per level moves every lane and a lane
-that reached its leaf stays there. The scalar ``path_length`` and
-``extend_tree`` on a single ``MondrianTree`` stay as the reference the
-routing and extension kernels are tested against.
+that reached its leaf stays there. Extension races one exponential clock
+per candidate node (a node on the point's path that the point lies outside
+of), and each tree draws all of its clocks and its cut in one call of its
+own generator. The scalar ``path_length`` and ``extend_tree`` on a single
+``MondrianTree`` stay as the reference the routing and extension kernels
+are tested against.
 """
 
 from __future__ import annotations
@@ -186,6 +189,12 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
     return q, np.where(p <= lo, hi, p)
 
 
+def _runs(trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run in a sorted array of tree indices."""
+    first = np.flatnonzero(np.diff(trees, prepend=-1))
+    return first, np.diff(first, append=trees.size)
+
+
 # a box this large would make the split clock fire at time 0 forever
 _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 
@@ -281,7 +290,9 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTr
     time) and a cut (q, p), and its points are partitioned into
     {x : x[q] < p} and {x : x[q] >= p}. Anything else terminates as a leaf
     (so a block of identical points becomes a leaf carrying the whole
-    block's population). Returns a writable tree owning the generator.
+    block's population), and so does a node whose drawn split time is not
+    finite, as for a box only a subnormal width wide. Returns a writable
+    tree owning the generator.
     Raises ValueError when the points' box is so large that its linear
     dimension overflows.
     """
@@ -331,16 +342,20 @@ def path_lengths(tree: MondrianTree, points) -> np.ndarray:
 def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None = None) -> MondrianTree:
     """Insert one point, possibly splicing a new internal node mid-tree.
 
-    Descending from the root, each node draws a waiting time from an
-    exponential clock whose rate is the point's total deviation from the
-    node's box. If the parent's time plus that draw beats the node's own
-    split time, a new internal node (cutting between box and point) is
-    spliced above it with a fresh single-point leaf as sibling; otherwise
-    the node's box is enlarged to admit the point, its population is
-    incremented, and the descent continues along the routing rule. A point
-    inside the box has rate zero - the clock never fires - so descent
-    continues, and reaching a leaf that already contains the point absorbs
-    it (population bump only).
+    The nodes on the point's routing path with a positive deviation rate
+    (the point's total distance outside the node's box) are the candidates.
+    Each carries an exponential clock of that rate started at its parent's
+    split time (0 at the root). The first candidate, in path order, whose
+    clock fires before its own split time gets a new internal node (cutting
+    between box and point) spliced above it, with a fresh single-point leaf
+    as sibling; every node passed before it has its box enlarged to admit
+    the point and its population incremented. When no clock fires, which
+    includes a point inside every box on its path, the whole path is
+    passed and the point is absorbed into its leaf.
+
+    Draws follow the contract in ``ForestArena``: with k > 0 candidates,
+    one call ``random(k + 2)`` holding the k clocks in path order and then
+    the cut's two uniforms, and scalar redraws of any clock uniform of 0.
 
     Uses the tree's own generator unless ``rng`` is given. Mutates in place
     and returns the tree. Raises ValueError, before drawing or writing
@@ -352,32 +367,34 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
     if not tree.left.flags.writeable:
         raise ValueError("tree is a read-only view of a forest; extend the forest instead")
     _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)
-    node = tree.root
-    tau = 0.0
-    while True:
-        dev_lower = np.maximum(tree.box_min[node] - x, 0.0)
-        dev_upper = np.maximum(x - tree.box_max[node], 0.0)
-        rates = dev_lower + dev_upper
-        rate = float(rates.sum())
-        if rate > 0.0:
-            e = gen.exponential(1.0 / rate)
-            while e == 0.0:
-                e = gen.exponential(1.0 / rate)
-        else:
-            e = np.inf
-        if tau + e < tree.split_time[node]:
-            _splice_above(tree, node, x, tau + e, rates, rate, gen)
-            return tree
+    path = [int(tree.root)]
+    while tree.left[path[-1]] != NO_NODE:
+        node = path[-1]
+        go_left = x[tree.split_dim[node]] < tree.split_val[node]
+        path.append(int(tree.left[node] if go_left else tree.right[node]))
+    dev = np.maximum(tree.box_min[path] - x, 0.0) + np.maximum(x - tree.box_max[path], 0.0)
+    rates = dev.sum(axis=1)
+    cand = np.flatnonzero(rates > 0.0).tolist()
+    fired, time = len(path), None
+    if cand:
+        u = gen.random(len(cand) + 2)
+        for i in range(len(cand)):
+            while u[i] == 0.0:
+                u[i] = gen.random()
+        for i, j in enumerate(cand):
+            tau = 0.0 if j == 0 else tree.split_time[path[j - 1]]
+            with np.errstate(over="ignore"):
+                e = -np.log1p(-u[i]) / rates[j]
+            if tau + e < tree.split_time[path[j]]:
+                fired, time = j, tau + e
+                break
+    for node in path[:fired]:
         tree.box_min[node] = np.minimum(tree.box_min[node], x)
         tree.box_max[node] = np.maximum(tree.box_max[node], x)
         tree.population[node] += 1
-        if tree.left[node] == NO_NODE:
-            return tree  # duplicate of the leaf's point: absorbed
-        tau = float(tree.split_time[node])
-        if x[tree.split_dim[node]] < tree.split_val[node]:
-            node = int(tree.left[node])
-        else:
-            node = int(tree.right[node])
+    if time is not None:
+        _splice_above(tree, path[fired], x, time, dev[fired], rates[fired], u[-2:])
+    return tree
 
 
 def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarray) -> None:
@@ -397,11 +414,13 @@ def _splice_above(
     time: float,
     rates: np.ndarray,
     rate: float,
-    gen: np.random.Generator,
+    draws: np.ndarray,
 ) -> None:
+    """Splice a new internal node of split time ``time`` above ``node``,
+    with a new leaf for x as its other child; ``draws`` are the uniforms
+    that pick the cut's dimension and value."""
     cuts = np.cumsum(rates)
-    u = gen.random() * rate
-    q = int(np.searchsorted(cuts, u, side="right"))
+    q = int(np.searchsorted(cuts, draws[0] * rate, side="right"))
     if q >= rates.size or rates[q] <= 0.0:
         q = int(np.flatnonzero(rates > 0.0)[-1])
     above = x[q] > tree.box_max[node, q]
@@ -411,7 +430,7 @@ def _splice_above(
     else:
         lo = float(x[q])
         hi = float(tree.box_min[node, q])
-    p = float(gen.uniform(lo, hi))
+    p = lo + (hi - lo) * float(draws[1])
     if p <= lo:
         # a cut exactly on the interval's lower end would misroute one side
         p = hi
@@ -478,11 +497,19 @@ class ForestArena:
     tree depends on its generator and the data alone, not on the other
     trees or on how trees are grouped; slots are numbered breadth first.
 
-    ``extend`` draws from each tree's generator in the same order as
-    ``extend_tree``, so a tree's result is bit-identical to the per-tree
-    reference. Waiting times use the Exp(1) / rate form of the Mondrian
-    process clock (Roy & Teh 2008), as in Mondrian-forest extension
-    (Lakshminarayanan, Roy & Teh 2014).
+    ``extend`` follows one draw contract, which ``extend_tree`` follows
+    too, so a tree's result is bit-identical to the per-tree reference.
+    Tree t's candidates are the k nodes on x's path with a positive
+    deviation rate, in path order. With k = 0 the tree draws nothing and
+    absorbs x. Otherwise it makes one call ``random(k + 2)``: the first k
+    uniforms are the candidates' clocks, with waiting time -log1p(-u) /
+    rate, the Exp(rate) clock of the Mondrian process (Roy & Teh 2008), and
+    the last two pick the cut's dimension and value. A clock uniform of
+    exactly 0, a waiting time of 0, is redrawn after that call by scalar
+    ``random()`` calls until it is nonzero. The first candidate whose
+    parent time plus waiting time is below its own split time fires; by
+    memorylessness the later clocks go unused, as in Mondrian-forest
+    extension (Lakshminarayanan, Roy & Teh 2014).
 
     ``route`` and ``extend`` descend through ``child``, an int64 table of
     length 2 * T * C (T trees, capacity C). Entry ``side * T * C + g`` holds
@@ -561,7 +588,8 @@ class ForestArena:
         (tree, slot) order. One pass per depth level:
         1. boxes and populations of the open nodes, by segment min/max;
         2. nodes with one point or a zero-width box stay leaves and their
-           points drop out; the rest draw split times and cuts;
+           points drop out; the rest draw split times and cuts, and those
+           whose split time is not finite stay leaves too;
         3. each tree's children take the next slots in order, and a stable
            partition makes each node's points the segments of its children.
         """
@@ -592,19 +620,28 @@ class ForestArena:
                 break
             if rate[split].max() == np.inf:
                 raise ValueError(_OVERFLOW)
-            t, node, rate, k = seg_tree[split], seg_node[split], rate[split], split.size
-            first = np.flatnonzero(np.diff(t, prepend=-1))  # each tree's first split
-            count = np.diff(first, append=k)
-            e, u = np.empty(k), np.empty((k, 2))
+            t, rate = seg_tree[split], rate[split]
+            first, count = _runs(t)  # each tree's first split and split count
+            e, u = np.empty(split.size), np.empty((split.size, 2))
             for tree, a, b in zip(t[first].tolist(), first.tolist(), (first + count).tolist()):
                 gen = self.rngs[tree]
                 gen.standard_exponential(out=e[a:b])
                 gen.random(out=u[a:b])
-            e /= rate
-            for j in np.flatnonzero(e == 0.0).tolist():
-                while e[j] == 0.0:
-                    e[j] = self.rngs[t[j]].standard_exponential() / rate[j]
-            time = seg_tau[split] + e
+            with np.errstate(over="ignore"):
+                e /= rate
+                for j in np.flatnonzero(e == 0.0).tolist():
+                    while e[j] == 0.0:
+                        e[j] = self.rngs[t[j]].standard_exponential() / rate[j]
+                time = seg_tau[split] + e
+            # a subnormal rate can push the split time to infinity, a leaf's
+            # time: such a node stays a leaf, with its draws spent
+            finite = np.isfinite(time)
+            if not finite.all():
+                split, t, rate, time, u = (a[finite] for a in (split, t, rate, time, u))
+                if not split.size:
+                    break
+                first, count = _runs(t)
+            node, k = seg_node[split], split.size
             q, p = _cut(lo[split], hi[split], widths[split], rate, u)
             flat = flat[split]
             self._flat("split_dim")[flat] = q
@@ -711,9 +748,10 @@ class ForestArena:
         """Insert one validated point into every tree, as ``extend_tree`` would.
 
         1. Route x down every tree and record the path nodes.
-        2. Compute every deviation rate on those paths at once, then let
-           each tree draw its waiting times, in path order, from its own
-           generator until its clock fires (tau + e below the node's time).
+        2. Compute every deviation rate on those paths at once, let each
+           tree with candidates make its one draw (see the class docstring),
+           and find every tree's first firing candidate with array
+           operations.
         3. Enlarge the boxes and bump the populations of the nodes passed
            before the clock fired, and splice a new internal node and leaf
            above the node where it fired.
@@ -742,7 +780,7 @@ class ForestArena:
         """Phases 1 and 2 of ``extend``: the path of x in every tree as
         tree-major (tree, local node) pairs, the deviations and rates along
         it, and for each tree whose clock fired its path position, firing
-        time and the two uniforms its splice draws next."""
+        time and the two cut uniforms of its draw."""
         T, C = self.left.shape
         trees = np.arange(T)
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
@@ -766,7 +804,8 @@ class ForestArena:
         path_tree, path_flat = path_tree[order], path_flat[order]
         path_node = path_flat - path_tree * C
 
-        # 2. rates and parent times on every path node, then per-tree clocks
+        # 2. rates and parent times on every path node; the candidates are
+        # the nodes with a positive rate, in path order
         dev = np.maximum(box_min[path_flat] - x, 0.0) + np.maximum(x - box_max[path_flat], 0.0)
         rate = dev.sum(axis=1)
         node_time = self._flat("split_time")[path_flat]
@@ -776,25 +815,26 @@ class ForestArena:
         tau[np.flatnonzero(np.diff(path_tree)) + 1] = 0.0  # roots have parent time 0
         cand = np.flatnonzero(rate > 0.0)
         cand_tree = path_tree[cand]
-        starts = np.flatnonzero(np.diff(cand_tree, prepend=-1))
-        ends = np.append(starts[1:], cand.size)
-        scale = (1.0 / rate[cand]).tolist()
-        cand_tau = tau[cand].tolist()
-        cand_time = node_time[cand].tolist()
-        fired, fire_time, draws = [], [], []
-        for t, lo, hi in zip(cand_tree[starts].tolist(), starts.tolist(), ends.tolist()):
-            gen = self.rngs[t]
-            for j in range(lo, hi):
-                e = scale[j] * gen.standard_exponential()
-                while e == 0.0:
-                    e = scale[j] * gen.standard_exponential()
-                if cand_tau[j] + e < cand_time[j]:
-                    fired.append(cand[j])
-                    fire_time.append(cand_tau[j] + e)
-                    draws.append((gen.random(), gen.random()))  # cut dim, cut value
-                    break
-        return (path_tree, path_node, dev, rate, np.asarray(fired, dtype=np.int64),
-                np.asarray(fire_time), np.asarray(draws).reshape(-1, 2))
+        first, count = _runs(cand_tree)
+
+        # one draw per tree with k > 0 candidates: k clocks, then the cut's
+        # dimension and value uniforms; zero clocks are redrawn after it
+        tree_of = np.repeat(np.arange(first.size), count)
+        at = first + 2 * np.arange(first.size)  # each tree's offset in u
+        u = np.empty(cand.size + 2 * first.size)
+        for t, a, b in zip(cand_tree[first].tolist(), at.tolist(), (at + count + 2).tolist()):
+            self.rngs[t].random(out=u[a:b])
+        clock = u[np.arange(cand.size) + 2 * tree_of]
+        for j in np.flatnonzero(clock == 0.0).tolist():
+            while clock[j] == 0.0:
+                clock[j] = self.rngs[cand_tree[j]].random()
+        with np.errstate(over="ignore"):  # a subnormal rate waits forever
+            wait = -np.log1p(-clock) / rate[cand]
+        fire_at = tau[cand] + wait
+        hit = np.flatnonzero(fire_at < node_time[cand])
+        hit = hit[np.diff(cand_tree[hit], prepend=-1) != 0]  # each tree's first firing
+        cut = at[tree_of[hit]] + count[tree_of[hit]]
+        return path_tree, path_node, dev, rate, cand[hit], fire_at[hit], u[cut[:, None] + np.arange(2)]
 
     def _splice(self, t, node, x, time, rates, rate, draws) -> None:
         """Vectorized ``_splice_above`` for trees t (each once) at local nodes."""

@@ -7,6 +7,7 @@ pairwise comparison, 2-means from scanning every sorted split.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -206,6 +207,54 @@ V1_MODEL = (
     ',"box_max":[1.0,2.0]},{"kind":"leaf","population":1,"box_min":[3.0,1.0],"box_max":[3'
     '.0,1.0]}]}]}'
 )
+
+
+# A three-tree v2 model (d = 2, seed 0, trained on three points and extended
+# by a fourth) as written by a build that drew one exponential per candidate
+# node when extending, and the expected path lengths it gave for V2_PROBES.
+V2_MODEL = base64.b64decode(
+    "aW1vbmRyaWFuLWZvcmVzdCB2MiBzaGEyNTY9OTNjZjEwODczNmJhYjgyMDY5ODQxYThmZmU2ZmI5ZTY4"
+    "ZTUzYjIzZGI0MjczNzJjNWYzZDJlNWQ5OWZjYjlmNAp7Im5fZWZmZWN0aXZlIjozLCJwc2kiOm51bGws"
+    "InNlZWQiOjAsImRpbSI6MiwibnVtX3RyZWVzIjozLCJ3aWR0aCI6Nywicm9vdCI6WzUsMCw1XSwic2l6"
+    "ZSI6WzcsNyw3XSwicm5nX3N0YXRlcyI6W3siYml0X2dlbmVyYXRvciI6IlBDRzY0Iiwic3RhdGUiOnsi"
+    "c3RhdGUiOjEzNjcwNzM2NTI1MjQwNjMxOTEwNjkxNTM3MTAyOTI4MTAwNjAwNCwiaW5jIjoyNzMwOTYz"
+    "NzIyODIwOTY0OTQ0NTYzMjIyOTc1MjE2OTk1MzcyMzV9LCJoYXNfdWludDMyIjowLCJ1aW50ZWdlciI6"
+    "MH0seyJiaXRfZ2VuZXJhdG9yIjoiUENHNjQiLCJzdGF0ZSI6eyJzdGF0ZSI6MTUyMDc1NzcxMzM0OTMw"
+    "Njk1NTU2NDcwMzY1MDcyMjg5NjM4OTY5LCJpbmMiOjMyOTAwMjA0MTgwODIwODU4NDAyMjgzNzMyODQ1"
+    "NDczOTcwNTE2OX0sImhhc191aW50MzIiOjAsInVpbnRlZ2VyIjowfSx7ImJpdF9nZW5lcmF0b3IiOiJQ"
+    "Q0c2NCIsInN0YXRlIjp7InN0YXRlIjoyMTU1NzEzODcyODE5NDkxNTgyNTYwODgyOTMyOTI2MTA5Mzc1"
+    "NjEsImluYyI6MTg0NjI1ODQ2NDg4NTg5OTMyNjk3NTc3NjUwNjUxMzgxODczNzY5fSwiaGFzX3VpbnQz"
+    "MiI6MCwidWludGVnZXIiOjB9XX0KAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAI"
+    "QAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAEEAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAACEAAAAAAAADw"
+    "PwAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAADwPwAAAAAAABBAAAAA"
+    "AAAACEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQAAAAAAAAAhAAAAA"
+    "AAAACEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQQAAAAAAAAAhAAAAAAAAAEEAAAAAAAAAIQAAAAAAAABBAAAAA"
+    "AAAACEAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAAAAAAAAAADw"
+    "PwAAAAAAAABAAAAAAAAAEEAAAAAAAAAIQAAAAAAAABBAAAAAAAAACEAAAAAAAAAIQAAAAAAAAABAAAAA"
+    "AAAA8D8AAAAAAAAAQAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAA"
+    "QAAAAAAAABBAAAAAAAAACEAAAAAAAAAQQAAAAAAAAAhAAAAAAAEAAAD///////////////8BAAAA////"
+    "/wAAAAABAAAA////////////////AQAAAP////8AAAAAAAAAAP///////////////wEAAAD/////LjdC"
+    "pxJWAUDIYXZkurz0PwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAPLBW3dKJgJAAAAAAAAAAACYyuOAWl39"
+    "P6QW2ZWRqPg/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAArHNy7QklB0AAAAAAAAAAAKDlH7dBpf0/7An/"
+    "gKwq3z8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAzV0Zab7oCQAAAAAAAAAAAXfi/rR0U5T9H1jjTG33n"
+    "PwAAAAAAAPB/AAAAAAAA8H8AAAAAAADwfwB/uM6B5KA/AAAAAAAA8H86XHKcOY/EPyVDeaA/k9U/AAAA"
+    "AAAA8H8AAAAAAADwfwAAAAAAAPB/FVumHKHK+D8AAAAAAADwf//O+bJnltM//AioZaNv8D8AAAAAAADw"
+    "fwAAAAAAAPB/AAAAAAAA8H+ZsgmHYMrFPwAAAAAAAPB/AQAAAAMAAAD///////////////8AAAAA////"
+    "/wEAAAADAAAA////////////////AgAAAP////8BAAAAAwAAAP///////////////wAAAAD/////AgAA"
+    "AAQAAAD///////////////8GAAAA/////wUAAAAEAAAA////////////////BgAAAP////8CAAAABAAA"
+    "AP///////////////wYAAAD/////BQAAAAAAAAAAAAAAAQAAAAEAAAD/////BQAAAP////8AAAAABQAA"
+    "AAEAAAABAAAAAAAAAAUAAAAFAAAAAAAAAAAAAAABAAAAAQAAAP////8FAAAAAwAAAAAAAAACAAAAAAAA"
+    "AAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAQAAAAAAAAAAQAAAAAAAAAEAAAAAAAAAAIAAAAAAAAAAQAA"
+    "AAAAAAABAAAAAAAAAAEAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAMAAAAAAAAAAgAAAAAAAAABAAAAAAAA"
+    "AAEAAAAAAAAAAQAAAAAAAAAEAAAAAAAAAAEAAAAAAAAA"
+)
+V2_PROBES = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], [2.0, 2.0], [-5.0, 9.0]]
+V2_PATH_LENGTHS = [
+    2.6666666666666665, 2.6666666666666665, 2.0, 1.3333333333333333, 2.3333333333333335, 1.3333333333333333,
+]
 
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:

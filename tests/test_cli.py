@@ -111,6 +111,13 @@ class TestFit:
         assert code == EXIT_DATA
         assert "overflows" in capsys.readouterr().err
 
+    def test_subnormal_box_fits_and_scores(self, tmp_path):
+        data = tmp_path / "thin.csv"
+        _write_csv(data, np.array([[0.0], [5e-324]]))
+        model = tmp_path / "model.imf"
+        assert main(["fit", "--data", str(data), "--trees", "3", "--model", str(model)]) == EXIT_OK
+        assert main(["score", "--model", str(model), "--data", str(data)]) == EXIT_OK
+
 
 class TestScore:
     @pytest.fixture()

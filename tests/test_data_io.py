@@ -21,7 +21,15 @@ from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
 from imondrian.tree import structurally_equal
 
-from helpers import V1_MODEL, read_model, reseal_model
+from helpers import (
+    V1_MODEL,
+    V2_MODEL,
+    V2_PATH_LENGTHS,
+    V2_PROBES,
+    check_tree_invariants,
+    read_model,
+    reseal_model,
+)
 
 
 def _set_root(field, value):
@@ -289,6 +297,26 @@ class TestModelRoundTrip:
         path.write_text(V1_MODEL)
         with pytest.raises(ModelFormatError, match="version v1"):
             load_model(path)
+
+    def test_earlier_version_2_file_loads_scores_and_resaves(self, tmp_path):
+        path = tmp_path / "model.imf"
+        path.write_bytes(V2_MODEL)
+        loaded = load_model(path)
+        assert score_all(V2_PROBES, loaded)[0].tolist() == V2_PATH_LENGTHS
+        again = tmp_path / "again.imf"
+        save_model(loaded, again)
+        assert again.read_bytes() == V2_MODEL
+
+    def test_subnormal_box_round_trip(self, tmp_path):
+        # the box is too thin for a finite split time, so every tree is one leaf
+        forest = train_batch(np.array([[0.0], [5e-324]]), ForestConfig(num_trees=3, psi=None, seed=0))
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        loaded = load_model(path)
+        for a, b in zip(forest.trees, loaded.trees):
+            assert structurally_equal(a, b)
+            check_tree_invariants(b, expected_population=2)
+            assert b.node_count == 1
 
     @pytest.mark.parametrize(
         "edit, problem",

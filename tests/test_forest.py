@@ -22,7 +22,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import ROUTE_LANES, extend_tree, fit_tree, path_length, structurally_equal
+from imondrian.tree import NO_NODE, ROUTE_LANES, extend_tree, fit_tree, path_length, structurally_equal
 
 from helpers import check_tree_invariants, depth_oracle, random_dataset
 
@@ -143,6 +143,18 @@ class TestTrainBatch:
             with pytest.raises(ValueError, match="overflow"):
                 train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_subnormal_box_stays_a_leaf(self):
+        # a box 5e-324 wide has a split time of infinity, a leaf's time
+        alone = train_batch(np.array([[0.0], [5e-324]]), ForestConfig(num_trees=3, psi=None, seed=0))
+        for tree in alone.trees:
+            assert tree.node_count == 1
+            check_tree_invariants(tree, expected_population=2)
+        X = np.array([[0.0], [5e-324], [10.0]])
+        nested = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
+        for tree in nested.trees:
+            check_tree_invariants(tree, points=X, expected_population=3)
+            assert tree.node_count == 3  # the cut isolates 10; [0, 5e-324] stays a leaf
 
 
 class TestScore:
@@ -291,6 +303,31 @@ class TestExtendForest:
             drops.append(before - after)
         assert np.mean(drops) > 0.05
 
+    def test_subnormal_deviation_is_absorbed(self):
+        X = np.array([[0.0], [1.0]])
+        forest = train_batch(X, ForestConfig(num_trees=8, psi=None, seed=2))
+        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        nodes = [t.node_count for t in forest.trees]
+        extend_forest(forest, [[5e-324]])
+        for tree, ref, count in zip(forest.trees, reference, nodes):
+            extend_tree(ref, [5e-324])
+            assert structurally_equal(tree, ref)
+            # the point's clock at the leaf [0, 0] has a subnormal rate and never fires
+            assert tree.node_count == count
+            check_tree_invariants(tree, points=[[5e-324]], expected_population=3)
+
+    def test_root_splice_count_follows_the_clock_law(self):
+        # [2, 0.5] deviates from every root box [0, 1]^2 by a total of 1, so
+        # it splices above the root with probability 1 - exp(-root time)
+        forest = train_batch([[0.0, 0.0], [1.0, 1.0]], ForestConfig(num_trees=4000, psi=None, seed=3))
+        arena = forest.arena
+        roots = arena.root.copy()
+        p = 1.0 - np.exp(-arena.split_time[np.arange(forest.num_trees), roots])
+        extend_forest(forest, [[2.0, 0.5]])
+        changed = np.count_nonzero(arena.root != roots)
+        z = (changed - p.sum()) / np.sqrt((p * (1.0 - p)).sum())
+        assert abs(z) < 4.0
+
     def test_training_points_still_route_after_extensions(self):
         X, forest = self._forest(seed=3)
         stream = np.random.default_rng(12).normal(scale=4.0, size=(50, 2))
@@ -377,6 +414,37 @@ class TestLockstepArena:
             extend_tree(view, [50.0, 50.0])
         assert forest.arena.rngs[1].bit_generator.state == state
         assert forest.total_population == 30
+
+    def test_zero_clock_is_redrawn(self):
+        class ZeroFirst(np.random.Generator):
+            """The first uniform of its first batch comes out as 0."""
+
+            zeroed = False
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                draws = super().random(size, dtype, out)
+                if np.ndim(draws) and not self.zeroed:
+                    self.zeroed = True
+                    draws[0] = 0.0
+                return draws
+
+        X = np.random.default_rng(23).normal(size=(20, 2))
+        forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=5))
+        forest.arena.rngs = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
+        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        ref_gens = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
+        x = X.max(axis=0) + 1.0  # outside every root box, so the root's clock comes first
+        extend_forest(forest, [x])
+        for tree, ref, gen in zip(forest.trees, reference, ref_gens):
+            extend_tree(ref, x, rng=gen)
+            assert gen.zeroed and tree.rng.zeroed
+            assert structurally_equal(tree, ref)
+            assert tree.rng.bit_generator.state == gen.bit_generator.state
+            spliced = tree.size - 2  # the new internal node
+            parent = tree.parent[spliced]
+            parent_time = 0.0 if parent == NO_NODE else tree.split_time[parent]
+            assert tree.split_time[spliced] > parent_time
+            check_tree_invariants(tree, points=np.vstack([X, x]), expected_population=21)
 
     def test_overflowing_rate_raises_before_any_write(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
