@@ -1,7 +1,8 @@
 """Ensemble training, anomaly scoring, and streaming extension.
 
 The anomaly score of a point is 2 ** (-E(l) / c(n)), where E(l) is the mean
-root-to-leaf path length over the trees and c(n) is the expected path length
+over the trees of the point's root-to-leaf path length plus c(m) for the m
+points its leaf holds (0 for m = 1), and c(n) is the expected path length
 of a random binary search tree on n points. Deep points (hard to isolate)
 score near 0, shallow points near 1, and a point exactly as deep as the
 expected average scores 0.5.
@@ -35,6 +36,20 @@ def c_factor(n: int) -> float:
     if n < 2:
         raise ValueError(f"c_factor needs n >= 2, got {n}")
     return 2.0 * harmonic(n - 1) - 2.0 * (n - 1) / n
+
+
+def _leaf_depth(population: np.ndarray) -> np.ndarray:
+    """c(m) for an array of leaf populations m: the expected depth still to
+    go below a leaf holding m points, as iForest's PathLength adds it (Liu,
+    Ting & Zhou 2008, Alg. 3). c(1) = 0 and c(m) = c_factor(m) for m >= 2;
+    a leaf holds more than one point only for exact duplicates or a box a
+    subnormal width wide."""
+    term = np.zeros(population.shape)
+    block = np.flatnonzero(population > 1)
+    if block.size:
+        m, which = np.unique(population[block], return_inverse=True)
+        term[block] = np.array([c_factor(int(v)) for v in m])[which]
+    return term
 
 
 def anomaly_score(expected_path_length, n_effective: int):
@@ -132,7 +147,7 @@ def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     if _is_empty(points):
         return np.zeros(0), np.zeros(0)
     X = as_points(points, forest.dim)
-    return _scores(forest.arena.route(X), forest)
+    return _scores(forest.arena.route(X, _leaf_depth), forest)
 
 
 def _is_empty(points) -> bool:
@@ -179,4 +194,4 @@ def rescore_window(
     X = as_points(retained_points, forest.dim)
     if window is not None:
         X = X[-window:]
-    return _scores(forest.arena.route(X), forest)
+    return _scores(forest.arena.route(X, _leaf_depth), forest)

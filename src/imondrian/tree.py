@@ -20,12 +20,15 @@ generator, and its children's points from a stable partition, so slots are
 numbered breadth first and ``fit_tree`` is the one-tree case. Routing and
 extension descend through a child table derived from the links, in which a
 leaf points to itself, so one gather per level moves every lane and a lane
-that reached its leaf stays there. Extension races one exponential clock
-per candidate node (a node on the point's path that the point lies outside
-of), and each tree draws all of its clocks and its cut in one call of its
-own generator. The scalar ``path_length`` and ``extend_tree`` on a single
-``MondrianTree`` stay as the reference the routing and extension kernels
-are tested against.
+that reached its leaf stays there. Extension walks one lane per tree, every
+lane every level, and reads each tree's path off that walk; it races one
+exponential clock per candidate node (a node on the point's path that the
+point lies outside of), each tree draws all of its clocks and its cut in
+one call of its own generator, and only the boxes the point lies outside
+of are rewritten. The scalar ``path_length`` and ``extend_tree`` on a
+single ``MondrianTree`` stay as the reference the routing and extension
+kernels are tested against; scoring adds to ``path_length``'s edge count
+the c term of the reached leaf's population, which is 0 for a single point.
 """
 
 from __future__ import annotations
@@ -181,8 +184,9 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
     rows = np.arange(k)
     q = (np.cumsum(widths, axis=1) <= (u[:, 0] * rate)[:, None]).sum(axis=1)
     # float roundoff pushed u onto/past a boundary; take the last usable dim
-    last = d - 1 - np.argmax(widths[:, ::-1] > 0.0, axis=1)
-    q = np.where((q >= d) | (widths[rows, np.minimum(q, d - 1)] <= 0.0), last, q)
+    off = np.flatnonzero((q >= d) | (widths[rows, np.minimum(q, d - 1)] <= 0.0))
+    if off.size:
+        q[off] = d - 1 - np.argmax(widths[off, ::-1] > 0.0, axis=1)
     lo, hi = lo[rows, q], hi[rows, q]
     p = lo + (hi - lo) * u[:, 1]
     # a cut exactly on the interval's lower end would leave one side empty
@@ -191,8 +195,14 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
 
 def _runs(trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of each run in a sorted array of tree indices."""
-    first = np.flatnonzero(np.diff(trees, prepend=-1))
-    return first, np.diff(first, append=trees.size)
+    starts = np.empty(trees.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(trees[1:], trees[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    count = np.empty_like(first)
+    count[:-1] = first[1:] - first[:-1]
+    count[-1:] = trees.size - first[-1:]
+    return first, count
 
 
 # a box this large would make the split clock fire at time 0 forever
@@ -518,7 +528,11 @@ class ForestArena:
     so a lane that reaches its leaf parks there. One level is then: gather
     the split dimension and value, compare (right iff x[q] >= p), gather
     ``child[go * T * C + node]``. A parked lane's comparison is ignored, so
-    a leaf's ``split_dim`` of -1 may read any valid coordinate.
+    a leaf's ``split_dim`` of -1 may read any valid coordinate. ``route``
+    compacts its many lanes once half of them have parked; ``extend`` has
+    one lane per tree and steps all of them every level, so its walk is a
+    (levels, T) array from which each tree's path is the root and every
+    level at which that lane moved.
 
     ``left``, ``right`` and ``NO_NODE`` stay the source of truth for tree
     views, invariants and the model file, and ``child`` is never saved. The
@@ -702,24 +716,37 @@ class ForestArena:
         arr = getattr(self, name)
         return arr.reshape((-1,) + arr.shape[2:])
 
-    def route(self, X: np.ndarray) -> np.ndarray:
-        """Sum over trees of each point's root-to-leaf edge count (int64).
+    def route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
+        """Sum over trees of each point's scoring depth (float64): its
+        root-to-leaf edge count plus ``leaf_depth`` of the population of the
+        leaf it reached, where ``leaf_depth`` maps an int64 array of leaf
+        populations to a float64 array of depths that is 0 for population 1.
 
         ``X`` is a validated (n, dim) array. Lanes are (tree, point) pairs
         in tree-major order, routed about ROUTE_LANES at a time so memory
         stays flat. Each level is one step through ``child``; a lane's depth
         is its number of moves, lanes are compacted once at least half of
         them have parked on their leaves, and the walk ends when none moved.
+
+        A tree of L leaves whose root holds more than L points has a leaf of
+        two or more. Without such a tree every depth is an edge count and
+        sums exactly; with one, each lane's leaf is kept, ``leaf_depth`` is
+        applied once per pass, and the sums are taken tree by tree in tree
+        order, so that a point's sum does not depend on the batch it is in.
         """
         n, d = X.shape
         C, TC = self.capacity, self.left.size
         flat_x = np.ascontiguousarray(X).ravel()
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
-        depth_sum = np.zeros(n, dtype=np.int64)
+        population = self._flat("population")
+        root_population = self.population[np.arange(self.num_trees), self.root]
+        duplicates = bool((root_population > (self.size + 1) // 2).any())
+        depth_sum = np.zeros(n)
         block = min(n, ROUTE_LANES)
         trees_per_pass = max(ROUTE_LANES // block, 1)
         for p0 in range(0, n, block):
             offsets = np.arange(p0, min(p0 + block, n)) * d  # row starts in flat_x
+            acc = depth_sum[p0 : p0 + offsets.size]
             for t0 in range(0, self.num_trees, trees_per_pass):
                 trees = np.arange(t0, min(t0 + trees_per_pass, self.num_trees))
                 node = np.repeat(trees * C + self.root[trees], offsets.size)
@@ -727,6 +754,7 @@ class ForestArena:
                 lane = np.arange(node.size)
                 depth = np.zeros(node.size, dtype=np.int64)
                 out = np.empty_like(depth)
+                leaf = np.empty_like(depth) if duplicates else None
                 while True:
                     go = flat_x[xrow + split_dim[node]] >= split_val[node]
                     nxt = self.child[go * TC + node]
@@ -739,82 +767,103 @@ class ForestArena:
                     if 2 * live <= moved.size:
                         parked = ~moved
                         out[lane[parked]] = depth[parked]
+                        if duplicates:
+                            leaf[lane[parked]] = node[parked]
                         lane, node, xrow, depth = lane[moved], node[moved], xrow[moved], depth[moved]
                 out[lane] = depth
-                depth_sum[p0 : p0 + offsets.size] += out.reshape(trees.size, -1).sum(axis=0)
+                if not duplicates:
+                    acc += out.reshape(trees.size, -1).sum(axis=0)
+                    continue
+                leaf[lane] = node
+                for row in (out + leaf_depth(population[leaf])).reshape(trees.size, -1):
+                    acc += row
         return depth_sum
 
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree, as ``extend_tree`` would.
 
-        1. Route x down every tree and record the path nodes.
+        1. Walk x down every tree at once, every lane every level, and read
+           each tree's path off the walk.
         2. Compute every deviation rate on those paths at once, let each
            tree with candidates make its one draw (see the class docstring),
            and find every tree's first firing candidate with array
            operations.
-        3. Enlarge the boxes and bump the populations of the nodes passed
-           before the clock fired, and splice a new internal node and leaf
-           above the node where it fired.
+        3. Bump the populations of the nodes passed before the clock fired,
+           enlarge the boxes of those of them that x lies outside of (a
+           positive rate; any other box already holds x), and splice a new
+           internal node and leaf above the node where it fired.
 
         Raises ValueError before any tree is touched if a rate would
         overflow in some tree.
         """
-        path_tree, path_node, dev, rate, fired, fire_time, draws = self._race(x)
+        path_tree, path_flat, lo, hi, dev, rate, fired, fire_time, draws = self._race(x)
+        t = path_tree.take(fired)
+        C = self.capacity
         # 3. grow before taking views of the fields, so that each old field
         # is freed as soon as its replacement is filled
-        if fired.size and self.size[path_tree[fired]].max() + 2 > self.capacity:
+        if fired.size and self.size.take(t).max() + 2 > C:
             _grow_fields(self, axis=1)  # a doubled row always has room for two more
             self._relink()
-        path_flat = path_tree * self.capacity + path_node
+            path_flat = path_flat + path_tree * (self.capacity - C)
         stop = np.full(self.num_trees, path_tree.size)
-        stop[path_tree[fired]] = fired
-        passed = path_flat[np.arange(path_tree.size) < stop[path_tree]]
+        stop[t] = fired
+        passed = np.arange(path_tree.size) < stop.take(path_tree)
+        self._flat("population")[path_flat[passed]] += 1
+        moved = np.flatnonzero(passed & (rate > 0.0))
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        box_min[passed] = np.minimum(box_min[passed], x)
-        box_max[passed] = np.maximum(box_max[passed], x)
-        self._flat("population")[passed] += 1
+        box_min[path_flat.take(moved)] = np.minimum(lo.take(moved, axis=0), x)
+        box_max[path_flat.take(moved)] = np.maximum(hi.take(moved, axis=0), x)
         if fired.size:
-            self._splice(path_tree[fired], path_node[fired], x, fire_time, dev[fired], rate[fired], draws)
+            self._splice(
+                t, path_flat.take(fired), x, fire_time, lo.take(fired, axis=0), hi.take(fired, axis=0),
+                dev.take(fired, axis=0), rate.take(fired), draws,
+            )
 
     def _race(self, x: np.ndarray):
         """Phases 1 and 2 of ``extend``: the path of x in every tree as
-        tree-major (tree, local node) pairs, the deviations and rates along
-        it, and for each tree whose clock fired its path position, firing
-        time and the two cut uniforms of its draw."""
+        tree-major tree and flat node indices; the box rows, deviations and
+        rates along it; and for each tree whose clock fired its position on
+        the path, firing time and the two cut uniforms of its draw."""
         T, C = self.left.shape
-        trees = np.arange(T)
+        TC = T * C
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        root = trees * C + self.root
-        _check_rates_finite(box_min[root], box_max[root], x)
+        root = np.arange(T) * C + self.root
 
-        # 1. path nodes, level by level through ``child``, then tree-major
+        # 1. walk every lane every level; a parked lane loops on its leaf
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
         levels = [root]
         flat = root
         while True:
-            nxt = self.child[(x[split_dim[flat]] >= split_val[flat]) * (T * C) + flat]
-            moved = nxt != flat
-            if not moved.any():
+            side = (x.take(split_dim[flat]) >= split_val[flat]) * TC
+            side += flat
+            nxt = self.child.take(side)
+            if not np.count_nonzero(nxt != flat):
                 break
-            flat = nxt[moved]
-            levels.append(flat)
-        path_flat = np.concatenate(levels)
-        path_tree = path_flat // C
-        order = np.argsort(path_tree, kind="stable")
-        path_tree, path_flat = path_tree[order], path_flat[order]
-        path_node = path_flat - path_tree * C
+            levels.append(nxt)
+            flat = nxt
+        # the (L, T) walk; each tree's path, in path order, is its root and
+        # then every level at which its lane moved, read off tree-major
+        walk = np.array(levels)
+        on_path = np.empty(walk.shape, dtype=bool)
+        on_path[0] = True
+        np.not_equal(walk[1:], walk[:-1], out=on_path[1:])
+        path_flat = walk.T[on_path.T]
+        length = on_path.sum(axis=0)
+        path_tree = np.repeat(np.arange(T), length)
+        starts = np.cumsum(length) - length  # each tree's root on the path
 
         # 2. rates and parent times on every path node; the candidates are
         # the nodes with a positive rate, in path order
-        dev = np.maximum(box_min[path_flat] - x, 0.0) + np.maximum(x - box_max[path_flat], 0.0)
+        lo, hi = box_min.take(path_flat, axis=0), box_max.take(path_flat, axis=0)
+        _check_rates_finite(lo.take(starts, axis=0), hi.take(starts, axis=0), x)
+        dev = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
         rate = dev.sum(axis=1)
-        node_time = self._flat("split_time")[path_flat]
+        node_time = self._flat("split_time").take(path_flat)
         tau = np.empty_like(node_time)
-        tau[0] = 0.0
         tau[1:] = node_time[:-1]
-        tau[np.flatnonzero(np.diff(path_tree)) + 1] = 0.0  # roots have parent time 0
+        tau[starts] = 0.0  # roots have parent time 0
         cand = np.flatnonzero(rate > 0.0)
-        cand_tree = path_tree[cand]
+        cand_tree = path_tree.take(cand)
         first, count = _runs(cand_tree)
 
         # one draw per tree with k > 0 candidates: k clocks, then the cut's
@@ -822,38 +871,42 @@ class ForestArena:
         tree_of = np.repeat(np.arange(first.size), count)
         at = first + 2 * np.arange(first.size)  # each tree's offset in u
         u = np.empty(cand.size + 2 * first.size)
-        for t, a, b in zip(cand_tree[first].tolist(), at.tolist(), (at + count + 2).tolist()):
+        for t, a, b in zip(cand_tree.take(first).tolist(), at.tolist(), (at + count + 2).tolist()):
             self.rngs[t].random(out=u[a:b])
-        clock = u[np.arange(cand.size) + 2 * tree_of]
+        clock = u.take(np.arange(cand.size) + 2 * tree_of)
         for j in np.flatnonzero(clock == 0.0).tolist():
             while clock[j] == 0.0:
                 clock[j] = self.rngs[cand_tree[j]].random()
         with np.errstate(over="ignore"):  # a subnormal rate waits forever
-            wait = -np.log1p(-clock) / rate[cand]
-        fire_at = tau[cand] + wait
-        hit = np.flatnonzero(fire_at < node_time[cand])
-        hit = hit[np.diff(cand_tree[hit], prepend=-1) != 0]  # each tree's first firing
-        cut = at[tree_of[hit]] + count[tree_of[hit]]
-        return path_tree, path_node, dev, rate, cand[hit], fire_at[hit], u[cut[:, None] + np.arange(2)]
+            wait = -np.log1p(-clock) / rate.take(cand)
+        fire_at = tau.take(cand) + wait
+        hit = np.flatnonzero(fire_at < node_time.take(cand))
+        hit = hit.take(_runs(cand_tree.take(hit))[0])  # each tree's first firing
+        cut = (at + count).take(tree_of.take(hit))
+        return (
+            path_tree, path_flat, lo, hi, dev, rate,
+            cand.take(hit), fire_at.take(hit), u.take(cut[:, None] + np.arange(2)),
+        )
 
-    def _splice(self, t, node, x, time, rates, rate, draws) -> None:
-        """Vectorized ``_splice_above`` for trees t (each once) at local nodes."""
+    def _splice(self, t, flat, x, time, node_min, node_max, rates, rate, draws) -> None:
+        """Vectorized ``_splice_above`` for trees t (each once) at flat nodes
+        ``flat``, whose box rows are ``node_min`` and ``node_max``."""
         C, TC = self.capacity, self.left.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         population = self._flat("population")
-        flat = t * C + node
+        node = flat - t * C
         # each deviating dim is cut between the box and x
-        over = x > box_max[flat]
-        q, p = _cut(np.where(over, box_max[flat], x), np.where(over, x, box_min[flat]), rates, rate, draws)
-        above = over[np.arange(t.size), q]
+        over = x > node_max
+        q, p = _cut(np.where(over, node_max, x), np.where(over, x, node_min), rates, rate, draws)
+        above = over.ravel().take(np.arange(t.size) * self.dim + q)
 
-        internal = self.size[t].copy()
+        internal = self.size.take(t)
         leaf = internal + 1
         self.size[t] += 2
         inner_flat = t * C + internal
-        leaf_flat = t * C + leaf
-        old_parent = parent[flat].astype(np.int64)
+        leaf_flat = inner_flat + 1
+        old_parent = parent.take(flat).astype(np.int64)
 
         box_min[leaf_flat] = x
         box_max[leaf_flat] = x
@@ -863,9 +916,9 @@ class ForestArena:
         self._flat("split_dim")[inner_flat] = q
         self._flat("split_val")[inner_flat] = p
         self._flat("split_time")[inner_flat] = time
-        box_min[inner_flat] = np.minimum(box_min[flat], x)
-        box_max[inner_flat] = np.maximum(box_max[flat], x)
-        population[inner_flat] = population[flat] + 1
+        box_min[inner_flat] = np.minimum(node_min, x)
+        box_max[inner_flat] = np.maximum(node_max, x)
+        population[inner_flat] = population.take(flat) + 1
         parent[inner_flat] = old_parent
         left[inner_flat] = np.where(above, node, leaf)
         right[inner_flat] = np.where(above, leaf, node)
@@ -875,12 +928,13 @@ class ForestArena:
         self.child[leaf_flat] = self.child[TC + leaf_flat] = leaf_flat
 
         at_root = old_parent == NO_NODE
-        self.root[t[at_root]] = internal[at_root]
-        t, node, internal, inner_flat, old_parent = (
-            a[~at_root] for a in (t, node, internal, inner_flat, old_parent)
-        )
+        if at_root.any():
+            self.root[t[at_root]] = internal[at_root]
+            t, node, internal, inner_flat, old_parent = (
+                a[~at_root] for a in (t, node, internal, inner_flat, old_parent)
+            )
         up = t * C + old_parent
-        via_left = left[up] == node
+        via_left = left.take(up) == node
         left[up[via_left]] = internal[via_left]
         right[up[~via_left]] = internal[~via_left]
         self.child[(~via_left) * TC + up] = inner_flat

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from imondrian.tree import NO_NODE, MondrianTree, node_fields
+from imondrian.forest import c_factor
+from imondrian.tree import FIELD_NAMES, NO_NODE, MondrianTree, node_fields
 
 
 def check_tree_invariants(
@@ -103,16 +104,33 @@ def leaf_constraint_table(tree: MondrianTree) -> list[tuple[int, int, list[tuple
     return table
 
 
-def depth_oracle(tree: MondrianTree, x) -> int:
-    """Depth of the unique leaf whose constraint set admits x."""
+def leaf_term(population: int) -> float:
+    """iForest's PathLength adjustment for a leaf of m points (Liu, Ting &
+    Zhou 2008, Alg. 3): 0 for one point, c_factor(m) for m >= 2."""
+    return c_factor(population) if population > 1 else 0.0
+
+
+def depth_oracle(tree: MondrianTree, x) -> float:
+    """Scoring depth of x: the depth of the unique leaf whose constraint set
+    admits x, plus leaf_term of that leaf's population."""
     x = np.asarray(x, dtype=float)
     matches = []
     for leaf, depth, constraints in leaf_constraint_table(tree):
         ok = all((x[q] < p) == went_left for q, p, went_left in constraints)
         if ok:
-            matches.append(depth)
+            matches.append(depth + leaf_term(int(tree.population[leaf])))
     assert len(matches) == 1, f"{len(matches)} leaf regions claim the point"
     return matches[0]
+
+
+def scored_depth(tree: MondrianTree, x) -> float:
+    """depth_oracle by walking the links by hand, for trees too large to
+    enumerate: edges to x's leaf plus leaf_term of its population."""
+    node, edges = int(tree.root), 0
+    while int(tree.left[node]) != NO_NODE:
+        node = int(tree.left[node] if x[tree.split_dim[node]] < tree.split_val[node] else tree.right[node])
+        edges += 1
+    return edges + leaf_term(int(tree.population[node]))
 
 
 def auc_oracle(scores, labels) -> float:
@@ -255,6 +273,28 @@ V2_PROBES = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], [2.0, 2.0], [-5.0, 
 V2_PATH_LENGTHS = [
     2.6666666666666665, 2.6666666666666665, 2.0, 1.3333333333333333, 2.3333333333333335, 1.3333333333333333,
 ]
+
+
+def arena_fingerprint(arena) -> str:
+    """SHA-256 of an arena's state: every node field's used slots, tree by
+    tree, then ``root``, ``size`` and each generator's state."""
+    digest = hashlib.sha256()
+    for name in FIELD_NAMES:
+        field = getattr(arena, name)
+        for t, used in enumerate(arena.size.tolist()):
+            digest.update(np.ascontiguousarray(field[t, :used]).tobytes())
+    digest.update(arena.root.tobytes())
+    digest.update(arena.size.tobytes())
+    for gen in arena.rngs:
+        digest.update(json.dumps(gen.bit_generator.state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# arena_fingerprint after the fixed extension run of
+# test_forest.TestLockstepArena.test_extension_stream_is_pinned (20 trees,
+# psi 64, 512 rows, 300 arrivals inside the box, far outside it and on
+# duplicates), as the batched-clock extension draws it
+EXTENSION_FINGERPRINT = "39b7ff9fc5d704d2ca41af5e4e3cbee71a2a4c4fc08ab4271f13f73eafc708ab"
 
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:

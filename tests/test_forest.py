@@ -24,7 +24,14 @@ from imondrian.forest import (
 )
 from imondrian.tree import NO_NODE, ROUTE_LANES, extend_tree, fit_tree, path_length, structurally_equal
 
-from helpers import check_tree_invariants, depth_oracle, random_dataset
+from helpers import (
+    EXTENSION_FINGERPRINT,
+    arena_fingerprint,
+    check_tree_invariants,
+    depth_oracle,
+    random_dataset,
+    scored_depth,
+)
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -171,12 +178,36 @@ class TestScore:
         # and the spec'd instance of that formula
         assert anomaly_score(4.0, 256) == pytest.approx(0.7628952638224997, rel=1e-12)
 
-    def test_single_leaf_trees_score_one(self):
+    def test_identical_points_score_half(self):
         forest = train_batch([[0.0], [0.0]], ForestConfig(num_trees=4, psi=None, seed=0))
-        # identical points collapse every tree to one leaf: E(l) = 0
+        # identical points collapse every tree to one leaf of 2: E(l) = c(2)
         (epl,), (s,) = score_all([[0.0]], forest)
-        assert epl == 0.0
-        assert s == 1.0
+        assert epl == c_factor(2)
+        assert s == 0.5
+
+    def test_constant_dataset_scores_half(self):
+        X = np.tile([1.5, -2.0, 3.0], (50, 1))
+        forest = train_batch(X, ForestConfig(psi=None, seed=1))
+        epl, s = score_all(X, forest)
+        # 100 trees of one 50-point leaf each: E(l) = c(50) up to summation roundoff
+        assert np.allclose(epl, c_factor(50), rtol=1e-14, atol=0.0)
+        assert np.allclose(s, 0.5, rtol=1e-14, atol=0.0)
+
+    def test_duplicate_block_is_not_anomalous(self):
+        # 30 copies of a typical inlier (the row at the median distance from
+        # its cluster's centre) become one leaf per tree; with c(leaf
+        # population) the block scores as deep as the dense region it sits in
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            centres = rng.uniform(-6.0, 6.0, size=(3, 4))
+            component = rng.integers(0, 3, 4096)
+            X = centres[component] + rng.normal(size=(4096, 4))
+            typical = np.argsort(np.linalg.norm(X - centres[component], axis=1))[2048]
+            X = np.vstack([X, np.repeat(X[typical : typical + 1], 30, axis=0)])
+            forest = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=seed))
+            _, s = score_all(X, forest)
+            assert np.all(s[-30:] == s[-1])
+            assert np.mean(s < s[-1]) <= 0.05
 
     def test_matches_brute_force_depth_tables(self):
         rng = np.random.default_rng(6)
@@ -215,14 +246,17 @@ class TestScoreAll:
     def test_matches_scalar_scoring(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(50, 3))
-        forest = train_batch(X, ForestConfig(num_trees=5, psi=None, seed=2))
-        epl, s = score_all(X, forest)
-        assert epl.dtype == s.dtype == np.float64
-        assert epl.shape == s.shape == (50,)
-        for i in range(50):
-            (solo_epl,), (solo_s,) = score_all(X[i : i + 1], forest)
-            assert s[i] == solo_s
-            assert epl[i] == solo_epl
+        # exact duplicates make leaves whose c terms are not integers
+        duplicated = np.vstack([X, np.repeat(X[:2], 4, axis=0)])
+        for data, trees in ((X, 5), (duplicated, 20)):
+            forest = train_batch(data, ForestConfig(num_trees=trees, psi=None, seed=2))
+            epl, s = score_all(data, forest)
+            assert epl.dtype == s.dtype == np.float64
+            assert epl.shape == s.shape == (len(data),)
+            for i in range(len(data)):
+                (solo_epl,), (solo_s,) = score_all(data[i : i + 1], forest)
+                assert s[i] == solo_s
+                assert epl[i] == solo_epl
 
     def test_permutation_gives_same_multiset(self):
         rng = np.random.default_rng(10)
@@ -250,7 +284,7 @@ class TestScoreAll:
         probes = np.vstack([X, rng.uniform(-9.0, 9.0, size=(20, 4))])
         epl, _ = score_all(probes, forest)
         for x, e in zip(probes, epl):
-            mean = sum(path_length(x, t) for t in forest.trees) / forest.num_trees
+            mean = sum(scored_depth(t, x) for t in forest.trees) / forest.num_trees
             assert e == mean
             assert score_all([x], forest)[0][0] == mean
 
@@ -386,6 +420,31 @@ class TestLockstepArena:
                     extend_tree(ref, x)
             self._assert_matches_reference(forest, reference, points=stream)
 
+    def test_single_leaf_trees_beside_deeper_trees(self):
+        # psi = 2 on mostly one repeated row: most trees subsample two copies
+        # and stay a single leaf, so lanes parked at the root walk beside
+        # lanes that descend
+        rng = np.random.default_rng(24)
+        X = np.vstack([np.tile(rng.normal(size=(1, 2)), (20, 1)), rng.normal(size=(4, 2))])
+        forest = train_batch(X, ForestConfig(num_trees=8, psi=2, seed=4))
+        sizes = [tree.size for tree in forest.trees]
+        assert 1 in sizes and max(sizes) > 1
+        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        stream = _stream(rng, X, 30)
+        extend_forest(forest, stream)
+        for x in stream:
+            for ref in reference:
+                extend_tree(ref, x)
+        self._assert_matches_reference(forest, reference, points=stream)
+
+    def test_extension_stream_is_pinned(self):
+        # the kernel and extend_tree could change together; this pins both
+        rng = np.random.default_rng(25)
+        X = random_dataset(rng, 512, 3)
+        forest = train_batch(X, ForestConfig(num_trees=20, psi=64, seed=7))
+        extend_forest(forest, _stream(rng, X, 300))
+        assert arena_fingerprint(forest.arena) == EXTENSION_FINGERPRINT
+
     def test_growth_across_capacity_boundary(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(2, 2))
@@ -465,9 +524,10 @@ def _assert_table_current(arena):
 
 
 def _assert_scores_match_oracle(forest, X):
-    """score_all's expected path lengths are the per-tree path_length means."""
+    """score_all's expected path lengths are the means of the per-tree
+    scoring depths (edges plus the leaf population's c term)."""
     trees = forest.trees
-    expected = [sum(path_length(x, t) for t in trees) / forest.num_trees for x in X]
+    expected = [sum(scored_depth(t, x) for t in trees) / forest.num_trees for x in X]
     epl, _ = score_all(X, forest)
     assert epl.tolist() == expected
 
