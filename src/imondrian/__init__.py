@@ -3,7 +3,6 @@
 from .decision import DecisionModel, assign, assign_all, fit_kmeans2, label_threshold
 from .errors import (
     DataFormatError,
-    DegenerateBoxError,
     DimensionMismatchError,
     ModelFormatError,
     StratificationError,
@@ -30,26 +29,14 @@ from .forest import (
     train_batch,
 )
 from .data_io import CsvSchema, SyntheticSpec, gen_synthetic, load_csv, load_model, save_model
-from .tree import (
-    BoundingBox,
-    MondrianTree,
-    extend_tree,
-    fit_tree,
-    path_length,
-    path_lengths,
-    sample_split,
-    smallest_block,
-    structurally_equal,
-)
+from .tree import MondrianTree
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundingBox",
     "CsvSchema",
     "DataFormatError",
     "DecisionModel",
-    "DegenerateBoxError",
     "DimensionMismatchError",
     "ExperimentResult",
     "Forest",
@@ -66,25 +53,18 @@ __all__ = [
     "auc",
     "c_factor",
     "extend_forest",
-    "extend_tree",
     "fit_kmeans2",
-    "fit_tree",
     "gen_synthetic",
     "harmonic",
     "kfold_split",
     "label_threshold",
     "load_csv",
     "load_model",
-    "path_length",
-    "path_lengths",
     "rescore_window",
     "run_kfold_experiment",
     "run_stream_experiment",
-    "sample_split",
     "save_model",
     "score_all",
-    "smallest_block",
     "stream_stages",
-    "structurally_equal",
     "train_batch",
 ]

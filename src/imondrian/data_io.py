@@ -108,6 +108,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
     if parsed is None:
         parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
     data, labels = parsed
+    if rows and data.shape[1] == 0:
+        raise DataFormatError(f"{path}: no feature columns besides the label")
     if label_idx is None:
         return data
     return LabeledDataset(points=data, labels=labels, name=path.stem)

@@ -10,10 +10,6 @@ class DimensionMismatchError(ValueError):
     """Point dimensionality does not match the structure it is used with."""
 
 
-class DegenerateBoxError(ValueError):
-    """A bounding box with zero linear dimension cannot be split."""
-
-
 class StratificationError(ValueError):
     """A stratified partition is infeasible (too few anomalies for the stages)."""
 

@@ -153,8 +153,6 @@ def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
 def _is_empty(points) -> bool:
     if points is None:
         return True
-    if isinstance(points, np.ndarray):
-        return points.size == 0
     try:
         return len(points) == 0
     except TypeError:
@@ -166,7 +164,8 @@ def extend_forest(forest: Forest, new_points) -> Forest:
 
     Each point is validated before any tree sees it, so a bad point aborts
     without partially mutating the forest for that point; all trees take a
-    point in one lockstep pass, each bit-identical to ``extend_tree``.
+    point in one lockstep pass (``ForestArena.extend``), each drawing from
+    its own generator only, so a tree grows the same way in any forest.
     ``n_effective`` is deliberately left unchanged. Mutates in place and
     returns the forest.
     """

@@ -12,32 +12,30 @@ Nodes live in a growable structure-of-arrays arena addressed by integer
 index; ``NO_NODE`` (-1) marks an absent link. A node is a leaf iff it has
 no left child, and leaves always carry an infinite split time.
 
-A forest packs all of its trees into one ``ForestArena``, whose kernels walk
-every tree in lockstep, one depth level per numpy pass. The build is one of
-them: every open node of every tree at a depth gets its box from a segment
-min/max over the node's points, its split time and cut from its tree's own
-generator, and its children's points from a stable partition, so slots are
-numbered breadth first and ``fit_tree`` is the one-tree case. Routing and
-extension descend through a child table derived from the links, in which a
-leaf points to itself, so one gather per level moves every lane and a lane
-that reached its leaf stays there. Extension walks one lane per tree, every
-lane every level, and reads each tree's path off that walk; it races one
-exponential clock per candidate node (a node on the point's path that the
-point lies outside of), each tree draws all of its clocks and its cut in
-one call of its own generator, and only the boxes the point lies outside
-of are rewritten. The scalar ``path_length`` and ``extend_tree`` on a
-single ``MondrianTree`` stay as the reference the routing and extension
-kernels are tested against; scoring adds to ``path_length``'s edge count
-the c term of the reached leaf's population, which is 0 for a single point.
+A forest packs all of its trees into one ``ForestArena``, whose kernels
+walk every tree in lockstep, one depth level per numpy pass. The build is
+one of them: every open node of every tree at a depth gets its box from a
+segment min/max over the node's points, its split time and cut from its
+tree's own generator, and its children's points from a stable partition,
+so slots are numbered breadth first. Routing and extension descend through
+a child table derived from the links, in which a leaf points to itself, so
+one gather per level moves every lane and a lane that reached its leaf
+stays there. Extension walks one lane per tree, every lane every level,
+and reads each tree's path off that walk; it races one exponential clock
+per candidate node (a node on the point's path that the point lies outside
+of), each tree draws all of its clocks and its cut in one call of its own
+generator, and only the boxes the point lies outside of are rewritten.
+Scoring adds to a point's edge count the c term of the reached leaf's
+population, which is 0 for a single point. The per-tree references the
+kernels are tested against (``fit_tree``, ``path_length`` and
+``extend_tree``) live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateBoxError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
 NO_NODE = -1
 
@@ -71,31 +69,16 @@ def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tu
     ]
 
 
-def _grow_fields(owner, axis: int) -> None:
-    """Double the node axis of every field, one field at a time."""
-    for name, _, fill in _FIELDS:
-        old = getattr(owner, name)
-        cap = old.shape[axis]
-        shape = list(old.shape)
-        shape[axis] = max(2 * cap, 8)
-        new = np.full(shape, fill, dtype=old.dtype)
-        new[(slice(None),) * axis + (slice(0, cap),)] = old
-        setattr(owner, name, new)
-
-
-def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Validate a single point: 1-D, finite, optionally of a fixed dimension."""
+    """Validate a single point: 1-D with at least one coordinate, finite,
+    optionally of a fixed dimension."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"expected a single point, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DimensionMismatchError("point has no coordinates")
     if dim is not None and arr.size != dim:
         raise DimensionMismatchError(
             f"point has {arr.size} coordinates, expected {dim}"
@@ -108,8 +91,9 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def as_points(points, dim: int | None = None) -> np.ndarray:
     """Validate a point set as a float (n, d) array.
 
-    A 1-D sequence is treated as n one-dimensional points. Ragged input
-    raises DimensionMismatchError; non-finite values raise ValueError.
+    A 1-D sequence is treated as n one-dimensional points. Ragged input and
+    points without coordinates (d = 0) raise DimensionMismatchError; an
+    empty set and non-finite values raise ValueError.
     """
     try:
         arr = np.asarray(points, dtype=float)
@@ -123,6 +107,8 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(f"expected an (n, d) point set, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("point set must be nonempty")
+    if arr.shape[1] == 0:
+        raise DimensionMismatchError("points have no coordinates")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatchError(
             f"points have dimension {arr.shape[1]}, expected {dim}"
@@ -130,45 +116,6 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("point coordinates must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box given by per-dimension lower and upper bounds."""
-
-    dim_min: np.ndarray
-    dim_max: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.dim_min, dtype=float)
-        hi = np.asarray(self.dim_max, dtype=float)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise DimensionMismatchError("bounds must be 1-D vectors of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("bounds must be finite")
-        if np.any(lo > hi):
-            raise ValueError("dim_min must not exceed dim_max")
-        object.__setattr__(self, "dim_min", lo)
-        object.__setattr__(self, "dim_max", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_min.size
-
-    @property
-    def linear_dimension(self) -> float:
-        """Sum of side lengths; the rate of the split-time clock."""
-        return float((self.dim_max - self.dim_min).sum())
-
-    def contains(self, x) -> bool:
-        x = as_point(x, self.dim)
-        return bool(np.all(x >= self.dim_min) and np.all(x <= self.dim_max))
-
-
-def smallest_block(points) -> BoundingBox:
-    """Tightest axis-aligned box around a nonempty point set."""
-    pts = as_points(points)
-    return BoundingBox(pts.min(axis=0), pts.max(axis=0))
 
 
 def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u: np.ndarray):
@@ -209,202 +156,26 @@ def _runs(trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 
 
-def sample_split(bbox: BoundingBox, rng: np.random.Generator | int | None = None):
-    """Sample a cut for a box: waiting time, dimension, and cut value.
-
-    The waiting time is Exp(1) / rate with rate the linear dimension, the
-    dimension is drawn proportionally to side lengths, and the value
-    uniformly within the chosen side, by the same rule the tree build uses.
-    Raises DegenerateBoxError when every side has zero length and
-    ValueError when the linear dimension overflows.
-    """
-    gen = _as_generator(rng)
-    with np.errstate(over="ignore"):
-        widths = bbox.dim_max - bbox.dim_min
-        rate = float(widths.sum())
-    if rate <= 0.0:
-        raise DegenerateBoxError("box has zero linear dimension; nothing to split")
-    if rate == np.inf:
-        raise ValueError(_OVERFLOW)
-    e = gen.standard_exponential() / rate
-    while e == 0.0:
-        e = gen.standard_exponential() / rate
-    q, p = _cut(bbox.dim_min[None], bbox.dim_max[None], widths[None], np.array([rate]), gen.random((1, 2)))
-    return float(e), int(q[0]), float(p[0])
-
-
 class MondrianTree:
-    """Arena-backed partition tree over d-dimensional points.
+    """Read-only view of one tree of a ``ForestArena``, from ``ForestArena.tree``.
 
-    Parallel arrays store one field per node: split dimension/value/time,
-    child and parent links, subtree population, and the smallest box of the
-    points the node was built from (enlarged as streamed points pass
-    through). The tree owns its random generator so that a (seed, data)
-    pair fully determines every structure it will ever grow into. Trees come
-    from ``fit_tree`` or as views of a ``ForestArena`` row.
+    Parallel arrays alias the tree's arena row, one field per node: split
+    dimension/value/time, child and parent links, subtree population, and
+    the smallest box of the points the node was built from (enlarged as
+    streamed points pass through). ``rng`` is the tree's own generator, so
+    that a (seed, data) pair fully determines every structure it will ever
+    grow into.
     """
 
-    __slots__ = (
-        "dim",
-        "rng",
-        "root",
-        "size",
-        "split_dim",
-        "split_val",
-        "split_time",
-        "left",
-        "right",
-        "parent",
-        "population",
-        "box_min",
-        "box_max",
-    )
-
-    # -- arena ---------------------------------------------------------------
+    __slots__ = ("dim", "rng", "root", "size") + FIELD_NAMES
 
     @property
     def capacity(self) -> int:
         return self.left.size
 
-    def _new_node(self) -> int:
-        if self.size == self.capacity:
-            _grow_fields(self, axis=0)
-        idx = self.size
-        self.size += 1
-        return idx
-
-    # -- views ---------------------------------------------------------------
-
-    def is_leaf(self, node: int) -> bool:
-        return self.left[node] == NO_NODE
-
     @property
     def node_count(self) -> int:
         return self.size
-
-    @property
-    def leaf_count(self) -> int:
-        return int(np.count_nonzero(self.left[: self.size] == NO_NODE))
-
-    @property
-    def internal_count(self) -> int:
-        return self.size - self.leaf_count
-
-
-def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTree:
-    """Build a tree on a nonempty point set by recursive random cuts.
-
-    The one-tree case of ``ForestArena.grow``: a node holding more than one
-    point and a box with positive linear dimension draws a split time (the
-    parent's time plus Exp(1) / linear dimension; 0 is the root's parent
-    time) and a cut (q, p), and its points are partitioned into
-    {x : x[q] < p} and {x : x[q] >= p}. Anything else terminates as a leaf
-    (so a block of identical points becomes a leaf carrying the whole
-    block's population), and so does a node whose drawn split time is not
-    finite, as for a box only a subnormal width wide. Returns a writable
-    tree owning the generator.
-    Raises ValueError when the points' box is so large that its linear
-    dimension overflows.
-    """
-    X = as_points(points)
-    arena = ForestArena.grow(X, [_as_generator(rng)])
-    return arena._view(0)
-
-
-def path_length(x, tree: MondrianTree) -> int:
-    """Number of edges from the root to the leaf the point routes to.
-
-    Routing matches the construction rule: left iff x[q] < p.
-    """
-    pt = as_point(x, tree.dim)
-    node = tree.root
-    edges = 0
-    while tree.left[node] != NO_NODE:
-        q = tree.split_dim[node]
-        if pt[q] < tree.split_val[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-        edges += 1
-    return edges
-
-
-def path_lengths(tree: MondrianTree, points) -> np.ndarray:
-    """Vectorized ``path_length`` for an (n, d) batch; returns int64 depths.
-
-    All points descend one level per pass, so the work is proportional to
-    the total routed path length rather than n * node_count.
-    """
-    X = as_points(points, tree.dim)
-    n = X.shape[0]
-    cur = np.full(n, tree.root, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    alive = np.flatnonzero(tree.left[cur] != NO_NODE)
-    while alive.size:
-        nodes = cur[alive]
-        go_left = X[alive, tree.split_dim[nodes]] < tree.split_val[nodes]
-        cur[alive] = np.where(go_left, tree.left[nodes], tree.right[nodes])
-        depth[alive] += 1
-        alive = alive[tree.left[cur[alive]] != NO_NODE]
-    return depth
-
-
-def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None = None) -> MondrianTree:
-    """Insert one point, possibly splicing a new internal node mid-tree.
-
-    The nodes on the point's routing path with a positive deviation rate
-    (the point's total distance outside the node's box) are the candidates.
-    Each carries an exponential clock of that rate started at its parent's
-    split time (0 at the root). The first candidate, in path order, whose
-    clock fires before its own split time gets a new internal node (cutting
-    between box and point) spliced above it, with a fresh single-point leaf
-    as sibling; every node passed before it has its box enlarged to admit
-    the point and its population incremented. When no clock fires, which
-    includes a point inside every box on its path, the whole path is
-    passed and the point is absorbed into its leaf.
-
-    Draws follow the contract in ``ForestArena``: with k > 0 candidates,
-    one call ``random(k + 2)`` holding the k clocks in path order and then
-    the cut's two uniforms, and scalar redraws of any clock uniform of 0.
-
-    Uses the tree's own generator unless ``rng`` is given. Mutates in place
-    and returns the tree. Raises ValueError, before drawing or writing
-    anything, on a read-only tree view and on a point so far from the root's
-    box that a deviation rate would overflow.
-    """
-    x = as_point(x_new, tree.dim)
-    gen = tree.rng if rng is None else _as_generator(rng)
-    if not tree.left.flags.writeable:
-        raise ValueError("tree is a read-only view of a forest; extend the forest instead")
-    _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)
-    path = [int(tree.root)]
-    while tree.left[path[-1]] != NO_NODE:
-        node = path[-1]
-        go_left = x[tree.split_dim[node]] < tree.split_val[node]
-        path.append(int(tree.left[node] if go_left else tree.right[node]))
-    dev = np.maximum(tree.box_min[path] - x, 0.0) + np.maximum(x - tree.box_max[path], 0.0)
-    rates = dev.sum(axis=1)
-    cand = np.flatnonzero(rates > 0.0).tolist()
-    fired, time = len(path), None
-    if cand:
-        u = gen.random(len(cand) + 2)
-        for i in range(len(cand)):
-            while u[i] == 0.0:
-                u[i] = gen.random()
-        for i, j in enumerate(cand):
-            tau = 0.0 if j == 0 else tree.split_time[path[j - 1]]
-            with np.errstate(over="ignore"):
-                e = -np.log1p(-u[i]) / rates[j]
-            if tau + e < tree.split_time[path[j]]:
-                fired, time = j, tau + e
-                break
-    for node in path[:fired]:
-        tree.box_min[node] = np.minimum(tree.box_min[node], x)
-        tree.box_max[node] = np.maximum(tree.box_max[node], x)
-        tree.population[node] += 1
-    if time is not None:
-        _splice_above(tree, path[fired], x, time, dev[fired], rates[fired], u[-2:])
-    return tree
 
 
 def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarray) -> None:
@@ -415,75 +186,6 @@ def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarra
         span = (np.maximum(root_max, x) - np.minimum(root_min, x)).sum(axis=-1)
     if not np.isfinite(span).all():
         raise ValueError("point is too far from the tree's box: its deviation rate overflows")
-
-
-def _splice_above(
-    tree: MondrianTree,
-    node: int,
-    x: np.ndarray,
-    time: float,
-    rates: np.ndarray,
-    rate: float,
-    draws: np.ndarray,
-) -> None:
-    """Splice a new internal node of split time ``time`` above ``node``,
-    with a new leaf for x as its other child; ``draws`` are the uniforms
-    that pick the cut's dimension and value."""
-    cuts = np.cumsum(rates)
-    q = int(np.searchsorted(cuts, draws[0] * rate, side="right"))
-    if q >= rates.size or rates[q] <= 0.0:
-        q = int(np.flatnonzero(rates > 0.0)[-1])
-    above = x[q] > tree.box_max[node, q]
-    if above:
-        lo = float(tree.box_max[node, q])
-        hi = float(x[q])
-    else:
-        lo = float(x[q])
-        hi = float(tree.box_min[node, q])
-    p = lo + (hi - lo) * float(draws[1])
-    if p <= lo:
-        # a cut exactly on the interval's lower end would misroute one side
-        p = hi
-
-    old_parent = int(tree.parent[node])
-    internal = tree._new_node()
-    leaf = tree._new_node()
-
-    tree.box_min[leaf] = x
-    tree.box_max[leaf] = x
-    tree.population[leaf] = 1
-    tree.parent[leaf] = internal
-
-    tree.split_dim[internal] = q
-    tree.split_val[internal] = p
-    tree.split_time[internal] = time
-    tree.box_min[internal] = np.minimum(tree.box_min[node], x)
-    tree.box_max[internal] = np.maximum(tree.box_max[node], x)
-    tree.population[internal] = tree.population[node] + 1
-    tree.parent[internal] = old_parent
-    if above:
-        tree.left[internal] = node
-        tree.right[internal] = leaf
-    else:
-        tree.left[internal] = leaf
-        tree.right[internal] = node
-    tree.parent[node] = internal
-
-    if old_parent == NO_NODE:
-        tree.root = internal
-    elif tree.left[old_parent] == node:
-        tree.left[old_parent] = internal
-    else:
-        tree.right[old_parent] = internal
-
-
-def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
-    """Exact structural equality: same shape, links, populations, and
-    bit-identical split values, times, and boxes."""
-    if a.dim != b.dim or a.size != b.size or a.root != b.root:
-        return False
-    n = a.size
-    return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in FIELD_NAMES)
 
 
 class ForestArena:
@@ -507,19 +209,18 @@ class ForestArena:
     tree depends on its generator and the data alone, not on the other
     trees or on how trees are grouped; slots are numbered breadth first.
 
-    ``extend`` follows one draw contract, which ``extend_tree`` follows
-    too, so a tree's result is bit-identical to the per-tree reference.
-    Tree t's candidates are the k nodes on x's path with a positive
-    deviation rate, in path order. With k = 0 the tree draws nothing and
-    absorbs x. Otherwise it makes one call ``random(k + 2)``: the first k
-    uniforms are the candidates' clocks, with waiting time -log1p(-u) /
-    rate, the Exp(rate) clock of the Mondrian process (Roy & Teh 2008), and
-    the last two pick the cut's dimension and value. A clock uniform of
-    exactly 0, a waiting time of 0, is redrawn after that call by scalar
-    ``random()`` calls until it is nonzero. The first candidate whose
-    parent time plus waiting time is below its own split time fires; by
-    memorylessness the later clocks go unused, as in Mondrian-forest
-    extension (Lakshminarayanan, Roy & Teh 2014).
+    ``extend`` follows one draw contract, tree by tree, so a tree's result
+    does not depend on the other trees. Tree t's candidates are the k nodes
+    on x's path with a positive deviation rate, in path order. With k = 0
+    the tree draws nothing and absorbs x. Otherwise it makes one call
+    ``random(k + 2)``: the first k uniforms are the candidates' clocks, with
+    waiting time -log1p(-u) / rate, the Exp(rate) clock of the Mondrian
+    process (Roy & Teh 2008), and the last two pick the cut's dimension and
+    value. A clock uniform of exactly 0, a waiting time of 0, is redrawn
+    after that call by scalar ``random()`` calls until it is nonzero. The
+    first candidate whose parent time plus waiting time is below its own
+    split time fires; by memorylessness the later clocks go unused, as in
+    Mondrian-forest extension (Lakshminarayanan, Roy & Teh 2014).
 
     ``route`` and ``extend`` descend through ``child``, an int64 table of
     length 2 * T * C (T trees, capacity C). Entry ``side * T * C + g`` holds
@@ -544,9 +245,6 @@ class ForestArena:
     It is kept current rather than rebuilt per call because a rebuild of a
     100-tree, 1022-slot stream forest takes about 1 ms on a 2-core VM, two
     to three times a one-point ``score_all``, which every arrival makes.
-    Writes through a writable ``MondrianTree`` view (such as the one
-    ``fit_tree`` returns, which ``extend_tree`` may then grow) do not
-    update it; nothing routes the arena behind such a view.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -695,21 +393,25 @@ class ForestArena:
     def tree(self, t: int) -> MondrianTree:
         """Read-only view of tree t as it is now: its arrays alias the arena
         row and cannot be written. Take a fresh view after extending."""
-        view = self._view(t)
-        for name in FIELD_NAMES:
-            getattr(view, name).flags.writeable = False
-        return view
-
-    def _view(self, t: int) -> MondrianTree:
-        """Tree t as a MondrianTree whose arrays alias the arena row."""
         view = MondrianTree()
         view.dim = self.dim
         view.rng = self.rngs[t]
         view.root = int(self.root[t])
         view.size = int(self.size[t])
         for name in FIELD_NAMES:
-            setattr(view, name, getattr(self, name)[t])
+            row = getattr(self, name)[t]
+            row.flags.writeable = False
+            setattr(view, name, row)
         return view
+
+    def _double(self) -> None:
+        """Double every row's capacity, one field at a time, so that each
+        old field can be freed as soon as its replacement is filled."""
+        cap = self.capacity
+        for name, dtype, shape, fill in node_fields((self.num_trees, max(2 * cap, 8)), self.dim):
+            field = np.full(shape, fill, dtype=dtype)
+            field[:, :cap] = getattr(self, name)
+            setattr(self, name, field)
 
     def _flat(self, name: str) -> np.ndarray:
         """A field with the tree and node axes merged: index ``t * capacity + node``."""
@@ -780,7 +482,7 @@ class ForestArena:
         return depth_sum
 
     def extend(self, x: np.ndarray) -> None:
-        """Insert one validated point into every tree, as ``extend_tree`` would.
+        """Insert one validated point into every tree.
 
         1. Walk x down every tree at once, every lane every level, and read
            each tree's path off the walk.
@@ -802,7 +504,7 @@ class ForestArena:
         # 3. grow before taking views of the fields, so that each old field
         # is freed as soon as its replacement is filled
         if fired.size and self.size.take(t).max() + 2 > C:
-            _grow_fields(self, axis=1)  # a doubled row always has room for two more
+            self._double()  # a doubled row always has room for two more
             self._relink()
             path_flat = path_flat + path_tree * (self.capacity - C)
         stop = np.full(self.num_trees, path_tree.size)
@@ -889,8 +591,12 @@ class ForestArena:
         )
 
     def _splice(self, t, flat, x, time, node_min, node_max, rates, rate, draws) -> None:
-        """Vectorized ``_splice_above`` for trees t (each once) at flat nodes
-        ``flat``, whose box rows are ``node_min`` and ``node_max``."""
+        """For each of the trees t (each once), splice a new internal node of
+        split time ``time`` above flat node ``flat``, whose box rows are
+        ``node_min`` and ``node_max``, with a new leaf for x as its other
+        child. ``rates`` are the node's deviations from x, ``rate`` their
+        sum, and ``draws`` the two uniforms that pick the cut's dimension
+        and value."""
         C, TC = self.capacity, self.left.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")

@@ -17,6 +17,8 @@ import numpy as np
 from imondrian.forest import c_factor
 from imondrian.tree import FIELD_NAMES, NO_NODE, MondrianTree, node_fields
 
+from reference import walk
+
 
 def check_tree_invariants(
     tree: MondrianTree,
@@ -68,24 +70,20 @@ def check_tree_invariants(
         assert int(tree.population[tree.root]) == expected_population
     if points is not None:
         for x in np.atleast_2d(points):
-            _assert_routes_into_leaf_box(tree, x)
+            leaf = walk(tree, x)[-1]
+            assert np.all(x >= tree.box_min[leaf]) and np.all(x <= tree.box_max[leaf]), (
+                f"point {x} routed to a leaf whose box does not contain it"
+            )
     return {"leaves": leaves, "internals": internals}
 
 
-def _assert_routes_into_leaf_box(tree: MondrianTree, x: np.ndarray) -> None:
-    node = int(tree.root)
-    hops = 0
-    while int(tree.left[node]) != NO_NODE:
-        q = int(tree.split_dim[node])
-        if x[q] < tree.split_val[node]:
-            node = int(tree.left[node])
-        else:
-            node = int(tree.right[node])
-        hops += 1
-        assert hops <= tree.size, "routing loop"
-    assert np.all(x >= tree.box_min[node]) and np.all(x <= tree.box_max[node]), (
-        f"point {x} routed to a leaf whose box does not contain it"
-    )
+def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
+    """Exact structural equality: same shape, links, populations, and
+    bit-identical split values, times, and boxes."""
+    if a.dim != b.dim or a.size != b.size or a.root != b.root:
+        return False
+    n = a.size
+    return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in FIELD_NAMES)
 
 
 def leaf_constraint_table(tree: MondrianTree) -> list[tuple[int, int, list[tuple[int, float, bool]]]]:
@@ -126,11 +124,8 @@ def depth_oracle(tree: MondrianTree, x) -> float:
 def scored_depth(tree: MondrianTree, x) -> float:
     """depth_oracle by walking the links by hand, for trees too large to
     enumerate: edges to x's leaf plus leaf_term of its population."""
-    node, edges = int(tree.root), 0
-    while int(tree.left[node]) != NO_NODE:
-        node = int(tree.left[node] if x[tree.split_dim[node]] < tree.split_val[node] else tree.right[node])
-        edges += 1
-    return edges + leaf_term(int(tree.population[node]))
+    path = walk(tree, x)
+    return len(path) - 1 + leaf_term(int(tree.population[path[-1]]))
 
 
 def auc_oracle(scores, labels) -> float:

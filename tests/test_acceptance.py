@@ -37,9 +37,9 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import extend_tree, fit_tree, structurally_equal
 
-from helpers import check_tree_invariants, depth_oracle, kmeans2_oracle, random_dataset
+from helpers import check_tree_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
+from reference import extend_tree, fit_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -104,6 +104,12 @@ class TestFit:
         code = main(["fit", "--data", str(tmp_path / "nope.csv")])
         assert code == EXIT_DATA
 
+    def test_label_only_file_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n0\n1\n0\n")
+        assert main(["fit", "--data", str(data), "--label-column", "y"]) == EXIT_DATA
+        assert "no feature columns" in capsys.readouterr().err
+
     def test_overflowing_box_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "huge.csv"
         _write_csv(data, np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0]]))

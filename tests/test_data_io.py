@@ -19,7 +19,6 @@ from imondrian.data_io import (
 from imondrian.errors import DataFormatError, ModelFormatError
 from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
-from imondrian.tree import structurally_equal
 
 from helpers import (
     V1_MODEL,
@@ -29,6 +28,7 @@ from helpers import (
     check_tree_invariants,
     read_model,
     reseal_model,
+    structurally_equal,
 )
 
 
@@ -103,6 +103,12 @@ class TestLoadCsv:
         p = tmp_path / "badlabel.csv"
         p.write_text("a,y\n1.0,2\n")
         with pytest.raises(DataFormatError, match="label"):
+            load_csv(p, CsvSchema(label_column="y"))
+
+    def test_label_only_file_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("y\n0\n1\n0\n")
+        with pytest.raises(DataFormatError, match="no feature columns"):
             load_csv(p, CsvSchema(label_column="y"))
 
     def test_ragged_rows_rejected(self, tmp_path):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import imondrian
 from imondrian.data_io import SyntheticSpec, gen_synthetic, load_model, save_model
 from imondrian.errors import DimensionMismatchError
 from imondrian.evaluation import auc
@@ -22,7 +23,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES, extend_tree, fit_tree, path_length, structurally_equal
+from imondrian.tree import NO_NODE, ROUTE_LANES
 
 from helpers import (
     EXTENSION_FINGERPRINT,
@@ -31,7 +32,9 @@ from helpers import (
     depth_oracle,
     random_dataset,
     scored_depth,
+    structurally_equal,
 )
+from reference import extend_tree, fit_tree, path_length
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -233,6 +236,18 @@ class TestScore:
         with pytest.raises(DimensionMismatchError):
             score_all([[1.0, 2.0, 3.0]], forest)
 
+    def test_rows_without_coordinates_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            train_batch(np.zeros((5, 0)))
+        X = np.random.default_rng(18).normal(size=(10, 2))
+        forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
+        rows = np.zeros((3, 0))
+        for call in (lambda: score_all(rows, forest), lambda: rescore_window(forest, rows),
+                     lambda: extend_forest(forest, rows)):
+            with pytest.raises(DimensionMismatchError):
+                call()
+        assert forest.total_population == 10
+
 
 class TestScoreAll:
     def test_empty_input(self):
@@ -297,7 +312,8 @@ class TestExtendForest:
     def test_empty_extension_is_noop(self):
         X, forest = self._forest()
         snapshots = [t.node_count for t in forest.trees]
-        extend_forest(forest, [])
+        for empty in ([], np.zeros((0, 2))):
+            extend_forest(forest, empty)
         assert [t.node_count for t in forest.trees] == snapshots
 
     def test_population_grows_in_every_tree(self):
@@ -624,3 +640,28 @@ class TestAnomalyOrdering:
             _, scores = score_all(ds.points, forest)
             values.append(auc(scores, ds.labels))
         assert np.mean(values) >= 0.95
+
+
+PUBLIC_API = [
+    "CsvSchema", "DataFormatError", "DecisionModel", "DimensionMismatchError", "ExperimentResult", "Forest",
+    "ForestConfig", "LabeledDataset", "ModelFormatError", "MondrianTree", "StagePlan", "StratificationError",
+    "SyntheticSpec", "anomaly_score", "assign", "assign_all", "auc", "c_factor", "extend_forest", "fit_kmeans2",
+    "gen_synthetic", "harmonic", "kfold_split", "label_threshold", "load_csv", "load_model", "rescore_window",
+    "run_kfold_experiment", "run_stream_experiment", "save_model", "score_all", "stream_stages", "train_batch",
+]
+
+
+class TestPublicApi:
+    def test_exported_names(self):
+        assert len(PUBLIC_API) == 33
+        assert imondrian.__all__ == PUBLIC_API
+        for name in PUBLIC_API:
+            assert getattr(imondrian, name) is not None
+
+    def test_tree_views_report_the_arena_shape(self):
+        X = np.random.default_rng(19).normal(size=(40, 2))
+        forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=0))
+        extend_forest(forest, np.random.default_rng(20).uniform(-9.0, 9.0, size=(30, 2)))
+        for t, tree in enumerate(forest.trees):
+            assert tree.node_count == forest.arena.size[t]
+            assert tree.capacity == forest.arena.capacity

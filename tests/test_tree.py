@@ -8,19 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from imondrian.errors import DegenerateBoxError, DimensionMismatchError
-from imondrian.tree import (
-    NO_NODE,
-    BoundingBox,
-    ForestArena,
-    extend_tree,
-    fit_tree,
-    path_length,
-    path_lengths,
-    sample_split,
-    smallest_block,
-    structurally_equal,
-)
+from imondrian.errors import DimensionMismatchError
+from imondrian.forest import ForestConfig, train_batch
+from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
 
 from helpers import (
     bbox_oracle,
@@ -28,98 +18,116 @@ from helpers import (
     depth_oracle,
     leaf_constraint_table,
     random_dataset,
+    structurally_equal,
 )
+from reference import extend_tree, fit_tree, path_length, walk
+
+
+def _assert_boxes_are_smallest_blocks(tree, X):
+    """Every node's box is the componentwise min/max of the training points
+    routed through it, and its population is their count."""
+    routed = {}
+    for x in X:
+        for node in walk(tree, x):
+            routed.setdefault(node, []).append(x)
+    assert sorted(routed) == list(range(tree.size))
+    for node, pts in routed.items():
+        lo, hi = bbox_oracle(pts)
+        assert np.array_equal(tree.box_min[node], lo)
+        assert np.array_equal(tree.box_max[node], hi)
+        assert tree.population[node] == len(pts)
 
 
 class TestSmallestBlock:
+    """The build gives each node the tightest box around its points."""
+
     def test_two_points(self):
-        box = smallest_block([(0.0, 0.0), (1.0, 3.0)])
-        assert np.array_equal(box.dim_min, [0.0, 0.0])
-        assert np.array_equal(box.dim_max, [1.0, 3.0])
+        tree = fit_tree([(0.0, 0.0), (1.0, 3.0)], rng=0)
+        assert np.array_equal(tree.box_min[tree.root], [0.0, 0.0])
+        assert np.array_equal(tree.box_max[tree.root], [1.0, 3.0])
 
     def test_singleton_is_degenerate(self):
-        box = smallest_block([(2.0, 2.0)])
-        assert np.array_equal(box.dim_min, [2.0, 2.0])
-        assert np.array_equal(box.dim_max, [2.0, 2.0])
-        assert box.linear_dimension == 0.0
+        tree = fit_tree([(2.0, 2.0)], rng=0)
+        assert np.array_equal(tree.box_min[tree.root], [2.0, 2.0])
+        assert np.array_equal(tree.box_max[tree.root], [2.0, 2.0])
 
     def test_matches_componentwise_scan(self):
         pts = [(1.0, 5.0), (4.0, 1.0), (2.0, 2.0)]
-        box = smallest_block(pts)
-        lo, hi = bbox_oracle(pts)
-        assert np.array_equal(box.dim_min, lo)
-        assert np.array_equal(box.dim_max, hi)
-        assert np.array_equal(box.dim_min, [1.0, 1.0])
-        assert np.array_equal(box.dim_max, [4.0, 5.0])
+        tree = fit_tree(pts, rng=1)
+        assert np.array_equal(tree.box_min[tree.root], [1.0, 1.0])
+        assert np.array_equal(tree.box_max[tree.root], [4.0, 5.0])
+        _assert_boxes_are_smallest_blocks(tree, np.array(pts))
 
     def test_random_sets_match_scan(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            pts = rng.normal(size=(int(rng.integers(1, 30)), int(rng.integers(1, 6))))
-            box = smallest_block(pts)
-            lo, hi = bbox_oracle(pts)
-            assert np.array_equal(box.dim_min, lo)
-            assert np.array_equal(box.dim_max, hi)
+        sets = [random_dataset(rng, int(rng.integers(2, 80)), int(rng.integers(1, 6))) for _ in range(8)]
+        sets.append(rng.normal(size=(40, 1)))
+        sets.append(np.repeat(rng.normal(size=(4, 3)), 3, axis=0))
+        for i, X in enumerate(sets):
+            for tree in train_batch(X, ForestConfig(num_trees=3, psi=None, seed=i)).trees:
+                _assert_boxes_are_smallest_blocks(tree, X)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            smallest_block([])
+            as_points([])
 
     def test_mixed_dimensionality_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            smallest_block([(1.0, 2.0), (1.0, 2.0, 3.0)])
+            as_points([(1.0, 2.0), (1.0, 2.0, 3.0)])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            smallest_block([(1.0, np.nan)])
+            as_points([(1.0, np.nan)])
+
+    def test_points_without_coordinates_rejected(self):
+        for bad in (np.zeros((5, 0)), [[], []]):
+            with pytest.raises(DimensionMismatchError):
+                as_points(bad)
+        with pytest.raises(DimensionMismatchError):
+            as_point([])
+
+
+def _two_point_roots(points, trees: int, seed: int):
+    """(split dimension, split value, split time) of the root of each of
+    ``trees`` trees built on two points, all drawing from one generator."""
+    arena = ForestArena.grow(np.array(points, dtype=float), [np.random.default_rng(seed)] * trees)
+    rows = np.arange(trees)
+    return arena.split_dim[rows, arena.root], arena.split_val[rows, arena.root], arena.split_time[rows, arena.root]
 
 
 class TestSampleSplit:
+    """The build's split law: Exp(linear dimension) waiting times, a
+    dimension drawn in proportion to its side, a uniform cut value."""
+
     def test_dimension_drawn_proportional_to_side(self):
-        box = BoundingBox(np.array([0.0, 0.0]), np.array([1.0, 3.0]))
-        assert box.linear_dimension == 4.0
-        rng = np.random.default_rng(5)
         draws = 20_000
-        hits = sum(sample_split(box, rng)[1] == 1 for _ in range(draws))
+        q, _, _ = _two_point_roots([[0.0, 0.0], [1.0, 3.0]], draws, seed=5)
         # P(q = dim2) = 3/4; allow ~3 sigma of binomial noise
-        assert abs(hits / draws - 0.75) < 0.01
+        assert abs(np.count_nonzero(q == 1) / draws - 0.75) < 0.01
 
     def test_zero_width_dimension_never_chosen(self):
-        box = BoundingBox(np.array([0.0, 5.0]), np.array([1.0, 5.0]))
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            _, q, p = sample_split(box, rng)
-            assert q == 0
-            assert 0.0 < p < 1.0
+        q, p, _ = _two_point_roots([[0.0, 5.0], [1.0, 5.0]], 500, seed=6)
+        assert np.all(q == 0)
+        assert np.all((0.0 < p) & (p < 1.0))
 
     def test_exponential_mean_matches_rate(self):
-        box = BoundingBox(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
-        rng = np.random.default_rng(7)
         draws = 100_000
-        total = sum(sample_split(box, rng)[0] for _ in range(draws))
-        mean = total / draws
+        _, _, e = _two_point_roots([[0.0, 0.0], [2.0, 2.0]], draws, seed=7)
         se = 0.25 / math.sqrt(draws)  # Exp(4): mean = sd = 1/4
-        assert abs(mean - 0.25) < 3 * se
-
-    def test_degenerate_box_rejected(self):
-        box = BoundingBox(np.array([2.0, 2.0]), np.array([2.0, 2.0]))
-        with pytest.raises(DegenerateBoxError):
-            sample_split(box, np.random.default_rng(0))
+        assert abs(e.mean() - 0.25) < 3 * se
 
     def test_split_value_inside_chosen_side(self):
-        rng = np.random.default_rng(8)
-        box = BoundingBox(np.array([-1.0, 3.0, 0.0]), np.array([2.0, 3.5, 0.25]))
-        for _ in range(500):
-            e, q, p = sample_split(box, rng)
-            assert e > 0.0
-            assert box.dim_min[q] <= p <= box.dim_max[q]
+        lo, hi = np.array([-1.0, 3.0, 0.0]), np.array([2.0, 3.5, 0.25])
+        q, p, e = _two_point_roots([lo, hi], 500, seed=8)
+        assert np.all(e > 0.0)
+        assert np.all((lo[q] <= p) & (p <= hi[q]))
 
 
 class TestFitTree:
     def test_single_point_is_leaf(self):
         tree = fit_tree([(3.0, 4.0)], rng=0)
         assert tree.node_count == 1
-        assert tree.is_leaf(tree.root)
+        assert tree.left[tree.root] == NO_NODE
         assert tree.population[tree.root] == 1
         assert tree.split_time[tree.root] == math.inf
 
@@ -127,7 +135,7 @@ class TestFitTree:
         for seed in range(10):
             tree = fit_tree([0.0, 1.0], rng=seed)  # two 1-D points
             assert tree.node_count == 3
-            assert tree.internal_count == 1
+            assert tree.left[tree.root] != NO_NODE
             assert 0.0 < tree.split_val[tree.root] < 1.0
 
     def test_eight_points_proper_binary(self):
@@ -239,14 +247,6 @@ class TestPathLength:
             table_mean = np.mean([d for _, d, _ in leaf_constraint_table(tree)])
             assert np.mean(depths) == table_mean
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        pts = rng.normal(size=(40, 3))
-        probes = rng.normal(size=(25, 3))
-        tree = fit_tree(pts, rng=1)
-        batch = path_lengths(tree, probes)
-        assert batch.tolist() == [path_length(x, tree) for x in probes]
-
     def test_dimension_mismatch_rejected(self):
         tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
         with pytest.raises(DimensionMismatchError):
@@ -349,14 +349,3 @@ class TestExtendTree:
         assert structurally_equal(tree, before)
         assert tree.rng.bit_generator.state == before.rng.bit_generator.state
 
-
-class TestBoundingBox:
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(np.array([1.0]), np.array([0.0]))
-
-    def test_contains(self):
-        box = BoundingBox(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        assert box.contains((0.5, 1.0))
-        assert box.contains((0.0, 2.0))
-        assert not box.contains((1.5, 1.0))
