@@ -29,9 +29,22 @@ Scoring adds to a point's edge count the c term of the reached leaf's
 population, which is 0 for a single point. The per-tree references the
 kernels are tested against (``fit_tree``, ``path_length`` and
 ``extend_tree``) live in ``tests/reference.py``.
+
+A large batch is routed on every CPU in the process's affinity mask (so
+``taskset -c 0`` keeps it on one) by a fork-join over contiguous blocks of
+points, one process per FORK_LANES (tree, point) lanes, each bound to its
+own CPU: a fork and its wait cost 1.8-3.7 ms on a 2-core VM, against
+260-280 ns a routed lane. The split is by points and never by trees, so
+each point's sum is still taken by one process in tree order, and scores
+are bit for bit those of one process.
 """
 
 from __future__ import annotations
+
+import mmap
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -58,6 +71,12 @@ FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 # passes of 2^14 lanes kept the working set in cache and routed fastest when
 # measured, and they bound the build's working set
 ROUTE_LANES = 1 << 14
+
+# (tree, point) lanes each process of ForestArena.route must have before it
+# forks: a fork plus its wait took 1.8-3.7 ms on a 2-core VM and a routed
+# lane about 260 ns, so two processes break even near 27,000 lanes, and at
+# this floor one-point calls and a 20-tree fit on 2,048 rows stay in-process
+FORK_LANES = 2 * ROUTE_LANES
 
 
 def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tuple[int, ...], object]]:
@@ -186,6 +205,41 @@ def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarra
         span = (np.maximum(root_max, x) - np.minimum(root_min, x)).sum(axis=-1)
     if not np.isfinite(span).all():
         raise ValueError("point is too far from the tree's box: its deviation rate overflows")
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _pin(cpus: set[int]) -> set[int] | None:
+    """Bind this process to the CPUs ``cpus`` and return the mask it had, or
+    return None and leave it as it was where the OS has no affinity mask or
+    refuses the set."""
+    try:
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        return None
+    return before
+
+
+def _can_fork() -> bool:
+    """Whether this process can fork safely and silently: ``os.fork`` exists
+    and no other thread runs, since a child holds only the forking thread.
+    From Python 3.12 the interpreter also warns when the OS reports other
+    threads (a BLAS pool counts), so there the OS's count must be 1 too."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    if sys.version_info < (3, 12):
+        return True
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 class ForestArena:
@@ -354,7 +408,7 @@ class ForestArena:
                     break
                 first, count = _runs(t)
             node, k = seg_node[split], split.size
-            q, p = _cut(lo[split], hi[split], widths[split], rate, u)
+            q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u)
             flat = flat[split]
             self._flat("split_dim")[flat] = q
             self._flat("split_val")[flat] = p
@@ -373,9 +427,9 @@ class ForestArena:
             rank[split] = np.arange(k)
             lane_seg = np.repeat(rank, seg_len)
             keep = np.flatnonzero(lane_seg >= 0)
-            lane_seg = lane_seg[keep]
-            go_right = pts[keep, q[lane_seg]] >= p[lane_seg]
-            pts = pts[keep[np.argsort(2 * lane_seg + go_right, kind="stable")]]
+            lane_seg = lane_seg.take(keep)
+            go_right = pts.ravel().take(keep * pts.shape[1] + q.take(lane_seg)) >= p.take(lane_seg)
+            pts = pts.take(keep.take(np.argsort(2 * lane_seg + go_right, kind="stable")), axis=0)
             n_left = np.bincount(lane_seg[~go_right], minlength=k)
             seg_len = np.column_stack((n_left, seg_len[split] - n_left)).ravel()
             seg_tree = np.repeat(t, 2)
@@ -423,8 +477,75 @@ class ForestArena:
         root-to-leaf edge count plus ``leaf_depth`` of the population of the
         leaf it reached, where ``leaf_depth`` maps an int64 array of leaf
         populations to a float64 array of depths that is 0 for population 1.
+        ``X`` is a validated (n, dim) array.
 
-        ``X`` is a validated (n, dim) array. Lanes are (tree, point) pairs
+        A large batch is routed on every CPU in the process's affinity mask,
+        by a fork-join over contiguous blocks of points: one worker per
+        FORK_LANES (tree, point) lanes, at most one per usable CPU and per
+        point. Each block but the first goes to a forked child, which reads
+        the arena copy-on-write, writes its block's sums into an anonymous
+        shared mapping and leaves by ``os._exit``, so it never returns into
+        the caller's code; the parent routes the first block meanwhile and
+        waits for every child. Each process is bound to its own CPU of the
+        mask while it routes, and the parent's mask is restored afterwards:
+        on a 2-core VM the OS kept a new child on its parent's CPU for tens
+        of milliseconds, so that unbound, a 2,048-point batch routed slower
+        in two processes than in one. A block whose fork raised OSError or
+        whose child did not exit 0 is routed again in-process, so errors
+        surface as they would without the fork. The split is by points, not
+        trees, so each point's sum is still taken by one process in tree
+        order and is bit for bit the one-process sum (see ``_route``). The
+        parent stays in-process when it cannot fork safely (see
+        ``_can_fork``).
+        """
+        n = X.shape[0]
+        cpus = _usable_cpus()
+        workers = min(len(cpus), n * self.num_trees // FORK_LANES, n)
+        if workers < 2 or not _can_fork():
+            return self._route(X, leaf_depth)
+        try:
+            shared = mmap.mmap(-1, 8 * n)
+        except OSError:
+            return self._route(X, leaf_depth)
+        bounds = [n * w // workers for w in range(workers + 1)]
+        blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's blocks
+        depth_sum = np.empty(n)
+        with shared:
+            children, status, mask = {}, {}, None
+            try:
+                for cpu, (a, b) in zip(cpus[1:], blocks):
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        continue
+                    if pid == 0:
+                        code = 1
+                        try:
+                            _pin({cpu})
+                            shared[8 * a : 8 * b] = self._route(X[a:b], leaf_depth).tobytes()
+                            code = 0
+                        finally:
+                            os._exit(code)
+                    children[pid] = (a, b)
+                mask = _pin({cpus[0]})
+                depth_sum[: bounds[1]] = self._route(X[: bounds[1]], leaf_depth)
+            finally:
+                if mask is not None:
+                    _pin(mask)
+                for pid, block in children.items():
+                    try:
+                        status[block] = os.waitpid(pid, 0)[1]
+                    except ChildProcessError:  # reaped elsewhere: outcome unknown
+                        pass
+            for a, b in blocks:
+                if status.get((a, b)) == 0:
+                    depth_sum[a:b] = np.frombuffer(shared[8 * a : 8 * b])
+                else:
+                    depth_sum[a:b] = self._route(X[a:b], leaf_depth)
+        return depth_sum
+
+    def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
+        """``route`` in this process. Lanes are (tree, point) pairs
         in tree-major order, routed about ROUTE_LANES at a time so memory
         stays flat. Each level is one step through ``child``; a lane's depth
         is its number of moves, lanes are compacted once at least half of

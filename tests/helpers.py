@@ -11,6 +11,7 @@ import base64
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -320,3 +321,30 @@ def reseal_model(path, edit) -> None:
     magic, version, _ = header.split()
     digest = hashlib.sha256(body).hexdigest()
     path.write_bytes(f"{magic} {version} sha256={digest}\n".encode() + body)
+
+
+def route_on(monkeypatch, cpus: int, fork_lanes: int | None = None) -> list[int]:
+    """Make ``ForestArena.route`` see ``cpus`` usable CPUs (and, if given, a
+    per-worker lane floor of ``fork_lanes``), and count its forks: the
+    returned list gains one entry per ``os.fork`` call in this process."""
+    monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(cpus)))
+    if fork_lanes is not None:
+        monkeypatch.setattr("imondrian.tree.FORK_LANES", fork_lanes)
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_children() -> None:
+    """No child process of this one is left, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process was left behind")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
+from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, reseal_model
+from helpers import V1_MODEL, assert_no_children, reseal_model, route_on
 
 
 def _write_csv(path, points, labels=None):
@@ -190,6 +194,25 @@ class TestScore:
         model.write_bytes(blob[:-30])
         code = main(["score", "--model", str(model), "--data", str(model)])
         assert code == EXIT_DATA
+
+    def test_failed_fork_scores_in_process(self, tmp_path, monkeypatch):
+        # 700 rows x 100 trees: 70,000 lanes, enough for two route workers
+        data = tmp_path / "big.csv"
+        _write_csv(data, np.random.default_rng(8).normal(size=(700, 3)))
+        model = tmp_path / "model.imf"
+        assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(model)]) == EXIT_OK
+        forks = route_on(monkeypatch, cpus=2)
+        forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
+        assert main(["score", "--model", str(model), "--data", str(data), "--out", str(forked)]) == EXIT_OK
+        assert len(forks) == (1 if _can_fork() else 0)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["score", "--model", str(model), "--data", str(data), "--out", str(in_process)]) == EXIT_OK
+        assert in_process.read_bytes() == forked.read_bytes()
+        assert_no_children()
 
     def test_version_1_model_is_data_error(self, tmp_path, blob_csv, capsys):
         model = tmp_path / "old.imf"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import errno
+import os
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from imondrian.evaluation import auc
 from imondrian.forest import (
     Forest,
     ForestConfig,
+    _leaf_depth,
     anomaly_score,
     c_factor,
     extend_forest,
@@ -23,14 +26,16 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES
+from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork
 
 from helpers import (
     EXTENSION_FINGERPRINT,
     arena_fingerprint,
+    assert_no_children,
     check_tree_invariants,
     depth_oracle,
     random_dataset,
+    route_on,
     scored_depth,
     structurally_equal,
 )
@@ -586,6 +591,90 @@ class TestRoutingTable:
             loaded = load_model(path)
             _assert_table_current(loaded.arena)
             _assert_scores_match_oracle(loaded, probes)
+
+
+def _fork_cases(rows):
+    """(forest, probes) pairs: a forest without duplicate leaves, one with
+    them (exact duplicate rows, no subsampling) and a stream-extended one,
+    each with ``rows`` probe points from its data's range and beyond."""
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(300, 3))
+    clean = train_batch(X, ForestConfig(num_trees=7, psi=32, seed=1))
+    D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 30, axis=0), rng.normal(size=(20, 2))])
+    duplicate = train_batch(D, ForestConfig(num_trees=7, psi=None, seed=2))
+    assert (duplicate.arena.population[duplicate.arena.left == NO_NODE] > 1).any()
+    S = rng.normal(size=(200, 2))
+    extended = train_batch(S, ForestConfig(num_trees=7, psi=64, seed=3))
+    extend_forest(extended, _stream(rng, S, 60))
+    return [(forest, _stream(rng, data, rows)) for forest, data in ((clean, X), (duplicate, D), (extended, S))]
+
+
+class TestForkJoinRoute:
+    @pytest.fixture(autouse=True)
+    def _no_children_left(self):
+        yield
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers, rows", [(1, 101), (2, 101), (3, 101), (8, 5)])
+    def test_point_blocks_match_one_process(self, monkeypatch, workers, rows):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        forks = route_on(monkeypatch, cpus=workers, fork_lanes=1)
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        for forest, probes in _fork_cases(rows):
+            expected = forest.arena._route(probes, _leaf_depth)
+            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+        assert len(forks) == 3 * (min(workers, rows) - 1)
+        # the parent runs its block bound to one CPU and is unbound afterwards
+        assert mask is None or os.sched_getaffinity(0) == mask
+
+    def test_small_batches_never_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("route forked for a small batch")
+
+        monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(64)))
+        monkeypatch.setattr(os, "fork", fork)
+        X = np.random.default_rng(41).normal(size=(2048, 8))
+        paper = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=0))
+        for x in X[:5]:
+            score_all([x], paper)
+        score_all(X[:200], paper)
+        # subsampling off, 20 trees on 2,048 rows: 40,960 lanes, one worker
+        full = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
+        score_all(X, full)
+
+    @pytest.mark.parametrize("call", ["os.fork", "mmap.mmap"])
+    def test_failed_fork_routes_in_process(self, monkeypatch, call):
+        route_on(monkeypatch, cpus=3, fork_lanes=1)
+
+        def fail(*args):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(call, fail)
+        for forest, probes in _fork_cases(50):
+            expected = forest.arena._route(probes, _leaf_depth)
+            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+
+    def test_failed_child_block_is_routed_again(self, monkeypatch):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        forks = route_on(monkeypatch, cpus=3, fork_lanes=1)
+        parent, calls = os.getpid(), []
+        one_process = ForestArena._route
+
+        def route_or_fail(arena, X, leaf_depth):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails, so it exits 1")
+            calls.append(X.shape[0])
+            return one_process(arena, X, leaf_depth)
+
+        monkeypatch.setattr(ForestArena, "_route", route_or_fail)
+        for forest, probes in _fork_cases(50):
+            calls.clear()
+            expected = one_process(forest.arena, probes, _leaf_depth)
+            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+            assert sorted(calls) == [16, 17, 17]  # the parent routed all three blocks
+        assert len(forks) == 6
 
 
 class TestRescoreWindow:
