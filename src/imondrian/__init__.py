@@ -1,6 +1,6 @@
 """Batch and online anomaly detection with isolation-scored Mondrian trees."""
 
-from .decision import DecisionModel, assign, assign_all, fit_kmeans2, label_threshold
+from .decision import DecisionModel, assign_all, fit_kmeans2
 from .errors import (
     DataFormatError,
     DimensionMismatchError,
@@ -10,7 +10,6 @@ from .errors import (
 from .evaluation import (
     ExperimentResult,
     LabeledDataset,
-    StagePlan,
     auc,
     kfold_split,
     run_kfold_experiment,
@@ -44,11 +43,9 @@ __all__ = [
     "LabeledDataset",
     "ModelFormatError",
     "MondrianTree",
-    "StagePlan",
     "StratificationError",
     "SyntheticSpec",
     "anomaly_score",
-    "assign",
     "assign_all",
     "auc",
     "c_factor",
@@ -57,7 +54,6 @@ __all__ = [
     "gen_synthetic",
     "harmonic",
     "kfold_split",
-    "label_threshold",
     "load_csv",
     "load_model",
     "rescore_window",

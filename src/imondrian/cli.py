@@ -1,4 +1,4 @@
-"""Command-line harness: fit / score / stream / bench.
+"""Command-line harness: fit / score / stream.
 
 Exit codes: 0 success, 2 usage (bad flags), 3 data problems (parsing,
 dimension mismatches, unreadable models), 4 infeasible stratification.
@@ -29,9 +29,7 @@ from .evaluation import (
     LabeledDataset,
     auc,
     config_hash,
-    doubling_ratios,
     fold_rows,
-    measure_scaling,
     run_kfold_experiment,
     run_stream_experiment,
 )
@@ -108,14 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--out", help="per-stage results path (CSV)")
     stream.set_defaults(func=cmd_stream)
 
-    bench = commands.add_parser("bench", help="timing table for train/score/extend vs data size")
-    bench.add_argument("--sizes", default="4096,8192,16384,32768", help="comma-separated sizes")
-    bench.add_argument("--trees", type=int, default=20)
-    bench.add_argument("--dim", type=int, default=8)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", help="timing table path (CSV)")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -130,10 +120,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     positive("window")
     positive("folds", 2)
     positive("grid", 2)
-    positive("repeats")
     positive("inliers", 0)
     positive("outliers", 0)
-    positive("dim")
     psi = getattr(args, "psi", None)
     if psi is not None and (psi < 0 or psi == 1):
         parser.error(f"--psi must be 0 (no subsampling) or >= 2, got {psi}")
@@ -293,48 +281,6 @@ def _dump_grid(args: argparse.Namespace, dataset: LabeledDataset, result) -> Non
     grid_path = Path(args.out).with_suffix(".grid.csv")
     write_rows(grid_path, rows)
     print(f"{args.grid}x{args.grid} grid dump written to {grid_path}")
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise CliUsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes or any(s < 2 for s in sizes):
-        raise CliUsageError(f"--sizes entries must be >= 2, got {args.sizes!r}")
-    points = measure_scaling(
-        sizes,
-        num_trees=args.trees,
-        dim=args.dim,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    rows = []
-    for phase in ("train", "score", "extend"):
-        series = sorted((p for p in points if p.phase == phase), key=lambda p: p.n)
-        ratios = doubling_ratios(points, phase)
-        for i, cell in enumerate(series):
-            ratio = ratios[i - 1] if i > 0 else float("nan")
-            rows.append(
-                {
-                    "n": cell.n,
-                    "phase": phase,
-                    "seconds_median": cell.median_seconds,
-                    "seconds_min": float(min(cell.seconds)),
-                    "seconds_max": float(max(cell.seconds)),
-                    "ratio_vs_prev": ratio,
-                }
-            )
-            print(
-                f"n={cell.n:>6} {phase:<7} "
-                f"median={cell.median_seconds:.4f}s "
-                f"spread=[{min(cell.seconds):.4f}, {max(cell.seconds):.4f}] "
-                + (f"ratio={ratio:.2f}" if i > 0 else "")
-            )
-    if args.out:
-        write_rows(args.out, rows)
-        print(f"timing table written to {args.out}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:

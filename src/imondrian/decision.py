@@ -37,14 +37,6 @@ class DecisionModel:
                 raise ValueError(f"cluster means must be distinct, got {self.cluster_means}")
 
 
-def label_threshold(scores, threshold: float = 0.5) -> np.ndarray:
-    """1 for scores strictly above the threshold, else 0."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    s = np.asarray(scores, dtype=float)
-    return (s > threshold).astype(np.int64)
-
-
 def fit_kmeans2(scores) -> DecisionModel:
     """Cluster scores into two groups minimizing within-cluster variance.
 
@@ -74,20 +66,12 @@ def fit_kmeans2(scores) -> DecisionModel:
     return DecisionModel(mode=KMEANS, cluster_means=(m_low, m_high))
 
 
-def assign(model: DecisionModel, score: float) -> int:
-    """Label one score with a fitted model: 1 = anomaly, 0 = normal.
+def assign_all(model: DecisionModel, scores) -> np.ndarray:
+    """Label scores with a fitted model: 1 = anomaly, 0 = normal.
 
     Threshold mode compares strictly; kmeans mode picks the nearer cluster
     mean, with equidistant scores resolving to normal.
     """
-    if model.mode == THRESHOLD:
-        return int(score > model.threshold)
-    m_low, m_high = model.cluster_means
-    return int(abs(score - m_high) < abs(score - m_low))
-
-
-def assign_all(model: DecisionModel, scores) -> np.ndarray:
-    """Vectorized ``assign``."""
     s = np.asarray(scores, dtype=float)
     if model.mode == THRESHOLD:
         return (s > model.threshold).astype(np.int64)

@@ -111,24 +111,14 @@ def kfold_split(dataset: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np
     return splits
 
 
-@dataclass
-class StagePlan:
-    """Stratified partition of a dataset into streaming stages."""
-
-    stages: list[np.ndarray]
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
-
 def _chunk_sizes(count: int, parts: int) -> list[int]:
     base, extra = divmod(count, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -> StagePlan:
-    """Partition a labeled dataset into stages with equal anomaly counts.
+def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -> list[np.ndarray]:
+    """Partition a labeled dataset into stages (one index array each) with
+    equal anomaly counts.
 
     Both classes are spread to within one item per stage. Infeasible when
     there are fewer anomalies than stages.
@@ -155,7 +145,7 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
         n_pos += n_size
         rng.shuffle(stage)  # arrival order within the stage
         stages.append(stage)
-    return StagePlan(stages=stages)
+    return stages
 
 
 def config_hash(config: ForestConfig) -> str:
@@ -220,22 +210,21 @@ def run_stream_experiment(
     re-score.
     """
     cfg = config or ForestConfig()
-    plan = stream_stages(dataset, num_stages=num_stages, seed=seed)
+    stages = stream_stages(dataset, num_stages=num_stages, seed=seed)
     X = dataset.points
     y = dataset.labels
 
     stage_auc: list[float] = []
     stage_seconds: list[float] = []
     stage_sizes: list[int] = []
-    seen = plan.stages[0]
+    seen = stages[0]
     forest = None
     scores = None
-    for stage_index in range(plan.num_stages):
+    for stage_index, batch in enumerate(stages):
         start = time.perf_counter()
         if stage_index == 0:
             forest = train_batch(X[seen], cfg)
         else:
-            batch = plan.stages[stage_index]
             extend_forest(forest, X[batch])
             seen = np.concatenate([seen, batch])
         _, scores = rescore_window(forest, X[seen], window=window)
@@ -319,66 +308,3 @@ def fold_rows(dataset_name: str, config: ForestConfig, results: list[FoldResult]
                 }
             )
     return rows
-
-
-@dataclass
-class BenchPoint:
-    """Median-of-repeats wall time for one (phase, n) cell."""
-
-    phase: str
-    n: int
-    seconds: list[float]
-
-    @property
-    def median_seconds(self) -> float:
-        return float(np.median(self.seconds))
-
-
-def measure_scaling(
-    sizes: list[int],
-    num_trees: int = 20,
-    dim: int = 8,
-    repeats: int = 3,
-    extend_count: int = 256,
-    seed: int = 0,
-) -> list[BenchPoint]:
-    """Time train / score / extend on uniform random data of growing size.
-
-    Subsampling is disabled so training cost actually tracks n. Returns one
-    cell per (phase, n) with all repeat timings attached.
-    """
-    cells: dict[tuple[str, int], BenchPoint] = {}
-    for rep in range(repeats):
-        data_rng = np.random.default_rng(seed + 1000 * rep)
-        for n in sizes:
-            X = data_rng.uniform(0.0, 1.0, size=(n, dim))
-            X_new = data_rng.uniform(0.0, 1.0, size=(extend_count, dim))
-            cfg = ForestConfig(num_trees=num_trees, psi=None, seed=seed + rep)
-
-            t0 = time.perf_counter()
-            forest = train_batch(X, cfg)
-            t_train = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            score_all(X, forest)
-            t_score = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            extend_forest(forest, X_new)
-            t_extend = time.perf_counter() - t0
-
-            for phase, seconds in (("train", t_train), ("score", t_score), ("extend", t_extend)):
-                cell = cells.setdefault(
-                    (phase, n), BenchPoint(phase=phase, n=n, seconds=[])
-                )
-                cell.seconds.append(seconds)
-    return list(cells.values())
-
-
-def doubling_ratios(points: list[BenchPoint], phase: str) -> list[float]:
-    """Median-time ratios between consecutive sizes for one phase."""
-    series = sorted((p for p in points if p.phase == phase), key=lambda p: p.n)
-    return [
-        series[i + 1].median_seconds / series[i].median_seconds
-        for i in range(len(series) - 1)
-    ]

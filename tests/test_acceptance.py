@@ -22,12 +22,10 @@ from imondrian.data_io import (
     save_model,
     write_scores,
 )
-from imondrian.decision import assign_all, fit_kmeans2, label_threshold
+from imondrian.decision import THRESHOLD, DecisionModel, assign_all, fit_kmeans2
 from imondrian.evaluation import (
     LabeledDataset,
     auc,
-    doubling_ratios,
-    measure_scaling,
     run_stream_experiment,
 )
 from imondrian.forest import (
@@ -135,7 +133,7 @@ def test_criterion_4_synthetic_batch():
         forest = train_batch(ds.points, ForestConfig(num_trees=100, psi=256, seed=seed))
         _, s = score_all(ds.points, forest)
         aucs.append(auc(s, ds.labels))
-        thresholded = label_threshold(s, 0.5)
+        thresholded = assign_all(DecisionModel(mode=THRESHOLD, threshold=0.5), s)
         clustered = assign_all(fit_kmeans2(s), s)
         agreements.append(float(np.mean(thresholded == clustered)))
     elapsed = time.perf_counter() - t0
@@ -231,10 +229,21 @@ def test_criterion_6_streaming_stability():
 
 
 def test_criterion_7_training_scaling():
-    points = measure_scaling(
-        [4096, 8192, 16384], num_trees=20, dim=8, repeats=3, seed=1
-    )
-    ratios = doubling_ratios(points, "train")
+    sizes, dim, repeats, seed = [4096, 8192, 16384], 8, 3, 1
+    seconds = {n: [] for n in sizes}
+    for rep in range(repeats):
+        data_rng = np.random.default_rng(seed + 1000 * rep)
+        for n in sizes:
+            X = data_rng.uniform(0.0, 1.0, size=(n, dim))
+            # the criterion's fixed data stream holds a 256-row block after
+            # each training set; drawing it keeps every size on the same rows
+            data_rng.uniform(0.0, 1.0, size=(256, dim))
+            cfg = ForestConfig(num_trees=20, psi=None, seed=seed + rep)
+            t0 = time.perf_counter()
+            train_batch(X, cfg)
+            seconds[n].append(time.perf_counter() - t0)
+    medians = [float(np.median(seconds[n])) for n in sizes]
+    ratios = [medians[i + 1] / medians[i] for i in range(len(sizes) - 1)]
     median_ratio = float(np.median(ratios))
     report(
         7,
@@ -251,7 +260,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for name in ("run1.csv", "run2.csv"):
         forest = train_batch(ds.points, cfg)
         _, scores = score_all(ds.points, forest)
-        labels = label_threshold(scores, 0.5)
+        labels = assign_all(DecisionModel(mode=THRESHOLD, threshold=0.5), scores)
         path = tmp_path / name
         write_scores(path, scores, labels, "threshold")
         exports.append(path.read_bytes())

@@ -285,34 +285,22 @@ class TestStream:
         assert code == EXIT_DATA
 
 
-class TestBench:
-    def test_tiny_run(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main([
-            "bench", "--sizes", "64,128", "--trees", "2", "--dim", "3",
-            "--repeats", "1", "--out", str(out),
-        ])
-        assert code == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        # header + 2 sizes x 3 phases
-        assert len(lines) == 7
-        printed = capsys.readouterr().out
-        assert "train" in printed and "ratio=" in printed
-
-    def test_bad_sizes_usage_error(self):
-        code = main(["bench", "--sizes", "abc"])
-        assert code == EXIT_USAGE
-
-    def test_dim_zero_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["bench", "--sizes", "64", "--dim", "0"])
-        assert err.value.code == EXIT_USAGE
-        assert "--dim" in capsys.readouterr().err
-
-
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
         assert "imondrian" in capsys.readouterr().out
+
+    def test_help_lists_only_fit_score_stream(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        assert "{fit,score,stream}" in capsys.readouterr().out
+
+    def test_bench_is_not_a_command(self, capsys):
+        # timing lives in perfbench/run.py; the package ships no benchmark
+        with pytest.raises(SystemExit) as err:
+            main(["bench"])
+        assert err.value.code == EXIT_USAGE
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

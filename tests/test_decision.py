@@ -9,32 +9,34 @@ from imondrian.decision import (
     KMEANS,
     THRESHOLD,
     DecisionModel,
-    assign,
     assign_all,
     fit_kmeans2,
-    label_threshold,
 )
 
 from helpers import kmeans2_oracle
 
 
+def label_at(scores, threshold=0.5):
+    return assign_all(DecisionModel(mode=THRESHOLD, threshold=threshold), scores).tolist()
+
+
 class TestLabelThreshold:
     def test_basic_split(self):
-        assert label_threshold([0.4, 0.6]).tolist() == [0, 1]
+        assert label_at([0.4, 0.6]) == [0, 1]
 
     def test_boundary_is_normal(self):
-        assert label_threshold([0.5]).tolist() == [0]
+        assert label_at([0.5]) == [0]
 
     def test_mixed(self):
-        assert label_threshold([0.49, 0.51, 0.99, 0.01]).tolist() == [0, 1, 1, 0]
+        assert label_at([0.49, 0.51, 0.99, 0.01]) == [0, 1, 1, 0]
 
     def test_custom_threshold(self):
-        assert label_threshold([0.2, 0.35], threshold=0.3).tolist() == [0, 1]
+        assert label_at([0.2, 0.35], threshold=0.3) == [0, 1]
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
     def test_threshold_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            label_threshold([0.5], threshold=bad)
+            DecisionModel(mode=THRESHOLD, threshold=bad)
 
 
 class TestFitKmeans2:
@@ -90,17 +92,14 @@ class TestFitKmeans2:
 class TestAssign:
     def test_kmeans_nearest_mean(self):
         model = DecisionModel(mode=KMEANS, cluster_means=(0.2, 0.8))
-        assert assign(model, 0.3) == 0
-        assert assign(model, 0.79) == 1
+        assert assign_all(model, [0.3, 0.79]).tolist() == [0, 1]
 
     def test_equidistant_resolves_normal(self):
         model = DecisionModel(mode=KMEANS, cluster_means=(0.2, 0.8))
-        assert assign(model, 0.5) == 0
+        assert assign_all(model, [0.5]).tolist() == [0]
 
     def test_threshold_mode(self):
-        model = DecisionModel(mode=THRESHOLD, threshold=0.5)
-        assert assign(model, 0.5) == 0
-        assert assign(model, 0.50001) == 1
+        assert label_at([0.5, 0.50001]) == [0, 1]
 
     def test_unfitted_kmeans_rejected(self):
         with pytest.raises(ValueError):
@@ -133,4 +132,4 @@ class TestModesAgreeOnSeparatedData:
         scores = np.concatenate([rng.uniform(0.2, 0.42, 140), rng.uniform(0.58, 0.85, 60)])
         rng.shuffle(scores)
         kmodel = fit_kmeans2(scores)
-        assert assign_all(kmodel, scores).tolist() == label_threshold(scores, 0.5).tolist()
+        assert assign_all(kmodel, scores).tolist() == label_at(scores)

@@ -10,9 +10,7 @@ from imondrian.errors import StratificationError
 from imondrian.evaluation import (
     LabeledDataset,
     auc,
-    doubling_ratios,
     kfold_split,
-    measure_scaling,
     run_kfold_experiment,
     run_stream_experiment,
     stream_stages,
@@ -116,23 +114,22 @@ class TestKfoldSplit:
 class TestStreamStages:
     def test_even_partition(self):
         ds = _toy_dataset(n=100, anomalies=10, seed=3)
-        plan = stream_stages(ds, num_stages=5, seed=0)
-        assert plan.num_stages == 5
-        for stage in plan.stages:
+        stages = stream_stages(ds, num_stages=5, seed=0)
+        assert len(stages) == 5
+        for stage in stages:
             assert stage.size == 20
             assert ds.labels[stage].sum() == 2
 
     def test_within_one_stratification(self):
         ds = _toy_dataset(n=60, anomalies=9, seed=4)
-        plan = stream_stages(ds, num_stages=5, seed=1)
-        counts = [int(ds.labels[stage].sum()) for stage in plan.stages]
+        stages = stream_stages(ds, num_stages=5, seed=1)
+        counts = [int(ds.labels[stage].sum()) for stage in stages]
         assert set(counts) <= {1, 2}
         assert sum(counts) == 9
 
     def test_stages_partition_everything(self):
         ds = _toy_dataset(n=83, anomalies=12, seed=5)
-        plan = stream_stages(ds, num_stages=4, seed=2)
-        union = np.concatenate(plan.stages)
+        union = np.concatenate(stream_stages(ds, num_stages=4, seed=2))
         assert np.array_equal(np.sort(union), np.arange(83))
 
     def test_infeasible_stratification(self):
@@ -144,7 +141,7 @@ class TestStreamStages:
         ds = _toy_dataset(n=40, anomalies=10, seed=7)
         a = stream_stages(ds, num_stages=5, seed=3)
         b = stream_stages(ds, num_stages=5, seed=3)
-        for s1, s2 in zip(a.stages, b.stages):
+        for s1, s2 in zip(a, b):
             assert np.array_equal(s1, s2)
 
 
@@ -173,9 +170,9 @@ class TestRunStreamExperiment:
         assert result.stage_sizes == [36, 72, 108, 144, 180]
         assert np.array_equal(np.sort(result.seen_indices), np.arange(ds.n))
         # scored points at stage t are exactly the union of stages 1..t
-        plan = stream_stages(ds, num_stages=5, seed=1)
-        assert np.array_equal(result.seen_indices, np.concatenate(plan.stages))
-        assert result.stage_sizes == np.cumsum([s.size for s in plan.stages]).tolist()
+        stages = stream_stages(ds, num_stages=5, seed=1)
+        assert np.array_equal(result.seen_indices, np.concatenate(stages))
+        assert result.stage_sizes == np.cumsum([s.size for s in stages]).tolist()
 
     def test_rows_shape(self):
         ds = self._dataset(seed=2)
@@ -205,8 +202,7 @@ class TestRunStreamExperiment:
         for seed in range(6):
             ds = gen_synthetic(SyntheticSpec(n_inliers=255, n_outliers=45, seed=seed))
             cfg = ForestConfig(num_trees=25, psi=None, seed=seed)
-            plan = stream_stages(ds, num_stages=5, seed=seed)
-            stage1 = plan.stages[0]
+            stage1 = stream_stages(ds, num_stages=5, seed=seed)[0]
             inliers_s1 = stage1[ds.labels[stage1] == 0]
             forest = train_batch(ds.points[stage1], cfg)
             early = np.mean(score_all(ds.points[inliers_s1], forest)[1])
@@ -226,15 +222,3 @@ class TestRunKfoldExperiment:
             assert 0.0 <= res.train_auc <= 1.0
             assert 0.0 <= res.test_auc <= 1.0
             assert res.train_seconds >= 0.0 and res.test_seconds >= 0.0
-
-
-class TestScalingBench:
-    def test_rows_and_ratios(self):
-        points = measure_scaling([64, 128], num_trees=3, dim=4, repeats=2, extend_count=16, seed=0)
-        phases = {p.phase for p in points}
-        assert phases == {"train", "score", "extend"}
-        assert len(points) == 6  # 3 phases x 2 sizes
-        for p in points:
-            assert len(p.seconds) == 2
-            assert p.median_seconds > 0.0
-        assert len(doubling_ratios(points, "train")) == 1

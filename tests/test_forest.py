@@ -733,16 +733,16 @@ class TestAnomalyOrdering:
 
 PUBLIC_API = [
     "CsvSchema", "DataFormatError", "DecisionModel", "DimensionMismatchError", "ExperimentResult", "Forest",
-    "ForestConfig", "LabeledDataset", "ModelFormatError", "MondrianTree", "StagePlan", "StratificationError",
-    "SyntheticSpec", "anomaly_score", "assign", "assign_all", "auc", "c_factor", "extend_forest", "fit_kmeans2",
-    "gen_synthetic", "harmonic", "kfold_split", "label_threshold", "load_csv", "load_model", "rescore_window",
-    "run_kfold_experiment", "run_stream_experiment", "save_model", "score_all", "stream_stages", "train_batch",
+    "ForestConfig", "LabeledDataset", "ModelFormatError", "MondrianTree", "StratificationError", "SyntheticSpec",
+    "anomaly_score", "assign_all", "auc", "c_factor", "extend_forest", "fit_kmeans2", "gen_synthetic", "harmonic",
+    "kfold_split", "load_csv", "load_model", "rescore_window", "run_kfold_experiment", "run_stream_experiment",
+    "save_model", "score_all", "stream_stages", "train_batch",
 ]
 
 
 class TestPublicApi:
     def test_exported_names(self):
-        assert len(PUBLIC_API) == 33
+        assert len(PUBLIC_API) == 30
         assert imondrian.__all__ == PUBLIC_API
         for name in PUBLIC_API:
             assert getattr(imondrian, name) is not None
