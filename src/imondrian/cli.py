@@ -214,11 +214,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     forest = load_model(args.model)
-    loaded = load_csv(args.data, _schema(args))
-    if isinstance(loaded, LabeledDataset):
-        points, labels = loaded.points, loaded.labels
-    else:
-        points, labels = loaded, None
+    points, labels, _ = _load_any(args)
     if points.shape[0] == 0:
         if args.out:
             write_scores(args.out, [], [], args.mode)

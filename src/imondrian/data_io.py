@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -73,68 +75,66 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
 
     Returns a LabeledDataset when the schema names a label column, a plain
     (n, d) array otherwise. Every feature cell must parse as a finite real;
-    failures report their row and column (1-based, counting the header).
+    failures report their row and column (1-based, counting the header but
+    not blank lines).
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="") as stream:
+        # the cell parse reads the file again; a pipe is read into memory first
+        handle = stream if stream.seekable() else io.StringIO(stream.read(), newline="")
         reader = csv.reader(handle, delimiter=schema.delimiter)
-        rows = [row for row in reader if row]
-
-    header_row: list[str] | None = None
-    if schema.header:
-        if not rows:
-            raise DataFormatError(f"{path}: expected a header row, file is empty")
-        header_row = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-
-    label_idx: int | None = None
-    if schema.label_column is not None:
-        if isinstance(schema.label_column, int):
-            if schema.label_column < 0:
-                raise DataFormatError(f"label column index must be >= 0, got {schema.label_column}")
-            label_idx = schema.label_column
-        else:
+        header_row: list[str] | None = None
+        if schema.header:
+            header_row = next((row for row in reader if row), None)
             if header_row is None:
-                raise DataFormatError("label column given by name but the schema has no header")
-            try:
-                label_idx = header_row.index(schema.label_column)
-            except ValueError:
-                raise DataFormatError(
-                    f"label column {schema.label_column!r} not in header {header_row}"
-                ) from None
-
-    parsed = _parse_table(rows, label_idx)
-    if parsed is None:
-        parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
+                raise DataFormatError(f"{path}: expected a header row, file is empty")
+            header_row = [cell.strip() for cell in header_row]
+        label_idx: int | None = None
+        if schema.label_column is not None:
+            if isinstance(schema.label_column, int):
+                if schema.label_column < 0:
+                    raise DataFormatError(f"label column index must be >= 0, got {schema.label_column}")
+                label_idx = schema.label_column
+            else:
+                if header_row is None:
+                    raise DataFormatError("label column given by name but the schema has no header")
+                try:
+                    label_idx = header_row.index(schema.label_column)
+                except ValueError:
+                    raise DataFormatError(
+                        f"label column {schema.label_column!r} not in header {header_row}"
+                    ) from None
+        parsed = _parse_body(handle, schema.delimiter, label_idx)
+        if parsed is None:
+            handle.seek(0)
+            rows = [row for row in reader if row][1 if schema.header else 0 :]
+            parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
     data, labels = parsed
-    if rows and data.shape[1] == 0:
+    if data.shape[0] and data.shape[1] == 0:
         raise DataFormatError(f"{path}: no feature columns besides the label")
     if label_idx is None:
         return data
     return LabeledDataset(points=data, labels=labels, name=path.stem)
 
 
-def _parse_table(rows: list[list[str]], label_idx: int | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """(features, labels) in one numpy conversion, or None when the rows
-    are not a rectangle of numbers with finite features and 0/1 labels.
-
-    numpy converts each string as ``float()`` does (whitespace stripped,
-    ``1_0``, ``nan`` and ``inf`` accepted), so the values match the
-    per-cell parse exactly.
-    """
+def _parse_body(lines, delimiter: str, label_idx: int | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(features, labels) from one ``np.loadtxt`` over an iterator of data
+    ``lines``, or None unless they are a rectangle of plain numbers with finite
+    features and 0/1 labels. ``loadtxt`` reads each cell it accepts as ``float()``
+    does; it rejects quoted cells, ``1_0`` and non-ASCII digits, which the cell parse reads."""
+    first = next((line for line in lines if line.strip("\r\n")), None)
+    if first is None:  # no rows; np.loadtxt would warn
+        return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
     try:
-        table = np.asarray(rows, dtype=float)
-    except ValueError:
-        return None
-    if table.ndim != 2 or (label_idx is not None and label_idx >= table.shape[1]):
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=delimiter, comments=None, ndmin=2)
+    except (TypeError, ValueError):  # TypeError: a line break as the delimiter
         return None
     labels = np.zeros(0, dtype=np.int64)
     if label_idx is not None:
-        column = table[:, label_idx]
-        if not ((column == 0.0) | (column == 1.0)).all():
+        if label_idx >= table.shape[1] or not np.isin(table[:, label_idx], (0.0, 1.0)).all():
             return None
-        labels = column.astype(np.int64)
+        labels = table[:, label_idx].astype(np.int64)
         table = np.delete(table, label_idx, axis=1)
     if not np.isfinite(table).all():
         return None
@@ -339,9 +339,9 @@ def load_model(path) -> Forest:
 
 def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
     """The forest described by a metadata dict and the arrays in ``raw``
-    from ``offset`` on; ValueError if they do not fit together. Only each
-    tree's used slots are copied, so unused slots keep the fill values of a
-    fresh arena."""
+    from ``offset`` on; ValueError if they do not fit together. Unused slots
+    are reset to the fill values of a fresh arena, whatever the file holds
+    there."""
     num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
     root = np.asarray(meta["root"], dtype=np.int64)
     size = np.asarray(meta["size"], dtype=np.int64)
@@ -355,10 +355,11 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
     if len(raw) - offset != expected:
         raise ValueError(f"array section holds {len(raw) - offset} bytes, expected {expected}")
     arena = ForestArena(num_trees, dim, width)
-    used = np.arange(width) < size[:, None]
-    for name, dtype, shape, _ in fields:
+    unused = np.arange(width) >= size[:, None]
+    for name, dtype, shape, fill in fields:
         stored = np.frombuffer(raw, dtype.newbyteorder("<"), math.prod(shape), offset).reshape(shape)
-        getattr(arena, name)[used] = stored[used]
+        getattr(arena, name)[...] = stored
+        getattr(arena, name)[unused] = fill
         offset += stored.nbytes
     arena.root[:] = root
     arena.size[:] = size
@@ -440,18 +441,17 @@ def _structure_problem(arena: ForestArena) -> str | None:
 
 def write_scores(path, scores, labels, mode: str) -> None:
     """Score export: one ``index,score,label,mode`` row per point, indices
-    0..n-1 in the order of ``scores``.
+    0..n-1 in the order of ``scores``, written as ``csv.writer`` would.
 
     Scores are written with shortest-round-trip precision so identical runs
     produce byte-identical files.
     """
     scores = np.asarray(scores, dtype=float).tolist()  # repr of a float, not of np.float64
     labels = np.asarray(labels, dtype=np.int64).tolist()
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "score", "label", "mode"])
-        for index, (score, label) in enumerate(zip(scores, labels)):
-            writer.writerow([index, repr(score), label, mode])
+    if any(c in mode for c in ',"\r\n'):  # quoted as csv.writer quotes it
+        mode = '"' + mode.replace('"', '""') + '"'
+    rows = "".join([f"{i},{score!r},{label},{mode}\r\n" for i, (score, label) in enumerate(zip(scores, labels))])
+    Path(path).write_text("index,score,label,mode\r\n" + rows, newline="")
 
 
 def write_rows(path, rows: list[dict]) -> None:

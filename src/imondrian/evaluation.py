@@ -32,8 +32,9 @@ class LabeledDataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        self.points = as_points(self.points)
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        # no rows at all is a dataset (a header-only file); training rejects it
+        self.points = as_points(self.points) if self.labels.size or np.size(self.points) else np.zeros((0, 0))
         if self.labels.size != self.points.shape[0]:
             raise ValueError(
                 f"{self.labels.size} labels for {self.points.shape[0]} points"

@@ -129,6 +129,22 @@ class TestFit:
         assert main(["score", "--model", str(model), "--data", str(data)]) == EXIT_OK
 
 
+class TestHeaderOnlyTraining:
+    @pytest.mark.parametrize("label", [None, "label"], ids=["unlabelled", "labelled"])
+    def test_fit_is_data_error(self, tmp_path, label, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("f0,f1,label\n" if label else "f0,f1\n")
+        argv = ["fit", "--data", str(data)] + (["--label-column", label] if label else [])
+        assert main(argv) == EXIT_DATA
+        assert "point set must be nonempty" in capsys.readouterr().err
+
+    def test_stream_cannot_stratify(self, tmp_path, capsys):
+        data = tmp_path / "header.csv"
+        data.write_text("f0,f1,label\n")
+        assert main(["stream", "--data", str(data), "--label-column", "label"]) == EXIT_INFEASIBLE
+        assert "0 anomalies cannot stratify" in capsys.readouterr().err
+
+
 class TestScore:
     @pytest.fixture()
     def fitted(self, tmp_path, blob_csv):
@@ -187,6 +203,19 @@ class TestScore:
         ])
         assert code == EXIT_OK
         assert out.read_text().strip() == "index,score,label,mode"
+
+    @pytest.mark.parametrize("label", [None, "label"], ids=["unlabelled", "labelled"])
+    def test_header_only_file_writes_empty_export(self, tmp_path, fitted, label, capsys):
+        model, _ = fitted
+        data = tmp_path / "header.csv"
+        data.write_text("f0,f1,label\n" if label else "f0,f1\n")
+        out = tmp_path / "header_scores.csv"
+        argv = ["score", "--model", str(model), "--data", str(data), "--out", str(out)]
+        if label:
+            argv += ["--label-column", label]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == b"index,score,label,mode\r\n"
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_model_is_data_error(self, tmp_path, fitted):
         model, _ = fitted

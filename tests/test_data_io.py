@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from imondrian.data_io import (
     CsvSchema,
     SyntheticSpec,
+    _parse_body,
     _parse_cells,
-    _parse_table,
     gen_synthetic,
     load_csv,
     load_model,
@@ -19,6 +24,7 @@ from imondrian.data_io import (
 from imondrian.errors import DataFormatError, ModelFormatError
 from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
+from imondrian.tree import FIELD_NAMES, node_fields
 
 from helpers import (
     V1_MODEL,
@@ -30,6 +36,10 @@ from helpers import (
     reseal_model,
     structurally_equal,
 )
+
+
+def _lines(rows: list[list[str]]) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _set_root(field, value):
@@ -140,13 +150,15 @@ class TestLoadCsv:
     def test_table_parse_matches_cell_parse(self, tmp_path):
         # whitespace, digit separators and signed zeros, a label in the middle
         rows = [[" 1.5", "0", "-0"], ["1_0", " 1 ", "2e-3 "], ["\t-7", "-0", "+3"]]
-        fast = _parse_table(rows, 1)
         slow = _parse_cells(rows, 1, offset=1)
-        for a, b in zip(fast, slow):
+        # np.loadtxt rejects the digit separator; the other rows it reads as the cell parse does
+        assert _parse_body(io.StringIO(_lines(rows)), ",", 1) is None
+        fast = _parse_body(io.StringIO(_lines(rows[:1] + rows[2:])), ",", 1)
+        for a, b in zip(fast, _parse_cells(rows[:1] + rows[2:], 1, offset=1)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
         p = tmp_path / "spaced.csv"
-        p.write_text("a,y,b\n" + "\n".join(",".join(row) for row in rows) + "\n")
+        p.write_text("a,y,b\n" + _lines(rows))
         ds = load_csv(p, CsvSchema(label_column="y"))
         assert ds.points.tobytes() == slow[0].tobytes()
         assert ds.labels.tolist() == [0, 1, 0]
@@ -163,12 +175,208 @@ class TestLoadCsv:
         ],
         ids=["ragged", "garbage", "infinite", "label-2", "label-nan", "no-label-column"],
     )
-    def test_table_parse_defers_bad_input(self, rows, label_idx):
+    def test_table_parse_defers_bad_input(self, tmp_path, rows, label_idx):
         # the cell parse then names the offending row and column
-        assert _parse_table(rows, label_idx) is None
+        assert _parse_body(io.StringIO(_lines(rows)), ",", label_idx) is None
         with pytest.raises(DataFormatError, match=r"row \d"):
             _parse_cells(rows, label_idx, offset=1)
+        p = tmp_path / "bad.csv"
+        p.write_text(_lines(rows))
+        with pytest.raises(DataFormatError, match=r"row \d"):
+            load_csv(p, CsvSchema(header=False, label_column=label_idx))
 
+    @pytest.mark.parametrize("fmt", ["repr", "%.17g", "%.9g"])
+    def test_table_parse_equals_cell_parse_on_random_floats(self, fmt):
+        rng = np.random.default_rng(["repr", "%.17g", "%.9g"].index(fmt))
+        n, d = 5000, 8
+        sign = rng.choice([-1.0, 1.0], size=(n, d))
+        values = sign * rng.random((n, d)) * 10.0 ** rng.uniform(-300, 300, size=(n, d))
+        values[0] = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1.0, 0.1]
+        write = repr if fmt == "repr" else (lambda v: fmt % v)
+        rows = [[write(v) for v in row] + [str(label)] for row, label in zip(values.tolist(), rng.integers(0, 2, n))]
+        fast = _parse_body(io.StringIO(_lines(rows)), ",", d)
+        slow = _parse_cells(rows, d, offset=1)
+        assert fast is not None
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        if fmt != "%.9g":
+            assert fast[0].tobytes() == values.tobytes()
+
+
+class TestCsvDialect:
+    """What ``load_csv`` accepts and how it reports the rest, cell by cell
+    and line by line."""
+
+    def _load(self, tmp_path, text, **schema):
+        p = tmp_path / "data.csv"
+        with p.open("w", newline="") as handle:
+            handle.write(text)
+        return load_csv(p, CsvSchema(**schema))
+
+    def _error(self, tmp_path, text, **schema) -> str:
+        with pytest.raises(DataFormatError) as info:
+            self._load(tmp_path, text, **schema)
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [
+            ('"1.5"', 1.5),
+            ('"-2e3"', -2000.0),
+            ("1_0", 10.0),
+            ("\u0661\u0662", 12.0),
+            ("\uff11\uff12", 12.0),
+            ("\u0663.\u0665", 3.5),
+            (" 2.5 ", 2.5),
+            ("\t-7", -7.0),
+            ("\xa07", 7.0),
+            ("-0", -0.0),
+            ("+3", 3.0),
+            (".5", 0.5),
+            ("5.", 5.0),
+            ("1E3", 1000.0),
+            ("1e-400", 0.0),
+            ("5e-324", 5e-324),
+            ("1.7976931348623157e308", 1.7976931348623157e308),
+            ("0.1000000000000000055511151231257827021181583404541015625", 0.1),
+        ],
+    )
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell, value):
+        data = self._load(tmp_path, f"a,b\n{cell},1\n-1,{cell}\n")
+        assert data.tobytes() == np.array([[value, 1.0], [-1.0, value]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("nan", "row 3, column 2: non-finite value 'nan' rejected"),
+            ("NaN", "row 3, column 2: non-finite value 'NaN' rejected"),
+            ("-nan", "row 3, column 2: non-finite value '-nan' rejected"),
+            ("inf", "row 3, column 2: non-finite value 'inf' rejected"),
+            ("-Infinity", "row 3, column 2: non-finite value '-Infinity' rejected"),
+            ("1e400", "row 3, column 2: non-finite value '1e400' rejected"),
+            ('"inf"', "row 3, column 2: non-finite value 'inf' rejected"),
+            (' "1"', "row 3, column 2: could not parse '\"1\"' as a number"),
+            ("x", "row 3, column 2: could not parse 'x' as a number"),
+            ("", "row 3, column 2: could not parse '' as a number"),
+            ("0x1p3", "row 3, column 2: could not parse '0x1p3' as a number"),
+            ("1d5", "row 3, column 2: could not parse '1d5' as a number"),
+            ("1e", "row 3, column 2: could not parse '1e' as a number"),
+            ("nan(1)", "row 3, column 2: could not parse 'nan(1)' as a number"),
+            ("1j", "row 3, column 2: could not parse '1j' as a number"),
+            ("1\x00", "row 3, column 2: could not parse '1\\x00' as a number"),
+        ],
+    )
+    def test_bad_cells_are_named_by_row_and_column(self, tmp_path, cell, message):
+        assert self._error(tmp_path, f"a,b\n1,2\n3,{cell}\n") == message
+
+    @pytest.mark.parametrize(
+        "cell, label",
+        [("0", 0), ("1", 1), ("-0", 0), ("1.0", 1), (" 1 ", 1), ('"1"', 1), ("0e5", 0)],
+    )
+    def test_labels_read_as_float_reads_them(self, tmp_path, cell, label):
+        ds = self._load(tmp_path, f"a,y\n2.5,{cell}\n", label_column="y")
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [label]
+        assert ds.points.tolist() == [[2.5]]
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("2", "row 3, column 2: label must be 0 or 1, got '2'"),
+            ("0.5", "row 3, column 2: label must be 0 or 1, got '0.5'"),
+            ("nan", "row 3, column 2: label must be 0 or 1, got 'nan'"),
+            ("inf", "row 3, column 2: label must be 0 or 1, got 'inf'"),
+            ("x", "row 3, column 2: could not parse label 'x'"),
+            ("", "row 3, column 2: could not parse label ''"),
+        ],
+    )
+    def test_bad_labels_are_named_by_row_and_column(self, tmp_path, cell, message):
+        assert self._error(tmp_path, f"a,y\n1,0\n3,{cell}\n", label_column="y") == message
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        text = "a,b\n1,2\n\n3,4\r\n\r\n\n5,6\n\n"
+        assert self._load(tmp_path, text).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert self._error(tmp_path, "a,b\n\n1,2\n\n3,nan\n") == (
+            "row 3, column 2: non-finite value 'nan' rejected"
+        )
+
+    @pytest.mark.parametrize("line", ["  ", "\t", " \t "])
+    def test_whitespace_only_line_is_a_bad_row(self, tmp_path, line):
+        message = "row 3, column 1: could not parse '' as a number"
+        assert self._error(tmp_path, f"a,b\n1,2\n{line}\n3,4\n") == message
+        assert self._error(tmp_path, f"a\n1\n{line}\n3\n") == message
+        assert self._error(tmp_path, f"a\n1\n{line}") == message
+
+    def test_blank_lines_before_the_header(self, tmp_path):
+        ds = self._load(tmp_path, "\n\r\n\na,y\n1.5,0\n-2,1\n", label_column="y")
+        assert ds.points.tolist() == [[1.5], [-2.0]] and ds.labels.tolist() == [0, 1]
+        assert self._error(tmp_path, "\n\na,b\n1,nan\n") == (
+            "row 2, column 2: non-finite value 'nan' rejected"
+        )
+
+    def test_quoted_header_names(self, tmp_path):
+        ds = self._load(tmp_path, '"x, first",y\n1,1\n', label_column="y")
+        assert ds.points.tolist() == [[1.0]] and ds.labels.tolist() == [1]
+        ds = self._load(tmp_path, '"x\nfirst",y,z\n1,0,2\n', label_column="y")
+        assert ds.points.tolist() == [[1.0, 2.0]] and ds.labels.tolist() == [0]
+        ds = self._load(tmp_path, 'x," y "\n1,1\n', label_column="y")
+        assert ds.labels.tolist() == [1]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
+    def test_line_endings(self, tmp_path, newline):
+        text = newline.join(["a,y", "1.5,0", "-2,1", ""])
+        ds = self._load(tmp_path, text, label_column="y")
+        assert ds.points.tolist() == [[1.5], [-2.0]] and ds.labels.tolist() == [0, 1]
+        bad = newline.join(["a,b", "1,2", "3,inf", ""])
+        assert self._error(tmp_path, bad) == "row 3, column 2: non-finite value 'inf' rejected"
+
+    def test_no_final_newline(self, tmp_path):
+        assert self._load(tmp_path, "a,b\n1,2\n3,4").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_trailing_delimiter_is_an_empty_cell(self, tmp_path):
+        assert self._error(tmp_path, "a,b\n1,2,\n") == "row 2, column 3: could not parse '' as a number"
+
+    def test_ragged_rows_are_named(self, tmp_path):
+        assert self._error(tmp_path, "a,b\n1,2\n3\n") == "row 3: 1 features, expected 2"
+        assert self._error(tmp_path, "a,b\n1,2\n3,4,5\n") == "row 3: 3 features, expected 2"
+        assert self._error(tmp_path, "1,0\n2\n", header=False, label_column=1) == (
+            "row 2: no column 1 for the label"
+        )
+
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\r\n\r\n\n", "\na,b\n\n"])
+    def test_header_only_file_has_no_rows(self, tmp_path, text):
+        data = self._load(tmp_path, text)
+        assert data.shape == (0, 0) and data.dtype == np.float64
+        ds = self._load(tmp_path, text, label_column="b")
+        assert ds.n == 0 and ds.labels.dtype == np.int64 and ds.labels.size == 0
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n\n"])
+    def test_file_without_a_header_row(self, tmp_path, text):
+        message = self._error(tmp_path, text)
+        assert message.endswith("data.csv: expected a header row, file is empty")
+        assert self._load(tmp_path, text, header=False).shape == (0, 0)
+
+    @pytest.mark.parametrize("delimiter", [";", "\t", " ", "|", "e", "\x00"])
+    def test_other_delimiters(self, tmp_path, delimiter):
+        text = delimiter.join(["a", "b", "y"]) + "\n" + delimiter.join(["1.5", "-3", "1"]) + "\n"
+        ds = self._load(tmp_path, text, delimiter=delimiter, label_column="y")
+        assert ds.points.tolist() == [[1.5, -3.0]] and ds.labels.tolist() == [1]
+
+
+    def test_line_break_as_delimiter_gives_one_cell_per_line(self, tmp_path):
+        # np.loadtxt refuses a line break as its delimiter; the csv reader splits lines
+        assert self._load(tmp_path, "1.5\n-3\n", header=False, delimiter="\n").tolist() == [[1.5], [-3.0]]
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", 'a,b\n"1",2\n'], ids=["numbers", "quoted"])
+    def test_pipe_is_read_once(self, tmp_path, text):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        data = load_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert data.tolist() == [[1.0, 2.0]]
 
 class TestGenSynthetic:
     def test_blob_with_box_outliers(self):
@@ -264,6 +472,38 @@ class TestModelRoundTrip:
         extend_forest(loaded, more)
         assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
         assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
+
+    def test_unequal_trees_load_every_slot_bit_identical(self, tmp_path):
+        # duplicates give every subsample its own number of distinct points
+        X = np.random.default_rng(11).integers(0, 5, size=(300, 2)).astype(float)
+        forest = train_batch(X, ForestConfig(num_trees=9, psi=24, seed=11))
+        extend_forest(forest, np.array([[7.5, -1.0], [0.5, 0.5]]))
+        sizes = forest.arena.size
+        assert sizes.min() < sizes.max()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        loaded = load_model(path).arena
+        width = int(sizes.max())
+        assert loaded.capacity == width
+        for name, _, _, fill in node_fields((), forest.dim):
+            saved = getattr(forest.arena, name)[:, :width]
+            got = getattr(loaded, name)
+            assert got.dtype == saved.dtype and got.shape == saved.shape
+            assert got.tobytes() == saved.tobytes(), name
+            unused = np.arange(width) >= sizes[:, None]
+            assert (got[unused] == fill).all(), name
+        assert np.array_equal(loaded.root, forest.arena.root)
+        assert np.array_equal(loaded.size, sizes)
+
+        def scribble(meta, arrays):  # a file's unused slots are not read
+            unused = np.arange(meta["width"]) >= np.asarray(meta["size"])[:, None]
+            for array in arrays.values():
+                array[unused] = 7
+
+        reseal_model(path, scribble)
+        again = load_model(path).arena
+        for name in FIELD_NAMES:
+            assert getattr(again, name).tobytes() == getattr(loaded, name).tobytes(), name
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         X, forest = self._forest()
@@ -371,6 +611,39 @@ class TestModelRoundTrip:
 
 
 class TestScoreExport:
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        scores = np.array([0.5, 0.1 + 0.2, 1e-300, 2.0 / 3.0, 1.0, 0.0, 5e-324])
+        write_scores(path, scores, np.array([0, 1, 0, 1, 1, 0, 0]), "kmeans")
+        assert path.read_bytes() == (
+            b"index,score,label,mode\r\n"
+            b"0,0.5,0,kmeans\r\n"
+            b"1,0.30000000000000004,1,kmeans\r\n"
+            b"2,1e-300,0,kmeans\r\n"
+            b"3,0.6666666666666666,1,kmeans\r\n"
+            b"4,1.0,1,kmeans\r\n"
+            b"5,0.0,0,kmeans\r\n"
+            b"6,5e-324,0,kmeans\r\n"
+        )
+
+    def test_golden_bytes_without_rows(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores(path, [], [], "threshold")
+        assert path.read_bytes() == b"index,score,label,mode\r\n"
+
+    @pytest.mark.parametrize("mode", ["threshold", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " x "])
+    def test_rows_match_the_csv_module(self, tmp_path, mode):
+        path = tmp_path / "scores.csv"
+        scores = np.random.default_rng(0).random(50)
+        labels = (scores > 0.5).astype(np.int64)
+        write_scores(path, scores, labels, mode)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["index", "score", "label", "mode"])
+        for i, (s, label) in enumerate(zip(scores.tolist(), labels.tolist())):
+            writer.writerow([i, repr(s), label, mode])
+        assert path.read_bytes() == expected.getvalue().encode()
+
     def test_byte_identical_for_identical_runs(self, tmp_path):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 2))

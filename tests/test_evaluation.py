@@ -75,6 +75,18 @@ def _toy_dataset(n=40, anomalies=8, seed=0) -> LabeledDataset:
     return LabeledDataset(points=rng.normal(size=(n, 2)), labels=labels, name="toy")
 
 
+class TestLabeledDataset:
+    def test_empty_dataset_has_no_rows(self):
+        ds = LabeledDataset(points=np.zeros((0, 0)), labels=[])
+        assert ds.n == 0 and ds.anomaly_count == 0
+
+    def test_labels_must_match_points(self):
+        with pytest.raises(ValueError, match="0 labels for 3 points"):
+            LabeledDataset(points=np.ones((3, 2)), labels=[])
+        with pytest.raises(ValueError, match="nonempty"):
+            LabeledDataset(points=np.zeros((0, 2)), labels=[0])
+
+
 class TestKfoldSplit:
     def test_singleton_folds(self):
         ds = _toy_dataset(n=10, anomalies=3)
