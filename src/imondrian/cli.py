@@ -24,7 +24,7 @@ from .data_io import (
     write_scores,
 )
 from .decision import KMEANS, THRESHOLD, DecisionModel, assign_all, fit_kmeans2
-from .errors import DataFormatError, ModelFormatError, StratificationError
+from .errors import DataFormatError, DimensionMismatchError, ModelFormatError, StratificationError
 from .evaluation import (
     LabeledDataset,
     auc,
@@ -216,6 +216,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     forest = load_model(args.model)
     points, labels, _ = _load_any(args)
     if points.shape[0] == 0:
+        if points.shape[1] not in (0, forest.dim):  # d = 0: no column is named
+            raise DimensionMismatchError(f"points have dimension {points.shape[1]}, expected {forest.dim}")
         if args.out:
             write_scores(args.out, [], [], args.mode)
             print(f"0 score rows written to {args.out}")

@@ -1,9 +1,10 @@
 """Dataset ingestion, synthetic data generation, and persistence.
 
-The model file stores a forest's packed arena as it is in memory: a one-line
-header carrying magic, version and a SHA-256 checksum, one JSON metadata
-line, then the node arrays as raw little-endian bytes, so reloaded
-structures are bit-identical (see ``save_model``).
+The model file stores a forest's packed arena: a one-line header carrying
+magic, version and a SHA-256 checksum, one JSON metadata line, then the node
+arrays as raw little-endian bytes, with the links as row-local left, right
+and parent arrays read off the arena's child table, so reloaded structures
+are bit-identical (see ``save_model``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
 from .forest import Forest
-from .tree import NO_NODE, ForestArena, node_fields
+from .tree import LINKS, NO_NODE, ForestArena, link, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
 MODEL_VERSION = 2
@@ -111,6 +112,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
             rows = [row for row in reader if row][1 if schema.header else 0 :]
             parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
     data, labels = parsed
+    if not data.shape[0] and header_row is not None:  # no rows: the header names the columns
+        data = np.zeros((0, sum(j != label_idx for j in range(len(header_row)))))
     if data.shape[0] and data.shape[1] == 0:
         raise DataFormatError(f"{path}: no feature columns besides the label")
     if label_idx is None:
@@ -278,10 +281,11 @@ def save_model(forest: Forest, path) -> None:
     line (the forest's scalars, the stored width W = the largest tree's
     size, and every tree's root, size and generator state), then the first
     W slots of every node field as raw little-endian bytes, in
-    ``tree.node_fields`` order. The checksum covers everything after the
-    header line.
+    ``tree.node_fields`` order, the links from ``ForestArena.links``. The
+    checksum covers everything after the header line.
     """
     arena = forest.arena
+    links = dict(zip(LINKS, arena.links()))
     width = int(arena.size.max())
     meta = {
         "n_effective": forest.n_effective,
@@ -296,7 +300,8 @@ def save_model(forest: Forest, path) -> None:
     }
     body = [json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"]
     for name, dtype, _, _ in node_fields((), forest.dim):
-        body.append(getattr(arena, name)[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
+        field = links[name] if name in LINKS else getattr(arena, name)
+        body.append(field[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
     digest = hashlib.sha256()
     for part in body:
         digest.update(part)
@@ -328,20 +333,20 @@ def load_model(path) -> Forest:
     if meta_end < 0:
         raise ModelFormatError(f"{path}: no array section after the metadata line")
     try:
-        forest = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
+        forest, links = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed payload: {exc}") from exc
-    problem = _structure_problem(forest.arena)
+    problem = _structure_problem(forest.arena, *links)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
 
 
-def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
-    """The forest described by a metadata dict and the arrays in ``raw``
-    from ``offset`` on; ValueError if they do not fit together. Unused slots
-    are reset to the fill values of a fresh arena, whatever the file holds
-    there."""
+def _unpack(meta: dict, raw: bytes, offset: int) -> tuple[Forest, tuple[np.ndarray, ...]]:
+    """The forest described by a metadata dict and the arrays in ``raw`` from
+    ``offset`` on, and the file's left, right and parent links its child
+    table is built from; ValueError if they do not fit together. Unused slots
+    are reset to a fresh arena's fill values, whatever the file holds there."""
     num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
     root = np.asarray(meta["root"], dtype=np.int64)
     size = np.asarray(meta["size"], dtype=np.int64)
@@ -356,14 +361,16 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
         raise ValueError(f"array section holds {len(raw) - offset} bytes, expected {expected}")
     arena = ForestArena(num_trees, dim, width)
     unused = np.arange(width) >= size[:, None]
+    links = {name: np.empty(shape, dtype) for name, dtype, shape, _ in fields if name in LINKS}
     for name, dtype, shape, fill in fields:
         stored = np.frombuffer(raw, dtype.newbyteorder("<"), math.prod(shape), offset).reshape(shape)
-        getattr(arena, name)[...] = stored
-        getattr(arena, name)[unused] = fill
+        field = links[name] if name in LINKS else getattr(arena, name)
+        field[...] = stored
+        field[unused] = fill
         offset += stored.nbytes
     arena.root[:] = root
     arena.size[:] = size
-    arena._relink()
+    arena.child = link(links["left"], links["right"])
     for t, state in enumerate(states):
         arena.rngs[t] = np.random.default_rng()
         arena.rngs[t].bit_generator.state = state
@@ -373,11 +380,12 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
         n_effective=int(meta["n_effective"]),
         psi=None if psi is None else int(psi),
         seed=int(meta["seed"]),
-    )
+    ), tuple(links.values())
 
 
-def _structure_problem(arena: ForestArena) -> str | None:
-    """Why the packed trees are not valid partition trees, or None.
+def _structure_problem(arena: ForestArena, left, right, parent) -> str | None:
+    """Why the packed trees, with a model file's (T, C) row-local links
+    ``left``, ``right`` and ``parent``, are not valid partition trees, or None.
 
     Checked for every tree at once: links stay inside the tree's used slots;
     every node but the root is the child of exactly one internal node and
@@ -388,28 +396,27 @@ def _structure_problem(arena: ForestArena) -> str | None:
     split values lie inside their node's box; and boxes are ordered and
     nest inside their parent's.
     """
-    T, C = arena.left.shape
+    T, C = left.shape
     size = arena.size[:, None]
     used = np.arange(C) < size
     if not ((arena.root >= 0) & (arena.root < arena.size)).all():
         return "root link out of range"
-    for name in ("left", "right", "parent"):
-        link = getattr(arena, name)
-        if ((link < NO_NODE) | (link >= size))[used].any():
+    for name, links in zip(LINKS, (left, right, parent)):
+        if ((links < NO_NODE) | (links >= size))[used].any():
             return f"{name} link out of range"
-    leaf = arena.left == NO_NODE
-    if (leaf != (arena.right == NO_NODE))[used].any():
+    leaf = left == NO_NODE
+    if (leaf != (right == NO_NODE))[used].any():
         return "node with exactly one child"
     inner = np.flatnonzero(used & ~leaf)  # flat index t * C + node
     parents = np.concatenate([inner, inner])
     rows = parents - parents % C
-    kids = rows + np.concatenate([arena.left.ravel()[inner], arena.right.ravel()[inner]])
+    kids = rows + np.concatenate([left.ravel()[inner], right.ravel()[inner]])
     roots = np.arange(T) * C + arena.root
     expected = used.ravel().astype(np.int64)
     expected[roots] = 0
     if not np.array_equal(np.bincount(kids, minlength=T * C), expected):
         return "some node is not the child of exactly one internal node"
-    if (arena.parent.ravel()[roots] != NO_NODE).any() or (rows + arena.parent.ravel()[kids] != parents).any():
+    if (parent.ravel()[roots] != NO_NODE).any() or (rows + parent.ravel()[kids] != parents).any():
         return "parent link does not match child link"
     split_time = arena.split_time.ravel()
     if not ((split_time[roots] > 0.0).all() and (split_time[kids] > split_time[parents]).all()):

@@ -33,8 +33,10 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
-        # no rows at all is a dataset (a header-only file); training rejects it
-        self.points = as_points(self.points) if self.labels.size or np.size(self.points) else np.zeros((0, 0))
+        if self.labels.size or np.size(self.points):
+            self.points = as_points(self.points)
+        else:  # no rows (a header-only file) is a dataset of (0, d) points; training rejects it
+            self.points = np.zeros((0, np.shape(self.points)[1] if np.ndim(self.points) == 2 else 0))
         if self.labels.size != self.points.shape[0]:
             raise ValueError(
                 f"{self.labels.size} labels for {self.points.shape[0]} points"

@@ -9,26 +9,26 @@ can win the race against the node's recorded time and splice a new internal
 node *above* it, instead of only growing the tree at the leaves.
 
 Nodes live in a growable structure-of-arrays arena addressed by integer
-index; ``NO_NODE`` (-1) marks an absent link. A node is a leaf iff it has
-no left child, and leaves always carry an infinite split time.
+index. Every link lives in one child table, in which a leaf points to
+itself; a node is a leaf iff it is its own child, and leaves always carry
+an infinite split time.
 
 A forest packs all of its trees into one ``ForestArena``, whose kernels
 walk every tree in lockstep, one depth level per numpy pass. The build is
 one of them: every open node of every tree at a depth gets its box from a
 segment min/max over the node's points, its split time and cut from its
-tree's own generator, and its children's points from a stable partition,
-so slots are numbered breadth first. Routing and extension descend through
-a child table derived from the links, in which a leaf points to itself, so
-one gather per level moves every lane and a lane that reached its leaf
-stays there. Extension walks one lane per tree, every lane every level,
-and reads each tree's path off that walk; it races one exponential clock
-per candidate node (a node on the point's path that the point lies outside
-of), each tree draws all of its clocks and its cut in one call of its own
-generator, and only the boxes the point lies outside of are rewritten.
-Scoring adds to a point's edge count the c term of the reached leaf's
-population, which is 0 for a single point. The per-tree references the
-kernels are tested against (``fit_tree``, ``path_length`` and
-``extend_tree``) live in ``tests/reference.py``.
+tree's own generator, and its children's points from a stable partition, so
+slots are numbered breadth first. Routing and extension descend through the
+child table, so one gather per level moves every lane and a lane that
+reached its leaf stays there. Extension walks one lane per tree, every lane
+every level, and reads each tree's path off that walk; it races one
+exponential clock per candidate node (a node on the point's path that the
+point lies outside of), each tree draws all of its clocks and its cut in
+one call of its own generator, and only the boxes the point lies outside of
+are rewritten. Scoring adds to a point's edge count the c term of the
+reached leaf's population, which is 0 for a single point. The per-tree
+references the kernels are tested against (``fit_tree``, ``path_length``
+and ``extend_tree``) live in ``tests/reference.py``.
 
 A large batch is routed on every CPU in the process's affinity mask (so
 ``taskset -c 0`` keeps it on one) by a fork-join over contiguous blocks of
@@ -52,8 +52,9 @@ from .errors import DimensionMismatchError
 
 NO_NODE = -1
 
-# per-node fields: (name, dtype, value of an unused slot); boxes add a dim
-# axis and come first, so growing one field at a time peaks lowest
+# the model file's per-node fields: (name, dtype, value of an unused slot);
+# boxes add a dim axis and come first, so growing one field at a time peaks
+# lowest. An arena keeps the LINKS in its child table (ForestArena.links)
 _FIELDS = (
     ("box_min", np.float64, 0.0),
     ("box_max", np.float64, 0.0),
@@ -66,6 +67,7 @@ _FIELDS = (
     ("population", np.int64, 0),
 )
 FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
+LINKS = ("left", "right", "parent")
 
 # (tree, point) lanes per numpy pass of ForestArena.route and ForestArena.grow;
 # passes of 2^14 lanes kept the working set in cache and routed fastest when
@@ -178,12 +180,13 @@ _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 class MondrianTree:
     """Read-only view of one tree of a ``ForestArena``, from ``ForestArena.tree``.
 
-    Parallel arrays alias the tree's arena row, one field per node: split
-    dimension/value/time, child and parent links, subtree population, and
-    the smallest box of the points the node was built from (enlarged as
-    streamed points pass through). ``rng`` is the tree's own generator, so
-    that a (seed, data) pair fully determines every structure it will ever
-    grow into.
+    Parallel arrays, one field per node: split dimension/value/time, child
+    and parent links (``NO_NODE`` where absent; copies read off the arena's
+    child table), subtree population, and the smallest box of the points the
+    node was built from (enlarged as streamed points pass through). All but
+    the links alias the tree's arena row. ``rng`` is the tree's own
+    generator, so that a (seed, data) pair fully determines every structure
+    it will ever grow into.
     """
 
     __slots__ = ("dim", "rng", "root", "size") + FIELD_NAMES
@@ -205,6 +208,20 @@ def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarra
         span = (np.maximum(root_max, x) - np.minimum(root_min, x)).sum(axis=-1)
     if not np.isfinite(span).all():
         raise ValueError("point is too far from the tree's box: its deviation rate overflows")
+
+
+def link(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The child table (see ``ForestArena``) of (T, C) row-local ``left`` and
+    ``right`` links: flat child indices of internal nodes, self loops for
+    leaves and unused slots."""
+    T, C = left.shape
+    flat = np.arange(T * C)
+    inner = np.flatnonzero(left.ravel() != NO_NODE)
+    base = flat[inner] - flat[inner] % C
+    child = np.concatenate((flat, flat))
+    child[inner] = base + left.ravel()[inner]
+    child[T * C + inner] = base + right.ravel()[inner]
+    return child
 
 
 def _usable_cpus() -> list[int]:
@@ -245,11 +262,11 @@ def _can_fork() -> bool:
 class ForestArena:
     """Every tree of a forest packed into one structure-of-arrays arena.
 
-    Each node field has shape ``(num_trees, capacity)`` (boxes add a ``dim``
-    axis); row t holds tree t, with int32 links local to that row. ``root``,
-    ``size`` and ``rngs`` hold each tree's root, used slot count and own
-    generator. Slots past a tree's size keep the unused-slot values, and when
-    a row fills, the capacity of every row doubles.
+    Each node field but the LINKS has shape ``(num_trees, capacity)`` (boxes
+    add a ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
+    hold each tree's root, used slot count and own generator. Slots past a
+    tree's size keep the unused-slot values, and when a row fills, the
+    capacity of every row doubles.
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
@@ -276,29 +293,19 @@ class ForestArena:
     split time fires; by memorylessness the later clocks go unused, as in
     Mondrian-forest extension (Lakshminarayanan, Roy & Teh 2014).
 
-    ``route`` and ``extend`` descend through ``child``, an int64 table of
-    length 2 * T * C (T trees, capacity C). Entry ``side * T * C + g`` holds
-    the flat index ``t * C + slot`` of flat node g's left (side 0) or right
-    (side 1) child; a leaf or an unused slot holds g itself on both sides,
-    so a lane that reaches its leaf parks there. One level is then: gather
-    the split dimension and value, compare (right iff x[q] >= p), gather
+    The links live only in ``child``, an int64 table of length 2 * T * C
+    (T trees, capacity C). Entry ``side * T * C + g`` holds the flat index
+    ``t * C + slot`` of flat node g's left (side 0) or right (side 1) child;
+    a leaf or an unused slot holds g itself on both sides, so a lane that
+    reaches its leaf parks there. One level is then: gather the split
+    dimension and value, compare (right iff x[q] >= p), gather
     ``child[go * T * C + node]``. A parked lane's comparison is ignored, so
     a leaf's ``split_dim`` of -1 may read any valid coordinate. ``route``
     compacts its many lanes once half of them have parked; ``extend`` has
     one lane per tree and steps all of them every level, so its walk is a
     (levels, T) array from which each tree's path is the root and every
-    level at which that lane moved.
-
-    ``left``, ``right`` and ``NO_NODE`` stay the source of truth for tree
-    views, invariants and the model file, and ``child`` is never saved. The
-    arena's own writers keep it current: the constructor makes every slot
-    a self loop, ``_grow_levels`` writes both entries of each node it
-    splits, ``_splice`` writes the new internal node, the new leaf's self
-    loop and the old parent's entry, ``extend`` calls ``_relink`` after the
-    capacity doubles, and ``data_io`` calls it after loading the fields.
-    It is kept current rather than rebuilt per call because a rebuild of a
-    100-tree, 1022-slot stream forest takes about 1 ms on a 2-core VM, two
-    to three times a one-point ``score_all``, which every arrival makes.
+    level at which that lane moved. ``links`` reads row-local links off the
+    table for tree views and the model file; ``link`` builds it from them.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -307,20 +314,9 @@ class ForestArena:
         self.size = np.zeros(num_trees, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
         for name, dtype, shape, fill in node_fields((num_trees, max(int(capacity), 1)), self.dim):
-            setattr(self, name, np.full(shape, fill, dtype=dtype))
-        self._relink()
-
-    def _relink(self) -> None:
-        """Rebuild ``child`` from ``left`` and ``right``: flat child indices
-        of internal nodes, self loops for leaves and unused slots."""
-        T, C = self.left.shape
-        flat = np.arange(T * C)
-        inner = np.flatnonzero(self.left.ravel() != NO_NODE)
-        base = flat[inner] - flat[inner] % C
-        child = np.concatenate((flat, flat))
-        child[inner] = base + self.left.ravel()[inner]
-        child[T * C + inner] = base + self.right.ravel()[inner]
-        self.child = child
+            if name not in LINKS:
+                setattr(self, name, np.full(shape, fill, dtype=dtype))
+        self.child = np.tile(np.arange(self.population.size), 2)
 
     @classmethod
     def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> ForestArena:
@@ -359,9 +355,8 @@ class ForestArena:
         3. each tree's children take the next slots in order, and a stable
            partition makes each node's points the segments of its children.
         """
-        C, TC = self.capacity, self.left.size
+        C, TC = self.capacity, self.population.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         self.root[trees] = 0
         self.size[trees] = 1
         seg_tree = trees  # the open nodes: tree, local slot, point count, parent time
@@ -407,7 +402,7 @@ class ForestArena:
                 if not split.size:
                     break
                 first, count = _runs(t)
-            node, k = seg_node[split], split.size
+            k = split.size
             q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u)
             flat = flat[split]
             self._flat("split_dim")[flat] = q
@@ -416,12 +411,8 @@ class ForestArena:
             # 3. children in the next slots of each tree, left before right
             kid_l = self.size[t] + 2 * (np.arange(k) - np.repeat(first, count))
             self.size[t[first]] += 2 * count
-            left[flat] = kid_l
-            right[flat] = kid_l + 1
             self.child[flat] = t * C + kid_l
             self.child[TC + flat] = t * C + kid_l + 1
-            parent[t * C + kid_l] = node
-            parent[t * C + kid_l + 1] = node
             # the stable partition: each split node's points, left side first
             rank = np.full(seg_len.size, -1)
             rank[split] = np.arange(k)
@@ -442,30 +433,50 @@ class ForestArena:
 
     @property
     def capacity(self) -> int:
-        return self.left.shape[1]
+        return self.population.shape[1]
+
+    def links(self, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The row-local int32 ``left``, ``right`` and ``parent`` links of the
+        tree rows ``trees`` (an index or a slice, every row by default), read
+        off ``child``, with ``NO_NODE`` where a node has no child or parent."""
+        C = self.capacity
+        kids = self.child.reshape(2, self.num_trees, C)[:, trees] % C
+        inner = np.nonzero(kids[0] != np.arange(C))
+        left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in LINKS)
+        for field, side in zip((left, right), kids):
+            field[inner] = side[inner]
+            parent[inner[:-1] + (side[inner],)] = inner[-1]
+        return left, right, parent
 
     def tree(self, t: int) -> MondrianTree:
-        """Read-only view of tree t as it is now: its arrays alias the arena
-        row and cannot be written. Take a fresh view after extending."""
+        """Read-only view of tree t as it is now (see ``MondrianTree``); take
+        a fresh view after extending."""
         view = MondrianTree()
         view.dim = self.dim
         view.rng = self.rngs[t]
         view.root = int(self.root[t])
         view.size = int(self.size[t])
+        links = dict(zip(LINKS, self.links(t)))
         for name in FIELD_NAMES:
-            row = getattr(self, name)[t]
+            row = links[name] if name in LINKS else getattr(self, name)[t]
             row.flags.writeable = False
             setattr(view, name, row)
         return view
 
     def _double(self) -> None:
-        """Double every row's capacity, one field at a time, so that each
-        old field can be freed as soon as its replacement is filled."""
-        cap = self.capacity
-        for name, dtype, shape, fill in node_fields((self.num_trees, max(2 * cap, 8)), self.dim):
-            field = np.full(shape, fill, dtype=dtype)
-            field[:, :cap] = getattr(self, name)
-            setattr(self, name, field)
+        """Double every row's capacity, one field at a time, so that each old
+        field can be freed as soon as its replacement is filled; child entry
+        t * C + s moves to t * 2C + s, and new slots are self loops."""
+        cap, new = self.capacity, max(2 * self.capacity, 8)
+        for name, dtype, shape, fill in node_fields((self.num_trees, new), self.dim):
+            if name not in LINKS:
+                field = np.full(shape, fill, dtype=dtype)
+                field[:, :cap] = getattr(self, name)
+                setattr(self, name, field)
+        child = np.tile(np.arange(self.num_trees * new), 2).reshape(2, self.num_trees, new)
+        old = self.child.reshape(2, self.num_trees, cap)
+        child[:, :, :cap] = old + old // cap * (new - cap)
+        self.child = child.ravel()
 
     def _flat(self, name: str) -> np.ndarray:
         """A field with the tree and node axes merged: index ``t * capacity + node``."""
@@ -558,7 +569,7 @@ class ForestArena:
         order, so that a point's sum does not depend on the batch it is in.
         """
         n, d = X.shape
-        C, TC = self.capacity, self.left.size
+        C, TC = self.capacity, self.population.size
         flat_x = np.ascontiguousarray(X).ravel()
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
         population = self._flat("population")
@@ -626,7 +637,6 @@ class ForestArena:
         # is freed as soon as its replacement is filled
         if fired.size and self.size.take(t).max() + 2 > C:
             self._double()  # a doubled row always has room for two more
-            self._relink()
             path_flat = path_flat + path_tree * (self.capacity - C)
         stop = np.full(self.num_trees, path_tree.size)
         stop[t] = fired
@@ -638,8 +648,8 @@ class ForestArena:
         box_max[path_flat.take(moved)] = np.maximum(hi.take(moved, axis=0), x)
         if fired.size:
             self._splice(
-                t, path_flat.take(fired), x, fire_time, lo.take(fired, axis=0), hi.take(fired, axis=0),
-                dev.take(fired, axis=0), rate.take(fired), draws,
+                t, path_flat.take(fired), path_flat.take(fired - 1), x, fire_time,
+                lo.take(fired, axis=0), hi.take(fired, axis=0), dev.take(fired, axis=0), rate.take(fired), draws,
             )
 
     def _race(self, x: np.ndarray):
@@ -647,7 +657,7 @@ class ForestArena:
         tree-major tree and flat node indices; the box rows, deviations and
         rates along it; and for each tree whose clock fired its position on
         the path, firing time and the two cut uniforms of its draw."""
-        T, C = self.left.shape
+        T, C = self.population.shape
         TC = T * C
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         root = np.arange(T) * C + self.root
@@ -711,34 +721,30 @@ class ForestArena:
             cand.take(hit), fire_at.take(hit), u.take(cut[:, None] + np.arange(2)),
         )
 
-    def _splice(self, t, flat, x, time, node_min, node_max, rates, rate, draws) -> None:
+    def _splice(self, t, flat, up, x, time, node_min, node_max, rates, rate, draws) -> None:
         """For each of the trees t (each once), splice a new internal node of
         split time ``time`` above flat node ``flat``, whose box rows are
-        ``node_min`` and ``node_max``, with a new leaf for x as its other
-        child. ``rates`` are the node's deviations from x, ``rate`` their
-        sum, and ``draws`` the two uniforms that pick the cut's dimension
-        and value."""
-        C, TC = self.capacity, self.left.size
+        ``node_min`` and ``node_max`` and whose parent is flat node ``up``
+        (read only where ``flat`` is not its tree's root), with a new leaf
+        for x as its other child. ``rates`` are the node's deviations from
+        x, ``rate`` their sum, and ``draws`` the two uniforms that pick the
+        cut's dimension and value."""
+        C, TC = self.capacity, self.population.size
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        left, right, parent = self._flat("left"), self._flat("right"), self._flat("parent")
         population = self._flat("population")
-        node = flat - t * C
         # each deviating dim is cut between the box and x
         over = x > node_max
         q, p = _cut(np.where(over, node_max, x), np.where(over, x, node_min), rates, rate, draws)
         above = over.ravel().take(np.arange(t.size) * self.dim + q)
 
         internal = self.size.take(t)
-        leaf = internal + 1
         self.size[t] += 2
         inner_flat = t * C + internal
         leaf_flat = inner_flat + 1
-        old_parent = parent.take(flat).astype(np.int64)
 
         box_min[leaf_flat] = x
         box_max[leaf_flat] = x
         population[leaf_flat] = 1
-        parent[leaf_flat] = internal
 
         self._flat("split_dim")[inner_flat] = q
         self._flat("split_val")[inner_flat] = p
@@ -746,22 +752,10 @@ class ForestArena:
         box_min[inner_flat] = np.minimum(node_min, x)
         box_max[inner_flat] = np.maximum(node_max, x)
         population[inner_flat] = population.take(flat) + 1
-        parent[inner_flat] = old_parent
-        left[inner_flat] = np.where(above, node, leaf)
-        right[inner_flat] = np.where(above, leaf, node)
-        parent[flat] = internal
         self.child[inner_flat] = np.where(above, flat, leaf_flat)
         self.child[TC + inner_flat] = np.where(above, leaf_flat, flat)
-        self.child[leaf_flat] = self.child[TC + leaf_flat] = leaf_flat
 
-        at_root = old_parent == NO_NODE
-        if at_root.any():
-            self.root[t[at_root]] = internal[at_root]
-            t, node, internal, inner_flat, old_parent = (
-                a[~at_root] for a in (t, node, internal, inner_flat, old_parent)
-            )
-        up = t * C + old_parent
-        via_left = left.take(up) == node
-        left[up[via_left]] = internal[via_left]
-        right[up[~via_left]] = internal[~via_left]
-        self.child[(~via_left) * TC + up] = inner_flat
+        at_root = flat == t * C + self.root.take(t)
+        self.root[t[at_root]] = internal[at_root]
+        up, flat, inner_flat = up[~at_root], flat[~at_root], inner_flat[~at_root]
+        self.child[(self.child.take(up) != flat) * TC + up] = inner_flat

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from imondrian.forest import c_factor
-from imondrian.tree import FIELD_NAMES, NO_NODE, MondrianTree, node_fields
+from imondrian.tree import FIELD_NAMES, LINKS, NO_NODE, MondrianTree, node_fields
 
 from reference import walk
 
@@ -40,7 +40,7 @@ def check_tree_invariants(
         seen.add(node)
         t = float(tree.split_time[node])
         assert tree.population[node] >= 1, f"node {node} has empty population"
-        assert np.all(tree.box_min[node] <= tree.box_max[node]), f"node {node} box inverted"
+        assert (tree.box_min[node] <= tree.box_max[node]).all(), f"node {node} box inverted"
         left, right = int(tree.left[node]), int(tree.right[node])
         if left == NO_NODE:
             leaves += 1
@@ -62,8 +62,8 @@ def check_tree_invariants(
             )
             for child in (left, right):
                 assert int(tree.parent[child]) == node, f"child {child} parent link broken"
-                assert np.all(tree.box_min[child] >= tree.box_min[node]), "box not nested"
-                assert np.all(tree.box_max[child] <= tree.box_max[node]), "box not nested"
+                assert (tree.box_min[child] >= tree.box_min[node]).all(), "box not nested"
+                assert (tree.box_max[child] <= tree.box_max[node]).all(), "box not nested"
                 stack.append((child, t))
     assert len(seen) == tree.size, f"{tree.size - len(seen)} arena slots unreachable"
     assert leaves == internals + 1, "not a proper binary tree"
@@ -72,7 +72,7 @@ def check_tree_invariants(
     if points is not None:
         for x in np.atleast_2d(points):
             leaf = walk(tree, x)[-1]
-            assert np.all(x >= tree.box_min[leaf]) and np.all(x <= tree.box_max[leaf]), (
+            assert (x >= tree.box_min[leaf]).all() and (x <= tree.box_max[leaf]).all(), (
                 f"point {x} routed to a leaf whose box does not contain it"
             )
     return {"leaves": leaves, "internals": internals}
@@ -271,12 +271,18 @@ V2_PATH_LENGTHS = [
 ]
 
 
+def node_arrays(arena) -> dict[str, np.ndarray]:
+    """Every node field of an arena by name, in ``FIELD_NAMES`` order, with
+    the links read off its child table by ``ForestArena.links``."""
+    links = dict(zip(LINKS, arena.links()))
+    return {name: links[name] if name in LINKS else getattr(arena, name) for name in FIELD_NAMES}
+
+
 def arena_fingerprint(arena) -> str:
     """SHA-256 of an arena's state: every node field's used slots, tree by
     tree, then ``root``, ``size`` and each generator's state."""
     digest = hashlib.sha256()
-    for name in FIELD_NAMES:
-        field = getattr(arena, name)
+    for field in node_arrays(arena).values():
         for t, used in enumerate(arena.size.tolist()):
             digest.update(np.ascontiguousarray(field[t, :used]).tobytes())
     digest.update(arena.root.tobytes())

@@ -35,9 +35,9 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
+from imondrian.tree import ForestArena
 
 from helpers import check_tree_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
-from reference import extend_tree, fit_tree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -55,8 +55,8 @@ def test_criterion_1_structural_invariants():
         n = int(rng.integers(2, 513))
         d = int(rng.integers(1, 9))
         X = random_dataset(rng, n, d)
-        tree = fit_tree(X, rng=5000 + i)
-        check_tree_invariants(tree, points=X, expected_population=n)
+        arena = ForestArena.grow(X, [np.random.default_rng(5000 + i)])
+        check_tree_invariants(arena.tree(0), points=X, expected_population=n)
         inserted = [X]
         for j in range(100):
             kind = j % 3
@@ -66,13 +66,13 @@ def test_criterion_1_structural_invariants():
                 x = rng.normal(0.0, 2.0, size=d)
             else:
                 x = X[int(rng.integers(0, n))].copy()  # exact duplicate
-            before = tree.node_count
-            extend_tree(tree, x)
-            grown = tree.node_count - before
+            before = int(arena.size[0])
+            arena.extend(x)
+            grown = int(arena.size[0]) - before
             assert grown in (0, 2), f"extension changed node count by {grown}"
             inserted.append(x.reshape(1, -1))
         check_tree_invariants(
-            tree, points=np.vstack(inserted), expected_population=n + 100
+            arena.tree(0), points=np.vstack(inserted), expected_population=n + 100
         )
     elapsed = time.perf_counter() - t0
     report(

@@ -217,6 +217,19 @@ class TestScore:
         assert out.read_bytes() == b"index,score,label,mode\r\n"
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("label", [None, "label"], ids=["unlabelled", "labelled"])
+    def test_header_only_file_of_another_dimension_is_data_error(self, tmp_path, fitted, label, capsys):
+        model, _ = fitted  # d = 2
+        data = tmp_path / "header.csv"
+        data.write_text("a,b,c,label\n" if label else "a,b,c\n")
+        out = tmp_path / "header_scores.csv"
+        argv = ["score", "--model", str(model), "--data", str(data), "--out", str(out)]
+        if label:
+            argv += ["--label-column", label]
+        assert main(argv) == EXIT_DATA
+        assert "points have dimension 3, expected 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, fitted):
         model, _ = fitted
         blob = model.read_bytes()

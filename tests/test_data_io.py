@@ -32,6 +32,7 @@ from helpers import (
     V2_PATH_LENGTHS,
     V2_PROBES,
     check_tree_invariants,
+    node_arrays,
     read_model,
     reseal_model,
     structurally_equal,
@@ -70,6 +71,24 @@ def _empty_leaf(meta, arrays):
 def _finite_leaf_time(meta, arrays):
     leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
     arrays["split_time"][0, leaf] = 1e9
+
+
+def _left_past_size(meta, arrays):
+    arrays["left"][0, meta["root"][0]] = meta["size"][0]
+
+
+def _first_child_own_parent(meta, arrays):
+    child = arrays["left"][0, meta["root"][0]]
+    arrays["parent"][0, child] = child
+
+
+def _root_loses_right_child(meta, arrays):
+    arrays["right"][0, meta["root"][0]] = -1
+
+
+def _root_children_coincide(meta, arrays):
+    root = meta["root"][0]
+    arrays["right"][0, root] = arrays["left"][0, root]
 
 
 class TestLoadCsv:
@@ -346,9 +365,9 @@ class TestCsvDialect:
     @pytest.mark.parametrize("text", ["a,b\n", "a,b", "a,b\r\n\r\n\n", "\na,b\n\n"])
     def test_header_only_file_has_no_rows(self, tmp_path, text):
         data = self._load(tmp_path, text)
-        assert data.shape == (0, 0) and data.dtype == np.float64
+        assert data.shape == (0, 2) and data.dtype == np.float64
         ds = self._load(tmp_path, text, label_column="b")
-        assert ds.n == 0 and ds.labels.dtype == np.int64 and ds.labels.size == 0
+        assert ds.points.shape == (0, 1) and ds.labels.dtype == np.int64 and ds.labels.size == 0
 
     @pytest.mark.parametrize("text", ["", "\n", "\r\n\n"])
     def test_file_without_a_header_row(self, tmp_path, text):
@@ -485,9 +504,10 @@ class TestModelRoundTrip:
         loaded = load_model(path).arena
         width = int(sizes.max())
         assert loaded.capacity == width
+        saved_arrays, loaded_arrays = node_arrays(forest.arena), node_arrays(loaded)
         for name, _, _, fill in node_fields((), forest.dim):
-            saved = getattr(forest.arena, name)[:, :width]
-            got = getattr(loaded, name)
+            saved = saved_arrays[name][:, :width]
+            got = loaded_arrays[name]
             assert got.dtype == saved.dtype and got.shape == saved.shape
             assert got.tobytes() == saved.tobytes(), name
             unused = np.arange(width) >= sizes[:, None]
@@ -501,9 +521,9 @@ class TestModelRoundTrip:
                 array[unused] = 7
 
         reseal_model(path, scribble)
-        again = load_model(path).arena
+        again = node_arrays(load_model(path).arena)
         for name in FIELD_NAMES:
-            assert getattr(again, name).tobytes() == getattr(loaded, name).tobytes(), name
+            assert again[name].tobytes() == loaded_arrays[name].tobytes(), name
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         X, forest = self._forest()
@@ -576,6 +596,10 @@ class TestModelRoundTrip:
             (_empty_leaf, "population below 1"),
             (_bump_root_population, "sum of its children"),
             (_finite_leaf_time, "leaf split time"),
+            (_left_past_size, "left link out of range"),
+            (_first_child_own_parent, "parent link does not match"),
+            (_root_loses_right_child, "exactly one child"),
+            (_root_children_coincide, "not the child of exactly one"),
         ],
     )
     def test_resealed_invalid_structure_rejected(self, tmp_path, edit, problem):

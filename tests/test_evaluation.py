@@ -80,6 +80,10 @@ class TestLabeledDataset:
         ds = LabeledDataset(points=np.zeros((0, 0)), labels=[])
         assert ds.n == 0 and ds.anomaly_count == 0
 
+    def test_empty_dataset_keeps_its_dimension(self):
+        ds = LabeledDataset(points=np.zeros((0, 3)), labels=[])
+        assert ds.points.shape == (0, 3) and ds.dim == 3
+
     def test_labels_must_match_points(self):
         with pytest.raises(ValueError, match="0 labels for 3 points"):
             LabeledDataset(points=np.ones((3, 2)), labels=[])

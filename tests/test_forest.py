@@ -26,7 +26,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork
+from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, link
 
 from helpers import (
     EXTENSION_FINGERPRINT,
@@ -538,10 +538,13 @@ class TestLockstepArena:
 
 
 def _assert_table_current(arena):
-    """The arena's routing table equals one rebuilt from its links."""
-    fresh = copy.deepcopy(arena)
-    fresh._relink()
-    assert np.array_equal(arena.child, fresh.child)
+    """The arena's child table equals one rebuilt from the links read off
+    it, and every slot at or past a tree's size is a self loop."""
+    assert np.array_equal(link(*arena.links()[:2]), arena.child)
+    kids = arena.child.reshape(2, arena.num_trees, arena.capacity)
+    unused = np.arange(arena.capacity) >= arena.size[:, None]
+    flat = np.arange(arena.child.size // 2).reshape(arena.num_trees, -1)
+    assert (kids[:, unused] == flat[unused]).all()
 
 
 def _assert_scores_match_oracle(forest, X):
@@ -602,7 +605,7 @@ def _fork_cases(rows):
     clean = train_batch(X, ForestConfig(num_trees=7, psi=32, seed=1))
     D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 30, axis=0), rng.normal(size=(20, 2))])
     duplicate = train_batch(D, ForestConfig(num_trees=7, psi=None, seed=2))
-    assert (duplicate.arena.population[duplicate.arena.left == NO_NODE] > 1).any()
+    assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
     S = rng.normal(size=(200, 2))
     extended = train_batch(S, ForestConfig(num_trees=7, psi=64, seed=3))
     extend_forest(extended, _stream(rng, S, 60))
