@@ -114,7 +114,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
     data, labels = parsed
     if not data.shape[0] and header_row is not None:  # no rows: the header names the columns
         data = np.zeros((0, sum(j != label_idx for j in range(len(header_row)))))
-    if data.shape[0] and data.shape[1] == 0:
+    if data.shape[1] == 0 and (data.shape[0] or header_row is not None):
         raise DataFormatError(f"{path}: no feature columns besides the label")
     if label_idx is None:
         return data
@@ -281,12 +281,13 @@ def save_model(forest: Forest, path) -> None:
     line (the forest's scalars, the stored width W = the largest tree's
     size, and every tree's root, size and generator state), then the first
     W slots of every node field as raw little-endian bytes, in
-    ``tree.node_fields`` order, the links from ``ForestArena.links``. The
+    ``tree.node_fields`` order, the links from ``ForestArena.links`` over
+    those W slots. The
     checksum covers everything after the header line.
     """
     arena = forest.arena
-    links = dict(zip(LINKS, arena.links()))
     width = int(arena.size.max())
+    links = dict(zip(LINKS, arena.links(width=width)))
     meta = {
         "n_effective": forest.n_effective,
         "psi": forest.psi,

@@ -30,20 +30,25 @@ reached leaf's population, which is 0 for a single point. The per-tree
 references the kernels are tested against (``fit_tree``, ``path_length``
 and ``extend_tree``) live in ``tests/reference.py``.
 
-A large batch is routed on every CPU in the process's affinity mask (so
-``taskset -c 0`` keeps it on one) by a fork-join over contiguous blocks of
-points, one process per FORK_LANES (tree, point) lanes, each bound to its
-own CPU: a fork and its wait cost 1.8-3.7 ms on a 2-core VM, against
-260-280 ns a routed lane. The split is by points and never by trees, so
-each point's sum is still taken by one process in tree order, and scores
-are bit for bit those of one process.
+A large forest is built, and a large batch routed, on every CPU in the
+process's affinity mask (so ``taskset -c 0`` keeps them on one), by one
+fork-join (``_fork_join``) over contiguous blocks, each process bound to
+its own CPU and each child handing its result back through an unnamed
+file. The build splits by trees, one process per FORK_BUILD_LANES (tree,
+point) lanes: every tree draws only from its own generator, so the forest
+is bit for bit the one-process forest. Routing splits by points and never
+by trees, one process per FORK_LANES lanes, so each point's sum is still
+taken by one process in tree order, and scores are bit for bit those of
+one process.
 """
 
 from __future__ import annotations
 
-import mmap
+import contextlib
 import os
+import pickle
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -69,9 +74,9 @@ _FIELDS = (
 FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 LINKS = ("left", "right", "parent")
 
-# (tree, point) lanes per numpy pass of ForestArena.route and ForestArena.grow;
-# passes of 2^14 lanes kept the working set in cache and routed fastest when
-# measured, and they bound the build's working set
+# (tree, point) lanes per numpy pass of ForestArena.route; passes of 2^14
+# lanes kept the working set in cache and routed fastest when measured. A
+# tree group of ForestArena.grow holds one to two passes' worth
 ROUTE_LANES = 1 << 14
 
 # (tree, point) lanes each process of ForestArena.route must have before it
@@ -79,6 +84,13 @@ ROUTE_LANES = 1 << 14
 # lane about 260 ns, so two processes break even near 27,000 lanes, and at
 # this floor one-point calls and a 20-tree fit on 2,048 rows stay in-process
 FORK_LANES = 2 * ROUTE_LANES
+
+# (tree, point) lanes each process of ForestArena.grow must have before it
+# forks: on a 2-core VM (medians of 21 builds) two processes built 8,192
+# lanes 4% slower than one, 12,800 lanes 3% faster and 16,384 lanes 5-13%
+# faster, so they break even near 6,000 lanes each; at this floor the
+# paper's 100 trees on subsamples of 256 fork and most test builds do not
+FORK_BUILD_LANES = 8192
 
 
 def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tuple[int, ...], object]]:
@@ -259,6 +271,87 @@ def _can_fork() -> bool:
         return False
 
 
+def _unnamed_file():
+    """An unnamed read-write binary file: in memory where the OS has
+    ``memfd_create``, a temporary file elsewhere."""
+    if hasattr(os, "memfd_create"):
+        return open(os.memfd_create("imondrian"), "w+b")
+    return tempfile.TemporaryFile()
+
+
+def _read_into(src, rows: np.ndarray) -> None:
+    """Fill the contiguous array ``rows`` with the next bytes of ``src``."""
+    if src.readinto(rows) != rows.nbytes:
+        raise EOFError("a forked block's result ended early")
+
+
+def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> bool:
+    """Do items 0..count-1, ``lanes`` lanes of work in all, in contiguous
+    blocks on every CPU of the affinity mask: one block per usable CPU, at
+    most one per ``floor`` lanes and one per item. Return False, having done
+    nothing, when that makes fewer than two blocks or this process cannot
+    fork safely (see ``_can_fork``); the caller then does the work itself.
+
+    Each block but the first goes to a forked child, which calls ``child(a,
+    b, out)`` to do items a..b-1 and write the result to ``out``, an unnamed
+    file of its own, and leaves by ``os._exit``, so it never returns into
+    the caller's code. All forks come first, so a child shares no page that
+    the parent writes afterwards. The parent then does the first block with
+    ``local(a, b)``, reaps every child, and reads each child's result with
+    ``take(a, b, src)`` from the start of its file. A block whose file or
+    fork raised OSError, or whose child did not exit 0, is done again by
+    ``local``, so errors surface as they would without the fork.
+
+    Each process is bound to its own CPU of the mask while it works, and
+    the parent's mask is restored afterwards: on a 2-core VM the OS kept a
+    new child on its parent's CPU for tens of milliseconds, so that unbound,
+    a 2,048-point batch routed slower in two processes than in one.
+    """
+    cpus = _usable_cpus()
+    workers = min(len(cpus), lanes // floor, count)
+    if workers < 2 or not _can_fork():
+        return False
+    bounds = [count * w // workers for w in range(workers + 1)]
+    blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's blocks
+    with contextlib.ExitStack() as files:
+        children, status, mask = {}, {}, None
+        try:
+            for cpu, block in zip(cpus[1:], blocks):
+                try:
+                    out = files.enter_context(_unnamed_file())
+                    pid = os.fork()
+                except OSError:
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        _pin({cpu})
+                        child(*block, out)
+                        out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[block] = pid, out
+            mask = _pin({cpus[0]})
+            local(0, bounds[1])
+        finally:
+            if mask is not None:
+                _pin(mask)
+            for block, (pid, _) in children.items():
+                try:
+                    status[block] = os.waitpid(pid, 0)[1]
+                except ChildProcessError:  # reaped elsewhere: outcome unknown
+                    pass
+        for block in blocks:
+            if status.get(block) == 0:
+                src = children[block][1]
+                src.seek(0)
+                take(*block, src)
+            else:
+                local(*block)
+    return True
+
+
 class ForestArena:
     """Every tree of a forest packed into one structure-of-arrays arena.
 
@@ -278,7 +371,8 @@ class ForestArena:
     slot order, then two uniforms per such node (cut dimension and value),
     then a fresh exponential for any waiting time that rounded to 0. So a
     tree depends on its generator and the data alone, not on the other
-    trees or on how trees are grouped; slots are numbered breadth first.
+    trees, on how trees are grouped or on which process builds them; slots
+    are numbered breadth first.
 
     ``extend`` follows one draw contract, tree by tree, so a tree's result
     does not depend on the other trees. Tree t's candidates are the k nodes
@@ -324,23 +418,75 @@ class ForestArena:
 
         Each tree is built on ``sample_size`` rows drawn without replacement
         by its own generator, or on all of ``X`` when ``sample_size`` is
-        None, and takes ownership of that generator. Trees are built in
-        groups of about ROUTE_LANES (tree, point) lanes, so memory stays flat.
-        Raises ValueError when a box's linear dimension overflows.
+        None, and takes ownership of that generator. Raises ValueError when
+        a box's linear dimension overflows.
+
+        A large forest is built on every CPU in the process's affinity mask,
+        by a fork-join over contiguous blocks of trees (see ``_fork_join``):
+        one worker per FORK_BUILD_LANES (tree, point) lanes, at most one per
+        usable CPU and per tree. A child builds its block in an arena of its
+        own and writes the block's node rows, ``child`` entries, roots,
+        sizes and generator states to its file; the parent allocates the
+        arena only after forking, builds the first block in it and reads each
+        child's rows straight into their place. Each tree draws only from its
+        own generator (see the class docstring), so the forest is bit for bit
+        the one a single process builds, however it is split.
         """
         n, d = X.shape
         m = n if sample_size is None else sample_size
-        arena = cls(len(rngs), d, 2 * m - 1)
-        arena.rngs = list(rngs)
-        per_group = max(ROUTE_LANES // m, 1)
-        for t0 in range(0, len(rngs), per_group):
-            trees = np.arange(t0, min(t0 + per_group, len(rngs)))
+        T, C = len(rngs), 2 * m - 1
+        arena = None
+
+        def local(a, b):
+            nonlocal arena
+            if arena is None:  # after the forks: see _fork_join
+                arena = cls(T, d, C)
+                arena.rngs = list(rngs)
+            arena._grow_trees(X, a, b, sample_size)
+
+        def child(a, b, out):
+            part = cls(b - a, d, C)
+            part.rngs = list(rngs[a:b])
+            part._grow_trees(X, 0, b - a, sample_size)
+            part.child += a * C  # flat indices of the whole forest
+            pickle.dump([gen.bit_generator.state for gen in part.rngs], out)
+            for rows in part._rows(0, b - a):
+                out.write(rows)
+
+        def take(a, b, src):
+            states = pickle.load(src)
+            for rows in arena._rows(a, b):
+                _read_into(src, rows)
+            for gen, state in zip(arena.rngs[a:b], states):
+                gen.bit_generator.state = state
+
+        if not _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take):
+            local(0, T)
+        return arena
+
+    def _grow_trees(self, X: np.ndarray, a: int, b: int, sample_size: int | None) -> None:
+        """Build trees a..b-1 (see ``grow``) in as few groups of near-equal
+        size as keep each under 2 * ROUTE_LANES (tree, point) lanes, or one
+        tree a group, so memory stays flat: fewer, larger groups built
+        faster when measured."""
+        n = X.shape[0]
+        m = n if sample_size is None else sample_size
+        groups = min(b - a, max((b - a) * m // ROUTE_LANES, 1))
+        for g in range(groups):
+            trees = np.arange(a + (b - a) * g // groups, a + (b - a) * (g + 1) // groups)
             if sample_size is None:
                 pts = np.tile(X, (trees.size, 1))
             else:
-                pts = X[np.concatenate([arena.rngs[t].choice(n, size=m, replace=False) for t in trees])]
-            arena._grow_levels(trees, pts, m)
-        return arena
+                pts = X[np.concatenate([self.rngs[t].choice(n, size=m, replace=False) for t in trees])]
+            self._grow_levels(trees, pts, m)
+
+    def _rows(self, a: int, b: int) -> list[np.ndarray]:
+        """Contiguous views of everything ``grow`` writes for trees a..b-1:
+        their rows of each node field but the LINKS, of each side of
+        ``child``, of ``root`` and of ``size``."""
+        kids = self.child.reshape(2, self.num_trees, -1)
+        fields = [getattr(self, name)[a:b] for name in FIELD_NAMES if name not in LINKS]
+        return fields + [kids[0, a:b], kids[1, a:b], self.root[a:b], self.size[a:b]]
 
     def _grow_levels(self, trees: np.ndarray, pts: np.ndarray, m: int) -> None:
         """Build trees ``trees`` (ascending) on ``pts``, whose rows are each
@@ -435,13 +581,15 @@ class ForestArena:
     def capacity(self) -> int:
         return self.population.shape[1]
 
-    def links(self, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def links(self, trees=slice(None), width: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row-local int32 ``left``, ``right`` and ``parent`` links of the
-        tree rows ``trees`` (an index or a slice, every row by default), read
-        off ``child``, with ``NO_NODE`` where a node has no child or parent."""
+        tree rows ``trees`` (an index or a slice, every row by default) over
+        their first ``width`` slots (all by default, at least the largest
+        tree's size), read off ``child``, with ``NO_NODE`` where a node has no
+        child or parent."""
         C = self.capacity
-        kids = self.child.reshape(2, self.num_trees, C)[:, trees] % C
-        inner = np.nonzero(kids[0] != np.arange(C))
+        kids = self.child.reshape(2, self.num_trees, C)[:, trees, :width] % C
+        inner = np.nonzero(kids[0] != np.arange(kids.shape[-1]))
         left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in LINKS)
         for field, side in zip((left, right), kids):
             field[inner] = side[inner]
@@ -491,68 +639,27 @@ class ForestArena:
         ``X`` is a validated (n, dim) array.
 
         A large batch is routed on every CPU in the process's affinity mask,
-        by a fork-join over contiguous blocks of points: one worker per
-        FORK_LANES (tree, point) lanes, at most one per usable CPU and per
-        point. Each block but the first goes to a forked child, which reads
-        the arena copy-on-write, writes its block's sums into an anonymous
-        shared mapping and leaves by ``os._exit``, so it never returns into
-        the caller's code; the parent routes the first block meanwhile and
-        waits for every child. Each process is bound to its own CPU of the
-        mask while it routes, and the parent's mask is restored afterwards:
-        on a 2-core VM the OS kept a new child on its parent's CPU for tens
-        of milliseconds, so that unbound, a 2,048-point batch routed slower
-        in two processes than in one. A block whose fork raised OSError or
-        whose child did not exit 0 is routed again in-process, so errors
-        surface as they would without the fork. The split is by points, not
-        trees, so each point's sum is still taken by one process in tree
-        order and is bit for bit the one-process sum (see ``_route``). The
-        parent stays in-process when it cannot fork safely (see
-        ``_can_fork``).
+        by a fork-join over contiguous blocks of points (see ``_fork_join``):
+        one worker per FORK_LANES (tree, point) lanes, at most one per usable
+        CPU and per point. A child reads the arena copy-on-write and writes
+        its block's sums to its file. The split is by points, not trees, so
+        each point's sum is still taken by one process in tree order and is
+        bit for bit the one-process sum (see ``_route``).
         """
         n = X.shape[0]
-        cpus = _usable_cpus()
-        workers = min(len(cpus), n * self.num_trees // FORK_LANES, n)
-        if workers < 2 or not _can_fork():
-            return self._route(X, leaf_depth)
-        try:
-            shared = mmap.mmap(-1, 8 * n)
-        except OSError:
-            return self._route(X, leaf_depth)
-        bounds = [n * w // workers for w in range(workers + 1)]
-        blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's blocks
         depth_sum = np.empty(n)
-        with shared:
-            children, status, mask = {}, {}, None
-            try:
-                for cpu, (a, b) in zip(cpus[1:], blocks):
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        continue
-                    if pid == 0:
-                        code = 1
-                        try:
-                            _pin({cpu})
-                            shared[8 * a : 8 * b] = self._route(X[a:b], leaf_depth).tobytes()
-                            code = 0
-                        finally:
-                            os._exit(code)
-                    children[pid] = (a, b)
-                mask = _pin({cpus[0]})
-                depth_sum[: bounds[1]] = self._route(X[: bounds[1]], leaf_depth)
-            finally:
-                if mask is not None:
-                    _pin(mask)
-                for pid, block in children.items():
-                    try:
-                        status[block] = os.waitpid(pid, 0)[1]
-                    except ChildProcessError:  # reaped elsewhere: outcome unknown
-                        pass
-            for a, b in blocks:
-                if status.get((a, b)) == 0:
-                    depth_sum[a:b] = np.frombuffer(shared[8 * a : 8 * b])
-                else:
-                    depth_sum[a:b] = self._route(X[a:b], leaf_depth)
+
+        def local(a, b):
+            depth_sum[a:b] = self._route(X[a:b], leaf_depth)
+
+        def child(a, b, out):
+            out.write(self._route(X[a:b], leaf_depth))
+
+        def take(a, b, src):
+            _read_into(src, depth_sum[a:b])
+
+        if not _fork_join(n, n * self.num_trees, FORK_LANES, child, local, take):
+            return self._route(X, leaf_depth)
         return depth_sum
 
     def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:

@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+from imondrian.data_io import _structure_problem
 from imondrian.forest import c_factor
 from imondrian.tree import FIELD_NAMES, LINKS, NO_NODE, MondrianTree, node_fields
 
@@ -75,6 +76,79 @@ def check_tree_invariants(
             assert (x >= tree.box_min[leaf]).all() and (x <= tree.box_max[leaf]).all(), (
                 f"point {x} routed to a leaf whose box does not contain it"
             )
+    return {"leaves": leaves, "internals": internals}
+
+
+def check_arena_invariants(arena, points=None, expected_population: int | None = None) -> dict:
+    """``check_tree_invariants`` for every tree of a ``ForestArena`` in one
+    pass over its arrays, the links read off its child table as they are;
+    returns each tree's leaf and internal counts. Written apart from the
+    model loader's validator, which it then runs too."""
+    T, C = arena.population.shape
+    TC = T * C
+    flat = np.arange(TC)
+    tree_of = flat // C
+    used = flat % C < arena.size[tree_of]
+    left, right = arena.child[:TC], arena.child[TC:]
+    assert ((arena.root >= 0) & (arena.root < arena.size)).all(), "tree has no root"
+    for side in (left, right):
+        assert (side[used] // C == tree_of[used]).all() and used[side[used]].all(), "link leaves its tree's used slots"
+    leaf = left == flat
+    assert (leaf == (right == flat))[used].all(), "node with exactly one child"
+
+    # level walk from the roots: every used slot is reached once, so no node
+    # has two parents and no root has one
+    roots = np.arange(T) * C + arena.root
+    seen = np.zeros(TC, dtype=np.int64)
+    level = roots
+    for _ in range(int(arena.size.max())):
+        seen += np.bincount(level, minlength=TC)
+        inner = level[~leaf[level]]
+        level = np.concatenate([left[inner], right[inner]])
+        if not level.size:
+            break
+    assert not level.size and (seen <= 1).all(), "a node is reachable twice"
+    assert (seen[used] == 1).all() and (np.bincount(tree_of, seen, T) == arena.size).all(), "arena slots unreachable"
+
+    split_time = arena.split_time.ravel()
+    population = arena.population.ravel()
+    box_min, box_max = arena.box_min.reshape(TC, -1), arena.box_max.reshape(TC, -1)
+    assert (population[used] >= 1).all(), "node with empty population"
+    assert (box_min[used] <= box_max[used]).all(), "box inverted"
+    assert np.isposinf(split_time[used & leaf]).all(), "leaf must have infinite split time"
+    inner = np.flatnonzero(used & ~leaf)
+    assert np.isfinite(split_time[inner]).all(), "internal node needs a finite split time"
+    kids = np.concatenate([left[inner], right[inner]])
+    assert (split_time[kids] > np.tile(split_time[inner], 2)).all(), "split time not above its parent's"
+    assert (split_time[roots] > 0.0).all(), "root split time not above 0"
+    q = arena.split_dim.ravel()[inner].astype(np.int64)
+    assert ((q >= 0) & (q < arena.dim)).all(), "split dimension out of range"
+    p = arena.split_val.ravel()[inner]
+    assert ((box_min[inner, q] <= p) & (p <= box_max[inner, q])).all(), "split value outside its box"
+    assert (population[inner] == population[left[inner]] + population[right[inner]]).all(), "population mismatch"
+    up = np.tile(inner, 2)
+    assert (box_min[kids] >= box_min[up]).all() and (box_max[kids] <= box_max[up]).all(), "box not nested"
+    leaves = np.bincount(tree_of[used & leaf], minlength=T)
+    internals = np.bincount(tree_of[inner], minlength=T)
+    assert (leaves == internals + 1).all(), "not a proper binary tree"
+    if expected_population is not None:
+        assert (population[roots] == expected_population).all(), "root population"
+    if points is not None:
+        # walk every (tree, point) lane down its tree, one level per step
+        X = np.atleast_2d(np.asarray(points, dtype=float))
+        node = np.repeat(roots, X.shape[0])
+        x = np.tile(X, (T, 1))
+        rows = np.arange(node.size)
+        while True:
+            go = x[rows, arena.split_dim.ravel()[node]] >= arena.split_val.ravel()[node]
+            nxt = np.where(go, right[node], left[node])
+            if (nxt == node).all():
+                break
+            node = nxt
+        assert ((x >= box_min[node]) & (x <= box_max[node])).all(), (
+            "a point routed to a leaf whose box does not contain it"
+        )
+    assert _structure_problem(arena, *arena.links()) is None
     return {"leaves": leaves, "internals": internals}
 
 
@@ -329,13 +403,17 @@ def reseal_model(path, edit) -> None:
     path.write_bytes(f"{magic} {version} sha256={digest}\n".encode() + body)
 
 
-def route_on(monkeypatch, cpus: int, fork_lanes: int | None = None) -> list[int]:
-    """Make ``ForestArena.route`` see ``cpus`` usable CPUs (and, if given, a
-    per-worker lane floor of ``fork_lanes``), and count its forks: the
-    returned list gains one entry per ``os.fork`` call in this process."""
+def fork_on(monkeypatch, cpus: int, fork_lanes: int | None = None, build_lanes: int | None = None) -> list[int]:
+    """Make the fork-joins of ``ForestArena.route`` and ``ForestArena.grow``
+    see ``cpus`` usable CPUs (and, if given, per-worker lane floors of
+    ``fork_lanes`` for routing and ``build_lanes`` for building), and count
+    their forks: the returned list gains one entry per ``os.fork`` call in
+    this process."""
     monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(cpus)))
     if fork_lanes is not None:
         monkeypatch.setattr("imondrian.tree.FORK_LANES", fork_lanes)
+    if build_lanes is not None:
+        monkeypatch.setattr("imondrian.tree.FORK_BUILD_LANES", build_lanes)
     forks: list[int] = []
     real_fork = os.fork
 

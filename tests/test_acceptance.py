@@ -37,7 +37,7 @@ from imondrian.forest import (
 )
 from imondrian.tree import ForestArena
 
-from helpers import check_tree_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
+from helpers import check_arena_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,14 +49,16 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_structural_invariants():
+    # three trees per dataset, so that lanes of different depths walk in
+    # lockstep; tree 0 is the one a single-tree arena of seed 5000 + i grows
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     for i in range(200):
         n = int(rng.integers(2, 513))
         d = int(rng.integers(1, 9))
         X = random_dataset(rng, n, d)
-        arena = ForestArena.grow(X, [np.random.default_rng(5000 + i)])
-        check_tree_invariants(arena.tree(0), points=X, expected_population=n)
+        arena = ForestArena.grow(X, [np.random.default_rng(seed + i) for seed in (5000, 9000, 13000)])
+        check_arena_invariants(arena, points=X, expected_population=n)
         inserted = [X]
         for j in range(100):
             kind = j % 3
@@ -66,18 +68,16 @@ def test_criterion_1_structural_invariants():
                 x = rng.normal(0.0, 2.0, size=d)
             else:
                 x = X[int(rng.integers(0, n))].copy()  # exact duplicate
-            before = int(arena.size[0])
+            before = arena.size.copy()
             arena.extend(x)
-            grown = int(arena.size[0]) - before
-            assert grown in (0, 2), f"extension changed node count by {grown}"
+            grown = arena.size - before
+            assert np.isin(grown, (0, 2)).all(), f"extension changed node counts by {grown}"
             inserted.append(x.reshape(1, -1))
-        check_tree_invariants(
-            arena.tree(0), points=np.vstack(inserted), expected_population=n + 100
-        )
+        check_arena_invariants(arena, points=np.vstack(inserted), expected_population=n + 100)
     elapsed = time.perf_counter() - t0
     report(
         1,
-        "structural invariants over 200 datasets + 100 extensions each",
+        "structural invariants over 200 datasets x 3 trees + 100 extensions each",
         elapsed < 30.0,
         f"all invariants held, {elapsed:.1f}s < 30s",
     )

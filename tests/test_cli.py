@@ -12,7 +12,7 @@ from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, assert_no_children, reseal_model, route_on
+from helpers import V1_MODEL, fork_on, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -114,6 +114,23 @@ class TestFit:
         assert main(["fit", "--data", str(data), "--label-column", "y"]) == EXIT_DATA
         assert "no feature columns" in capsys.readouterr().err
 
+    def test_failed_fork_fits_in_process(self, tmp_path, monkeypatch):
+        # 100 trees on subsamples of 256 of 700 rows: 25,600 lanes, enough
+        # for two build workers; scoring the rows forks once more
+        data = tmp_path / "big.csv"
+        _write_csv(data, np.random.default_rng(9).normal(size=(700, 3)))
+        forks = fork_on(monkeypatch, cpus=2)
+        forked, in_process = tmp_path / "forked.imf", tmp_path / "in_process.imf"
+        assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(forked)]) == EXIT_OK
+        assert len(forks) == (2 if _can_fork() else 0)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(in_process)]) == EXIT_OK
+        assert in_process.read_bytes() == forked.read_bytes()
+
     def test_overflowing_box_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "huge.csv"
         _write_csv(data, np.array([[-1e308, -1e308], [1e308, 1e308], [0.0, 0.0]]))
@@ -127,6 +144,37 @@ class TestFit:
         model = tmp_path / "model.imf"
         assert main(["fit", "--data", str(data), "--trees", "3", "--model", str(model)]) == EXIT_OK
         assert main(["score", "--model", str(model), "--data", str(data)]) == EXIT_OK
+
+
+class TestLabelOnlyHeader:
+    """A header that names only the label column has no feature columns,
+    whether or not rows follow."""
+
+    @pytest.mark.parametrize("text", ["y\n", "y\n0\n"], ids=["header-only", "one-row"])
+    def test_fit_is_data_error(self, tmp_path, text, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text(text)
+        assert main(["fit", "--data", str(data), "--label-column", "y"]) == EXIT_DATA
+        assert "no feature columns besides the label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["y\n", "y\n0\n"], ids=["header-only", "one-row"])
+    def test_score_is_data_error(self, tmp_path, blob_csv, text, capsys):
+        model, out = tmp_path / "model.imf", tmp_path / "scores.csv"
+        assert main(["fit", "--data", str(blob_csv), "--label-column", "label", "--model", str(model)]) == EXIT_OK
+        data = tmp_path / "labels.csv"
+        data.write_text(text)
+        capsys.readouterr()
+        argv = ["score", "--model", str(model), "--data", str(data), "--label-column", "y", "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert "no feature columns besides the label" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["y\n", "y\n0\n"], ids=["header-only", "one-row"])
+    def test_stream_is_data_error(self, tmp_path, text, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text(text)
+        assert main(["stream", "--data", str(data), "--label-column", "y"]) == EXIT_DATA
+        assert "no feature columns besides the label" in capsys.readouterr().err
 
 
 class TestHeaderOnlyTraining:
@@ -243,7 +291,7 @@ class TestScore:
         _write_csv(data, np.random.default_rng(8).normal(size=(700, 3)))
         model = tmp_path / "model.imf"
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(model)]) == EXIT_OK
-        forks = route_on(monkeypatch, cpus=2)
+        forks = fork_on(monkeypatch, cpus=2)
         forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
         assert main(["score", "--model", str(model), "--data", str(data), "--out", str(forked)]) == EXIT_OK
         assert len(forks) == (1 if _can_fork() else 0)
@@ -254,7 +302,6 @@ class TestScore:
         monkeypatch.setattr(os, "fork", fork)
         assert main(["score", "--model", str(model), "--data", str(data), "--out", str(in_process)]) == EXIT_OK
         assert in_process.read_bytes() == forked.read_bytes()
-        assert_no_children()
 
     def test_version_1_model_is_data_error(self, tmp_path, blob_csv, capsys):
         model = tmp_path / "old.imf"

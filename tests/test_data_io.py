@@ -24,7 +24,7 @@ from imondrian.data_io import (
 from imondrian.errors import DataFormatError, ModelFormatError
 from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
-from imondrian.tree import FIELD_NAMES, node_fields
+from imondrian.tree import FIELD_NAMES, LINKS, node_fields
 
 from helpers import (
     V1_MODEL,
@@ -139,6 +139,14 @@ class TestLoadCsv:
         p.write_text("y\n0\n1\n0\n")
         with pytest.raises(DataFormatError, match="no feature columns"):
             load_csv(p, CsvSchema(label_column="y"))
+
+    @pytest.mark.parametrize("text", ["y\n", "y", "\ny\r\n\n"])
+    @pytest.mark.parametrize("label_column", ["y", 0])
+    def test_label_only_header_rejected(self, tmp_path, text, label_column):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match="no feature columns"):
+            load_csv(p, CsvSchema(label_column=label_column))
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -479,6 +487,9 @@ class TestModelRoundTrip:
         width = int(forest.arena.size.max())
         assert meta["width"] == width < forest.arena.capacity
         assert arrays["left"].shape == (forest.num_trees, width)
+        # the links derived over the stored width are those over the capacity, cut
+        for name, cut, full in zip(LINKS, forest.arena.links(width=width), forest.arena.links()):
+            assert np.array_equal(cut, full[:, :width]) and np.array_equal(arrays[name], cut)
         loaded = load_model(path)
         assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
         assert [g.bit_generator.state for g in forest.arena.rngs] == [

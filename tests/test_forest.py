@@ -31,11 +31,11 @@ from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, link
 from helpers import (
     EXTENSION_FINGERPRINT,
     arena_fingerprint,
-    assert_no_children,
+    check_arena_invariants,
     check_tree_invariants,
     depth_oracle,
+    fork_on,
     random_dataset,
-    route_on,
     scored_depth,
     structurally_equal,
 )
@@ -557,10 +557,12 @@ def _assert_scores_match_oracle(forest, X):
 
 
 class TestRoutingTable:
-    def test_table_current_after_multi_group_build(self):
-        # ROUTE_LANES // n = 3 trees per build group, so 5 trees take two groups
+    def test_table_current_after_multi_group_build(self, monkeypatch):
+        # in one process, 9 trees on ROUTE_LANES // 4 + 1 rows are two build
+        # groups (of 4 and 5 trees), since a group holds under 2 * ROUTE_LANES lanes
+        monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: [0])
         X = np.random.default_rng(30).normal(size=(ROUTE_LANES // 4 + 1, 2))
-        forest = train_batch(X, ForestConfig(num_trees=5, psi=None, seed=2))
+        forest = train_batch(X, ForestConfig(num_trees=9, psi=None, seed=2))
         _assert_table_current(forest.arena)
 
     def test_two_point_blocks_match_oracle(self):
@@ -613,16 +615,11 @@ def _fork_cases(rows):
 
 
 class TestForkJoinRoute:
-    @pytest.fixture(autouse=True)
-    def _no_children_left(self):
-        yield
-        assert_no_children()
-
     @pytest.mark.parametrize("workers, rows", [(1, 101), (2, 101), (3, 101), (8, 5)])
     def test_point_blocks_match_one_process(self, monkeypatch, workers, rows):
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
-        forks = route_on(monkeypatch, cpus=workers, fork_lanes=1)
+        forks = fork_on(monkeypatch, cpus=workers, fork_lanes=1)
         mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         for forest, probes in _fork_cases(rows):
             expected = forest.arena._route(probes, _leaf_depth)
@@ -632,23 +629,25 @@ class TestForkJoinRoute:
         assert mask is None or os.sched_getaffinity(0) == mask
 
     def test_small_batches_never_fork(self, monkeypatch):
+        # the builds may fork; only the routing below is under the trap
+        X = np.random.default_rng(41).normal(size=(2048, 8))
+        paper = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=0))
+        full = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
+
         def fork():
             raise AssertionError("route forked for a small batch")
 
         monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(64)))
         monkeypatch.setattr(os, "fork", fork)
-        X = np.random.default_rng(41).normal(size=(2048, 8))
-        paper = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=0))
         for x in X[:5]:
             score_all([x], paper)
         score_all(X[:200], paper)
         # subsampling off, 20 trees on 2,048 rows: 40,960 lanes, one worker
-        full = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
         score_all(X, full)
 
-    @pytest.mark.parametrize("call", ["os.fork", "mmap.mmap"])
+    @pytest.mark.parametrize("call", ["os.fork", "os.memfd_create"])
     def test_failed_fork_routes_in_process(self, monkeypatch, call):
-        route_on(monkeypatch, cpus=3, fork_lanes=1)
+        fork_on(monkeypatch, cpus=3, fork_lanes=1)
 
         def fail(*args):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -661,7 +660,7 @@ class TestForkJoinRoute:
     def test_failed_child_block_is_routed_again(self, monkeypatch):
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
-        forks = route_on(monkeypatch, cpus=3, fork_lanes=1)
+        forks = fork_on(monkeypatch, cpus=3, fork_lanes=1)
         parent, calls = os.getpid(), []
         one_process = ForestArena._route
 
@@ -678,6 +677,97 @@ class TestForkJoinRoute:
             assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
             assert sorted(calls) == [16, 17, 17]  # the parent routed all three blocks
         assert len(forks) == 6
+
+
+def _build_cases():
+    """(X, sample size, tree count) builds: subsampling on and off, exact
+    duplicate rows, and fewer trees than workers."""
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(300, 3))
+    D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 30, axis=0), rng.normal(size=(20, 2))])
+    return [(X, 32, 7), (X, None, 5), (D, None, 6), (D, 16, 2), (X[:40], None, 1)]
+
+
+def _grow(X, sample_size, trees, seed=0):
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
+    return ForestArena.grow(X, rngs, sample_size)
+
+
+class TestForkJoinGrow:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_tree_blocks_match_one_process(self, monkeypatch, workers):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        expected = [arena_fingerprint(_grow(*case)) for case in _build_cases()]
+        forks = fork_on(monkeypatch, cpus=workers, build_lanes=1)
+        mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        for case, fingerprint in zip(_build_cases(), expected):
+            arena = _grow(*case)
+            assert arena_fingerprint(arena) == fingerprint
+            check_arena_invariants(arena, points=case[0] if case[1] is None else None)
+        assert len(forks) == sum(min(workers, trees) - 1 for _, _, trees in _build_cases())
+        assert mask is None or os.sched_getaffinity(0) == mask
+
+    def test_paper_shapes_fork_above_the_floor(self, monkeypatch):
+        # 100 trees on psi 256 and 20 trees on 2,048 rows have 25,600 and
+        # 40,960 lanes: two build workers each; 20 trees on 256 rows, one
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        X = np.random.default_rng(43).normal(size=(2048, 8))
+        expected = [arena_fingerprint(_grow(X, 256, 100)), arena_fingerprint(_grow(X, None, 20))]
+        forks = fork_on(monkeypatch, cpus=2)
+        arenas = [_grow(X, 256, 100), _grow(X, None, 20)]
+        assert [arena_fingerprint(arena) for arena in arenas] == expected
+        for arena in arenas:
+            check_arena_invariants(arena)
+        assert len(forks) == 2
+        _grow(X[:256], None, 20)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("call", ["os.fork", "os.memfd_create"])
+    def test_failed_fork_builds_in_process(self, monkeypatch, call):
+        expected = [arena_fingerprint(_grow(*case)) for case in _build_cases()]
+        fork_on(monkeypatch, cpus=3, build_lanes=1)
+
+        def fail(*args):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(call, fail)
+        assert [arena_fingerprint(_grow(*case)) for case in _build_cases()] == expected
+
+    def test_failed_child_block_is_built_again(self, monkeypatch):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        X, sample_size, trees = _build_cases()[0]
+        expected = arena_fingerprint(_grow(X, sample_size, trees))
+        forks = fork_on(monkeypatch, cpus=3, build_lanes=1)
+        parent, calls = os.getpid(), []
+        one_process = ForestArena._grow_trees
+
+        def grow_or_fail(arena, X, a, b, sample_size):
+            if os.getpid() != parent:
+                raise RuntimeError("the child fails, so it exits 1")
+            calls.append((a, b))
+            return one_process(arena, X, a, b, sample_size)
+
+        monkeypatch.setattr(ForestArena, "_grow_trees", grow_or_fail)
+        arena = _grow(X, sample_size, trees)
+        assert arena_fingerprint(arena) == expected
+        check_arena_invariants(arena)
+        assert calls == [(0, 2), (2, 4), (4, 7)]  # the parent built all three blocks
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("sample_size", [None, 2], ids=["every-tree", "last-tree"])
+    def test_overflowing_box_raises(self, monkeypatch, sample_size):
+        # every tree overflows on all four rows; on subsamples of two, only
+        # tree 5 of seed 0 draws both far rows, in the last child's block
+        X = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError) as one_process:
+            _grow(X, sample_size, 6)
+        fork_on(monkeypatch, cpus=3, build_lanes=1)
+        with pytest.raises(ValueError) as forked:
+            _grow(X, sample_size, 6)
+        assert str(forked.value) == str(one_process.value) == "box is too large: its linear dimension overflows to infinity"
 
 
 class TestRescoreWindow:
