@@ -131,6 +131,17 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if getattr(args, "command", None) in ("fit", "stream"):
         if bool(args.data) == bool(args.synthetic):
             parser.error("exactly one of --data or --synthetic is required")
+        if args.synthetic:
+            try:
+                args.spec = SyntheticSpec(
+                    kind=args.synthetic,
+                    n_inliers=_SYNTH_DEFAULT_INLIERS[args.synthetic] if args.inliers is None else args.inliers,
+                    n_outliers=args.outliers,
+                    outlier_halfwidth=args.box,
+                    seed=args.seed,
+                )
+            except ValueError as exc:
+                parser.error(str(exc))
     if getattr(args, "grid", None) and not args.out:
         parser.error("--grid needs --out to name the dump file")
 
@@ -145,17 +156,7 @@ def _schema(args: argparse.Namespace) -> CsvSchema:
 def _load_any(args: argparse.Namespace):
     """Return (points, labels_or_None, name) from --data or --synthetic."""
     if getattr(args, "synthetic", None):
-        inliers = args.inliers
-        if inliers is None:
-            inliers = _SYNTH_DEFAULT_INLIERS[args.synthetic]
-        spec = SyntheticSpec(
-            kind=args.synthetic,
-            n_inliers=inliers,
-            n_outliers=args.outliers,
-            outlier_halfwidth=args.box,
-            seed=args.seed,
-        )
-        ds = gen_synthetic(spec)
+        ds = gen_synthetic(args.spec)
         return ds.points, ds.labels, ds.name
     loaded = load_csv(args.data, _schema(args))
     if isinstance(loaded, LabeledDataset):

@@ -113,6 +113,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
             parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
     data, labels = parsed
     if not data.shape[0] and header_row is not None:  # no rows: the header names the columns
+        if label_idx is not None and label_idx >= len(header_row):
+            raise DataFormatError(f"row 1: no column {label_idx} for the label")
         data = np.zeros((0, sum(j != label_idx for j in range(len(header_row)))))
     if data.shape[1] == 0 and (data.shape[0] or header_row is not None):
         raise DataFormatError(f"{path}: no feature columns besides the label")
@@ -253,18 +255,16 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     rng = np.random.default_rng(spec.seed)
     sampler, core, _ = _GENERATORS[spec.kind]
     inliers = sampler(rng, spec.n_inliers) if spec.n_inliers else np.zeros((0, 2))
-    outliers = []
+    outliers = np.zeros((0, 2))
     hw = spec.outlier_halfwidth
     attempts = 0
-    while len(outliers) < spec.n_outliers:
+    while outliers.shape[0] < spec.n_outliers:
         draw = rng.uniform(-hw, hw, size=(max(spec.n_outliers, 8), 2))
-        keep = draw[~core(draw)]
-        outliers.extend(keep.tolist())
+        outliers = np.concatenate([outliers, draw[~core(draw)]])
         attempts += 1
         if attempts > 1000:
             raise RuntimeError("outlier rejection sampling failed to make progress")
-    outliers = np.asarray(outliers[: spec.n_outliers], dtype=float).reshape(spec.n_outliers, 2)
-    points = np.concatenate([inliers, outliers])
+    points = np.concatenate([inliers, outliers[: spec.n_outliers]])
     labels = np.concatenate(
         [np.zeros(spec.n_inliers, dtype=np.int64), np.ones(spec.n_outliers, dtype=np.int64)]
     )

@@ -61,24 +61,22 @@ def auc(scores, labels) -> float:
     """Probability that a random anomaly outscores a random normal point.
 
     Rank (Mann-Whitney) formulation with tied scores counted half, so the
-    value depends only on the ordering of the scores.
+    value depends only on the ordering of the scores; equal infinite scores
+    tie too. NaN scores raise ValueError.
     """
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(labels, dtype=np.int64).ravel()
     if s.size != y.size:
         raise ValueError(f"{s.size} scores for {y.size} labels")
+    if np.isnan(s).any():
+        raise ValueError("AUC needs scores that are not NaN")
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one anomaly and one normal point")
-    order = np.argsort(s, kind="mergesort")
-    # average rank within each tie group (1-based)
-    sorted_s = s[order]
-    boundaries = np.flatnonzero(np.diff(sorted_s) != 0)
-    starts = np.concatenate([[0], boundaries + 1])
-    ends = np.concatenate([boundaries + 1, [s.size]])
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    # each tie group's average 1-based rank
+    _, group, count = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(count) - (count - 1) / 2.0)[group]
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -86,10 +84,10 @@ def auc(scores, labels) -> float:
 def kfold_split(dataset: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stratified k-fold: disjoint test folds covering the dataset.
 
-    Each class is shuffled once and dealt onto a fold cursor that keeps
-    rolling across classes, so per-fold class counts differ by at most one
-    and overall fold sizes stay balanced (k = n gives singleton folds).
-    Deterministic under the seed.
+    Each class is shuffled once, and the shuffled anomalies followed by the
+    shuffled normals are dealt round-robin onto the folds, so per-fold class
+    counts differ by at most one and overall fold sizes stay balanced (k = n
+    gives singleton folds). Deterministic under the seed.
     """
     n = dataset.n
     if k < 2:
@@ -97,26 +95,13 @@ def kfold_split(dataset: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np
     if k > n:
         raise ValueError(f"k = {k} folds but only {n} points")
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
-    for cls in (1, 0):
-        idx = np.flatnonzero(dataset.labels == cls)
+    classes = [np.flatnonzero(dataset.labels == cls) for cls in (1, 0)]
+    for idx in classes:
         rng.shuffle(idx)
-        for item in idx.tolist():
-            folds[cursor % k].append(item)
-            cursor += 1
-    splits = []
+    dealt = np.concatenate(classes)
     everything = np.arange(n)
-    for f in range(k):
-        test = np.sort(np.asarray(folds[f], dtype=np.int64))
-        train = np.setdiff1d(everything, test, assume_unique=True)
-        splits.append((train, test))
-    return splits
-
-
-def _chunk_sizes(count: int, parts: int) -> list[int]:
-    base, extra = divmod(count, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
+    tests = [np.sort(dealt[f::k]) for f in range(k)]
+    return [(np.setdiff1d(everything, test, assume_unique=True), test) for test in tests]
 
 
 def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -> list[np.ndarray]:
@@ -139,13 +124,8 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
     rng.shuffle(anom)
     rng.shuffle(norm)
     stages = []
-    a_pos = n_pos = 0
-    for a_size, n_size in zip(
-        _chunk_sizes(anom.size, num_stages), _chunk_sizes(norm.size, num_stages)
-    ):
-        stage = np.concatenate([anom[a_pos : a_pos + a_size], norm[n_pos : n_pos + n_size]])
-        a_pos += a_size
-        n_pos += n_size
+    for a, b in zip(np.array_split(anom, num_stages), np.array_split(norm, num_stages)):
+        stage = np.concatenate([a, b])
         rng.shuffle(stage)  # arrival order within the stage
         stages.append(stage)
     return stages

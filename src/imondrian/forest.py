@@ -133,11 +133,6 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
     return Forest(arena=arena, n_effective=cfg.psi if subsampling else n, psi=cfg.psi, seed=cfg.seed)
 
 
-def _scores(depth_sum: np.ndarray, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
-    expected = depth_sum / forest.num_trees
-    return expected, anomaly_score(expected, forest.n_effective)
-
-
 def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """Score a batch: ``(expected_path_length, score)`` float64 arrays in
     input order. A single point is scored as a one-row batch.
@@ -146,8 +141,8 @@ def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """
     if _is_empty(points):
         return np.zeros(0), np.zeros(0)
-    X = as_points(points, forest.dim)
-    return _scores(forest.arena.route(X, _leaf_depth), forest)
+    expected = forest.arena.route(as_points(points, forest.dim), _leaf_depth) / forest.num_trees
+    return expected, anomaly_score(expected, forest.n_effective)
 
 
 def _is_empty(points) -> bool:
@@ -189,8 +184,6 @@ def rescore_window(
     if window is not None and window <= 0:
         raise ValueError(f"window must be positive, got {window}")
     if _is_empty(retained_points):
-        return np.zeros(0), np.zeros(0)
+        return score_all(retained_points, forest)
     X = as_points(retained_points, forest.dim)
-    if window is not None:
-        X = X[-window:]
-    return _scores(forest.arena.route(X, _leaf_depth), forest)
+    return score_all(X if window is None else X[-window:], forest)

@@ -106,19 +106,9 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate a single point: 1-D with at least one coordinate, finite,
     optionally of a fixed dimension."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
+    if arr.ndim > 1:
         raise DimensionMismatchError(f"expected a single point, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionMismatchError("point has no coordinates")
-    if dim is not None and arr.size != dim:
-        raise DimensionMismatchError(
-            f"point has {arr.size} coordinates, expected {dim}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError("point coordinates must be finite")
-    return arr
+    return as_points(arr.reshape(1, -1), dim)[0]
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
@@ -285,12 +275,12 @@ def _read_into(src, rows: np.ndarray) -> None:
         raise EOFError("a forked block's result ended early")
 
 
-def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> bool:
+def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> None:
     """Do items 0..count-1, ``lanes`` lanes of work in all, in contiguous
     blocks on every CPU of the affinity mask: one block per usable CPU, at
-    most one per ``floor`` lanes and one per item. Return False, having done
-    nothing, when that makes fewer than two blocks or this process cannot
-    fork safely (see ``_can_fork``); the caller then does the work itself.
+    most one per ``floor`` lanes and one per item. When that makes fewer than
+    two blocks or this process cannot fork safely (see ``_can_fork``), it
+    forks nothing and does all the items itself with ``local(0, count)``.
 
     Each block but the first goes to a forked child, which calls ``child(a,
     b, out)`` to do items a..b-1 and write the result to ``out``, an unnamed
@@ -310,7 +300,8 @@ def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> bool:
     cpus = _usable_cpus()
     workers = min(len(cpus), lanes // floor, count)
     if workers < 2 or not _can_fork():
-        return False
+        local(0, count)
+        return
     bounds = [count * w // workers for w in range(workers + 1)]
     blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's blocks
     with contextlib.ExitStack() as files:
@@ -349,7 +340,6 @@ def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> bool:
                 take(*block, src)
             else:
                 local(*block)
-    return True
 
 
 class ForestArena:
@@ -460,8 +450,7 @@ class ForestArena:
             for gen, state in zip(arena.rngs[a:b], states):
                 gen.bit_generator.state = state
 
-        if not _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take):
-            local(0, T)
+        _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take)
         return arena
 
     def _grow_trees(self, X: np.ndarray, a: int, b: int, sample_size: int | None) -> None:
@@ -658,8 +647,7 @@ class ForestArena:
         def take(a, b, src):
             _read_into(src, depth_sum[a:b])
 
-        if not _fork_join(n, n * self.num_trees, FORK_LANES, child, local, take):
-            return self._route(X, leaf_depth)
+        _fork_join(n, n * self.num_trees, FORK_LANES, child, local, take)
         return depth_sum
 
     def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:

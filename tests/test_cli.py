@@ -278,6 +278,17 @@ class TestScore:
         assert "points have dimension 3, expected 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["a,b\n", "a,b\n1,2\n"], ids=["header-only", "one-row"])
+    def test_label_index_past_the_header_is_data_error(self, tmp_path, fitted, text, capsys):
+        model, _ = fitted
+        data = tmp_path / "narrow.csv"
+        data.write_text(text)
+        out = tmp_path / "narrow_scores.csv"
+        argv = ["score", "--model", str(model), "--data", str(data), "--label-column", "5", "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert "no column 5 for the label" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, fitted):
         model, _ = fitted
         blob = model.read_bytes()
@@ -372,6 +383,28 @@ class TestStream:
         _write_csv(data, np.random.default_rng(2).normal(size=(30, 2)))
         code = main(["stream", "--data", str(data), "--trees", "5"])
         assert code == EXIT_DATA
+
+
+class TestSyntheticFlags:
+    """A synthetic recipe the flags describe but ``SyntheticSpec`` rejects is
+    a usage error, found before anything is generated."""
+
+    @pytest.mark.parametrize("command", ["fit", "stream"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--synthetic", "ring", "--box", "3"], "does not enclose the inlier support"),
+            (["--synthetic", "gaussian-blob", "--inliers", "0", "--outliers", "0"], "dataset would be empty"),
+        ],
+        ids=["small-box", "empty"],
+    )
+    def test_bad_recipe_is_usage_error(self, tmp_path, command, flags, message, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, *flags, "--trees", "2", "--out", str(out)])
+        assert err.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import threading
@@ -147,6 +148,13 @@ class TestLoadCsv:
         p.write_text(text)
         with pytest.raises(DataFormatError, match="no feature columns"):
             load_csv(p, CsvSchema(label_column=label_column))
+
+    @pytest.mark.parametrize("text, row", [("a,b\n", 1), ("a,b\n1,2\n", 2)], ids=["header-only", "one-row"])
+    def test_label_index_past_the_header_rejected(self, tmp_path, text, row):
+        p = tmp_path / "narrow.csv"
+        p.write_text(text)
+        with pytest.raises(DataFormatError, match=f"row {row}: no column 5 for the label"):
+            load_csv(p, CsvSchema(label_column=5))
 
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "ragged.csv"
@@ -441,6 +449,23 @@ class TestGenSynthetic:
     def test_box_must_enclose_support(self):
         with pytest.raises(ValueError):
             SyntheticSpec(kind="ring", outlier_halfwidth=5.0)
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (SyntheticSpec(kind="ring", n_inliers=10, n_outliers=7, seed=3),
+             "a30febc067ff3aee9b6e087118a03c1067a495b268696268c8dc189c3210c89b"),
+            (SyntheticSpec(kind="grid-cluster", n_inliers=5, n_outliers=20, seed=8),
+             "ad41b6f9836f3e5b6b123ba22be26177adea473c57d3f4f5ad6ab9cb415ec726"),
+            (SyntheticSpec(kind="two-blobs", n_inliers=0, n_outliers=3, seed=1),
+             "7a3fddab5e8c8ada7478270c612b8e007ea02790b8c7668415c065ff951ad1b4"),
+        ],
+        ids=["ring", "grid-cluster", "outliers-only"],
+    )
+    def test_pinned_output(self, spec, digest):
+        ds = gen_synthetic(spec)
+        assert ds.points.shape == (spec.n_inliers + spec.n_outliers, 2)
+        assert hashlib.sha256(ds.points.tobytes() + ds.labels.tobytes()).hexdigest() == digest
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

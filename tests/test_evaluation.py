@@ -43,6 +43,27 @@ class TestAuc:
                 scores = np.round(scores, 1)  # force ties
             assert auc(scores, labels) == pytest.approx(auc_oracle(scores, labels), abs=1e-12)
 
+    @pytest.mark.parametrize("levels", [[-0.5, 0.0, 0.5, 1.0], [-np.inf, 0.0, 0.25, np.inf]], ids=["finite", "infinite"])
+    def test_matches_pairwise_oracle_on_few_levels(self, levels):
+        # most scores share a value with many others
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            n = int(rng.integers(4, 120))
+            labels = np.zeros(n, dtype=int)
+            labels[: max(1, n // 4)] = 1
+            rng.shuffle(labels)
+            scores = np.array(levels)[rng.integers(0, len(levels), size=n)]
+            assert auc(scores, labels) == pytest.approx(auc_oracle(scores, labels), abs=1e-12)
+
+    def test_tied_infinite_scores(self):
+        for labels in ([1, 0, 0], [0, 1, 0]):
+            assert auc([np.inf, np.inf, 0.5], labels) == 0.75
+            assert auc([-np.inf, -np.inf, 0.5], labels) == 0.25
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auc([np.nan, 0.5, 0.25], [1, 0, 0])
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(4)
         scores = rng.uniform(size=60)
@@ -119,6 +140,15 @@ class TestKfoldSplit:
         for (tr1, te1), (tr2, te2) in zip(a, b):
             assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
 
+    def test_folds_pinned(self):
+        # anomalies then normals, each shuffled, dealt round-robin onto the folds
+        ds = LabeledDataset(points=np.arange(13.0), labels=[0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0])
+        splits = kfold_split(ds, k=3, seed=11)
+        assert [test.tolist() for _, test in splits] == [[3, 5, 6, 8, 11], [2, 4, 7, 9], [0, 1, 10, 12]]
+        assert [train.tolist() for train, _ in splits] == [
+            [0, 1, 2, 4, 7, 9, 10, 12], [0, 1, 3, 5, 6, 8, 10, 11, 12], [2, 3, 4, 5, 6, 7, 8, 9, 11],
+        ]
+
     def test_k_bounds(self):
         ds = _toy_dataset(n=10, anomalies=3)
         with pytest.raises(ValueError):
@@ -152,6 +182,11 @@ class TestStreamStages:
         ds = _toy_dataset(n=50, anomalies=3, seed=6)
         with pytest.raises(StratificationError):
             stream_stages(ds, num_stages=5, seed=0)
+
+    def test_stages_pinned(self):
+        ds = LabeledDataset(points=np.arange(13.0), labels=[0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0])
+        stages = stream_stages(ds, num_stages=3, seed=12)
+        assert [stage.tolist() for stage in stages] == [[10, 4, 8, 9, 12], [2, 7, 0, 11], [5, 3, 6, 1]]
 
     def test_deterministic(self):
         ds = _toy_dataset(n=40, anomalies=10, seed=7)

@@ -26,7 +26,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, link
+from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join, link
 
 from helpers import (
     EXTENSION_FINGERPRINT,
@@ -693,6 +693,22 @@ def _grow(X, sample_size, trees, seed=0):
     return ForestArena.grow(X, rngs, sample_size)
 
 
+class TestForkJoinUnforked:
+    @pytest.mark.parametrize("cpus, lanes, forkable", [(1, 10**6, True), (4, 150, True), (4, 10**6, False)],
+                             ids=["one-cpu", "below-the-floor", "cannot-fork"])
+    def test_does_every_item_in_process_once(self, monkeypatch, cpus, lanes, forkable):
+        monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(cpus)))
+        monkeypatch.setattr("imondrian.tree._can_fork", lambda: forkable)
+
+        def fork():
+            raise AssertionError("the fork-join forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        calls = []
+        assert _fork_join(7, lanes, 100, None, lambda a, b: calls.append((a, b)), None) is None
+        assert calls == [(0, 7)]
+
+
 class TestForkJoinGrow:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_tree_blocks_match_one_process(self, monkeypatch, workers):
@@ -788,6 +804,15 @@ class TestRescoreWindow:
         full_epl, full_s = score_all(X, forest)
         assert np.array_equal(epl, full_epl[23:])
         assert np.array_equal(s, full_s[23:])
+
+    @pytest.mark.parametrize("window", [1, 7, 80, 200])
+    def test_window_scores_like_the_tail(self, window):
+        rng = np.random.default_rng(18)
+        X = np.vstack([rng.normal(size=(70, 3)), np.repeat(rng.normal(size=(2, 3)), 5, axis=0)])
+        forest = train_batch(X, ForestConfig(num_trees=6, psi=32, seed=2))
+        extend_forest(forest, X[-10:])
+        got, want = rescore_window(forest, X, window=window), score_all(X[-window:], forest)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_rescore_changes_after_extension(self):
         rng = np.random.default_rng(15)

@@ -87,6 +87,32 @@ class TestSmallestBlock:
             as_point([])
 
 
+class TestAsPoint:
+    """A single point is validated as a one-row point set."""
+
+    def test_valid_points(self):
+        assert as_point(2.5).tolist() == [2.5]
+        assert as_point([1, 2], dim=2).tolist() == [1.0, 2.0]
+        assert as_point(np.array([3.0, -1.0])).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "x, dim, error",
+        [
+            (7.0, 2, DimensionMismatchError),
+            ([[1.0, 2.0]], None, DimensionMismatchError),
+            ([], None, DimensionMismatchError),
+            ([1.0, 2.0], 3, DimensionMismatchError),
+            ([1.0, np.inf], None, ValueError),
+            ([np.nan], 1, ValueError),
+        ],
+        ids=["scalar-of-wrong-dimension", "2-d", "empty", "wrong-dimension", "infinite", "nan"],
+    )
+    def test_error_types(self, x, dim, error):
+        with pytest.raises(ValueError) as raised:
+            as_point(x, dim)
+        assert type(raised.value) is error
+
+
 def _two_point_roots(points, trees: int, seed: int):
     """(split dimension, split value, split time) of the root of each of
     ``trees`` trees built on two points, all drawing from one generator."""
@@ -121,6 +147,77 @@ class TestSampleSplit:
         q, p, e = _two_point_roots([lo, hi], 500, seed=8)
         assert np.all(e > 0.0)
         assert np.all((lo[q] <= p) & (p <= hi[q]))
+
+
+# six points in 2-D, the last far out; the law tests extend with the last three
+LAW_POINTS = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [2.0, 1.0], [1.5, 1.8], [9.0, 7.0]])
+LAW_TREES = 20_000
+LAW_LEVEL = 1e-4  # fixed and strict: the seeds make each p-value a constant
+
+
+def _law_arena(points, seed: int, extra=()) -> ForestArena:
+    """LAW_TREES trees, each with its own generator, built on ``points`` and
+    then extended with each point of ``extra`` in turn."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(LAW_TREES)]
+    arena = ForestArena.grow(points, rngs)
+    for x in extra:
+        arena.extend(x)
+    return arena
+
+
+def _root_sides(arena, X) -> np.ndarray:
+    """Per tree, the bit mask of the rows of X on the same side of the root
+    cut as row 0."""
+    rows = np.arange(arena.num_trees)
+    right = X[:, arena.split_dim[rows, arena.root]] >= arena.split_val[rows, arena.root]
+    return ((right == right[0]) * (1 << np.arange(X.shape[0]))[:, None]).sum(axis=0)
+
+
+def _depths(arena, x) -> np.ndarray:
+    """Per tree, the depth of the leaf x reaches: one level walk over ``child``."""
+    T, C = arena.population.shape
+    split_dim, split_val = arena.split_dim.ravel(), arena.split_val.ravel()
+    node = np.arange(T) * C + arena.root
+    depth = np.zeros(T, dtype=np.int64)
+    while True:
+        nxt = arena.child[(x[split_dim[node]] >= split_val[node]) * T * C + node]
+        moved = nxt != node
+        if not moved.any():
+            return depth
+        depth += moved
+        node = nxt
+
+
+def _same_law_p(a, b) -> float:
+    """Chi-square p-value that two samples of a discrete variable share one
+    law; the values seen fewer than 10 times in the two together share one cell."""
+    special = pytest.importorskip("scipy.special")  # a third of the import time of scipy.stats
+    values, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    table = np.array([[np.count_nonzero(sample == v) for v in values] for sample in (a, b)])
+    sparse = counts < 10
+    if sparse.any():
+        table = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
+    return special.chdtrc(table.shape[1] - 1, ((table - expected) ** 2 / expected).sum())
+
+
+class TestExtensionLaw:
+    """Extending trees built on the first three points with the other three
+    gives trees distributed like trees built on all six (projectivity of the
+    Mondrian process; Lakshminarayanan, Roy & Teh 2014)."""
+
+    @pytest.fixture(scope="class")
+    def arenas(self):
+        return _law_arena(LAW_POINTS, 101), _law_arena(LAW_POINTS[:3], 202, LAW_POINTS[3:])
+
+    def test_root_partition(self, arenas):
+        built, extended = arenas
+        assert _same_law_p(_root_sides(built, LAW_POINTS), _root_sides(extended, LAW_POINTS)) > LAW_LEVEL
+
+    @pytest.mark.parametrize("i", range(len(LAW_POINTS)))
+    def test_depth_of_each_point(self, arenas, i):
+        built, extended = arenas
+        assert _same_law_p(_depths(built, LAW_POINTS[i]), _depths(extended, LAW_POINTS[i])) > LAW_LEVEL
 
 
 class TestFitTree:
