@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--folds", type=int, help="also run stratified k-fold train/test evaluation")
     fit.add_argument("--out", help="score export path (CSV)")
     fit.add_argument("--model", help="model file path to write")
-    fit.set_defaults(func=cmd_fit)
+    fit.set_defaults(func=cmd_fit, parser=fit)
 
     scr = commands.add_parser("score", help="score new points against a saved model")
     _add_data_flags(scr, synthetic=False)
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--mode", choices=(THRESHOLD, KMEANS), default=THRESHOLD)
     scr.add_argument("--threshold", type=float, default=0.5)
     scr.add_argument("--out", help="score export path (CSV)")
-    scr.set_defaults(func=cmd_score)
+    scr.set_defaults(func=cmd_score, parser=scr)
 
     stream = commands.add_parser("stream", help="staged streaming experiment with per-stage AUC")
     _add_data_flags(stream)
@@ -104,12 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--threshold", type=float, default=0.5)
     stream.add_argument("--grid", type=int, help="dump an NxN lattice of scores (2-D data only)")
     stream.add_argument("--out", help="per-stage results path (CSV)")
-    stream.set_defaults(func=cmd_stream)
+    stream.set_defaults(func=cmd_stream, parser=stream)
 
     return parser
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject flag values argparse cannot, through ``parser``, the subcommand's
+    parser, so that the usage printed is the one of the command at fault."""
     def positive(name: str, floor: int = 1) -> None:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None and value < floor:
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate(parser, args)
+        _validate(args.parser, args)
         return args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

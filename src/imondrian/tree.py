@@ -80,10 +80,12 @@ LINKS = ("left", "right", "parent")
 ROUTE_LANES = 1 << 14
 
 # (tree, point) lanes each process of ForestArena.route must have before it
-# forks: a fork plus its wait took 1.8-3.7 ms on a 2-core VM and a routed
-# lane about 260 ns, so two processes break even near 27,000 lanes, and at
-# this floor one-point calls and a 20-tree fit on 2,048 rows stay in-process
-FORK_LANES = 2 * ROUTE_LANES
+# forks: on a 2-core VM a routed lane took about 205 ns in one process, and
+# two processes (fork, copy-on-write faults and wait: 8-10 ms) were 15-24%
+# slower than one at 65,500 lanes and broke even near 100,000 (medians of 15
+# routes on psi-256 trees); at this floor one-point calls and a 20-tree fit
+# on 2,048 rows stay in-process, and a 2,048-point rescore of 100 trees forks
+FORK_LANES = 3 * ROUTE_LANES
 
 # (tree, point) lanes each process of ForestArena.grow must have before it
 # forks: on a 2-core VM (medians of 21 builds) two processes built 8,192
@@ -385,8 +387,8 @@ class ForestArena:
     dimension and value, compare (right iff x[q] >= p), gather
     ``child[go * T * C + node]``. A parked lane's comparison is ignored, so
     a leaf's ``split_dim`` of -1 may read any valid coordinate. ``route``
-    compacts its many lanes once half of them have parked; ``extend`` has
-    one lane per tree and steps all of them every level, so its walk is a
+    drops its parked lanes by index once half of them have parked; ``extend``
+    has one lane per tree and steps all of them every level, so its walk is a
     (levels, T) array from which each tree's path is the root and every
     level at which that lane moved. ``links`` reads row-local links off the
     table for tree views and the model file; ``link`` builds it from them.
@@ -555,9 +557,9 @@ class ForestArena:
             keep = np.flatnonzero(lane_seg >= 0)
             lane_seg = lane_seg.take(keep)
             go_right = pts.ravel().take(keep * pts.shape[1] + q.take(lane_seg)) >= p.take(lane_seg)
-            pts = pts.take(keep.take(np.argsort(2 * lane_seg + go_right, kind="stable")), axis=0)
-            n_left = np.bincount(lane_seg[~go_right], minlength=k)
-            seg_len = np.column_stack((n_left, seg_len[split] - n_left)).ravel()
+            kid_seg = 2 * lane_seg + go_right  # each point's child, in the children's order
+            pts = pts.take(keep.take(np.argsort(kid_seg, kind="stable")), axis=0)
+            seg_len = np.bincount(kid_seg, minlength=2 * k)
             seg_tree = np.repeat(t, 2)
             seg_node = np.column_stack((kid_l, kid_l + 1)).ravel()
             seg_tau = np.repeat(time, 2)
@@ -653,9 +655,14 @@ class ForestArena:
     def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
         """``route`` in this process. Lanes are (tree, point) pairs
         in tree-major order, routed about ROUTE_LANES at a time so memory
-        stays flat. Each level is one step through ``child``; a lane's depth
-        is its number of moves, lanes are compacted once at least half of
-        them have parked on their leaves, and the walk ends when none moved.
+        stays flat. Each level is one step through ``child``, a lane's depth
+        is its number of moves, and the walk ends when none moved. Once at
+        least half of the lanes have parked on their leaves, every lane's
+        depth (and leaf) is written out, to be overwritten later for the
+        lanes still moving, and those lanes are gathered by index: a boolean
+        mask filter cost about 7 ns per element per array against about 2
+        for one ``flatnonzero`` and a ``take``, and dropping lanes once a
+        quarter or an eighth of them had parked was no faster when measured.
 
         A tree of L leaves whose root holds more than L points has a leaf of
         two or more. Without such a tree every depth is an edge count and
@@ -694,11 +701,11 @@ class ForestArena:
                     node = nxt
                     depth += moved
                     if 2 * live <= moved.size:
-                        parked = ~moved
-                        out[lane[parked]] = depth[parked]
+                        out[lane] = depth
                         if duplicates:
-                            leaf[lane[parked]] = node[parked]
-                        lane, node, xrow, depth = lane[moved], node[moved], xrow[moved], depth[moved]
+                            leaf[lane] = node
+                        keep = np.flatnonzero(moved)
+                        lane, node, xrow, depth = lane.take(keep), node.take(keep), xrow.take(keep), depth.take(keep)
                 out[lane] = depth
                 if not duplicates:
                     acc += out.reshape(trees.size, -1).sum(axis=0)

@@ -372,6 +372,11 @@ def arena_fingerprint(arena) -> str:
 # duplicates), as the batched-clock extension draws it
 EXTENSION_FINGERPRINT = "39b7ff9fc5d704d2ca41af5e4e3cbee71a2a4c4fc08ab4271f13f73eafc708ab"
 
+# SHA-256 of the ForestArena.route sums of test_forest._pinned_route_cases
+# (a duplicate-free forest over two point blocks, then a forest with
+# duplicate leaves over several trees per pass), in that order
+ROUTE_FINGERPRINT = "afdc5af25be3c1289d610df52095051d539482cc5f908772d0fc07ae56a30c82"
+
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The metadata dict and writable node arrays of a saved model file,

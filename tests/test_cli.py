@@ -115,10 +115,10 @@ class TestFit:
         assert "no feature columns" in capsys.readouterr().err
 
     def test_failed_fork_fits_in_process(self, tmp_path, monkeypatch):
-        # 100 trees on subsamples of 256 of 700 rows: 25,600 lanes, enough
-        # for two build workers; scoring the rows forks once more
+        # 100 trees on subsamples of 256 of 1,000 rows: 25,600 lanes, enough
+        # for two build workers; scoring the rows (100,000 lanes) forks once more
         data = tmp_path / "big.csv"
-        _write_csv(data, np.random.default_rng(9).normal(size=(700, 3)))
+        _write_csv(data, np.random.default_rng(9).normal(size=(1000, 3)))
         forks = fork_on(monkeypatch, cpus=2)
         forked, in_process = tmp_path / "forked.imf", tmp_path / "in_process.imf"
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(forked)]) == EXIT_OK
@@ -297,9 +297,9 @@ class TestScore:
         assert code == EXIT_DATA
 
     def test_failed_fork_scores_in_process(self, tmp_path, monkeypatch):
-        # 700 rows x 100 trees: 70,000 lanes, enough for two route workers
+        # 1,000 rows x 100 trees: 100,000 lanes, enough for two route workers
         data = tmp_path / "big.csv"
-        _write_csv(data, np.random.default_rng(8).normal(size=(700, 3)))
+        _write_csv(data, np.random.default_rng(8).normal(size=(1000, 3)))
         model = tmp_path / "model.imf"
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(model)]) == EXIT_OK
         forks = fork_on(monkeypatch, cpus=2)
@@ -419,6 +419,24 @@ class TestTopLevel:
             main(["--help"])
         assert err.value.code == 0
         assert "{fit,score,stream}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--synthetic", "ring", "--box", "3"],
+            ["score", "--data", "points.csv", "--model", "forest.imf", "--threshold", "2"],
+            ["stream", "--synthetic", "ring", "--stages", "0"],
+        ],
+        ids=["fit", "score", "stream"],
+    )
+    def test_usage_error_prints_the_command_usage(self, argv, capsys):
+        # the usage of the command whose flags are at fault, not the top level's
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        message = capsys.readouterr().err
+        assert message.startswith(f"usage: imondrian {argv[0]} [-h]")
+        assert f"imondrian {argv[0]}: error: " in message
 
     def test_bench_is_not_a_command(self, capsys):
         # timing lives in perfbench/run.py; the package ships no benchmark

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import hashlib
 import os
 import warnings
 
@@ -30,6 +31,7 @@ from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_j
 
 from helpers import (
     EXTENSION_FINGERPRINT,
+    ROUTE_FINGERPRINT,
     arena_fingerprint,
     check_arena_invariants,
     check_tree_invariants,
@@ -556,7 +558,40 @@ def _assert_scores_match_oracle(forest, X):
     assert epl.tolist() == expected
 
 
+def _pinned_route_cases():
+    """(forest, probes, oracle rows) for the routing pin: 100 trees of psi
+    256 without duplicate leaves routing ROUTE_LANES + 3 points (two point
+    blocks, one tree per pass), and 20 trees on repeated rows routing fewer
+    than ROUTE_LANES points (several trees per pass, duplicate leaves)."""
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(4096, 4))
+    clean = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=5))
+    assert (clean.arena.population[clean.arena.links()[0] == NO_NODE] == 1).all()
+    probes = rng.normal(scale=1.5, size=(ROUTE_LANES + 3, 4))
+    D = np.vstack([np.repeat(rng.normal(size=(6, 3)), 20, axis=0), rng.normal(size=(80, 3))])
+    duplicate = train_batch(D, ForestConfig(num_trees=20, psi=None, seed=6))
+    assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
+    edges = np.r_[0:30, ROUTE_LANES - 10 : ROUTE_LANES + 3]  # both sides of the block edge
+    return [(clean, probes, edges), (duplicate, np.vstack([D, _stream(rng, D, 700)]), np.arange(0, 900, 7))]
+
+
 class TestRoutingTable:
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return _pinned_route_cases()
+
+    def test_route_sums_are_pinned(self, pinned):
+        digest = hashlib.sha256()
+        for forest, probes, _ in pinned:
+            digest.update(forest.arena.route(probes, _leaf_depth).tobytes())
+        assert digest.hexdigest() == ROUTE_FINGERPRINT
+
+    def test_pinned_shapes_match_oracle(self, pinned):
+        for forest, probes, rows in pinned:
+            sums = forest.arena._route(probes, _leaf_depth)
+            trees = forest.trees
+            assert sums[rows].tolist() == [sum(scored_depth(t, x) for t in trees) for x in probes[rows]]
+
     def test_table_current_after_multi_group_build(self, monkeypatch):
         # in one process, 9 trees on ROUTE_LANES // 4 + 1 rows are two build
         # groups (of 4 and 5 trees), since a group holds under 2 * ROUTE_LANES lanes

@@ -115,8 +115,9 @@ class TestAsPoint:
 
 def _two_point_roots(points, trees: int, seed: int):
     """(split dimension, split value, split time) of the root of each of
-    ``trees`` trees built on two points, all drawing from one generator."""
-    arena = ForestArena.grow(np.array(points, dtype=float), [np.random.default_rng(seed)] * trees)
+    ``trees`` trees built on two points, each tree with its own generator."""
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
+    arena = ForestArena.grow(np.array(points, dtype=float), rngs)
     rows = np.arange(trees)
     return arena.split_dim[rows, arena.root], arena.split_val[rows, arena.root], arena.split_time[rows, arena.root]
 
@@ -218,6 +219,14 @@ class TestExtensionLaw:
     def test_depth_of_each_point(self, arenas, i):
         built, extended = arenas
         assert _same_law_p(_depths(built, LAW_POINTS[i]), _depths(extended, LAW_POINTS[i])) > LAW_LEVEL
+
+    def test_root_split_time_is_exponential_in_linear_dimension(self, arenas):
+        # the root of a Mondrian on a box splits after Exp(its linear dimension)
+        stats = pytest.importorskip("scipy.stats")
+        _, extended = arenas
+        rate = (LAW_POINTS.max(axis=0) - LAW_POINTS.min(axis=0)).sum()
+        times = extended.split_time[np.arange(extended.num_trees), extended.root]
+        assert stats.kstest(times, "expon", args=(0.0, 1.0 / rate)).pvalue > LAW_LEVEL
 
 
 class TestFitTree:
