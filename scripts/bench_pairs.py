@@ -3,13 +3,16 @@
     python3 scripts/bench_pairs.py BASE CHANGE --workload batch-subsampled --seeds 701-710
 
 For each seed, runs ``perfbench/run.py`` once in each checkout (BASE first on
-even pairs, CHANGE first on odd ones) and reads the JSON object on the last
-line of its output. For each metric it then prints both sides' median and
-quartiles and the number of pairs the change won, ties counting for neither,
-with the better direction taken from BASE's ``BENCHMARK.json``. A metric reads
-``gain`` (or ``loss``) when there are at least ten pairs, one side wins at
-least nine tenths of them and the medians differ by more than the distance
-between BASE's quartiles.
+even pairs, CHANGE first on odd ones), reads the JSON object on the last line
+of its output and the cycle count on its ``cycles:`` line, and prints both
+runs' cycle counts beside their metrics: a metric pooled over the cycles that
+fit in the run, such as ``stream`` ``auc``, can move with the count alone.
+For each metric it then prints both sides' median and quartiles and the
+number of pairs the change won, ties counting for neither, with the better
+direction taken from BASE's ``BENCHMARK.json``. A metric reads ``gain`` (or
+``loss``) when there are at least ten pairs, one side wins at least nine
+tenths of them and the medians differ by more than the distance between
+BASE's quartiles.
 Uses the standard library only.
 """
 
@@ -23,14 +26,15 @@ import sys
 from pathlib import Path
 
 
-def run(checkout: Path, args, seed: int) -> dict:
+def run(checkout: Path, args, seed: int) -> tuple[dict, str]:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         sys.exit(f"{checkout} seed {seed} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}
+    cycles = next((line.split()[1] for line in lines if line.startswith("cycles:")), "?")
+    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}, cycles
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -54,10 +58,10 @@ def main() -> None:
     for i, seed in enumerate(range(first, last + 1)):
         order = (args.base, args.change) if i % 2 == 0 else (args.change, args.base)
         got = {side: run(side, args, seed) for side in order}
-        pairs.append((got[args.base], got[args.change]))
-        b, c = pairs[-1]
-        print(f"seed {seed}: " + "  ".join(f"{n} {b[n]:.4g} -> {c[n]:.4g}" for n in b if n in c and n in higher),
-              flush=True)
+        (b, base_cycles), (c, change_cycles) = got[args.base], got[args.change]
+        pairs.append((b, c))
+        print(f"seed {seed}: cycles {base_cycles} -> {change_cycles}  "
+              + "  ".join(f"{n} {b[n]:.4g} -> {c[n]:.4g}" for n in b if n in c and n in higher), flush=True)
     print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  wins  verdict")
     for name in pairs[0][0]:
         if name not in higher or name not in pairs[0][1]:

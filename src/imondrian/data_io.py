@@ -45,29 +45,43 @@ class CsvSchema:
     header: bool = True
 
 
-def _parse_feature(cell: str, row: int, col: int) -> float:
+def _where(row: int, line: int) -> str:
+    """A row's number in a message, and its file line where that differs."""
+    return f"row {row}" if line == row else f"row {row} (line {line})"
+
+
+def _numbered(reader):
+    """(first file line, cells) of each non-empty row of a ``csv.reader``."""
+    line = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield line, row
+        line = reader.line_num + 1
+
+
+def _parse_feature(cell: str, where: str, col: int) -> float:
     try:
         value = float(cell)
     except ValueError:
         raise DataFormatError(
-            f"row {row}, column {col}: could not parse {cell!r} as a number"
+            f"{where}, column {col}: could not parse {cell!r} as a number"
         ) from None
     if not np.isfinite(value):
         raise DataFormatError(
-            f"row {row}, column {col}: non-finite value {cell!r} rejected"
+            f"{where}, column {col}: non-finite value {cell!r} rejected"
         )
     return value
 
 
-def _parse_label(cell: str, row: int, col: int) -> int:
+def _parse_label(cell: str, where: str, col: int) -> int:
     try:
         value = float(cell)
     except ValueError:
         raise DataFormatError(
-            f"row {row}, column {col}: could not parse label {cell!r}"
+            f"{where}, column {col}: could not parse label {cell!r}"
         ) from None
     if value not in (0.0, 1.0):
-        raise DataFormatError(f"row {row}, column {col}: label must be 0 or 1, got {cell!r}")
+        raise DataFormatError(f"{where}, column {col}: label must be 0 or 1, got {cell!r}")
     return int(value)
 
 
@@ -77,7 +91,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
     Returns a LabeledDataset when the schema names a label column, a plain
     (n, d) array otherwise. Every feature cell must parse as a finite real;
     failures report their row and column (1-based, counting the header but
-    not blank lines).
+    not blank lines), and the file line the row starts on where that differs.
     """
     schema = schema or CsvSchema()
     path = Path(path)
@@ -87,7 +101,7 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
         reader = csv.reader(handle, delimiter=schema.delimiter)
         header_row: list[str] | None = None
         if schema.header:
-            header_row = next((row for row in reader if row), None)
+            header_line, header_row = next(_numbered(reader), (1, None))
             if header_row is None:
                 raise DataFormatError(f"{path}: expected a header row, file is empty")
             header_row = [cell.strip() for cell in header_row]
@@ -109,12 +123,12 @@ def load_csv(path, schema: CsvSchema | None = None) -> LabeledDataset | np.ndarr
         parsed = _parse_body(handle, schema.delimiter, label_idx)
         if parsed is None:
             handle.seek(0)
-            rows = [row for row in reader if row][1 if schema.header else 0 :]
-            parsed = _parse_cells(rows, label_idx, offset=2 if schema.header else 1)
+            rows = list(_numbered(csv.reader(handle, delimiter=schema.delimiter)))[1 if schema.header else 0 :]
+            parsed = _parse_cells([r for _, r in rows], label_idx, 2 if schema.header else 1, [n for n, _ in rows])
     data, labels = parsed
     if not data.shape[0] and header_row is not None:  # no rows: the header names the columns
         if label_idx is not None and label_idx >= len(header_row):
-            raise DataFormatError(f"row 1: no column {label_idx} for the label")
+            raise DataFormatError(f"{_where(1, header_line)}: no column {label_idx} for the label")
         data = np.zeros((0, sum(j != label_idx for j in range(len(header_row)))))
     if data.shape[1] == 0 and (data.shape[0] or header_row is not None):
         raise DataFormatError(f"{path}: no feature columns besides the label")
@@ -146,24 +160,28 @@ def _parse_body(lines, delimiter: str, label_idx: int | None) -> tuple[np.ndarra
     return table, labels
 
 
-def _parse_cells(rows: list[list[str]], label_idx: int | None, offset: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_cells(
+    rows: list[list[str]], label_idx: int | None, offset: int, lines=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Cell-by-cell parse that reports the first bad cell by its row and
-    column; ``offset`` is the 1-based file row of ``rows[0]``."""
+    column; ``offset`` is the 1-based file row of ``rows[0]``, and ``lines``
+    the file line each row starts on (each row's number by default)."""
     features: list[list[float]] = []
     labels: list[int] = []
     for i, row in enumerate(rows):
         row_no = i + offset
+        where = _where(row_no, row_no if lines is None else lines[i])
         if label_idx is not None and label_idx >= len(row):
-            raise DataFormatError(f"row {row_no}: no column {label_idx} for the label")
+            raise DataFormatError(f"{where}: no column {label_idx} for the label")
         feats = []
         for j, cell in enumerate(row):
             if label_idx is not None and j == label_idx:
-                labels.append(_parse_label(cell.strip(), row_no, j + 1))
+                labels.append(_parse_label(cell.strip(), where, j + 1))
             else:
-                feats.append(_parse_feature(cell.strip(), row_no, j + 1))
+                feats.append(_parse_feature(cell.strip(), where, j + 1))
         if features and len(feats) != len(features[0]):
             raise DataFormatError(
-                f"row {row_no}: {len(feats)} features, expected {len(features[0])}"
+                f"{where}: {len(feats)} features, expected {len(features[0])}"
             )
         features.append(feats)
     data = np.asarray(features, dtype=float) if features else np.zeros((0, 0))

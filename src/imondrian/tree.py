@@ -26,9 +26,11 @@ exponential clock per candidate node (a node on the point's path that the
 point lies outside of), each tree draws all of its clocks and its cut in
 one call of its own generator, and only the boxes the point lies outside of
 are rewritten. Scoring adds to a point's edge count the c term of the
-reached leaf's population, which is 0 for a single point. The per-tree
-references the kernels are tested against (``fit_tree``, ``path_length``
-and ``extend_tree``) live in ``tests/reference.py``.
+reached leaf's population, which is 0 for a single point. A one-point score
+walks as extension does and leaves its walk to the insert of that point that
+follows it; every insert clears it. The per-tree references the kernels are
+tested against (``fit_tree``, ``path_length`` and ``extend_tree``) live in
+``tests/reference.py``.
 
 A large forest is built, and a large batch routed, on every CPU in the
 process's affinity mask (so ``taskset -c 0`` keeps them on one), by one
@@ -355,7 +357,9 @@ class ForestArena:
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
-    ``extend`` inserts one point into every tree.
+    ``extend`` inserts one point into every tree. A one-point ``route``
+    walks as ``extend`` does and hands the walk to the next ``extend`` of
+    that point; every ``extend`` clears it.
 
     ``grow`` builds every node of a depth in one pass over the trees of a
     group. Tree t draws only from its own generator: first its subsample,
@@ -403,6 +407,7 @@ class ForestArena:
             if name not in LINKS:
                 setattr(self, name, np.full(shape, fill, dtype=dtype))
         self.child = np.tile(np.arange(self.population.size), 2)
+        self._walked = None  # (x's bytes, _walk(x)) after route([x]); see extend
 
     @classmethod
     def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> ForestArena:
@@ -636,8 +641,18 @@ class ForestArena:
         its block's sums to its file. The split is by points, not trees, so
         each point's sum is still taken by one process in tree order and is
         bit for bit the one-process sum (see ``_route``).
+
+        A one-point batch is walked as ``extend`` walks (``_walk``), its
+        depths added in tree order one at a time, bit for bit as in ``_route``;
+        the walk is left, keyed by the point's bytes, for the next ``extend``.
         """
         n = X.shape[0]
+        if n == 1:  # walked as extend walks, and left for its extend
+            self._walked = (X[0].tobytes(), self._walk(X[0]))
+            _, path_flat, starts = self._walked[1]
+            leaf = np.append(starts[1:], path_flat.size) - 1
+            depth = leaf - starts + leaf_depth(self._flat("population").take(path_flat.take(leaf)))
+            return np.add.accumulate(depth)[-1:]
         depth_sum = np.empty(n)
 
         def local(a, b):
@@ -719,7 +734,7 @@ class ForestArena:
         """Insert one validated point into every tree.
 
         1. Walk x down every tree at once, every lane every level, and read
-           each tree's path off the walk.
+           each tree's path off the walk, or take the walk ``route`` left.
         2. Compute every deviation rate on those paths at once, let each
            tree with candidates make its one draw (see the class docstring),
            and find every tree's first firing candidate with array
@@ -730,7 +745,7 @@ class ForestArena:
            internal node and leaf above the node where it fired.
 
         Raises ValueError before any tree is touched if a rate would
-        overflow in some tree.
+        overflow in some tree. Every call clears the walk ``route`` left.
         """
         path_tree, path_flat, lo, hi, dev, rate, fired, fire_time, draws = self._race(x)
         t = path_tree.take(fired)
@@ -754,20 +769,16 @@ class ForestArena:
                 lo.take(fired, axis=0), hi.take(fired, axis=0), dev.take(fired, axis=0), rate.take(fired), draws,
             )
 
-    def _race(self, x: np.ndarray):
-        """Phases 1 and 2 of ``extend``: the path of x in every tree as
-        tree-major tree and flat node indices; the box rows, deviations and
-        rates along it; and for each tree whose clock fired its position on
-        the path, firing time and the two cut uniforms of its draw."""
+    def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Phase 1 of ``extend``: the path of x in every tree as tree-major
+        tree and flat node indices, and where each tree's root is on it. A
+        parked lane loops on its leaf; each tree's path is its root and every
+        level at which its lane moved."""
         T, C = self.population.shape
         TC = T * C
-        box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        root = np.arange(T) * C + self.root
-
-        # 1. walk every lane every level; a parked lane loops on its leaf
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
-        levels = [root]
-        flat = root
+        flat = np.arange(T) * C + self.root
+        levels = [flat]
         while True:
             side = (x.take(split_dim[flat]) >= split_val[flat]) * TC
             side += flat
@@ -776,19 +787,26 @@ class ForestArena:
                 break
             levels.append(nxt)
             flat = nxt
-        # the (L, T) walk; each tree's path, in path order, is its root and
-        # then every level at which its lane moved, read off tree-major
         walk = np.array(levels)
         on_path = np.empty(walk.shape, dtype=bool)
         on_path[0] = True
         np.not_equal(walk[1:], walk[:-1], out=on_path[1:])
-        path_flat = walk.T[on_path.T]
         length = on_path.sum(axis=0)
-        path_tree = np.repeat(np.arange(T), length)
-        starts = np.cumsum(length) - length  # each tree's root on the path
+        starts = np.cumsum(length) - length
+        return np.repeat(np.arange(T), length), walk.T[on_path.T], starts
+
+    def _race(self, x: np.ndarray):
+        """Phases 1 and 2 of ``extend``: the path of x in every tree as
+        tree-major tree and flat node indices; the box rows, deviations and
+        rates along it; and for each tree whose clock fired its position on
+        the path, firing time and the two cut uniforms of its draw. The path
+        is the walk ``route`` left for x, if any, or a fresh ``_walk``."""
+        walked, self._walked = self._walked, None
+        path_tree, path_flat, starts = walked[1] if walked and walked[0] == x.tobytes() else self._walk(x)
 
         # 2. rates and parent times on every path node; the candidates are
         # the nodes with a positive rate, in path order
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
         lo, hi = box_min.take(path_flat, axis=0), box_max.take(path_flat, axis=0)
         _check_rates_finite(lo.take(starts, axis=0), hi.take(starts, axis=0), x)
         dev = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)

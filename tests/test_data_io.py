@@ -331,9 +331,14 @@ class TestCsvDialect:
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
         text = "a,b\n1,2\n\n3,4\r\n\r\n\n5,6\n\n"
         assert self._load(tmp_path, text).tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        # the row count skips blank lines; the message names the file line too
         assert self._error(tmp_path, "a,b\n\n1,2\n\n3,nan\n") == (
-            "row 3, column 2: non-finite value 'nan' rejected"
+            "row 3 (line 5), column 2: non-finite value 'nan' rejected"
         )
+        assert self._error(tmp_path, "a,b\n1,2\n\n3\n") == "row 3 (line 4): 1 features, expected 2"
+        assert self._error(tmp_path, '"a\nb",c\n1,x\n') == "row 2 (line 3), column 2: could not parse 'x' as a number"
+        assert self._error(tmp_path, "\n1,2\n", header=False, label_column=4) == "row 1 (line 2): no column 4 for the label"
+        assert self._error(tmp_path, "\na\n", label_column=4) == "row 1 (line 2): no column 4 for the label"
 
     @pytest.mark.parametrize("line", ["  ", "\t", " \t "])
     def test_whitespace_only_line_is_a_bad_row(self, tmp_path, line):
@@ -346,7 +351,7 @@ class TestCsvDialect:
         ds = self._load(tmp_path, "\n\r\n\na,y\n1.5,0\n-2,1\n", label_column="y")
         assert ds.points.tolist() == [[1.5], [-2.0]] and ds.labels.tolist() == [0, 1]
         assert self._error(tmp_path, "\n\na,b\n1,nan\n") == (
-            "row 2, column 2: non-finite value 'nan' rejected"
+            "row 2 (line 4), column 2: non-finite value 'nan' rejected"
         )
 
     def test_quoted_header_names(self, tmp_path):

@@ -41,7 +41,7 @@ from helpers import (
     scored_depth,
     structurally_equal,
 )
-from reference import extend_tree, fit_tree, path_length
+from reference import extend_tree, fit_tree, path_length, walk
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -631,6 +631,58 @@ class TestRoutingTable:
             loaded = load_model(path)
             _assert_table_current(loaded.arena)
             _assert_scores_match_oracle(loaded, probes)
+
+
+class TestOnePointWalk:
+    """A one-point score walks every tree as an insert does and leaves the
+    walk for the insert of the same point that follows it."""
+
+    def test_one_point_scores_equal_batch_rows(self):
+        rng = np.random.default_rng(34)
+        for case, (forest, probes, rows) in enumerate(_pinned_route_cases()):
+            for _ in range(2):  # as built, then after a stream
+                batch = score_all(probes, forest)[0][rows]
+                alone = np.concatenate([score_all(probes[i : i + 1], forest)[0] for i in rows])
+                assert alone.tobytes() == batch.tobytes()
+                if case:  # some sampled rows reach leaves of two or more points
+                    assert any(t.population[walk(t, x)[-1]] > 1 for x in probes[rows] for t in forest.trees)
+                extend_forest(forest, _stream(rng, probes, 300))
+
+    def test_scoring_before_each_insert_changes_nothing(self):
+        # the stream of TestLockstepArena.test_extension_stream_is_pinned
+        rng = np.random.default_rng(25)
+        X = random_dataset(rng, 512, 3)
+        forest = train_batch(X, ForestConfig(num_trees=20, psi=64, seed=7))
+        for x in _stream(rng, X, 300):
+            score_all([x], forest)
+            extend_forest(forest, [x])
+        assert arena_fingerprint(forest.arena) == EXTENSION_FINGERPRINT
+
+    def test_a_left_walk_never_goes_stale(self):
+        X = random_dataset(np.random.default_rng(35), 200, 3)
+        scored, plain = (train_batch(X, ForestConfig(num_trees=20, psi=64, seed=8)) for _ in range(2))
+        x = X.max(axis=0) + 1.0
+        y = X.min(axis=0) - 1.0  # across every root box from x: another path, spliced onto x's paths
+        score_all([x], scored)
+        extend_forest(scored, [y, x])
+        extend_forest(plain, [y, x])
+        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
+        score_all([x], scored)
+        extend_forest(scored, [x, x])
+        extend_forest(plain, [x, x])
+        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
+
+    def test_a_refused_insert_leaves_no_walk(self):
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
+        scored, plain = (train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1)) for _ in range(2))
+        before = arena_fingerprint(scored.arena)
+        score_all([[1e308, 1e308]], scored)
+        with pytest.raises(ValueError, match="overflow"):
+            extend_forest(scored, [[1e308, 1e308]])
+        assert arena_fingerprint(scored.arena) == before
+        extend_forest(scored, [[2.0, -1.0]])
+        extend_forest(plain, [[2.0, -1.0]])
+        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
 
 
 def _fork_cases(rows):
