@@ -7,12 +7,14 @@ even pairs, CHANGE first on odd ones), reads the JSON object on the last line
 of its output and the cycle count on its ``cycles:`` line, and prints both
 runs' cycle counts beside their metrics: a metric pooled over the cycles that
 fit in the run, such as ``stream`` ``auc``, can move with the count alone.
-For each metric it then prints both sides' median and quartiles and the
-number of pairs the change won, ties counting for neither, with the better
-direction taken from BASE's ``BENCHMARK.json``. A metric reads ``gain`` (or
-``loss``) when there are at least ten pairs, one side wins at least nine
-tenths of them and the medians differ by more than the distance between
-BASE's quartiles.
+For each metric it then prints both sides' median and quartiles, the median
+of the per-pair ratios (change over base), and the number of pairs the
+change won, ties counting for neither, with the better direction taken from
+BASE's ``BENCHMARK.json``. The host's speed drifts between pairs, so a gain
+can show in the paired ratio while the two sides' medians overlap. A metric
+reads ``gain`` (or ``loss``) when there are at least ten pairs, one side wins
+at least nine tenths of them and the medians differ by more than the
+distance between BASE's quartiles; the ratio does not enter the verdict.
 Uses the standard library only.
 """
 
@@ -62,7 +64,7 @@ def main() -> None:
         pairs.append((b, c))
         print(f"seed {seed}: cycles {base_cycles} -> {change_cycles}  "
               + "  ".join(f"{n} {b[n]:.4g} -> {c[n]:.4g}" for n in b if n in c and n in higher), flush=True)
-    print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  wins  verdict")
+    print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  ratio  wins  verdict")
     for name in pairs[0][0]:
         if name not in higher or name not in pairs[0][1]:
             continue
@@ -71,9 +73,11 @@ def main() -> None:
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+        ratios = [c / b for b, c in zip(base, change) if b]  # a metric that reads 0 has none
+        ratio = statistics.median(ratios) if ratios else float("nan")
         apart = len(pairs) >= 10 and abs(cm - bm) > b3 - b1
         verdict = "gain" if wins >= 0.9 * len(pairs) and apart else "loss" if losses >= 0.9 * len(pairs) and apart else "-"
-        print(f"{name:40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}  {wins:2d}/{len(pairs)}  {verdict}")
+        print(f"{name:40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}  {ratio:5.3f}  {wins:2d}/{len(pairs)}  {verdict}")
 
 
 if __name__ == "__main__":

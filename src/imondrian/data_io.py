@@ -411,9 +411,9 @@ def _structure_problem(arena: ForestArena, left, right, parent) -> str | None:
     links back to it; nodes have zero or two children; split times rise
     from parent to child (so links cannot form a cycle) and leaves have an
     infinite split time; every node holds at least one point and an internal
-    node exactly its children's points; split dimensions lie in [0, dim);
-    split values lie inside their node's box; and boxes are ordered and
-    nest inside their parent's.
+    node exactly its children's points; split dimensions lie in [0, dim),
+    and in [-1, dim) at leaves, whose dimension routing reads and ignores;
+    split values lie inside their node's box; boxes are ordered and nest.
     """
     T, C = left.shape
     size = arena.size[:, None]
@@ -447,8 +447,9 @@ def _structure_problem(arena: ForestArena, left, right, parent) -> str | None:
         return "population below 1"
     if (population[kids[: inner.size]] + population[kids[inner.size :]] != population[inner]).any():
         return "internal population is not the sum of its children's"
-    q = arena.split_dim.ravel()[inner].astype(np.int64)
-    if ((q < 0) | (q >= arena.dim)).any():
+    dims = arena.split_dim.ravel()
+    q = dims[inner].astype(np.int64)
+    if ((q < 0) | (q >= arena.dim)).any() or ((dims < NO_NODE) | (dims >= arena.dim)).any():
         return "split dimension out of range"
     box_min = arena.box_min.reshape(T * C, -1)
     box_max = arena.box_max.reshape(T * C, -1)

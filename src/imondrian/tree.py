@@ -25,12 +25,12 @@ every level, and reads each tree's path off that walk; it races one
 exponential clock per candidate node (a node on the point's path that the
 point lies outside of), each tree draws all of its clocks and its cut in
 one call of its own generator, and only the boxes the point lies outside of
-are rewritten. Scoring adds to a point's edge count the c term of the
-reached leaf's population, which is 0 for a single point. A one-point score
-walks as extension does and leaves its walk to the insert of that point that
-follows it; every insert clears it. The per-tree references the kernels are
-tested against (``fit_tree``, ``path_length`` and ``extend_tree``) live in
-``tests/reference.py``.
+are rewritten. Scoring adds to a point's edge count, which routing reads off
+a table of node depths, the c term of the reached leaf's population (0 for
+one point). A one-point score walks as extension does and leaves its walk to
+the insert of that point that follows it; every insert clears it. The
+per-tree references the kernels are tested against (``fit_tree``,
+``path_length`` and ``extend_tree``) live in ``tests/reference.py``.
 
 A large forest is built, and a large batch routed, on every CPU in the
 process's affinity mask (so ``taskset -c 0`` keeps them on one), by one
@@ -47,6 +47,7 @@ one process.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
 import sys
@@ -391,11 +392,12 @@ class ForestArena:
     dimension and value, compare (right iff x[q] >= p), gather
     ``child[go * T * C + node]``. A parked lane's comparison is ignored, so
     a leaf's ``split_dim`` of -1 may read any valid coordinate. ``route``
-    drops its parked lanes by index once half of them have parked; ``extend``
-    has one lane per tree and steps all of them every level, so its walk is a
-    (levels, T) array from which each tree's path is the root and every
-    level at which that lane moved. ``links`` reads row-local links off the
-    table for tree views and the model file; ``link`` builds it from them.
+    records the leaf each lane parks on and reads its depth off
+    ``_node_depths``; ``extend`` has one lane per tree and steps all of them
+    every level, so its walk is a (levels, T) array from which each tree's
+    path is the root and every level at which that lane moved. ``links``
+    reads row-local links off the table for tree views and the model file;
+    ``link`` builds it from them.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -637,10 +639,10 @@ class ForestArena:
         A large batch is routed on every CPU in the process's affinity mask,
         by a fork-join over contiguous blocks of points (see ``_fork_join``):
         one worker per FORK_LANES (tree, point) lanes, at most one per usable
-        CPU and per point. A child reads the arena copy-on-write and writes
-        its block's sums to its file. The split is by points, not trees, so
-        each point's sum is still taken by one process in tree order and is
-        bit for bit the one-process sum (see ``_route``).
+        CPU and per point. A child reads the arena copy-on-write, builds its
+        own node-depth table and writes its block's sums to its file. The
+        split is by points, not trees, so each point's sum is taken by one
+        process in tree order, bit for bit the one-process sum (``_route``).
 
         A one-point batch is walked as ``extend`` walks (``_walk``), its
         depths added in tree order one at a time, bit for bit as in ``_route``;
@@ -668,67 +670,84 @@ class ForestArena:
         return depth_sum
 
     def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
-        """``route`` in this process. Lanes are (tree, point) pairs
-        in tree-major order, routed about ROUTE_LANES at a time so memory
-        stays flat. Each level is one step through ``child``, a lane's depth
-        is its number of moves, and the walk ends when none moved. Once at
-        least half of the lanes have parked on their leaves, every lane's
-        depth (and leaf) is written out, to be overwritten later for the
-        lanes still moving, and those lanes are gathered by index: a boolean
-        mask filter cost about 7 ns per element per array against about 2
-        for one ``flatnonzero`` and a ``take``, and dropping lanes once a
-        quarter or an eighth of them had parked was no faster when measured.
+        """``route`` in this process. Lanes are (tree, point) pairs in
+        tree-major order, routed about ROUTE_LANES at a time so memory stays
+        flat, and carry only their lane number, node and point. Points are
+        read feature-major, so lanes at one node read one column, and a pass
+        numbers its trees' nodes from 0. A parked lane loops on its leaf, so
+        only every second level checks for movement; the walk ends when none
+        moved. Once half of the lanes have parked, every lane's node is
+        recorded, to be overwritten later for the lanes still moving, and
+        those are gathered by index (a boolean mask cost 7 ns per element per
+        array, ``flatnonzero`` and ``take`` 2). Each lane's edge count is then
+        read off ``_node_depths`` at the leaf it reached.
 
         A tree of L leaves whose root holds more than L points has a leaf of
         two or more. Without such a tree every depth is an edge count and
-        sums exactly; with one, each lane's leaf is kept, ``leaf_depth`` is
-        applied once per pass, and the sums are taken tree by tree in tree
-        order, so that a point's sum does not depend on the batch it is in.
+        sums exactly; with one, ``leaf_depth`` is applied once per pass and
+        the sums are taken tree by tree in tree order, so that a point's sum
+        does not depend on the batch it is in.
         """
-        n, d = X.shape
-        C, TC = self.capacity, self.population.size
-        flat_x = np.ascontiguousarray(X).ravel()
+        n = X.shape[0]
+        T, C = self.population.shape
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
-        population = self._flat("population")
-        root_population = self.population[np.arange(self.num_trees), self.root]
-        duplicates = bool((root_population > (self.size + 1) // 2).any())
+        population, kids = self._flat("population"), self.child.reshape(2, -1)
+        duplicates = bool((self.population[np.arange(T), self.root] > (self.size + 1) // 2).any())
+        node_depth = self._node_depths()
         depth_sum = np.zeros(n)
         block = min(n, ROUTE_LANES)
         trees_per_pass = max(ROUTE_LANES // block, 1)
+        leaf = np.empty(block * min(trees_per_pass, T), dtype=np.int64)
         for p0 in range(0, n, block):
-            offsets = np.arange(p0, min(p0 + block, n)) * d  # row starts in flat_x
-            acc = depth_sum[p0 : p0 + offsets.size]
-            for t0 in range(0, self.num_trees, trees_per_pass):
-                trees = np.arange(t0, min(t0 + trees_per_pass, self.num_trees))
-                node = np.repeat(trees * C + self.root[trees], offsets.size)
-                xrow = np.tile(offsets, trees.size)
+            m = min(block, n - p0)
+            xt = X[p0 : p0 + m].T.ravel()  # feature-major: x[q] of point i at q * m + i
+            acc = depth_sum[p0 : p0 + m]
+            for t0 in range(0, T, trees_per_pass):
+                # the pass's trees, with their nodes numbered from 0
+                k = min(trees_per_pass, T - t0)
+                a, width = t0 * C, k * C
+                dims = np.multiply(split_dim[a : a + width], m, dtype=np.int64)
+                vals = split_val[a : a + width]
+                kid = (kids[:, a : a + width] - a).ravel()
+                node = np.repeat(np.arange(k) * C + self.root[t0 : t0 + k], m)
+                point = np.tile(np.arange(m), k)
                 lane = np.arange(node.size)
-                depth = np.zeros(node.size, dtype=np.int64)
-                out = np.empty_like(depth)
-                leaf = np.empty_like(depth) if duplicates else None
-                while True:
-                    go = flat_x[xrow + split_dim[node]] >= split_val[node]
-                    nxt = self.child[go * TC + node]
-                    moved = nxt != node
-                    live = np.count_nonzero(moved)
-                    if not live:
-                        break
+                for level in itertools.count():
+                    nxt = kid[(xt[dims[node] + point] >= vals[node]) * width + node]
+                    if not level % 2:
+                        moved = nxt != node
+                        live = np.count_nonzero(moved)
+                        if not live:
+                            break
+                        if 2 * live <= moved.size:
+                            leaf[lane] = nxt
+                            keep = np.flatnonzero(moved)
+                            lane, nxt, point = lane.take(keep), nxt.take(keep), point.take(keep)
                     node = nxt
-                    depth += moved
-                    if 2 * live <= moved.size:
-                        out[lane] = depth
-                        if duplicates:
-                            leaf[lane] = node
-                        keep = np.flatnonzero(moved)
-                        lane, node, xrow, depth = lane.take(keep), node.take(keep), xrow.take(keep), depth.take(keep)
-                out[lane] = depth
-                if not duplicates:
-                    acc += out.reshape(trees.size, -1).sum(axis=0)
-                    continue
                 leaf[lane] = node
-                for row in (out + leaf_depth(population[leaf])).reshape(trees.size, -1):
+                reached = leaf[: k * m]
+                depth = node_depth[a : a + width].take(reached)
+                if not duplicates:
+                    acc += depth.reshape(k, m).sum(axis=0)
+                    continue
+                for row in (depth + leaf_depth(population[a : a + width].take(reached))).reshape(k, m):
                     acc += row
+            del xt  # before the next block's copy, so one transposed block is held at a time
         return depth_sum
+
+    def _node_depths(self) -> np.ndarray:
+        """Each flat node's edge count from its tree's root (0 if unused) by a
+        level walk over ``child``, in the smallest int type holding the capacity."""
+        TC = self.population.size
+        depth = np.zeros(TC, dtype=np.min_scalar_type(self.capacity))
+        level = np.arange(self.num_trees) * self.capacity + self.root
+        for edges in itertools.count():
+            depth[level] = edges
+            left = self.child.take(level)
+            inner = np.flatnonzero(left != level)  # a leaf is its own child
+            if not inner.size:
+                return depth
+            level = np.concatenate((left.take(inner), self.child.take(level.take(inner) + TC)))
 
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree.

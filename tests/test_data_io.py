@@ -10,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imondrian.data_io import (
     CsvSchema,
@@ -32,6 +34,7 @@ from helpers import (
     V2_MODEL,
     V2_PATH_LENGTHS,
     V2_PROBES,
+    check_arena_invariants,
     check_tree_invariants,
     node_arrays,
     read_model,
@@ -72,6 +75,11 @@ def _empty_leaf(meta, arrays):
 def _finite_leaf_time(meta, arrays):
     leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
     arrays["split_time"][0, leaf] = 1e9
+
+
+def _leaf_dim_past_dim(meta, arrays):
+    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
+    arrays["split_dim"][0, leaf] = meta["dim"]
 
 
 def _left_past_size(meta, arrays):
@@ -630,6 +638,7 @@ class TestModelRoundTrip:
         [
             (_set_root("split_dim", 3), "split dimension"),
             (_set_root("split_dim", -2), "split dimension"),
+            (_leaf_dim_past_dim, "split dimension"),
             (_set_root("split_time", -1.0), "split times"),
             (_root_cut_outside_box, "split value"),
             (_widen_first_child, "nested"),
@@ -673,6 +682,56 @@ class TestModelRoundTrip:
         reseal_model(path, shrink)  # arrays keep their old width
         with pytest.raises(ModelFormatError, match="bytes"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A saved three-tree model of unequal tree sizes (2-D, psi 16 on rows
+    with duplicates, then six arrivals) and the path of a copy to edit."""
+    rng = np.random.default_rng(60)
+    X = rng.integers(0, 4, size=(60, 2)).astype(float)
+    forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=60))
+    extend_forest(forest, rng.normal(scale=3.0, size=(6, 2)))
+    assert len(set(forest.arena.size.tolist())) > 1  # so the stored width has unused slots
+    path = tmp_path_factory.mktemp("edits") / "model.imf"
+    save_model(forest, path)
+    return path.read_bytes(), path
+
+
+class TestValidatorsAgree:
+    """The loader's validator and ``helpers.check_arena_invariants``, which
+    was written apart from it, agree on every hand edit of one element of one
+    node field: the edited model fails to load with ModelFormatError, or it
+    loads as a forest that passes the invariants."""
+
+    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
+    # patch, and libcst warns on import; as an error that would end the session
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_element(self, model_file, data):
+        saved, path = model_file
+        path.write_bytes(saved)
+        arrays = read_model(path)[1]
+        name = data.draw(st.sampled_from(FIELD_NAMES), label="field")
+        field = arrays[name]
+        index = data.draw(st.integers(0, field.size - 1), label="flat index")
+        if field.dtype.kind == "f":
+            fresh = st.floats(width=64)
+        else:
+            info = np.iinfo(field.dtype)
+            fresh = st.integers(-2, field.shape[1] + 1) | st.integers(int(info.min), int(info.max))
+        value = data.draw(fresh | st.sampled_from(field.ravel().tolist()), label="value")
+
+        def edit(meta, arrays):
+            arrays[name].reshape(-1)[index] = value
+
+        reseal_model(path, edit)
+        try:
+            forest = load_model(path)
+        except ModelFormatError:
+            return
+        check_arena_invariants(forest.arena)
 
 
 class TestScoreExport:

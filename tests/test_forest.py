@@ -633,6 +633,116 @@ class TestRoutingTable:
             _assert_scores_match_oracle(loaded, probes)
 
 
+def _walked_depths(arena) -> np.ndarray:
+    """Every flat slot's edge count from its tree's root, read off
+    ``reference.walk`` of each tree view from the root to every leaf (a
+    point in a leaf's box reaches that leaf); 0 for unused slots."""
+    depth = np.zeros(arena.population.size, dtype=np.int64)
+    for t in range(arena.num_trees):
+        tree = arena.tree(t)
+        for leaf in np.flatnonzero(tree.left[: tree.size] == NO_NODE).tolist():
+            path = walk(tree, tree.box_min[leaf])
+            assert path[-1] == leaf
+            depth[t * arena.capacity + np.array(path)] = np.arange(len(path))
+    return depth
+
+
+def _assert_routes_like_oracle(forest, probes, rows=None):
+    """``route`` and ``_route`` on ``probes`` are bit for bit the oracle's
+    sums (scoring depths added in tree order), on the probe indices ``rows``
+    (every probe by default)."""
+    rows = np.arange(len(probes)) if rows is None else rows
+    expected = [sum(scored_depth(t, x) for t in forest.trees) for x in probes[rows]]
+    for kernel in (forest.arena.route, forest.arena._route):
+        assert kernel(probes, _leaf_depth)[rows].tolist() == expected
+
+
+class TestNodeDepthTable:
+    """``ForestArena._node_depths``, which ``_route`` reads each lane's edge
+    count from, against the depths of ``reference.walk``."""
+
+    @pytest.fixture(scope="class")
+    def forests(self, tmp_path_factory):
+        rng = np.random.default_rng(50)
+        X = rng.normal(size=(300, 3))
+        built = train_batch(X, ForestConfig(num_trees=6, psi=64, seed=1))
+        extended = train_batch(X[:40], ForestConfig(num_trees=5, psi=None, seed=2))
+        start = extended.arena.capacity
+        for x in _stream(rng, X[:40], 400):
+            extend_forest(extended, [x])
+            if extended.arena.capacity > start:
+                break
+        assert extended.arena.capacity > start  # grown through _double
+        extend_forest(extended, _stream(rng, X[:40], 9))
+        D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 15, axis=0), rng.normal(size=(10, 2))])
+        duplicate = train_batch(D, ForestConfig(num_trees=6, psi=None, seed=3))
+        assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
+        E = np.tile(rng.normal(size=(1, 3)), (12, 1))
+        equal = train_batch(E, ForestConfig(num_trees=4, psi=None, seed=4))
+        assert (equal.arena.size == 1).all()  # every tree one leaf: no lane ever moves
+        path = tmp_path_factory.mktemp("depths") / "extended.imf"
+        save_model(extended, path)
+        return {
+            "built": (built, X), "extended": (extended, X[:40]), "duplicate": (duplicate, D),
+            "all-equal": (equal, E), "loaded": (load_model(path), X[:40]),
+        }
+
+    @pytest.mark.parametrize("case", ["built", "extended", "duplicate", "all-equal", "loaded"])
+    def test_table_matches_walked_depths(self, forests, case):
+        arena = forests[case][0].arena
+        table = arena._node_depths()
+        assert table.dtype == np.min_scalar_type(arena.capacity)  # the smallest type that holds it
+        assert np.array_equal(table, _walked_depths(arena))
+
+    @pytest.mark.parametrize("case", ["built", "extended", "duplicate", "all-equal", "loaded"])
+    def test_routes_match_oracle(self, forests, case):
+        forest, data = forests[case]
+        probes = np.vstack([data, _stream(np.random.default_rng(51), data, 30)])
+        _assert_routes_like_oracle(forest, probes)
+
+
+class TestRouteEdgeShapes:
+    """``route`` and ``_route`` at the shapes where the blocks, passes and
+    level checks of ``_route`` change, bit for bit against
+    ``helpers.scored_depth``."""
+
+    def test_two_points_in_one_dimension(self):
+        rng = np.random.default_rng(53)
+        two = train_batch(np.array([[0.0], [1.0]]), ForestConfig(num_trees=3, psi=None, seed=1))
+        many = train_batch(rng.normal(size=(40, 1)), ForestConfig(num_trees=5, psi=None, seed=2))
+        for forest in (two, many):
+            _assert_routes_like_oracle(forest, np.array([[0.3], [-7.0]]))
+
+    @pytest.mark.parametrize("n", [ROUTE_LANES - 1, ROUTE_LANES + 1])
+    def test_one_lane_either_side_of_a_pass(self, n):
+        # ROUTE_LANES - 1 points: one block, one tree per pass; ROUTE_LANES + 1:
+        # a full block, then a block of one point
+        rng = np.random.default_rng(54)
+        probes = rng.normal(scale=1.5, size=(n, 2))
+        D = np.vstack([np.repeat(rng.normal(size=(5, 2)), 8, axis=0), rng.normal(size=(30, 2))])
+        clean = train_batch(probes, ForestConfig(num_trees=3, psi=16, seed=3))
+        duplicate = train_batch(D, ForestConfig(num_trees=4, psi=None, seed=4))
+        rows = np.r_[0:20, 100:n:397, n - 20 : n]
+        for forest in (clean, duplicate):
+            _assert_routes_like_oracle(forest, probes, rows)
+
+    def test_lanes_park_on_checked_and_unchecked_levels(self):
+        # a lane parks on the level equal to its leaf's depth, and only even
+        # levels check for movement; small batches route every tree in one
+        # pass, so each forest's deepest lane ends the walk
+        rng = np.random.default_rng(55)
+        deepest = set()
+        for seed in range(6):
+            X = rng.normal(size=(int(rng.integers(6, 40)), 2))
+            forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=seed))
+            probes = np.vstack([X, _stream(rng, X, 20)])
+            depths = [len(walk(t, x)) - 1 for t in forest.trees for x in probes]
+            assert {d % 2 for d in depths} == {0, 1}
+            deepest.add(max(depths) % 2)
+            _assert_routes_like_oracle(forest, probes)
+        assert deepest == {0, 1}
+
+
 class TestOnePointWalk:
     """A one-point score walks every tree as an insert does and leaves the
     walk for the insert of the same point that follows it."""

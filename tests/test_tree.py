@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from imondrian.errors import DimensionMismatchError
-from imondrian.forest import ForestConfig, train_batch
+from imondrian.forest import ForestConfig, _leaf_depth, train_batch
 from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
 
 from helpers import (
@@ -202,6 +202,16 @@ def _same_law_p(a, b) -> float:
     return special.chdtrc(table.shape[1] - 1, ((table - expected) ** 2 / expected).sum())
 
 
+def _same_mean_p(a_sum: float, b_sum: float, a, b) -> float:
+    """Welch's two-sided p-value that two samples share one mean, given each
+    sample's sum and its values (for the variances)."""
+    special = pytest.importorskip("scipy.special")
+    (na, va), (nb, vb) = ((x.size, x.var(ddof=1) / x.size) for x in (a, b))
+    t = (a_sum / na - b_sum / nb) / math.sqrt(va + vb)
+    df = (va + vb) ** 2 / (va**2 / (na - 1) + vb**2 / (nb - 1))
+    return 2.0 * special.stdtr(df, -abs(t))
+
+
 class TestExtensionLaw:
     """Extending trees built on the first three points with the other three
     gives trees distributed like trees built on all six (projectivity of the
@@ -219,6 +229,15 @@ class TestExtensionLaw:
     def test_depth_of_each_point(self, arenas, i):
         built, extended = arenas
         assert _same_law_p(_depths(built, LAW_POINTS[i]), _depths(extended, LAW_POINTS[i])) > LAW_LEVEL
+
+    @pytest.mark.parametrize("i", range(len(LAW_POINTS)))
+    def test_mean_depth_of_each_point(self, arenas, i):
+        # E(l) as scoring takes it, through ForestArena.route; every leaf
+        # holds one point, so a tree's scoring depth is its edge count
+        sums = [arena.route(LAW_POINTS, _leaf_depth)[i] for arena in arenas]
+        depths = [_depths(arena, LAW_POINTS[i]) for arena in arenas]
+        assert sums == [d.sum() for d in depths]
+        assert _same_mean_p(*sums, *depths) > LAW_LEVEL
 
     def test_root_split_time_is_exponential_in_linear_dimension(self, arenas):
         # the root of a Mondrian on a box splits after Exp(its linear dimension)
