@@ -2,9 +2,8 @@
 
 The model file stores a forest's packed arena: a one-line header carrying
 magic, version and a SHA-256 checksum, one JSON metadata line, then the node
-arrays as raw little-endian bytes, with the links as row-local left, right
-and parent arrays read off the arena's child table, so reloaded structures
-are bit-identical (see ``save_model``).
+arrays and the two sides of the arena's child table as raw little-endian
+bytes, so reloaded structures are bit-identical (see ``save_model``).
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ import numpy as np
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
 from .forest import Forest
-from .tree import LINKS, NO_NODE, ForestArena, link, node_fields
+from .tree import ForestArena, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -295,17 +294,17 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 def save_model(forest: Forest, path) -> None:
     """Persist a forest as its packed arena; the round trip is bit exact.
 
-    The file is a header line ``imondrian-forest v2 sha256=<hex>``, one JSON
+    The file is a header line ``imondrian-forest v3 sha256=<hex>``, one JSON
     line (the forest's scalars, the stored width W = the largest tree's
-    size, and every tree's root, size and generator state), then the first
-    W slots of every node field as raw little-endian bytes, in
-    ``tree.node_fields`` order, the links from ``ForestArena.links`` over
-    those W slots. The
-    checksum covers everything after the header line.
+    size, and every tree's root, size and generator state), then as raw
+    little-endian bytes the first W slots of every node field, in
+    ``tree.node_fields`` order, and then the child table: a (2, T, W) int32
+    array whose side 0 and 1 hold each slot's left and right child as a
+    row-local slot, and a leaf's or unused slot's own slot on both sides.
+    The checksum covers everything after the header line.
     """
     arena = forest.arena
     width = int(arena.size.max())
-    links = dict(zip(LINKS, arena.links(width=width)))
     meta = {
         "n_effective": forest.n_effective,
         "psi": forest.psi,
@@ -319,8 +318,9 @@ def save_model(forest: Forest, path) -> None:
     }
     body = [json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"]
     for name, dtype, _, _ in node_fields((), forest.dim):
-        field = links[name] if name in LINKS else getattr(arena, name)
-        body.append(field[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
+        body.append(getattr(arena, name)[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
+    C = arena.capacity
+    body.append((arena.child.reshape(2, -1, C)[:, :, :width] % C).astype("<i4").tobytes())
     digest = hashlib.sha256()
     for part in body:
         digest.update(part)
@@ -352,20 +352,20 @@ def load_model(path) -> Forest:
     if meta_end < 0:
         raise ModelFormatError(f"{path}: no array section after the metadata line")
     try:
-        forest, links = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
+        forest = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed payload: {exc}") from exc
-    problem = _structure_problem(forest.arena, *links)
+    problem = _structure_problem(forest.arena)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
 
 
-def _unpack(meta: dict, raw: bytes, offset: int) -> tuple[Forest, tuple[np.ndarray, ...]]:
+def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
     """The forest described by a metadata dict and the arrays in ``raw`` from
-    ``offset`` on, and the file's left, right and parent links its child
-    table is built from; ValueError if they do not fit together. Unused slots
-    are reset to a fresh arena's fill values, whatever the file holds there."""
+    ``offset`` on; ValueError if they do not fit together. Unused slots are
+    reset to a fresh arena's fill values and self loops, whatever the file
+    holds there."""
     num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
     root = np.asarray(meta["root"], dtype=np.int64)
     size = np.asarray(meta["size"], dtype=np.int64)
@@ -375,21 +375,23 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> tuple[Forest, tuple[np.ndarr
     if size.min() < 1 or size.max() != width:
         raise ValueError("tree sizes do not fit the stored width")
     fields = node_fields((num_trees, width), dim)
-    expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields)
+    # the node fields, then the child table's two int32 rows
+    expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields) + 8 * num_trees * width
     if len(raw) - offset != expected:
         raise ValueError(f"array section holds {len(raw) - offset} bytes, expected {expected}")
     arena = ForestArena(num_trees, dim, width)
     unused = np.arange(width) >= size[:, None]
-    links = {name: np.empty(shape, dtype) for name, dtype, shape, _ in fields if name in LINKS}
     for name, dtype, shape, fill in fields:
         stored = np.frombuffer(raw, dtype.newbyteorder("<"), math.prod(shape), offset).reshape(shape)
-        field = links[name] if name in LINKS else getattr(arena, name)
+        field = getattr(arena, name)
         field[...] = stored
         field[unused] = fill
         offset += stored.nbytes
+    kids = np.frombuffer(raw, "<i4", 2 * num_trees * width, offset).reshape(2, num_trees, width)
+    child = arena.child.reshape(2, num_trees, width)  # self loops in a fresh arena
+    child[:, ~unused] = (kids + np.arange(num_trees)[:, None] * width)[:, ~unused]
     arena.root[:] = root
     arena.size[:] = size
-    arena.child = link(links["left"], links["right"])
     for t, state in enumerate(states):
         arena.rngs[t] = np.random.default_rng()
         arena.rngs[t].bit_generator.state = state
@@ -399,44 +401,43 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> tuple[Forest, tuple[np.ndarr
         n_effective=int(meta["n_effective"]),
         psi=None if psi is None else int(psi),
         seed=int(meta["seed"]),
-    ), tuple(links.values())
+    )
 
 
-def _structure_problem(arena: ForestArena, left, right, parent) -> str | None:
-    """Why the packed trees, with a model file's (T, C) row-local links
-    ``left``, ``right`` and ``parent``, are not valid partition trees, or None.
+def _structure_problem(arena: ForestArena) -> str | None:
+    """Why the packed trees of an arena are not valid partition trees, or None.
 
-    Checked for every tree at once: links stay inside the tree's used slots;
-    every node but the root is the child of exactly one internal node and
-    links back to it; nodes have zero or two children; split times rise
-    from parent to child (so links cannot form a cycle) and leaves have an
-    infinite split time; every node holds at least one point and an internal
-    node exactly its children's points; split dimensions lie in [0, dim),
-    and in [-1, dim) at leaves, whose dimension routing reads and ignores;
-    split values lie inside their node's box; boxes are ordered and nest.
+    Checked for every tree at once, on the child table itself: each side of
+    a used slot is a used slot of the same tree; a node is a leaf iff both
+    of its sides are self loops; every used slot but the root is entered by
+    exactly one side that is not a self loop, and the root by none; split
+    times rise from parent to child (so links cannot form a cycle) and
+    leaves have an infinite split time; every node holds at least one point
+    and an internal node exactly its children's points; split dimensions lie
+    in [0, dim), and in [-1, dim) at leaves, whose dimension routing reads
+    and ignores; split values lie inside their node's box; boxes are ordered
+    and nest.
     """
-    T, C = left.shape
-    size = arena.size[:, None]
-    used = np.arange(C) < size
+    T, C = arena.population.shape
+    slot = np.arange(C)
+    used = slot < arena.size[:, None]
     if not ((arena.root >= 0) & (arena.root < arena.size)).all():
         return "root link out of range"
-    for name, links in zip(LINKS, (left, right, parent)):
-        if ((links < NO_NODE) | (links >= size))[used].any():
+    local = arena.child.reshape(2, T, C) - (np.arange(T) * C)[:, None]
+    for name, side in zip(("left", "right"), local):
+        if ((side < 0) | (side >= arena.size[:, None]))[used].any():
             return f"{name} link out of range"
-    leaf = left == NO_NODE
-    if (leaf != (right == NO_NODE))[used].any():
+    leaf = local[0] == slot
+    if (leaf != (local[1] == slot))[used].any():
         return "node with exactly one child"
     inner = np.flatnonzero(used & ~leaf)  # flat index t * C + node
     parents = np.concatenate([inner, inner])
-    rows = parents - parents % C
-    kids = rows + np.concatenate([left.ravel()[inner], right.ravel()[inner]])
+    kids = arena.child.reshape(2, -1)[:, inner].ravel()
     roots = np.arange(T) * C + arena.root
     expected = used.ravel().astype(np.int64)
     expected[roots] = 0
     if not np.array_equal(np.bincount(kids, minlength=T * C), expected):
         return "some node is not the child of exactly one internal node"
-    if (parent.ravel()[roots] != NO_NODE).any() or (rows + parent.ravel()[kids] != parents).any():
-        return "parent link does not match child link"
     split_time = arena.split_time.ravel()
     if not ((split_time[roots] > 0.0).all() and (split_time[kids] > split_time[parents]).all()):
         return "split times do not increase from parent to child"
@@ -449,7 +450,7 @@ def _structure_problem(arena: ForestArena, left, right, parent) -> str | None:
         return "internal population is not the sum of its children's"
     dims = arena.split_dim.ravel()
     q = dims[inner].astype(np.int64)
-    if ((q < 0) | (q >= arena.dim)).any() or ((dims < NO_NODE) | (dims >= arena.dim)).any():
+    if ((q < 0) | (q >= arena.dim)).any() or ((dims < -1) | (dims >= arena.dim)).any():
         return "split dimension out of range"
     box_min = arena.box_min.reshape(T * C, -1)
     box_max = arena.box_max.reshape(T * C, -1)

@@ -60,22 +60,18 @@ from .errors import DimensionMismatchError
 
 NO_NODE = -1
 
-# the model file's per-node fields: (name, dtype, value of an unused slot);
+# the per-node fields but the links: (name, dtype, value of an unused slot);
 # boxes add a dim axis and come first, so growing one field at a time peaks
-# lowest. An arena keeps the LINKS in its child table (ForestArena.links)
+# lowest. The links live in the arena's child table (see ForestArena)
 _FIELDS = (
     ("box_min", np.float64, 0.0),
     ("box_max", np.float64, 0.0),
     ("split_dim", np.int32, -1),
     ("split_val", np.float64, 0.0),
     ("split_time", np.float64, np.inf),
-    ("left", np.int32, NO_NODE),
-    ("right", np.int32, NO_NODE),
-    ("parent", np.int32, NO_NODE),
     ("population", np.int64, 0),
 )
 FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
-LINKS = ("left", "right", "parent")
 
 # (tree, point) lanes per numpy pass of ForestArena.route; passes of 2^14
 # lanes kept the working set in cache and routed fastest when measured. A
@@ -187,16 +183,17 @@ _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 class MondrianTree:
     """Read-only view of one tree of a ``ForestArena``, from ``ForestArena.tree``.
 
-    Parallel arrays, one field per node: split dimension/value/time, child
-    and parent links (``NO_NODE`` where absent; copies read off the arena's
-    child table), subtree population, and the smallest box of the points the
-    node was built from (enlarged as streamed points pass through). All but
-    the links alias the tree's arena row. ``rng`` is the tree's own
-    generator, so that a (seed, data) pair fully determines every structure
-    it will ever grow into.
+    Parallel arrays, one per node: split dimension/value/time, subtree
+    population, and the smallest box of the points the node was built from
+    (enlarged as streamed points pass through), which alias the tree's arena
+    row; and left, right and parent links (``NO_NODE`` where absent), which
+    neither the arena nor the model file holds: ``ForestArena.links`` reads
+    them off the child table. ``rng`` is the tree's own generator, so that
+    a (seed, data) pair fully determines every structure it will ever grow
+    into.
     """
 
-    __slots__ = ("dim", "rng", "root", "size") + FIELD_NAMES
+    __slots__ = ("dim", "rng", "root", "size", "left", "right", "parent") + FIELD_NAMES
 
     @property
     def capacity(self) -> int:
@@ -215,20 +212,6 @@ def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarra
         span = (np.maximum(root_max, x) - np.minimum(root_min, x)).sum(axis=-1)
     if not np.isfinite(span).all():
         raise ValueError("point is too far from the tree's box: its deviation rate overflows")
-
-
-def link(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The child table (see ``ForestArena``) of (T, C) row-local ``left`` and
-    ``right`` links: flat child indices of internal nodes, self loops for
-    leaves and unused slots."""
-    T, C = left.shape
-    flat = np.arange(T * C)
-    inner = np.flatnonzero(left.ravel() != NO_NODE)
-    base = flat[inner] - flat[inner] % C
-    child = np.concatenate((flat, flat))
-    child[inner] = base + left.ravel()[inner]
-    child[T * C + inner] = base + right.ravel()[inner]
-    return child
 
 
 def _usable_cpus() -> list[int]:
@@ -350,8 +333,8 @@ def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> None:
 class ForestArena:
     """Every tree of a forest packed into one structure-of-arrays arena.
 
-    Each node field but the LINKS has shape ``(num_trees, capacity)`` (boxes
-    add a ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
+    Each node field has shape ``(num_trees, capacity)`` (boxes add a
+    ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
     hold each tree's root, used slot count and own generator. Slots past a
     tree's size keep the unused-slot values, and when a row fills, the
     capacity of every row doubles.
@@ -395,9 +378,10 @@ class ForestArena:
     records the leaf each lane parks on and reads its depth off
     ``_node_depths``; ``extend`` has one lane per tree and steps all of them
     every level, so its walk is a (levels, T) array from which each tree's
-    path is the root and every level at which that lane moved. ``links``
-    reads row-local links off the table for tree views and the model file;
-    ``link`` builds it from them.
+    path is the root and every level at which that lane moved. The model
+    file stores the table's two sides row-local (``data_io.save_model``);
+    ``links`` reads row-local left, right and parent links off it for the
+    tree views.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -406,8 +390,7 @@ class ForestArena:
         self.size = np.zeros(num_trees, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
         for name, dtype, shape, fill in node_fields((num_trees, max(int(capacity), 1)), self.dim):
-            if name not in LINKS:
-                setattr(self, name, np.full(shape, fill, dtype=dtype))
+            setattr(self, name, np.full(shape, fill, dtype=dtype))
         self.child = np.tile(np.arange(self.population.size), 2)
         self._walked = None  # (x's bytes, _walk(x)) after route([x]); see extend
 
@@ -480,10 +463,10 @@ class ForestArena:
 
     def _rows(self, a: int, b: int) -> list[np.ndarray]:
         """Contiguous views of everything ``grow`` writes for trees a..b-1:
-        their rows of each node field but the LINKS, of each side of
-        ``child``, of ``root`` and of ``size``."""
+        their rows of each node field, of each side of ``child``, of
+        ``root`` and of ``size``."""
         kids = self.child.reshape(2, self.num_trees, -1)
-        fields = [getattr(self, name)[a:b] for name in FIELD_NAMES if name not in LINKS]
+        fields = [getattr(self, name)[a:b] for name in FIELD_NAMES]
         return fields + [kids[0, a:b], kids[1, a:b], self.root[a:b], self.size[a:b]]
 
     def _grow_levels(self, trees: np.ndarray, pts: np.ndarray, m: int) -> None:
@@ -579,16 +562,14 @@ class ForestArena:
     def capacity(self) -> int:
         return self.population.shape[1]
 
-    def links(self, trees=slice(None), width: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def links(self, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The row-local int32 ``left``, ``right`` and ``parent`` links of the
-        tree rows ``trees`` (an index or a slice, every row by default) over
-        their first ``width`` slots (all by default, at least the largest
-        tree's size), read off ``child``, with ``NO_NODE`` where a node has no
-        child or parent."""
+        tree rows ``trees`` (an index or a slice, every row by default), read
+        off ``child``, with ``NO_NODE`` where a node has no child or parent."""
         C = self.capacity
-        kids = self.child.reshape(2, self.num_trees, C)[:, trees, :width] % C
-        inner = np.nonzero(kids[0] != np.arange(kids.shape[-1]))
-        left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in LINKS)
+        kids = self.child.reshape(2, self.num_trees, C)[:, trees] % C
+        inner = np.nonzero(kids[0] != np.arange(C))
+        left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in range(3))
         for field, side in zip((left, right), kids):
             field[inner] = side[inner]
             parent[inner[:-1] + (side[inner],)] = inner[-1]
@@ -602,9 +583,9 @@ class ForestArena:
         view.rng = self.rngs[t]
         view.root = int(self.root[t])
         view.size = int(self.size[t])
-        links = dict(zip(LINKS, self.links(t)))
-        for name in FIELD_NAMES:
-            row = links[name] if name in LINKS else getattr(self, name)[t]
+        rows = dict(zip(("left", "right", "parent"), self.links(t)))
+        rows.update((name, getattr(self, name)[t]) for name in FIELD_NAMES)
+        for name, row in rows.items():
             row.flags.writeable = False
             setattr(view, name, row)
         return view
@@ -615,10 +596,9 @@ class ForestArena:
         t * C + s moves to t * 2C + s, and new slots are self loops."""
         cap, new = self.capacity, max(2 * self.capacity, 8)
         for name, dtype, shape, fill in node_fields((self.num_trees, new), self.dim):
-            if name not in LINKS:
-                field = np.full(shape, fill, dtype=dtype)
-                field[:, :cap] = getattr(self, name)
-                setattr(self, name, field)
+            field = np.full(shape, fill, dtype=dtype)
+            field[:, :cap] = getattr(self, name)
+            setattr(self, name, field)
         child = np.tile(np.arange(self.num_trees * new), 2).reshape(2, self.num_trees, new)
         old = self.child.reshape(2, self.num_trees, cap)
         child[:, :, :cap] = old + old // cap * (new - cap)

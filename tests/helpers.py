@@ -17,7 +17,7 @@ import numpy as np
 
 from imondrian.data_io import _structure_problem
 from imondrian.forest import c_factor
-from imondrian.tree import FIELD_NAMES, LINKS, NO_NODE, MondrianTree, node_fields
+from imondrian.tree import NO_NODE, MondrianTree, node_fields
 
 from reference import walk
 
@@ -148,7 +148,7 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
         assert ((x >= box_min[node]) & (x <= box_max[node])).all(), (
             "a point routed to a leaf whose box does not contain it"
         )
-    assert _structure_problem(arena, *arena.links()) is None
+    assert _structure_problem(arena) is None
     return {"leaves": leaves, "internals": internals}
 
 
@@ -158,7 +158,7 @@ def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
     if a.dim != b.dim or a.size != b.size or a.root != b.root:
         return False
     n = a.size
-    return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in FIELD_NAMES)
+    return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in TREE_FIELDS)
 
 
 def leaf_constraint_table(tree: MondrianTree) -> list[tuple[int, int, list[tuple[int, float, bool]]]]:
@@ -300,6 +300,7 @@ V1_MODEL = (
 # A three-tree v2 model (d = 2, seed 0, trained on three points and extended
 # by a fourth) as written by a build that drew one exponential per candidate
 # node when extending, and the expected path lengths it gave for V2_PROBES.
+# Version 2 files are rejected now, as version 1 files are.
 V2_MODEL = base64.b64decode(
     "aW1vbmRyaWFuLWZvcmVzdCB2MiBzaGEyNTY9OTNjZjEwODczNmJhYjgyMDY5ODQxYThmZmU2ZmI5ZTY4"
     "ZTUzYjIzZGI0MjczNzJjNWYzZDJlNWQ5OWZjYjlmNAp7Im5fZWZmZWN0aXZlIjozLCJwc2kiOm51bGws"
@@ -339,17 +340,61 @@ V2_MODEL = base64.b64decode(
     "AAAAAAABAAAAAAAAAAEAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAMAAAAAAAAAAgAAAAAAAAABAAAAAAAA"
     "AAEAAAAAAAAAAQAAAAAAAAAEAAAAAAAAAAEAAAAAAAAA"
 )
+# V2_MODEL's forest written in format v3, which stores the child rows in
+# place of the left, right and parent links: it scores V2_PATH_LENGTHS too.
+V3_MODEL = base64.b64decode(
+    "aW1vbmRyaWFuLWZvcmVzdCB2MyBzaGEyNTY9ODQ5YzJmZGVhNDkzNGMyYmE1NjU5MDE1ZTk2MTBlOGVm"
+    "MTVlYzRiYTI5OGE4ODlkYmJhNjM5YzU4OGZlMTNhMAp7Im5fZWZmZWN0aXZlIjozLCJwc2kiOm51bGws"
+    "InNlZWQiOjAsImRpbSI6MiwibnVtX3RyZWVzIjozLCJ3aWR0aCI6Nywicm9vdCI6WzUsMCw1XSwic2l6"
+    "ZSI6WzcsNyw3XSwicm5nX3N0YXRlcyI6W3siYml0X2dlbmVyYXRvciI6IlBDRzY0Iiwic3RhdGUiOnsi"
+    "c3RhdGUiOjEzNjcwNzM2NTI1MjQwNjMxOTEwNjkxNTM3MTAyOTI4MTAwNjAwNCwiaW5jIjoyNzMwOTYz"
+    "NzIyODIwOTY0OTQ0NTYzMjIyOTc1MjE2OTk1MzcyMzV9LCJoYXNfdWludDMyIjowLCJ1aW50ZWdlciI6"
+    "MH0seyJiaXRfZ2VuZXJhdG9yIjoiUENHNjQiLCJzdGF0ZSI6eyJzdGF0ZSI6MTUyMDc1NzcxMzM0OTMw"
+    "Njk1NTU2NDcwMzY1MDcyMjg5NjM4OTY5LCJpbmMiOjMyOTAwMjA0MTgwODIwODU4NDAyMjgzNzMyODQ1"
+    "NDczOTcwNTE2OX0sImhhc191aW50MzIiOjAsInVpbnRlZ2VyIjowfSx7ImJpdF9nZW5lcmF0b3IiOiJQ"
+    "Q0c2NCIsInN0YXRlIjp7InN0YXRlIjoyMTU1NzEzODcyODE5NDkxNTgyNTYwODgyOTMyOTI2MTA5Mzc1"
+    "NjEsImluYyI6MTg0NjI1ODQ2NDg4NTg5OTMyNjk3NTc3NjUwNjUxMzgxODczNzY5fSwiaGFzX3VpbnQz"
+    "MiI6MCwidWludGVnZXIiOjB9XX0KAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAI"
+    "QAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAAEEAAAAAAAAAIQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAACEAAAAAAAADw"
+    "PwAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAADwPwAAAAAAABBAAAAA"
+    "AAAACEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAA"
+    "AAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAQQAAAAAAAAAhAAAAA"
+    "AAAACEAAAAAAAAAAQAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAA"
+    "AAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQQAAAAAAAAAhAAAAAAAAAEEAAAAAAAAAIQAAAAAAAABBAAAAA"
+    "AAAACEAAAAAAAADwPwAAAAAAAABAAAAAAAAACEAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAAAAAAAAAADw"
+    "PwAAAAAAAABAAAAAAAAAEEAAAAAAAAAIQAAAAAAAABBAAAAAAAAACEAAAAAAAAAIQAAAAAAAAABAAAAA"
+    "AAAA8D8AAAAAAAAAQAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAA"
+    "QAAAAAAAABBAAAAAAAAACEAAAAAAAAAQQAAAAAAAAAhAAAAAAAEAAAD///////////////8BAAAA////"
+    "/wAAAAABAAAA////////////////AQAAAP////8AAAAAAAAAAP///////////////wEAAAD/////LjdC"
+    "pxJWAUDIYXZkurz0PwAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAPLBW3dKJgJAAAAAAAAAAACYyuOAWl39"
+    "P6QW2ZWRqPg/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAArHNy7QklB0AAAAAAAAAAAKDlH7dBpf0/7An/"
+    "gKwq3z8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAzV0Zab7oCQAAAAAAAAAAAXfi/rR0U5T9H1jjTG33n"
+    "PwAAAAAAAPB/AAAAAAAA8H8AAAAAAADwfwB/uM6B5KA/AAAAAAAA8H86XHKcOY/EPyVDeaA/k9U/AAAA"
+    "AAAA8H8AAAAAAADwfwAAAAAAAPB/FVumHKHK+D8AAAAAAADwf//O+bJnltM//AioZaNv8D8AAAAAAADw"
+    "fwAAAAAAAPB/AAAAAAAA8H+ZsgmHYMrFPwAAAAAAAPB/AwAAAAAAAAACAAAAAAAAAAEAAAAAAAAAAQAA"
+    "AAAAAAABAAAAAAAAAAQAAAAAAAAAAQAAAAAAAAAEAAAAAAAAAAIAAAAAAAAAAQAAAAAAAAABAAAAAAAA"
+    "AAEAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAMAAAAAAAAAAgAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAA"
+    "AAAAAAAEAAAAAAAAAAEAAAAAAAAAAQAAAAMAAAACAAAAAwAAAAQAAAAAAAAABgAAAAEAAAADAAAAAgAA"
+    "AAMAAAAEAAAAAgAAAAYAAAABAAAAAwAAAAIAAAADAAAABAAAAAAAAAAGAAAAAgAAAAQAAAACAAAAAwAA"
+    "AAQAAAAGAAAABgAAAAUAAAAEAAAAAgAAAAMAAAAEAAAABgAAAAYAAAACAAAABAAAAAIAAAADAAAABAAA"
+    "AAYAAAAGAAAA"
+)
 V2_PROBES = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], [2.0, 2.0], [-5.0, 9.0]]
 V2_PATH_LENGTHS = [
     2.6666666666666665, 2.6666666666666665, 2.0, 1.3333333333333333, 2.3333333333333335, 1.3333333333333333,
 ]
 
 
+# every per-node array of a tree view, in the order arena_fingerprint hashes them
+TREE_FIELDS = ("box_min", "box_max", "split_dim", "split_val", "split_time", "left", "right", "parent", "population")
+
+
 def node_arrays(arena) -> dict[str, np.ndarray]:
-    """Every node field of an arena by name, in ``FIELD_NAMES`` order, with
-    the links read off its child table by ``ForestArena.links``."""
-    links = dict(zip(LINKS, arena.links()))
-    return {name: links[name] if name in LINKS else getattr(arena, name) for name in FIELD_NAMES}
+    """Every per-node array of an arena by name, in ``TREE_FIELDS`` order,
+    with the links read off its child table by ``ForestArena.links``."""
+    links = dict(zip(("left", "right", "parent"), arena.links()))
+    return {name: links[name] if name in links else getattr(arena, name) for name in TREE_FIELDS}
 
 
 def arena_fingerprint(arena) -> str:
@@ -379,15 +424,17 @@ ROUTE_FINGERPRINT = "afdc5af25be3c1289d610df52095051d539482cc5f908772d0fc07ae56a
 
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The metadata dict and writable node arrays of a saved model file,
-    parsed by hand from the layout ``save_model`` documents."""
+    """The metadata dict and writable arrays of a saved model file, the node
+    fields and then the (2, T, W) ``child`` rows, parsed by hand from the
+    layout ``save_model`` documents."""
     raw = path.read_bytes()
     header_end = raw.index(b"\n")
     meta_end = raw.index(b"\n", header_end + 1)
     meta = json.loads(raw[header_end + 1 : meta_end])
     lead = (meta["num_trees"], meta["width"])
     arrays, offset = {}, meta_end + 1
-    for name, dtype, shape, _ in node_fields(lead, meta["dim"]):
+    child = ("child", np.dtype(np.int32), (2,) + lead, None)
+    for name, dtype, shape, _ in node_fields(lead, meta["dim"]) + [child]:
         count = math.prod(shape)
         arrays[name] = np.frombuffer(raw, dtype.newbyteorder("<"), count, offset).reshape(shape).copy()
         offset += count * dtype.itemsize

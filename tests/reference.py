@@ -33,10 +33,11 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTr
 
 def _new_node(tree: MondrianTree) -> int:
     """The next free slot of a writable tree; a full tree first doubles the
-    node axis of every field, one field at a time."""
+    node axis of every field and link, one array at a time."""
     if tree.size == tree.capacity:
-        cap = tree.capacity
-        for name, dtype, shape, fill in node_fields((max(2 * cap, 8),), tree.dim):
+        cap, new = tree.capacity, max(2 * tree.capacity, 8)
+        links = [(name, np.dtype(np.int32), (new,), NO_NODE) for name in ("left", "right", "parent")]
+        for name, dtype, shape, fill in node_fields((new,), tree.dim) + links:
             field = np.full(shape, fill, dtype=dtype)
             field[:cap] = getattr(tree, name)
             setattr(tree, name, field)

@@ -7,12 +7,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, fork_on, reseal_model
+from helpers import V1_MODEL, V2_MODEL, fork_on, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -315,11 +317,13 @@ class TestScore:
         assert in_process.read_bytes() == forked.read_bytes()
 
     def test_version_1_model_is_data_error(self, tmp_path, blob_csv, capsys):
+        # and a version 2 model, which this build no longer reads either
         model = tmp_path / "old.imf"
-        model.write_text(V1_MODEL)
-        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
-        assert code == EXIT_DATA
-        assert "version v1" in capsys.readouterr().err
+        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2")]:
+            model.write_bytes(blob)
+            code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+            assert code == EXIT_DATA
+            assert f"version {version}" in capsys.readouterr().err
 
     def test_binary_garbage_model_is_data_error(self, tmp_path, blob_csv):
         model = tmp_path / "garbage.imf"
@@ -444,3 +448,76 @@ class TestTopLevel:
             main(["bench"])
         assert err.value.code == EXIT_USAGE
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+# a number as a CSV cell: a small or any finite float, or a huge one
+_NUMBER = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e308", "-1.7976931348623157e308"]),
+)
+# a cell put in place of a good one
+_ODD = st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", str(10**400), "2", "1_0", "", " ", "x", '"', '""'])
+
+
+@st.composite
+def _csv_case(draw):
+    """(CSV text, flags that read it): a table of numbers with 0/1 labels in
+    one column, up to two cells replaced by odd ones or cut off, cells
+    quoted, blank lines, mixed line ends, and a delimiter, header and label
+    column flag that may or may not match the text."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", " ", "|"]))
+    width, n = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    label_at = draw(st.sampled_from([None, *range(width)]))
+    rows = [[draw(st.sampled_from("01") if j == label_at else _NUMBER) for j in range(width)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        row = rows[draw(st.integers(0, n - 1))]
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
+        elif row:
+            row.pop()
+    if draw(st.booleans()):
+        rows = [[f'"{cell}"' for cell in row] for row in rows]
+    header = draw(st.booleans())
+    lines = ([delimiter.join(f"c{j}" for j in range(width))] if header else []) + [delimiter.join(r) for r in rows]
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=2)), reverse=True):
+        lines.insert(at, "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    flags = ["--delimiter", draw(st.sampled_from([delimiter, delimiter, ","]))]
+    if not header:
+        flags.append("--no-header")
+    if label_at is not None:
+        flags += ["--label-column", draw(st.sampled_from([str(label_at), f"c{label_at}", str(width), "-1"]))]
+    return text, flags
+
+
+class TestNeverTracebacks:
+    """Whatever CSV text ``fit`` and ``score`` read, they return an exit code
+    (0, 2, 3 or 4) and raise nothing."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("csv")
+        model = root / "model.imf"
+        X = np.random.default_rng(3).normal(size=(20, 2))
+        data = root / "train.csv"
+        _write_csv(data, X)
+        assert main(["fit", "--data", str(data), "--trees", "3", "--psi", "8", "--model", str(model)]) == EXIT_OK
+        return root, model
+
+    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
+    # patch, and libcst warns on import; as an error that would end the session
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(case=_csv_case(), mode=st.sampled_from(["threshold", "kmeans"]))
+    def test_fit_and_score_return_an_exit_code(self, files, case, mode):
+        root, model = files
+        text, flags = case
+        data = root / "data.csv"
+        data.write_bytes(text.encode())
+        out = root / "scores.csv"
+        fit = ["fit", "--data", str(data), "--trees", "2", "--psi", "4", "--mode", mode, "--out", str(out)]
+        score = ["score", "--data", str(data), "--model", str(model), "--mode", mode, "--out", str(out)]
+        for argv in (fit, score):
+            assert main(argv + flags) in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE)

@@ -27,13 +27,15 @@ from imondrian.data_io import (
 from imondrian.errors import DataFormatError, ModelFormatError
 from imondrian.evaluation import LabeledDataset
 from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
-from imondrian.tree import FIELD_NAMES, LINKS, node_fields
+from imondrian.tree import FIELD_NAMES, node_fields
 
 from helpers import (
+    TREE_FIELDS,
     V1_MODEL,
     V2_MODEL,
     V2_PATH_LENGTHS,
     V2_PROBES,
+    V3_MODEL,
     check_arena_invariants,
     check_tree_invariants,
     node_arrays,
@@ -53,8 +55,14 @@ def _set_root(field, value):
     return edit
 
 
+def _first_leaf(meta, arrays) -> int:
+    """The first leaf of tree 0 in a model file: its first slot whose two
+    ``child`` rows are self loops."""
+    return int(np.flatnonzero(arrays["child"][0, 0, : meta["size"][0]] == np.arange(meta["size"][0]))[0])
+
+
 def _widen_first_child(meta, arrays):
-    child = arrays["left"][0, meta["root"][0]]
+    child = arrays["child"][0, 0, meta["root"][0]]
     arrays["box_max"][0, child] += 100.0
 
 
@@ -68,36 +76,33 @@ def _bump_root_population(meta, arrays):
 
 
 def _empty_leaf(meta, arrays):
-    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
-    arrays["population"][0, leaf] = 0
+    arrays["population"][0, _first_leaf(meta, arrays)] = 0
 
 
 def _finite_leaf_time(meta, arrays):
-    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
-    arrays["split_time"][0, leaf] = 1e9
+    arrays["split_time"][0, _first_leaf(meta, arrays)] = 1e9
 
 
 def _leaf_dim_past_dim(meta, arrays):
-    leaf = np.flatnonzero(arrays["left"][0, : meta["size"][0]] == -1)[0]
-    arrays["split_dim"][0, leaf] = meta["dim"]
+    arrays["split_dim"][0, _first_leaf(meta, arrays)] = meta["dim"]
 
 
 def _left_past_size(meta, arrays):
-    arrays["left"][0, meta["root"][0]] = meta["size"][0]
+    arrays["child"][0, 0, meta["root"][0]] = meta["size"][0]
 
 
-def _first_child_own_parent(meta, arrays):
-    child = arrays["left"][0, meta["root"][0]]
-    arrays["parent"][0, child] = child
+def _negative_right_link(meta, arrays):
+    arrays["child"][1, 0, meta["root"][0]] = -1
 
 
-def _root_loses_right_child(meta, arrays):
-    arrays["right"][0, meta["root"][0]] = -1
+def _root_loses_right_child(meta, arrays):  # its right side becomes a self loop
+    root = meta["root"][0]
+    arrays["child"][1, 0, root] = root
 
 
 def _root_children_coincide(meta, arrays):
     root = meta["root"][0]
-    arrays["right"][0, root] = arrays["left"][0, root]
+    arrays["child"][1, 0, root] = arrays["child"][0, 0, root]
 
 
 class TestLoadCsv:
@@ -524,10 +529,9 @@ class TestModelRoundTrip:
         meta, arrays = read_model(path)
         width = int(forest.arena.size.max())
         assert meta["width"] == width < forest.arena.capacity
-        assert arrays["left"].shape == (forest.num_trees, width)
-        # the links derived over the stored width are those over the capacity, cut
-        for name, cut, full in zip(LINKS, forest.arena.links(width=width), forest.arena.links()):
-            assert np.array_equal(cut, full[:, :width]) and np.array_equal(arrays[name], cut)
+        # the stored child rows are the table's first W slots, row-local
+        kids = forest.arena.child.reshape(2, forest.num_trees, -1)
+        assert np.array_equal(arrays["child"], kids[:, :, :width] % forest.arena.capacity)
         loaded = load_model(path)
         assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
         assert [g.bit_generator.state for g in forest.arena.rngs] == [
@@ -554,25 +558,29 @@ class TestModelRoundTrip:
         width = int(sizes.max())
         assert loaded.capacity == width
         saved_arrays, loaded_arrays = node_arrays(forest.arena), node_arrays(loaded)
-        for name, _, _, fill in node_fields((), forest.dim):
+        unused = np.arange(width) >= sizes[:, None]
+        for name in TREE_FIELDS:
             saved = saved_arrays[name][:, :width]
             got = loaded_arrays[name]
             assert got.dtype == saved.dtype and got.shape == saved.shape
             assert got.tobytes() == saved.tobytes(), name
-            unused = np.arange(width) >= sizes[:, None]
-            assert (got[unused] == fill).all(), name
+        for name, _, _, fill in node_fields((), forest.dim):
+            assert (loaded_arrays[name][unused] == fill).all(), name
+        flat = np.arange(loaded.child.size // 2).reshape(loaded.num_trees, width)
+        assert (loaded.child.reshape(2, loaded.num_trees, width)[:, unused] == flat[unused]).all()
         assert np.array_equal(loaded.root, forest.arena.root)
         assert np.array_equal(loaded.size, sizes)
 
         def scribble(meta, arrays):  # a file's unused slots are not read
             unused = np.arange(meta["width"]) >= np.asarray(meta["size"])[:, None]
-            for array in arrays.values():
-                array[unused] = 7
+            for name, array in arrays.items():
+                array[(slice(None), unused) if name == "child" else unused] = 7
 
         reseal_model(path, scribble)
-        again = node_arrays(load_model(path).arena)
-        for name in FIELD_NAMES:
-            assert again[name].tobytes() == loaded_arrays[name].tobytes(), name
+        again = load_model(path).arena
+        for name, array in node_arrays(again).items():
+            assert array.tobytes() == loaded_arrays[name].tobytes(), name
+        assert np.array_equal(again.child, loaded.child)
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         X, forest = self._forest()
@@ -603,24 +611,26 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b" v2 ", b" v9 ", 1))
+        path.write_bytes(blob.replace(b" v3 ", b" v9 ", 1))
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
     def test_version_1_file_rejected(self, tmp_path):
+        # and a version 2 file, whose links were row-local left, right and parent arrays
         path = tmp_path / "model.imf"
-        path.write_text(V1_MODEL)
-        with pytest.raises(ModelFormatError, match="version v1"):
-            load_model(path)
+        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2")]:
+            path.write_bytes(blob)
+            with pytest.raises(ModelFormatError, match=f"unsupported version {version} \\(this build reads v3\\)"):
+                load_model(path)
 
-    def test_earlier_version_2_file_loads_scores_and_resaves(self, tmp_path):
+    def test_version_3_file_loads_scores_and_resaves(self, tmp_path):
         path = tmp_path / "model.imf"
-        path.write_bytes(V2_MODEL)
+        path.write_bytes(V3_MODEL)
         loaded = load_model(path)
         assert score_all(V2_PROBES, loaded)[0].tolist() == V2_PATH_LENGTHS
         again = tmp_path / "again.imf"
         save_model(loaded, again)
-        assert again.read_bytes() == V2_MODEL
+        assert again.read_bytes() == V3_MODEL
 
     def test_subnormal_box_round_trip(self, tmp_path):
         # the box is too thin for a finite split time, so every tree is one leaf
@@ -647,7 +657,7 @@ class TestModelRoundTrip:
             (_bump_root_population, "sum of its children"),
             (_finite_leaf_time, "leaf split time"),
             (_left_past_size, "left link out of range"),
-            (_first_child_own_parent, "parent link does not match"),
+            (_negative_right_link, "right link out of range"),
             (_root_loses_right_child, "exactly one child"),
             (_root_children_coincide, "not the child of exactly one"),
         ],
@@ -701,8 +711,9 @@ def model_file(tmp_path_factory):
 class TestValidatorsAgree:
     """The loader's validator and ``helpers.check_arena_invariants``, which
     was written apart from it, agree on every hand edit of one element of one
-    node field: the edited model fails to load with ModelFormatError, or it
-    loads as a forest that passes the invariants."""
+    node field or of the stored ``child`` rows: the edited model fails to
+    load with ModelFormatError, or it loads as a forest that passes the
+    invariants."""
 
     # on a failure, hypothesis's pytest plugin imports libcst to suggest a
     # patch, and libcst warns on import; as an error that would end the session
@@ -712,15 +723,15 @@ class TestValidatorsAgree:
     def test_one_changed_element(self, model_file, data):
         saved, path = model_file
         path.write_bytes(saved)
-        arrays = read_model(path)[1]
-        name = data.draw(st.sampled_from(FIELD_NAMES), label="field")
+        meta, arrays = read_model(path)
+        name = data.draw(st.sampled_from(FIELD_NAMES + ("child",)), label="field")
         field = arrays[name]
         index = data.draw(st.integers(0, field.size - 1), label="flat index")
         if field.dtype.kind == "f":
             fresh = st.floats(width=64)
         else:
             info = np.iinfo(field.dtype)
-            fresh = st.integers(-2, field.shape[1] + 1) | st.integers(int(info.min), int(info.max))
+            fresh = st.integers(-2, meta["width"] + 1) | st.integers(int(info.min), int(info.max))
         value = data.draw(fresh | st.sampled_from(field.ravel().tolist()), label="value")
 
         def edit(meta, arrays):

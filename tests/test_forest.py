@@ -27,7 +27,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join, link
+from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join
 
 from helpers import (
     EXTENSION_FINGERPRINT,
@@ -540,9 +540,8 @@ class TestLockstepArena:
 
 
 def _assert_table_current(arena):
-    """The arena's child table equals one rebuilt from the links read off
-    it, and every slot at or past a tree's size is a self loop."""
-    assert np.array_equal(link(*arena.links()[:2]), arena.child)
+    """Every slot of the arena's child table at or past a tree's size is a
+    self loop."""
     kids = arena.child.reshape(2, arena.num_trees, arena.capacity)
     unused = np.arange(arena.capacity) >= arena.size[:, None]
     flat = np.arange(arena.child.size // 2).reshape(arena.num_trees, -1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from imondrian.errors import DimensionMismatchError
-from imondrian.forest import ForestConfig, _leaf_depth, train_batch
+from imondrian.forest import ForestConfig, train_batch
 from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
 
 from helpers import (
@@ -150,8 +150,15 @@ class TestSampleSplit:
         assert np.all((lo[q] <= p) & (p <= hi[q]))
 
 
-# six points in 2-D, the last far out; the law tests extend with the last three
-LAW_POINTS = np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [2.0, 1.0], [1.5, 1.8], [9.0, 7.0]])
+# the law tests' point sets, with the seeds of their batch-built and extended
+# arenas; each set's arenas are extended with its last three points. Six
+# points in 2-D, the last far out; six in 1-D, the last far out; and six in
+# 2-D whose fifth repeats the second, so that extension absorbs it in a leaf
+LAW_SETS = [
+    (np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [2.0, 1.0], [1.5, 1.8], [9.0, 7.0]]), 101, 202),
+    (np.array([[0.0], [1.0], [0.4], [2.0], [1.5], [9.0]]), 303, 404),
+    (np.array([[0.0, 0.0], [1.0, 0.5], [0.3, 2.0], [2.0, 1.0], [1.0, 0.5], [9.0, 7.0]]), 505, 606),
+]
 LAW_TREES = 20_000
 LAW_LEVEL = 1e-4  # fixed and strict: the seeds make each p-value a constant
 
@@ -164,6 +171,12 @@ def _law_arena(points, seed: int, extra=()) -> ForestArena:
     for x in extra:
         arena.extend(x)
     return arena
+
+
+def _no_leaf_term(population: np.ndarray) -> np.ndarray:
+    """A ``ForestArena.route`` leaf depth of 0 for every leaf, so that its
+    sums are edge counts."""
+    return np.zeros(population.shape)
 
 
 def _root_sides(arena, X) -> np.ndarray:
@@ -213,39 +226,46 @@ def _same_mean_p(a_sum: float, b_sum: float, a, b) -> float:
 
 
 class TestExtensionLaw:
-    """Extending trees built on the first three points with the other three
-    gives trees distributed like trees built on all six (projectivity of the
-    Mondrian process; Lakshminarayanan, Roy & Teh 2014)."""
+    """Extending trees built on the first three points of a set with the
+    other three gives trees distributed like trees built on all six
+    (projectivity of the Mondrian process; Lakshminarayanan, Roy & Teh 2014).
+    Each test checks every set of LAW_SETS."""
 
     @pytest.fixture(scope="class")
     def arenas(self):
-        return _law_arena(LAW_POINTS, 101), _law_arena(LAW_POINTS[:3], 202, LAW_POINTS[3:])
+        """(points, batch-built arena, extended arena) of each set."""
+        return [(X, _law_arena(X, built), _law_arena(X[:3], extended, X[3:])) for X, built, extended in LAW_SETS]
 
     def test_root_partition(self, arenas):
-        built, extended = arenas
-        assert _same_law_p(_root_sides(built, LAW_POINTS), _root_sides(extended, LAW_POINTS)) > LAW_LEVEL
+        for X, built, extended in arenas:
+            assert _same_law_p(_root_sides(built, X), _root_sides(extended, X)) > LAW_LEVEL
 
-    @pytest.mark.parametrize("i", range(len(LAW_POINTS)))
+    @pytest.mark.parametrize("i", range(6))
     def test_depth_of_each_point(self, arenas, i):
-        built, extended = arenas
-        assert _same_law_p(_depths(built, LAW_POINTS[i]), _depths(extended, LAW_POINTS[i])) > LAW_LEVEL
+        for X, built, extended in arenas:
+            assert _same_law_p(_depths(built, X[i]), _depths(extended, X[i])) > LAW_LEVEL
 
-    @pytest.mark.parametrize("i", range(len(LAW_POINTS)))
-    def test_mean_depth_of_each_point(self, arenas, i):
-        # E(l) as scoring takes it, through ForestArena.route; every leaf
-        # holds one point, so a tree's scoring depth is its edge count
-        sums = [arena.route(LAW_POINTS, _leaf_depth)[i] for arena in arenas]
-        depths = [_depths(arena, LAW_POINTS[i]) for arena in arenas]
-        assert sums == [d.sum() for d in depths]
-        assert _same_mean_p(*sums, *depths) > LAW_LEVEL
+    @pytest.fixture(scope="class")
+    def route_sums(self, arenas):
+        """Each set's ForestArena.route sums in its two arenas, without the
+        leaf term that a duplicate's leaf would add: E(l)'s edge count as
+        scoring takes it."""
+        return [[arena.route(X, _no_leaf_term) for arena in pair] for X, *pair in arenas]
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_mean_depth_of_each_point(self, arenas, route_sums, i):
+        for (X, *pair), sums in zip(arenas, route_sums):
+            depths = [_depths(arena, X[i]) for arena in pair]
+            assert [s[i] for s in sums] == [d.sum() for d in depths]
+            assert _same_mean_p(sums[0][i], sums[1][i], *depths) > LAW_LEVEL
 
     def test_root_split_time_is_exponential_in_linear_dimension(self, arenas):
         # the root of a Mondrian on a box splits after Exp(its linear dimension)
         stats = pytest.importorskip("scipy.stats")
-        _, extended = arenas
-        rate = (LAW_POINTS.max(axis=0) - LAW_POINTS.min(axis=0)).sum()
-        times = extended.split_time[np.arange(extended.num_trees), extended.root]
-        assert stats.kstest(times, "expon", args=(0.0, 1.0 / rate)).pvalue > LAW_LEVEL
+        for X, _, extended in arenas:
+            rate = (X.max(axis=0) - X.min(axis=0)).sum()
+            times = extended.split_time[np.arange(extended.num_trees), extended.root]
+            assert stats.kstest(times, "expon", args=(0.0, 1.0 / rate)).pvalue > LAW_LEVEL
 
 
 class TestFitTree:
