@@ -3,7 +3,10 @@
 The model file stores a forest's packed arena: a one-line header carrying
 magic, version and a SHA-256 checksum, one JSON metadata line, then the node
 arrays and the two sides of the arena's child table as raw little-endian
-bytes, so reloaded structures are bit-identical (see ``save_model``).
+bytes, so reloaded structures are bit-identical (see ``save_model``). Model
+files are streamed through the arena's own arrays, so neither a save nor a
+load holds a copy the size of the file, and a save replaces its target in
+one ``os.replace`` (see ``save_model`` and ``load_model``).
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +32,10 @@ from .tree import ForestArena, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
 MODEL_VERSION = 3
+
+# a model file is hashed, written and skimmed in blocks of about this many
+# bytes at most, so that no step holds a copy of the file
+_BLOCK_BYTES = 1 << 20
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -302,6 +312,14 @@ def save_model(forest: Forest, path) -> None:
     array whose side 0 and 1 hold each slot's left and right child as a
     row-local slot, and a leaf's or unused slot's own slot on both sides.
     The checksum covers everything after the header line.
+
+    The arrays are hashed and then written straight from the arena's own
+    buffers, in blocks of whole tree rows (see ``_stored``), so the save
+    holds no copy the size of the file. The file is written beside the
+    target under a temporary name and moved onto it by ``os.replace``: a
+    save that fails leaves the previous file as it was and no temporary
+    file behind. A target that exists and is not a regular file, such as
+    a device or a pipe, is written in place.
     """
     arena = forest.arena
     width = int(arena.size.max())
@@ -316,56 +334,108 @@ def save_model(forest: Forest, path) -> None:
         "size": arena.size.tolist(),
         "rng_states": [gen.bit_generator.state for gen in arena.rngs],
     }
-    body = [json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"]
-    for name, dtype, _, _ in node_fields((), forest.dim):
-        body.append(getattr(arena, name)[:, :width].astype(dtype.newbyteorder("<"), copy=False).tobytes())
-    C = arena.capacity
-    body.append((arena.child.reshape(2, -1, C)[:, :, :width] % C).astype("<i4").tobytes())
-    digest = hashlib.sha256()
-    for part in body:
+    line = json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"
+    digest = hashlib.sha256(line)
+    for part in _stored(arena, width):
         digest.update(part)
-    with Path(path).open("wb") as handle:
-        handle.write(f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest.hexdigest()}\n".encode())
-        handle.writelines(body)
+    header = f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest.hexdigest()}\n".encode()
+
+    def write(handle):
+        handle.writelines([header, line])
+        handle.writelines(_stored(arena, width))
+
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with target.open("wb") as handle:
+            write(handle)
+        return
+    temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            if target.exists():  # the new file keeps the old one's permissions
+                os.fchmod(handle.fileno(), stat.S_IMODE(target.stat().st_mode))
+            write(handle)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _stored(arena: ForestArena, width: int):
+    """The arrays of a model file, in file order, as C-contiguous
+    little-endian blocks of whole tree rows of about ``_BLOCK_BYTES`` at
+    most: views of the arena's fields when a row's first ``width`` slots
+    are the whole row, a copy of one block otherwise; the child rows are
+    always a converted copy of one block."""
+    T, C = arena.population.shape
+    rows = max(1, _BLOCK_BYTES // (8 * arena.dim * width))  # a box row is the widest
+    blocks = [slice(a, a + rows) for a in range(0, T, rows)]
+    for name, dtype, _, _ in node_fields((), arena.dim):
+        field = getattr(arena, name)
+        for block in blocks:
+            yield np.ascontiguousarray(field[block, :width], dtype=dtype.newbyteorder("<"))
+    for side in arena.child.reshape(2, T, C):
+        for block in blocks:
+            yield (side[block, :width] % C).astype("<i4")
 
 
 def load_model(path) -> Forest:
     """Load a persisted forest, verifying magic, version, checksum, array
-    sizes and tree structure; any problem raises ModelFormatError."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ModelFormatError(f"{path}: not a model file (missing header)")
-    header = raw[:newline]
-    parts = header.decode("ascii", "replace").split()
-    if len(parts) != 3 or parts[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {header[:64]!r}")
-    if parts[1] != f"v{MODEL_VERSION}":
-        raise ModelFormatError(
-            f"{path}: unsupported version {parts[1]} (this build reads v{MODEL_VERSION})"
-        )
-    if not parts[2].startswith("sha256="):
-        raise ModelFormatError(f"{path}: malformed checksum field")
-    if hashlib.sha256(memoryview(raw)[newline + 1 :]).hexdigest() != parts[2][len("sha256=") :]:
+    sizes and tree structure; any problem raises ModelFormatError.
+
+    The file is streamed into a fresh arena: after the header and the
+    metadata line, the byte count the metadata declares is checked against
+    the file's size before anything is allocated, then each field is read
+    in place with ``readinto`` and hashed as it is read. A file whose
+    checksum does not match reports that, whatever else is wrong with it:
+    on any other problem the rest of the file is hashed, in blocks, before
+    the error is chosen. So the load holds the arena and no copy of the file.
+    """
+    with Path(path).open("rb") as handle:
+        header = handle.readline()
+        if not header.endswith(b"\n"):
+            raise ModelFormatError(f"{path}: not a model file (missing header)")
+        header = header[:-1]
+        parts = header.decode("ascii", "replace").split()
+        if len(parts) != 3 or parts[0] != MODEL_MAGIC:
+            raise ModelFormatError(f"{path}: bad magic {header[:64]!r}")
+        if parts[1] != f"v{MODEL_VERSION}":
+            raise ModelFormatError(
+                f"{path}: unsupported version {parts[1]} (this build reads v{MODEL_VERSION})"
+            )
+        if not parts[2].startswith("sha256="):
+            raise ModelFormatError(f"{path}: malformed checksum field")
+        digest = hashlib.sha256()
+        error = None
+        try:
+            forest = _read_forest(handle, digest, path)
+        except (ModelFormatError, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            error = exc
+            for block in iter(lambda: handle.read(_BLOCK_BYTES), b""):  # the checksum has the first word
+                digest.update(block)
+    if digest.hexdigest() != parts[2][len("sha256=") :]:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupt")
-    meta_end = raw.find(b"\n", newline + 1)
-    if meta_end < 0:
-        raise ModelFormatError(f"{path}: no array section after the metadata line")
-    try:
-        forest = _unpack(json.loads(raw[newline + 1 : meta_end]), raw, meta_end + 1)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{path}: malformed payload: {exc}") from exc
+    if isinstance(error, ModelFormatError):
+        raise error
+    if error is not None:
+        raise ModelFormatError(f"{path}: malformed payload: {error}") from error
     problem = _structure_problem(forest.arena)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
 
 
-def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
-    """The forest described by a metadata dict and the arrays in ``raw`` from
-    ``offset`` on; ValueError if they do not fit together. Unused slots are
-    reset to a fresh arena's fill values and self loops, whatever the file
-    holds there."""
+def _read_forest(handle, digest, path) -> Forest:
+    """The forest whose metadata line and arrays follow in the open model
+    file ``handle``, with every byte read fed to ``digest``; ValueError if
+    they do not fit together. Unused slots are reset to a fresh arena's
+    fill values and self loops, whatever the file holds there."""
+    line = handle.readline()
+    digest.update(line)
+    if not line.endswith(b"\n"):
+        raise ModelFormatError(f"{path}: no array section after the metadata line")
+    meta = json.loads(line)
     num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
     root = np.asarray(meta["root"], dtype=np.int64)
     size = np.asarray(meta["size"], dtype=np.int64)
@@ -374,34 +444,52 @@ def _unpack(meta: dict, raw: bytes, offset: int) -> Forest:
         raise ValueError("tree count or dimension does not match the metadata")
     if size.min() < 1 or size.max() != width:
         raise ValueError("tree sizes do not fit the stored width")
+    n_effective, psi, seed = meta["n_effective"], meta["psi"], meta["seed"]
+    if not (_is_int(n_effective, 2) and (psi is None or _is_int(psi, 2)) and _is_int(seed)):
+        raise ValueError(
+            "n_effective must be an integer >= 2, psi null or an integer >= 2 and seed an integer;"
+            f" got {n_effective!r}, {psi!r} and {seed!r}"
+        )
     fields = node_fields((num_trees, width), dim)
     # the node fields, then the child table's two int32 rows
     expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields) + 8 * num_trees * width
-    if len(raw) - offset != expected:
-        raise ValueError(f"array section holds {len(raw) - offset} bytes, expected {expected}")
+    info = os.fstat(handle.fileno())
+    if stat.S_ISREG(info.st_mode) and info.st_size - handle.tell() != expected:
+        raise ValueError(f"array section holds {info.st_size - handle.tell()} bytes, expected {expected}")
     arena = ForestArena(num_trees, dim, width)
     unused = np.arange(width) >= size[:, None]
-    for name, dtype, shape, fill in fields:
-        stored = np.frombuffer(raw, dtype.newbyteorder("<"), math.prod(shape), offset).reshape(shape)
+    for name, _, _, fill in fields:
         field = getattr(arena, name)
-        field[...] = stored
+        _read_into(handle, field, digest)
         field[unused] = fill
-        offset += stored.nbytes
-    kids = np.frombuffer(raw, "<i4", 2 * num_trees * width, offset).reshape(2, num_trees, width)
-    child = arena.child.reshape(2, num_trees, width)  # self loops in a fresh arena
-    child[:, ~unused] = (kids + np.arange(num_trees)[:, None] * width)[:, ~unused]
+    kids = np.empty((num_trees, width), dtype=np.int32)
+    base = (np.arange(num_trees) * width)[:, None]
+    for side in arena.child.reshape(2, num_trees, width):  # self loops in a fresh arena
+        _read_into(handle, kids, digest)
+        np.add(kids, base, out=side, where=~unused)
+    if handle.read(1):
+        raise ValueError(f"array section holds more than {expected} bytes")
     arena.root[:] = root
     arena.size[:] = size
     for t, state in enumerate(states):
         arena.rngs[t] = np.random.default_rng()
         arena.rngs[t].bit_generator.state = state
-    psi = meta["psi"]
-    return Forest(
-        arena=arena,
-        n_effective=int(meta["n_effective"]),
-        psi=None if psi is None else int(psi),
-        seed=int(meta["seed"]),
-    )
+    return Forest(arena=arena, n_effective=n_effective, psi=psi, seed=seed)
+
+
+def _is_int(value, low: int | None = None) -> bool:
+    """Whether a JSON value is an integer (not a bool), and at least ``low``."""
+    return type(value) is int and (low is None or value >= low)
+
+
+def _read_into(handle, array: np.ndarray, digest) -> None:
+    """Fill a native-order array with the next little-endian bytes of the
+    file and feed those bytes to ``digest``; ValueError if the file ends."""
+    if handle.readinto(memoryview(array).cast("B")) != array.nbytes:
+        raise ValueError("array section ends early")
+    digest.update(array)
+    if sys.byteorder == "big":
+        array.byteswap(inplace=True)
 
 
 def _structure_problem(arena: ForestArena) -> str | None:
@@ -416,51 +504,56 @@ def _structure_problem(arena: ForestArena) -> str | None:
     and an internal node exactly its children's points; split dimensions lie
     in [0, dim), and in [-1, dim) at leaves, whose dimension routing reads
     and ignores; split values lie inside their node's box; boxes are ordered
-    and nest.
+    and nest. Nesting is checked one box column at a time, so no gather is
+    larger than a column of one field.
     """
     T, C = arena.population.shape
-    slot = np.arange(C)
-    used = slot < arena.size[:, None]
+    used = np.arange(C) < arena.size[:, None]
     if not ((arena.root >= 0) & (arena.root < arena.size)).all():
         return "root link out of range"
-    local = arena.child.reshape(2, T, C) - (np.arange(T) * C)[:, None]
-    for name, side in zip(("left", "right"), local):
-        if ((side < 0) | (side >= arena.size[:, None]))[used].any():
+    flat = np.arange(T * C).reshape(T, C)  # each slot's own flat index t * C + node
+    first = flat[:, :1]
+    sides = arena.child.reshape(2, T, C)
+    for name, side in zip(("left", "right"), sides):
+        if ((side < first) | (side >= first + arena.size[:, None]))[used].any():
             return f"{name} link out of range"
-    leaf = local[0] == slot
-    if (leaf != (local[1] == slot))[used].any():
+    leaf = sides[0] == flat
+    if (leaf != (sides[1] == flat))[used].any():
         return "node with exactly one child"
-    inner = np.flatnonzero(used & ~leaf)  # flat index t * C + node
-    parents = np.concatenate([inner, inner])
-    kids = arena.child.reshape(2, -1)[:, inner].ravel()
-    roots = np.arange(T) * C + arena.root
-    expected = used.ravel().astype(np.int64)
-    expected[roots] = 0
-    if not np.array_equal(np.bincount(kids, minlength=T * C), expected):
+    inner = np.flatnonzero(used & ~leaf)
+    kids = (arena.child[inner], arena.child[T * C + inner])
+    roots = first[:, 0] + arena.root
+    entered = np.bincount(np.concatenate(kids), minlength=T * C)
+    entered[roots] += 1
+    if not np.array_equal(entered, used.ravel()):
         return "some node is not the child of exactly one internal node"
     split_time = arena.split_time.ravel()
-    if not ((split_time[roots] > 0.0).all() and (split_time[kids] > split_time[parents]).all()):
+    inner_time = split_time[inner]
+    if not ((split_time[roots] > 0.0).all() and all((split_time[kid] > inner_time).all() for kid in kids)):
         return "split times do not increase from parent to child"
-    if not np.isposinf(split_time[np.flatnonzero(used & leaf)]).all():
+    if not np.isposinf(arena.split_time[used & leaf]).all():
         return "leaf split time is not infinite"
     population = arena.population.ravel()
-    if (population[used.ravel()] < 1).any():
+    if (arena.population[used] < 1).any():
         return "population below 1"
-    if (population[kids[: inner.size]] + population[kids[inner.size :]] != population[inner]).any():
+    if (population[kids[0]] + population[kids[1]] != population[inner]).any():
         return "internal population is not the sum of its children's"
-    dims = arena.split_dim.ravel()
-    q = dims[inner].astype(np.int64)
-    if ((q < 0) | (q >= arena.dim)).any() or ((dims < -1) | (dims >= arena.dim)).any():
+    q = arena.split_dim.ravel()[inner].astype(np.int64)
+    if ((q < 0) | (q >= arena.dim)).any() or ((arena.split_dim < -1) | (arena.split_dim >= arena.dim)).any():
         return "split dimension out of range"
     box_min = arena.box_min.reshape(T * C, -1)
     box_max = arena.box_max.reshape(T * C, -1)
     p = arena.split_val.ravel()[inner]
-    if not ((box_min[inner, q] <= p) & (p <= box_max[inner, q])).all():
+    if not ((box_min.ravel()[inner * arena.dim + q] <= p) & (p <= box_max.ravel()[inner * arena.dim + q])).all():
         return "split value outside its node's box"
-    if not (box_min[used.ravel()] <= box_max[used.ravel()]).all():
+    if used.ravel()[np.flatnonzero(~(arena.box_min <= arena.box_max)) // arena.dim].any():  # NaN too
         return "box with its minimum above its maximum"
-    if not ((box_min[kids] >= box_min[parents]).all() and (box_max[kids] <= box_max[parents]).all()):
-        return "child box not nested in its parent's"
+    for j in range(arena.dim):
+        for box, nested in ((box_min, np.greater_equal), (box_max, np.less_equal)):
+            column = box[:, j].copy()
+            bound = column[inner]
+            if not all(nested(column[kid], bound).all() for kid in kids):
+                return "child box not nested in its parent's"
     return None
 
 

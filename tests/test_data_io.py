@@ -6,13 +6,19 @@ import csv
 import hashlib
 import io
 import os
+import stat
+import subprocess
+import sys
 import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imondrian
 from imondrian.data_io import (
     CsvSchema,
     SyntheticSpec,
@@ -691,6 +697,203 @@ class TestModelRoundTrip:
 
         reseal_model(path, shrink)  # arrays keep their old width
         with pytest.raises(ModelFormatError, match="bytes"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_effective", 1),
+            ("n_effective", 0),
+            ("n_effective", -5),
+            ("n_effective", 2.7),
+            ("n_effective", 3.0),
+            ("n_effective", "3"),
+            ("n_effective", True),
+            ("n_effective", None),
+            ("psi", 1),
+            ("psi", 0),
+            ("psi", 64.0),
+            ("psi", "64"),
+            ("seed", 0.5),
+            ("seed", "0"),
+            ("seed", None),
+        ],
+    )
+    def test_resealed_invalid_scalar_rejected(self, tmp_path, key, value):
+        X, forest = self._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+
+        def edit(meta, arrays):
+            meta[key] = value
+
+        reseal_model(path, edit)
+        with pytest.raises(ModelFormatError, match="malformed payload"):
+            load_model(path)
+
+    def test_resealed_valid_scalars_load(self, tmp_path):
+        X, forest = self._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+
+        def edit(meta, arrays):
+            meta.update(n_effective=2, psi=None, seed=-7)
+
+        reseal_model(path, edit)
+        loaded = load_model(path)
+        assert (loaded.n_effective, loaded.psi, loaded.seed) == (2, None, -7)
+
+
+class TestSaveModelFile:
+    def test_failed_save_keeps_the_previous_model(self, tmp_path):
+        # the child re-saves a 1.68 MB model into a 200,000-byte file size limit
+        path = tmp_path / "model.imf"
+        X = np.random.default_rng(3).normal(size=(64, 2))
+        save_model(train_batch(X, ForestConfig(num_trees=3, psi=16, seed=3)), path)
+        before = path.read_bytes()
+        script = f"""
+import errno, resource, signal
+import numpy as np
+from imondrian.data_io import save_model
+from imondrian.forest import ForestConfig, train_batch
+forest = train_batch(np.random.default_rng(0).normal(size=(512, 8)), ForestConfig(num_trees=20, psi=256))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save_model(forest, {str(path)!r})
+except OSError as exc:
+    assert exc.errno == errno.EFBIG, exc
+else:
+    raise SystemExit("the save did not fail")
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(imondrian.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert path.read_bytes() == before
+        load_model(path)
+        assert os.listdir(tmp_path) == ["model.imf"]
+
+    def test_save_keeps_the_target_permissions(self, tmp_path):
+        X, forest = TestModelRoundTrip()._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        path.chmod(0o600)
+        save_model(forest, path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert os.listdir(tmp_path) == ["model.imf"]
+
+    def test_save_through_a_symlink_writes_its_target(self, tmp_path):
+        X, forest = TestModelRoundTrip()._forest()
+        (tmp_path / "real.imf").write_bytes(b"")
+        (tmp_path / "link.imf").symlink_to("real.imf")
+        save_model(forest, tmp_path / "link.imf")
+        assert (tmp_path / "link.imf").is_symlink()
+        assert load_model(tmp_path / "real.imf").num_trees == forest.num_trees
+
+
+    def test_pipe_is_written_and_read_in_place(self, tmp_path):
+        X, forest = TestModelRoundTrip()._forest()
+        regular = tmp_path / "model.imf"
+        save_model(forest, regular)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got: list[bytes] = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        save_model(forest, pipe)
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [regular.read_bytes()]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        writer = threading.Thread(target=lambda: pipe.write_bytes(regular.read_bytes()), daemon=True)
+        writer.start()
+        loaded = load_model(pipe)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+
+
+class TestModelMemory:
+    def test_save_and_load_hold_no_copy_of_the_file(self, tmp_path):
+        # the paper's batch shape: 100 trees on subsamples of 256, d = 8
+        X = np.random.default_rng(19).normal(size=(512, 8))
+        forest = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=19))
+        path = tmp_path / "model.imf"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save_model(forest, path)
+            save_peak = tracemalloc.get_traced_memory()[1] - start
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded = load_model(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        arena = loaded.arena
+        arena_bytes = arena.child.nbytes + sum(getattr(arena, name).nbytes for name in FIELD_NAMES)
+        assert save_peak <= 0.25 * path.stat().st_size
+        assert load_peak <= 1.5 * arena_bytes
+
+
+@st.composite
+def _forests(draw):
+    """A small trained forest, sometimes extended past its first capacity:
+    d = 1 to 3 and n = 2 to 40, with duplicate blocks, constant columns and
+    magnitudes from about 1e-300 to 1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    n, d = draw(st.integers(2, 40), label="n"), draw(st.integers(1, 3), label="d")
+    X = rng.normal(size=(n, d)) * 10.0 ** draw(st.sampled_from([-300, -20, 0, 20, 300]), label="magnitude")
+    if draw(st.booleans(), label="duplicate block"):
+        X[rng.integers(0, n, size=n // 2 + 1)] = X[0]
+    if draw(st.booleans(), label="constant column"):
+        X[:, rng.integers(0, d)] = X[0, 0]
+    psi = draw(st.none() | st.integers(2, 16), label="psi")
+    forest = train_batch(X, ForestConfig(num_trees=draw(st.integers(1, 4), label="trees"), psi=psi,
+                                         seed=draw(st.integers(0, 2**31), label="seed")))
+    arrivals = draw(st.integers(0, 6), label="arrivals")
+    if arrivals:
+        spread = np.abs(X).max() or 1.0
+        extend_forest(forest, rng.uniform(-3.0 * spread, 3.0 * spread, size=(arrivals, d)))
+    return forest
+
+
+class TestModelRoundTripProperty:
+    """On generated forests, a save and load returns every stored array bit
+    for bit, a second save writes the same bytes, and a flipped byte or a
+    truncated file is rejected."""
+
+    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
+    # patch, and libcst warns on import; as an error that would end the session
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @given(forest=_forests(), data=st.data())
+    def test_round_trip(self, tmp_path_factory, forest, data):
+        path = tmp_path_factory.mktemp("round-trip") / "model.imf"
+        save_model(forest, path)
+        saved = path.read_bytes()
+        loaded = load_model(path)
+        arena, again = forest.arena, loaded.arena
+        width = int(arena.size.max())
+        assert again.capacity == width
+        for name in FIELD_NAMES:
+            assert getattr(again, name).tobytes() == getattr(arena, name)[:, :width].tobytes(), name
+        kids = arena.child.reshape(2, forest.num_trees, -1)[:, :, :width] % arena.capacity
+        assert np.array_equal(again.child.reshape(2, forest.num_trees, width) % width, kids)
+        assert np.array_equal(again.root, arena.root) and np.array_equal(again.size, arena.size)
+        assert [g.bit_generator.state for g in again.rngs] == [g.bit_generator.state for g in arena.rngs]
+        assert (loaded.n_effective, loaded.psi, loaded.seed) == (forest.n_effective, forest.psi, forest.seed)
+        save_model(loaded, path)
+        assert path.read_bytes() == saved
+
+        flipped = bytearray(saved)
+        at = data.draw(st.integers(saved.index(b"\n") + 1, len(saved) - 1), label="flipped byte")
+        flipped[at] ^= data.draw(st.integers(1, 255), label="xor")
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ModelFormatError, match="checksum"):
+            load_model(path)
+        path.write_bytes(saved[: data.draw(st.integers(0, len(saved) - 1), label="kept bytes")])
+        with pytest.raises(ModelFormatError):
             load_model(path)
 
 
