@@ -32,7 +32,7 @@ class LabeledDataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        self.labels = _as_labels(self.labels)
         if self.labels.size or np.size(self.points):
             self.points = as_points(self.points)
         else:  # no rows (a header-only file) is a dataset of (0, d) points; training rejects it
@@ -41,8 +41,6 @@ class LabeledDataset:
             raise ValueError(
                 f"{self.labels.size} labels for {self.points.shape[0]} points"
             )
-        if self.labels.size and not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
 
     @property
     def n(self) -> int:
@@ -57,6 +55,16 @@ class LabeledDataset:
         return int(self.labels.sum())
 
 
+def _as_labels(labels) -> np.ndarray:
+    """Anomaly labels as a flat int64 array; ValueError unless every value
+    is 0 or 1, checked before the cast so that 0.7 or 2 is never read as a
+    label."""
+    y = np.asarray(labels).ravel()
+    if y.size and not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 (normal) or 1 (anomaly)")
+    return y.astype(np.int64)
+
+
 def auc(scores, labels) -> float:
     """Probability that a random anomaly outscores a random normal point.
 
@@ -65,13 +73,13 @@ def auc(scores, labels) -> float:
     tie too. NaN scores raise ValueError.
     """
     s = np.asarray(scores, dtype=float).ravel()
-    y = np.asarray(labels, dtype=np.int64).ravel()
+    y = _as_labels(labels)
     if s.size != y.size:
         raise ValueError(f"{s.size} scores for {y.size} labels")
     if np.isnan(s).any():
         raise ValueError("AUC needs scores that are not NaN")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one anomaly and one normal point")
     # each tie group's average 1-based rank

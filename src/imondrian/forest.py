@@ -11,6 +11,7 @@ expected average scores 0.5.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,15 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # integers of any integral type are kept as Python ints, which
+        # save_model can write; bools, floats and the rest are refused
+        for name in ("num_trees", "psi", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "psi":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_trees < 1:
             raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
         if self.psi is not None and self.psi < 2:

@@ -20,12 +20,14 @@ segment min/max over the node's points, its split time and cut from its
 tree's own generator, and its children's points from a stable partition, so
 slots are numbered breadth first. Routing and extension descend through the
 child table, so one gather per level moves every lane and a lane that
-reached its leaf stays there. Extension walks one lane per tree, every lane
-every level, and reads each tree's path off that walk; it races one
-exponential clock per candidate node (a node on the point's path that the
-point lies outside of), each tree draws all of its clocks and its cut in
-one call of its own generator, and only the boxes the point lies outside of
-are rewritten. Scoring adds to a point's edge count, which routing reads off
+reached its leaf stays there. Extension is one body in three phases, after
+its overflow check and any regrow of the arena, so no index changes under
+it: walk one lane per tree, every lane every level, and read each tree's
+path off that walk; race one exponential clock per candidate node (a node on
+the point's path that the point lies outside of), each tree drawing all of
+its clocks and its cut in one call of its own generator; write, rewriting
+only the boxes the point lies outside of and splicing above the node whose
+clock fired. Scoring adds to a point's edge count, which routing reads off
 a table of node depths, the c term of the reached leaf's population (0 for
 one point). A one-point score walks as extension does and leaves its walk to
 the insert of that point that follows it; every insert clears it. The
@@ -336,8 +338,9 @@ class ForestArena:
     Each node field has shape ``(num_trees, capacity)`` (boxes add a
     ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
     hold each tree's root, used slot count and own generator. Slots past a
-    tree's size keep the unused-slot values, and when a row fills, the
-    capacity of every row doubles.
+    tree's size keep the unused-slot values. ``extend`` doubles the
+    capacity of every row before it walks whenever some row has fewer than
+    two free slots, the most one insert takes.
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
@@ -354,7 +357,8 @@ class ForestArena:
     trees, on how trees are grouped or on which process builds them; slots
     are numbered breadth first.
 
-    ``extend`` follows one draw contract, tree by tree, so a tree's result
+    ``extend`` is one body: overflow check, regrow, then walk, race and
+    write. It follows one draw contract, tree by tree, so a tree's result
     does not depend on the other trees. Tree t's candidates are the k nodes
     on x's path with a positive deviation rate, in path order. With k = 0
     the tree draws nothing and absorbs x. Otherwise it makes one call
@@ -732,41 +736,102 @@ class ForestArena:
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree.
 
-        1. Walk x down every tree at once, every lane every level, and read
-           each tree's path off the walk, or take the walk ``route`` left.
-        2. Compute every deviation rate on those paths at once, let each
-           tree with candidates make its one draw (see the class docstring),
-           and find every tree's first firing candidate with array
-           operations.
-        3. Bump the populations of the nodes passed before the clock fired,
-           enlarge the boxes of those of them that x lies outside of (a
-           positive rate; any other box already holds x), and splice a new
-           internal node and leaf above the node where it fired.
-
-        Raises ValueError before any tree is touched if a rate would
-        overflow in some tree. Every call clears the walk ``route`` left.
+        Raises ValueError, with the arena unchanged, if a rate would
+        overflow in some tree (every box on x's path lies inside the root's
+        box enlarged to admit x). Then doubles the capacity if some row has
+        fewer than two free slots, so that no index changes after that, and:
+        1. walks x down every tree at once, or takes the walk ``route`` left
+           for x if the capacity did not change (every call clears it);
+        2. races: every deviation rate on the paths at once, one draw per
+           tree with candidates (see the class docstring), and each tree's
+           first firing candidate;
+        3. writes: the nodes passed before the clock fired count x, and
+           those that x lies outside of (a positive rate) enlarge their
+           boxes to it; a new internal node and a leaf for x are spliced
+           above each node where a clock fired.
         """
-        path_tree, path_flat, lo, hi, dev, rate, fired, fire_time, draws = self._race(x)
-        t = path_tree.take(fired)
-        C = self.capacity
-        # 3. grow before taking views of the fields, so that each old field
-        # is freed as soon as its replacement is filled
-        if fired.size and self.size.take(t).max() + 2 > C:
+        walked, self._walked = self._walked, None
+        T = self.num_trees
+        _check_rates_finite(self.box_min[np.arange(T), self.root], self.box_max[np.arange(T), self.root], x)
+        if self.size.max() + 2 > self.capacity:
             self._double()  # a doubled row always has room for two more
-            path_flat = path_flat + path_tree * (self.capacity - C)
-        stop = np.full(self.num_trees, path_tree.size)
+            walked = None  # its flat indices are the old capacity's
+        C, TC = self.capacity, self.population.size
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        population = self._flat("population")
+
+        # 1. walk
+        path_tree, path_flat, starts = walked[1] if walked and walked[0] == x.tobytes() else self._walk(x)
+
+        # 2. race: rates and parent times on every path node; the candidates
+        # are the nodes with a positive rate, in path order
+        lo, hi = box_min.take(path_flat, axis=0), box_max.take(path_flat, axis=0)
+        dev = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+        rate = dev.sum(axis=1)
+        node_time = self._flat("split_time").take(path_flat)
+        tau = np.empty_like(node_time)
+        tau[1:] = node_time[:-1]
+        tau[starts] = 0.0  # roots have parent time 0
+        cand = np.flatnonzero(rate > 0.0)
+        cand_tree = path_tree.take(cand)
+        first, count = _runs(cand_tree)
+        # one draw per tree with k > 0 candidates: k clocks, then the cut's
+        # dimension and value uniforms; zero clocks are redrawn after it
+        tree_of = np.repeat(np.arange(first.size), count)
+        at = first + 2 * np.arange(first.size)  # each tree's offset in u
+        u = np.empty(cand.size + 2 * first.size)
+        for t, a, b in zip(cand_tree.take(first).tolist(), at.tolist(), (at + count + 2).tolist()):
+            self.rngs[t].random(out=u[a:b])
+        clock = u.take(np.arange(cand.size) + 2 * tree_of)
+        for j in np.flatnonzero(clock == 0.0).tolist():
+            while clock[j] == 0.0:
+                clock[j] = self.rngs[cand_tree[j]].random()
+        with np.errstate(over="ignore"):  # a subnormal rate waits forever
+            wait = -np.log1p(-clock) / rate.take(cand)
+        fire_at = tau.take(cand) + wait
+        hit = np.flatnonzero(fire_at < node_time.take(cand))
+        hit = hit.take(_runs(cand_tree.take(hit))[0])  # each tree's first firing
+        fired = cand.take(hit)  # its position on the path
+
+        # 3. write: the nodes passed before the clock fired take x
+        t = path_tree.take(fired)
+        stop = np.full(T, path_tree.size)
         stop[t] = fired
         passed = np.arange(path_tree.size) < stop.take(path_tree)
-        self._flat("population")[path_flat[passed]] += 1
+        population[path_flat[passed]] += 1
         moved = np.flatnonzero(passed & (rate > 0.0))
-        box_min, box_max = self._flat("box_min"), self._flat("box_max")
         box_min[path_flat.take(moved)] = np.minimum(lo.take(moved, axis=0), x)
         box_max[path_flat.take(moved)] = np.maximum(hi.take(moved, axis=0), x)
-        if fired.size:
-            self._splice(
-                t, path_flat.take(fired), path_flat.take(fired - 1), x, fire_time,
-                lo.take(fired, axis=0), hi.take(fired, axis=0), dev.take(fired, axis=0), rate.take(fired), draws,
-            )
+        if not fired.size:
+            return
+        # a new internal node above each fired node, cut between its box and
+        # x on a deviating dimension, with a new leaf for x as its other child
+        node, up = path_flat.take(fired), path_flat.take(fired - 1)
+        node_min, node_max = lo.take(fired, axis=0), hi.take(fired, axis=0)
+        over = x > node_max
+        draws = u.take((at + count).take(tree_of.take(hit))[:, None] + np.arange(2))
+        gap = np.where(over, node_max, x), np.where(over, x, node_min)  # each dim's interval
+        q, p = _cut(*gap, dev.take(fired, axis=0), rate.take(fired), draws)
+        above = over.ravel().take(np.arange(t.size) * self.dim + q)
+        internal = self.size.take(t)
+        self.size[t] += 2
+        inner = t * C + internal
+        leaf = inner + 1
+        box_min[leaf] = x
+        box_max[leaf] = x
+        population[leaf] = 1
+        self._flat("split_dim")[inner] = q
+        self._flat("split_val")[inner] = p
+        self._flat("split_time")[inner] = fire_at.take(hit)
+        box_min[inner] = np.minimum(node_min, x)
+        box_max[inner] = np.maximum(node_max, x)
+        population[inner] = population.take(node) + 1
+        self.child[inner] = np.where(above, node, leaf)
+        self.child[TC + inner] = np.where(above, leaf, node)
+        at_root = fired == starts.take(t)
+        self.root[t[at_root]] = internal[at_root]
+        up, node, inner = up[~at_root], node[~at_root], inner[~at_root]
+        self.child[(self.child.take(up) != node) * TC + up] = inner
 
     def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1 of ``extend``: the path of x in every tree as tree-major
@@ -793,88 +858,3 @@ class ForestArena:
         length = on_path.sum(axis=0)
         starts = np.cumsum(length) - length
         return np.repeat(np.arange(T), length), walk.T[on_path.T], starts
-
-    def _race(self, x: np.ndarray):
-        """Phases 1 and 2 of ``extend``: the path of x in every tree as
-        tree-major tree and flat node indices; the box rows, deviations and
-        rates along it; and for each tree whose clock fired its position on
-        the path, firing time and the two cut uniforms of its draw. The path
-        is the walk ``route`` left for x, if any, or a fresh ``_walk``."""
-        walked, self._walked = self._walked, None
-        path_tree, path_flat, starts = walked[1] if walked and walked[0] == x.tobytes() else self._walk(x)
-
-        # 2. rates and parent times on every path node; the candidates are
-        # the nodes with a positive rate, in path order
-        box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        lo, hi = box_min.take(path_flat, axis=0), box_max.take(path_flat, axis=0)
-        _check_rates_finite(lo.take(starts, axis=0), hi.take(starts, axis=0), x)
-        dev = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-        rate = dev.sum(axis=1)
-        node_time = self._flat("split_time").take(path_flat)
-        tau = np.empty_like(node_time)
-        tau[1:] = node_time[:-1]
-        tau[starts] = 0.0  # roots have parent time 0
-        cand = np.flatnonzero(rate > 0.0)
-        cand_tree = path_tree.take(cand)
-        first, count = _runs(cand_tree)
-
-        # one draw per tree with k > 0 candidates: k clocks, then the cut's
-        # dimension and value uniforms; zero clocks are redrawn after it
-        tree_of = np.repeat(np.arange(first.size), count)
-        at = first + 2 * np.arange(first.size)  # each tree's offset in u
-        u = np.empty(cand.size + 2 * first.size)
-        for t, a, b in zip(cand_tree.take(first).tolist(), at.tolist(), (at + count + 2).tolist()):
-            self.rngs[t].random(out=u[a:b])
-        clock = u.take(np.arange(cand.size) + 2 * tree_of)
-        for j in np.flatnonzero(clock == 0.0).tolist():
-            while clock[j] == 0.0:
-                clock[j] = self.rngs[cand_tree[j]].random()
-        with np.errstate(over="ignore"):  # a subnormal rate waits forever
-            wait = -np.log1p(-clock) / rate.take(cand)
-        fire_at = tau.take(cand) + wait
-        hit = np.flatnonzero(fire_at < node_time.take(cand))
-        hit = hit.take(_runs(cand_tree.take(hit))[0])  # each tree's first firing
-        cut = (at + count).take(tree_of.take(hit))
-        return (
-            path_tree, path_flat, lo, hi, dev, rate,
-            cand.take(hit), fire_at.take(hit), u.take(cut[:, None] + np.arange(2)),
-        )
-
-    def _splice(self, t, flat, up, x, time, node_min, node_max, rates, rate, draws) -> None:
-        """For each of the trees t (each once), splice a new internal node of
-        split time ``time`` above flat node ``flat``, whose box rows are
-        ``node_min`` and ``node_max`` and whose parent is flat node ``up``
-        (read only where ``flat`` is not its tree's root), with a new leaf
-        for x as its other child. ``rates`` are the node's deviations from
-        x, ``rate`` their sum, and ``draws`` the two uniforms that pick the
-        cut's dimension and value."""
-        C, TC = self.capacity, self.population.size
-        box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        population = self._flat("population")
-        # each deviating dim is cut between the box and x
-        over = x > node_max
-        q, p = _cut(np.where(over, node_max, x), np.where(over, x, node_min), rates, rate, draws)
-        above = over.ravel().take(np.arange(t.size) * self.dim + q)
-
-        internal = self.size.take(t)
-        self.size[t] += 2
-        inner_flat = t * C + internal
-        leaf_flat = inner_flat + 1
-
-        box_min[leaf_flat] = x
-        box_max[leaf_flat] = x
-        population[leaf_flat] = 1
-
-        self._flat("split_dim")[inner_flat] = q
-        self._flat("split_val")[inner_flat] = p
-        self._flat("split_time")[inner_flat] = time
-        box_min[inner_flat] = np.minimum(node_min, x)
-        box_max[inner_flat] = np.maximum(node_max, x)
-        population[inner_flat] = population.take(flat) + 1
-        self.child[inner_flat] = np.where(above, flat, leaf_flat)
-        self.child[TC + inner_flat] = np.where(above, leaf_flat, flat)
-
-        at_root = flat == t * C + self.root.take(t)
-        self.root[t[at_root]] = internal[at_root]
-        up, flat, inner_flat = up[~at_root], flat[~at_root], inner_flat[~at_root]
-        self.child[(self.child.take(up) != flat) * TC + up] = inner_flat

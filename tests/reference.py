@@ -3,17 +3,19 @@
 ``ForestArena.grow``, ``route`` and ``extend`` work on every tree of a forest
 at once. Here one writable ``MondrianTree`` is built (``fit_tree``), walked
 (``walk``, ``path_length``) and extended (``extend_tree``) with plain Python
-loops over its nodes; ``extend_tree`` draws by the arena's extension
-contract, so it must leave a tree bit-identical to ``ForestArena.extend``.
+loops over its nodes, by the draw contracts in ``ForestArena``'s docstring
+and without calling the kernels or their cut rule, so each must leave a tree
+bit-identical to the kernel's, generator state included.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from imondrian.tree import NO_NODE, ForestArena, MondrianTree, _check_rates_finite, as_point, as_points, node_fields
+from imondrian.tree import NO_NODE, MondrianTree, _check_rates_finite, as_point, as_points, node_fields
+
+# the links a tree view holds beside the arena's node fields
+_LINKS = ("left", "right", "parent")
 
 
 def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -22,13 +24,77 @@ def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: np.ndarray) -> tuple[int, float]:
+    """The cut of one box: dimension q with probability in proportion to
+    ``widths`` (which sum to ``rate``), the first whose cumulative width
+    exceeds ``draws[0] * rate`` (the last positive one if roundoff passes
+    them all), and value lo + (hi - lo) * draws[1] on it, moved to hi if it
+    lands on lo."""
+    q = int(np.searchsorted(np.cumsum(widths), draws[0] * rate, side="right"))
+    if q >= widths.size or widths[q] <= 0.0:
+        q = int(np.flatnonzero(widths > 0.0)[-1])
+    p = lo[q] + (hi[q] - lo[q]) * draws[1]
+    return q, hi[q] if p <= lo[q] else p
+
+
 def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTree:
-    """The one-tree case of ``ForestArena.grow``: the tree grown on
-    ``points`` from ``rng``, as a writable copy that owns the generator
-    itself rather than a copy of it. Raises what ``grow`` raises."""
+    """The tree ``ForestArena.grow`` builds on ``points`` from ``rng``, built
+    here node by node, one level at a time. The tree owns the generator.
+
+    At each level the open nodes, in slot order, take the min/max box and
+    the count of their points. Those with two or more points and a positive
+    rate (their box's row sum) split: the level draws one exponential each,
+    then two uniforms each, then redraws any waiting time that rounded to 0
+    node by node. A node whose split time is not finite stays a leaf;
+    each other one cuts, and its left and right children take the next two
+    slots with its points in their order. Raises ValueError on an empty
+    point set and on a rate that overflows.
+    """
+    X = as_points(points)
     gen = _as_generator(rng)
-    view = ForestArena.grow(as_points(points), [gen]).tree(0)
-    return copy.deepcopy(view, {id(gen): gen})
+    n, d = X.shape
+    tree = MondrianTree()
+    tree.dim, tree.rng, tree.root, tree.size = d, gen, 0, 1
+    links = [(name, np.dtype(np.int32), (2 * n - 1,), NO_NODE) for name in _LINKS]
+    for name, dtype, shape, fill in node_fields((2 * n - 1,), d) + links:
+        setattr(tree, name, np.full(shape, fill, dtype=dtype))
+    level = [(0, np.arange(n), 0.0)]  # open nodes: slot, rows of X, parent time
+    while level:
+        for node, rows, _ in level:
+            tree.box_min[node] = X[rows].min(axis=0)
+            tree.box_max[node] = X[rows].max(axis=0)
+            tree.population[node] = rows.size
+        with np.errstate(over="ignore"):
+            widths = np.array([tree.box_max[node] - tree.box_min[node] for node, _, _ in level])
+            rates = widths.sum(axis=1)
+        split = [i for i, (_, rows, _) in enumerate(level) if rows.size > 1 and rates[i] > 0.0]
+        if not split:
+            break
+        if np.isinf(rates[split]).any():
+            raise ValueError("a box's linear dimension overflows")
+        waits, draws = gen.standard_exponential(len(split)), gen.random((len(split), 2))
+        with np.errstate(over="ignore"):
+            waits /= rates[split]
+            for j, i in enumerate(split):
+                while waits[j] == 0.0:
+                    waits[j] = gen.standard_exponential() / rates[i]
+        opened = []
+        for j, i in enumerate(split):
+            node, rows, tau = level[i]
+            with np.errstate(over="ignore"):
+                time = tau + waits[j]
+            if not np.isfinite(time):
+                continue
+            q, p = _cut_rule(widths[i], rates[i], tree.box_min[node], tree.box_max[node], draws[j])
+            left, right = tree.size, tree.size + 1
+            tree.size += 2
+            tree.split_dim[node], tree.split_val[node], tree.split_time[node] = q, p, time
+            tree.left[node], tree.right[node] = left, right
+            tree.parent[left] = tree.parent[right] = node
+            go_right = X[rows, q] >= p
+            opened += [(left, rows[~go_right], time), (right, rows[go_right], time)]
+        level = opened
+    return tree
 
 
 def _new_node(tree: MondrianTree) -> int:
@@ -36,7 +102,7 @@ def _new_node(tree: MondrianTree) -> int:
     node axis of every field and link, one array at a time."""
     if tree.size == tree.capacity:
         cap, new = tree.capacity, max(2 * tree.capacity, 8)
-        links = [(name, np.dtype(np.int32), (new,), NO_NODE) for name in ("left", "right", "parent")]
+        links = [(name, np.dtype(np.int32), (new,), NO_NODE) for name in _LINKS]
         for name, dtype, shape, fill in node_fields((new,), tree.dim) + links:
             field = np.full(shape, fill, dtype=dtype)
             field[:cap] = getattr(tree, name)
@@ -106,9 +172,10 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
             if tau + e < tree.split_time[path[j]]:
                 fired, time = j, tau + e
                 break
-    for node in path[:fired]:
-        tree.box_min[node] = np.minimum(tree.box_min[node], x)
-        tree.box_max[node] = np.maximum(tree.box_max[node], x)
+    for node, rate in zip(path[:fired], rates):
+        if rate > 0.0:  # any other box already holds x, up to the sign of a zero bound
+            tree.box_min[node] = np.minimum(tree.box_min[node], x)
+            tree.box_max[node] = np.maximum(tree.box_max[node], x)
         tree.population[node] += 1
     if time is not None:
         _splice_above(tree, path[fired], x, time, dev[fired], rates[fired], u[-2:])
@@ -127,21 +194,10 @@ def _splice_above(
     """Splice a new internal node of split time ``time`` above ``node``,
     with a new leaf for x as its other child; ``draws`` are the uniforms
     that pick the cut's dimension and value."""
-    cuts = np.cumsum(rates)
-    q = int(np.searchsorted(cuts, draws[0] * rate, side="right"))
-    if q >= rates.size or rates[q] <= 0.0:
-        q = int(np.flatnonzero(rates > 0.0)[-1])
-    above = x[q] > tree.box_max[node, q]
-    if above:
-        lo = float(tree.box_max[node, q])
-        hi = float(x[q])
-    else:
-        lo = float(x[q])
-        hi = float(tree.box_min[node, q])
-    p = lo + (hi - lo) * float(draws[1])
-    if p <= lo:
-        # a cut exactly on the interval's lower end would misroute one side
-        p = hi
+    over = x > tree.box_max[node]
+    lo, hi = np.where(over, tree.box_max[node], x), np.where(over, x, tree.box_min[node])
+    q, p = _cut_rule(rates, rate, lo, hi, draws)
+    above = over[q]
 
     old_parent = int(tree.parent[node])
     internal = _new_node(tree)

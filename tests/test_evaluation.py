@@ -87,6 +87,18 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.2], [0, 0])
 
+    @pytest.mark.parametrize(
+        "labels", [[1, 0, 2], [1.0, 0.0, 0.7], [1.0, 0.0, np.nan], ["1", "0", "0"]],
+        ids=["two", "fraction", "nan", "digit-strings"],
+    )
+    def test_labels_outside_zero_one_rejected(self, labels):
+        # checked before the int64 cast, which would read 0.7 as 0 and "1" as 1
+        with pytest.raises(ValueError, match=r"labels must be 0 \(normal\) or 1 \(anomaly\)"):
+            auc([0.9, 0.1, 0.5], labels)
+
+    def test_float_and_bool_labels_of_zero_and_one_accepted(self):
+        assert auc([0.9, 0.1, 0.5], [1.0, 0.0, 0.0]) == auc([0.9, 0.1, 0.5], [True, False, False]) == 1.0
+
 
 def _toy_dataset(n=40, anomalies=8, seed=0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
@@ -110,6 +122,14 @@ class TestLabeledDataset:
             LabeledDataset(points=np.ones((3, 2)), labels=[])
         with pytest.raises(ValueError, match="nonempty"):
             LabeledDataset(points=np.zeros((0, 2)), labels=[0])
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"labels must be 0 \(normal\) or 1 \(anomaly\)"):
+            LabeledDataset(points=np.ones((3, 2)), labels=[0.7, 1.0, 1.9])
+
+    def test_float_labels_of_zero_and_one_stored_as_int64(self):
+        ds = LabeledDataset(points=np.ones((3, 2)), labels=[0.0, 1.0, 1.0])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
 
 
 class TestKfoldSplit:

@@ -120,6 +120,26 @@ class TestTrainBatch:
         with pytest.raises(ValueError):
             ForestConfig(psi=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_trees", 2.5), ("psi", 7.5), ("seed", 1.5), ("num_trees", True), ("seed", False), ("psi", "8"),
+         ("seed", None), ("num_trees", np.float64(3.0))],
+    )
+    def test_config_rejects_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ForestConfig(**{field: value})
+
+    def test_numpy_integer_config_saves_and_loads(self, tmp_path):
+        cfg = ForestConfig(num_trees=np.int32(3), psi=np.int64(8), seed=np.uint8(3))
+        assert [type(v) for v in (cfg.num_trees, cfg.psi, cfg.seed)] == [int, int, int]
+        X = np.random.default_rng(26).normal(size=(30, 2))
+        forest = train_batch(X, cfg)
+        assert arena_fingerprint(forest.arena) == arena_fingerprint(train_batch(X, ForestConfig(3, 8, 3)).arena)
+        save_model(forest, tmp_path / "m.imf")
+        loaded = load_model(tmp_path / "m.imf")
+        assert (loaded.psi, loaded.seed) == (8, 3)
+        assert score_all(X, loaded)[1].tolist() == score_all(X, forest)[1].tolist()
+
     def test_neighbouring_seeds_share_no_tree(self):
         # per-tree streams come from SeedSequence(seed).spawn, not seed + t
         X = np.random.default_rng(4).normal(size=(200, 3))
@@ -483,6 +503,32 @@ class TestLockstepArena:
         self._assert_matches_reference(forest, reference, points=np.vstack([X, stream]))
         assert forest.total_population == 42
 
+    def test_full_rows_double_before_the_walk(self, monkeypatch):
+        # two points fill every row (3 of 3 slots); a duplicate arrival fires
+        # no clock, and the capacity still doubles, before any walk reads an
+        # index, so the walk its one-point score left is taken again. The
+        # next arrival finds room and reuses its score's walk
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
+        assert (forest.arena.size == forest.arena.capacity).all()
+        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        walked_at = []
+        real_walk = ForestArena._walk
+
+        def walk(arena, x):
+            walked_at.append(arena.capacity)
+            return real_walk(arena, x)
+
+        monkeypatch.setattr(ForestArena, "_walk", walk)
+        for x in (X[1], np.array([3.0, -2.0])):
+            score_all([x], forest)
+            extend_forest(forest, [x])
+            for ref in reference:
+                extend_tree(ref, x)
+        assert walked_at == [3, 8, 8]
+        assert forest.arena.capacity == 8
+        self._assert_matches_reference(forest, reference, points=np.vstack([X, X[1], [3.0, -2.0]]))
+
     def test_tree_views_are_read_only(self):
         X = np.random.default_rng(22).normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
@@ -532,8 +578,10 @@ class TestLockstepArena:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
         forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
         snapshot = [copy.deepcopy(tree) for tree in forest.trees]
+        assert (forest.arena.size == 5).all() and forest.arena.capacity == 5  # an insert would double first
         with pytest.raises(ValueError, match="overflow"):
             extend_forest(forest, [[1e308, 1e308]])
+        assert forest.arena.capacity == 5
         for tree, before in zip(forest.trees, snapshot):
             assert structurally_equal(tree, before)
             assert tree.rng.bit_generator.state == before.rng.bit_generator.state

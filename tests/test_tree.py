@@ -7,17 +7,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
-from imondrian.forest import ForestConfig, train_batch
-from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
+from imondrian.forest import ForestConfig, _leaf_depth, train_batch
+from imondrian.tree import FIELD_NAMES, NO_NODE, ForestArena, as_point, as_points
 
 from helpers import (
+    TREE_FIELDS,
     bbox_oracle,
     check_tree_invariants,
     depth_oracle,
     leaf_constraint_table,
     random_dataset,
+    scored_depth,
     structurally_equal,
 )
 from reference import extend_tree, fit_tree, path_length, walk
@@ -494,3 +498,118 @@ class TestExtendTree:
         assert structurally_equal(tree, before)
         assert tree.rng.bit_generator.state == before.rng.bit_generator.state
 
+
+# the largest finite float64: hostile arrivals are clipped to it
+FLOAT_MAX = np.finfo(float).max
+
+
+@st.composite
+def _hostile_cases(draw):
+    """(points, tree seeds, subsample size or None, arrivals) on hostile
+    data: d = 1 to 3 and n = 2 to 24, scales from subnormal to near the
+    largest float, duplicate blocks, constant columns and signed zeros; the
+    arrivals lie on the data, inside its box, outside it or at the largest
+    float, so that some rates overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="data seed"))
+    n, d = draw(st.integers(2, 24), label="n"), draw(st.integers(1, 3), label="d")
+    scale = draw(st.sampled_from([1e-320, 1e-300, 1.0, 1e300, 8e307]), label="scale")
+    X = rng.uniform(-1.0, 1.0, size=(n, d)) * scale
+    if draw(st.booleans(), label="duplicate block"):
+        X[rng.integers(0, n, size=n // 2 + 1)] = X[0]
+    if draw(st.booleans(), label="constant column"):
+        X[:, rng.integers(0, d)] = X[0, 0]
+    if draw(st.booleans(), label="signed zeros"):
+        zero = rng.random((n, d)) < 0.3
+        X[zero] = np.where(rng.random((n, d)) < 0.5, 0.0, -0.0)[zero]
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3), label="tree seeds")
+    m = draw(st.none() | st.integers(2, n), label="subsample")
+    arrivals = []
+    for _ in range(draw(st.integers(0, 5), label="arrivals")):
+        i, j, u = rng.integers(0, n), rng.integers(0, n), rng.random()
+        kind = draw(st.sampled_from(["on", "inside", "outside", "largest"]), label="arrival")
+        if kind == "on":
+            x = X[i].copy()
+        elif kind == "inside":
+            x = X[i] * (1.0 - u) + X[j] * u
+        elif kind == "outside":
+            with np.errstate(over="ignore"):
+                x = X[i] * rng.uniform(2.0, 10.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+            x = np.clip(x, -FLOAT_MAX, FLOAT_MAX)
+        else:
+            x = FLOAT_MAX * rng.choice([-1.0, 1.0], size=d)
+        arrivals.append(x)
+    return X, seeds, m, arrivals
+
+
+def _bits(tree) -> tuple:
+    """A tree's root, size, the bytes of every per-node array's used slots
+    (so -0.0 differs from 0.0) and its generator's state."""
+    used = tree.size
+    fields = [np.ascontiguousarray(getattr(tree, name)[:used]).tobytes() for name in TREE_FIELDS]
+    return int(tree.root), int(used), fields, tree.rng.bit_generator.state
+
+
+def _arena_state(arena) -> tuple:
+    """Everything an insert may write: every field in full, ``child``, the
+    roots, sizes and capacity, and the generators' states."""
+    fields = [getattr(arena, name).tobytes() for name in FIELD_NAMES]
+    states = [gen.bit_generator.state for gen in arena.rngs]
+    return fields, arena.child.tobytes(), arena.root.tobytes(), arena.size.tobytes(), arena.capacity, states
+
+
+def _oracle_sum(trees, x) -> float:
+    """The scoring depths of x summed in tree order, as ``route`` adds them."""
+    total = 0.0
+    for tree in trees:
+        total += scored_depth(tree, x)
+    return total
+
+
+class TestKernelsMatchOracles:
+    """On hostile data the lockstep kernels match the per-tree references bit
+    for bit, generator states included: ``grow``'s trees are ``fit_tree``'s,
+    each ``extend`` is ``extend_tree`` in every tree, and ``route`` sums
+    ``scored_depth`` over the trees. Where a reference raises ValueError,
+    the kernel raises it too, and an ``extend`` that raises leaves the arena
+    as it was."""
+
+    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
+    # patch, and libcst warns on import; as an error that would end the session
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(case=_hostile_cases())
+    def test_kernels_match_references(self, case):
+        X, seeds, m, arrivals = case
+        refs = []
+        for seed in seeds:
+            gen = np.random.default_rng(seed)
+            sample = X if m is None else X[gen.choice(X.shape[0], size=m, replace=False)]
+            try:
+                refs.append(fit_tree(sample, rng=gen))
+            except ValueError:
+                refs.append(None)
+        if None in refs:
+            with pytest.raises(ValueError):
+                ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+            return
+        arena = ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+        assert [_bits(arena.tree(t)) for t in range(len(seeds))] == [_bits(ref) for ref in refs]
+        assert arena.route(X, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in X]
+        for x in arrivals:
+            # a one-point route leaves its walk to the extend that follows
+            assert arena.route(x[None], _leaf_depth).tolist() == [_oracle_sum(refs, x)]
+            trials = [copy.deepcopy(ref) for ref in refs]
+            try:
+                for trial in trials:
+                    extend_tree(trial, x)
+            except ValueError:
+                before = _arena_state(arena)
+                with pytest.raises(ValueError, match="overflow"):
+                    arena.extend(x)
+                assert _arena_state(arena) == before
+                continue
+            arena.extend(x)
+            refs = trials
+            assert [_bits(arena.tree(t)) for t in range(len(seeds))] == [_bits(ref) for ref in refs]
+        probes = np.vstack([X] + arrivals)
+        assert arena.route(probes, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in probes]
