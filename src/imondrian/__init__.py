@@ -28,7 +28,6 @@ from .forest import (
     train_batch,
 )
 from .data_io import CsvSchema, SyntheticSpec, gen_synthetic, load_csv, load_model, save_model
-from .tree import MondrianTree
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "ForestConfig",
     "LabeledDataset",
     "ModelFormatError",
-    "MondrianTree",
     "StratificationError",
     "SyntheticSpec",
     "anomaly_score",

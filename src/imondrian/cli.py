@@ -124,6 +124,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     positive("grid", 2)
     positive("inliers", 0)
     positive("outliers", 0)
+    positive("seed", 0)
     psi = getattr(args, "psi", None)
     if psi is not None and (psi < 0 or psi == 1):
         parser.error(f"--psi must be 0 (no subsampling) or >= 2, got {psi}")

@@ -269,6 +269,8 @@ class SyntheticSpec:
             raise ValueError("counts must be nonnegative")
         if self.n_inliers + self.n_outliers == 0:
             raise ValueError("dataset would be empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         extent = _GENERATORS[self.kind][2]
         if self.outlier_halfwidth < extent:
             raise ValueError(
@@ -445,9 +447,9 @@ def _read_forest(handle, digest, path) -> Forest:
     if size.min() < 1 or size.max() != width:
         raise ValueError("tree sizes do not fit the stored width")
     n_effective, psi, seed = meta["n_effective"], meta["psi"], meta["seed"]
-    if not (_is_int(n_effective, 2) and (psi is None or _is_int(psi, 2)) and _is_int(seed)):
+    if not (_is_int(n_effective, 2) and (psi is None or _is_int(psi, 2)) and _is_int(seed, 0)):
         raise ValueError(
-            "n_effective must be an integer >= 2, psi null or an integer >= 2 and seed an integer;"
+            "n_effective must be an integer >= 2, psi null or an integer >= 2 and seed an integer >= 0;"
             f" got {n_effective!r}, {psi!r} and {seed!r}"
         )
     fields = node_fields((num_trees, width), dim)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import ForestArena, MondrianTree, as_point, as_points
+from .tree import ForestArena, as_point, as_points
 
 # truncated Euler-Mascheroni constant, exactly as used by the normalization
 EULER_GAMMA = 0.5772156649
@@ -86,6 +86,8 @@ class ForestConfig:
             raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
         if self.psi is not None and self.psi < 2:
             raise ValueError(f"psi must be >= 2 when subsampling, got {self.psi}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -102,11 +104,6 @@ class Forest:
     n_effective: int
     psi: int | None
     seed: int
-
-    @property
-    def trees(self) -> tuple[MondrianTree, ...]:
-        """Read-only views of the trees as they are now (see ForestArena.tree)."""
-        return tuple(self.arena.tree(t) for t in range(self.arena.num_trees))
 
     @property
     def num_trees(self) -> int:

@@ -182,30 +182,6 @@ def _runs(trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 
 
-class MondrianTree:
-    """Read-only view of one tree of a ``ForestArena``, from ``ForestArena.tree``.
-
-    Parallel arrays, one per node: split dimension/value/time, subtree
-    population, and the smallest box of the points the node was built from
-    (enlarged as streamed points pass through), which alias the tree's arena
-    row; and left, right and parent links (``NO_NODE`` where absent), which
-    neither the arena nor the model file holds: ``ForestArena.links`` reads
-    them off the child table. ``rng`` is the tree's own generator, so that
-    a (seed, data) pair fully determines every structure it will ever grow
-    into.
-    """
-
-    __slots__ = ("dim", "rng", "root", "size", "left", "right", "parent") + FIELD_NAMES
-
-    @property
-    def capacity(self) -> int:
-        return self.left.size
-
-    @property
-    def node_count(self) -> int:
-        return self.size
-
-
 def _check_rates_finite(root_min: np.ndarray, root_max: np.ndarray, x: np.ndarray) -> None:
     """Raise ValueError unless the root box enlarged to admit x has a finite
     linear dimension. Every box on x's path lies inside that enlarged box,
@@ -355,7 +331,7 @@ class ForestArena:
     then a fresh exponential for any waiting time that rounded to 0. So a
     tree depends on its generator and the data alone, not on the other
     trees, on how trees are grouped or on which process builds them; slots
-    are numbered breadth first.
+    are numbered breadth first. A box's zero bound is always +0.0.
 
     ``extend`` is one body: overflow check, regrow, then walk, race and
     write. It follows one draw contract, tree by tree, so a tree's result
@@ -383,9 +359,7 @@ class ForestArena:
     ``_node_depths``; ``extend`` has one lane per tree and steps all of them
     every level, so its walk is a (levels, T) array from which each tree's
     path is the root and every level at which that lane moved. The model
-    file stores the table's two sides row-local (``data_io.save_model``);
-    ``links`` reads row-local left, right and parent links off it for the
-    tree views.
+    file stores the table's two sides row-local (``data_io.save_model``).
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -460,9 +434,12 @@ class ForestArena:
         for g in range(groups):
             trees = np.arange(a + (b - a) * g // groups, a + (b - a) * (g + 1) // groups)
             if sample_size is None:
-                pts = np.tile(X, (trees.size, 1))
+                pts = np.tile(X.T, (1, trees.size))
             else:
-                pts = X[np.concatenate([self.rngs[t].choice(n, size=m, replace=False) for t in trees])]
+                pts = X.T.take(np.concatenate([self.rngs[t].choice(n, size=m, replace=False) for t in trees]), axis=1)
+            # a fresh array: -0.0 is read as +0.0, so that a box's zero bound
+            # does not depend on how numpy's reductions pair signed zeros
+            pts += 0.0
             self._grow_levels(trees, pts, m)
 
     def _rows(self, a: int, b: int) -> list[np.ndarray]:
@@ -474,10 +451,10 @@ class ForestArena:
         return fields + [kids[0, a:b], kids[1, a:b], self.root[a:b], self.size[a:b]]
 
     def _grow_levels(self, trees: np.ndarray, pts: np.ndarray, m: int) -> None:
-        """Build trees ``trees`` (ascending) on ``pts``, whose rows are each
-        tree's m points in turn.
+        """Build trees ``trees`` (ascending) on the feature-major (d, N)
+        ``pts``, whose columns are each tree's m points in turn.
 
-        Each open node owns a contiguous segment of ``pts``; segments are in
+        Each open node owns a contiguous segment of columns; segments are in
         (tree, slot) order. One pass per depth level:
         1. boxes and populations of the open nodes, by segment min/max;
         2. nodes with one point or a zero-width box stay leaves and their
@@ -498,8 +475,9 @@ class ForestArena:
             # 1. boxes of the open nodes
             flat = seg_tree * C + seg_node
             starts = np.cumsum(seg_len) - seg_len
-            lo = np.minimum.reduceat(pts, starts, axis=0)
-            hi = np.maximum.reduceat(pts, starts, axis=0)
+            # node-major rows, so that the width sums add as they always have
+            lo = np.ascontiguousarray(np.minimum.reduceat(pts, starts, axis=1).T)
+            hi = np.ascontiguousarray(np.maximum.reduceat(pts, starts, axis=1).T)
             box_min[flat] = lo
             box_max[flat] = hi
             self._flat("population")[flat] = seg_len
@@ -550,9 +528,10 @@ class ForestArena:
             lane_seg = np.repeat(rank, seg_len)
             keep = np.flatnonzero(lane_seg >= 0)
             lane_seg = lane_seg.take(keep)
-            go_right = pts.ravel().take(keep * pts.shape[1] + q.take(lane_seg)) >= p.take(lane_seg)
+            go_right = pts.ravel().take(q.take(lane_seg) * pts.shape[1] + keep) >= p.take(lane_seg)
             kid_seg = 2 * lane_seg + go_right  # each point's child, in the children's order
-            pts = pts.take(keep.take(np.argsort(kid_seg, kind="stable")), axis=0)
+            key = kid_seg.astype(np.uint16) if 2 * k <= 1 << 16 else kid_seg  # 16-bit keys radix-sort
+            pts = pts.take(keep.take(np.argsort(key, kind="stable")), axis=1)
             seg_len = np.bincount(kid_seg, minlength=2 * k)
             seg_tree = np.repeat(t, 2)
             seg_node = np.column_stack((kid_l, kid_l + 1)).ravel()
@@ -565,34 +544,6 @@ class ForestArena:
     @property
     def capacity(self) -> int:
         return self.population.shape[1]
-
-    def links(self, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The row-local int32 ``left``, ``right`` and ``parent`` links of the
-        tree rows ``trees`` (an index or a slice, every row by default), read
-        off ``child``, with ``NO_NODE`` where a node has no child or parent."""
-        C = self.capacity
-        kids = self.child.reshape(2, self.num_trees, C)[:, trees] % C
-        inner = np.nonzero(kids[0] != np.arange(C))
-        left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in range(3))
-        for field, side in zip((left, right), kids):
-            field[inner] = side[inner]
-            parent[inner[:-1] + (side[inner],)] = inner[-1]
-        return left, right, parent
-
-    def tree(self, t: int) -> MondrianTree:
-        """Read-only view of tree t as it is now (see ``MondrianTree``); take
-        a fresh view after extending."""
-        view = MondrianTree()
-        view.dim = self.dim
-        view.rng = self.rngs[t]
-        view.root = int(self.root[t])
-        view.size = int(self.size[t])
-        rows = dict(zip(("left", "right", "parent"), self.links(t)))
-        rows.update((name, getattr(self, name)[t]) for name in FIELD_NAMES)
-        for name, row in rows.items():
-            row.flags.writeable = False
-            setattr(view, name, row)
-        return view
 
     def _double(self) -> None:
         """Double every row's capacity, one field at a time, so that each old

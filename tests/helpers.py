@@ -17,13 +17,13 @@ import numpy as np
 
 from imondrian.data_io import _structure_problem
 from imondrian.forest import c_factor
-from imondrian.tree import NO_NODE, MondrianTree, node_fields
+from imondrian.tree import FIELD_NAMES, NO_NODE, node_fields
 
-from reference import walk
+from reference import Tree, links, walk
 
 
 def check_tree_invariants(
-    tree: MondrianTree,
+    tree: Tree,
     points: np.ndarray | None = None,
     expected_population: int | None = None,
 ) -> dict:
@@ -152,7 +152,7 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
     return {"leaves": leaves, "internals": internals}
 
 
-def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
+def structurally_equal(a: Tree, b: Tree) -> bool:
     """Exact structural equality: same shape, links, populations, and
     bit-identical split values, times, and boxes."""
     if a.dim != b.dim or a.size != b.size or a.root != b.root:
@@ -161,7 +161,7 @@ def structurally_equal(a: MondrianTree, b: MondrianTree) -> bool:
     return all(np.array_equal(getattr(a, f)[:n], getattr(b, f)[:n]) for f in TREE_FIELDS)
 
 
-def leaf_constraint_table(tree: MondrianTree) -> list[tuple[int, int, list[tuple[int, float, bool]]]]:
+def leaf_constraint_table(tree: Tree) -> list[tuple[int, int, list[tuple[int, float, bool]]]]:
     """All leaves as (leaf_index, depth, [(dim, cut, went_left), ...])."""
     table = []
     stack: list[tuple[int, int, list]] = [(int(tree.root), 0, [])]
@@ -183,7 +183,7 @@ def leaf_term(population: int) -> float:
     return c_factor(population) if population > 1 else 0.0
 
 
-def depth_oracle(tree: MondrianTree, x) -> float:
+def depth_oracle(tree: Tree, x) -> float:
     """Scoring depth of x: the depth of the unique leaf whose constraint set
     admits x, plus leaf_term of that leaf's population."""
     x = np.asarray(x, dtype=float)
@@ -196,7 +196,7 @@ def depth_oracle(tree: MondrianTree, x) -> float:
     return matches[0]
 
 
-def scored_depth(tree: MondrianTree, x) -> float:
+def scored_depth(tree: Tree, x) -> float:
     """depth_oracle by walking the links by hand, for trees too large to
     enumerate: edges to x's leaf plus leaf_term of its population."""
     path = walk(tree, x)
@@ -392,9 +392,25 @@ TREE_FIELDS = ("box_min", "box_max", "split_dim", "split_val", "split_time", "le
 
 def node_arrays(arena) -> dict[str, np.ndarray]:
     """Every per-node array of an arena by name, in ``TREE_FIELDS`` order,
-    with the links read off its child table by ``ForestArena.links``."""
-    links = dict(zip(("left", "right", "parent"), arena.links()))
-    return {name: links[name] if name in links else getattr(arena, name) for name in TREE_FIELDS}
+    with the links read off its child table by ``reference.links``."""
+    read = dict(zip(("left", "right", "parent"), links(arena)))
+    return {name: read[name] if name in read else getattr(arena, name) for name in TREE_FIELDS}
+
+
+def tree_bits(tree) -> tuple:
+    """A tree's root, size, the bytes of every per-node array's used slots
+    (so -0.0 differs from 0.0) and its generator's state."""
+    used = tree.size
+    fields = [np.ascontiguousarray(getattr(tree, name)[:used]).tobytes() for name in TREE_FIELDS]
+    return int(tree.root), int(used), fields, tree.rng.bit_generator.state
+
+
+def arena_state(arena) -> tuple:
+    """Everything an insert may write: every field in full, ``child``, the
+    roots, sizes and capacity, and the generators' states."""
+    fields = [getattr(arena, name).tobytes() for name in FIELD_NAMES]
+    states = [gen.bit_generator.state for gen in arena.rngs]
+    return fields, arena.child.tobytes(), arena.root.tobytes(), arena.size.tobytes(), arena.capacity, states
 
 
 def arena_fingerprint(arena) -> str:

@@ -1,21 +1,74 @@
 """Per-tree reference implementations the lockstep kernels are tested against.
 
 ``ForestArena.grow``, ``route`` and ``extend`` work on every tree of a forest
-at once. Here one writable ``MondrianTree`` is built (``fit_tree``), walked
+at once. Here one writable ``Tree`` is built (``fit_tree``), walked
 (``walk``, ``path_length``) and extended (``extend_tree``) with plain Python
 loops over its nodes, by the draw contracts in ``ForestArena``'s docstring
 and without calling the kernels or their cut rule, so each must leave a tree
-bit-identical to the kernel's, generator state included.
+bit-identical to the kernel's, generator state included. ``view`` and
+``views`` read an arena's trees into the same struct, read-only, so that a
+reference tree and a kernel's tree compare field by field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from imondrian.tree import NO_NODE, MondrianTree, _check_rates_finite, as_point, as_points, node_fields
+from imondrian.tree import FIELD_NAMES, NO_NODE, _check_rates_finite, as_point, as_points, node_fields
 
-# the links a tree view holds beside the arena's node fields
+# the links a tree holds beside the arena's node fields
 _LINKS = ("left", "right", "parent")
+
+
+class Tree:
+    """One tree as parallel per-node arrays: the arena's node fields (split
+    dimension/value/time, subtree population, and the smallest box of the
+    points the node was built from, enlarged as streamed points pass
+    through), and ``left``, ``right`` and ``parent`` links (``NO_NODE``
+    where absent). ``rng`` is the tree's own generator, ``size`` its used
+    slot count."""
+
+    __slots__ = ("dim", "rng", "root", "size") + _LINKS + FIELD_NAMES
+
+    @property
+    def capacity(self) -> int:
+        return self.left.size
+
+
+def links(arena, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-local int32 ``left``, ``right`` and ``parent`` links of the
+    tree rows ``trees`` (an index or a slice, every row by default), read
+    off ``child``, with ``NO_NODE`` where a node has no child or parent."""
+    C = arena.capacity
+    kids = arena.child.reshape(2, arena.num_trees, C)[:, trees] % C
+    inner = np.nonzero(kids[0] != np.arange(C))
+    left, right, parent = (np.full(kids.shape[1:], NO_NODE, dtype=np.int32) for _ in range(3))
+    for field, side in zip((left, right), kids):
+        field[inner] = side[inner]
+        parent[inner[:-1] + (side[inner],)] = inner[-1]
+    return left, right, parent
+
+
+def view(arena, t: int) -> Tree:
+    """Read-only view of tree t of ``arena`` as it is now: its node fields
+    alias the arena's row, its links are read off ``child`` and its
+    generator is the arena's own. Take a fresh view after extending."""
+    tree = Tree()
+    tree.dim = arena.dim
+    tree.rng = arena.rngs[t]
+    tree.root = int(arena.root[t])
+    tree.size = int(arena.size[t])
+    rows = dict(zip(_LINKS, links(arena, t)))
+    rows.update((name, getattr(arena, name)[t]) for name in FIELD_NAMES)
+    for name, row in rows.items():
+        row.flags.writeable = False
+        setattr(tree, name, row)
+    return tree
+
+
+def views(forest) -> tuple[Tree, ...]:
+    """``view`` of every tree of a forest, in tree order."""
+    return tuple(view(forest.arena, t) for t in range(forest.num_trees))
 
 
 def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -37,12 +90,12 @@ def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: n
     return q, hi[q] if p <= lo[q] else p
 
 
-def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTree:
+def fit_tree(points, rng: np.random.Generator | int | None = None) -> Tree:
     """The tree ``ForestArena.grow`` builds on ``points`` from ``rng``, built
     here node by node, one level at a time. The tree owns the generator.
 
-    At each level the open nodes, in slot order, take the min/max box and
-    the count of their points. Those with two or more points and a positive
+    At each level the open nodes, in slot order, take the min/max box (a
+    zero bound as +0.0) and the count of their points. Those with two or more points and a positive
     rate (their box's row sum) split: the level draws one exponential each,
     then two uniforms each, then redraws any waiting time that rounded to 0
     node by node. A node whose split time is not finite stays a leaf;
@@ -53,7 +106,7 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTr
     X = as_points(points)
     gen = _as_generator(rng)
     n, d = X.shape
-    tree = MondrianTree()
+    tree = Tree()
     tree.dim, tree.rng, tree.root, tree.size = d, gen, 0, 1
     links = [(name, np.dtype(np.int32), (2 * n - 1,), NO_NODE) for name in _LINKS]
     for name, dtype, shape, fill in node_fields((2 * n - 1,), d) + links:
@@ -61,8 +114,8 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTr
     level = [(0, np.arange(n), 0.0)]  # open nodes: slot, rows of X, parent time
     while level:
         for node, rows, _ in level:
-            tree.box_min[node] = X[rows].min(axis=0)
-            tree.box_max[node] = X[rows].max(axis=0)
+            tree.box_min[node] = X[rows].min(axis=0) + 0.0  # a zero bound is +0.0
+            tree.box_max[node] = X[rows].max(axis=0) + 0.0
             tree.population[node] = rows.size
         with np.errstate(over="ignore"):
             widths = np.array([tree.box_max[node] - tree.box_min[node] for node, _, _ in level])
@@ -97,7 +150,7 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> MondrianTr
     return tree
 
 
-def _new_node(tree: MondrianTree) -> int:
+def _new_node(tree: Tree) -> int:
     """The next free slot of a writable tree; a full tree first doubles the
     node axis of every field and link, one array at a time."""
     if tree.size == tree.capacity:
@@ -111,7 +164,7 @@ def _new_node(tree: MondrianTree) -> int:
     return tree.size - 1
 
 
-def walk(tree: MondrianTree, x) -> list[int]:
+def walk(tree: Tree, x) -> list[int]:
     """The nodes from the root to the leaf x routes to, by the construction
     rule: left iff x[q] < p."""
     path = [int(tree.root)]
@@ -122,12 +175,12 @@ def walk(tree: MondrianTree, x) -> list[int]:
     return path
 
 
-def path_length(x, tree: MondrianTree) -> int:
+def path_length(x, tree: Tree) -> int:
     """Number of edges from the root to the leaf the point routes to."""
     return len(walk(tree, as_point(x, tree.dim))) - 1
 
 
-def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None = None) -> MondrianTree:
+def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None) -> Tree:
     """Insert one point, possibly splicing a new internal node mid-tree.
 
     The nodes on the point's routing path with a positive deviation rate
@@ -183,7 +236,7 @@ def extend_tree(tree: MondrianTree, x_new, rng: np.random.Generator | int | None
 
 
 def _splice_above(
-    tree: MondrianTree,
+    tree: Tree,
     node: int,
     x: np.ndarray,
     time: float,

@@ -38,6 +38,7 @@ from imondrian.forest import (
 from imondrian.tree import ForestArena
 
 from helpers import check_arena_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
+from reference import views
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -93,7 +94,7 @@ def test_criterion_2_scoring_oracle():
         probes = np.vstack([X, rng.uniform(-4.0, 4.0, size=(5, d))])
         batch_epl, batch_score = score_all(probes, forest)
         for idx, x in enumerate(probes):
-            expected = sum(depth_oracle(t, x) for t in forest.trees) / trees
+            expected = sum(depth_oracle(t, x) for t in views(forest)) / trees
             want_score = 2.0 ** (-expected / c_factor(n))
             (one_epl,), (one_score,) = score_all([x], forest)
             for value, target in (
@@ -274,7 +275,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     before = score_all(probes, forest)
     after = score_all(probes, loaded)
     round_trip_exact = all(np.array_equal(a, b) for a, b in zip(before, after))
-    structural = all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+    structural = all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
     report(
         8,
         "seeded determinism and model round-trip",

@@ -63,6 +63,13 @@ class TestFit:
         assert err.value.code == EXIT_USAGE
         assert "--psi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "stream"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--synthetic", "gaussian-blob", "--seed", "-1"])
+        assert err.value.code == EXIT_USAGE
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
     def test_data_and_synthetic_are_exclusive(self, blob_csv):
         with pytest.raises(SystemExit) as err:
             main(["fit", "--data", str(blob_csv), "--synthetic", "ring"])

@@ -49,6 +49,7 @@ from helpers import (
     reseal_model,
     structurally_equal,
 )
+from reference import views
 
 
 def _lines(rows: list[list[str]]) -> str:
@@ -495,6 +496,10 @@ class TestGenSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(n_inliers=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(seed=-1)
+
 
 class TestModelRoundTrip:
     def _forest(self, seed=0):
@@ -509,7 +514,7 @@ class TestModelRoundTrip:
         loaded = load_model(path)
         assert loaded.n_effective == forest.n_effective
         assert loaded.dim == forest.dim
-        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
         probes = np.random.default_rng(1).uniform(-5, 5, size=(100, 3))
         for before, after in zip(score_all(probes, forest), score_all(probes, loaded)):
             assert np.array_equal(before, after)  # bit-exact
@@ -522,7 +527,7 @@ class TestModelRoundTrip:
         stream = np.random.default_rng(2).normal(scale=3.0, size=(15, 3))
         extend_forest(forest, stream)
         extend_forest(loaded, stream)
-        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
 
     def test_round_trip_after_capacity_doubled(self, tmp_path):
         X, forest = self._forest(seed=7)
@@ -539,7 +544,7 @@ class TestModelRoundTrip:
         kids = forest.arena.child.reshape(2, forest.num_trees, -1)
         assert np.array_equal(arrays["child"], kids[:, :, :width] % forest.arena.capacity)
         loaded = load_model(path)
-        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
         assert [g.bit_generator.state for g in forest.arena.rngs] == [
             g.bit_generator.state for g in loaded.arena.rngs
         ]
@@ -548,7 +553,7 @@ class TestModelRoundTrip:
         more = rng.uniform(-60.0, 60.0, size=(40, 3))
         extend_forest(forest, more)
         extend_forest(loaded, more)
-        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
         assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
 
     def test_unequal_trees_load_every_slot_bit_identical(self, tmp_path):
@@ -644,10 +649,10 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         loaded = load_model(path)
-        for a, b in zip(forest.trees, loaded.trees):
+        for a, b in zip(views(forest), views(loaded)):
             assert structurally_equal(a, b)
             check_tree_invariants(b, expected_population=2)
-            assert b.node_count == 1
+            assert b.size == 1
 
     @pytest.mark.parametrize(
         "edit, problem",
@@ -717,6 +722,7 @@ class TestModelRoundTrip:
             ("seed", 0.5),
             ("seed", "0"),
             ("seed", None),
+            ("seed", -1),
         ],
     )
     def test_resealed_invalid_scalar_rejected(self, tmp_path, key, value):
@@ -737,11 +743,11 @@ class TestModelRoundTrip:
         save_model(forest, path)
 
         def edit(meta, arrays):
-            meta.update(n_effective=2, psi=None, seed=-7)
+            meta.update(n_effective=2, psi=None, seed=0)
 
         reseal_model(path, edit)
         loaded = load_model(path)
-        assert (loaded.n_effective, loaded.psi, loaded.seed) == (2, None, -7)
+        assert (loaded.n_effective, loaded.psi, loaded.seed) == (2, None, 0)
 
 
 class TestSaveModelFile:
@@ -809,7 +815,7 @@ else:
         loaded = load_model(pipe)
         writer.join(timeout=30)
         assert not writer.is_alive()
-        assert all(structurally_equal(a, b) for a, b in zip(forest.trees, loaded.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
 
 
 class TestModelMemory:

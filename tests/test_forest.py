@@ -6,10 +6,14 @@ import copy
 import errno
 import hashlib
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import imondrian
 from imondrian.data_io import SyntheticSpec, gen_synthetic, load_model, save_model
@@ -27,12 +31,13 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join
+from imondrian.tree import FIELD_NAMES, NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join
 
 from helpers import (
     EXTENSION_FINGERPRINT,
     ROUTE_FINGERPRINT,
     arena_fingerprint,
+    arena_state,
     check_arena_invariants,
     check_tree_invariants,
     depth_oracle,
@@ -40,8 +45,9 @@ from helpers import (
     random_dataset,
     scored_depth,
     structurally_equal,
+    tree_bits,
 )
-from reference import extend_tree, fit_tree, path_length, walk
+from reference import extend_tree, fit_tree, links, path_length, view, views, walk
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -88,7 +94,7 @@ class TestTrainBatch:
         forest = train_batch(X, ForestConfig(num_trees=10, psi=None, seed=1))
         assert forest.num_trees == 10
         assert forest.n_effective == 100
-        for tree in forest.trees:
+        for tree in views(forest):
             assert tree.population[tree.root] == 100
 
     def test_subsample_size_caps_tree_population(self):
@@ -96,7 +102,7 @@ class TestTrainBatch:
         X = rng.normal(size=(10_000, 3))
         forest = train_batch(X, ForestConfig(num_trees=5, psi=256, seed=2))
         assert forest.n_effective == 256
-        for tree in forest.trees:
+        for tree in views(forest):
             assert tree.population[tree.root] == 256
             check_tree_invariants(tree)
 
@@ -110,7 +116,7 @@ class TestTrainBatch:
         cfg = ForestConfig(num_trees=6, psi=256, seed=9)
         a = train_batch(X, cfg)
         b = train_batch(X, cfg)
-        assert all(structurally_equal(x, y) for x, y in zip(a.trees, b.trees))
+        assert all(structurally_equal(x, y) for x, y in zip(views(a), views(b)))
 
     def test_rejects_tiny_or_invalid(self):
         with pytest.raises(ValueError):
@@ -129,6 +135,10 @@ class TestTrainBatch:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ForestConfig(**{field: value})
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ForestConfig(seed=-1)
+
     def test_numpy_integer_config_saves_and_loads(self, tmp_path):
         cfg = ForestConfig(num_trees=np.int32(3), psi=np.int64(8), seed=np.uint8(3))
         assert [type(v) for v in (cfg.num_trees, cfg.psi, cfg.seed)] == [int, int, int]
@@ -145,10 +155,10 @@ class TestTrainBatch:
         X = np.random.default_rng(4).normal(size=(200, 3))
         seed0 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=0))
         seed1 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
-        assert not structurally_equal(seed1.trees[0], seed0.trees[1])
-        assert not any(structurally_equal(a, b) for a in seed0.trees for b in seed1.trees)
+        assert not structurally_equal(views(seed1)[0], views(seed0)[1])
+        assert not any(structurally_equal(a, b) for a in views(seed0) for b in views(seed1))
         again = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
-        assert all(structurally_equal(a, b) for a, b in zip(seed1.trees, again.trees))
+        assert all(structurally_equal(a, b) for a, b in zip(views(seed1), views(again)))
 
     def test_trees_do_not_depend_on_num_trees_or_grouping(self):
         # 7 trees take two build groups, 3 trees one; tree t is the same
@@ -157,7 +167,7 @@ class TestTrainBatch:
         small = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
         large = train_batch(X, ForestConfig(num_trees=7, psi=None, seed=8))
         assert ROUTE_LANES // n < 7
-        for a, b in zip(small.trees, large.trees):
+        for a, b in zip(views(small), views(large)):
             assert structurally_equal(a, b)
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
             check_tree_invariants(a)
@@ -170,8 +180,8 @@ class TestTrainBatch:
             gen = np.random.default_rng(child)
             sample = X if psi is None else X[gen.choice(120, size=psi, replace=False)]
             tree = fit_tree(sample, rng=gen)
-            assert structurally_equal(tree, forest.trees[2])
-            assert tree.rng.bit_generator.state == forest.trees[2].rng.bit_generator.state
+            assert structurally_equal(tree, views(forest)[2])
+            assert tree.rng.bit_generator.state == views(forest)[2].rng.bit_generator.state
 
     def test_overflowing_box_raises_without_runtime_warning(self):
         X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5]])
@@ -184,14 +194,14 @@ class TestTrainBatch:
     def test_subnormal_box_stays_a_leaf(self):
         # a box 5e-324 wide has a split time of infinity, a leaf's time
         alone = train_batch(np.array([[0.0], [5e-324]]), ForestConfig(num_trees=3, psi=None, seed=0))
-        for tree in alone.trees:
-            assert tree.node_count == 1
+        for tree in views(alone):
+            assert tree.size == 1
             check_tree_invariants(tree, expected_population=2)
         X = np.array([[0.0], [5e-324], [10.0]])
         nested = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
-        for tree in nested.trees:
+        for tree in views(nested):
             check_tree_invariants(tree, points=X, expected_population=3)
-            assert tree.node_count == 3  # the cut isolates 10; [0, 5e-324] stays a leaf
+            assert tree.size == 3  # the cut isolates 10; [0, 5e-324] stays a leaf
 
 
 class TestScore:
@@ -201,7 +211,7 @@ class TestScore:
         forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
         forest.n_effective = 256
         probe = X[0]
-        depths = [path_length(probe, t) for t in forest.trees]
+        depths = [path_length(probe, t) for t in views(forest)]
         (epl,), (s,) = score_all([probe], forest)
         assert epl == pytest.approx(sum(depths) / 2, abs=0)
         assert s == pytest.approx(2.0 ** (-epl / c_factor(256)), rel=1e-15)
@@ -245,7 +255,7 @@ class TestScore:
         forest = train_batch(X, ForestConfig(num_trees=8, psi=None, seed=11))
         for x in X:
             (epl,), (s,) = score_all([x], forest)
-            expected = np.mean([depth_oracle(t, x) for t in forest.trees])
+            expected = np.mean([depth_oracle(t, x) for t in views(forest)])
             want = 2.0 ** (-expected / c_factor(16))
             assert epl == pytest.approx(expected, rel=1e-12)
             assert s == pytest.approx(want, rel=1e-12)
@@ -326,7 +336,7 @@ class TestScoreAll:
         probes = np.vstack([X, rng.uniform(-9.0, 9.0, size=(20, 4))])
         epl, _ = score_all(probes, forest)
         for x, e in zip(probes, epl):
-            mean = sum(scored_depth(t, x) for t in forest.trees) / forest.num_trees
+            mean = sum(scored_depth(t, x) for t in views(forest)) / forest.num_trees
             assert e == mean
             assert score_all([x], forest)[0][0] == mean
 
@@ -338,16 +348,16 @@ class TestExtendForest:
 
     def test_empty_extension_is_noop(self):
         X, forest = self._forest()
-        snapshots = [t.node_count for t in forest.trees]
+        snapshots = [t.size for t in views(forest)]
         for empty in ([], np.zeros((0, 2))):
             extend_forest(forest, empty)
-        assert [t.node_count for t in forest.trees] == snapshots
+        assert [t.size for t in views(forest)] == snapshots
 
     def test_population_grows_in_every_tree(self):
         X, forest = self._forest(trees=10)
         new = np.random.default_rng(99).normal(scale=2.0, size=(5, 2))
         extend_forest(forest, new)
-        for tree in forest.trees:
+        for tree in views(forest):
             assert tree.population[tree.root] == 65
             check_tree_invariants(tree)
 
@@ -359,11 +369,11 @@ class TestExtendForest:
 
     def test_bad_point_aborts_before_mutation(self):
         X, forest = self._forest()
-        pops = [int(t.population[t.root]) for t in forest.trees]
+        pops = [int(t.population[t.root]) for t in views(forest)]
         with pytest.raises(DimensionMismatchError):
             extend_forest(forest, [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
         # first (valid) point landed, offending point mutated nothing
-        assert [int(t.population[t.root]) for t in forest.trees] == [p + 1 for p in pops]
+        assert [int(t.population[t.root]) for t in views(forest)] == [p + 1 for p in pops]
 
     def test_dense_arrivals_drop_scores_in_their_region(self):
         # a region scored as anomalous stops looking anomalous once data
@@ -383,14 +393,14 @@ class TestExtendForest:
     def test_subnormal_deviation_is_absorbed(self):
         X = np.array([[0.0], [1.0]])
         forest = train_batch(X, ForestConfig(num_trees=8, psi=None, seed=2))
-        reference = [copy.deepcopy(tree) for tree in forest.trees]
-        nodes = [t.node_count for t in forest.trees]
+        reference = [copy.deepcopy(tree) for tree in views(forest)]
+        nodes = [t.size for t in views(forest)]
         extend_forest(forest, [[5e-324]])
-        for tree, ref, count in zip(forest.trees, reference, nodes):
+        for tree, ref, count in zip(views(forest), reference, nodes):
             extend_tree(ref, [5e-324])
             assert structurally_equal(tree, ref)
             # the point's clock at the leaf [0, 0] has a subnormal rate and never fires
-            assert tree.node_count == count
+            assert tree.size == count
             check_tree_invariants(tree, points=[[5e-324]], expected_population=3)
 
     def test_root_splice_count_follows_the_clock_law(self):
@@ -410,7 +420,7 @@ class TestExtendForest:
         stream = np.random.default_rng(12).normal(scale=4.0, size=(50, 2))
         extend_forest(forest, stream)
         everything = np.vstack([X, stream])
-        for tree in forest.trees:
+        for tree in views(forest):
             check_tree_invariants(tree, points=everything, expected_population=110)
 
 
@@ -445,7 +455,7 @@ def _stream(rng, X, count):
 
 class TestLockstepArena:
     def _assert_matches_reference(self, forest, reference, points=None):
-        for tree, ref in zip(forest.trees, reference):
+        for tree, ref in zip(views(forest), reference):
             assert structurally_equal(tree, ref)
             assert tree.rng.bit_generator.state == ref.rng.bit_generator.state
             check_tree_invariants(tree, points=points)
@@ -455,7 +465,7 @@ class TestLockstepArena:
         for i, X in enumerate(_lockstep_datasets(rng)):
             psi = None if i % 2 else 16
             forest = train_batch(X, ForestConfig(num_trees=5, psi=psi, seed=i))
-            reference = [copy.deepcopy(tree) for tree in forest.trees]
+            reference = [copy.deepcopy(tree) for tree in views(forest)]
             stream = _stream(rng, X, 30)
             extend_forest(forest, stream)
             for x in stream:
@@ -470,9 +480,9 @@ class TestLockstepArena:
         rng = np.random.default_rng(24)
         X = np.vstack([np.tile(rng.normal(size=(1, 2)), (20, 1)), rng.normal(size=(4, 2))])
         forest = train_batch(X, ForestConfig(num_trees=8, psi=2, seed=4))
-        sizes = [tree.size for tree in forest.trees]
+        sizes = [tree.size for tree in views(forest)]
         assert 1 in sizes and max(sizes) > 1
-        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        reference = [copy.deepcopy(tree) for tree in views(forest)]
         stream = _stream(rng, X, 30)
         extend_forest(forest, stream)
         for x in stream:
@@ -492,7 +502,7 @@ class TestLockstepArena:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(2, 2))
         forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=3))
-        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        reference = [copy.deepcopy(tree) for tree in views(forest)]
         start = forest.arena.capacity
         stream = rng.uniform(-20.0, 20.0, size=(40, 2))
         for x in stream:
@@ -511,7 +521,7 @@ class TestLockstepArena:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
         assert (forest.arena.size == forest.arena.capacity).all()
-        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        reference = [copy.deepcopy(tree) for tree in views(forest)]
         walked_at = []
         real_walk = ForestArena._walk
 
@@ -532,14 +542,14 @@ class TestLockstepArena:
     def test_tree_views_are_read_only(self):
         X = np.random.default_rng(22).normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
-        view = forest.trees[1]
-        state = view.rng.bit_generator.state
+        tree = views(forest)[1]
+        state = tree.rng.bit_generator.state
         with pytest.raises(ValueError):
-            view.left[view.root] = 0
+            tree.left[tree.root] = 0
         with pytest.raises(ValueError):
-            view.box_min[0, 0] = 1e9
+            tree.box_min[0, 0] = 1e9
         with pytest.raises(ValueError):
-            extend_tree(view, [50.0, 50.0])
+            extend_tree(tree, [50.0, 50.0])
         assert forest.arena.rngs[1].bit_generator.state == state
         assert forest.total_population == 30
 
@@ -559,11 +569,11 @@ class TestLockstepArena:
         X = np.random.default_rng(23).normal(size=(20, 2))
         forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=5))
         forest.arena.rngs = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
-        reference = [copy.deepcopy(tree) for tree in forest.trees]
+        reference = [copy.deepcopy(tree) for tree in views(forest)]
         ref_gens = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
         x = X.max(axis=0) + 1.0  # outside every root box, so the root's clock comes first
         extend_forest(forest, [x])
-        for tree, ref, gen in zip(forest.trees, reference, ref_gens):
+        for tree, ref, gen in zip(views(forest), reference, ref_gens):
             extend_tree(ref, x, rng=gen)
             assert gen.zeroed and tree.rng.zeroed
             assert structurally_equal(tree, ref)
@@ -577,12 +587,12 @@ class TestLockstepArena:
     def test_overflowing_rate_raises_before_any_write(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
         forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
-        snapshot = [copy.deepcopy(tree) for tree in forest.trees]
+        snapshot = [copy.deepcopy(tree) for tree in views(forest)]
         assert (forest.arena.size == 5).all() and forest.arena.capacity == 5  # an insert would double first
         with pytest.raises(ValueError, match="overflow"):
             extend_forest(forest, [[1e308, 1e308]])
         assert forest.arena.capacity == 5
-        for tree, before in zip(forest.trees, snapshot):
+        for tree, before in zip(views(forest), snapshot):
             assert structurally_equal(tree, before)
             assert tree.rng.bit_generator.state == before.rng.bit_generator.state
 
@@ -599,7 +609,7 @@ def _assert_table_current(arena):
 def _assert_scores_match_oracle(forest, X):
     """score_all's expected path lengths are the means of the per-tree
     scoring depths (edges plus the leaf population's c term)."""
-    trees = forest.trees
+    trees = views(forest)
     expected = [sum(scored_depth(t, x) for t in trees) / forest.num_trees for x in X]
     epl, _ = score_all(X, forest)
     assert epl.tolist() == expected
@@ -613,11 +623,11 @@ def _pinned_route_cases():
     rng = np.random.default_rng(33)
     X = rng.normal(size=(4096, 4))
     clean = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=5))
-    assert (clean.arena.population[clean.arena.links()[0] == NO_NODE] == 1).all()
+    assert (clean.arena.population[links(clean.arena)[0] == NO_NODE] == 1).all()
     probes = rng.normal(scale=1.5, size=(ROUTE_LANES + 3, 4))
     D = np.vstack([np.repeat(rng.normal(size=(6, 3)), 20, axis=0), rng.normal(size=(80, 3))])
     duplicate = train_batch(D, ForestConfig(num_trees=20, psi=None, seed=6))
-    assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
+    assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
     edges = np.r_[0:30, ROUTE_LANES - 10 : ROUTE_LANES + 3]  # both sides of the block edge
     return [(clean, probes, edges), (duplicate, np.vstack([D, _stream(rng, D, 700)]), np.arange(0, 900, 7))]
 
@@ -636,7 +646,7 @@ class TestRoutingTable:
     def test_pinned_shapes_match_oracle(self, pinned):
         for forest, probes, rows in pinned:
             sums = forest.arena._route(probes, _leaf_depth)
-            trees = forest.trees
+            trees = views(forest)
             assert sums[rows].tolist() == [sum(scored_depth(t, x) for t in trees) for x in probes[rows]]
 
     def test_table_current_after_multi_group_build(self, monkeypatch):
@@ -686,7 +696,7 @@ def _walked_depths(arena) -> np.ndarray:
     point in a leaf's box reaches that leaf); 0 for unused slots."""
     depth = np.zeros(arena.population.size, dtype=np.int64)
     for t in range(arena.num_trees):
-        tree = arena.tree(t)
+        tree = view(arena, t)
         for leaf in np.flatnonzero(tree.left[: tree.size] == NO_NODE).tolist():
             path = walk(tree, tree.box_min[leaf])
             assert path[-1] == leaf
@@ -699,7 +709,7 @@ def _assert_routes_like_oracle(forest, probes, rows=None):
     sums (scoring depths added in tree order), on the probe indices ``rows``
     (every probe by default)."""
     rows = np.arange(len(probes)) if rows is None else rows
-    expected = [sum(scored_depth(t, x) for t in forest.trees) for x in probes[rows]]
+    expected = [sum(scored_depth(t, x) for t in views(forest)) for x in probes[rows]]
     for kernel in (forest.arena.route, forest.arena._route):
         assert kernel(probes, _leaf_depth)[rows].tolist() == expected
 
@@ -723,7 +733,7 @@ class TestNodeDepthTable:
         extend_forest(extended, _stream(rng, X[:40], 9))
         D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 15, axis=0), rng.normal(size=(10, 2))])
         duplicate = train_batch(D, ForestConfig(num_trees=6, psi=None, seed=3))
-        assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
+        assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
         E = np.tile(rng.normal(size=(1, 3)), (12, 1))
         equal = train_batch(E, ForestConfig(num_trees=4, psi=None, seed=4))
         assert (equal.arena.size == 1).all()  # every tree one leaf: no lane ever moves
@@ -783,7 +793,7 @@ class TestRouteEdgeShapes:
             X = rng.normal(size=(int(rng.integers(6, 40)), 2))
             forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=seed))
             probes = np.vstack([X, _stream(rng, X, 20)])
-            depths = [len(walk(t, x)) - 1 for t in forest.trees for x in probes]
+            depths = [len(walk(t, x)) - 1 for t in views(forest) for x in probes]
             assert {d % 2 for d in depths} == {0, 1}
             deepest.add(max(depths) % 2)
             _assert_routes_like_oracle(forest, probes)
@@ -802,7 +812,7 @@ class TestOnePointWalk:
                 alone = np.concatenate([score_all(probes[i : i + 1], forest)[0] for i in rows])
                 assert alone.tobytes() == batch.tobytes()
                 if case:  # some sampled rows reach leaves of two or more points
-                    assert any(t.population[walk(t, x)[-1]] > 1 for x in probes[rows] for t in forest.trees)
+                    assert any(t.population[walk(t, x)[-1]] > 1 for x in probes[rows] for t in views(forest))
                 extend_forest(forest, _stream(rng, probes, 300))
 
     def test_scoring_before_each_insert_changes_nothing(self):
@@ -851,7 +861,7 @@ def _fork_cases(rows):
     clean = train_batch(X, ForestConfig(num_trees=7, psi=32, seed=1))
     D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 30, axis=0), rng.normal(size=(20, 2))])
     duplicate = train_batch(D, ForestConfig(num_trees=7, psi=None, seed=2))
-    assert (duplicate.arena.population[duplicate.arena.links()[0] == NO_NODE] > 1).any()
+    assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
     S = rng.normal(size=(200, 2))
     extended = train_batch(S, ForestConfig(num_trees=7, psi=64, seed=3))
     extend_forest(extended, _stream(rng, S, 60))
@@ -1095,7 +1105,7 @@ class TestAnomalyOrdering:
 
 PUBLIC_API = [
     "CsvSchema", "DataFormatError", "DecisionModel", "DimensionMismatchError", "ExperimentResult", "Forest",
-    "ForestConfig", "LabeledDataset", "ModelFormatError", "MondrianTree", "StratificationError", "SyntheticSpec",
+    "ForestConfig", "LabeledDataset", "ModelFormatError", "StratificationError", "SyntheticSpec",
     "anomaly_score", "assign_all", "auc", "c_factor", "extend_forest", "fit_kmeans2", "gen_synthetic", "harmonic",
     "kfold_split", "load_csv", "load_model", "rescore_window", "run_kfold_experiment", "run_stream_experiment",
     "save_model", "score_all", "stream_stages", "train_batch",
@@ -1104,15 +1114,146 @@ PUBLIC_API = [
 
 class TestPublicApi:
     def test_exported_names(self):
-        assert len(PUBLIC_API) == 30
+        assert len(PUBLIC_API) == 29
         assert imondrian.__all__ == PUBLIC_API
         for name in PUBLIC_API:
             assert getattr(imondrian, name) is not None
 
     def test_tree_views_report_the_arena_shape(self):
+        # a tree is inspected through its row of the arena (README): node
+        # fields of shape (trees, capacity[, dim]) and both sides of child
         X = np.random.default_rng(19).normal(size=(40, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=0))
         extend_forest(forest, np.random.default_rng(20).uniform(-9.0, 9.0, size=(30, 2)))
-        for t, tree in enumerate(forest.trees):
-            assert tree.node_count == forest.arena.size[t]
-            assert tree.capacity == forest.arena.capacity
+        arena, T = forest.arena, forest.num_trees
+        for name in FIELD_NAMES:
+            assert getattr(arena, name).shape == (T, arena.capacity) + ((2,) if name.startswith("box") else ())
+        assert arena.child.shape == (2 * T * arena.capacity,)
+        for t, tree in enumerate(views(forest)):
+            assert tree.size == arena.size[t]
+            assert tree.capacity == arena.capacity
+
+
+# the largest finite float64: a point at it on two or more dimensions
+# overflows the linear dimension of any box of moderate size around it
+FLOAT_MAX = np.finfo(float).max
+
+
+class ForestMachine(RuleBasedStateMachine):
+    """Every forest operation interleaved: one-point scores, which leave a
+    walk, inserts of the walked point, of it moved along one dimension, of
+    another point or of a duplicate, refused inserts, batch scores, and
+    saving and loading mid-stream.
+
+    After every step, each tree equals its per-tree reference
+    (``reference.extend_tree`` from copies of the trees as built), generator
+    included, the arena keeps its invariants, and the forest last loaded
+    from a model file, which takes every operation since, is bit for bit
+    the live one. Every score is the references' mean scoring depth."""
+
+    def __init__(self):
+        super().__init__()
+        self.files = tempfile.TemporaryDirectory()
+        self.loaded = None
+
+    def teardown(self):
+        self.files.cleanup()
+
+    @initialize(
+        n=st.integers(2, 30), d=st.integers(2, 3), trees=st.integers(1, 4),
+        psi=st.none() | st.integers(2, 12), seed=st.integers(0, 2**31), repeated=st.booleans(),
+    )
+    def build(self, n, d, trees, psi, seed, repeated):
+        X = random_dataset(np.random.default_rng(seed), n, d)
+        if repeated:  # one point n times: every tree is one leaf
+            X[:] = X[0]
+        self.forest = train_batch(X, ForestConfig(num_trees=trees, psi=psi, seed=seed))
+        self.refs = [copy.deepcopy(tree) for tree in views(self.forest)]
+        self.seen = list(X)
+        self.walked = X[0]  # the last point scored alone, a training point before any
+
+    def _forests(self):
+        return [self.forest] + ([self.loaded] if self.loaded is not None else [])
+
+    def _point(self, outside: bool, seed: int) -> np.ndarray:
+        """A point inside the box of the points seen so far, or within 10 of it."""
+        lo, hi = np.min(self.seen, axis=0), np.max(self.seen, axis=0)
+        pad = 10.0 if outside else 0.0
+        return np.random.default_rng(seed).uniform(lo - pad, hi + pad)
+
+    def _expected(self, X) -> list[float]:
+        return [sum(scored_depth(ref, x) for ref in self.refs) / len(self.refs) for x in X]
+
+    def _score(self, X) -> None:
+        for forest in self._forests():
+            assert score_all(X, forest)[0].tolist() == self._expected(X)
+
+    def _extend(self, x) -> None:
+        for forest in self._forests():
+            extend_forest(forest, [x])
+        for ref in self.refs:
+            extend_tree(ref, x)
+        self.seen.append(x)
+
+    @rule(outside=st.booleans(), seed=st.integers(0, 2**31))
+    def score_one(self, outside, seed):
+        self.walked = self._point(outside, seed)
+        self._score([self.walked])
+
+    @rule()
+    def extend_walked(self):
+        self._extend(self.walked)
+
+    @rule(outside=st.booleans(), seed=st.integers(0, 2**31))
+    def extend_other(self, outside, seed):
+        self._extend(self._point(outside, seed))
+
+    @rule(seed=st.integers(0, 2**31))
+    def extend_beside_walked(self, seed):
+        # the walked point moved along one dimension: a walk looked up by
+        # part of the point would be taken for it
+        x = self.walked.copy()
+        x[seed % x.size] = self._point(True, seed)[seed % x.size]
+        self._extend(x)
+
+    @rule(i=st.integers(0, 2**31))
+    def extend_duplicate(self, i):
+        self._extend(self.seen[i % len(self.seen)].copy())
+
+    @rule(sign=st.sampled_from([-1.0, 1.0]))
+    def extend_overflowing(self, sign):
+        for forest in self._forests():
+            before = arena_state(forest.arena)
+            with pytest.raises(ValueError, match="overflow"):
+                extend_forest(forest, [np.full(forest.dim, sign * FLOAT_MAX)])
+            assert arena_state(forest.arena) == before
+
+    @rule()
+    def save_and_load(self):
+        path = os.path.join(self.files.name, "forest.imf")
+        save_model(self.forest, path)
+        self.loaded = load_model(path)
+
+    @rule(count=st.integers(2, 12), seed=st.integers(0, 2**31))
+    def score_batch(self, count, seed):
+        rng = np.random.default_rng(seed)
+        seen = [self.seen[i] for i in rng.integers(0, len(self.seen), size=count // 2)]
+        self._score(np.array(seen + [self._point(True, seed + j) for j in range(count - len(seen))]))
+
+    @invariant()
+    def trees_match_references(self):
+        arena = self.forest.arena
+        check_arena_invariants(arena)
+        assert [tree_bits(view(arena, t)) for t in range(arena.num_trees)] == [tree_bits(ref) for ref in self.refs]
+        if self.loaded is not None:
+            assert arena_fingerprint(self.loaded.arena) == arena_fingerprint(arena)
+
+
+# on a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
+# and libcst warns on import; as an error that would stop the test run
+TestForestMachine = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")(
+    ForestMachine.TestCase
+)
+TestForestMachine.settings = settings(
+    derandomize=True, max_examples=40, stateful_step_count=25, database=None, deadline=None
+)

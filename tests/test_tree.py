@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
 from imondrian.forest import ForestConfig, _leaf_depth, train_batch
-from imondrian.tree import FIELD_NAMES, NO_NODE, ForestArena, as_point, as_points
+from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
 
 from helpers import (
-    TREE_FIELDS,
+    arena_state,
     bbox_oracle,
     check_tree_invariants,
     depth_oracle,
@@ -23,8 +23,9 @@ from helpers import (
     random_dataset,
     scored_depth,
     structurally_equal,
+    tree_bits,
 )
-from reference import extend_tree, fit_tree, path_length, walk
+from reference import extend_tree, fit_tree, path_length, view, views, walk
 
 
 def _assert_boxes_are_smallest_blocks(tree, X):
@@ -68,8 +69,24 @@ class TestSmallestBlock:
         sets.append(rng.normal(size=(40, 1)))
         sets.append(np.repeat(rng.normal(size=(4, 3)), 3, axis=0))
         for i, X in enumerate(sets):
-            for tree in train_batch(X, ForestConfig(num_trees=3, psi=None, seed=i)).trees:
+            for tree in views(train_batch(X, ForestConfig(num_trees=3, psi=None, seed=i))):
                 _assert_boxes_are_smallest_blocks(tree, X)
+
+    def test_zero_bounds_are_positive_zero(self):
+        # a column of 0.0 and -0.0 used to give a -0.0 bound from the build
+        # and a +0.0 one from the reference, as numpy's reductions paired them
+        rng = np.random.default_rng(12)
+        X = rng.uniform(1.0, 2.0, size=(24, 3))
+        X[:, 0] = np.where(rng.random(24) < 0.5, 0.0, -0.0)
+        X[:12, 1] = np.where(np.arange(12) % 2, 0.0, -0.0)
+        for sample_size in (None, 8):
+            arena = ForestArena.grow(X, [np.random.default_rng(s) for s in range(4)], sample_size)
+            for t in range(4):
+                tree, used = view(arena, t), arena.size[t]
+                for box in (tree.box_min[:used], tree.box_max[:used]):
+                    assert not np.signbit(box[box == 0.0]).any()
+        gen = np.random.default_rng(0)
+        assert tree_bits(view(ForestArena.grow(X, [gen]), 0)) == tree_bits(fit_tree(X, rng=np.random.default_rng(0)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -275,7 +292,7 @@ class TestExtensionLaw:
 class TestFitTree:
     def test_single_point_is_leaf(self):
         tree = fit_tree([(3.0, 4.0)], rng=0)
-        assert tree.node_count == 1
+        assert tree.size == 1
         assert tree.left[tree.root] == NO_NODE
         assert tree.population[tree.root] == 1
         assert tree.split_time[tree.root] == math.inf
@@ -283,7 +300,7 @@ class TestFitTree:
     def test_two_points_gives_one_cut(self):
         for seed in range(10):
             tree = fit_tree([0.0, 1.0], rng=seed)  # two 1-D points
-            assert tree.node_count == 3
+            assert tree.size == 3
             assert tree.left[tree.root] != NO_NODE
             assert 0.0 < tree.split_val[tree.root] < 1.0
 
@@ -296,7 +313,7 @@ class TestFitTree:
 
     def test_identical_points_collapse_to_leaf(self):
         tree = fit_tree([(1.0, 2.0)] * 5, rng=9)
-        assert tree.node_count == 1
+        assert tree.size == 1
         assert tree.population[tree.root] == 5
 
     def test_overflowing_linear_dimension_rejected(self):
@@ -350,7 +367,7 @@ class TestFitTree:
 
         gen = ZeroFirst(np.random.PCG64(0))
         X = np.random.default_rng(13).normal(size=(10, 2))
-        tree = ForestArena.grow(X, [gen]).tree(0)
+        tree = view(ForestArena.grow(X, [gen]), 0)
         assert gen.zeroed
         assert tree.split_time[tree.root] > 0.0
         check_tree_invariants(tree, points=X, expected_population=10)
@@ -367,7 +384,7 @@ class TestFitTree:
                 return draws
 
         X = np.random.default_rng(14).normal(size=(10, 2))
-        tree = ForestArena.grow(X, [ZeroUniforms(np.random.PCG64(0))]).tree(0)
+        tree = view(ForestArena.grow(X, [ZeroUniforms(np.random.PCG64(0))]), 0)
         # each cut lands on dim 0 at the box's upper end: the largest point goes right
         assert tree.split_dim[tree.root] == 0
         assert tree.split_val[tree.root] == X[:, 0].max()
@@ -433,11 +450,11 @@ class TestExtendTree:
     def test_splice_grows_by_two_and_increments_path(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.5), (0.2, 1.0), (0.9, 0.1)])
         tree = fit_tree(pts, rng=21)
-        before = tree.node_count
-        pops_before = tree.population[: tree.node_count].copy()
+        before = tree.size
+        pops_before = tree.population[: tree.size].copy()
         x = np.array([5.0, 5.0])
         extend_tree(tree, x)
-        assert tree.node_count == before + 2
+        assert tree.size == before + 2
         # pre-existing nodes gain at most +1, exactly along the new point's path
         delta = tree.population[:before] - pops_before
         assert set(delta.tolist()) <= {0, 1}
@@ -448,9 +465,9 @@ class TestExtendTree:
         pts = np.array([(0.0, 0.0), (1.0, 0.5), (0.2, 1.0)])
         for seed in range(20):
             tree = fit_tree(pts, rng=seed)
-            before = tree.node_count
+            before = tree.size
             extend_tree(tree, pts[1])
-            assert tree.node_count == before  # structure unchanged
+            assert tree.size == before  # structure unchanged
             assert tree.population[tree.root] == 4
             check_tree_invariants(tree, points=pts, expected_population=4)
 
@@ -461,9 +478,9 @@ class TestExtendTree:
         inserted = [X]
         for i in range(60):
             x = rng.normal(scale=3.0, size=3)
-            before = tree.node_count
+            before = tree.size
             extend_tree(tree, x)
-            assert tree.node_count - before in (0, 2)
+            assert tree.size - before in (0, 2)
             inserted.append(x.reshape(1, -1))
         check_tree_invariants(
             tree, points=np.vstack(inserted), expected_population=40 + 60
@@ -541,22 +558,6 @@ def _hostile_cases(draw):
     return X, seeds, m, arrivals
 
 
-def _bits(tree) -> tuple:
-    """A tree's root, size, the bytes of every per-node array's used slots
-    (so -0.0 differs from 0.0) and its generator's state."""
-    used = tree.size
-    fields = [np.ascontiguousarray(getattr(tree, name)[:used]).tobytes() for name in TREE_FIELDS]
-    return int(tree.root), int(used), fields, tree.rng.bit_generator.state
-
-
-def _arena_state(arena) -> tuple:
-    """Everything an insert may write: every field in full, ``child``, the
-    roots, sizes and capacity, and the generators' states."""
-    fields = [getattr(arena, name).tobytes() for name in FIELD_NAMES]
-    states = [gen.bit_generator.state for gen in arena.rngs]
-    return fields, arena.child.tobytes(), arena.root.tobytes(), arena.size.tobytes(), arena.capacity, states
-
-
 def _oracle_sum(trees, x) -> float:
     """The scoring depths of x summed in tree order, as ``route`` adds them."""
     total = 0.0
@@ -593,7 +594,7 @@ class TestKernelsMatchOracles:
                 ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
             return
         arena = ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
-        assert [_bits(arena.tree(t)) for t in range(len(seeds))] == [_bits(ref) for ref in refs]
+        assert [tree_bits(view(arena, t)) for t in range(len(seeds))] == [tree_bits(ref) for ref in refs]
         assert arena.route(X, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in X]
         for x in arrivals:
             # a one-point route leaves its walk to the extend that follows
@@ -603,13 +604,13 @@ class TestKernelsMatchOracles:
                 for trial in trials:
                     extend_tree(trial, x)
             except ValueError:
-                before = _arena_state(arena)
+                before = arena_state(arena)
                 with pytest.raises(ValueError, match="overflow"):
                     arena.extend(x)
-                assert _arena_state(arena) == before
+                assert arena_state(arena) == before
                 continue
             arena.extend(x)
             refs = trials
-            assert [_bits(arena.tree(t)) for t in range(len(seeds))] == [_bits(ref) for ref in refs]
+            assert [tree_bits(view(arena, t)) for t in range(len(seeds))] == [tree_bits(ref) for ref in refs]
         probes = np.vstack([X] + arrivals)
         assert arena.route(probes, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in probes]
