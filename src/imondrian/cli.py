@@ -43,10 +43,6 @@ EXIT_INFEASIBLE = 4
 _SYNTH_DEFAULT_INLIERS = {"gaussian-blob": 255, "two-blobs": 100, "ring": 100, "grid-cluster": 100}
 
 
-class CliUsageError(Exception):
-    """Flag combinations that argparse alone cannot reject."""
-
-
 def _add_data_flags(sub: argparse.ArgumentParser, synthetic: bool = True) -> None:
     sub.add_argument("--data", required=not synthetic, help="CSV dataset path")
     if synthetic:
@@ -111,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject flag values argparse cannot, through ``parser``, the subcommand's
-    parser, so that the usage printed is the one of the command at fault."""
+    parser, so that the usage printed is the one of the command at fault; then
+    leave ``fit``'s and ``stream``'s ``ForestConfig`` on ``args.config`` (and
+    a synthetic recipe on ``args.spec``)."""
     def positive(name: str, floor: int = 1) -> None:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None and value < floor:
@@ -132,6 +130,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if threshold is not None and not 0.0 < threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
     if getattr(args, "command", None) in ("fit", "stream"):
+        args.config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
         if bool(args.data) == bool(args.synthetic):
             parser.error("exactly one of --data or --synthetic is required")
         if args.synthetic:
@@ -183,7 +182,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     points, labels, name = _load_any(args)
     if args.folds and labels is None:
         raise DataFormatError("--folds needs ground-truth labels (use --label-column)")
-    config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
+    config = args.config
     forest = train_batch(points, config)
     if args.model:
         save_model(forest, args.model)
@@ -194,14 +193,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
         write_scores(args.out, scores, predicted, args.mode)
         print(f"{scores.size} score rows written to {args.out}")
     print(
-        f"fit {name}: n={points.shape[0]} d={points.shape[1]} trees={args.trees} "
+        f"fit {name}: n={points.shape[0]} d={points.shape[1]} trees={config.num_trees} "
         f"n_effective={forest.n_effective} config={config_hash(config)}"
     )
     if labels is not None:
         print(f"train AUC: {auc(scores, labels):.4f}")
         if args.folds:
             dataset = LabeledDataset(points=points, labels=labels, name=name)
-            results = run_kfold_experiment(dataset, config, k=args.folds, seed=args.seed)
+            results = run_kfold_experiment(dataset, config, k=args.folds)
             rows = fold_rows(name, config, results)
             for res in results:
                 print(
@@ -243,15 +242,8 @@ def cmd_stream(args: argparse.Namespace) -> int:
         raise DataFormatError("streaming experiments need labels (use --label-column)")
     dataset = LabeledDataset(points=points, labels=labels, name=name)
     if args.grid and dataset.dim != 2:
-        raise CliUsageError(f"--grid needs 2-D data, got d={dataset.dim}")
-    config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
-    result = run_stream_experiment(
-        dataset,
-        config,
-        num_stages=args.stages,
-        seed=args.seed,
-        window=args.window,
-    )
+        args.parser.error(f"--grid needs 2-D data, got d={dataset.dim}")
+    result = run_stream_experiment(dataset, args.config, num_stages=args.stages, window=args.window)
     for i in range(result.num_stages):
         print(
             f"stage {i + 1}: n={result.stage_sizes[i]} "
@@ -291,9 +283,6 @@ def main(argv=None) -> int:
     try:
         _validate(args.parser, args)
         return args.func(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except StratificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

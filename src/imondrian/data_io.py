@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
-from .forest import Forest
+from .forest import Forest, ForestConfig
 from .tree import ForestArena, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
@@ -269,8 +269,7 @@ class SyntheticSpec:
             raise ValueError("counts must be nonnegative")
         if self.n_inliers + self.n_outliers == 0:
             raise ValueError("dataset would be empty")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        ForestConfig(seed=self.seed)  # the seed obeys the forest's seed rule
         extent = _GENERATORS[self.kind][2]
         if self.outlier_halfwidth < extent:
             raise ValueError(
@@ -438,20 +437,18 @@ def _read_forest(handle, digest, path) -> Forest:
     if not line.endswith(b"\n"):
         raise ModelFormatError(f"{path}: no array section after the metadata line")
     meta = json.loads(line)
-    num_trees, dim, width = int(meta["num_trees"]), int(meta["dim"]), int(meta["width"])
+    config = ForestConfig(num_trees=meta["num_trees"], psi=meta["psi"], seed=meta["seed"])
+    for key, low in (("n_effective", 2), ("dim", 1), ("width", 1), ("root", 0), ("size", 1)):
+        bad = [v for v in (meta[key] if key in ("root", "size") else [meta[key]]) if not _is_int(v, low)]
+        if bad:
+            raise ValueError(f"{key}: {bad[0]!r} is not an integer >= {low}")
+    num_trees, dim, width, states = config.num_trees, meta["dim"], meta["width"], meta["rng_states"]
     root = np.asarray(meta["root"], dtype=np.int64)
     size = np.asarray(meta["size"], dtype=np.int64)
-    states = meta["rng_states"]
-    if num_trees < 1 or dim < 1 or not root.shape == size.shape == (num_trees,) or len(states) != num_trees:
-        raise ValueError("tree count or dimension does not match the metadata")
-    if size.min() < 1 or size.max() != width:
+    if not root.shape == size.shape == (num_trees,) or len(states) != num_trees:
+        raise ValueError("tree count does not match the metadata")
+    if size.max() != width:
         raise ValueError("tree sizes do not fit the stored width")
-    n_effective, psi, seed = meta["n_effective"], meta["psi"], meta["seed"]
-    if not (_is_int(n_effective, 2) and (psi is None or _is_int(psi, 2)) and _is_int(seed, 0)):
-        raise ValueError(
-            "n_effective must be an integer >= 2, psi null or an integer >= 2 and seed an integer >= 0;"
-            f" got {n_effective!r}, {psi!r} and {seed!r}"
-        )
     fields = node_fields((num_trees, width), dim)
     # the node fields, then the child table's two int32 rows
     expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields) + 8 * num_trees * width
@@ -476,12 +473,12 @@ def _read_forest(handle, digest, path) -> Forest:
     for t, state in enumerate(states):
         arena.rngs[t] = np.random.default_rng()
         arena.rngs[t].bit_generator.state = state
-    return Forest(arena=arena, n_effective=n_effective, psi=psi, seed=seed)
+    return Forest(arena=arena, n_effective=meta["n_effective"], psi=config.psi, seed=config.seed)
 
 
-def _is_int(value, low: int | None = None) -> bool:
-    """Whether a JSON value is an integer (not a bool), and at least ``low``."""
-    return type(value) is int and (low is None or value >= low)
+def _is_int(value, low: int) -> bool:
+    """Whether a JSON value is an integer (not a bool) of at least ``low``."""
+    return type(value) is int and value >= low
 
 
 def _read_into(handle, array: np.ndarray, digest) -> None:
@@ -578,19 +575,10 @@ def write_scores(path, scores, labels, mode: str) -> None:
 
 
 def write_rows(path, rows: list[dict]) -> None:
-    """Generic result-table export; column order is fixed by the first row."""
-    if not rows:
-        Path(path).write_text("")
-        return
-    columns = list(rows[0].keys())
+    """Generic result-table export, written by ``csv.DictWriter``; column
+    order is fixed by the first row, and no rows make an empty file."""
     with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        if rows:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,14 +95,15 @@ def kfold_split(dataset: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np
     Each class is shuffled once, and the shuffled anomalies followed by the
     shuffled normals are dealt round-robin onto the folds, so per-fold class
     counts differ by at most one and overall fold sizes stay balanced (k = n
-    gives singleton folds). Deterministic under the seed.
+    gives singleton folds). Deterministic under the seed, which obeys the
+    rule of ``ForestConfig.seed``.
     """
     n = dataset.n
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k = {k} folds but only {n} points")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ForestConfig(seed=seed).seed)
     classes = [np.flatnonzero(dataset.labels == cls) for cls in (1, 0)]
     for idx in classes:
         rng.shuffle(idx)
@@ -117,7 +118,8 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
     equal anomaly counts.
 
     Both classes are spread to within one item per stage. Infeasible when
-    there are fewer anomalies than stages.
+    there are fewer anomalies than stages. The seed obeys the rule of
+    ``ForestConfig.seed``.
     """
     if num_stages < 1:
         raise ValueError(f"num_stages must be >= 1, got {num_stages}")
@@ -126,7 +128,7 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
         raise StratificationError(
             f"{n_anom} anomalies cannot stratify into {num_stages} stages"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ForestConfig(seed=seed).seed)
     anom = np.flatnonzero(dataset.labels == 1)
     norm = np.flatnonzero(dataset.labels == 0)
     rng.shuffle(anom)
@@ -140,11 +142,17 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
 
 
 def config_hash(config: ForestConfig) -> str:
-    payload = json.dumps(
-        {"num_trees": config.num_trees, "psi": config.psi, "seed": config.seed},
-        sort_keys=True,
-    )
+    payload = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def _rows(dataset: str, config: ForestConfig, units) -> list[dict]:
+    """Result-table rows, one per ``(unit, split, auc, seconds)`` of ``units``."""
+    chash = config_hash(config)
+    return [
+        {"dataset": dataset, "unit": unit, "split": split, "auc": value, "seconds": seconds, "config_hash": chash}
+        for unit, split, value, seconds in units
+    ]
 
 
 @dataclass
@@ -172,36 +180,25 @@ class ExperimentResult:
         return len(self.stage_auc)
 
     def to_rows(self) -> list[dict]:
-        chash = config_hash(self.config)
-        return [
-            {
-                "dataset": self.dataset,
-                "unit": f"stage-{i + 1}",
-                "split": "stream",
-                "auc": self.stage_auc[i],
-                "seconds": self.stage_seconds[i],
-                "config_hash": chash,
-            }
-            for i in range(self.num_stages)
-        ]
+        stages = zip(self.stage_auc, self.stage_seconds)
+        return _rows(self.dataset, self.config, [(f"stage-{i + 1}", "stream", *row) for i, row in enumerate(stages)])
 
 
 def run_stream_experiment(
     dataset: LabeledDataset,
     config: ForestConfig | None = None,
     num_stages: int = 5,
-    seed: int = 0,
     window: int | None = None,
 ) -> ExperimentResult:
     """Train on stage 1, extend with stages 2..k, re-scoring after each.
 
-    The AUC of a stage covers every point seen up to that stage (or just
-    the trailing ``window`` points when a window is set), always with
-    freshly recalculated scores. Stage timings cover extension plus the
-    re-score.
+    The stages are cut with the config's seed. The AUC of a stage covers
+    every point seen up to that stage (or just the trailing ``window``
+    points when a window is set), always with freshly recalculated scores.
+    Stage timings cover extension plus the re-score.
     """
     cfg = config or ForestConfig()
-    stages = stream_stages(dataset, num_stages=num_stages, seed=seed)
+    stages = stream_stages(dataset, num_stages=num_stages, seed=cfg.seed)
     X = dataset.points
     y = dataset.labels
 
@@ -251,16 +248,16 @@ def run_kfold_experiment(
     dataset: LabeledDataset,
     config: ForestConfig | None = None,
     k: int = 10,
-    seed: int = 0,
 ) -> list[FoldResult]:
-    """Per-fold in-sample and held-out AUC with separate timings.
+    """Per-fold in-sample and held-out AUC with separate timings, on folds
+    cut with the config's seed.
 
     Train time covers fitting plus in-sample scoring; test time covers
     scoring the held-out fold through the fitted forest (novelty path).
     """
     cfg = config or ForestConfig()
     results = []
-    for fold, (train_idx, test_idx) in enumerate(kfold_split(dataset, k, seed=seed)):
+    for fold, (train_idx, test_idx) in enumerate(kfold_split(dataset, k, seed=cfg.seed)):
         t0 = time.perf_counter()
         forest = train_batch(dataset.points[train_idx], cfg)
         _, train_scores = score_all(dataset.points[train_idx], forest)
@@ -281,21 +278,10 @@ def run_kfold_experiment(
 
 
 def fold_rows(dataset_name: str, config: ForestConfig, results: list[FoldResult]) -> list[dict]:
-    chash = config_hash(config)
-    rows = []
-    for res in results:
+    return _rows(dataset_name, config, [
+        (f"fold-{res.fold + 1}", split, value, seconds)
+        for res in results
         for split, value, seconds in (
-            ("train", res.train_auc, res.train_seconds),
-            ("test", res.test_auc, res.test_seconds),
-        ):
-            rows.append(
-                {
-                    "dataset": dataset_name,
-                    "unit": f"fold-{res.fold + 1}",
-                    "split": split,
-                    "auc": value,
-                    "seconds": seconds,
-                    "config_hash": chash,
-                }
-            )
-    return rows
+            ("train", res.train_auc, res.train_seconds), ("test", res.test_auc, res.test_seconds)
+        )
+    ])

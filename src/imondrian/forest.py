@@ -96,8 +96,11 @@ class Forest:
 
     ``n_effective`` is the sample size the score normalization uses: the
     subsample size when subsampling was applied, the batch size otherwise.
-    It stays fixed under streaming extension so scores remain comparable
-    across stages.
+    Streaming extension leaves it fixed while every tree takes every
+    arrival and deepens, so an extended forest's scores drift down and are
+    not comparable with its scores after fit: after 1,000 inserts into 100
+    psi-256 trees, threshold mode at 0.5 flagged 0.045 of anomalies instead
+    of 0.514 (ROADMAP.md, item 13).
     """
 
     arena: ForestArena = field(repr=False)
@@ -168,8 +171,8 @@ def extend_forest(forest: Forest, new_points) -> Forest:
     without partially mutating the forest for that point; all trees take a
     point in one lockstep pass (``ForestArena.extend``), each drawing from
     its own generator only, so a tree grows the same way in any forest.
-    ``n_effective`` is deliberately left unchanged. Mutates in place and
-    returns the forest.
+    ``n_effective`` is left unchanged, so scores drift down as the trees
+    deepen (see ``Forest``). Mutates in place and returns the forest.
     """
     if _is_empty(new_points):
         return forest

@@ -14,6 +14,8 @@ import math
 import os
 
 import numpy as np
+import pytest
+from hypothesis import settings
 
 from imondrian.data_io import _structure_problem
 from imondrian.forest import c_factor
@@ -278,6 +280,26 @@ def random_dataset(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         for dst in rng.integers(0, n, size=3):
             X[dst] = X[src]
     return X
+
+
+def deterministic(max_examples: int, **options):
+    """Decorate a hypothesis test, or a state machine's ``TestCase``, to run
+    ``max_examples`` derandomized examples with no example database and no
+    deadline (plus any other hypothesis ``options``).
+
+    On a failure, hypothesis's pytest plugin imports libcst to suggest a
+    patch, and libcst warns on import; as an error that would end the test
+    run, so the decorated test alone ignores that warning."""
+    chosen = settings(derandomize=True, database=None, deadline=None, max_examples=max_examples, **options)
+
+    def decorate(test):
+        if isinstance(test, type):  # a state machine's TestCase reads the class attribute
+            test.settings = chosen
+        else:
+            test = chosen(test)
+        return pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")(test)
+
+    return decorate
 
 
 # A one-tree model in the retired format v1 (a JSON record per node), as a

@@ -213,9 +213,7 @@ def test_criterion_6_streaming_stability():
     per_seed = []
     for seed in range(10):
         ds = gen_synthetic(SyntheticSpec(kind="gaussian-blob", n_inliers=255, n_outliers=45, seed=100 + seed))
-        result = run_stream_experiment(
-            ds, ForestConfig(num_trees=100, psi=256, seed=seed), num_stages=5, seed=seed
-        )
+        result = run_stream_experiment(ds, ForestConfig(num_trees=100, psi=256, seed=seed), num_stages=5)
         per_seed.append(result.stage_auc)
     elapsed = time.perf_counter() - t0
     means = np.mean(per_seed, axis=0)

@@ -7,14 +7,14 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, V2_MODEL, fork_on, reseal_model
+from helpers import V1_MODEL, V2_MODEL, deterministic, fork_on, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -364,18 +364,23 @@ class TestStream:
         assert len(lines) == 401  # header + 20x20 lattice
         assert lines[0] == "x,y,score,label"
 
-    def test_grid_rejected_for_non_2d(self, tmp_path):
+    def test_grid_rejected_for_non_2d(self, tmp_path, capsys):
         data = tmp_path / "d3.csv"
         rng = np.random.default_rng(0)
         labels = np.zeros(40, dtype=int)
         labels[:10] = 1
         _write_csv(data, rng.normal(size=(40, 3)), labels)
         out = tmp_path / "stages.csv"
-        code = main([
-            "stream", "--data", str(data), "--label-column", "label",
-            "--trees", "5", "--stages", "2", "--grid", "10", "--out", str(out),
-        ])
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as err:
+            main([
+                "stream", "--data", str(data), "--label-column", "label",
+                "--trees", "5", "--stages", "2", "--grid", "10", "--out", str(out),
+            ])
+        assert err.value.code == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: imondrian stream ")
+        assert lines[-1] == "imondrian stream: error: --grid needs 2-D data, got d=3"
+        assert not out.exists()
 
     def test_too_few_anomalies_is_infeasible(self, tmp_path):
         data = tmp_path / "rare.csv"
@@ -513,10 +518,7 @@ class TestNeverTracebacks:
         assert main(["fit", "--data", str(data), "--trees", "3", "--psi", "8", "--model", str(model)]) == EXIT_OK
         return root, model
 
-    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
-    # patch, and libcst warns on import; as an error that would end the session
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @deterministic(150)
     @given(case=_csv_case(), mode=st.sampled_from(["threshold", "kmeans"]))
     def test_fit_and_score_return_an_exit_code(self, files, case, mode):
         root, model = files

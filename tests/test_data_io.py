@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import imondrian
@@ -28,6 +28,7 @@ from imondrian.data_io import (
     load_csv,
     load_model,
     save_model,
+    write_rows,
     write_scores,
 )
 from imondrian.errors import DataFormatError, ModelFormatError
@@ -44,6 +45,7 @@ from helpers import (
     V3_MODEL,
     check_arena_invariants,
     check_tree_invariants,
+    deterministic,
     node_arrays,
     read_model,
     reseal_model,
@@ -723,6 +725,13 @@ class TestModelRoundTrip:
             ("seed", "0"),
             ("seed", None),
             ("seed", -1),
+            # a callable maps the saved value to the edited one: the same
+            # number as a float or a string, or a fraction added
+            pytest.param("dim", float, id="dim-float"),
+            pytest.param("num_trees", str, id="num_trees-str"),
+            pytest.param("width", float, id="width-float"),
+            pytest.param("root", lambda root: [r + 0.4 for r in root], id="root-plus-0.4"),
+            pytest.param("size", lambda size: [str(s) for s in size], id="size-str"),
         ],
     )
     def test_resealed_invalid_scalar_rejected(self, tmp_path, key, value):
@@ -731,7 +740,7 @@ class TestModelRoundTrip:
         save_model(forest, path)
 
         def edit(meta, arrays):
-            meta[key] = value
+            meta[key] = value(meta[key]) if callable(value) else value
 
         reseal_model(path, edit)
         with pytest.raises(ModelFormatError, match="malformed payload"):
@@ -869,10 +878,7 @@ class TestModelRoundTripProperty:
     for bit, a second save writes the same bytes, and a flipped byte or a
     truncated file is rejected."""
 
-    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
-    # patch, and libcst warns on import; as an error that would end the session
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @deterministic(60)
     @given(forest=_forests(), data=st.data())
     def test_round_trip(self, tmp_path_factory, forest, data):
         path = tmp_path_factory.mktemp("round-trip") / "model.imf"
@@ -924,10 +930,7 @@ class TestValidatorsAgree:
     load with ModelFormatError, or it loads as a forest that passes the
     invariants."""
 
-    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
-    # patch, and libcst warns on import; as an error that would end the session
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @deterministic(300)
     @given(data=st.data())
     def test_one_changed_element(self, model_file, data):
         saved, path = model_file
@@ -1019,3 +1022,30 @@ class TestScoreExport:
             "0,0.5,0,threshold",
             "1,0.30000000000000004,1,threshold",
         ]
+
+
+class TestResultTable:
+    def test_golden_bytes(self, tmp_path):
+        # a quoted dataset name, a line break and a subnormal, as the stage table has them
+        path = tmp_path / "stages.csv"
+        rows = [
+            {"dataset": 'say "hi"', "unit": "stage-1", "auc": 0.1 + 0.2, "seconds": 5e-324},
+            {"dataset": "two\nlines", "unit": "stage-2", "auc": 1.0, "seconds": 2.0 / 3.0},
+        ]
+        write_rows(path, rows)
+        assert path.read_bytes() == (
+            b"dataset,unit,auc,seconds\r\n"
+            b'"say ""hi""",stage-1,0.30000000000000004,5e-324\r\n'
+            b'"two\nlines",stage-2,1.0,0.6666666666666666\r\n'
+        )
+
+    def test_numpy_cells_are_written_as_numbers(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        write_rows(path, [{"x": np.float64(0.3), "y": np.float64(0.1) + np.float64(0.2), "label": np.int64(1)}])
+        assert path.read_bytes() == b"x,y,label\r\n0.3,0.30000000000000004,1\r\n"
+
+    def test_no_rows_make_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("old")
+        write_rows(path, [])
+        assert path.read_bytes() == b""

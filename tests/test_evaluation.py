@@ -176,6 +176,10 @@ class TestKfoldSplit:
         with pytest.raises(ValueError):
             kfold_split(ds, k=11)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            kfold_split(_toy_dataset(n=10, anomalies=3), k=2, seed=-1)
+
 
 class TestStreamStages:
     def test_even_partition(self):
@@ -215,6 +219,10 @@ class TestStreamStages:
         for s1, s2 in zip(a, b):
             assert np.array_equal(s1, s2)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            stream_stages(_toy_dataset(n=40, anomalies=10), num_stages=5, seed=-1)
+
 
 class TestRunStreamExperiment:
     def _dataset(self, seed=0):
@@ -223,7 +231,7 @@ class TestRunStreamExperiment:
     def test_single_stage_equals_batch(self):
         ds = self._dataset()
         cfg = ForestConfig(num_trees=20, psi=None, seed=0)
-        result = run_stream_experiment(ds, cfg, num_stages=1, seed=0)
+        result = run_stream_experiment(ds, cfg, num_stages=1)
         assert result.num_stages == 1
         assert result.stage_sizes == [ds.n]
         # stage-1 scores equal a plain batch run on the same (permuted) subset
@@ -233,9 +241,7 @@ class TestRunStreamExperiment:
 
     def test_stage_counts_and_accumulation(self):
         ds = self._dataset(seed=1)
-        result = run_stream_experiment(
-            ds, ForestConfig(num_trees=10, psi=None, seed=1), num_stages=5, seed=1
-        )
+        result = run_stream_experiment(ds, ForestConfig(num_trees=10, psi=None, seed=1), num_stages=5)
         assert len(result.stage_auc) == 5
         assert len(result.stage_seconds) == 5
         assert result.stage_sizes == [36, 72, 108, 144, 180]
@@ -247,9 +253,7 @@ class TestRunStreamExperiment:
 
     def test_rows_shape(self):
         ds = self._dataset(seed=2)
-        result = run_stream_experiment(
-            ds, ForestConfig(num_trees=5, psi=None, seed=2), num_stages=3, seed=2
-        )
+        result = run_stream_experiment(ds, ForestConfig(num_trees=5, psi=None, seed=2), num_stages=3)
         rows = result.to_rows()
         assert [r["unit"] for r in rows] == ["stage-1", "stage-2", "stage-3"]
         assert all(r["split"] == "stream" for r in rows)
@@ -257,13 +261,7 @@ class TestRunStreamExperiment:
 
     def test_windowed_rescore(self):
         ds = self._dataset(seed=3)
-        result = run_stream_experiment(
-            ds,
-            ForestConfig(num_trees=5, psi=None, seed=3),
-            num_stages=3,
-            seed=3,
-            window=40,
-        )
+        result = run_stream_experiment(ds, ForestConfig(num_trees=5, psi=None, seed=3), num_stages=3, window=40)
         assert result.final_scores.size == 40
 
     def test_false_alarms_recover_with_data(self):
@@ -277,7 +275,7 @@ class TestRunStreamExperiment:
             inliers_s1 = stage1[ds.labels[stage1] == 0]
             forest = train_batch(ds.points[stage1], cfg)
             early = np.mean(score_all(ds.points[inliers_s1], forest)[1])
-            result = run_stream_experiment(ds, cfg, num_stages=5, seed=seed)
+            result = run_stream_experiment(ds, cfg, num_stages=5)
             final_lookup = dict(zip(result.seen_indices.tolist(), result.final_scores))
             late = np.mean([final_lookup[i] for i in inliers_s1.tolist()])
             deltas.append(early - late)
@@ -287,9 +285,18 @@ class TestRunStreamExperiment:
 class TestRunKfoldExperiment:
     def test_fold_metrics_present(self):
         ds = gen_synthetic(SyntheticSpec(n_inliers=80, n_outliers=20, seed=4))
-        results = run_kfold_experiment(ds, ForestConfig(num_trees=10, psi=None, seed=4), k=4, seed=4)
+        results = run_kfold_experiment(ds, ForestConfig(num_trees=10, psi=None, seed=4), k=4)
         assert len(results) == 4
         for res in results:
             assert 0.0 <= res.train_auc <= 1.0
             assert 0.0 <= res.test_auc <= 1.0
             assert res.train_seconds >= 0.0 and res.test_seconds >= 0.0
+
+    def test_folds_cut_with_the_config_seed(self):
+        # labels at random, so that each fold's AUC depends on the fold
+        ds = _toy_dataset(n=60, anomalies=15, seed=5)
+        cfg = ForestConfig(num_trees=5, psi=None, seed=9)
+        results = run_kfold_experiment(ds, cfg, k=3)
+        for res, (train, test) in zip(results, kfold_split(ds, 3, seed=9)):
+            forest = train_batch(ds.points[train], cfg)
+            assert res.test_auc == auc(score_all(ds.points[test], forest)[1], ds.labels[test])

@@ -11,9 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import imondrian
 from imondrian.data_io import SyntheticSpec, gen_synthetic, load_model, save_model
@@ -41,6 +40,7 @@ from helpers import (
     check_arena_invariants,
     check_tree_invariants,
     depth_oracle,
+    deterministic,
     fork_on,
     random_dataset,
     scored_depth,
@@ -1142,8 +1142,9 @@ FLOAT_MAX = np.finfo(float).max
 class ForestMachine(RuleBasedStateMachine):
     """Every forest operation interleaved: one-point scores, which leave a
     walk, inserts of the walked point, of it moved along one dimension, of
-    another point or of a duplicate, refused inserts, batch scores, and
-    saving and loading mid-stream.
+    another point or of a duplicate, refused inserts, fills of distinct
+    points that make the arena regrow, batch scores, window rescores of the
+    points seen, and saving and loading mid-stream.
 
     After every step, each tree equals its per-tree reference
     (``reference.extend_tree`` from copies of the trees as built), generator
@@ -1240,6 +1241,23 @@ class ForestMachine(RuleBasedStateMachine):
         seen = [self.seen[i] for i in rng.integers(0, len(self.seen), size=count // 2)]
         self._score(np.array(seen + [self._point(True, seed + j) for j in range(count - len(seen))]))
 
+    @precondition(lambda self: self.forest.arena.capacity <= 64)
+    @rule(seed=st.integers(0, 2**31))
+    def fill(self, seed):
+        # each distinct point takes two slots in every tree, so the arena
+        # regrows within capacity / 2 of them
+        before = self.forest.arena.capacity
+        while self.forest.arena.capacity == before:
+            seed += 1
+            self._extend(self._point(True, seed))
+        assert self.forest.arena.capacity == max(2 * before, 8)
+
+    @rule(window=st.none() | st.integers(1, 40))
+    def rescore(self, window):
+        tail = self._expected(self.seen[-window:] if window else self.seen)
+        for forest in self._forests():
+            assert rescore_window(forest, np.array(self.seen), window=window)[0].tolist() == tail
+
     @invariant()
     def trees_match_references(self):
         arena = self.forest.arena
@@ -1249,11 +1267,4 @@ class ForestMachine(RuleBasedStateMachine):
             assert arena_fingerprint(self.loaded.arena) == arena_fingerprint(arena)
 
 
-# on a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
-# and libcst warns on import; as an error that would stop the test run
-TestForestMachine = pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")(
-    ForestMachine.TestCase
-)
-TestForestMachine.settings = settings(
-    derandomize=True, max_examples=40, stateful_step_count=25, database=None, deadline=None
-)
+TestForestMachine = deterministic(40, stateful_step_count=25)(ForestMachine.TestCase)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
@@ -19,6 +19,7 @@ from helpers import (
     bbox_oracle,
     check_tree_invariants,
     depth_oracle,
+    deterministic,
     leaf_constraint_table,
     random_dataset,
     scored_depth,
@@ -574,10 +575,7 @@ class TestKernelsMatchOracles:
     the kernel raises it too, and an ``extend`` that raises leaves the arena
     as it was."""
 
-    # on a failure, hypothesis's pytest plugin imports libcst to suggest a
-    # patch, and libcst warns on import; as an error that would end the session
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @deterministic(150)
     @given(case=_hostile_cases())
     def test_kernels_match_references(self, case):
         X, seeds, m, arrivals = case
