@@ -15,7 +15,11 @@ can show in the paired ratio while the two sides' medians overlap. A metric
 reads ``gain`` (or ``loss``) when there are at least ten pairs, one side wins
 at least nine tenths of them and the medians differ by more than the
 distance between BASE's quartiles; the ratio does not enter the verdict.
-Uses the standard library only.
+An end-to-end metric also reads ``regress`` in the last column when the
+change's median is worse than BASE's by more than the metric's ``bound``
+in BASE's ``BENCHMARK.json`` times BASE's median (``ok`` otherwise): the
+no-regression rule, which needs no count of wins. Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ def main() -> None:
     first, last = map(int, args.seeds.split("-"))
     contract = json.loads((args.base / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher" for m in contract["end_to_end"] + contract["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in contract["end_to_end"]}
     pairs = []
     for i, seed in enumerate(range(first, last + 1)):
         order = (args.base, args.change) if i % 2 == 0 else (args.change, args.base)
@@ -64,7 +69,7 @@ def main() -> None:
         pairs.append((b, c))
         print(f"seed {seed}: cycles {base_cycles} -> {change_cycles}  "
               + "  ".join(f"{n} {b[n]:.4g} -> {c[n]:.4g}" for n in b if n in c and n in higher), flush=True)
-    print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  ratio  wins  verdict")
+    print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  ratio  wins  verdict  rule")
     for name in pairs[0][0]:
         if name not in higher or name not in pairs[0][1]:
             continue
@@ -77,7 +82,10 @@ def main() -> None:
         ratio = statistics.median(ratios) if ratios else float("nan")
         apart = len(pairs) >= 10 and abs(cm - bm) > b3 - b1
         verdict = "gain" if wins >= 0.9 * len(pairs) and apart else "loss" if losses >= 0.9 * len(pairs) and apart else "-"
-        print(f"{name:40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}  {ratio:5.3f}  {wins:2d}/{len(pairs)}  {verdict}")
+        rule = ""
+        if name in bounds:
+            rule = "regress" if sign * (bm - cm) > bounds[name] * abs(bm) else "ok"
+        print(f"{name:40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}  {ratio:5.3f}  {wins:2d}/{len(pairs)}  {verdict:7s}  {rule}")
 
 
 if __name__ == "__main__":

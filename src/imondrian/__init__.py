@@ -1,6 +1,6 @@
 """Batch and online anomaly detection with isolation-scored Mondrian trees."""
 
-from .decision import DecisionModel, assign_all, fit_kmeans2
+from .decision import assign_all, fit_kmeans2
 from .errors import (
     DataFormatError,
     DimensionMismatchError,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CsvSchema",
     "DataFormatError",
-    "DecisionModel",
     "DimensionMismatchError",
     "ExperimentResult",
     "Forest",

@@ -23,11 +23,12 @@ from .data_io import (
     write_rows,
     write_scores,
 )
-from .decision import KMEANS, THRESHOLD, DecisionModel, assign_all, fit_kmeans2
+from .decision import KMEANS, THRESHOLD, assign_all, fit_kmeans2
 from .errors import DataFormatError, DimensionMismatchError, ModelFormatError, StratificationError
 from .evaluation import (
     LabeledDataset,
     auc,
+    check_strata,
     config_hash,
     fold_rows,
     run_kfold_experiment,
@@ -108,8 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject flag values argparse cannot, through ``parser``, the subcommand's
     parser, so that the usage printed is the one of the command at fault; then
-    leave ``fit``'s and ``stream``'s ``ForestConfig`` on ``args.config`` (and
-    a synthetic recipe on ``args.spec``)."""
+    leave the ``CsvSchema`` on ``args.schema``, ``fit``'s and ``stream``'s
+    ``ForestConfig`` on ``args.config`` (and a synthetic recipe on
+    ``args.spec``)."""
     def positive(name: str, floor: int = 1) -> None:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None and value < floor:
@@ -129,12 +131,16 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not 0.0 < threshold < 1.0:
         parser.error(f"--threshold must lie in (0, 1), got {threshold}")
-    if getattr(args, "command", None) in ("fit", "stream"):
-        args.config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
-        if bool(args.data) == bool(args.synthetic):
-            parser.error("exactly one of --data or --synthetic is required")
-        if args.synthetic:
-            try:
+    label = args.label_column
+    if label is not None and label.lstrip("-").isdigit():
+        label = int(label)
+    try:
+        args.schema = CsvSchema(delimiter=args.delimiter, label_column=label, header=not args.no_header)
+        if args.command in ("fit", "stream"):
+            args.config = ForestConfig(num_trees=args.trees, psi=args.psi or None, seed=args.seed)
+            if bool(args.data) == bool(args.synthetic):
+                parser.error("exactly one of --data or --synthetic is required")
+            if args.synthetic:
                 args.spec = SyntheticSpec(
                     kind=args.synthetic,
                     n_inliers=_SYNTH_DEFAULT_INLIERS[args.synthetic] if args.inliers is None else args.inliers,
@@ -142,17 +148,10 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
                     outlier_halfwidth=args.box,
                     seed=args.seed,
                 )
-            except ValueError as exc:
-                parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
     if getattr(args, "grid", None) and not args.out:
         parser.error("--grid needs --out to name the dump file")
-
-
-def _schema(args: argparse.Namespace) -> CsvSchema:
-    label = args.label_column
-    if label is not None and label.lstrip("-").isdigit():
-        label = int(label)
-    return CsvSchema(delimiter=args.delimiter, label_column=label, header=not args.no_header)
 
 
 def _load_any(args: argparse.Namespace):
@@ -160,28 +159,36 @@ def _load_any(args: argparse.Namespace):
     if getattr(args, "synthetic", None):
         ds = gen_synthetic(args.spec)
         return ds.points, ds.labels, ds.name
-    loaded = load_csv(args.data, _schema(args))
+    loaded = load_csv(args.data, args.schema)
     if isinstance(loaded, LabeledDataset):
         return loaded.points, loaded.labels, loaded.name
     return loaded, None, Path(args.data).stem
 
 
-def _decide(scores: np.ndarray, mode: str, threshold: float) -> tuple[DecisionModel, np.ndarray]:
+def _decide(scores: np.ndarray, mode: str, threshold: float) -> tuple[float, np.ndarray]:
+    """The cut for ``scores`` and their labels: the 2-means cut in kmeans
+    mode where the scores have one, else ``threshold``."""
+    cut = threshold
     if mode == KMEANS:
         try:
-            model = fit_kmeans2(scores)
+            cut = fit_kmeans2(scores)
         except ValueError as exc:
             print(f"warning: {exc}; falling back to threshold labeling", file=sys.stderr)
-            model = DecisionModel(mode=THRESHOLD, threshold=threshold)
-    else:
-        model = DecisionModel(mode=THRESHOLD, threshold=threshold)
-    return model, assign_all(model, scores)
+    return cut, assign_all(cut, scores)
+
+
+def _auc_line(title: str, scores: np.ndarray, labels: np.ndarray) -> str:
+    if np.unique(labels).size < 2:
+        return f"{title}: undefined for one class (every label is {labels[0]})"
+    return f"{title}: {auc(scores, labels):.4f}"
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     points, labels, name = _load_any(args)
-    if args.folds and labels is None:
-        raise DataFormatError("--folds needs ground-truth labels (use --label-column)")
+    if args.folds:
+        if labels is None:
+            raise DataFormatError("--folds needs ground-truth labels (use --label-column)")
+        check_strata(labels, args.folds, "folds")
     config = args.config
     forest = train_batch(points, config)
     if args.model:
@@ -197,7 +204,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         f"n_effective={forest.n_effective} config={config_hash(config)}"
     )
     if labels is not None:
-        print(f"train AUC: {auc(scores, labels):.4f}")
+        print(_auc_line("train AUC", scores, labels))
         if args.folds:
             dataset = LabeledDataset(points=points, labels=labels, name=name)
             results = run_kfold_experiment(dataset, config, k=args.folds)
@@ -232,7 +239,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         print(f"{scores.size} score rows written to {args.out}")
     print(f"scored {points.shape[0]} points against {args.model}")
     if labels is not None:
-        print(f"AUC: {auc(scores, labels):.4f}")
+        print(_auc_line("AUC", scores, labels))
     return EXIT_OK
 
 
@@ -258,7 +265,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _dump_grid(args: argparse.Namespace, dataset: LabeledDataset, result) -> None:
-    model, _ = _decide(result.final_scores, args.mode, args.threshold)
+    cut, _ = _decide(result.final_scores, args.mode, args.threshold)
     lo = dataset.points.min(axis=0)
     hi = dataset.points.max(axis=0)
     margin = 0.05 * (hi - lo)
@@ -267,7 +274,7 @@ def _dump_grid(args: argparse.Namespace, dataset: LabeledDataset, result) -> Non
     gx, gy = np.meshgrid(xs, ys)
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
     _, scores = score_all(lattice, result.forest)
-    predicted = assign_all(model, scores)
+    predicted = assign_all(cut, scores)
     rows = [
         {"x": float(lattice[i, 0]), "y": float(lattice[i, 1]), "score": float(scores[i]), "label": int(predicted[i])}
         for i in range(lattice.shape[0])

@@ -53,6 +53,10 @@ class CsvSchema:
     label_column: str | int | None = None
     header: bool = True
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ValueError(f"the delimiter must be one character, got {self.delimiter!r}")
+
 
 def _where(row: int, line: int) -> str:
     """A row's number in a message, and its file line where that differs."""
@@ -270,6 +274,8 @@ class SyntheticSpec:
         if self.n_inliers + self.n_outliers == 0:
             raise ValueError("dataset would be empty")
         ForestConfig(seed=self.seed)  # the seed obeys the forest's seed rule
+        if not np.isfinite(2.0 * self.outlier_halfwidth):
+            raise ValueError(f"outlier box halfwidth {self.outlier_halfwidth} is not finite or overflows when doubled")
         extent = _GENERATORS[self.kind][2]
         if self.outlier_halfwidth < extent:
             raise ValueError(

@@ -1,14 +1,12 @@
-"""Turn anomaly scores into binary labels.
+"""Turn anomaly scores into binary labels with one cut.
 
-Two modes: a fixed score threshold (strict >, default 0.5), or 1-D 2-means
-over the score distribution with the greater-mean cluster taken as the
-anomalies. The k-means route is preferred online, where 0.5 is not
+A score strictly above the cut is an anomaly. The cut is either fixed
+(0.5 by default) or the boundary of the exact 1-D 2-means split of the
+score distribution. The k-means cut is preferred online, where 0.5 is not
 necessarily the right boundary after the forest has grown.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,37 +14,17 @@ THRESHOLD = "threshold"
 KMEANS = "kmeans"
 
 
-@dataclass(frozen=True)
-class DecisionModel:
-    """A fitted labeling rule; immutable, safe to share across threads."""
-
-    mode: str
-    threshold: float = 0.5
-    cluster_means: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.mode not in (THRESHOLD, KMEANS):
-            raise ValueError(f"unknown decision mode {self.mode!r}")
-        if self.mode == THRESHOLD and not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.mode == KMEANS:
-            if self.cluster_means is None:
-                raise ValueError("kmeans mode requires fitted cluster means")
-            lo, hi = self.cluster_means
-            if not lo < hi:
-                raise ValueError(f"cluster means must be distinct, got {self.cluster_means}")
-
-
-def fit_kmeans2(scores) -> DecisionModel:
-    """Cluster scores into two groups minimizing within-cluster variance.
+def fit_kmeans2(scores) -> float:
+    """The midpoint of the two means of the optimal 2-means split of ``scores``.
 
     In one dimension the optimal 2-means clustering is a contiguous split
     of the sorted values, so the global optimum comes from a single sweep
     over the n - 1 boundaries with running sums. (Lloyd iteration seeded at
     (min, max) sticks in local optima on roughly a fifth of random score
     vectors; the sweep is deterministic and exact, and its result is a
-    converged fixed point of Lloyd.) All-equal scores are degenerate -
-    callers fall back to the threshold rule.
+    converged fixed point of Lloyd.) Scores above the midpoint are nearer
+    the upper mean. All-equal scores are degenerate - callers fall back to
+    a fixed cut.
     """
     s = np.asarray(scores, dtype=float).ravel()
     if s.size < 2:
@@ -63,17 +41,13 @@ def fit_kmeans2(scores) -> DecisionModel:
     best = int(np.argmax(objective))
     m_low = float(left[best] / (best + 1))
     m_high = float(right[best] / (n - best - 1))
-    return DecisionModel(mode=KMEANS, cluster_means=(m_low, m_high))
+    return (m_low + m_high) / 2.0
 
 
-def assign_all(model: DecisionModel, scores) -> np.ndarray:
-    """Label scores with a fitted model: 1 = anomaly, 0 = normal.
+def assign_all(cut: float, scores) -> np.ndarray:
+    """Label scores: 1 (anomaly) where a score exceeds ``cut``, else 0.
 
-    Threshold mode compares strictly; kmeans mode picks the nearer cluster
-    mean, with equidistant scores resolving to normal.
+    A score equal to the cut is normal. Any float is a cut; the CLI checks
+    the range of ``--threshold``.
     """
-    s = np.asarray(scores, dtype=float)
-    if model.mode == THRESHOLD:
-        return (s > model.threshold).astype(np.int64)
-    m_low, m_high = model.cluster_means
-    return (np.abs(s - m_high) < np.abs(s - m_low)).astype(np.int64)
+    return (np.asarray(scores, dtype=float) > cut).astype(np.int64)

@@ -113,6 +113,16 @@ def kfold_split(dataset: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np
     return [(np.setdiff1d(everything, test, assume_unique=True), test) for test in tests]
 
 
+def check_strata(labels, parts: int, unit: str, classes=(1, 0)) -> None:
+    """StratificationError unless each of ``classes`` (1 anomalies, 0
+    normals) has at least one member per part, so that ``parts`` stratified
+    ``unit`` each hold one of it."""
+    for cls in classes:
+        count = int(np.count_nonzero(np.asarray(labels) == cls))
+        if count < parts:
+            raise StratificationError(f"{count} {('normals', 'anomalies')[cls]} cannot stratify into {parts} {unit}")
+
+
 def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -> list[np.ndarray]:
     """Partition a labeled dataset into stages (one index array each) with
     equal anomaly counts.
@@ -123,11 +133,7 @@ def stream_stages(dataset: LabeledDataset, num_stages: int = 5, seed: int = 0) -
     """
     if num_stages < 1:
         raise ValueError(f"num_stages must be >= 1, got {num_stages}")
-    n_anom = dataset.anomaly_count
-    if n_anom < num_stages:
-        raise StratificationError(
-            f"{n_anom} anomalies cannot stratify into {num_stages} stages"
-        )
+    check_strata(dataset.labels, num_stages, "stages", classes=(1,))
     rng = np.random.default_rng(ForestConfig(seed=seed).seed)
     anom = np.flatnonzero(dataset.labels == 1)
     norm = np.flatnonzero(dataset.labels == 0)
@@ -254,8 +260,11 @@ def run_kfold_experiment(
 
     Train time covers fitting plus in-sample scoring; test time covers
     scoring the held-out fold through the fitted forest (novelty path).
+    Fewer than ``k`` anomalies or normals is a StratificationError, raised
+    before any training.
     """
     cfg = config or ForestConfig()
+    check_strata(dataset.labels, k, "folds")
     results = []
     for fold, (train_idx, test_idx) in enumerate(kfold_split(dataset, k, seed=cfg.seed)):
         t0 = time.perf_counter()

@@ -22,7 +22,7 @@ from imondrian.data_io import (
     save_model,
     write_scores,
 )
-from imondrian.decision import THRESHOLD, DecisionModel, assign_all, fit_kmeans2
+from imondrian.decision import assign_all, fit_kmeans2
 from imondrian.evaluation import (
     LabeledDataset,
     auc,
@@ -134,7 +134,7 @@ def test_criterion_4_synthetic_batch():
         forest = train_batch(ds.points, ForestConfig(num_trees=100, psi=256, seed=seed))
         _, s = score_all(ds.points, forest)
         aucs.append(auc(s, ds.labels))
-        thresholded = assign_all(DecisionModel(mode=THRESHOLD, threshold=0.5), s)
+        thresholded = assign_all(0.5, s)
         clustered = assign_all(fit_kmeans2(s), s)
         agreements.append(float(np.mean(thresholded == clustered)))
     elapsed = time.perf_counter() - t0
@@ -259,7 +259,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
     for name in ("run1.csv", "run2.csv"):
         forest = train_batch(ds.points, cfg)
         _, scores = score_all(ds.points, forest)
-        labels = assign_all(DecisionModel(mode=THRESHOLD, threshold=0.5), scores)
+        labels = assign_all(0.5, scores)
         path = tmp_path / name
         write_scores(path, scores, labels, "threshold")
         exports.append(path.read_bytes())
@@ -303,8 +303,7 @@ def test_criterion_9_kmeans_matches_optimal_split():
         if np.unique(scores).size < 2:
             continue
         checked += 1
-        model = fit_kmeans2(scores)
-        got = assign_all(model, scores)
+        got = assign_all(fit_kmeans2(scores), scores)
         want, _ = kmeans2_oracle(scores)
         if got.tolist() != want.tolist():
             mismatches += 1

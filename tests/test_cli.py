@@ -113,6 +113,25 @@ class TestFit:
         assert "--folds needs ground-truth labels" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "anomalies, message", [(3, "3 anomalies"), (37, "3 normals")], ids=["anomalies", "normals"]
+    )
+    def test_folds_that_cannot_stratify_fail_before_writing(self, tmp_path, anomalies, message, capsys):
+        data = tmp_path / "rare.csv"
+        labels = np.zeros(40, dtype=int)
+        labels[:anomalies] = 1
+        _write_csv(data, np.random.default_rng(4).normal(size=(40, 2)), labels)
+        out, model = tmp_path / "scores.csv", tmp_path / "model.imf"
+        code = main([
+            "fit", "--data", str(data), "--label-column", "label", "--trees", "5", "--folds", "5",
+            "--out", str(out), "--model", str(model),
+        ])
+        assert code == EXIT_INFEASIBLE
+        assert not out.exists() and not model.exists()
+        captured = capsys.readouterr()
+        assert f"{message} cannot stratify into 5 folds" in captured.err
+        assert captured.out == ""
+
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(["fit", "--data", str(tmp_path / "nope.csv")])
         assert code == EXIT_DATA
@@ -401,6 +420,23 @@ class TestStream:
         assert code == EXIT_DATA
 
 
+class TestOneClassLabels:
+    """The AUC of labels of one class is undefined, which ``fit`` and
+    ``score`` print; they still exit 0."""
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_fit_and_score_print_undefined_auc(self, tmp_path, label, capsys):
+        data, model, out = tmp_path / "one.csv", tmp_path / "model.imf", tmp_path / "scores.csv"
+        _write_csv(data, np.random.default_rng(6).normal(size=(30, 2)), np.full(30, label))
+        fit = ["fit", "--data", str(data), "--label-column", "label", "--trees", "3", "--model", str(model)]
+        assert main(fit) == EXIT_OK
+        assert f"train AUC: undefined for one class (every label is {label})" in capsys.readouterr().out
+        score = ["score", "--data", str(data), "--label-column", "label", "--model", str(model), "--out", str(out)]
+        assert main(score) == EXIT_OK
+        assert f"AUC: undefined for one class (every label is {label})" in capsys.readouterr().out
+        assert out.exists()
+
+
 class TestSyntheticFlags:
     """A synthetic recipe the flags describe but ``SyntheticSpec`` rejects is
     a usage error, found before anything is generated."""
@@ -423,6 +459,36 @@ class TestSyntheticFlags:
         assert not out.exists()
 
 
+# flag values no run can use, each a usage error of its subcommand
+_BASE_ARGV = {
+    "fit": ["fit", "--synthetic", "ring"],
+    "score": ["score", "--data", "points.csv", "--model", "forest.imf"],
+    "stream": ["stream", "--synthetic", "ring"],
+}
+_HOSTILE_FLAGS = [
+    *[
+        (command, flags)
+        for command in ("fit", "score", "stream")
+        for flags in (
+            ["--delimiter", ""], ["--delimiter", "ab"],
+            ["--threshold", "nan"], ["--threshold", "inf"], ["--threshold", "0"], ["--threshold", "1"],
+        )
+    ],
+    *[
+        (command, flags)
+        for command in ("fit", "stream")
+        for flags in (
+            ["--box", "nan"], ["--box", "inf"], ["--box", "-inf"], ["--box", "1e308"], ["--trees", "0"],
+            ["--psi", "1"], ["--seed", "-1"], ["--inliers", "-1"], ["--outliers", "-1"],
+        )
+    ],
+    ("fit", ["--folds", "1"]),
+    ("stream", ["--stages", "0"]),
+    ("stream", ["--window", "0"]),
+    ("stream", ["--grid", "1"]),
+]
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -442,11 +508,13 @@ class TestTopLevel:
             ["fit", "--synthetic", "ring", "--box", "3"],
             ["score", "--data", "points.csv", "--model", "forest.imf", "--threshold", "2"],
             ["stream", "--synthetic", "ring", "--stages", "0"],
+            *[[*_BASE_ARGV[command], *flags] for command, flags in _HOSTILE_FLAGS],
         ],
-        ids=["fit", "score", "stream"],
+        ids=["fit", "score", "stream", *[f"{command} {flag}={value!r}" for command, (flag, value) in _HOSTILE_FLAGS]],
     )
     def test_usage_error_prints_the_command_usage(self, argv, capsys):
-        # the usage of the command whose flags are at fault, not the top level's
+        # the usage of the command whose flags are at fault, not the top level's;
+        # raised as SystemExit before anything is read, never as a traceback
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == EXIT_USAGE

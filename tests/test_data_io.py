@@ -184,6 +184,11 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 2"):
             load_csv(p, CsvSchema(header=False))
 
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(ValueError, match="one character"):
+            CsvSchema(delimiter=delimiter)
+
     def test_alternate_delimiter(self, tmp_path):
         p = tmp_path / "semi.csv"
         p.write_text("1.0;2.0\n3.0;4.0\n")
@@ -476,6 +481,11 @@ class TestGenSynthetic:
     def test_box_must_enclose_support(self):
         with pytest.raises(ValueError):
             SyntheticSpec(kind="ring", outlier_halfwidth=5.0)
+
+    @pytest.mark.parametrize("halfwidth", [float("nan"), float("inf"), 1e308])
+    def test_box_width_must_be_finite(self, halfwidth):
+        with pytest.raises(ValueError, match="not finite"):
+            SyntheticSpec(kind="ring", outlier_halfwidth=halfwidth)
 
     @pytest.mark.parametrize(
         "spec, digest",

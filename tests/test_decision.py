@@ -1,23 +1,17 @@
-"""Score-to-label conversion: threshold rule and 1-D 2-means."""
+"""Score-to-label conversion: one cut, fixed or from 1-D 2-means."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from imondrian.decision import (
-    KMEANS,
-    THRESHOLD,
-    DecisionModel,
-    assign_all,
-    fit_kmeans2,
-)
+from imondrian.decision import assign_all, fit_kmeans2
 
 from helpers import kmeans2_oracle
 
 
 def label_at(scores, threshold=0.5):
-    return assign_all(DecisionModel(mode=THRESHOLD, threshold=threshold), scores).tolist()
+    return assign_all(threshold, scores).tolist()
 
 
 class TestLabelThreshold:
@@ -35,19 +29,20 @@ class TestLabelThreshold:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 2.0])
     def test_threshold_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            DecisionModel(mode=THRESHOLD, threshold=bad)
+        # the library takes any float as a cut; the CLI checks --threshold
+        scores = [-1.0, 0.0, 0.5, 1.0, 3.0]
+        assert label_at(scores, threshold=bad) == [int(s > bad) for s in scores]
 
 
 class TestFitKmeans2:
     def test_symmetric_separation(self):
-        model = fit_kmeans2([0.1, 0.2, 0.8, 0.9])
-        assert model.cluster_means == pytest.approx((0.15, 0.85))
-        assert assign_all(model, [0.1, 0.2, 0.8, 0.9]).tolist() == [0, 0, 1, 1]
+        cut = fit_kmeans2([0.1, 0.2, 0.8, 0.9])
+        assert cut == pytest.approx(0.5)
+        assert assign_all(cut, [0.1, 0.2, 0.8, 0.9]).tolist() == [0, 0, 1, 1]
 
     def test_singleton_upper_cluster(self):
-        model = fit_kmeans2([0.1, 0.1, 0.1, 0.9])
-        assert assign_all(model, [0.1, 0.1, 0.1, 0.9]).tolist() == [0, 0, 0, 1]
+        cut = fit_kmeans2([0.1, 0.1, 0.1, 0.9])
+        assert assign_all(cut, [0.1, 0.1, 0.1, 0.9]).tolist() == [0, 0, 0, 1]
 
     def test_two_bands_match_optimal_split(self):
         rng = np.random.default_rng(0)
@@ -55,10 +50,10 @@ class TestFitKmeans2:
             [rng.uniform(0.25, 0.45, 120), rng.uniform(0.6, 0.8, 80)]
         )
         rng.shuffle(scores)
-        model = fit_kmeans2(scores)
+        cut = fit_kmeans2(scores)
         want, means = kmeans2_oracle(scores)
-        assert assign_all(model, scores).tolist() == want.tolist()
-        assert model.cluster_means == pytest.approx(means, rel=1e-12)
+        assert assign_all(cut, scores).tolist() == want.tolist()
+        assert cut == pytest.approx(sum(means) / 2, rel=1e-12)
 
     def test_degenerate_all_equal(self):
         with pytest.raises(ValueError):
@@ -84,42 +79,33 @@ class TestFitKmeans2:
                 scores = rng.beta(2.0, 5.0, n)
             if np.unique(scores).size < 2:
                 continue
-            model = fit_kmeans2(scores)
             want, _ = kmeans2_oracle(scores)
-            assert assign_all(model, scores).tolist() == want.tolist()
+            assert assign_all(fit_kmeans2(scores), scores).tolist() == want.tolist()
 
 
 class TestAssign:
     def test_kmeans_nearest_mean(self):
-        model = DecisionModel(mode=KMEANS, cluster_means=(0.2, 0.8))
-        assert assign_all(model, [0.3, 0.79]).tolist() == [0, 1]
+        # the cut is the midpoint of the cluster means 0.2 and 0.8
+        cut = fit_kmeans2([0.1, 0.3, 0.7, 0.9])
+        assert cut == pytest.approx(0.5)
+        assert assign_all(cut, [0.3, 0.49, 0.51, 0.79]).tolist() == [0, 0, 1, 1]
 
     def test_equidistant_resolves_normal(self):
-        model = DecisionModel(mode=KMEANS, cluster_means=(0.2, 0.8))
-        assert assign_all(model, [0.5]).tolist() == [0]
+        # a score equal to the cut is normal, the next float up an anomaly
+        cut = fit_kmeans2([0.25, 0.25, 0.75, 0.75])
+        assert cut == 0.5
+        assert assign_all(cut, [cut, np.nextafter(cut, 1.0)]).tolist() == [0, 1]
 
     def test_threshold_mode(self):
         assert label_at([0.5, 0.50001]) == [0, 1]
-
-    def test_unfitted_kmeans_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionModel(mode=KMEANS, cluster_means=None)
-        with pytest.raises(ValueError):
-            DecisionModel(mode=KMEANS, cluster_means=(0.4, 0.4))
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionModel(mode="quantile")
 
 
 class TestLabelMonotonicity:
     def test_both_modes(self):
         rng = np.random.default_rng(7)
         scores = rng.uniform(0.0, 1.0, 200)
-        kmodel = fit_kmeans2(scores)
-        tmodel = DecisionModel(mode=THRESHOLD, threshold=0.5)
-        for model in (kmodel, tmodel):
-            labels = assign_all(model, scores)
+        for cut in (fit_kmeans2(scores), 0.5):
+            labels = assign_all(cut, scores)
             order = np.argsort(scores)
             # once anomalous, higher scores stay anomalous
             flags = labels[order]
@@ -131,5 +117,4 @@ class TestModesAgreeOnSeparatedData:
         rng = np.random.default_rng(9)
         scores = np.concatenate([rng.uniform(0.2, 0.42, 140), rng.uniform(0.58, 0.85, 60)])
         rng.shuffle(scores)
-        kmodel = fit_kmeans2(scores)
-        assert assign_all(kmodel, scores).tolist() == label_at(scores)
+        assert assign_all(fit_kmeans2(scores), scores).tolist() == label_at(scores)

@@ -283,6 +283,15 @@ class TestRunStreamExperiment:
 
 
 class TestRunKfoldExperiment:
+    @pytest.mark.parametrize(
+        "anomalies, message", [(3, "3 anomalies cannot"), (9, "3 normals cannot")], ids=["anomalies", "normals"]
+    )
+    def test_too_few_of_a_class_fails_before_training(self, anomalies, message, monkeypatch):
+        monkeypatch.setattr("imondrian.evaluation.train_batch", lambda *a: pytest.fail("trained"))
+        ds = _toy_dataset(n=12, anomalies=anomalies, seed=6)
+        with pytest.raises(StratificationError, match=f"{message} stratify into 5 folds"):
+            run_kfold_experiment(ds, ForestConfig(num_trees=2, seed=0), k=5)
+
     def test_fold_metrics_present(self):
         ds = gen_synthetic(SyntheticSpec(n_inliers=80, n_outliers=20, seed=4))
         results = run_kfold_experiment(ds, ForestConfig(num_trees=10, psi=None, seed=4), k=4)

@@ -1104,7 +1104,7 @@ class TestAnomalyOrdering:
 
 
 PUBLIC_API = [
-    "CsvSchema", "DataFormatError", "DecisionModel", "DimensionMismatchError", "ExperimentResult", "Forest",
+    "CsvSchema", "DataFormatError", "DimensionMismatchError", "ExperimentResult", "Forest",
     "ForestConfig", "LabeledDataset", "ModelFormatError", "StratificationError", "SyntheticSpec",
     "anomaly_score", "assign_all", "auc", "c_factor", "extend_forest", "fit_kmeans2", "gen_synthetic", "harmonic",
     "kfold_split", "load_csv", "load_model", "rescore_window", "run_kfold_experiment", "run_stream_experiment",
@@ -1114,7 +1114,7 @@ PUBLIC_API = [
 
 class TestPublicApi:
     def test_exported_names(self):
-        assert len(PUBLIC_API) == 29
+        assert len(PUBLIC_API) == 28
         assert imondrian.__all__ == PUBLIC_API
         for name in PUBLIC_API:
             assert getattr(imondrian, name) is not None
