@@ -17,7 +17,6 @@ from .evaluation import (
     stream_stages,
 )
 from .forest import (
-    Forest,
     ForestConfig,
     anomaly_score,
     c_factor,
@@ -28,6 +27,7 @@ from .forest import (
     train_batch,
 )
 from .data_io import CsvSchema, SyntheticSpec, gen_synthetic, load_csv, load_model, save_model
+from .tree import Forest
 
 __version__ = "0.1.0"
 

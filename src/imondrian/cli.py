@@ -252,10 +252,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
         args.parser.error(f"--grid needs 2-D data, got d={dataset.dim}")
     result = run_stream_experiment(dataset, args.config, num_stages=args.stages, window=args.window)
     for i in range(result.num_stages):
-        print(
-            f"stage {i + 1}: n={result.stage_sizes[i]} "
-            f"AUC {result.stage_auc[i]:.4f} ({result.stage_seconds[i]:.3f}s)"
-        )
+        value = result.stage_auc[i]
+        shown = "undefined for one class" if np.isnan(value) else f"{value:.4f}"
+        print(f"stage {i + 1}: n={result.stage_sizes[i]} AUC {shown} ({result.stage_seconds[i]:.3f}s)")
     if args.out:
         write_rows(args.out, result.to_rows())
         print(f"stage table written to {args.out}")

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DataFormatError, ModelFormatError
 from .evaluation import LabeledDataset
-from .forest import Forest, ForestConfig
-from .tree import ForestArena, node_fields
+from .forest import ForestConfig
+from .tree import Forest, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
 MODEL_VERSION = 3
@@ -328,8 +328,7 @@ def save_model(forest: Forest, path) -> None:
     file behind. A target that exists and is not a regular file, such as
     a device or a pipe, is written in place.
     """
-    arena = forest.arena
-    width = int(arena.size.max())
+    width = int(forest.size.max())
     meta = {
         "n_effective": forest.n_effective,
         "psi": forest.psi,
@@ -337,19 +336,19 @@ def save_model(forest: Forest, path) -> None:
         "dim": forest.dim,
         "num_trees": forest.num_trees,
         "width": width,
-        "root": arena.root.tolist(),
-        "size": arena.size.tolist(),
-        "rng_states": [gen.bit_generator.state for gen in arena.rngs],
+        "root": forest.root.tolist(),
+        "size": forest.size.tolist(),
+        "rng_states": [gen.bit_generator.state for gen in forest.rngs],
     }
     line = json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"
     digest = hashlib.sha256(line)
-    for part in _stored(arena, width):
+    for part in _stored(forest, width):
         digest.update(part)
     header = f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest.hexdigest()}\n".encode()
 
     def write(handle):
         handle.writelines([header, line])
-        handle.writelines(_stored(arena, width))
+        handle.writelines(_stored(forest, width))
 
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_file():
@@ -369,20 +368,20 @@ def save_model(forest: Forest, path) -> None:
         raise
 
 
-def _stored(arena: ForestArena, width: int):
+def _stored(forest: Forest, width: int):
     """The arrays of a model file, in file order, as C-contiguous
     little-endian blocks of whole tree rows of about ``_BLOCK_BYTES`` at
     most: views of the arena's fields when a row's first ``width`` slots
     are the whole row, a copy of one block otherwise; the child rows are
     always a converted copy of one block."""
-    T, C = arena.population.shape
-    rows = max(1, _BLOCK_BYTES // (8 * arena.dim * width))  # a box row is the widest
+    T, C = forest.population.shape
+    rows = max(1, _BLOCK_BYTES // (8 * forest.dim * width))  # a box row is the widest
     blocks = [slice(a, a + rows) for a in range(0, T, rows)]
-    for name, dtype, _, _ in node_fields((), arena.dim):
-        field = getattr(arena, name)
+    for name, dtype, _, _ in node_fields((), forest.dim):
+        field = getattr(forest, name)
         for block in blocks:
             yield np.ascontiguousarray(field[block, :width], dtype=dtype.newbyteorder("<"))
-    for side in arena.child.reshape(2, T, C):
+    for side in forest.child.reshape(2, T, C):
         for block in blocks:
             yield (side[block, :width] % C).astype("<i4")
 
@@ -427,7 +426,7 @@ def load_model(path) -> Forest:
         raise error
     if error is not None:
         raise ModelFormatError(f"{path}: malformed payload: {error}") from error
-    problem = _structure_problem(forest.arena)
+    problem = _structure_problem(forest)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
@@ -461,25 +460,26 @@ def _read_forest(handle, digest, path) -> Forest:
     info = os.fstat(handle.fileno())
     if stat.S_ISREG(info.st_mode) and info.st_size - handle.tell() != expected:
         raise ValueError(f"array section holds {info.st_size - handle.tell()} bytes, expected {expected}")
-    arena = ForestArena(num_trees, dim, width)
+    forest = Forest(num_trees, dim, width)
     unused = np.arange(width) >= size[:, None]
     for name, _, _, fill in fields:
-        field = getattr(arena, name)
+        field = getattr(forest, name)
         _read_into(handle, field, digest)
         field[unused] = fill
     kids = np.empty((num_trees, width), dtype=np.int32)
     base = (np.arange(num_trees) * width)[:, None]
-    for side in arena.child.reshape(2, num_trees, width):  # self loops in a fresh arena
+    for side in forest.child.reshape(2, num_trees, width):  # self loops in a fresh arena
         _read_into(handle, kids, digest)
         np.add(kids, base, out=side, where=~unused)
     if handle.read(1):
         raise ValueError(f"array section holds more than {expected} bytes")
-    arena.root[:] = root
-    arena.size[:] = size
+    forest.root[:] = root
+    forest.size[:] = size
     for t, state in enumerate(states):
-        arena.rngs[t] = np.random.default_rng()
-        arena.rngs[t].bit_generator.state = state
-    return Forest(arena=arena, n_effective=meta["n_effective"], psi=config.psi, seed=config.seed)
+        forest.rngs[t] = np.random.default_rng()
+        forest.rngs[t].bit_generator.state = state
+    forest.n_effective, forest.psi, forest.seed = meta["n_effective"], config.psi, config.seed
+    return forest
 
 
 def _is_int(value, low: int) -> bool:
@@ -497,7 +497,7 @@ def _read_into(handle, array: np.ndarray, digest) -> None:
         array.byteswap(inplace=True)
 
 
-def _structure_problem(arena: ForestArena) -> str | None:
+def _structure_problem(forest: Forest) -> str | None:
     """Why the packed trees of an arena are not valid partition trees, or None.
 
     Checked for every tree at once, on the child table itself: each side of
@@ -512,48 +512,48 @@ def _structure_problem(arena: ForestArena) -> str | None:
     and nest. Nesting is checked one box column at a time, so no gather is
     larger than a column of one field.
     """
-    T, C = arena.population.shape
-    used = np.arange(C) < arena.size[:, None]
-    if not ((arena.root >= 0) & (arena.root < arena.size)).all():
+    T, C = forest.population.shape
+    used = np.arange(C) < forest.size[:, None]
+    if not ((forest.root >= 0) & (forest.root < forest.size)).all():
         return "root link out of range"
     flat = np.arange(T * C).reshape(T, C)  # each slot's own flat index t * C + node
     first = flat[:, :1]
-    sides = arena.child.reshape(2, T, C)
+    sides = forest.child.reshape(2, T, C)
     for name, side in zip(("left", "right"), sides):
-        if ((side < first) | (side >= first + arena.size[:, None]))[used].any():
+        if ((side < first) | (side >= first + forest.size[:, None]))[used].any():
             return f"{name} link out of range"
     leaf = sides[0] == flat
     if (leaf != (sides[1] == flat))[used].any():
         return "node with exactly one child"
     inner = np.flatnonzero(used & ~leaf)
-    kids = (arena.child[inner], arena.child[T * C + inner])
-    roots = first[:, 0] + arena.root
+    kids = (forest.child[inner], forest.child[T * C + inner])
+    roots = first[:, 0] + forest.root
     entered = np.bincount(np.concatenate(kids), minlength=T * C)
     entered[roots] += 1
     if not np.array_equal(entered, used.ravel()):
         return "some node is not the child of exactly one internal node"
-    split_time = arena.split_time.ravel()
+    split_time = forest.split_time.ravel()
     inner_time = split_time[inner]
     if not ((split_time[roots] > 0.0).all() and all((split_time[kid] > inner_time).all() for kid in kids)):
         return "split times do not increase from parent to child"
-    if not np.isposinf(arena.split_time[used & leaf]).all():
+    if not np.isposinf(forest.split_time[used & leaf]).all():
         return "leaf split time is not infinite"
-    population = arena.population.ravel()
-    if (arena.population[used] < 1).any():
+    population = forest.population.ravel()
+    if (forest.population[used] < 1).any():
         return "population below 1"
     if (population[kids[0]] + population[kids[1]] != population[inner]).any():
         return "internal population is not the sum of its children's"
-    q = arena.split_dim.ravel()[inner].astype(np.int64)
-    if ((q < 0) | (q >= arena.dim)).any() or ((arena.split_dim < -1) | (arena.split_dim >= arena.dim)).any():
+    q = forest.split_dim.ravel()[inner].astype(np.int64)
+    if ((q < 0) | (q >= forest.dim)).any() or ((forest.split_dim < -1) | (forest.split_dim >= forest.dim)).any():
         return "split dimension out of range"
-    box_min = arena.box_min.reshape(T * C, -1)
-    box_max = arena.box_max.reshape(T * C, -1)
-    p = arena.split_val.ravel()[inner]
-    if not ((box_min.ravel()[inner * arena.dim + q] <= p) & (p <= box_max.ravel()[inner * arena.dim + q])).all():
+    box_min = forest.box_min.reshape(T * C, -1)
+    box_max = forest.box_max.reshape(T * C, -1)
+    p = forest.split_val.ravel()[inner]
+    if not ((box_min.ravel()[inner * forest.dim + q] <= p) & (p <= box_max.ravel()[inner * forest.dim + q])).all():
         return "split value outside its node's box"
-    if used.ravel()[np.flatnonzero(~(arena.box_min <= arena.box_max)) // arena.dim].any():  # NaN too
+    if used.ravel()[np.flatnonzero(~(forest.box_min <= forest.box_max)) // forest.dim].any():  # NaN too
         return "box with its minimum above its maximum"
-    for j in range(arena.dim):
+    for j in range(forest.dim):
         for box, nested in ((box_min, np.greater_equal), (box_max, np.less_equal)):
             column = box[:, j].copy()
             bound = column[inner]

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import StratificationError
-from .forest import Forest, ForestConfig, extend_forest, rescore_window, score_all, train_batch
-from .tree import as_points
+from .forest import ForestConfig, extend_forest, rescore_window, score_all, train_batch
+from .tree import Forest, as_points
 
 
 @dataclass
@@ -176,7 +176,6 @@ class ExperimentResult:
     stage_sizes: list[int]
     stage_auc: list[float]
     stage_seconds: list[float]
-    window: int | None = None
     seen_indices: np.ndarray | None = field(default=None, repr=False)
     final_scores: np.ndarray | None = field(default=None, repr=False)
     forest: Forest | None = field(default=None, repr=False)
@@ -201,7 +200,8 @@ def run_stream_experiment(
     The stages are cut with the config's seed. The AUC of a stage covers
     every point seen up to that stage (or just the trailing ``window``
     points when a window is set), always with freshly recalculated scores.
-    Stage timings cover extension plus the re-score.
+    Stage timings cover extension plus the re-score. A stage whose scored
+    points are all of one class has an undefined AUC, recorded as NaN.
     """
     cfg = config or ForestConfig()
     stages = stream_stages(dataset, num_stages=num_stages, seed=cfg.seed)
@@ -223,7 +223,8 @@ def run_stream_experiment(
             seen = np.concatenate([seen, batch])
         _, scores = rescore_window(forest, X[seen], window=window)
         elapsed = time.perf_counter() - start
-        stage_auc.append(auc(scores, y[seen[seen.size - scores.size :]]))
+        labels = y[seen[seen.size - scores.size :]]
+        stage_auc.append(auc(scores, labels) if np.unique(labels).size > 1 else np.nan)
         stage_seconds.append(elapsed)
         stage_sizes.append(int(seen.size))
     return ExperimentResult(
@@ -232,7 +233,6 @@ def run_stream_experiment(
         stage_sizes=stage_sizes,
         stage_auc=stage_auc,
         stage_seconds=stage_seconds,
-        window=window,
         seen_indices=seen,
         final_scores=scores,
         forest=forest,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import ForestArena, as_point, as_points
+from .tree import Forest, as_point, as_points
 
 # truncated Euler-Mascheroni constant, exactly as used by the normalization
 EULER_GAMMA = 0.5772156649
@@ -90,38 +90,6 @@ class ForestConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
-class Forest:
-    """A trained ensemble, its trees packed into one arena.
-
-    ``n_effective`` is the sample size the score normalization uses: the
-    subsample size when subsampling was applied, the batch size otherwise.
-    Streaming extension leaves it fixed while every tree takes every
-    arrival and deepens, so an extended forest's scores drift down and are
-    not comparable with its scores after fit: after 1,000 inserts into 100
-    psi-256 trees, threshold mode at 0.5 flagged 0.045 of anomalies instead
-    of 0.514 (ROADMAP.md, item 13).
-    """
-
-    arena: ForestArena = field(repr=False)
-    n_effective: int
-    psi: int | None
-    seed: int
-
-    @property
-    def num_trees(self) -> int:
-        return self.arena.num_trees
-
-    @property
-    def dim(self) -> int:
-        return self.arena.dim
-
-    @property
-    def total_population(self) -> int:
-        """Points inserted into each tree (batch sample plus extensions)."""
-        return int(self.arena.population[0, self.arena.root[0]])
-
-
 def train_batch(points, config: ForestConfig | None = None) -> Forest:
     """Train a forest: one tree per independent subsample (Exp-clock cuts).
 
@@ -130,7 +98,7 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
     (when active) and then the tree's cuts come from that same generator,
     so a (data, config) pair reproduces the forest tree for tree, and tree t
     does not depend on ``num_trees``. All trees are built level by level in
-    one arena (see ``ForestArena.grow``).
+    one arena (see ``Forest.grow``).
     """
     cfg = config or ForestConfig()
     X = as_points(points)
@@ -139,8 +107,9 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
         raise ValueError(f"training needs at least 2 points, got {n}")
     subsampling = cfg.psi is not None and n > cfg.psi
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)]
-    arena = ForestArena.grow(X, rngs, cfg.psi if subsampling else None)
-    return Forest(arena=arena, n_effective=cfg.psi if subsampling else n, psi=cfg.psi, seed=cfg.seed)
+    forest = Forest.grow(X, rngs, cfg.psi if subsampling else None)
+    forest.psi, forest.seed = cfg.psi, cfg.seed
+    return forest
 
 
 def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +120,7 @@ def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """
     if _is_empty(points):
         return np.zeros(0), np.zeros(0)
-    expected = forest.arena.route(as_points(points, forest.dim), _leaf_depth) / forest.num_trees
+    expected = forest.route(as_points(points, forest.dim), _leaf_depth) / forest.num_trees
     return expected, anomaly_score(expected, forest.n_effective)
 
 
@@ -169,7 +138,7 @@ def extend_forest(forest: Forest, new_points) -> Forest:
 
     Each point is validated before any tree sees it, so a bad point aborts
     without partially mutating the forest for that point; all trees take a
-    point in one lockstep pass (``ForestArena.extend``), each drawing from
+    point in one lockstep pass (``Forest.extend``), each drawing from
     its own generator only, so a tree grows the same way in any forest.
     ``n_effective`` is left unchanged, so scores drift down as the trees
     deepen (see ``Forest``). Mutates in place and returns the forest.
@@ -177,7 +146,7 @@ def extend_forest(forest: Forest, new_points) -> Forest:
     if _is_empty(new_points):
         return forest
     for raw in new_points:
-        forest.arena.extend(as_point(raw, forest.dim))
+        forest.extend(as_point(raw, forest.dim))
     return forest
 
 

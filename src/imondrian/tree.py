@@ -13,14 +13,14 @@ index. Every link lives in one child table, in which a leaf points to
 itself; a node is a leaf iff it is its own child, and leaves always carry
 an infinite split time.
 
-A forest packs all of its trees into one ``ForestArena``, whose kernels
-walk every tree in lockstep, one depth level per numpy pass. The build is
-one of them: every open node of every tree at a depth gets its box from a
-segment min/max over the node's points, its split time and cut from its
-tree's own generator, and its children's points from a stable partition, so
-slots are numbered breadth first. Routing and extension descend through the
-child table, so one gather per level moves every lane and a lane that
-reached its leaf stays there. Extension is one body in three phases, after
+A forest is one ``Forest``: all of its trees packed into one arena, whose
+kernels walk every tree in lockstep, one depth level per numpy pass. The
+build is one of them: every open node of every tree at a depth gets its box
+from a segment min/max over the node's points, its split time and cut from
+its tree's own generator, and its children's points from a stable
+partition, so slots are numbered breadth first. Routing and extension
+descend through the child table, so one gather per level moves every lane
+and a lane that reached its leaf stays there. Extension is one body in three phases, after
 its overflow check and any regrow of the arena, so no index changes under
 it: walk one lane per tree, every lane every level, and read each tree's
 path off that walk; race one exponential clock per candidate node (a node on
@@ -64,7 +64,7 @@ NO_NODE = -1
 
 # the per-node fields but the links: (name, dtype, value of an unused slot);
 # boxes add a dim axis and come first, so growing one field at a time peaks
-# lowest. The links live in the arena's child table (see ForestArena)
+# lowest. The links live in the arena's child table (see Forest)
 _FIELDS = (
     ("box_min", np.float64, 0.0),
     ("box_max", np.float64, 0.0),
@@ -75,12 +75,12 @@ _FIELDS = (
 )
 FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 
-# (tree, point) lanes per numpy pass of ForestArena.route; passes of 2^14
+# (tree, point) lanes per numpy pass of Forest.route; passes of 2^14
 # lanes kept the working set in cache and routed fastest when measured. A
-# tree group of ForestArena.grow holds one to two passes' worth
+# tree group of Forest.grow holds one to two passes' worth
 ROUTE_LANES = 1 << 14
 
-# (tree, point) lanes each process of ForestArena.route must have before it
+# (tree, point) lanes each process of Forest.route must have before it
 # forks: on a 2-core VM a routed lane took about 205 ns in one process, and
 # two processes (fork, copy-on-write faults and wait: 8-10 ms) were 15-24%
 # slower than one at 65,500 lanes and broke even near 100,000 (medians of 15
@@ -88,7 +88,7 @@ ROUTE_LANES = 1 << 14
 # on 2,048 rows stay in-process, and a 2,048-point rescore of 100 trees forks
 FORK_LANES = 3 * ROUTE_LANES
 
-# (tree, point) lanes each process of ForestArena.grow must have before it
+# (tree, point) lanes each process of Forest.grow must have before it
 # forks: on a 2-core VM (medians of 21 builds) two processes built 8,192
 # lanes 4% slower than one, 12,800 lanes 3% faster and 16,384 lanes 5-13%
 # faster, so they break even near 6,000 lanes each; at this floor the
@@ -308,8 +308,20 @@ def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> None:
                 local(*block)
 
 
-class ForestArena:
-    """Every tree of a forest packed into one structure-of-arrays arena.
+class Forest:
+    """An isolation Mondrian forest: every tree packed into one
+    structure-of-arrays arena, with the scalars its scores and model file
+    carry.
+
+    ``n_effective`` is the sample size the score normalization uses: the
+    per-tree sample size m that ``grow`` built on, which is the subsample
+    size when subsampling was applied and the batch size otherwise.
+    ``psi`` and ``seed`` are the settings ``train_batch`` trained with.
+    Streaming extension leaves ``n_effective`` fixed while every tree takes
+    every arrival and deepens, so an extended forest's scores drift down and
+    are not comparable with its scores after fit: after 1,000 inserts into
+    100 psi-256 trees, threshold mode at 0.5 flagged 0.045 of anomalies
+    instead of 0.514 (ROADMAP.md, item 13).
 
     Each node field has shape ``(num_trees, capacity)`` (boxes add a
     ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
@@ -364,6 +376,9 @@ class ForestArena:
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
         self.dim = int(dim)
+        self.n_effective = 0  # set by grow, or read from a model file
+        self.psi: int | None = None
+        self.seed = 0
         self.root = np.full(num_trees, NO_NODE, dtype=np.int64)
         self.size = np.zeros(num_trees, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
@@ -373,13 +388,14 @@ class ForestArena:
         self._walked = None  # (x's bytes, _walk(x)) after route([x]); see extend
 
     @classmethod
-    def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> ForestArena:
+    def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> Forest:
         """Build one tree per generator on the validated (n, d) array ``X``.
 
         Each tree is built on ``sample_size`` rows drawn without replacement
         by its own generator, or on all of ``X`` when ``sample_size`` is
-        None, and takes ownership of that generator. Raises ValueError when
-        a box's linear dimension overflows.
+        None, and takes ownership of that generator; that per-tree sample
+        size is the forest's ``n_effective``. Raises ValueError when a box's
+        linear dimension overflows.
 
         A large forest is built on every CPU in the process's affinity mask,
         by a fork-join over contiguous blocks of trees (see ``_fork_join``):
@@ -395,14 +411,14 @@ class ForestArena:
         n, d = X.shape
         m = n if sample_size is None else sample_size
         T, C = len(rngs), 2 * m - 1
-        arena = None
+        forest = None
 
         def local(a, b):
-            nonlocal arena
-            if arena is None:  # after the forks: see _fork_join
-                arena = cls(T, d, C)
-                arena.rngs = list(rngs)
-            arena._grow_trees(X, a, b, sample_size)
+            nonlocal forest
+            if forest is None:  # after the forks: see _fork_join
+                forest = cls(T, d, C)
+                forest.rngs = list(rngs)
+            forest._grow_trees(X, a, b, sample_size)
 
         def child(a, b, out):
             part = cls(b - a, d, C)
@@ -415,13 +431,14 @@ class ForestArena:
 
         def take(a, b, src):
             states = pickle.load(src)
-            for rows in arena._rows(a, b):
+            for rows in forest._rows(a, b):
                 _read_into(src, rows)
-            for gen, state in zip(arena.rngs[a:b], states):
+            for gen, state in zip(forest.rngs[a:b], states):
                 gen.bit_generator.state = state
 
         _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take)
-        return arena
+        forest.n_effective = m
+        return forest
 
     def _grow_trees(self, X: np.ndarray, a: int, b: int, sample_size: int | None) -> None:
         """Build trees a..b-1 (see ``grow``) in as few groups of near-equal
@@ -544,6 +561,11 @@ class ForestArena:
     @property
     def capacity(self) -> int:
         return self.population.shape[1]
+
+    @property
+    def total_population(self) -> int:
+        """Points inserted into each tree (batch sample plus extensions)."""
+        return int(self.population[0, self.root[0]])
 
     def _double(self) -> None:
         """Double every row's capacity, one field at a time, so that each old

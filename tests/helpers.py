@@ -82,7 +82,7 @@ def check_tree_invariants(
 
 
 def check_arena_invariants(arena, points=None, expected_population: int | None = None) -> dict:
-    """``check_tree_invariants`` for every tree of a ``ForestArena`` in one
+    """``check_tree_invariants`` for every tree of a ``Forest`` in one
     pass over its arrays, the links read off its child table as they are;
     returns each tree's leaf and internal counts. Written apart from the
     model loader's validator, which it then runs too."""
@@ -455,7 +455,7 @@ def arena_fingerprint(arena) -> str:
 # duplicates), as the batched-clock extension draws it
 EXTENSION_FINGERPRINT = "39b7ff9fc5d704d2ca41af5e4e3cbee71a2a4c4fc08ab4271f13f73eafc708ab"
 
-# SHA-256 of the ForestArena.route sums of test_forest._pinned_route_cases
+# SHA-256 of the Forest.route sums of test_forest._pinned_route_cases
 # (a duplicate-free forest over two point blocks, then a forest with
 # duplicate leaves over several trees per pass), in that order
 ROUTE_FINGERPRINT = "afdc5af25be3c1289d610df52095051d539482cc5f908772d0fc07ae56a30c82"
@@ -494,7 +494,7 @@ def reseal_model(path, edit) -> None:
 
 
 def fork_on(monkeypatch, cpus: int, fork_lanes: int | None = None, build_lanes: int | None = None) -> list[int]:
-    """Make the fork-joins of ``ForestArena.route`` and ``ForestArena.grow``
+    """Make the fork-joins of ``Forest.route`` and ``Forest.grow``
     see ``cpus`` usable CPUs (and, if given, per-worker lane floors of
     ``fork_lanes`` for routing and ``build_lanes`` for building), and count
     their forks: the returned list gains one entry per ``os.fork`` call in

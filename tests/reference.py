@@ -1,9 +1,9 @@
 """Per-tree reference implementations the lockstep kernels are tested against.
 
-``ForestArena.grow``, ``route`` and ``extend`` work on every tree of a forest
+``Forest.grow``, ``route`` and ``extend`` work on every tree of a forest
 at once. Here one writable ``Tree`` is built (``fit_tree``), walked
 (``walk``, ``path_length``) and extended (``extend_tree``) with plain Python
-loops over its nodes, by the draw contracts in ``ForestArena``'s docstring
+loops over its nodes, by the draw contracts in ``Forest``'s docstring
 and without calling the kernels or their cut rule, so each must leave a tree
 bit-identical to the kernel's, generator state included. ``view`` and
 ``views`` read an arena's trees into the same struct, read-only, so that a
@@ -68,7 +68,7 @@ def view(arena, t: int) -> Tree:
 
 def views(forest) -> tuple[Tree, ...]:
     """``view`` of every tree of a forest, in tree order."""
-    return tuple(view(forest.arena, t) for t in range(forest.num_trees))
+    return tuple(view(forest, t) for t in range(forest.num_trees))
 
 
 def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
@@ -91,7 +91,7 @@ def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: n
 
 
 def fit_tree(points, rng: np.random.Generator | int | None = None) -> Tree:
-    """The tree ``ForestArena.grow`` builds on ``points`` from ``rng``, built
+    """The tree ``Forest.grow`` builds on ``points`` from ``rng``, built
     here node by node, one level at a time. The tree owns the generator.
 
     At each level the open nodes, in slot order, take the min/max box (a
@@ -194,7 +194,7 @@ def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None)
     includes a point inside every box on its path, the whole path is
     passed and the point is absorbed into its leaf.
 
-    Draws follow the contract in ``ForestArena``: with k > 0 candidates,
+    Draws follow the contract in ``Forest``: with k > 0 candidates,
     one call ``random(k + 2)`` holding the k clocks in path order and then
     the cut's two uniforms, and scalar redraws of any clock uniform of 0.
 

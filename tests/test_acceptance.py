@@ -35,7 +35,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import ForestArena
+from imondrian.tree import Forest
 
 from helpers import check_arena_invariants, depth_oracle, kmeans2_oracle, random_dataset, structurally_equal
 from reference import views
@@ -58,7 +58,7 @@ def test_criterion_1_structural_invariants():
         n = int(rng.integers(2, 513))
         d = int(rng.integers(1, 9))
         X = random_dataset(rng, n, d)
-        arena = ForestArena.grow(X, [np.random.default_rng(seed + i) for seed in (5000, 9000, 13000)])
+        arena = Forest.grow(X, [np.random.default_rng(seed + i) for seed in (5000, 9000, 13000)])
         check_arena_invariants(arena, points=X, expected_population=n)
         inserted = [X]
         for j in range(100):

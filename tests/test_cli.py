@@ -436,6 +436,25 @@ class TestOneClassLabels:
         assert f"AUC: undefined for one class (every label is {label})" in capsys.readouterr().out
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "anomalies, flags",
+        [(40, ["--stages", "2"]), (10, ["--stages", "2", "--window", "1"])],
+        ids=["all-anomalies", "window-of-one"],
+    )
+    def test_stream_prints_undefined_auc(self, tmp_path, anomalies, flags, capsys):
+        """Every stage scores one class: all labels are 1, or a window of
+        one point holds one label."""
+        data, out = tmp_path / "one.csv", tmp_path / "stages.csv"
+        labels = np.zeros(40, dtype=int)
+        labels[:anomalies] = 1
+        _write_csv(data, np.random.default_rng(6).normal(size=(40, 2)), labels)
+        argv = ["stream", "--data", str(data), "--label-column", "label", "--trees", "3", "--out", str(out), *flags]
+        assert main(argv) == EXIT_OK
+        stages = [line for line in capsys.readouterr().out.splitlines() if line.startswith("stage ") and "AUC" in line]
+        assert len(stages) == 2 and all("AUC undefined for one class" in line for line in stages)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["nan", "nan"]
+
 
 class TestSyntheticFlags:
     """A synthetic recipe the flags describe but ``SyntheticSpec`` rejects is

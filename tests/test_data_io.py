@@ -543,22 +543,22 @@ class TestModelRoundTrip:
 
     def test_round_trip_after_capacity_doubled(self, tmp_path):
         X, forest = self._forest(seed=7)
-        start_capacity = forest.arena.capacity
+        start_capacity = forest.capacity
         rng = np.random.default_rng(3)
-        while forest.arena.capacity == start_capacity:
+        while forest.capacity == start_capacity:
             extend_forest(forest, rng.uniform(-40.0, 40.0, size=(10, 3)))
         path = tmp_path / "model.imf"
         save_model(forest, path)
         meta, arrays = read_model(path)
-        width = int(forest.arena.size.max())
-        assert meta["width"] == width < forest.arena.capacity
+        width = int(forest.size.max())
+        assert meta["width"] == width < forest.capacity
         # the stored child rows are the table's first W slots, row-local
-        kids = forest.arena.child.reshape(2, forest.num_trees, -1)
-        assert np.array_equal(arrays["child"], kids[:, :, :width] % forest.arena.capacity)
+        kids = forest.child.reshape(2, forest.num_trees, -1)
+        assert np.array_equal(arrays["child"], kids[:, :, :width] % forest.capacity)
         loaded = load_model(path)
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
-        assert [g.bit_generator.state for g in forest.arena.rngs] == [
-            g.bit_generator.state for g in loaded.arena.rngs
+        assert [g.bit_generator.state for g in forest.rngs] == [
+            g.bit_generator.state for g in loaded.rngs
         ]
         probes = rng.uniform(-50.0, 50.0, size=(60, 3))
         assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
@@ -573,14 +573,14 @@ class TestModelRoundTrip:
         X = np.random.default_rng(11).integers(0, 5, size=(300, 2)).astype(float)
         forest = train_batch(X, ForestConfig(num_trees=9, psi=24, seed=11))
         extend_forest(forest, np.array([[7.5, -1.0], [0.5, 0.5]]))
-        sizes = forest.arena.size
+        sizes = forest.size
         assert sizes.min() < sizes.max()
         path = tmp_path / "model.imf"
         save_model(forest, path)
-        loaded = load_model(path).arena
+        loaded = load_model(path)
         width = int(sizes.max())
         assert loaded.capacity == width
-        saved_arrays, loaded_arrays = node_arrays(forest.arena), node_arrays(loaded)
+        saved_arrays, loaded_arrays = node_arrays(forest), node_arrays(loaded)
         unused = np.arange(width) >= sizes[:, None]
         for name in TREE_FIELDS:
             saved = saved_arrays[name][:, :width]
@@ -591,7 +591,7 @@ class TestModelRoundTrip:
             assert (loaded_arrays[name][unused] == fill).all(), name
         flat = np.arange(loaded.child.size // 2).reshape(loaded.num_trees, width)
         assert (loaded.child.reshape(2, loaded.num_trees, width)[:, unused] == flat[unused]).all()
-        assert np.array_equal(loaded.root, forest.arena.root)
+        assert np.array_equal(loaded.root, forest.root)
         assert np.array_equal(loaded.size, sizes)
 
         def scribble(meta, arrays):  # a file's unused slots are not read
@@ -600,7 +600,7 @@ class TestModelRoundTrip:
                 array[(slice(None), unused) if name == "child" else unused] = 7
 
         reseal_model(path, scribble)
-        again = load_model(path).arena
+        again = load_model(path)
         for name, array in node_arrays(again).items():
             assert array.tobytes() == loaded_arrays[name].tobytes(), name
         assert np.array_equal(again.child, loaded.child)
@@ -855,8 +855,7 @@ class TestModelMemory:
             load_peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        arena = loaded.arena
-        arena_bytes = arena.child.nbytes + sum(getattr(arena, name).nbytes for name in FIELD_NAMES)
+        arena_bytes = loaded.child.nbytes + sum(getattr(loaded, name).nbytes for name in FIELD_NAMES)
         assert save_peak <= 0.25 * path.stat().st_size
         assert load_peak <= 1.5 * arena_bytes
 
@@ -895,15 +894,14 @@ class TestModelRoundTripProperty:
         save_model(forest, path)
         saved = path.read_bytes()
         loaded = load_model(path)
-        arena, again = forest.arena, loaded.arena
-        width = int(arena.size.max())
-        assert again.capacity == width
+        width = int(forest.size.max())
+        assert loaded.capacity == width
         for name in FIELD_NAMES:
-            assert getattr(again, name).tobytes() == getattr(arena, name)[:, :width].tobytes(), name
-        kids = arena.child.reshape(2, forest.num_trees, -1)[:, :, :width] % arena.capacity
-        assert np.array_equal(again.child.reshape(2, forest.num_trees, width) % width, kids)
-        assert np.array_equal(again.root, arena.root) and np.array_equal(again.size, arena.size)
-        assert [g.bit_generator.state for g in again.rngs] == [g.bit_generator.state for g in arena.rngs]
+            assert getattr(loaded, name).tobytes() == getattr(forest, name)[:, :width].tobytes(), name
+        kids = forest.child.reshape(2, forest.num_trees, -1)[:, :, :width] % forest.capacity
+        assert np.array_equal(loaded.child.reshape(2, forest.num_trees, width) % width, kids)
+        assert np.array_equal(loaded.root, forest.root) and np.array_equal(loaded.size, forest.size)
+        assert [g.bit_generator.state for g in loaded.rngs] == [g.bit_generator.state for g in forest.rngs]
         assert (loaded.n_effective, loaded.psi, loaded.seed) == (forest.n_effective, forest.psi, forest.seed)
         save_model(loaded, path)
         assert path.read_bytes() == saved
@@ -927,7 +925,7 @@ def model_file(tmp_path_factory):
     X = rng.integers(0, 4, size=(60, 2)).astype(float)
     forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=60))
     extend_forest(forest, rng.normal(scale=3.0, size=(6, 2)))
-    assert len(set(forest.arena.size.tolist())) > 1  # so the stored width has unused slots
+    assert len(set(forest.size.tolist())) > 1  # so the stored width has unused slots
     path = tmp_path_factory.mktemp("edits") / "model.imf"
     save_model(forest, path)
     return path.read_bytes(), path
@@ -964,7 +962,7 @@ class TestValidatorsAgree:
             forest = load_model(path)
         except ModelFormatError:
             return
-        check_arena_invariants(forest.arena)
+        check_arena_invariants(forest)
 
 
 class TestScoreExport:

@@ -7,6 +7,8 @@ import errno
 import hashlib
 import os
 import tempfile
+import threading
+import types
 import warnings
 
 import numpy as np
@@ -19,7 +21,6 @@ from imondrian.data_io import SyntheticSpec, gen_synthetic, load_model, save_mod
 from imondrian.errors import DimensionMismatchError
 from imondrian.evaluation import auc
 from imondrian.forest import (
-    Forest,
     ForestConfig,
     _leaf_depth,
     anomaly_score,
@@ -30,7 +31,7 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import FIELD_NAMES, NO_NODE, ROUTE_LANES, ForestArena, _can_fork, _fork_join
+from imondrian.tree import FIELD_NAMES, NO_NODE, ROUTE_LANES, Forest, _can_fork, _fork_join
 
 from helpers import (
     EXTENSION_FINGERPRINT,
@@ -139,12 +140,21 @@ class TestTrainBatch:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             ForestConfig(seed=-1)
 
+    def test_one_forest_type(self, tmp_path):
+        """``train_batch`` and ``load_model`` return the packed arena itself,
+        the public ``Forest``, with the training scalars on it."""
+        forest = train_batch(np.random.default_rng(27).normal(size=(30, 2)), ForestConfig(2, 8, 4))
+        save_model(forest, tmp_path / "m.imf")
+        for made in (forest, load_model(tmp_path / "m.imf")):
+            assert type(made) is imondrian.Forest is Forest
+            assert (made.n_effective, made.psi, made.seed) == (8, 8, 4)
+
     def test_numpy_integer_config_saves_and_loads(self, tmp_path):
         cfg = ForestConfig(num_trees=np.int32(3), psi=np.int64(8), seed=np.uint8(3))
         assert [type(v) for v in (cfg.num_trees, cfg.psi, cfg.seed)] == [int, int, int]
         X = np.random.default_rng(26).normal(size=(30, 2))
         forest = train_batch(X, cfg)
-        assert arena_fingerprint(forest.arena) == arena_fingerprint(train_batch(X, ForestConfig(3, 8, 3)).arena)
+        assert arena_fingerprint(forest) == arena_fingerprint(train_batch(X, ForestConfig(3, 8, 3)))
         save_model(forest, tmp_path / "m.imf")
         loaded = load_model(tmp_path / "m.imf")
         assert (loaded.psi, loaded.seed) == (8, 3)
@@ -407,11 +417,10 @@ class TestExtendForest:
         # [2, 0.5] deviates from every root box [0, 1]^2 by a total of 1, so
         # it splices above the root with probability 1 - exp(-root time)
         forest = train_batch([[0.0, 0.0], [1.0, 1.0]], ForestConfig(num_trees=4000, psi=None, seed=3))
-        arena = forest.arena
-        roots = arena.root.copy()
-        p = 1.0 - np.exp(-arena.split_time[np.arange(forest.num_trees), roots])
+        roots = forest.root.copy()
+        p = 1.0 - np.exp(-forest.split_time[np.arange(forest.num_trees), roots])
         extend_forest(forest, [[2.0, 0.5]])
-        changed = np.count_nonzero(arena.root != roots)
+        changed = np.count_nonzero(forest.root != roots)
         z = (changed - p.sum()) / np.sqrt((p * (1.0 - p)).sum())
         assert abs(z) < 4.0
 
@@ -496,20 +505,20 @@ class TestLockstepArena:
         X = random_dataset(rng, 512, 3)
         forest = train_batch(X, ForestConfig(num_trees=20, psi=64, seed=7))
         extend_forest(forest, _stream(rng, X, 300))
-        assert arena_fingerprint(forest.arena) == EXTENSION_FINGERPRINT
+        assert arena_fingerprint(forest) == EXTENSION_FINGERPRINT
 
     def test_growth_across_capacity_boundary(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(2, 2))
         forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=3))
         reference = [copy.deepcopy(tree) for tree in views(forest)]
-        start = forest.arena.capacity
+        start = forest.capacity
         stream = rng.uniform(-20.0, 20.0, size=(40, 2))
         for x in stream:
             extend_forest(forest, [x])
             for ref in reference:
                 extend_tree(ref, x)
-        assert forest.arena.capacity > 4 * start
+        assert forest.capacity > 4 * start
         self._assert_matches_reference(forest, reference, points=np.vstack([X, stream]))
         assert forest.total_population == 42
 
@@ -520,23 +529,23 @@ class TestLockstepArena:
         # next arrival finds room and reuses its score's walk
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
-        assert (forest.arena.size == forest.arena.capacity).all()
+        assert (forest.size == forest.capacity).all()
         reference = [copy.deepcopy(tree) for tree in views(forest)]
         walked_at = []
-        real_walk = ForestArena._walk
+        real_walk = Forest._walk
 
         def walk(arena, x):
             walked_at.append(arena.capacity)
             return real_walk(arena, x)
 
-        monkeypatch.setattr(ForestArena, "_walk", walk)
+        monkeypatch.setattr(Forest, "_walk", walk)
         for x in (X[1], np.array([3.0, -2.0])):
             score_all([x], forest)
             extend_forest(forest, [x])
             for ref in reference:
                 extend_tree(ref, x)
         assert walked_at == [3, 8, 8]
-        assert forest.arena.capacity == 8
+        assert forest.capacity == 8
         self._assert_matches_reference(forest, reference, points=np.vstack([X, X[1], [3.0, -2.0]]))
 
     def test_tree_views_are_read_only(self):
@@ -550,7 +559,7 @@ class TestLockstepArena:
             tree.box_min[0, 0] = 1e9
         with pytest.raises(ValueError):
             extend_tree(tree, [50.0, 50.0])
-        assert forest.arena.rngs[1].bit_generator.state == state
+        assert forest.rngs[1].bit_generator.state == state
         assert forest.total_population == 30
 
     def test_zero_clock_is_redrawn(self):
@@ -568,7 +577,7 @@ class TestLockstepArena:
 
         X = np.random.default_rng(23).normal(size=(20, 2))
         forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=5))
-        forest.arena.rngs = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
+        forest.rngs = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
         reference = [copy.deepcopy(tree) for tree in views(forest)]
         ref_gens = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
         x = X.max(axis=0) + 1.0  # outside every root box, so the root's clock comes first
@@ -588,10 +597,10 @@ class TestLockstepArena:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
         forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1))
         snapshot = [copy.deepcopy(tree) for tree in views(forest)]
-        assert (forest.arena.size == 5).all() and forest.arena.capacity == 5  # an insert would double first
+        assert (forest.size == 5).all() and forest.capacity == 5  # an insert would double first
         with pytest.raises(ValueError, match="overflow"):
             extend_forest(forest, [[1e308, 1e308]])
-        assert forest.arena.capacity == 5
+        assert forest.capacity == 5
         for tree, before in zip(views(forest), snapshot):
             assert structurally_equal(tree, before)
             assert tree.rng.bit_generator.state == before.rng.bit_generator.state
@@ -623,11 +632,11 @@ def _pinned_route_cases():
     rng = np.random.default_rng(33)
     X = rng.normal(size=(4096, 4))
     clean = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=5))
-    assert (clean.arena.population[links(clean.arena)[0] == NO_NODE] == 1).all()
+    assert (clean.population[links(clean)[0] == NO_NODE] == 1).all()
     probes = rng.normal(scale=1.5, size=(ROUTE_LANES + 3, 4))
     D = np.vstack([np.repeat(rng.normal(size=(6, 3)), 20, axis=0), rng.normal(size=(80, 3))])
     duplicate = train_batch(D, ForestConfig(num_trees=20, psi=None, seed=6))
-    assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
+    assert (duplicate.population[links(duplicate)[0] == NO_NODE] > 1).any()
     edges = np.r_[0:30, ROUTE_LANES - 10 : ROUTE_LANES + 3]  # both sides of the block edge
     return [(clean, probes, edges), (duplicate, np.vstack([D, _stream(rng, D, 700)]), np.arange(0, 900, 7))]
 
@@ -640,12 +649,12 @@ class TestRoutingTable:
     def test_route_sums_are_pinned(self, pinned):
         digest = hashlib.sha256()
         for forest, probes, _ in pinned:
-            digest.update(forest.arena.route(probes, _leaf_depth).tobytes())
+            digest.update(forest.route(probes, _leaf_depth).tobytes())
         assert digest.hexdigest() == ROUTE_FINGERPRINT
 
     def test_pinned_shapes_match_oracle(self, pinned):
         for forest, probes, rows in pinned:
-            sums = forest.arena._route(probes, _leaf_depth)
+            sums = forest._route(probes, _leaf_depth)
             trees = views(forest)
             assert sums[rows].tolist() == [sum(scored_depth(t, x) for t in trees) for x in probes[rows]]
 
@@ -655,38 +664,38 @@ class TestRoutingTable:
         monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: [0])
         X = np.random.default_rng(30).normal(size=(ROUTE_LANES // 4 + 1, 2))
         forest = train_batch(X, ForestConfig(num_trees=9, psi=None, seed=2))
-        _assert_table_current(forest.arena)
+        _assert_table_current(forest)
 
     def test_two_point_blocks_match_oracle(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(ROUTE_LANES + 3, 2))
         X[-3:] = rng.uniform(-8.0, 8.0, size=(3, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=4))
-        _assert_table_current(forest.arena)
+        _assert_table_current(forest)
         _assert_scores_match_oracle(forest, X)
 
     def test_edge_cases_through_doubling_and_round_trip(self, tmp_path):
         rng = np.random.default_rng(32)
         for i, X in enumerate(_lockstep_datasets(rng)):
             forest = train_batch(X, ForestConfig(num_trees=4, psi=None if i % 2 else 16, seed=i))
-            _assert_table_current(forest.arena)
+            _assert_table_current(forest)
             _assert_scores_match_oracle(forest, X)
-            start = forest.arena.capacity
+            start = forest.capacity
             arrivals = []
             for x in _stream(rng, X, 400):
                 extend_forest(forest, [x])
                 arrivals.append(x)
-                if forest.arena.capacity > start:
+                if forest.capacity > start:
                     break
-            assert forest.arena.capacity > start
+            assert forest.capacity > start
             extend_forest(forest, _stream(rng, X, 6))
             probes = np.vstack([X, arrivals, _stream(rng, X, 9)])
-            _assert_table_current(forest.arena)
+            _assert_table_current(forest)
             _assert_scores_match_oracle(forest, probes)
             path = tmp_path / f"forest{i}.imf"
             save_model(forest, path)
             loaded = load_model(path)
-            _assert_table_current(loaded.arena)
+            _assert_table_current(loaded)
             _assert_scores_match_oracle(loaded, probes)
 
 
@@ -710,12 +719,12 @@ def _assert_routes_like_oracle(forest, probes, rows=None):
     (every probe by default)."""
     rows = np.arange(len(probes)) if rows is None else rows
     expected = [sum(scored_depth(t, x) for t in views(forest)) for x in probes[rows]]
-    for kernel in (forest.arena.route, forest.arena._route):
+    for kernel in (forest.route, forest._route):
         assert kernel(probes, _leaf_depth)[rows].tolist() == expected
 
 
 class TestNodeDepthTable:
-    """``ForestArena._node_depths``, which ``_route`` reads each lane's edge
+    """``Forest._node_depths``, which ``_route`` reads each lane's edge
     count from, against the depths of ``reference.walk``."""
 
     @pytest.fixture(scope="class")
@@ -724,19 +733,19 @@ class TestNodeDepthTable:
         X = rng.normal(size=(300, 3))
         built = train_batch(X, ForestConfig(num_trees=6, psi=64, seed=1))
         extended = train_batch(X[:40], ForestConfig(num_trees=5, psi=None, seed=2))
-        start = extended.arena.capacity
+        start = extended.capacity
         for x in _stream(rng, X[:40], 400):
             extend_forest(extended, [x])
-            if extended.arena.capacity > start:
+            if extended.capacity > start:
                 break
-        assert extended.arena.capacity > start  # grown through _double
+        assert extended.capacity > start  # grown through _double
         extend_forest(extended, _stream(rng, X[:40], 9))
         D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 15, axis=0), rng.normal(size=(10, 2))])
         duplicate = train_batch(D, ForestConfig(num_trees=6, psi=None, seed=3))
-        assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
+        assert (duplicate.population[links(duplicate)[0] == NO_NODE] > 1).any()
         E = np.tile(rng.normal(size=(1, 3)), (12, 1))
         equal = train_batch(E, ForestConfig(num_trees=4, psi=None, seed=4))
-        assert (equal.arena.size == 1).all()  # every tree one leaf: no lane ever moves
+        assert (equal.size == 1).all()  # every tree one leaf: no lane ever moves
         path = tmp_path_factory.mktemp("depths") / "extended.imf"
         save_model(extended, path)
         return {
@@ -746,10 +755,10 @@ class TestNodeDepthTable:
 
     @pytest.mark.parametrize("case", ["built", "extended", "duplicate", "all-equal", "loaded"])
     def test_table_matches_walked_depths(self, forests, case):
-        arena = forests[case][0].arena
-        table = arena._node_depths()
-        assert table.dtype == np.min_scalar_type(arena.capacity)  # the smallest type that holds it
-        assert np.array_equal(table, _walked_depths(arena))
+        forest = forests[case][0]
+        table = forest._node_depths()
+        assert table.dtype == np.min_scalar_type(forest.capacity)  # the smallest type that holds it
+        assert np.array_equal(table, _walked_depths(forest))
 
     @pytest.mark.parametrize("case", ["built", "extended", "duplicate", "all-equal", "loaded"])
     def test_routes_match_oracle(self, forests, case):
@@ -823,7 +832,7 @@ class TestOnePointWalk:
         for x in _stream(rng, X, 300):
             score_all([x], forest)
             extend_forest(forest, [x])
-        assert arena_fingerprint(forest.arena) == EXTENSION_FINGERPRINT
+        assert arena_fingerprint(forest) == EXTENSION_FINGERPRINT
 
     def test_a_left_walk_never_goes_stale(self):
         X = random_dataset(np.random.default_rng(35), 200, 3)
@@ -833,23 +842,23 @@ class TestOnePointWalk:
         score_all([x], scored)
         extend_forest(scored, [y, x])
         extend_forest(plain, [y, x])
-        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
+        assert arena_fingerprint(scored) == arena_fingerprint(plain)
         score_all([x], scored)
         extend_forest(scored, [x, x])
         extend_forest(plain, [x, x])
-        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
+        assert arena_fingerprint(scored) == arena_fingerprint(plain)
 
     def test_a_refused_insert_leaves_no_walk(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
         scored, plain = (train_batch(X, ForestConfig(num_trees=6, psi=None, seed=1)) for _ in range(2))
-        before = arena_fingerprint(scored.arena)
+        before = arena_fingerprint(scored)
         score_all([[1e308, 1e308]], scored)
         with pytest.raises(ValueError, match="overflow"):
             extend_forest(scored, [[1e308, 1e308]])
-        assert arena_fingerprint(scored.arena) == before
+        assert arena_fingerprint(scored) == before
         extend_forest(scored, [[2.0, -1.0]])
         extend_forest(plain, [[2.0, -1.0]])
-        assert arena_fingerprint(scored.arena) == arena_fingerprint(plain.arena)
+        assert arena_fingerprint(scored) == arena_fingerprint(plain)
 
 
 def _fork_cases(rows):
@@ -861,7 +870,7 @@ def _fork_cases(rows):
     clean = train_batch(X, ForestConfig(num_trees=7, psi=32, seed=1))
     D = np.vstack([np.repeat(rng.normal(size=(4, 2)), 30, axis=0), rng.normal(size=(20, 2))])
     duplicate = train_batch(D, ForestConfig(num_trees=7, psi=None, seed=2))
-    assert (duplicate.arena.population[links(duplicate.arena)[0] == NO_NODE] > 1).any()
+    assert (duplicate.population[links(duplicate)[0] == NO_NODE] > 1).any()
     S = rng.normal(size=(200, 2))
     extended = train_batch(S, ForestConfig(num_trees=7, psi=64, seed=3))
     extend_forest(extended, _stream(rng, S, 60))
@@ -876,8 +885,8 @@ class TestForkJoinRoute:
         forks = fork_on(monkeypatch, cpus=workers, fork_lanes=1)
         mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
         for forest, probes in _fork_cases(rows):
-            expected = forest.arena._route(probes, _leaf_depth)
-            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+            expected = forest._route(probes, _leaf_depth)
+            assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
         assert len(forks) == 3 * (min(workers, rows) - 1)
         # the parent runs its block bound to one CPU and is unbound afterwards
         assert mask is None or os.sched_getaffinity(0) == mask
@@ -908,15 +917,15 @@ class TestForkJoinRoute:
 
         monkeypatch.setattr(call, fail)
         for forest, probes in _fork_cases(50):
-            expected = forest.arena._route(probes, _leaf_depth)
-            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+            expected = forest._route(probes, _leaf_depth)
+            assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
 
     def test_failed_child_block_is_routed_again(self, monkeypatch):
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
         forks = fork_on(monkeypatch, cpus=3, fork_lanes=1)
         parent, calls = os.getpid(), []
-        one_process = ForestArena._route
+        one_process = Forest._route
 
         def route_or_fail(arena, X, leaf_depth):
             if os.getpid() != parent:
@@ -924,11 +933,11 @@ class TestForkJoinRoute:
             calls.append(X.shape[0])
             return one_process(arena, X, leaf_depth)
 
-        monkeypatch.setattr(ForestArena, "_route", route_or_fail)
+        monkeypatch.setattr(Forest, "_route", route_or_fail)
         for forest, probes in _fork_cases(50):
             calls.clear()
-            expected = one_process(forest.arena, probes, _leaf_depth)
-            assert forest.arena.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+            expected = one_process(forest, probes, _leaf_depth)
+            assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
             assert sorted(calls) == [16, 17, 17]  # the parent routed all three blocks
         assert len(forks) == 6
 
@@ -944,7 +953,7 @@ def _build_cases():
 
 def _grow(X, sample_size, trees, seed=0):
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
-    return ForestArena.grow(X, rngs, sample_size)
+    return Forest.grow(X, rngs, sample_size)
 
 
 class TestForkJoinUnforked:
@@ -961,6 +970,34 @@ class TestForkJoinUnforked:
         calls = []
         assert _fork_join(7, lanes, 100, None, lambda a, b: calls.append((a, b)), None) is None
         assert calls == [(0, 7)]
+
+
+class TestCanFork:
+    """``_can_fork`` under patched thread counts and Python versions, so that
+    its branch for Python >= 3.12 runs under any interpreter."""
+
+    @pytest.mark.parametrize(
+        "python_threads, version, tasks, expected",
+        [
+            (2, (3, 12, 0), ["1"], False),
+            (1, (3, 11, 7), ["1", "2"], True),
+            (1, (3, 12, 0), ["1"], True),
+            (1, (3, 12, 0), ["1", "2"], False),
+            (1, (3, 12, 0), None, False),
+        ],
+        ids=["another-python-thread", "3.11-ignores-os-threads", "3.12-one-task", "3.12-two-tasks", "3.12-unreadable-tasks"],
+    )
+    def test_forks_only_as_the_one_thread(self, monkeypatch, python_threads, version, tasks, expected):
+        def listdir(path):
+            assert path == "/proc/self/task"
+            if tasks is None:
+                raise PermissionError(errno.EACCES, "Permission denied", path)
+            return tasks
+
+        monkeypatch.setattr(threading, "active_count", lambda: python_threads)
+        monkeypatch.setattr("imondrian.tree.sys", types.SimpleNamespace(version_info=version))
+        monkeypatch.setattr(os, "listdir", listdir)
+        assert _can_fork() is expected
 
 
 class TestForkJoinGrow:
@@ -1012,7 +1049,7 @@ class TestForkJoinGrow:
         expected = arena_fingerprint(_grow(X, sample_size, trees))
         forks = fork_on(monkeypatch, cpus=3, build_lanes=1)
         parent, calls = os.getpid(), []
-        one_process = ForestArena._grow_trees
+        one_process = Forest._grow_trees
 
         def grow_or_fail(arena, X, a, b, sample_size):
             if os.getpid() != parent:
@@ -1020,7 +1057,7 @@ class TestForkJoinGrow:
             calls.append((a, b))
             return one_process(arena, X, a, b, sample_size)
 
-        monkeypatch.setattr(ForestArena, "_grow_trees", grow_or_fail)
+        monkeypatch.setattr(Forest, "_grow_trees", grow_or_fail)
         arena = _grow(X, sample_size, trees)
         assert arena_fingerprint(arena) == expected
         check_arena_invariants(arena)
@@ -1125,7 +1162,7 @@ class TestPublicApi:
         X = np.random.default_rng(19).normal(size=(40, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=16, seed=0))
         extend_forest(forest, np.random.default_rng(20).uniform(-9.0, 9.0, size=(30, 2)))
-        arena, T = forest.arena, forest.num_trees
+        arena, T = forest, forest.num_trees
         for name in FIELD_NAMES:
             assert getattr(arena, name).shape == (T, arena.capacity) + ((2,) if name.startswith("box") else ())
         assert arena.child.shape == (2 * T * arena.capacity,)
@@ -1224,10 +1261,10 @@ class ForestMachine(RuleBasedStateMachine):
     @rule(sign=st.sampled_from([-1.0, 1.0]))
     def extend_overflowing(self, sign):
         for forest in self._forests():
-            before = arena_state(forest.arena)
+            before = arena_state(forest)
             with pytest.raises(ValueError, match="overflow"):
                 extend_forest(forest, [np.full(forest.dim, sign * FLOAT_MAX)])
-            assert arena_state(forest.arena) == before
+            assert arena_state(forest) == before
 
     @rule()
     def save_and_load(self):
@@ -1241,16 +1278,16 @@ class ForestMachine(RuleBasedStateMachine):
         seen = [self.seen[i] for i in rng.integers(0, len(self.seen), size=count // 2)]
         self._score(np.array(seen + [self._point(True, seed + j) for j in range(count - len(seen))]))
 
-    @precondition(lambda self: self.forest.arena.capacity <= 64)
+    @precondition(lambda self: self.forest.capacity <= 64)
     @rule(seed=st.integers(0, 2**31))
     def fill(self, seed):
         # each distinct point takes two slots in every tree, so the arena
         # regrows within capacity / 2 of them
-        before = self.forest.arena.capacity
-        while self.forest.arena.capacity == before:
+        before = self.forest.capacity
+        while self.forest.capacity == before:
             seed += 1
             self._extend(self._point(True, seed))
-        assert self.forest.arena.capacity == max(2 * before, 8)
+        assert self.forest.capacity == max(2 * before, 8)
 
     @rule(window=st.none() | st.integers(1, 40))
     def rescore(self, window):
@@ -1260,11 +1297,11 @@ class ForestMachine(RuleBasedStateMachine):
 
     @invariant()
     def trees_match_references(self):
-        arena = self.forest.arena
+        arena = self.forest
         check_arena_invariants(arena)
         assert [tree_bits(view(arena, t)) for t in range(arena.num_trees)] == [tree_bits(ref) for ref in self.refs]
         if self.loaded is not None:
-            assert arena_fingerprint(self.loaded.arena) == arena_fingerprint(arena)
+            assert arena_fingerprint(self.loaded) == arena_fingerprint(arena)
 
 
 TestForestMachine = deterministic(40, stateful_step_count=25)(ForestMachine.TestCase)

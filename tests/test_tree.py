@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
 from imondrian.forest import ForestConfig, _leaf_depth, train_batch
-from imondrian.tree import NO_NODE, ForestArena, as_point, as_points
+from imondrian.tree import NO_NODE, Forest, as_point, as_points
 
 from helpers import (
     arena_state,
@@ -81,13 +81,13 @@ class TestSmallestBlock:
         X[:, 0] = np.where(rng.random(24) < 0.5, 0.0, -0.0)
         X[:12, 1] = np.where(np.arange(12) % 2, 0.0, -0.0)
         for sample_size in (None, 8):
-            arena = ForestArena.grow(X, [np.random.default_rng(s) for s in range(4)], sample_size)
+            arena = Forest.grow(X, [np.random.default_rng(s) for s in range(4)], sample_size)
             for t in range(4):
                 tree, used = view(arena, t), arena.size[t]
                 for box in (tree.box_min[:used], tree.box_max[:used]):
                     assert not np.signbit(box[box == 0.0]).any()
         gen = np.random.default_rng(0)
-        assert tree_bits(view(ForestArena.grow(X, [gen]), 0)) == tree_bits(fit_tree(X, rng=np.random.default_rng(0)))
+        assert tree_bits(view(Forest.grow(X, [gen]), 0)) == tree_bits(fit_tree(X, rng=np.random.default_rng(0)))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ def _two_point_roots(points, trees: int, seed: int):
     """(split dimension, split value, split time) of the root of each of
     ``trees`` trees built on two points, each tree with its own generator."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
-    arena = ForestArena.grow(np.array(points, dtype=float), rngs)
+    arena = Forest.grow(np.array(points, dtype=float), rngs)
     rows = np.arange(trees)
     return arena.split_dim[rows, arena.root], arena.split_val[rows, arena.root], arena.split_time[rows, arena.root]
 
@@ -185,18 +185,18 @@ LAW_TREES = 20_000
 LAW_LEVEL = 1e-4  # fixed and strict: the seeds make each p-value a constant
 
 
-def _law_arena(points, seed: int, extra=()) -> ForestArena:
+def _law_arena(points, seed: int, extra=()) -> Forest:
     """LAW_TREES trees, each with its own generator, built on ``points`` and
     then extended with each point of ``extra`` in turn."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(LAW_TREES)]
-    arena = ForestArena.grow(points, rngs)
+    arena = Forest.grow(points, rngs)
     for x in extra:
         arena.extend(x)
     return arena
 
 
 def _no_leaf_term(population: np.ndarray) -> np.ndarray:
-    """A ``ForestArena.route`` leaf depth of 0 for every leaf, so that its
+    """A ``Forest.route`` leaf depth of 0 for every leaf, so that its
     sums are edge counts."""
     return np.zeros(population.shape)
 
@@ -269,7 +269,7 @@ class TestExtensionLaw:
 
     @pytest.fixture(scope="class")
     def route_sums(self, arenas):
-        """Each set's ForestArena.route sums in its two arenas, without the
+        """Each set's Forest.route sums in its two arenas, without the
         leaf term that a duplicate's leaf would add: E(l)'s edge count as
         scoring takes it."""
         return [[arena.route(X, _no_leaf_term) for arena in pair] for X, *pair in arenas]
@@ -368,7 +368,7 @@ class TestFitTree:
 
         gen = ZeroFirst(np.random.PCG64(0))
         X = np.random.default_rng(13).normal(size=(10, 2))
-        tree = view(ForestArena.grow(X, [gen]), 0)
+        tree = view(Forest.grow(X, [gen]), 0)
         assert gen.zeroed
         assert tree.split_time[tree.root] > 0.0
         check_tree_invariants(tree, points=X, expected_population=10)
@@ -385,7 +385,7 @@ class TestFitTree:
                 return draws
 
         X = np.random.default_rng(14).normal(size=(10, 2))
-        tree = view(ForestArena.grow(X, [ZeroUniforms(np.random.PCG64(0))]), 0)
+        tree = view(Forest.grow(X, [ZeroUniforms(np.random.PCG64(0))]), 0)
         # each cut lands on dim 0 at the box's upper end: the largest point goes right
         assert tree.split_dim[tree.root] == 0
         assert tree.split_val[tree.root] == X[:, 0].max()
@@ -589,9 +589,9 @@ class TestKernelsMatchOracles:
                 refs.append(None)
         if None in refs:
             with pytest.raises(ValueError):
-                ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+                Forest.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
             return
-        arena = ForestArena.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+        arena = Forest.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
         assert [tree_bits(view(arena, t)) for t in range(len(seeds))] == [tree_bits(ref) for ref in refs]
         assert arena.route(X, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in X]
         for x in arrivals:
