@@ -14,7 +14,11 @@ the same commands once per checkout, each in a subprocess whose
   then inserted, with the last 2,048 rows seen rescored after every 50th;
   its output is every score in order, and the model file it ends with;
 - ``imondrian stream`` on the 2,048 rows: its stage table without the
-  ``seconds`` column.
+  ``seconds`` column;
+- each of the three model files as that checkout's own ``load_model`` reads
+  it: every node field's used slots (the child table's row-local), tree by
+  tree, then ``root``, ``size`` and the generator states. So a change of
+  model format can still show that it kept the same forests.
 
 Prints one SHA-256 per output and side and exits 1 if any output differs
 (2 if a side fails to run). ``--small`` runs the same commands on tiny
@@ -62,11 +66,32 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def forest_digest(forest) -> str:
+    """SHA-256 of a loaded forest: every node field's used slots, with the
+    child table's two sides as row-local slots, tree by tree, then ``root``,
+    ``size`` and every generator's state."""
+    from imondrian.tree import FIELD_NAMES
+
+    C = forest.capacity
+    fields = [getattr(forest, name) for name in FIELD_NAMES] + list(forest.child.reshape(2, forest.num_trees, C) % C)
+    hashed = hashlib.sha256()
+    for field in fields:
+        for t, used in enumerate(forest.size.tolist()):
+            hashed.update(np.ascontiguousarray(field[t, :used]).tobytes())
+    hashed.update(forest.root.tobytes())
+    hashed.update(forest.size.tobytes())
+    for gen in forest.rngs:
+        hashed.update(json.dumps(gen.bit_generator.state, sort_keys=True).encode())
+    return hashed.hexdigest()
+
+
 def worker(shape: dict, data: Path) -> dict[str, str]:
     """Run every command in this process, in the current directory, and
     return each output's SHA-256."""
     import imondrian
-    from imondrian import ForestConfig, extend_forest, load_csv, rescore_window, save_model, score_all, train_batch
+    from imondrian import (
+        ForestConfig, extend_forest, load_csv, load_model, rescore_window, save_model, score_all, train_batch,
+    )
     from imondrian.cli import main
 
     def cli(*argv) -> None:
@@ -105,6 +130,9 @@ def worker(shape: dict, data: Path) -> dict[str, str]:
         "episode scores": scores.hexdigest(),
         "episode model": digest(Path("episode.model").read_bytes()),
         "stream table": digest(json.dumps(table).encode()),
+        **{f"{name} forest": forest_digest(load_model(file)) for name, file in (
+            ("fit psi 256", "fit256.model"), ("fit psi 0", "fit0.model"), ("episode", "episode.model"),
+        )},
         "package": imondrian.__file__,
     }
 

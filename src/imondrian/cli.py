@@ -200,8 +200,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         write_scores(args.out, scores, predicted, args.mode)
         print(f"{scores.size} score rows written to {args.out}")
     print(
-        f"fit {name}: n={points.shape[0]} d={points.shape[1]} trees={config.num_trees} "
-        f"n_effective={forest.n_effective} config={config_hash(config)}"
+        f"fit {name}: n={points.shape[0]} d={points.shape[1]} trees={config.num_trees} config={config_hash(config)}"
     )
     if labels is not None:
         print(_auc_line("train AUC", scores, labels))

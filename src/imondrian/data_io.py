@@ -1,12 +1,14 @@
 """Dataset ingestion, synthetic data generation, and persistence.
 
 The model file stores a forest's packed arena: a one-line header carrying
-magic, version and a SHA-256 checksum, one JSON metadata line, then the node
-arrays and the two sides of the arena's child table as raw little-endian
-bytes, so reloaded structures are bit-identical (see ``save_model``). Model
-files are streamed through the arena's own arrays, so neither a save nor a
-load holds a copy the size of the file, and a save replaces its target in
-one ``os.replace`` (see ``save_model`` and ``load_model``).
+magic, version and a SHA-256 checksum, one JSON metadata line, then each
+tree's used child entries, the cuts of its internal nodes and the
+populations and boxes of its leaves as raw little-endian bytes. Every other
+field is derived on load, so reloaded structures are bit-identical (see
+``save_model``). Model files are streamed in blocks of whole tree rows, so
+neither a save nor a load holds a copy the size of the file, and a save
+replaces its target in one ``os.replace`` (see ``save_model`` and
+``load_model``).
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ from .forest import ForestConfig
 from .tree import Forest, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 # a model file is hashed, written and skimmed in blocks of about this many
 # bytes at most, so that no step holds a copy of the file
 _BLOCK_BYTES = 1 << 20
+
+# the node fields a model file stores, after the child entries: the cut of
+# each internal node, then the population and box of each leaf
+_INNER_FIELDS = ("split_dim", "split_val", "split_time")
+_LEAF_FIELDS = ("population", "box_min", "box_max")
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -311,44 +318,36 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 def save_model(forest: Forest, path) -> None:
     """Persist a forest as its packed arena; the round trip is bit exact.
 
-    The file is a header line ``imondrian-forest v3 sha256=<hex>``, one JSON
-    line (the forest's scalars, the stored width W = the largest tree's
-    size, and every tree's root, size and generator state), then as raw
-    little-endian bytes the first W slots of every node field, in
-    ``tree.node_fields`` order, and then the child table: a (2, T, W) int32
-    array whose side 0 and 1 hold each slot's left and right child as a
-    row-local slot, and a leaf's or unused slot's own slot on both sides.
-    The checksum covers everything after the header line.
+    The file is a header line ``imondrian-forest v4 sha256=<hex>``, one JSON
+    line (``dim``, and every tree's ``root``, ``size`` and generator state in
+    ``rng_states``), then raw little-endian arrays, each over every tree in
+    turn and, within a tree, over its slots in order:
+    1. the child table's two sides over the used slots, as int32 slots of
+       the same tree (a leaf holds its own slot on both sides);
+    2. ``split_dim``, ``split_val`` and ``split_time`` of the internal slots;
+    3. ``population``, ``box_min`` and ``box_max`` of the leaf slots.
+    A tree of s slots has (s + 1) / 2 leaves, so the byte count follows from
+    ``size``. An internal node's box and population are the union and the
+    sum of its children's (see ``Forest``), and a leaf's cut fields the
+    unused-slot values, so neither is stored. The checksum covers everything
+    after the header line.
 
-    The arrays are hashed and then written straight from the arena's own
-    buffers, in blocks of whole tree rows (see ``_stored``), so the save
-    holds no copy the size of the file. The file is written beside the
-    target under a temporary name and moved onto it by ``os.replace``: a
-    save that fails leaves the previous file as it was and no temporary
-    file behind. A target that exists and is not a regular file, such as
-    a device or a pipe, is written in place.
+    The arrays are hashed and then written one block of tree rows at a time
+    (``_put_arrays``). The file is written beside the target under a
+    temporary name and moved onto it by ``os.replace``: a save that fails
+    leaves the previous file as it was and no temporary file behind. A
+    target that is not a regular file, such as a pipe, is written in place.
     """
-    width = int(forest.size.max())
-    meta = {
-        "n_effective": forest.n_effective,
-        "psi": forest.psi,
-        "seed": forest.seed,
-        "dim": forest.dim,
-        "num_trees": forest.num_trees,
-        "width": width,
-        "root": forest.root.tolist(),
-        "size": forest.size.tolist(),
-        "rng_states": [gen.bit_generator.state for gen in forest.rngs],
-    }
+    states = [gen.bit_generator.state for gen in forest.rngs]
+    meta = {"dim": forest.dim, "root": forest.root.tolist(), "size": forest.size.tolist(), "rng_states": states}
     line = json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"
     digest = hashlib.sha256(line)
-    for part in _stored(forest, width):
-        digest.update(part)
+    _put_arrays(forest, digest.update)
     header = f"{MODEL_MAGIC} v{MODEL_VERSION} sha256={digest.hexdigest()}\n".encode()
 
     def write(handle):
         handle.writelines([header, line])
-        handle.writelines(_stored(forest, width))
+        _put_arrays(forest, handle.write)
 
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_file():
@@ -368,35 +367,50 @@ def save_model(forest: Forest, path) -> None:
         raise
 
 
-def _stored(forest: Forest, width: int):
-    """The arrays of a model file, in file order, as C-contiguous
-    little-endian blocks of whole tree rows of about ``_BLOCK_BYTES`` at
-    most: views of the arena's fields when a row's first ``width`` slots
-    are the whole row, a copy of one block otherwise; the child rows are
-    always a converted copy of one block."""
+def _slots(forest: Forest) -> tuple[np.ndarray, np.ndarray]:
+    """(used, leaf): (T, C) masks of each tree's used slots and of those
+    used slots that are their own left child."""
     T, C = forest.population.shape
-    rows = max(1, _BLOCK_BYTES // (8 * forest.dim * width))  # a box row is the widest
-    blocks = [slice(a, a + rows) for a in range(0, T, rows)]
-    for name, dtype, _, _ in node_fields((), forest.dim):
-        field = getattr(forest, name)
-        for block in blocks:
-            yield np.ascontiguousarray(field[block, :width], dtype=dtype.newbyteorder("<"))
-    for side in forest.child.reshape(2, T, C):
-        for block in blocks:
-            yield (side[block, :width] % C).astype("<i4")
+    used = np.arange(C) < forest.size[:, None]
+    return used, used & (forest.child[: T * C].reshape(T, C) == np.arange(T * C).reshape(T, C))
+
+
+def _picks(forest: Forest, mask: np.ndarray):
+    """The flat indices of the slots in the (T, C) ``mask``, a block of whole
+    tree rows at a time, whose box field rows take ``_BLOCK_BYTES`` at most."""
+    T, C = forest.population.shape
+    rows = max(1, _BLOCK_BYTES // (8 * forest.dim * C))
+    for a in range(0, T, rows):
+        yield np.flatnonzero(mask[a : a + rows]) + a * C
+
+
+def _put_arrays(forest: Forest, put) -> None:
+    """Pass the arrays of a model file to ``put`` in file order, one block of
+    tree rows at a time (``_picks``) as a C-contiguous little-endian copy."""
+    used, leaf = _slots(forest)
+    C = forest.capacity
+    for side in forest.child.reshape(2, -1):
+        for at in _picks(forest, used):
+            put((side.take(at) % C).astype("<i4"))
+    for names, mask in ((_INNER_FIELDS, used & ~leaf), (_LEAF_FIELDS, leaf)):
+        for name in names:
+            field = forest._flat(name)
+            for at in _picks(forest, mask):
+                put(field.take(at, axis=0).astype(field.dtype.newbyteorder("<"), copy=False))
 
 
 def load_model(path) -> Forest:
     """Load a persisted forest, verifying magic, version, checksum, array
     sizes and tree structure; any problem raises ModelFormatError.
 
-    The file is streamed into a fresh arena: after the header and the
-    metadata line, the byte count the metadata declares is checked against
-    the file's size before anything is allocated, then each field is read
-    in place with ``readinto`` and hashed as it is read. A file whose
-    checksum does not match reports that, whatever else is wrong with it:
-    on any other problem the rest of the file is hashed, in blocks, before
-    the error is chosen. So the load holds the arena and no copy of the file.
+    The file is streamed into a fresh arena: the byte count the metadata
+    declares is checked against the file's size before anything is
+    allocated, then each array is read one block of tree rows at a time,
+    hashed and scattered into its slots. A file whose checksum does not
+    match reports that, whatever else is wrong with it: on any other problem
+    the rest of the file is hashed, in blocks, before the error is chosen.
+    The internal boxes and populations are derived once the links are known
+    to form trees (see ``_structure_problem``).
     """
     with Path(path).open("rb") as handle:
         header = handle.readline()
@@ -426,7 +440,7 @@ def load_model(path) -> Forest:
         raise error
     if error is not None:
         raise ModelFormatError(f"{path}: malformed payload: {error}") from error
-    problem = _structure_problem(forest)
+    problem = _structure_problem(forest, derive=True)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
@@ -435,82 +449,77 @@ def load_model(path) -> Forest:
 def _read_forest(handle, digest, path) -> Forest:
     """The forest whose metadata line and arrays follow in the open model
     file ``handle``, with every byte read fed to ``digest``; ValueError if
-    they do not fit together. Unused slots are reset to a fresh arena's
-    fill values and self loops, whatever the file holds there."""
+    they do not fit together. Slots the file does not store keep a fresh
+    arena's fill values and self loops."""
     line = handle.readline()
     digest.update(line)
     if not line.endswith(b"\n"):
         raise ModelFormatError(f"{path}: no array section after the metadata line")
     meta = json.loads(line)
-    config = ForestConfig(num_trees=meta["num_trees"], psi=meta["psi"], seed=meta["seed"])
-    for key, low in (("n_effective", 2), ("dim", 1), ("width", 1), ("root", 0), ("size", 1)):
-        bad = [v for v in (meta[key] if key in ("root", "size") else [meta[key]]) if not _is_int(v, low)]
-        if bad:
+    if sorted(meta) != ["dim", "rng_states", "root", "size"]:
+        raise ValueError(f"metadata keys are {sorted(meta)}, expected dim, rng_states, root and size")
+    for key, low in (("dim", 1), ("root", 0), ("size", 1)):
+        bad = [v for v in (meta[key] if key != "dim" else [meta[key]]) if type(v) is not int or v < low]
+        if bad:  # a bool is not a JSON integer here
             raise ValueError(f"{key}: {bad[0]!r} is not an integer >= {low}")
-    num_trees, dim, width, states = config.num_trees, meta["dim"], meta["width"], meta["rng_states"]
-    root = np.asarray(meta["root"], dtype=np.int64)
-    size = np.asarray(meta["size"], dtype=np.int64)
-    if not root.shape == size.shape == (num_trees,) or len(states) != num_trees:
-        raise ValueError("tree count does not match the metadata")
-    if size.max() != width:
-        raise ValueError("tree sizes do not fit the stored width")
-    fields = node_fields((num_trees, width), dim)
-    # the node fields, then the child table's two int32 rows
-    expected = sum(dtype.itemsize * math.prod(shape) for _, dtype, shape, _ in fields) + 8 * num_trees * width
+    dim, states, trees = meta["dim"], meta["rng_states"], len(meta["size"])
+    if not 0 < len(meta["root"]) == trees == len(states):
+        raise ValueError("root, size and rng_states do not list one or more trees alike")
+    if any(s % 2 == 0 for s in meta["size"]):
+        raise ValueError("a tree size is even: a tree of s slots has (s + 1) / 2 leaves")
+    slots = sum(meta["size"])
+    width = {name: dtype.itemsize * math.prod(shape) for name, dtype, shape, _ in node_fields((), dim)}
+    inner, leaves = (slots - trees) // 2, (slots + trees) // 2
+    expected = 8 * slots + sum(inner * width[n] for n in _INNER_FIELDS) + sum(leaves * width[n] for n in _LEAF_FIELDS)
     info = os.fstat(handle.fileno())
     if stat.S_ISREG(info.st_mode) and info.st_size - handle.tell() != expected:
         raise ValueError(f"array section holds {info.st_size - handle.tell()} bytes, expected {expected}")
-    forest = Forest(num_trees, dim, width)
-    unused = np.arange(width) >= size[:, None]
-    for name, _, _, fill in fields:
-        field = getattr(forest, name)
-        _read_into(handle, field, digest)
-        field[unused] = fill
-    kids = np.empty((num_trees, width), dtype=np.int32)
-    base = (np.arange(num_trees) * width)[:, None]
-    for side in forest.child.reshape(2, num_trees, width):  # self loops in a fresh arena
-        _read_into(handle, kids, digest)
-        np.add(kids, base, out=side, where=~unused)
+    forest = Forest(trees, dim, max(meta["size"]))
+    forest.size[:] = meta["size"]
+    used = _slots(forest)[0]
+    for side in forest.child.reshape(2, -1):  # self loops in a fresh arena
+        for at in _picks(forest, used):  # a row's first flat index plus a row-local slot
+            side[at] = at - at % forest.capacity + _read_array(handle, at.shape, np.int32, digest)
+    leaf = _slots(forest)[1]  # a leaf count off (s + 1) / 2 misreads the length of the file
+    for names, mask in ((_INNER_FIELDS, used & ~leaf), (_LEAF_FIELDS, leaf)):
+        for name in names:
+            field = forest._flat(name)
+            for at in _picks(forest, mask):
+                field[at] = _read_array(handle, at.shape + field.shape[1:], field.dtype, digest)
     if handle.read(1):
         raise ValueError(f"array section holds more than {expected} bytes")
-    forest.root[:] = root
-    forest.size[:] = size
+    forest.root[:] = meta["root"]
     for t, state in enumerate(states):
         forest.rngs[t] = np.random.default_rng()
         forest.rngs[t].bit_generator.state = state
-    forest.n_effective, forest.psi, forest.seed = meta["n_effective"], config.psi, config.seed
     return forest
 
 
-def _is_int(value, low: int) -> bool:
-    """Whether a JSON value is an integer (not a bool) of at least ``low``."""
-    return type(value) is int and value >= low
-
-
-def _read_into(handle, array: np.ndarray, digest) -> None:
-    """Fill a native-order array with the next little-endian bytes of the
-    file and feed those bytes to ``digest``; ValueError if the file ends."""
+def _read_array(handle, shape: tuple[int, ...], dtype, digest) -> np.ndarray:
+    """A native-order array of ``shape`` from the file's next little-endian
+    bytes, fed to ``digest``; ValueError if the file ends first."""
+    array = np.empty(shape, dtype=dtype)
     if handle.readinto(memoryview(array).cast("B")) != array.nbytes:
         raise ValueError("array section ends early")
     digest.update(array)
     if sys.byteorder == "big":
         array.byteswap(inplace=True)
+    return array
 
 
-def _structure_problem(forest: Forest) -> str | None:
+def _structure_problem(forest: Forest, derive: bool = False) -> str | None:
     """Why the packed trees of an arena are not valid partition trees, or None.
 
     Checked for every tree at once, on the child table itself: each side of
     a used slot is a used slot of the same tree; a node is a leaf iff both
     of its sides are self loops; every used slot but the root is entered by
     exactly one side that is not a self loop, and the root by none; split
-    times rise from parent to child (so links cannot form a cycle) and
-    leaves have an infinite split time; every node holds at least one point
-    and an internal node exactly its children's points; split dimensions lie
-    in [0, dim), and in [-1, dim) at leaves, whose dimension routing reads
-    and ignores; split values lie inside their node's box; boxes are ordered
-    and nest. Nesting is checked one box column at a time, so no gather is
-    larger than a column of one field.
+    times rise from parent to child, so links cannot form a cycle. Then,
+    with ``derive``, the internal boxes and populations are rebuilt from the
+    leaves (``Forest._derive_inner``), and: every node holds a point or
+    more; every root the same number, at least 2; split dimensions lie in
+    [0, dim); boxes are ordered; each cut separates its children, the left
+    one's box below the split value and the right one's at or above it.
     """
     T, C = forest.population.shape
     used = np.arange(C) < forest.size[:, None]
@@ -536,29 +545,22 @@ def _structure_problem(forest: Forest) -> str | None:
     inner_time = split_time[inner]
     if not ((split_time[roots] > 0.0).all() and all((split_time[kid] > inner_time).all() for kid in kids)):
         return "split times do not increase from parent to child"
-    if not np.isposinf(forest.split_time[used & leaf]).all():
-        return "leaf split time is not infinite"
-    population = forest.population.ravel()
+    if derive:
+        forest._derive_inner()
     if (forest.population[used] < 1).any():
         return "population below 1"
-    if (population[kids[0]] + population[kids[1]] != population[inner]).any():
-        return "internal population is not the sum of its children's"
+    held = forest.population.ravel()[roots]
+    if (held != held[0]).any() or held[0] < 2:
+        return "root populations differ between trees or are below 2"
     q = forest.split_dim.ravel()[inner].astype(np.int64)
-    if ((q < 0) | (q >= forest.dim)).any() or ((forest.split_dim < -1) | (forest.split_dim >= forest.dim)).any():
+    if ((q < 0) | (q >= forest.dim)).any():
         return "split dimension out of range"
-    box_min = forest.box_min.reshape(T * C, -1)
-    box_max = forest.box_max.reshape(T * C, -1)
-    p = forest.split_val.ravel()[inner]
-    if not ((box_min.ravel()[inner * forest.dim + q] <= p) & (p <= box_max.ravel()[inner * forest.dim + q])).all():
-        return "split value outside its node's box"
     if used.ravel()[np.flatnonzero(~(forest.box_min <= forest.box_max)) // forest.dim].any():  # NaN too
         return "box with its minimum above its maximum"
-    for j in range(forest.dim):
-        for box, nested in ((box_min, np.greater_equal), (box_max, np.less_equal)):
-            column = box[:, j].copy()
-            bound = column[inner]
-            if not all(nested(column[kid], bound).all() for kid in kids):
-                return "child box not nested in its parent's"
+    p = forest.split_val.ravel()[inner]
+    below = forest.box_max.ravel()[kids[0] * forest.dim + q] < p
+    if not (below & (p <= forest.box_min.ravel()[kids[1] * forest.dim + q])).all():
+        return "a cut does not separate its children's boxes"
     return None
 
 

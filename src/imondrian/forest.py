@@ -3,9 +3,10 @@
 The anomaly score of a point is 2 ** (-E(l) / c(n)), where E(l) is the mean
 over the trees of the point's root-to-leaf path length plus c(m) for the m
 points its leaf holds (0 for m = 1), and c(n) is the expected path length
-of a random binary search tree on n points. Deep points (hard to isolate)
-score near 0, shallow points near 1, and a point exactly as deep as the
-expected average scores 0.5.
+of a random binary search tree on the n points each tree holds (its sample,
+then every arrival), as in iForest (Liu, Ting & Zhou 2008). Deep points
+(hard to isolate) score near 0, shallow points near 1, and a point exactly
+as deep as the expected average scores 0.5.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def _leaf_depth(population: np.ndarray) -> np.ndarray:
     return term
 
 
-def anomaly_score(expected_path_length, n_effective: int):
-    """Map an expected path length (a scalar or an array) to the (0, 1]
-    anomaly scale."""
-    return np.exp2(-np.asarray(expected_path_length, dtype=float) / c_factor(n_effective))
+def anomaly_score(expected_path_length, n: int):
+    """Map an expected path length (a scalar or an array) in trees of n
+    points to the (0, 1] anomaly scale."""
+    return np.exp2(-np.asarray(expected_path_length, dtype=float) / c_factor(n))
 
 
 @dataclass(frozen=True)
@@ -74,20 +75,16 @@ class ForestConfig:
 
     def __post_init__(self):
         # integers of any integral type are kept as Python ints, which
-        # save_model can write; bools, floats and the rest are refused
-        for name in ("num_trees", "psi", "seed"):
+        # config_hash writes as JSON; bools, floats and the rest are refused
+        for name, low in (("num_trees", 1), ("psi", 2), ("seed", 0)):
             value = getattr(self, name)
             if value is None and name == "psi":
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}{' when subsampling' * (name == 'psi')}, got {value}")
             object.__setattr__(self, name, int(value))
-        if self.num_trees < 1:
-            raise ValueError(f"num_trees must be >= 1, got {self.num_trees}")
-        if self.psi is not None and self.psi < 2:
-            raise ValueError(f"psi must be >= 2 when subsampling, got {self.psi}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def train_batch(points, config: ForestConfig | None = None) -> Forest:
@@ -107,21 +104,20 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
         raise ValueError(f"training needs at least 2 points, got {n}")
     subsampling = cfg.psi is not None and n > cfg.psi
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)]
-    forest = Forest.grow(X, rngs, cfg.psi if subsampling else None)
-    forest.psi, forest.seed = cfg.psi, cfg.seed
-    return forest
+    return Forest.grow(X, rngs, cfg.psi if subsampling else None)
 
 
 def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """Score a batch: ``(expected_path_length, score)`` float64 arrays in
     input order. A single point is scored as a one-row batch.
 
-    All trees are walked in lockstep, one depth level per numpy step.
+    All trees are walked in lockstep, one depth level per numpy step, and
+    the scores are normalised by c(``forest.total_population``).
     """
     if _is_empty(points):
         return np.zeros(0), np.zeros(0)
     expected = forest.route(as_points(points, forest.dim), _leaf_depth) / forest.num_trees
-    return expected, anomaly_score(expected, forest.n_effective)
+    return expected, anomaly_score(expected, forest.total_population)
 
 
 def _is_empty(points) -> bool:
@@ -140,8 +136,8 @@ def extend_forest(forest: Forest, new_points) -> Forest:
     without partially mutating the forest for that point; all trees take a
     point in one lockstep pass (``Forest.extend``), each drawing from
     its own generator only, so a tree grows the same way in any forest.
-    ``n_effective`` is left unchanged, so scores drift down as the trees
-    deepen (see ``Forest``). Mutates in place and returns the forest.
+    Later scores are normalised by the grown population. Mutates in place
+    and returns the forest.
     """
     if _is_empty(new_points):
         return forest

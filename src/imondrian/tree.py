@@ -35,15 +35,9 @@ per-tree references the kernels are tested against (``fit_tree``,
 ``path_length`` and ``extend_tree``) live in ``tests/reference.py``.
 
 A large forest is built, and a large batch routed, on every CPU in the
-process's affinity mask (so ``taskset -c 0`` keeps them on one), by one
-fork-join (``_fork_join``) over contiguous blocks, each process bound to
-its own CPU and each child handing its result back through an unnamed
-file. The build splits by trees, one process per FORK_BUILD_LANES (tree,
-point) lanes: every tree draws only from its own generator, so the forest
-is bit for bit the one-process forest. Routing splits by points and never
-by trees, one process per FORK_LANES lanes, so each point's sum is still
-taken by one process in tree order, and scores are bit for bit those of
-one process.
+process's affinity mask (so ``taskset -c 0`` keeps them on one) by one
+fork-join, ``_fork_join``, bit for bit as one process would (see
+``Forest.grow`` and ``Forest.route``).
 """
 
 from __future__ import annotations
@@ -310,18 +304,12 @@ def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> None:
 
 class Forest:
     """An isolation Mondrian forest: every tree packed into one
-    structure-of-arrays arena, with the scalars its scores and model file
-    carry.
+    structure-of-arrays arena.
 
-    ``n_effective`` is the sample size the score normalization uses: the
-    per-tree sample size m that ``grow`` built on, which is the subsample
-    size when subsampling was applied and the batch size otherwise.
-    ``psi`` and ``seed`` are the settings ``train_batch`` trained with.
-    Streaming extension leaves ``n_effective`` fixed while every tree takes
-    every arrival and deepens, so an extended forest's scores drift down and
-    are not comparable with its scores after fit: after 1,000 inserts into
-    100 psi-256 trees, threshold mode at 0.5 flagged 0.045 of anomalies
-    instead of 0.514 (ROADMAP.md, item 13).
+    Every tree holds every point the forest took (its sample, then every
+    arrival): ``total_population``. An internal node's box is the union of
+    its children's, bit for bit (points enter with their zero signs pinned
+    to +0.0), and its population their sum; ``_derive_inner`` rebuilds both.
 
     Each node field has shape ``(num_trees, capacity)`` (boxes add a
     ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
@@ -332,9 +320,7 @@ class Forest:
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
-    ``extend`` inserts one point into every tree. A one-point ``route``
-    walks as ``extend`` does and hands the walk to the next ``extend`` of
-    that point; every ``extend`` clears it.
+    ``extend`` inserts one point into every tree.
 
     ``grow`` builds every node of a depth in one pass over the trees of a
     group. Tree t draws only from its own generator: first its subsample,
@@ -343,7 +329,7 @@ class Forest:
     then a fresh exponential for any waiting time that rounded to 0. So a
     tree depends on its generator and the data alone, not on the other
     trees, on how trees are grouped or on which process builds them; slots
-    are numbered breadth first. A box's zero bound is always +0.0.
+    are numbered breadth first.
 
     ``extend`` is one body: overflow check, regrow, then walk, race and
     write. It follows one draw contract, tree by tree, so a tree's result
@@ -370,15 +356,11 @@ class Forest:
     records the leaf each lane parks on and reads its depth off
     ``_node_depths``; ``extend`` has one lane per tree and steps all of them
     every level, so its walk is a (levels, T) array from which each tree's
-    path is the root and every level at which that lane moved. The model
-    file stores the table's two sides row-local (``data_io.save_model``).
+    path is the root and every level at which that lane moved.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
         self.dim = int(dim)
-        self.n_effective = 0  # set by grow, or read from a model file
-        self.psi: int | None = None
-        self.seed = 0
         self.root = np.full(num_trees, NO_NODE, dtype=np.int64)
         self.size = np.zeros(num_trees, dtype=np.int64)
         self.rngs: list[np.random.Generator | None] = [None] * num_trees
@@ -393,9 +375,8 @@ class Forest:
 
         Each tree is built on ``sample_size`` rows drawn without replacement
         by its own generator, or on all of ``X`` when ``sample_size`` is
-        None, and takes ownership of that generator; that per-tree sample
-        size is the forest's ``n_effective``. Raises ValueError when a box's
-        linear dimension overflows.
+        None, and takes ownership of that generator. Raises ValueError when
+        a box's linear dimension overflows.
 
         A large forest is built on every CPU in the process's affinity mask,
         by a fork-join over contiguous blocks of trees (see ``_fork_join``):
@@ -437,7 +418,6 @@ class Forest:
                 gen.bit_generator.state = state
 
         _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take)
-        forest.n_effective = m
         return forest
 
     def _grow_trees(self, X: np.ndarray, a: int, b: int, sample_size: int | None) -> None:
@@ -564,7 +544,8 @@ class Forest:
 
     @property
     def total_population(self) -> int:
-        """Points inserted into each tree (batch sample plus extensions)."""
+        """Points each tree holds (its sample plus every arrival): the n of
+        the score's c(n)."""
         return int(self.population[0, self.root[0]])
 
     def _double(self) -> None:
@@ -607,7 +588,7 @@ class Forest:
         """
         n = X.shape[0]
         if n == 1:  # walked as extend walks, and left for its extend
-            self._walked = (X[0].tobytes(), self._walk(X[0]))
+            self._walked = ((X[0] + 0.0).tobytes(), self._walk(X[0]))  # keyed as extend pins x
             _, path_flat, starts = self._walked[1]
             leaf = np.append(starts[1:], path_flat.size) - 1
             depth = leaf - starts + leaf_depth(self._flat("population").take(path_flat.take(leaf)))
@@ -692,27 +673,47 @@ class Forest:
             del xt  # before the next block's copy, so one transposed block is held at a time
         return depth_sum
 
-    def _node_depths(self) -> np.ndarray:
-        """Each flat node's edge count from its tree's root (0 if unused) by a
-        level walk over ``child``, in the smallest int type holding the capacity."""
+    def _levels(self):
+        """Each depth's internal nodes, roots' depth first, with their left
+        and right children, as flat indices: a level walk over ``child``."""
         TC = self.population.size
-        depth = np.zeros(TC, dtype=np.min_scalar_type(self.capacity))
         level = np.arange(self.num_trees) * self.capacity + self.root
-        for edges in itertools.count():
-            depth[level] = edges
+        while True:
             left = self.child.take(level)
             inner = np.flatnonzero(left != level)  # a leaf is its own child
             if not inner.size:
-                return depth
-            level = np.concatenate((left.take(inner), self.child.take(level.take(inner) + TC)))
+                return
+            node, left = level.take(inner), left.take(inner)
+            right = self.child.take(node + TC)
+            yield node, left, right
+            level = np.concatenate((left, right))
+
+    def _node_depths(self) -> np.ndarray:
+        """Each flat node's edge count from its tree's root (0 if unused), in
+        the smallest int type holding the capacity."""
+        depth = np.zeros(self.population.size, dtype=np.min_scalar_type(self.capacity))
+        for edges, (_, left, right) in enumerate(self._levels(), 1):
+            depth[left] = depth[right] = edges
+        return depth
+
+    def _derive_inner(self) -> None:
+        """Set every internal node's box and population to the union and the
+        sum of its children's, one gather per level, deepest level first."""
+        box_min, box_max = self._flat("box_min"), self._flat("box_max")
+        population = self._flat("population")
+        for node, left, right in reversed(list(self._levels())):
+            box_min[node] = np.minimum(box_min.take(left, axis=0), box_min.take(right, axis=0))
+            box_max[node] = np.maximum(box_max.take(left, axis=0), box_max.take(right, axis=0))
+            population[node] = population.take(left) + population.take(right)
 
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree.
 
-        Raises ValueError, with the arena unchanged, if a rate would
-        overflow in some tree (every box on x's path lies inside the root's
-        box enlarged to admit x). Then doubles the capacity if some row has
-        fewer than two free slots, so that no index changes after that, and:
+        x's zero coordinates are read as +0.0. Raises ValueError, with the
+        arena unchanged, if a rate would overflow in some tree (every box on
+        x's path lies inside the root's box enlarged to admit x). Then
+        doubles the capacity if some row has fewer than two free slots, so
+        that no index changes after that, and:
         1. walks x down every tree at once, or takes the walk ``route`` left
            for x if the capacity did not change (every call clears it);
         2. races: every deviation rate on the paths at once, one draw per
@@ -724,6 +725,7 @@ class Forest:
            above each node where a clock fired.
         """
         walked, self._walked = self._walked, None
+        x = x + 0.0  # a fresh array: -0.0 is read as +0.0, as the build reads it
         T = self.num_trees
         _check_rates_finite(self.box_min[np.arange(T), self.root], self.box_max[np.arange(T), self.root], x)
         if self.size.max() + 2 > self.capacity:

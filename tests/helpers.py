@@ -126,10 +126,12 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
     q = arena.split_dim.ravel()[inner].astype(np.int64)
     assert ((q >= 0) & (q < arena.dim)).all(), "split dimension out of range"
     p = arena.split_val.ravel()[inner]
-    assert ((box_min[inner, q] <= p) & (p <= box_max[inner, q])).all(), "split value outside its box"
-    assert (population[inner] == population[left[inner]] + population[right[inner]]).all(), "population mismatch"
-    up = np.tile(inner, 2)
-    assert (box_min[kids] >= box_min[up]).all() and (box_max[kids] <= box_max[up]).all(), "box not nested"
+    lo_kid, hi_kid = left[inner], right[inner]
+    assert ((box_max[lo_kid, q] < p) & (p <= box_min[hi_kid, q])).all(), "a cut does not separate its children"
+    assert (population[inner] == population[lo_kid] + population[hi_kid]).all(), "population mismatch"
+    # bit for bit, so a zero bound's sign counts
+    assert np.minimum(box_min[lo_kid], box_min[hi_kid]).tobytes() == box_min[inner].tobytes(), "box not a union"
+    assert np.maximum(box_max[lo_kid], box_max[hi_kid]).tobytes() == box_max[inner].tobytes(), "box not a union"
     leaves = np.bincount(tree_of[used & leaf], minlength=T)
     internals = np.bincount(tree_of[inner], minlength=T)
     assert (leaves == internals + 1).all(), "not a proper binary tree"
@@ -363,7 +365,8 @@ V2_MODEL = base64.b64decode(
     "AAEAAAAAAAAAAQAAAAAAAAAEAAAAAAAAAAEAAAAAAAAA"
 )
 # V2_MODEL's forest written in format v3, which stores the child rows in
-# place of the left, right and parent links: it scores V2_PATH_LENGTHS too.
+# place of the left, right and parent links. Version 3 files are rejected
+# now too.
 V3_MODEL = base64.b64decode(
     "aW1vbmRyaWFuLWZvcmVzdCB2MyBzaGEyNTY9ODQ5YzJmZGVhNDkzNGMyYmE1NjU5MDE1ZTk2MTBlOGVm"
     "MTVlYzRiYTI5OGE4ODlkYmJhNjM5YzU4OGZlMTNhMAp7Im5fZWZmZWN0aXZlIjozLCJwc2kiOm51bGws"
@@ -401,6 +404,36 @@ V3_MODEL = base64.b64decode(
     "AAMAAAAEAAAAAgAAAAYAAAABAAAAAwAAAAIAAAADAAAABAAAAAAAAAAGAAAAAgAAAAQAAAACAAAAAwAA"
     "AAQAAAAGAAAABgAAAAUAAAAEAAAAAgAAAAMAAAAEAAAABgAAAAYAAAACAAAABAAAAAIAAAADAAAABAAA"
     "AAYAAAAGAAAA"
+)
+# V2_MODEL's forest written in format v4, which stores the used child
+# entries, the cuts of the internal nodes and the populations and boxes of
+# the leaves: it scores V2_PATH_LENGTHS too.
+V4_MODEL = base64.b64decode(
+    "aW1vbmRyaWFuLWZvcmVzdCB2NCBzaGEyNTY9OThiN2FjNDEzNzhjMGVhMGU4NmY1ZWM4OGI0MWNlNTQz"
+    "ZWVkNTI0YjY2NmU3YjcxOGRjNGZiZDgyNzU3NDUwOQp7ImRpbSI6Miwicm9vdCI6WzUsMCw1XSwic2l6"
+    "ZSI6WzcsNyw3XSwicm5nX3N0YXRlcyI6W3siYml0X2dlbmVyYXRvciI6IlBDRzY0Iiwic3RhdGUiOnsi"
+    "c3RhdGUiOjEzNjcwNzM2NTI1MjQwNjMxOTEwNjkxNTM3MTAyOTI4MTAwNjAwNCwiaW5jIjoyNzMwOTYz"
+    "NzIyODIwOTY0OTQ0NTYzMjIyOTc1MjE2OTk1MzcyMzV9LCJoYXNfdWludDMyIjowLCJ1aW50ZWdlciI6"
+    "MH0seyJiaXRfZ2VuZXJhdG9yIjoiUENHNjQiLCJzdGF0ZSI6eyJzdGF0ZSI6MTUyMDc1NzcxMzM0OTMw"
+    "Njk1NTU2NDcwMzY1MDcyMjg5NjM4OTY5LCJpbmMiOjMyOTAwMjA0MTgwODIwODU4NDAyMjgzNzMyODQ1"
+    "NDczOTcwNTE2OX0sImhhc191aW50MzIiOjAsInVpbnRlZ2VyIjowfSx7ImJpdF9nZW5lcmF0b3IiOiJQ"
+    "Q0c2NCIsInN0YXRlIjp7InN0YXRlIjoyMTU1NzEzODcyODE5NDkxNTgyNTYwODgyOTMyOTI2MTA5Mzc1"
+    "NjEsImluYyI6MTg0NjI1ODQ2NDg4NTg5OTMyNjk3NTc3NjUwNjUxMzgxODczNzY5fSwiaGFzX3VpbnQz"
+    "MiI6MCwidWludGVnZXIiOjB9XX0KAQAAAAMAAAACAAAAAwAAAAQAAAAAAAAABgAAAAEAAAADAAAAAgAA"
+    "AAMAAAAEAAAAAgAAAAYAAAABAAAAAwAAAAIAAAADAAAABAAAAAAAAAAGAAAAAgAAAAQAAAACAAAAAwAA"
+    "AAQAAAAGAAAABgAAAAUAAAAEAAAAAgAAAAMAAAAEAAAABgAAAAYAAAACAAAABAAAAAIAAAADAAAABAAA"
+    "AAYAAAAGAAAAAAAAAAEAAAABAAAAAAAAAAEAAAABAAAAAAAAAAAAAAABAAAALjdCpxJWAUDIYXZkurz0"
+    "P/LBW3dKJgJAmMrjgFpd/T+kFtmVkaj4P6xzcu0JJQdAoOUft0Gl/T/sCf+ArCrfPzNXRlpvugJAXfi/"
+    "rR0U5T9H1jjTG33nPwB/uM6B5KA/OlxynDmPxD8lQ3mgP5PVPxVbphyhyvg//875smeW0z/8CKhlo2/w"
+    "P5myCYdgysU/AQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAA"
+    "AAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAAAAAAAACEAAAAAAAADw"
+    "PwAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAAEEAAAAAAAAAIQAAAAAAAAAhAAAAA"
+    "AAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAQAAAAAAAABBAAAAAAAAACEAAAAAAAAAI"
+    "QAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQQAAAAAAAAAhAAAAA"
+    "AAAACEAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAAEEAAAAAAAAAI"
+    "QAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAAQAAAAAAAABBAAAAA"
+    "AAAACEAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQ"
+    "QAAAAAAAAAhA"
 )
 V2_PROBES = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], [2.0, 2.0], [-5.0, 9.0]]
 V2_PATH_LENGTHS = [
@@ -462,20 +495,28 @@ ROUTE_FINGERPRINT = "afdc5af25be3c1289d610df52095051d539482cc5f908772d0fc07ae56a
 
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The metadata dict and writable arrays of a saved model file, the node
-    fields and then the (2, T, W) ``child`` rows, parsed by hand from the
-    layout ``save_model`` documents."""
+    """The metadata dict and writable arrays of a saved model file, parsed
+    by hand from the layout ``save_model`` documents, in file order:
+    ``child``, a (2, S) int32 array over the S used slots of every tree in
+    turn, then ``split_dim``, ``split_val`` and ``split_time`` over the
+    internal slots, then ``population``, ``box_min`` and ``box_max`` over
+    the leaf slots, (S + T) / 2 of them for T trees."""
     raw = path.read_bytes()
     header_end = raw.index(b"\n")
     meta_end = raw.index(b"\n", header_end + 1)
     meta = json.loads(raw[header_end + 1 : meta_end])
-    lead = (meta["num_trees"], meta["width"])
+    slots = sum(meta["size"])
+    leaves = (slots + len(meta["size"])) // 2
+    fields = {name: (dtype, shape) for name, dtype, shape, _ in node_fields((), meta["dim"])}
+    layout = [("child", np.dtype(np.int32), (2, slots))]
+    for names, count in ((("split_dim", "split_val", "split_time"), slots - leaves),
+                         (("population", "box_min", "box_max"), leaves)):
+        layout += [(name, fields[name][0], (count,) + fields[name][1]) for name in names]
     arrays, offset = {}, meta_end + 1
-    child = ("child", np.dtype(np.int32), (2,) + lead, None)
-    for name, dtype, shape, _ in node_fields(lead, meta["dim"]) + [child]:
-        count = math.prod(shape)
-        arrays[name] = np.frombuffer(raw, dtype.newbyteorder("<"), count, offset).reshape(shape).copy()
-        offset += count * dtype.itemsize
+    for name, dtype, shape in layout:
+        size = math.prod(shape)
+        arrays[name] = np.frombuffer(raw, dtype.newbyteorder("<"), size, offset).reshape(shape).copy()
+        offset += size * dtype.itemsize
     assert offset == len(raw), "trailing bytes after the node arrays"
     return meta, arrays
 

@@ -198,12 +198,13 @@ def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None)
     one call ``random(k + 2)`` holding the k clocks in path order and then
     the cut's two uniforms, and scalar redraws of any clock uniform of 0.
 
+    The point's zero coordinates are read as +0.0, as the kernel reads them.
     Uses the tree's own generator unless ``rng`` is given. Mutates in place
     and returns the tree. Raises ValueError, before drawing or writing
     anything, on a read-only tree view and on a point so far from the root's
     box that a deviation rate would overflow.
     """
-    x = as_point(x_new, tree.dim)
+    x = as_point(x_new, tree.dim) + 0.0
     gen = tree.rng if rng is None else _as_generator(rng)
     if not tree.left.flags.writeable:
         raise ValueError("tree is a read-only view of a forest; extend the forest instead")

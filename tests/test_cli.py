@@ -14,7 +14,7 @@ from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, V2_MODEL, deterministic, fork_on, reseal_model
+from helpers import V1_MODEL, V2_MODEL, V3_MODEL, deterministic, fork_on, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -50,6 +50,12 @@ class TestFit:
         assert model.exists()
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 301  # header + 255 inliers + 45 outliers
+
+    def test_summary_line_names_the_data_and_the_config(self, capsys):
+        assert main(["fit", "--synthetic", "ring", "--trees", "5", "--seed", "3"]) == EXIT_OK
+        summary = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("fit "))
+        assert summary.startswith("fit synthetic-ring: n=145 d=2 trees=5 config=")
+        assert "n_effective" not in summary
 
     def test_trees_zero_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -260,8 +266,10 @@ class TestScore:
     def test_resealed_bad_split_dim_is_data_error(self, tmp_path, blob_csv, fitted, capsys):
         model, _ = fitted
 
-        def edit(meta, arrays):
-            arrays["split_dim"][0, meta["root"][0]] = 7
+        def edit(meta, arrays):  # tree 0's root, among its internal slots
+            size = meta["size"][0]
+            inner = np.flatnonzero(arrays["child"][0, :size] != np.arange(size))
+            arrays["split_dim"][np.searchsorted(inner, meta["root"][0])] = 7
 
         reseal_model(model, edit)
         code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
@@ -350,6 +358,13 @@ class TestScore:
             code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
             assert code == EXIT_DATA
             assert f"version {version}" in capsys.readouterr().err
+
+    def test_version_3_model_is_data_error(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "v3.imf"
+        model.write_bytes(V3_MODEL)
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+        assert code == EXIT_DATA
+        assert "unsupported version v3 (this build reads v4)" in capsys.readouterr().err
 
     def test_binary_garbage_model_is_data_error(self, tmp_path, blob_csv):
         model = tmp_path / "garbage.imf"

@@ -43,6 +43,8 @@ from helpers import (
     V2_PATH_LENGTHS,
     V2_PROBES,
     V3_MODEL,
+    V4_MODEL,
+    arena_fingerprint,
     check_arena_invariants,
     check_tree_invariants,
     deterministic,
@@ -58,60 +60,71 @@ def _lines(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _tree0(meta, arrays):
+    """Tree 0 of a model file, which comes first in every array: writable
+    views of its left and right child entries, and its internal and its
+    leaf slots, each in file order."""
+    size = meta["size"][0]
+    left, right = arrays["child"][:, :size]
+    leaf = left == np.arange(size)
+    return left, right, np.flatnonzero(~leaf), np.flatnonzero(leaf)
+
+
 def _set_root(field, value):
     def edit(meta, arrays):
-        arrays[field][0, meta["root"][0]] = value
+        inner = _tree0(meta, arrays)[2]
+        arrays[field][np.searchsorted(inner, meta["root"][0])] = value
     return edit
 
 
-def _first_leaf(meta, arrays) -> int:
-    """The first leaf of tree 0 in a model file: its first slot whose two
-    ``child`` rows are self loops."""
-    return int(np.flatnonzero(arrays["child"][0, 0, : meta["size"][0]] == np.arange(meta["size"][0]))[0])
-
-
-def _widen_first_child(meta, arrays):
-    child = arrays["child"][0, 0, meta["root"][0]]
-    arrays["box_max"][0, child] += 100.0
-
-
 def _root_cut_outside_box(meta, arrays):
-    root = meta["root"][0]
-    arrays["split_val"][0, root] = arrays["box_max"][0, root, arrays["split_dim"][0, root]] + 1.0
-
-
-def _bump_root_population(meta, arrays):
-    arrays["population"][0, meta["root"][0]] += 1
+    inner = _tree0(meta, arrays)[2]
+    arrays["split_val"][np.searchsorted(inner, meta["root"][0])] = arrays["box_max"].max() + 1.0
 
 
 def _empty_leaf(meta, arrays):
-    arrays["population"][0, _first_leaf(meta, arrays)] = 0
-
-
-def _finite_leaf_time(meta, arrays):
-    arrays["split_time"][0, _first_leaf(meta, arrays)] = 1e9
-
-
-def _leaf_dim_past_dim(meta, arrays):
-    arrays["split_dim"][0, _first_leaf(meta, arrays)] = meta["dim"]
+    arrays["population"][0] = 0  # tree 0's first leaf
 
 
 def _left_past_size(meta, arrays):
-    arrays["child"][0, 0, meta["root"][0]] = meta["size"][0]
+    arrays["child"][0, meta["root"][0]] = meta["size"][0]
 
 
 def _negative_right_link(meta, arrays):
-    arrays["child"][1, 0, meta["root"][0]] = -1
+    arrays["child"][1, meta["root"][0]] = -1
 
 
 def _root_loses_right_child(meta, arrays):  # its right side becomes a self loop
     root = meta["root"][0]
-    arrays["child"][1, 0, root] = root
+    arrays["child"][1, root] = root
 
 
 def _root_children_coincide(meta, arrays):
     root = meta["root"][0]
-    arrays["child"][1, 0, root] = arrays["child"][0, 0, root]
+    arrays["child"][1, root] = arrays["child"][0, root]
+
+
+def _swap_root_children(meta, arrays):
+    root = meta["root"][0]
+    arrays["child"][:, root] = arrays["child"][::-1, root].copy()
+
+
+def _leaf_across_cut(meta, arrays):
+    """Move the first leaf of tree 0 that is a left child onto its parent's
+    cut, where only a right child may lie."""
+    left, _, inner, leaves = _tree0(meta, arrays)
+    j = next(j for j, node in enumerate(inner) if left[node] in leaves)
+    k = np.searchsorted(leaves, left[inner[j]])
+    q = arrays["split_dim"][j]
+    arrays["box_min"][k, q] = arrays["box_max"][k, q] = arrays["split_val"][j]
+
+
+def _even_size(meta, arrays):
+    meta["size"][0] += 1
+
+
+def _unequal_root_populations(meta, arrays):
+    arrays["population"][-1] += 1  # the last tree's last leaf
 
 
 class TestLoadCsv:
@@ -524,7 +537,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         loaded = load_model(path)
-        assert loaded.n_effective == forest.n_effective
+        assert loaded.total_population == forest.total_population
         assert loaded.dim == forest.dim
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
         probes = np.random.default_rng(1).uniform(-5, 5, size=(100, 3))
@@ -550,11 +563,11 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         meta, arrays = read_model(path)
-        width = int(forest.size.max())
-        assert meta["width"] == width < forest.capacity
-        # the stored child rows are the table's first W slots, row-local
+        assert int(forest.size.max()) < forest.capacity
+        # the stored child entries are every tree's used slots, row-local
         kids = forest.child.reshape(2, forest.num_trees, -1)
-        assert np.array_equal(arrays["child"], kids[:, :, :width] % forest.capacity)
+        used = np.concatenate([kids[:, t, :size] for t, size in enumerate(forest.size.tolist())], axis=1)
+        assert np.array_equal(arrays["child"], used % forest.capacity)
         loaded = load_model(path)
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
         assert [g.bit_generator.state for g in forest.rngs] == [
@@ -594,16 +607,26 @@ class TestModelRoundTrip:
         assert np.array_equal(loaded.root, forest.root)
         assert np.array_equal(loaded.size, sizes)
 
-        def scribble(meta, arrays):  # a file's unused slots are not read
-            unused = np.arange(meta["width"]) >= np.asarray(meta["size"])[:, None]
-            for name, array in arrays.items():
-                array[(slice(None), unused) if name == "child" else unused] = 7
+        # the file stores no unused slot, and no internal node's box or population
+        meta, arrays = read_model(path)
+        slots = int(sizes.sum())
+        assert arrays["child"].shape == (2, slots)
+        assert arrays["box_min"].shape == ((slots + forest.num_trees) // 2, forest.dim)
 
-        reseal_model(path, scribble)
-        again = load_model(path)
-        for name, array in node_arrays(again).items():
-            assert array.tobytes() == loaded_arrays[name].tobytes(), name
-        assert np.array_equal(again.child, loaded.child)
+    def test_negative_zeros_load_bit_for_bit(self, tmp_path):
+        # -0.0 in the batch and in the arrivals, among duplicates: every zero
+        # bound is +0.0, so the boxes the loader derives are the live ones
+        rng = np.random.default_rng(13)
+        X = rng.integers(-1, 2, size=(60, 2)) * rng.choice([1.0, -1.0], size=(60, 2))
+        arrivals = rng.integers(-2, 3, size=(40, 2)) * rng.choice([1.0, -1.0], size=(40, 2))
+        assert np.signbit(X[X == 0.0]).any() and np.signbit(arrivals[arrivals == 0.0]).any()
+        forest = train_batch(X, ForestConfig(num_trees=6, psi=24, seed=13))
+        extend_forest(forest, arrivals)
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        loaded = load_model(path)
+        check_arena_invariants(forest)
+        assert arena_fingerprint(loaded) == arena_fingerprint(forest)
 
     def test_corrupted_byte_fails_checksum(self, tmp_path):
         X, forest = self._forest()
@@ -634,26 +657,27 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b" v3 ", b" v9 ", 1))
+        path.write_bytes(blob.replace(b" v4 ", b" v9 ", 1))
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
     def test_version_1_file_rejected(self, tmp_path):
-        # and a version 2 file, whose links were row-local left, right and parent arrays
+        # and a version 2 file, whose links were row-local left, right and
+        # parent arrays, and a version 3 file, which stored every slot in full
         path = tmp_path / "model.imf"
-        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2")]:
+        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2"), (V3_MODEL, "v3")]:
             path.write_bytes(blob)
-            with pytest.raises(ModelFormatError, match=f"unsupported version {version} \\(this build reads v3\\)"):
+            with pytest.raises(ModelFormatError, match=f"unsupported version {version} \\(this build reads v4\\)"):
                 load_model(path)
 
-    def test_version_3_file_loads_scores_and_resaves(self, tmp_path):
+    def test_version_4_file_loads_scores_and_resaves(self, tmp_path):
         path = tmp_path / "model.imf"
-        path.write_bytes(V3_MODEL)
+        path.write_bytes(V4_MODEL)
         loaded = load_model(path)
         assert score_all(V2_PROBES, loaded)[0].tolist() == V2_PATH_LENGTHS
         again = tmp_path / "again.imf"
         save_model(loaded, again)
-        assert again.read_bytes() == V3_MODEL
+        assert again.read_bytes() == V4_MODEL
 
     def test_subnormal_box_round_trip(self, tmp_path):
         # the box is too thin for a finite split time, so every tree is one leaf
@@ -671,18 +695,17 @@ class TestModelRoundTrip:
         [
             (_set_root("split_dim", 3), "split dimension"),
             (_set_root("split_dim", -2), "split dimension"),
-            (_leaf_dim_past_dim, "split dimension"),
             (_set_root("split_time", -1.0), "split times"),
-            (_root_cut_outside_box, "split value"),
-            (_widen_first_child, "nested"),
-            (_set_root("population", -5), "population below 1"),
+            (_root_cut_outside_box, "separate"),
             (_empty_leaf, "population below 1"),
-            (_bump_root_population, "sum of its children"),
-            (_finite_leaf_time, "leaf split time"),
             (_left_past_size, "left link out of range"),
             (_negative_right_link, "right link out of range"),
             (_root_loses_right_child, "exactly one child"),
             (_root_children_coincide, "not the child of exactly one"),
+            (_swap_root_children, "separate"),
+            (_leaf_across_cut, "separate"),
+            (_even_size, "even"),
+            (_unequal_root_populations, "root populations differ"),
         ],
     )
     def test_resealed_invalid_structure_rejected(self, tmp_path, edit, problem):
@@ -709,16 +732,17 @@ class TestModelRoundTrip:
         save_model(forest, path)
 
         def shrink(meta, arrays):
-            meta["width"] -= 1
-            meta["size"] = [min(s, meta["width"]) for s in meta["size"]]
+            meta["size"][0] -= 2
 
-        reseal_model(path, shrink)  # arrays keep their old width
+        reseal_model(path, shrink)  # arrays keep their old length
         with pytest.raises(ModelFormatError, match="bytes"):
             load_model(path)
 
     @pytest.mark.parametrize(
         "key, value",
         [
+            # keys of the v3 metadata line, which a v4 line does not hold,
+            # whatever their value
             ("n_effective", 1),
             ("n_effective", 0),
             ("n_effective", -5),
@@ -735,11 +759,11 @@ class TestModelRoundTrip:
             ("seed", "0"),
             ("seed", None),
             ("seed", -1),
+            pytest.param("num_trees", "7", id="num_trees-str"),
+            pytest.param("width", 7.0, id="width-float"),
             # a callable maps the saved value to the edited one: the same
             # number as a float or a string, or a fraction added
             pytest.param("dim", float, id="dim-float"),
-            pytest.param("num_trees", str, id="num_trees-str"),
-            pytest.param("width", float, id="width-float"),
             pytest.param("root", lambda root: [r + 0.4 for r in root], id="root-plus-0.4"),
             pytest.param("size", lambda size: [str(s) for s in size], id="size-str"),
         ],
@@ -757,16 +781,18 @@ class TestModelRoundTrip:
             load_model(path)
 
     def test_resealed_valid_scalars_load(self, tmp_path):
+        # the metadata is read by key, in any order
         X, forest = self._forest()
         path = tmp_path / "model.imf"
         save_model(forest, path)
 
         def edit(meta, arrays):
-            meta.update(n_effective=2, psi=None, seed=0)
+            items = list(meta.items())
+            meta.clear()
+            meta.update(reversed(items))
 
         reseal_model(path, edit)
-        loaded = load_model(path)
-        assert (loaded.n_effective, loaded.psi, loaded.seed) == (2, None, 0)
+        assert arena_fingerprint(load_model(path)) == arena_fingerprint(forest)
 
 
 class TestSaveModelFile:
@@ -902,7 +928,7 @@ class TestModelRoundTripProperty:
         assert np.array_equal(loaded.child.reshape(2, forest.num_trees, width) % width, kids)
         assert np.array_equal(loaded.root, forest.root) and np.array_equal(loaded.size, forest.size)
         assert [g.bit_generator.state for g in loaded.rngs] == [g.bit_generator.state for g in forest.rngs]
-        assert (loaded.n_effective, loaded.psi, loaded.seed) == (forest.n_effective, forest.psi, forest.seed)
+        assert loaded.total_population == forest.total_population
         save_model(loaded, path)
         assert path.read_bytes() == saved
 
@@ -934,9 +960,8 @@ def model_file(tmp_path_factory):
 class TestValidatorsAgree:
     """The loader's validator and ``helpers.check_arena_invariants``, which
     was written apart from it, agree on every hand edit of one element of one
-    node field or of the stored ``child`` rows: the edited model fails to
-    load with ModelFormatError, or it loads as a forest that passes the
-    invariants."""
+    array of a model file: the edited model fails to load with
+    ModelFormatError, or it loads as a forest that passes the invariants."""
 
     @deterministic(300)
     @given(data=st.data())
@@ -944,14 +969,14 @@ class TestValidatorsAgree:
         saved, path = model_file
         path.write_bytes(saved)
         meta, arrays = read_model(path)
-        name = data.draw(st.sampled_from(FIELD_NAMES + ("child",)), label="field")
+        name = data.draw(st.sampled_from(tuple(arrays)), label="section")
         field = arrays[name]
         index = data.draw(st.integers(0, field.size - 1), label="flat index")
         if field.dtype.kind == "f":
             fresh = st.floats(width=64)
         else:
             info = np.iinfo(field.dtype)
-            fresh = st.integers(-2, meta["width"] + 1) | st.integers(int(info.min), int(info.max))
+            fresh = st.integers(-2, max(meta["size"]) + 1) | st.integers(int(info.min), int(info.max))
         value = data.draw(fresh | st.sampled_from(field.ravel().tolist()), label="value")
 
         def edit(meta, arrays):
