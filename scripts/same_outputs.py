@@ -17,7 +17,7 @@ the same commands once per checkout, each in a subprocess whose
   ``seconds`` column;
 - each of the three model files as that checkout's own ``load_model`` reads
   it: every node field's used slots (the child table's row-local), tree by
-  tree, then ``root``, ``size`` and the generator states. So a change of
+  tree, then ``root``, ``size``, ``key`` and ``draws``. So a change of
   model format can still show that it kept the same forests.
 
 Prints one SHA-256 per output and side and exits 1 if any output differs
@@ -69,7 +69,7 @@ def digest(data: bytes) -> str:
 def forest_digest(forest) -> str:
     """SHA-256 of a loaded forest: every node field's used slots, with the
     child table's two sides as row-local slots, tree by tree, then ``root``,
-    ``size`` and every generator's state."""
+    ``size``, ``key`` and ``draws``."""
     from imondrian.tree import FIELD_NAMES
 
     C = forest.capacity
@@ -78,10 +78,8 @@ def forest_digest(forest) -> str:
     for field in fields:
         for t, used in enumerate(forest.size.tolist()):
             hashed.update(np.ascontiguousarray(field[t, :used]).tobytes())
-    hashed.update(forest.root.tobytes())
-    hashed.update(forest.size.tobytes())
-    for gen in forest.rngs:
-        hashed.update(json.dumps(gen.bit_generator.state, sort_keys=True).encode())
+    for name in ("root", "size", "key", "draws"):
+        hashed.update(getattr(forest, name).tobytes())
     return hashed.hexdigest()
 
 

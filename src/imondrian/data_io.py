@@ -33,7 +33,7 @@ from .forest import ForestConfig
 from .tree import Forest, node_fields
 
 MODEL_MAGIC = "imondrian-forest"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 # a model file is hashed, written and skimmed in blocks of about this many
 # bytes at most, so that no step holds a copy of the file
@@ -318,10 +318,10 @@ def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 def save_model(forest: Forest, path) -> None:
     """Persist a forest as its packed arena; the round trip is bit exact.
 
-    The file is a header line ``imondrian-forest v4 sha256=<hex>``, one JSON
-    line (``dim``, and every tree's ``root``, ``size`` and generator state in
-    ``rng_states``), then raw little-endian arrays, each over every tree in
-    turn and, within a tree, over its slots in order:
+    The file is a header line ``imondrian-forest v5 sha256=<hex>``, one JSON
+    line (``dim``, and every tree's ``root``, ``size``, ``key`` and
+    ``draws``), then raw little-endian arrays, each over every tree in turn
+    and, within a tree, over its slots in order:
     1. the child table's two sides over the used slots, as int32 slots of
        the same tree (a leaf holds its own slot on both sides);
     2. ``split_dim``, ``split_val`` and ``split_time`` of the internal slots;
@@ -338,8 +338,7 @@ def save_model(forest: Forest, path) -> None:
     leaves the previous file as it was and no temporary file behind. A
     target that is not a regular file, such as a pipe, is written in place.
     """
-    states = [gen.bit_generator.state for gen in forest.rngs]
-    meta = {"dim": forest.dim, "root": forest.root.tolist(), "size": forest.size.tolist(), "rng_states": states}
+    meta = {"dim": forest.dim} | {name: getattr(forest, name).tolist() for name in ("root", "size", "key", "draws")}
     line = json.dumps(meta, separators=(",", ":"), allow_nan=False).encode() + b"\n"
     digest = hashlib.sha256(line)
     _put_arrays(forest, digest.update)
@@ -456,15 +455,15 @@ def _read_forest(handle, digest, path) -> Forest:
     if not line.endswith(b"\n"):
         raise ModelFormatError(f"{path}: no array section after the metadata line")
     meta = json.loads(line)
-    if sorted(meta) != ["dim", "rng_states", "root", "size"]:
-        raise ValueError(f"metadata keys are {sorted(meta)}, expected dim, rng_states, root and size")
-    for key, low in (("dim", 1), ("root", 0), ("size", 1)):
-        bad = [v for v in (meta[key] if key != "dim" else [meta[key]]) if type(v) is not int or v < low]
+    if sorted(meta) != ["dim", "draws", "key", "root", "size"]:
+        raise ValueError(f"metadata keys are {sorted(meta)}, expected dim, draws, key, root and size")
+    for key, low in (("dim", 1), ("root", 0), ("size", 1), ("key", 0), ("draws", 0)):
+        bad = [v for v in (meta[key] if key != "dim" else [meta[key]]) if type(v) is not int or not low <= v < 1 << 64]
         if bad:  # a bool is not a JSON integer here
-            raise ValueError(f"{key}: {bad[0]!r} is not an integer >= {low}")
-    dim, states, trees = meta["dim"], meta["rng_states"], len(meta["size"])
-    if not 0 < len(meta["root"]) == trees == len(states):
-        raise ValueError("root, size and rng_states do not list one or more trees alike")
+            raise ValueError(f"{key}: {bad[0]!r} is not an integer in [{low}, 2**64)")
+    dim, trees = meta["dim"], len(meta["size"])
+    if not 0 < trees == len(meta["root"]) == len(meta["key"]) == len(meta["draws"]):
+        raise ValueError("root, size, key and draws do not list one or more trees alike")
     if any(s % 2 == 0 for s in meta["size"]):
         raise ValueError("a tree size is even: a tree of s slots has (s + 1) / 2 leaves")
     slots = sum(meta["size"])
@@ -488,10 +487,8 @@ def _read_forest(handle, digest, path) -> Forest:
                 field[at] = _read_array(handle, at.shape + field.shape[1:], field.dtype, digest)
     if handle.read(1):
         raise ValueError(f"array section holds more than {expected} bytes")
-    forest.root[:] = meta["root"]
-    for t, state in enumerate(states):
-        forest.rngs[t] = np.random.default_rng()
-        forest.rngs[t].bit_generator.state = state
+    for name in ("root", "key", "draws"):
+        getattr(forest, name)[:] = meta[name]
     return forest
 
 

@@ -90,12 +90,11 @@ class ForestConfig:
 def train_batch(points, config: ForestConfig | None = None) -> Forest:
     """Train a forest: one tree per independent subsample (Exp-clock cuts).
 
-    Each tree owns a generator spawned from ``SeedSequence(config.seed)``,
-    so no two trees of any two seeds share a stream; the subsample draw
-    (when active) and then the tree's cuts come from that same generator,
-    so a (data, config) pair reproduces the forest tree for tree, and tree t
-    does not depend on ``num_trees``. All trees are built level by level in
-    one arena (see ``Forest.grow``).
+    Tree t's key is word t of ``SeedSequence(config.seed).generate_state``,
+    which does not depend on ``num_trees``; its subsample (when active) and
+    its cuts follow from that key alone (see ``Forest``), so a (data,
+    config) pair reproduces the forest tree for tree. All trees are built
+    level by level in one arena (see ``Forest.grow``).
     """
     cfg = config or ForestConfig()
     X = as_points(points)
@@ -103,8 +102,8 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
     if n < 2:
         raise ValueError(f"training needs at least 2 points, got {n}")
     subsampling = cfg.psi is not None and n > cfg.psi
-    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.num_trees)]
-    return Forest.grow(X, rngs, cfg.psi if subsampling else None)
+    key = np.random.SeedSequence(cfg.seed).generate_state(cfg.num_trees, np.uint64)
+    return Forest.grow(X, key, cfg.psi if subsampling else None)
 
 
 def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +134,7 @@ def extend_forest(forest: Forest, new_points) -> Forest:
     Each point is validated before any tree sees it, so a bad point aborts
     without partially mutating the forest for that point; all trees take a
     point in one lockstep pass (``Forest.extend``), each drawing from
-    its own generator only, so a tree grows the same way in any forest.
+    its own key only, so a tree grows the same way in any forest.
     Later scores are normalised by the grown population. Mutates in place
     and returns the forest.
     """

@@ -17,15 +17,15 @@ A forest is one ``Forest``: all of its trees packed into one arena, whose
 kernels walk every tree in lockstep, one depth level per numpy pass. The
 build is one of them: every open node of every tree at a depth gets its box
 from a segment min/max over the node's points, its split time and cut from
-its tree's own generator, and its children's points from a stable
+its tree's next uniforms, and its children's points from a stable
 partition, so slots are numbered breadth first. Routing and extension
 descend through the child table, so one gather per level moves every lane
 and a lane that reached its leaf stays there. Extension is one body in three phases, after
 its overflow check and any regrow of the arena, so no index changes under
 it: walk one lane per tree, every lane every level, and read each tree's
 path off that walk; race one exponential clock per candidate node (a node on
-the point's path that the point lies outside of), each tree drawing all of
-its clocks and its cut in one call of its own generator; write, rewriting
+the point's path that the point lies outside of), all trees drawing their
+clocks and cuts in one call of ``_uniforms``; write, rewriting
 only the boxes the point lies outside of and splicing above the node whose
 clock fired. Scoring adds to a point's edge count, which routing reads off
 a table of node depths, the c term of the reached leaf's population (0 for
@@ -45,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import pickle
 import sys
 import tempfile
 import threading
@@ -99,13 +98,22 @@ def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tu
     ]
 
 
+def _uniforms(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Uniform number ``counter`` of the tree of key ``key``, elementwise over
+    uint64 arrays (Salmon et al. 2011): the SplitMix64 finaliser z of key +
+    (counter + 1) * 0x9E3779B97F4A7C15 (Steele, Lea & Flood 2014), as
+    ((z >> 12) + 0.5) * 2**-52, in [2**-53, 1 - 2**-53]."""
+    z = key + (counter + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mix in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Validate a single point: 1-D with at least one coordinate, finite,
-    optionally of a fixed dimension."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim > 1:
-        raise DimensionMismatchError(f"expected a single point, got shape {arr.shape}")
-    return as_points(arr.reshape(1, -1), dim)[0]
+    """Validate a single point as a one-row point set (see ``as_points``)."""
+    return as_points([x], dim)[0]
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
@@ -113,14 +121,17 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
 
     A 1-D sequence is treated as n one-dimensional points. Ragged input and
     points without coordinates (d = 0) raise DimensionMismatchError; an
-    empty set and non-finite values raise ValueError.
+    empty set, coordinates that are not real numbers (text, complex) and
+    non-finite values raise ValueError.
     """
     try:
-        arr = np.asarray(points, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise DimensionMismatchError(
-            "points do not share a single dimensionality"
-        ) from exc
+        arr = np.asarray(points)
+    except ValueError as exc:  # numpy refuses ragged nesting
+        raise DimensionMismatchError("points do not share a single dimensionality") from exc
+    try:  # a complex or text array does not cast to float by kind
+        arr = arr.astype(float, casting="unsafe" if arr.dtype == object else "same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("point coordinates are not real numbers") from exc
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -143,8 +154,8 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
 
     ``widths`` (k, d) are the lengths the dimension is drawn in proportion
     to, ``rate`` their positive row sums, and ``lo``/``hi`` (k, d) the ends of
-    the interval each dimension is cut in; ``u`` holds two uniforms on
-    [0, 1) per box. q is the first dimension whose cumulative width exceeds
+    the interval each dimension is cut in; ``u`` holds two uniforms in
+    (0, 1) per box. q is the first dimension whose cumulative width exceeds
     ``u[:, 0] * rate``, and p = lo + (hi - lo) * u[:, 1] on dimension q.
     """
     k, d = widths.shape
@@ -312,38 +323,36 @@ class Forest:
     to +0.0), and its population their sum; ``_derive_inner`` rebuilds both.
 
     Each node field has shape ``(num_trees, capacity)`` (boxes add a
-    ``dim`` axis); row t holds tree t. ``root``, ``size`` and ``rngs``
-    hold each tree's root, used slot count and own generator. Slots past a
-    tree's size keep the unused-slot values. ``extend`` doubles the
-    capacity of every row before it walks whenever some row has fewer than
-    two free slots, the most one insert takes.
+    ``dim`` axis); row t holds tree t. ``root``, ``size``, ``key`` and
+    ``draws`` hold each tree's root, used slot count, key and count of
+    uniforms drawn. Slots past a tree's size keep the unused-slot values.
+    ``extend`` doubles the capacity of every row before it walks whenever
+    some row has fewer than two free slots, the most one insert takes.
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
-    ``extend`` inserts one point into every tree.
+    ``extend`` inserts one point into every tree. Tree t's next uniform is
+    ``_uniforms(key[t], draws[t])``, and each kernel advances ``draws[t]``
+    past the counters it used, so a tree depends on its key and the data
+    alone, not on the other trees, on how trees are grouped or on which
+    process builds them. A uniform u gives the waiting time -log1p(-u) /
+    rate, the Exp(rate) clock of the Mondrian process (Roy & Teh 2008).
 
     ``grow`` builds every node of a depth in one pass over the trees of a
-    group. Tree t draws only from its own generator: first its subsample,
-    then, level by level, the standard exponentials of its open nodes in
-    slot order, then two uniforms per such node (cut dimension and value),
-    then a fresh exponential for any waiting time that rounded to 0. So a
-    tree depends on its generator and the data alone, not on the other
-    trees, on how trees are grouped or on which process builds them; slots
-    are numbered breadth first.
+    group. A subsample comes from a generator seeded with the tree's key,
+    which is not kept. The r-th node of a level to split in tree t, in slot
+    order, takes counters draws[t] + 3r, 3r + 1 and 3r + 2: its clock, then
+    its cut's dimension and value. A waiting time that underflows to 0
+    takes the tree's next counter until it is positive.
 
     ``extend`` is one body: overflow check, regrow, then walk, race and
-    write. It follows one draw contract, tree by tree, so a tree's result
-    does not depend on the other trees. Tree t's candidates are the k nodes
-    on x's path with a positive deviation rate, in path order. With k = 0
-    the tree draws nothing and absorbs x. Otherwise it makes one call
-    ``random(k + 2)``: the first k uniforms are the candidates' clocks, with
-    waiting time -log1p(-u) / rate, the Exp(rate) clock of the Mondrian
-    process (Roy & Teh 2008), and the last two pick the cut's dimension and
-    value. A clock uniform of exactly 0, a waiting time of 0, is redrawn
-    after that call by scalar ``random()`` calls until it is nonzero. The
-    first candidate whose parent time plus waiting time is below its own
-    split time fires; by memorylessness the later clocks go unused, as in
-    Mondrian-forest extension (Lakshminarayanan, Roy & Teh 2014).
+    write. Tree t's candidates are the k nodes on x's path with a positive
+    deviation rate, in path order. With k = 0 the tree draws nothing and
+    absorbs x; otherwise counters draws[t] .. draws[t] + k - 1 are their
+    clocks and the next two the cut's. The first candidate whose parent
+    time plus waiting time is below its own split time fires; by
+    memorylessness the later clocks go unused, as in Mondrian-forest
+    extension (Lakshminarayanan, Roy & Teh 2014).
 
     The links live only in ``child``, an int64 table of length 2 * T * C
     (T trees, capacity C). Entry ``side * T * C + g`` holds the flat index
@@ -363,59 +372,53 @@ class Forest:
         self.dim = int(dim)
         self.root = np.full(num_trees, NO_NODE, dtype=np.int64)
         self.size = np.zeros(num_trees, dtype=np.int64)
-        self.rngs: list[np.random.Generator | None] = [None] * num_trees
+        self.key, self.draws = (np.zeros(num_trees, dtype=np.uint64) for _ in range(2))
         for name, dtype, shape, fill in node_fields((num_trees, max(int(capacity), 1)), self.dim):
             setattr(self, name, np.full(shape, fill, dtype=dtype))
         self.child = np.tile(np.arange(self.population.size), 2)
         self._walked = None  # (x's bytes, _walk(x)) after route([x]); see extend
 
     @classmethod
-    def grow(cls, X: np.ndarray, rngs: list[np.random.Generator], sample_size: int | None = None) -> Forest:
-        """Build one tree per generator on the validated (n, d) array ``X``.
-
-        Each tree is built on ``sample_size`` rows drawn without replacement
-        by its own generator, or on all of ``X`` when ``sample_size`` is
-        None, and takes ownership of that generator. Raises ValueError when
-        a box's linear dimension overflows.
+    def grow(cls, X: np.ndarray, key, sample_size: int | None = None) -> Forest:
+        """Build one tree per entry of the uint64 ``key`` on the validated
+        (n, d) array ``X``: on ``sample_size`` rows drawn without replacement
+        (see the class docstring), or on all of ``X`` when ``sample_size`` is
+        None. Raises ValueError when a box's linear dimension overflows.
 
         A large forest is built on every CPU in the process's affinity mask,
         by a fork-join over contiguous blocks of trees (see ``_fork_join``):
         one worker per FORK_BUILD_LANES (tree, point) lanes, at most one per
         usable CPU and per tree. A child builds its block in an arena of its
-        own and writes the block's node rows, ``child`` entries, roots,
-        sizes and generator states to its file; the parent allocates the
-        arena only after forking, builds the first block in it and reads each
-        child's rows straight into their place. Each tree draws only from its
-        own generator (see the class docstring), so the forest is bit for bit
-        the one a single process builds, however it is split.
+        own and writes the block's rows of everything ``_rows`` lists to its
+        file; the parent allocates the arena only after forking, builds the
+        first block in it and reads each child's rows straight into their
+        place. A tree depends on its key alone (see the class docstring), so
+        the forest is the one a single process builds, bit for bit.
         """
+        key = np.array(key, dtype=np.uint64)
         n, d = X.shape
         m = n if sample_size is None else sample_size
-        T, C = len(rngs), 2 * m - 1
+        T, C = key.size, 2 * m - 1
         forest = None
 
         def local(a, b):
             nonlocal forest
             if forest is None:  # after the forks: see _fork_join
                 forest = cls(T, d, C)
-                forest.rngs = list(rngs)
+                forest.key[:] = key
             forest._grow_trees(X, a, b, sample_size)
 
         def child(a, b, out):
             part = cls(b - a, d, C)
-            part.rngs = list(rngs[a:b])
+            part.key[:] = key[a:b]
             part._grow_trees(X, 0, b - a, sample_size)
             part.child += a * C  # flat indices of the whole forest
-            pickle.dump([gen.bit_generator.state for gen in part.rngs], out)
             for rows in part._rows(0, b - a):
                 out.write(rows)
 
         def take(a, b, src):
-            states = pickle.load(src)
             for rows in forest._rows(a, b):
                 _read_into(src, rows)
-            for gen, state in zip(forest.rngs[a:b], states):
-                gen.bit_generator.state = state
 
         _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take)
         return forest
@@ -433,7 +436,8 @@ class Forest:
             if sample_size is None:
                 pts = np.tile(X.T, (1, trees.size))
             else:
-                pts = X.T.take(np.concatenate([self.rngs[t].choice(n, size=m, replace=False) for t in trees]), axis=1)
+                picks = [np.random.default_rng(k).choice(n, size=m, replace=False) for k in self.key[trees].tolist()]
+                pts = X.T.take(np.concatenate(picks), axis=1)
             # a fresh array: -0.0 is read as +0.0, so that a box's zero bound
             # does not depend on how numpy's reductions pair signed zeros
             pts += 0.0
@@ -442,10 +446,10 @@ class Forest:
     def _rows(self, a: int, b: int) -> list[np.ndarray]:
         """Contiguous views of everything ``grow`` writes for trees a..b-1:
         their rows of each node field, of each side of ``child``, of
-        ``root`` and of ``size``."""
+        ``root``, ``size`` and ``draws``."""
         kids = self.child.reshape(2, self.num_trees, -1)
         fields = [getattr(self, name)[a:b] for name in FIELD_NAMES]
-        return fields + [kids[0, a:b], kids[1, a:b], self.root[a:b], self.size[a:b]]
+        return fields + [kids[0, a:b], kids[1, a:b], self.root[a:b], self.size[a:b], self.draws[a:b]]
 
     def _grow_levels(self, trees: np.ndarray, pts: np.ndarray, m: int) -> None:
         """Build trees ``trees`` (ascending) on the feature-major (d, N)
@@ -489,16 +493,16 @@ class Forest:
                 raise ValueError(_OVERFLOW)
             t, rate = seg_tree[split], rate[split]
             first, count = _runs(t)  # each tree's first split and split count
-            e, u = np.empty(split.size), np.empty((split.size, 2))
-            for tree, a, b in zip(t[first].tolist(), first.tolist(), (first + count).tolist()):
-                gen = self.rngs[tree]
-                gen.standard_exponential(out=e[a:b])
-                gen.random(out=u[a:b])
+            rank = np.arange(split.size, dtype=np.uint64) - np.repeat(first, count).astype(np.uint64)
+            at = self.draws.take(t) + np.uint64(3) * rank  # each node's first counter
+            u = _uniforms(self.key.take(t)[:, None], at[:, None] + np.arange(3, dtype=np.uint64))
+            self.draws[t.take(first)] += np.uint64(3) * count.astype(np.uint64)
             with np.errstate(over="ignore"):
-                e /= rate
-                for j in np.flatnonzero(e == 0.0).tolist():
+                e = -np.log1p(-u[:, 0]) / rate
+                for j in np.flatnonzero(e == 0.0).tolist():  # underflowed: the tree's next counter
                     while e[j] == 0.0:
-                        e[j] = self.rngs[t[j]].standard_exponential() / rate[j]
+                        e[j] = -np.log1p(-_uniforms(self.key[t[j : j + 1]], self.draws[t[j : j + 1]]))[0] / rate[j]
+                        self.draws[t[j]] += np.uint64(1)
                 time = seg_tau[split] + e
             # a subnormal rate can push the split time to infinity, a leaf's
             # time: such a node stays a leaf, with its draws spent
@@ -509,7 +513,7 @@ class Forest:
                     break
                 first, count = _runs(t)
             k = split.size
-            q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u)
+            q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u[:, 1:])
             flat = flat[split]
             self._flat("split_dim")[flat] = q
             self._flat("split_val")[flat] = p
@@ -716,9 +720,9 @@ class Forest:
         that no index changes after that, and:
         1. walks x down every tree at once, or takes the walk ``route`` left
            for x if the capacity did not change (every call clears it);
-        2. races: every deviation rate on the paths at once, one draw per
-           tree with candidates (see the class docstring), and each tree's
-           first firing candidate;
+        2. races: every deviation rate on the paths at once, every clock
+           hashed at once (see the class docstring), and each tree's first
+           firing candidate;
         3. writes: the nodes passed before the clock fired count x, and
            those that x lies outside of (a positive rate) enlarge their
            boxes to it; a new internal node and a leaf for x are spliced
@@ -750,17 +754,15 @@ class Forest:
         cand = np.flatnonzero(rate > 0.0)
         cand_tree = path_tree.take(cand)
         first, count = _runs(cand_tree)
-        # one draw per tree with k > 0 candidates: k clocks, then the cut's
-        # dimension and value uniforms; zero clocks are redrawn after it
+        # a tree with k > 0 candidates takes k clocks, then the cut's
+        # dimension and value uniforms: u holds each such tree's k + 2 in turn
         tree_of = np.repeat(np.arange(first.size), count)
         at = first + 2 * np.arange(first.size)  # each tree's offset in u
-        u = np.empty(cand.size + 2 * first.size)
-        for t, a, b in zip(cand_tree.take(first).tolist(), at.tolist(), (at + count + 2).tolist()):
-            self.rngs[t].random(out=u[a:b])
+        u_tree = np.repeat(cand_tree.take(first), count + 2)
+        rank = (np.arange(u_tree.size) - np.repeat(at, count + 2)).astype(np.uint64)
+        u = _uniforms(self.key.take(u_tree), self.draws.take(u_tree) + rank)
+        self.draws[cand_tree.take(first)] += (count + 2).astype(np.uint64)
         clock = u.take(np.arange(cand.size) + 2 * tree_of)
-        for j in np.flatnonzero(clock == 0.0).tolist():
-            while clock[j] == 0.0:
-                clock[j] = self.rngs[cand_tree[j]].random()
         with np.errstate(over="ignore"):  # a subnormal rate waits forever
             wait = -np.log1p(-clock) / rate.take(cand)
         fire_at = tau.take(cand) + wait

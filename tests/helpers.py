@@ -407,7 +407,8 @@ V3_MODEL = base64.b64decode(
 )
 # V2_MODEL's forest written in format v4, which stores the used child
 # entries, the cuts of the internal nodes and the populations and boxes of
-# the leaves: it scores V2_PATH_LENGTHS too.
+# the leaves, and each tree's generator state. Version 4 files are rejected
+# now too.
 V4_MODEL = base64.b64decode(
     "aW1vbmRyaWFuLWZvcmVzdCB2NCBzaGEyNTY9OThiN2FjNDEzNzhjMGVhMGU4NmY1ZWM4OGI0MWNlNTQz"
     "ZWVkNTI0YjY2NmU3YjcxOGRjNGZiZDgyNzU3NDUwOQp7ImRpbSI6Miwicm9vdCI6WzUsMCw1XSwic2l6"
@@ -435,6 +436,30 @@ V4_MODEL = base64.b64decode(
     "AAAACEAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQ"
     "QAAAAAAAAAhA"
 )
+# V2_MODEL's trees in format v5, which stores V4_MODEL's arrays and each
+# tree's key and draw count in place of its generator state: the keys of
+# seed 0 and the counts its three points and the arrival give. It scores
+# V2_PATH_LENGTHS too.
+V5_MODEL = base64.b64decode(
+    "aW1vbmRyaWFuLWZvcmVzdCB2NSBzaGEyNTY9YjA0ZDA5MzdjMGU3MmI5MDc2YjkxMGZjYzljYmY4NTJl"
+    "OTEwMGNjZGY1OWI5OTFhYzk2YjVlZDNmZTQ5YjlhOQp7ImRpbSI6Miwicm9vdCI6WzUsMCw1XSwic2l6"
+    "ZSI6WzcsNyw3XSwia2V5IjpbMTU3OTMyMzUzODMzODc3MTU3NzQsMTIzOTA2Mzg1MzgzODA2NTUxNzcs"
+    "MjM2MTgzNjEwOTY1MTc0MjAxN10sImRyYXdzIjpbMTEsMTEsMTFdfQoBAAAAAwAAAAIAAAADAAAABAAA"
+    "AAAAAAAGAAAAAQAAAAMAAAACAAAAAwAAAAQAAAACAAAABgAAAAEAAAADAAAAAgAAAAMAAAAEAAAAAAAA"
+    "AAYAAAACAAAABAAAAAIAAAADAAAABAAAAAYAAAAGAAAABQAAAAQAAAACAAAAAwAAAAQAAAAGAAAABgAA"
+    "AAIAAAAEAAAAAgAAAAMAAAAEAAAABgAAAAYAAAAAAAAAAQAAAAEAAAAAAAAAAQAAAAEAAAAAAAAAAAAA"
+    "AAEAAAAuN0KnElYBQMhhdmS6vPQ/8sFbd0omAkCYyuOAWl39P6QW2ZWRqPg/rHNy7QklB0Cg5R+3QaX9"
+    "P+wJ/4CsKt8/M1dGWm+6AkBd+L+tHRTlP0fWONMbfec/AH+4zoHkoD86XHKcOY/EPyVDeaA/k9U/FVum"
+    "HKHK+D//zvmyZ5bTP/wIqGWjb/A/mbIJh2DKxT8BAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAA"
+    "AAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAAAAAAAAABAAAAAAAAAAEAAAAAAAAAAQAA"
+    "AAAAAAAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAEAAAAAAAAAQ"
+    "QAAAAAAAAAhAAAAAAAAACEAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAA"
+    "AAAAEEAAAAAAAAAIQAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA8D8AAAAAAAAA"
+    "QAAAAAAAABBAAAAAAAAACEAAAAAAAAAIQAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAA"
+    "AAAAAEAAAAAAAAAQQAAAAAAAAAhAAAAAAAAACEAAAAAAAADwPwAAAAAAAAAAAAAAAAAAAAAAAAAAAADw"
+    "PwAAAAAAAABAAAAAAAAAEEAAAAAAAAAIQAAAAAAAAAhAAAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAA"
+    "AAAA8D8AAAAAAAAAQAAAAAAAABBAAAAAAAAACEA="
+)
 V2_PROBES = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [4.0, 3.0], [2.0, 2.0], [-5.0, 9.0]]
 V2_PATH_LENGTHS = [
     2.6666666666666665, 2.6666666666666665, 2.0, 1.3333333333333333, 2.3333333333333335, 1.3333333333333333,
@@ -454,44 +479,42 @@ def node_arrays(arena) -> dict[str, np.ndarray]:
 
 def tree_bits(tree) -> tuple:
     """A tree's root, size, the bytes of every per-node array's used slots
-    (so -0.0 differs from 0.0) and its generator's state."""
+    (so -0.0 differs from 0.0), its key and its draw count."""
     used = tree.size
     fields = [np.ascontiguousarray(getattr(tree, name)[:used]).tobytes() for name in TREE_FIELDS]
-    return int(tree.root), int(used), fields, tree.rng.bit_generator.state
+    return int(tree.root), int(used), fields, tree.key, tree.draws
 
 
 def arena_state(arena) -> tuple:
     """Everything an insert may write: every field in full, ``child``, the
-    roots, sizes and capacity, and the generators' states."""
+    roots, sizes and capacity, and the keys and draw counts."""
     fields = [getattr(arena, name).tobytes() for name in FIELD_NAMES]
-    states = [gen.bit_generator.state for gen in arena.rngs]
-    return fields, arena.child.tobytes(), arena.root.tobytes(), arena.size.tobytes(), arena.capacity, states
+    rows = [getattr(arena, name).tobytes() for name in ("child", "root", "size", "key", "draws")]
+    return fields, rows, arena.capacity
 
 
 def arena_fingerprint(arena) -> str:
     """SHA-256 of an arena's state: every node field's used slots, tree by
-    tree, then ``root``, ``size`` and each generator's state."""
+    tree, then ``root``, ``size``, ``key`` and ``draws``."""
     digest = hashlib.sha256()
     for field in node_arrays(arena).values():
         for t, used in enumerate(arena.size.tolist()):
             digest.update(np.ascontiguousarray(field[t, :used]).tobytes())
-    digest.update(arena.root.tobytes())
-    digest.update(arena.size.tobytes())
-    for gen in arena.rngs:
-        digest.update(json.dumps(gen.bit_generator.state, sort_keys=True).encode())
+    for name in ("root", "size", "key", "draws"):
+        digest.update(getattr(arena, name).tobytes())
     return digest.hexdigest()
 
 
 # arena_fingerprint after the fixed extension run of
 # test_forest.TestLockstepArena.test_extension_stream_is_pinned (20 trees,
 # psi 64, 512 rows, 300 arrivals inside the box, far outside it and on
-# duplicates), as the batched-clock extension draws it
-EXTENSION_FINGERPRINT = "39b7ff9fc5d704d2ca41af5e4e3cbee71a2a4c4fc08ab4271f13f73eafc708ab"
+# duplicates), as the hashed per-tree draws give it
+EXTENSION_FINGERPRINT = "2468e71b774f3363be27cf459a64b875827ffae728caaca0740fade8ba9df677"
 
 # SHA-256 of the Forest.route sums of test_forest._pinned_route_cases
 # (a duplicate-free forest over two point blocks, then a forest with
 # duplicate leaves over several trees per pass), in that order
-ROUTE_FINGERPRINT = "afdc5af25be3c1289d610df52095051d539482cc5f908772d0fc07ae56a30c82"
+ROUTE_FINGERPRINT = "31c5d144bf51d7b574582b2013a1fccf436ddd85c75ebb29a27340f7f13e26f7"
 
 
 def read_model(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -532,6 +555,23 @@ def reseal_model(path, edit) -> None:
     magic, version, _ = header.split()
     digest = hashlib.sha256(body).hexdigest()
     path.write_bytes(f"{magic} {version} sha256={digest}\n".encode() + body)
+
+
+# hand edits of a v5 metadata line's ``key`` or ``draws`` that a load
+# refuses: an entry outside [0, 2**64), one that is not a JSON integer, and
+# a list one entry short
+BAD_DRAW_STATES = [
+    pytest.param(name, edit, id=f"{name}-{label}")
+    for name in ("key", "draws")
+    for label, edit in [
+        ("minus-1", lambda v: [-1] + v[1:]),
+        ("2**64", lambda v: [1 << 64] + v[1:]),
+        ("1.5", lambda v: [1.5] + v[1:]),
+        ("true", lambda v: [True] + v[1:]),
+        ("str-7", lambda v: ["7"] + v[1:]),
+        ("one-short", lambda v: v[:-1]),
+    ]
+]
 
 
 def fork_on(monkeypatch, cpus: int, fork_lanes: int | None = None, build_lanes: int | None = None) -> list[int]:

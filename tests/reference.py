@@ -4,10 +4,11 @@
 at once. Here one writable ``Tree`` is built (``fit_tree``), walked
 (``walk``, ``path_length``) and extended (``extend_tree``) with plain Python
 loops over its nodes, by the draw contracts in ``Forest``'s docstring
-and without calling the kernels or their cut rule, so each must leave a tree
-bit-identical to the kernel's, generator state included. ``view`` and
-``views`` read an arena's trees into the same struct, read-only, so that a
-reference tree and a kernel's tree compare field by field.
+and without calling the kernels, their cut rule or their hash of a tree's
+draws, so each must leave a tree bit-identical to the kernel's, draw count
+included. ``view`` and ``views`` read an arena's trees into the same
+struct, read-only, so that a reference tree and a kernel's tree compare
+field by field.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ class Tree:
     dimension/value/time, subtree population, and the smallest box of the
     points the node was built from, enlarged as streamed points pass
     through), and ``left``, ``right`` and ``parent`` links (``NO_NODE``
-    where absent). ``rng`` is the tree's own generator, ``size`` its used
-    slot count."""
+    where absent). ``key`` and ``draws`` are the tree's key and the number
+    of uniforms it has drawn, as Python ints; ``size`` is its used slot
+    count."""
 
-    __slots__ = ("dim", "rng", "root", "size") + _LINKS + FIELD_NAMES
+    __slots__ = ("dim", "key", "draws", "root", "size") + _LINKS + FIELD_NAMES
 
     @property
     def capacity(self) -> int:
@@ -51,11 +53,11 @@ def links(arena, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def view(arena, t: int) -> Tree:
     """Read-only view of tree t of ``arena`` as it is now: its node fields
-    alias the arena's row, its links are read off ``child`` and its
-    generator is the arena's own. Take a fresh view after extending."""
+    alias the arena's row, its links are read off ``child`` and its key
+    and draw count are copied. Take a fresh view after extending."""
     tree = Tree()
     tree.dim = arena.dim
-    tree.rng = arena.rngs[t]
+    tree.key, tree.draws = int(arena.key[t]), int(arena.draws[t])
     tree.root = int(arena.root[t])
     tree.size = int(arena.size[t])
     rows = dict(zip(_LINKS, links(arena, t)))
@@ -71,10 +73,24 @@ def views(forest) -> tuple[Tree, ...]:
     return tuple(view(forest, t) for t in range(forest.num_trees))
 
 
-def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+_MASK = (1 << 64) - 1
+
+
+def uniform(key: int, counter: int) -> float:
+    """Uniform number ``counter`` of the tree of key ``key``, on Python ints:
+    SplitMix64's finaliser z of key + (counter + 1) * 0x9E3779B97F4A7C15
+    (mod 2**64), as ((z >> 12) + 0.5) * 2**-52."""
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z ^= z >> 31
+    return ((z >> 12) + 0.5) * 2.0**-52
+
+
+def _draw(tree: Tree) -> float:
+    """The tree's next uniform; advances its draw count."""
+    tree.draws += 1
+    return uniform(tree.key, tree.draws - 1)
 
 
 def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: np.ndarray) -> tuple[int, float]:
@@ -90,24 +106,25 @@ def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: n
     return q, hi[q] if p <= lo[q] else p
 
 
-def fit_tree(points, rng: np.random.Generator | int | None = None) -> Tree:
-    """The tree ``Forest.grow`` builds on ``points`` from ``rng``, built
-    here node by node, one level at a time. The tree owns the generator.
+def fit_tree(points, key: int = 0) -> Tree:
+    """The tree ``Forest.grow`` builds on ``points`` (no subsample) from
+    ``key``, built here node by node, one level at a time, from a draw count
+    of 0.
 
     At each level the open nodes, in slot order, take the min/max box (a
     zero bound as +0.0) and the count of their points. Those with two or more points and a positive
-    rate (their box's row sum) split: the level draws one exponential each,
-    then two uniforms each, then redraws any waiting time that rounded to 0
-    node by node. A node whose split time is not finite stays a leaf;
+    rate (their box's row sum) split: each draws three uniforms in turn, a
+    clock and the cut's dimension and value, then each waiting time that
+    rounded to 0 is redrawn, node by node, from the tree's next uniforms
+    until it is positive. A node whose split time is not finite stays a leaf;
     each other one cuts, and its left and right children take the next two
     slots with its points in their order. Raises ValueError on an empty
     point set and on a rate that overflows.
     """
     X = as_points(points)
-    gen = _as_generator(rng)
     n, d = X.shape
     tree = Tree()
-    tree.dim, tree.rng, tree.root, tree.size = d, gen, 0, 1
+    tree.dim, tree.key, tree.draws, tree.root, tree.size = d, key, 0, 0, 1
     links = [(name, np.dtype(np.int32), (2 * n - 1,), NO_NODE) for name in _LINKS]
     for name, dtype, shape, fill in node_fields((2 * n - 1,), d) + links:
         setattr(tree, name, np.full(shape, fill, dtype=dtype))
@@ -125,12 +142,12 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> Tree:
             break
         if np.isinf(rates[split]).any():
             raise ValueError("a box's linear dimension overflows")
-        waits, draws = gen.standard_exponential(len(split)), gen.random((len(split), 2))
+        draws = np.array([[_draw(tree) for _ in range(3)] for _ in split])
         with np.errstate(over="ignore"):
-            waits /= rates[split]
+            waits = [-np.log1p(-draws[j, 0]) / rates[i] for j, i in enumerate(split)]
             for j, i in enumerate(split):
                 while waits[j] == 0.0:
-                    waits[j] = gen.standard_exponential() / rates[i]
+                    waits[j] = -np.log1p(-_draw(tree)) / rates[i]
         opened = []
         for j, i in enumerate(split):
             node, rows, tau = level[i]
@@ -138,7 +155,7 @@ def fit_tree(points, rng: np.random.Generator | int | None = None) -> Tree:
                 time = tau + waits[j]
             if not np.isfinite(time):
                 continue
-            q, p = _cut_rule(widths[i], rates[i], tree.box_min[node], tree.box_max[node], draws[j])
+            q, p = _cut_rule(widths[i], rates[i], tree.box_min[node], tree.box_max[node], draws[j, 1:])
             left, right = tree.size, tree.size + 1
             tree.size += 2
             tree.split_dim[node], tree.split_val[node], tree.split_time[node] = q, p, time
@@ -180,7 +197,7 @@ def path_length(x, tree: Tree) -> int:
     return len(walk(tree, as_point(x, tree.dim))) - 1
 
 
-def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None) -> Tree:
+def extend_tree(tree: Tree, x_new) -> Tree:
     """Insert one point, possibly splicing a new internal node mid-tree.
 
     The nodes on the point's routing path with a positive deviation rate
@@ -194,18 +211,16 @@ def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None)
     includes a point inside every box on its path, the whole path is
     passed and the point is absorbed into its leaf.
 
-    Draws follow the contract in ``Forest``: with k > 0 candidates,
-    one call ``random(k + 2)`` holding the k clocks in path order and then
-    the cut's two uniforms, and scalar redraws of any clock uniform of 0.
+    Draws follow the contract in ``Forest``: with k > 0 candidates, the
+    tree's next k uniforms are their clocks in path order and the two after
+    them the cut's.
 
     The point's zero coordinates are read as +0.0, as the kernel reads them.
-    Uses the tree's own generator unless ``rng`` is given. Mutates in place
-    and returns the tree. Raises ValueError, before drawing or writing
-    anything, on a read-only tree view and on a point so far from the root's
-    box that a deviation rate would overflow.
+    Mutates in place and returns the tree. Raises ValueError, before
+    drawing or writing anything, on a read-only tree view and on a point so
+    far from the root's box that a deviation rate would overflow.
     """
     x = as_point(x_new, tree.dim) + 0.0
-    gen = tree.rng if rng is None else _as_generator(rng)
     if not tree.left.flags.writeable:
         raise ValueError("tree is a read-only view of a forest; extend the forest instead")
     _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)
@@ -215,10 +230,7 @@ def extend_tree(tree: Tree, x_new, rng: np.random.Generator | int | None = None)
     cand = np.flatnonzero(rates > 0.0).tolist()
     fired, time = len(path), None
     if cand:
-        u = gen.random(len(cand) + 2)
-        for i in range(len(cand)):
-            while u[i] == 0.0:
-                u[i] = gen.random()
+        u = np.array([_draw(tree) for _ in range(len(cand) + 2)])
         for i, j in enumerate(cand):
             tau = 0.0 if j == 0 else tree.split_time[path[j - 1]]
             with np.errstate(over="ignore"):

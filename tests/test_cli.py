@@ -14,7 +14,7 @@ from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
 
-from helpers import V1_MODEL, V2_MODEL, V3_MODEL, deterministic, fork_on, reseal_model
+from helpers import BAD_DRAW_STATES, V1_MODEL, V2_MODEL, V3_MODEL, V4_MODEL, deterministic, fork_on, reseal_model
 
 
 def _write_csv(path, points, labels=None):
@@ -276,6 +276,14 @@ class TestScore:
         assert code == EXIT_DATA
         assert "split dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit", BAD_DRAW_STATES)
+    def test_resealed_bad_draw_state_is_data_error(self, blob_csv, fitted, capsys, name, edit):
+        model, _ = fitted
+        reseal_model(model, lambda meta, arrays: meta.update({name: edit(meta[name])}))
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+        assert code == EXIT_DATA
+        assert "malformed payload" in capsys.readouterr().err
+
     def test_empty_points_file(self, tmp_path, fitted):
         model, _ = fitted
         empty = tmp_path / "empty.csv"
@@ -364,7 +372,14 @@ class TestScore:
         model.write_bytes(V3_MODEL)
         code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
         assert code == EXIT_DATA
-        assert "unsupported version v3 (this build reads v4)" in capsys.readouterr().err
+        assert "unsupported version v3 (this build reads v5)" in capsys.readouterr().err
+
+    def test_version_4_model_is_data_error(self, tmp_path, blob_csv, capsys):
+        model = tmp_path / "v4.imf"
+        model.write_bytes(V4_MODEL)
+        code = main(["score", "--model", str(model), "--data", str(blob_csv), "--label-column", "label"])
+        assert code == EXIT_DATA
+        assert "unsupported version v4 (this build reads v5)" in capsys.readouterr().err
 
     def test_binary_garbage_model_is_data_error(self, tmp_path, blob_csv):
         model = tmp_path / "garbage.imf"

@@ -37,6 +37,7 @@ from imondrian.forest import ForestConfig, extend_forest, score_all, train_batch
 from imondrian.tree import FIELD_NAMES, node_fields
 
 from helpers import (
+    BAD_DRAW_STATES,
     TREE_FIELDS,
     V1_MODEL,
     V2_MODEL,
@@ -44,6 +45,7 @@ from helpers import (
     V2_PROBES,
     V3_MODEL,
     V4_MODEL,
+    V5_MODEL,
     arena_fingerprint,
     check_arena_invariants,
     check_tree_invariants,
@@ -553,6 +555,7 @@ class TestModelRoundTrip:
         extend_forest(forest, stream)
         extend_forest(loaded, stream)
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
+        assert arena_fingerprint(loaded) == arena_fingerprint(forest)  # draw counts included
 
     def test_round_trip_after_capacity_doubled(self, tmp_path):
         X, forest = self._forest(seed=7)
@@ -570,9 +573,8 @@ class TestModelRoundTrip:
         assert np.array_equal(arrays["child"], used % forest.capacity)
         loaded = load_model(path)
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
-        assert [g.bit_generator.state for g in forest.rngs] == [
-            g.bit_generator.state for g in loaded.rngs
-        ]
+        assert loaded.key.tobytes() == forest.key.tobytes()
+        assert loaded.draws.tobytes() == forest.draws.tobytes()
         probes = rng.uniform(-50.0, 50.0, size=(60, 3))
         assert np.array_equal(score_all(probes, forest)[1], score_all(probes, loaded)[1])
         more = rng.uniform(-60.0, 60.0, size=(40, 3))
@@ -657,27 +659,28 @@ class TestModelRoundTrip:
         path = tmp_path / "model.imf"
         save_model(forest, path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b" v4 ", b" v9 ", 1))
+        path.write_bytes(blob.replace(b" v5 ", b" v9 ", 1))
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
     def test_version_1_file_rejected(self, tmp_path):
         # and a version 2 file, whose links were row-local left, right and
-        # parent arrays, and a version 3 file, which stored every slot in full
+        # parent arrays, a version 3 file, which stored every slot in full,
+        # and a version 4 file, which stored each tree's generator state
         path = tmp_path / "model.imf"
-        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2"), (V3_MODEL, "v3")]:
+        for blob, version in [(V1_MODEL.encode(), "v1"), (V2_MODEL, "v2"), (V3_MODEL, "v3"), (V4_MODEL, "v4")]:
             path.write_bytes(blob)
-            with pytest.raises(ModelFormatError, match=f"unsupported version {version} \\(this build reads v4\\)"):
+            with pytest.raises(ModelFormatError, match=f"unsupported version {version} \\(this build reads v5\\)"):
                 load_model(path)
 
-    def test_version_4_file_loads_scores_and_resaves(self, tmp_path):
+    def test_version_5_file_loads_scores_and_resaves(self, tmp_path):
         path = tmp_path / "model.imf"
-        path.write_bytes(V4_MODEL)
+        path.write_bytes(V5_MODEL)
         loaded = load_model(path)
         assert score_all(V2_PROBES, loaded)[0].tolist() == V2_PATH_LENGTHS
         again = tmp_path / "again.imf"
         save_model(loaded, again)
-        assert again.read_bytes() == V4_MODEL
+        assert again.read_bytes() == V5_MODEL
 
     def test_subnormal_box_round_trip(self, tmp_path):
         # the box is too thin for a finite split time, so every tree is one leaf
@@ -741,7 +744,7 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize(
         "key, value",
         [
-            # keys of the v3 metadata line, which a v4 line does not hold,
+            # keys of the v3 metadata line, which a v5 line does not hold,
             # whatever their value
             ("n_effective", 1),
             ("n_effective", 0),
@@ -766,6 +769,7 @@ class TestModelRoundTrip:
             pytest.param("dim", float, id="dim-float"),
             pytest.param("root", lambda root: [r + 0.4 for r in root], id="root-plus-0.4"),
             pytest.param("size", lambda size: [str(s) for s in size], id="size-str"),
+            *BAD_DRAW_STATES,
         ],
     )
     def test_resealed_invalid_scalar_rejected(self, tmp_path, key, value):
@@ -927,7 +931,7 @@ class TestModelRoundTripProperty:
         kids = forest.child.reshape(2, forest.num_trees, -1)[:, :, :width] % forest.capacity
         assert np.array_equal(loaded.child.reshape(2, forest.num_trees, width) % width, kids)
         assert np.array_equal(loaded.root, forest.root) and np.array_equal(loaded.size, forest.size)
-        assert [g.bit_generator.state for g in loaded.rngs] == [g.bit_generator.state for g in forest.rngs]
+        assert (loaded.key.tobytes(), loaded.draws.tobytes()) == (forest.key.tobytes(), forest.draws.tobytes())
         assert loaded.total_population == forest.total_population
         save_model(loaded, path)
         assert path.read_bytes() == saved

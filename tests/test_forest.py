@@ -163,7 +163,7 @@ class TestTrainBatch:
         assert score_all(X, loaded)[1].tolist() == score_all(X, forest)[1].tolist()
 
     def test_neighbouring_seeds_share_no_tree(self):
-        # per-tree streams come from SeedSequence(seed).spawn, not seed + t
+        # per-tree keys come from SeedSequence(seed).generate_state, not seed + t
         X = np.random.default_rng(4).normal(size=(200, 3))
         seed0 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=0))
         seed1 = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=1))
@@ -181,19 +181,18 @@ class TestTrainBatch:
         assert ROUTE_LANES // n < 7
         for a, b in zip(views(small), views(large)):
             assert structurally_equal(a, b)
-            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+            assert (a.key, a.draws) == (b.key, b.draws)
             check_tree_invariants(a)
 
     def test_fit_tree_is_a_one_tree_train_batch(self):
         X = np.random.default_rng(24).normal(size=(120, 2))
         for psi in (None, 50):
             forest = train_batch(X, ForestConfig(num_trees=4, psi=psi, seed=6))
-            child = np.random.SeedSequence(6).spawn(4)[2]
-            gen = np.random.default_rng(child)
-            sample = X if psi is None else X[gen.choice(120, size=psi, replace=False)]
-            tree = fit_tree(sample, rng=gen)
+            key = int(np.random.SeedSequence(6).generate_state(4, np.uint64)[2])
+            sample = X if psi is None else X[np.random.default_rng(key).choice(120, size=psi, replace=False)]
+            tree = fit_tree(sample, key=key)
             assert structurally_equal(tree, views(forest)[2])
-            assert tree.rng.bit_generator.state == views(forest)[2].rng.bit_generator.state
+            assert (tree.key, tree.draws) == (views(forest)[2].key, views(forest)[2].draws)
 
     def test_overflowing_box_raises_without_runtime_warning(self):
         X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 0.5]])
@@ -482,7 +481,7 @@ class TestLockstepArena:
     def _assert_matches_reference(self, forest, reference, points=None):
         for tree, ref in zip(views(forest), reference):
             assert structurally_equal(tree, ref)
-            assert tree.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert (tree.key, tree.draws) == (ref.key, ref.draws)
             check_tree_invariants(tree, points=points)
 
     def test_extension_matches_per_tree_reference(self):
@@ -568,46 +567,15 @@ class TestLockstepArena:
         X = np.random.default_rng(22).normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0))
         tree = views(forest)[1]
-        state = tree.rng.bit_generator.state
+        draws = tree.draws
         with pytest.raises(ValueError):
             tree.left[tree.root] = 0
         with pytest.raises(ValueError):
             tree.box_min[0, 0] = 1e9
         with pytest.raises(ValueError):
             extend_tree(tree, [50.0, 50.0])
-        assert forest.rngs[1].bit_generator.state == state
+        assert forest.draws[1] == draws
         assert forest.total_population == 30
-
-    def test_zero_clock_is_redrawn(self):
-        class ZeroFirst(np.random.Generator):
-            """The first uniform of its first batch comes out as 0."""
-
-            zeroed = False
-
-            def random(self, size=None, dtype=np.float64, out=None):
-                draws = super().random(size, dtype, out)
-                if np.ndim(draws) and not self.zeroed:
-                    self.zeroed = True
-                    draws[0] = 0.0
-                return draws
-
-        X = np.random.default_rng(23).normal(size=(20, 2))
-        forest = train_batch(X, ForestConfig(num_trees=4, psi=None, seed=5))
-        forest.rngs = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
-        reference = [copy.deepcopy(tree) for tree in views(forest)]
-        ref_gens = [ZeroFirst(np.random.PCG64(t)) for t in range(4)]
-        x = X.max(axis=0) + 1.0  # outside every root box, so the root's clock comes first
-        extend_forest(forest, [x])
-        for tree, ref, gen in zip(views(forest), reference, ref_gens):
-            extend_tree(ref, x, rng=gen)
-            assert gen.zeroed and tree.rng.zeroed
-            assert structurally_equal(tree, ref)
-            assert tree.rng.bit_generator.state == gen.bit_generator.state
-            spliced = tree.size - 2  # the new internal node
-            parent = tree.parent[spliced]
-            parent_time = 0.0 if parent == NO_NODE else tree.split_time[parent]
-            assert tree.split_time[spliced] > parent_time
-            check_tree_invariants(tree, points=np.vstack([X, x]), expected_population=21)
 
     def test_overflowing_rate_raises_before_any_write(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])
@@ -619,7 +587,7 @@ class TestLockstepArena:
         assert forest.capacity == 5
         for tree, before in zip(views(forest), snapshot):
             assert structurally_equal(tree, before)
-            assert tree.rng.bit_generator.state == before.rng.bit_generator.state
+            assert tree.draws == before.draws
 
 
 def _assert_table_current(arena):
@@ -968,8 +936,7 @@ def _build_cases():
 
 
 def _grow(X, sample_size, trees, seed=0):
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
-    return Forest.grow(X, rngs, sample_size)
+    return Forest.grow(X, np.random.SeedSequence(seed).generate_state(trees, np.uint64), sample_size)
 
 
 class TestForkJoinUnforked:
@@ -1083,13 +1050,13 @@ class TestForkJoinGrow:
     @pytest.mark.parametrize("sample_size", [None, 2], ids=["every-tree", "last-tree"])
     def test_overflowing_box_raises(self, monkeypatch, sample_size):
         # every tree overflows on all four rows; on subsamples of two, only
-        # tree 5 of seed 0 draws both far rows, in the last child's block
+        # tree 5 of seed 3 draws both far rows, in the last child's block
         X = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValueError) as one_process:
-            _grow(X, sample_size, 6)
+            _grow(X, sample_size, 6, seed=3)
         fork_on(monkeypatch, cpus=3, build_lanes=1)
         with pytest.raises(ValueError) as forked:
-            _grow(X, sample_size, 6)
+            _grow(X, sample_size, 6, seed=3)
         assert str(forked.value) == str(one_process.value) == "box is too large: its linear dimension overflows to infinity"
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
 from imondrian.forest import ForestConfig, _leaf_depth, train_batch
-from imondrian.tree import NO_NODE, Forest, as_point, as_points
+from imondrian.tree import NO_NODE, Forest, _uniforms, as_point, as_points
 
 from helpers import (
     arena_state,
@@ -26,7 +26,7 @@ from helpers import (
     structurally_equal,
     tree_bits,
 )
-from reference import extend_tree, fit_tree, path_length, view, views, walk
+from reference import extend_tree, fit_tree, path_length, uniform, view, views, walk
 
 
 def _assert_boxes_are_smallest_blocks(tree, X):
@@ -48,18 +48,18 @@ class TestSmallestBlock:
     """The build gives each node the tightest box around its points."""
 
     def test_two_points(self):
-        tree = fit_tree([(0.0, 0.0), (1.0, 3.0)], rng=0)
+        tree = fit_tree([(0.0, 0.0), (1.0, 3.0)], key=0)
         assert np.array_equal(tree.box_min[tree.root], [0.0, 0.0])
         assert np.array_equal(tree.box_max[tree.root], [1.0, 3.0])
 
     def test_singleton_is_degenerate(self):
-        tree = fit_tree([(2.0, 2.0)], rng=0)
+        tree = fit_tree([(2.0, 2.0)], key=0)
         assert np.array_equal(tree.box_min[tree.root], [2.0, 2.0])
         assert np.array_equal(tree.box_max[tree.root], [2.0, 2.0])
 
     def test_matches_componentwise_scan(self):
         pts = [(1.0, 5.0), (4.0, 1.0), (2.0, 2.0)]
-        tree = fit_tree(pts, rng=1)
+        tree = fit_tree(pts, key=1)
         assert np.array_equal(tree.box_min[tree.root], [1.0, 1.0])
         assert np.array_equal(tree.box_max[tree.root], [4.0, 5.0])
         _assert_boxes_are_smallest_blocks(tree, np.array(pts))
@@ -81,13 +81,12 @@ class TestSmallestBlock:
         X[:, 0] = np.where(rng.random(24) < 0.5, 0.0, -0.0)
         X[:12, 1] = np.where(np.arange(12) % 2, 0.0, -0.0)
         for sample_size in (None, 8):
-            arena = Forest.grow(X, [np.random.default_rng(s) for s in range(4)], sample_size)
+            arena = Forest.grow(X, np.arange(4), sample_size)
             for t in range(4):
                 tree, used = view(arena, t), arena.size[t]
                 for box in (tree.box_min[:used], tree.box_max[:used]):
                     assert not np.signbit(box[box == 0.0]).any()
-        gen = np.random.default_rng(0)
-        assert tree_bits(view(Forest.grow(X, [gen]), 0)) == tree_bits(fit_tree(X, rng=np.random.default_rng(0)))
+        assert tree_bits(view(Forest.grow(X, [0]), 0)) == tree_bits(fit_tree(X, key=0))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -134,12 +133,58 @@ class TestAsPoint:
             as_point(x, dim)
         assert type(raised.value) is error
 
+    def test_coordinates_that_are_not_real_numbers(self):
+        # text and complex values are refused as such, not as ragged input,
+        # and a complex array converts without a ComplexWarning
+        for bad in (["a", "b"], [1 + 2j], [[1, "x"]], np.array([1 + 2j])):
+            for check in (as_points, as_point):
+                with pytest.raises(ValueError, match="not real numbers") as raised:
+                    check(bad)
+                assert type(raised.value) is ValueError
+        with pytest.raises(DimensionMismatchError, match="single dimensionality"):
+            as_points([(1.0, 2.0), (1.0,)])
+
+
+_MASK = (1 << 64) - 1
+
+
+def _unmix(z: int) -> int:
+    """The input whose SplitMix64 finaliser is z: each xorshift and odd
+    multiplier inverted, last step first."""
+
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return unshift(z, 30)
+
+
+class TestUniforms:
+    """The per-tree draws: uniform k of key c is a hash of (c, k)."""
+
+    @pytest.mark.parametrize("z, u", [(0, 2.0**-53), (_MASK, 1.0 - 2.0**-53)], ids=["bits-0", "bits-1"])
+    def test_extremes_lie_inside_the_unit_interval(self, z, u):
+        key = (_unmix(z) - 0x9E3779B97F4A7C15) & _MASK  # counter 0 hashes key + gamma
+        assert _uniforms(np.array([key], np.uint64), np.zeros(1, np.uint64)).tolist() == [u]
+        assert uniform(key, 0) == u
+
+    def test_vectorised_hash_matches_python_ints(self):
+        rng = np.random.default_rng(3)
+        key = np.concatenate([rng.integers(0, _MASK, size=200, dtype=np.uint64), np.array([0, _MASK], np.uint64)])
+        counter = np.concatenate([rng.integers(0, 1 << 40, size=200, dtype=np.uint64), np.array([0, _MASK - 1], np.uint64)])
+        got = _uniforms(key, counter)
+        assert got.tolist() == [uniform(c, k) for c, k in zip(key.tolist(), counter.tolist())]
+        assert ((0.0 < got) & (got < 1.0)).all()
+
 
 def _two_point_roots(points, trees: int, seed: int):
     """(split dimension, split value, split time) of the root of each of
-    ``trees`` trees built on two points, each tree with its own generator."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(trees)]
-    arena = Forest.grow(np.array(points, dtype=float), rngs)
+    ``trees`` trees built on two points, each tree with its own key."""
+    arena = Forest.grow(np.array(points, dtype=float), np.random.SeedSequence(seed).generate_state(trees, np.uint64))
     rows = np.arange(trees)
     return arena.split_dim[rows, arena.root], arena.split_val[rows, arena.root], arena.split_time[rows, arena.root]
 
@@ -186,10 +231,9 @@ LAW_LEVEL = 1e-4  # fixed and strict: the seeds make each p-value a constant
 
 
 def _law_arena(points, seed: int, extra=()) -> Forest:
-    """LAW_TREES trees, each with its own generator, built on ``points`` and
-    then extended with each point of ``extra`` in turn."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(LAW_TREES)]
-    arena = Forest.grow(points, rngs)
+    """LAW_TREES trees, each with its own key, built on ``points`` and then
+    extended with each point of ``extra`` in turn."""
+    arena = Forest.grow(points, np.random.SeedSequence(seed).generate_state(LAW_TREES, np.uint64))
     for x in extra:
         arena.extend(x)
     return arena
@@ -292,7 +336,7 @@ class TestExtensionLaw:
 
 class TestFitTree:
     def test_single_point_is_leaf(self):
-        tree = fit_tree([(3.0, 4.0)], rng=0)
+        tree = fit_tree([(3.0, 4.0)], key=0)
         assert tree.size == 1
         assert tree.left[tree.root] == NO_NODE
         assert tree.population[tree.root] == 1
@@ -300,7 +344,7 @@ class TestFitTree:
 
     def test_two_points_gives_one_cut(self):
         for seed in range(10):
-            tree = fit_tree([0.0, 1.0], rng=seed)  # two 1-D points
+            tree = fit_tree([0.0, 1.0], key=seed)  # two 1-D points
             assert tree.size == 3
             assert tree.left[tree.root] != NO_NODE
             assert 0.0 < tree.split_val[tree.root] < 1.0
@@ -308,29 +352,29 @@ class TestFitTree:
     def test_eight_points_proper_binary(self):
         rng = np.random.default_rng(42)
         pts = rng.uniform(size=(8, 2))
-        tree = fit_tree(pts, rng=3)
+        tree = fit_tree(pts, key=3)
         counts = check_tree_invariants(tree, points=pts, expected_population=8)
         assert counts == {"leaves": 8, "internals": 7}
 
     def test_identical_points_collapse_to_leaf(self):
-        tree = fit_tree([(1.0, 2.0)] * 5, rng=9)
+        tree = fit_tree([(1.0, 2.0)] * 5, key=9)
         assert tree.size == 1
         assert tree.population[tree.root] == 5
 
     def test_overflowing_linear_dimension_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
-            fit_tree([[-1e308, -1e308], [1e308, 1e308]], rng=0)
+            fit_tree([[-1e308, -1e308], [1e308, 1e308]], key=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_tree([], rng=0)
+            fit_tree([], key=0)
 
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(50, 3))
-        a = fit_tree(pts, rng=123)
-        b = fit_tree(pts, rng=123)
-        c = fit_tree(pts, rng=124)
+        a = fit_tree(pts, key=123)
+        b = fit_tree(pts, key=123)
+        c = fit_tree(pts, key=124)
         assert structurally_equal(a, b)
         assert not structurally_equal(a, c)
 
@@ -340,12 +384,12 @@ class TestFitTree:
             n = int(rng.integers(1, 120))
             d = int(rng.integers(1, 6))
             X = random_dataset(rng, n, d)
-            tree = fit_tree(X, rng=1000 + i)
+            tree = fit_tree(X, key=1000 + i)
             check_tree_invariants(tree, points=X, expected_population=n)
 
     def test_slots_are_breadth_first(self):
         X = np.random.default_rng(12).normal(size=(200, 3))
-        tree = fit_tree(X, rng=4)
+        tree = fit_tree(X, key=4)
         depth = np.zeros(tree.size, dtype=int)
         for node in range(1, tree.size):
             assert tree.parent[node] < node
@@ -353,39 +397,33 @@ class TestFitTree:
         assert tree.root == 0 and tree.parent[0] == NO_NODE
         assert np.all(np.diff(depth) >= 0)
 
-    def test_zero_waiting_time_is_redrawn(self):
-        class ZeroFirst(np.random.Generator):
-            """Its first batch of exponentials comes out as zeros."""
+    def test_zero_waiting_time_is_redrawn(self, monkeypatch):
+        # the root's clock, counter 0, is made to give a waiting time of 0, as
+        # a rate near the largest float can; it is redrawn from the tree's
+        # next counter, 3, after the three of its level
+        def zero_first_clock(key, counter):
+            u = _uniforms(key, counter)
+            if counter.ndim == 2 and counter[0, 0] == 0:
+                u[0, 0] = 0.0
+            return u
 
-            zeroed = False
-
-            def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
-                draws = super().standard_exponential(size, dtype, method, out)
-                if out is not None and not self.zeroed:
-                    self.zeroed = True
-                    out[:] = 0.0
-                return draws
-
-        gen = ZeroFirst(np.random.PCG64(0))
+        monkeypatch.setattr("imondrian.tree._uniforms", zero_first_clock)
         X = np.random.default_rng(13).normal(size=(10, 2))
-        tree = view(Forest.grow(X, [gen]), 0)
-        assert gen.zeroed
-        assert tree.split_time[tree.root] > 0.0
+        tree = view(Forest.grow(X, [5]), 0)
+        rate = (X.max(axis=0) - X.min(axis=0)).sum()
+        assert tree.split_time[tree.root] == -np.log1p(-uniform(5, 3)) / rate
         check_tree_invariants(tree, points=X, expected_population=10)
 
+    def test_cut_on_lower_end_moves_to_upper_end(self, monkeypatch):
+        def zero_cuts(key, counter):
+            u = _uniforms(key, counter)
+            if counter.ndim == 2:  # the build's (clock, dimension, value) rows
+                u[:, 1:] = 0.0
+            return u
 
-    def test_cut_on_lower_end_moves_to_upper_end(self):
-        class ZeroUniforms(np.random.Generator):
-            """Every batch of uniforms comes out as zeros."""
-
-            def random(self, size=None, dtype=np.float64, out=None):
-                draws = super().random(size, dtype, out)
-                if out is not None:
-                    out[:] = 0.0
-                return draws
-
+        monkeypatch.setattr("imondrian.tree._uniforms", zero_cuts)
         X = np.random.default_rng(14).normal(size=(10, 2))
-        tree = view(Forest.grow(X, [ZeroUniforms(np.random.PCG64(0))]), 0)
+        tree = view(Forest.grow(X, [0]), 0)
         # each cut lands on dim 0 at the box's upper end: the largest point goes right
         assert tree.split_dim[tree.root] == 0
         assert tree.split_val[tree.root] == X[:, 0].max()
@@ -395,11 +433,11 @@ class TestFitTree:
 
 class TestPathLength:
     def test_single_leaf_depth_zero(self):
-        tree = fit_tree([(1.0,)], rng=0)
+        tree = fit_tree([(1.0,)], key=0)
         assert path_length([5.0], tree) == 0
 
     def test_one_cut_depth_one(self):
-        tree = fit_tree([0.0, 1.0], rng=2)
+        tree = fit_tree([0.0, 1.0], key=2)
         for x in (-10.0, 0.3, 0.9, 42.0):
             assert path_length([x], tree) == 1
 
@@ -407,7 +445,7 @@ class TestPathLength:
         rng = np.random.default_rng(5)
         for seed in range(8):
             pts = rng.uniform(size=(8, 2))
-            tree = fit_tree(pts, rng=seed)
+            tree = fit_tree(pts, key=seed)
             depths = [path_length(x, tree) for x in pts]
             assert depths == [depth_oracle(tree, x) for x in pts]
             # mean routed depth of training points == mean leaf depth
@@ -415,14 +453,14 @@ class TestPathLength:
             assert np.mean(depths) == table_mean
 
     def test_dimension_mismatch_rejected(self):
-        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
+        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], key=0)
         with pytest.raises(DimensionMismatchError):
             path_length([1.0, 2.0, 3.0], tree)
 
 
 class TestExtendTree:
     def _unit_box_tree(self, seed: int):
-        return fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=seed)
+        return fit_tree([(0.0, 0.0), (1.0, 1.0)], key=seed)
 
     def test_outside_point_splice_samples_the_deviating_dim(self):
         spliced_roots = 0
@@ -450,7 +488,7 @@ class TestExtendTree:
 
     def test_splice_grows_by_two_and_increments_path(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.5), (0.2, 1.0), (0.9, 0.1)])
-        tree = fit_tree(pts, rng=21)
+        tree = fit_tree(pts, key=21)
         before = tree.size
         pops_before = tree.population[: tree.size].copy()
         x = np.array([5.0, 5.0])
@@ -465,7 +503,7 @@ class TestExtendTree:
     def test_duplicate_point_absorbed_into_leaf(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.5), (0.2, 1.0)])
         for seed in range(20):
-            tree = fit_tree(pts, rng=seed)
+            tree = fit_tree(pts, key=seed)
             before = tree.size
             extend_tree(tree, pts[1])
             assert tree.size == before  # structure unchanged
@@ -475,7 +513,7 @@ class TestExtendTree:
     def test_extension_stream_keeps_invariants(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(40, 3))
-        tree = fit_tree(X, rng=5)
+        tree = fit_tree(X, key=5)
         inserted = [X]
         for i in range(60):
             x = rng.normal(scale=3.0, size=3)
@@ -491,30 +529,30 @@ class TestExtendTree:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 2))
         stream = rng.normal(scale=2.0, size=(20, 2))
-        a = fit_tree(X, rng=7)
-        b = fit_tree(X, rng=7)
+        a = fit_tree(X, key=7)
+        b = fit_tree(X, key=7)
         for x in stream:
             extend_tree(a, x)
             extend_tree(b, x)
         assert structurally_equal(a, b)
 
     def test_dimension_mismatch_rejected(self):
-        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
+        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], key=0)
         with pytest.raises(DimensionMismatchError):
             extend_tree(tree, (1.0, 2.0, 3.0))
 
     def test_non_finite_rejected(self):
-        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
+        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], key=0)
         with pytest.raises(ValueError):
             extend_tree(tree, (np.inf, 0.0))
 
     def test_overflowing_rate_rejected_before_any_write(self):
-        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], rng=0)
+        tree = fit_tree([(0.0, 0.0), (1.0, 1.0)], key=0)
         before = copy.deepcopy(tree)
         with pytest.raises(ValueError, match="overflow"):
             extend_tree(tree, (1e308, 1e308))
         assert structurally_equal(tree, before)
-        assert tree.rng.bit_generator.state == before.rng.bit_generator.state
+        assert tree.draws == before.draws
 
 
 # the largest finite float64: hostile arrivals are clipped to it
@@ -569,7 +607,7 @@ def _oracle_sum(trees, x) -> float:
 
 class TestKernelsMatchOracles:
     """On hostile data the lockstep kernels match the per-tree references bit
-    for bit, generator states included: ``grow``'s trees are ``fit_tree``'s,
+    for bit, draw counts included: ``grow``'s trees are ``fit_tree``'s,
     each ``extend`` is ``extend_tree`` in every tree, and ``route`` sums
     ``scored_depth`` over the trees. Where a reference raises ValueError,
     the kernel raises it too, and an ``extend`` that raises leaves the arena
@@ -581,17 +619,16 @@ class TestKernelsMatchOracles:
         X, seeds, m, arrivals = case
         refs = []
         for seed in seeds:
-            gen = np.random.default_rng(seed)
-            sample = X if m is None else X[gen.choice(X.shape[0], size=m, replace=False)]
+            sample = X if m is None else X[np.random.default_rng(seed).choice(X.shape[0], size=m, replace=False)]
             try:
-                refs.append(fit_tree(sample, rng=gen))
+                refs.append(fit_tree(sample, key=seed))
             except ValueError:
                 refs.append(None)
         if None in refs:
             with pytest.raises(ValueError):
-                Forest.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+                Forest.grow(X, seeds, m)
             return
-        arena = Forest.grow(X, [np.random.default_rng(seed) for seed in seeds], m)
+        arena = Forest.grow(X, seeds, m)
         assert [tree_bits(view(arena, t)) for t in range(len(seeds))] == [tree_bits(ref) for ref in refs]
         assert arena.route(X, _leaf_depth).tolist() == [_oracle_sum(refs, x) for x in X]
         for x in arrivals:
