@@ -439,7 +439,7 @@ def load_model(path) -> Forest:
         raise error
     if error is not None:
         raise ModelFormatError(f"{path}: malformed payload: {error}") from error
-    problem = _structure_problem(forest, derive=True)
+    problem = _structure_problem(forest)
     if problem is not None:
         raise ModelFormatError(f"{path}: invalid tree structure: {problem}")
     return forest
@@ -504,19 +504,19 @@ def _read_array(handle, shape: tuple[int, ...], dtype, digest) -> np.ndarray:
     return array
 
 
-def _structure_problem(forest: Forest, derive: bool = False) -> str | None:
+def _structure_problem(forest: Forest) -> str | None:
     """Why the packed trees of an arena are not valid partition trees, or None.
 
     Checked for every tree at once, on the child table itself: each side of
     a used slot is a used slot of the same tree; a node is a leaf iff both
     of its sides are self loops; every used slot but the root is entered by
     exactly one side that is not a self loop, and the root by none; split
-    times rise from parent to child, so links cannot form a cycle. Then,
-    with ``derive``, the internal boxes and populations are rebuilt from the
-    leaves (``Forest._derive_inner``), and: every node holds a point or
-    more; every root the same number, at least 2; split dimensions lie in
-    [0, dim); boxes are ordered; each cut separates its children, the left
-    one's box below the split value and the right one's at or above it.
+    times rise from parent to child, so links cannot form a cycle. Then the
+    internal boxes and populations are rebuilt from the leaves
+    (``Forest._derive_inner``), and: every node holds a point or more; every
+    root the same number, at least 2; split dimensions lie in [0, dim);
+    boxes are ordered; each cut separates its children, the left one's box
+    below the split value and the right one's at or above it.
     """
     T, C = forest.population.shape
     used = np.arange(C) < forest.size[:, None]
@@ -542,8 +542,7 @@ def _structure_problem(forest: Forest, derive: bool = False) -> str | None:
     inner_time = split_time[inner]
     if not ((split_time[roots] > 0.0).all() and all((split_time[kid] > inner_time).all() for kid in kids)):
         return "split times do not increase from parent to child"
-    if derive:
-        forest._derive_inner()
+    forest._derive_inner()
     if (forest.population[used] < 1).any():
         return "population below 1"
     held = forest.population.ravel()[roots]

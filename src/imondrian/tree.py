@@ -20,19 +20,20 @@ from a segment min/max over the node's points, its split time and cut from
 its tree's next uniforms, and its children's points from a stable
 partition, so slots are numbered breadth first. Routing and extension
 descend through the child table, so one gather per level moves every lane
-and a lane that reached its leaf stays there. Extension is one body in three phases, after
-its overflow check and any regrow of the arena, so no index changes under
-it: walk one lane per tree, every lane every level, and read each tree's
-path off that walk; race one exponential clock per candidate node (a node on
-the point's path that the point lies outside of), all trees drawing their
-clocks and cuts in one call of ``_uniforms``; write, rewriting
-only the boxes the point lies outside of and splicing above the node whose
-clock fired. Scoring adds to a point's edge count, which routing reads off
-a table of node depths, the c term of the reached leaf's population (0 for
-one point). A one-point score walks as extension does and leaves its walk to
-the insert of that point that follows it; every insert clears it. The
-per-tree references the kernels are tested against (``fit_tree``,
-``path_length`` and ``extend_tree``) live in ``tests/reference.py``.
+and a lane that reached its leaf stays there. Extension is one body in
+three phases: walk one lane per tree, every lane every level, and read each
+tree's path off that walk, then check for overflow and regrow the arena if
+it is full, moving the path's indices as the child table's move; race one
+exponential clock per candidate node (a node on the point's path that the
+point lies outside of), all trees drawing their clocks in one call of
+``_uniforms``; write, rewriting only the boxes the point lies outside of and
+splicing above the node whose clock fired. Scoring adds to a point's edge
+count, which routing reads off a table of node depths, the c term of the
+reached leaf's population (0 for one point). A one-point score walks as
+extension does and leaves its walk to the insert of that point that follows
+it; every insert clears it. The per-tree references the kernels are tested
+against (``fit_tree``, ``path_length`` and ``extend_tree``) live in
+``tests/reference.py``.
 
 A large forest is built, and a large batch routed, on every CPU in the
 process's affinity mask (so ``taskset -c 0`` keeps them on one) by one
@@ -169,18 +170,6 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
     p = lo + (hi - lo) * u[:, 1]
     # a cut exactly on the interval's lower end would leave one side empty
     return q, np.where(p <= lo, hi, p)
-
-
-def _runs(trees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each run in a sorted array of tree indices."""
-    starts = np.empty(trees.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(trees[1:], trees[:-1], out=starts[1:])
-    first = np.flatnonzero(starts)
-    count = np.empty_like(first)
-    count[:-1] = first[1:] - first[:-1]
-    count[-1:] = trees.size - first[-1:]
-    return first, count
 
 
 # a box this large would make the split clock fire at time 0 forever
@@ -326,8 +315,9 @@ class Forest:
     ``dim`` axis); row t holds tree t. ``root``, ``size``, ``key`` and
     ``draws`` hold each tree's root, used slot count, key and count of
     uniforms drawn. Slots past a tree's size keep the unused-slot values.
-    ``extend`` doubles the capacity of every row before it walks whenever
-    some row has fewer than two free slots, the most one insert takes.
+    ``extend`` doubles the capacity of every row after its walk and before
+    its race whenever some row has fewer than two free slots, the most one
+    insert takes.
 
     The kernels move all trees down one depth level per numpy step: ``grow``
     builds the trees, ``route`` sums depths for a batch of points, and
@@ -345,14 +335,17 @@ class Forest:
     its cut's dimension and value. A waiting time that underflows to 0
     takes the tree's next counter until it is positive.
 
-    ``extend`` is one body: overflow check, regrow, then walk, race and
-    write. Tree t's candidates are the k nodes on x's path with a positive
-    deviation rate, in path order. With k = 0 the tree draws nothing and
+    ``extend`` is one body: walk, overflow check, regrow, race and write.
+    Tree t's candidates are the k nodes on x's path with a positive
+    deviation rate. Boxes nest, so they are the last k rows of its path,
+    ``ends[t] - k .. ends[t] - 1``. With k = 0 the tree draws nothing and
     absorbs x; otherwise counters draws[t] .. draws[t] + k - 1 are their
-    clocks and the next two the cut's. The first candidate whose parent
+    clocks, and a tree whose clock fired takes the next two for its cut;
+    draws[t] advances by k + 2 whether a clock fired or not. The first candidate whose parent
     time plus waiting time is below its own split time fires; by
     memorylessness the later clocks go unused, as in Mondrian-forest
-    extension (Lakshminarayanan, Roy & Teh 2014).
+    extension (Lakshminarayanan, Roy & Teh 2014). The rows before a tree's
+    ``stop`` (its fired node, or ``ends[t]``) count x.
 
     The links live only in ``child``, an int64 table of length 2 * T * C
     (T trees, capacity C). Entry ``side * T * C + g`` holds the flat index
@@ -365,7 +358,8 @@ class Forest:
     records the leaf each lane parks on and reads its depth off
     ``_node_depths``; ``extend`` has one lane per tree and steps all of them
     every level, so its walk is a (levels, T) array from which each tree's
-    path is the root and every level at which that lane moved.
+    path is the root and every level at which that lane moved: rows
+    ``starts[t] .. ends[t] - 1`` of the tree-major path arrays.
     """
 
     def __init__(self, num_trees: int, dim: int, capacity: int):
@@ -492,11 +486,12 @@ class Forest:
             if rate[split].max() == np.inf:
                 raise ValueError(_OVERFLOW)
             t, rate = seg_tree[split], rate[split]
-            first, count = _runs(t)  # each tree's first split and split count
-            rank = np.arange(split.size, dtype=np.uint64) - np.repeat(first, count).astype(np.uint64)
-            at = self.draws.take(t) + np.uint64(3) * rank  # each node's first counter
+            # each tree's split count, and each split's rank in its tree
+            count = np.bincount(t, minlength=self.num_trees)
+            rank = np.arange(t.size) - (np.cumsum(count) - count).take(t)
+            at = self.draws.take(t) + np.uint64(3) * rank.astype(np.uint64)  # each node's first counter
             u = _uniforms(self.key.take(t)[:, None], at[:, None] + np.arange(3, dtype=np.uint64))
-            self.draws[t.take(first)] += np.uint64(3) * count.astype(np.uint64)
+            self.draws += np.uint64(3) * count.astype(np.uint64)
             with np.errstate(over="ignore"):
                 e = -np.log1p(-u[:, 0]) / rate
                 for j in np.flatnonzero(e == 0.0).tolist():  # underflowed: the tree's next counter
@@ -511,7 +506,8 @@ class Forest:
                 split, t, rate, time, u = (a[finite] for a in (split, t, rate, time, u))
                 if not split.size:
                     break
-                first, count = _runs(t)
+                count = np.bincount(t, minlength=self.num_trees)
+                rank = np.arange(t.size) - (np.cumsum(count) - count).take(t)
             k = split.size
             q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u[:, 1:])
             flat = flat[split]
@@ -519,8 +515,8 @@ class Forest:
             self._flat("split_val")[flat] = p
             self._flat("split_time")[flat] = time
             # 3. children in the next slots of each tree, left before right
-            kid_l = self.size[t] + 2 * (np.arange(k) - np.repeat(first, count))
-            self.size[t[first]] += 2 * count
+            kid_l = self.size.take(t) + 2 * rank
+            self.size += 2 * count
             self.child[flat] = t * C + kid_l
             self.child[TC + flat] = t * C + kid_l + 1
             # the stable partition: each split node's points, left side first
@@ -581,10 +577,11 @@ class Forest:
         A large batch is routed on every CPU in the process's affinity mask,
         by a fork-join over contiguous blocks of points (see ``_fork_join``):
         one worker per FORK_LANES (tree, point) lanes, at most one per usable
-        CPU and per point. A child reads the arena copy-on-write, builds its
-        own node-depth table and writes its block's sums to its file. The
-        split is by points, not trees, so each point's sum is taken by one
-        process in tree order, bit for bit the one-process sum (``_route``).
+        CPU and per point. The node-depth table is built once, before the
+        forks; a child reads it and the arena copy-on-write and writes its
+        block's sums to its file. The split is by points, not trees, so each
+        point's sum is taken by one process in tree order, bit for bit the
+        one-process sum (``_route``).
 
         A one-point batch is walked as ``extend`` walks (``_walk``), its
         depths added in tree order one at a time, bit for bit as in ``_route``;
@@ -593,17 +590,17 @@ class Forest:
         n = X.shape[0]
         if n == 1:  # walked as extend walks, and left for its extend
             self._walked = ((X[0] + 0.0).tobytes(), self._walk(X[0]))  # keyed as extend pins x
-            _, path_flat, starts = self._walked[1]
-            leaf = np.append(starts[1:], path_flat.size) - 1
-            depth = leaf - starts + leaf_depth(self._flat("population").take(path_flat.take(leaf)))
+            _, path_flat, starts, ends = self._walked[1]
+            depth = ends - 1 - starts + leaf_depth(self._flat("population").take(path_flat.take(ends - 1)))
             return np.add.accumulate(depth)[-1:]
         depth_sum = np.empty(n)
+        node_depth = self._node_depths()  # before the forks, so children read this one
 
         def local(a, b):
-            depth_sum[a:b] = self._route(X[a:b], leaf_depth)
+            depth_sum[a:b] = self._route(X[a:b], leaf_depth, node_depth)
 
         def child(a, b, out):
-            out.write(self._route(X[a:b], leaf_depth))
+            out.write(self._route(X[a:b], leaf_depth, node_depth))
 
         def take(a, b, src):
             _read_into(src, depth_sum[a:b])
@@ -611,18 +608,19 @@ class Forest:
         _fork_join(n, n * self.num_trees, FORK_LANES, child, local, take)
         return depth_sum
 
-    def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
-        """``route`` in this process. Lanes are (tree, point) pairs in
-        tree-major order, routed about ROUTE_LANES at a time so memory stays
-        flat, and carry only their lane number, node and point. Points are
-        read feature-major, so lanes at one node read one column, and a pass
-        numbers its trees' nodes from 0. A parked lane loops on its leaf, so
-        only every second level checks for movement; the walk ends when none
-        moved. Once half of the lanes have parked, every lane's node is
-        recorded, to be overwritten later for the lanes still moving, and
-        those are gathered by index (a boolean mask cost 7 ns per element per
-        array, ``flatnonzero`` and ``take`` 2). Each lane's edge count is then
-        read off ``_node_depths`` at the leaf it reached.
+    def _route(self, X: np.ndarray, leaf_depth, node_depth: np.ndarray | None = None) -> np.ndarray:
+        """``route`` in this process, reading edge counts off ``node_depth``
+        (``_node_depths()``, built here if not given). Lanes are (tree,
+        point) pairs in tree-major order, routed about ROUTE_LANES at a time
+        so memory stays flat, and carry only their lane number, node and
+        point. Points are read feature-major, so lanes at one node read one
+        column, and a pass numbers its trees' nodes from 0. A parked lane
+        loops on its leaf, so only every second level checks for movement;
+        the walk ends when none moved. Once half of the lanes have parked,
+        every lane's node is recorded, to be overwritten later for the lanes
+        still moving, and those are gathered by index (a boolean mask cost 7
+        ns per element per array, ``flatnonzero`` and ``take`` 2). Each
+        lane's edge count is then read off ``node_depth`` at its leaf.
 
         A tree of L leaves whose root holds more than L points has a leaf of
         two or more. Without such a tree every depth is an edge count and
@@ -635,7 +633,8 @@ class Forest:
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
         population, kids = self._flat("population"), self.child.reshape(2, -1)
         duplicates = bool((self.population[np.arange(T), self.root] > (self.size + 1) // 2).any())
-        node_depth = self._node_depths()
+        if node_depth is None:
+            node_depth = self._node_depths()
         depth_sum = np.zeros(n)
         block = min(n, ROUTE_LANES)
         trees_per_pass = max(ROUTE_LANES // block, 1)
@@ -713,13 +712,13 @@ class Forest:
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree.
 
-        x's zero coordinates are read as +0.0. Raises ValueError, with the
-        arena unchanged, if a rate would overflow in some tree (every box on
-        x's path lies inside the root's box enlarged to admit x). Then
-        doubles the capacity if some row has fewer than two free slots, so
-        that no index changes after that, and:
+        x's zero coordinates are read as +0.0.
         1. walks x down every tree at once, or takes the walk ``route`` left
-           for x if the capacity did not change (every call clears it);
+           for x (every call clears it). Then raises ValueError, with the
+           arena unchanged, if a rate would overflow in some tree (every box
+           on x's path lies inside the root's box enlarged to admit x), and
+           doubles the capacity if some row has fewer than two free slots,
+           moving the path's flat indices as the child table's move;
         2. races: every deviation rate on the paths at once, every clock
            hashed at once (see the class docstring), and each tree's first
            firing candidate;
@@ -730,20 +729,24 @@ class Forest:
         """
         walked, self._walked = self._walked, None
         x = x + 0.0  # a fresh array: -0.0 is read as +0.0, as the build reads it
-        T = self.num_trees
-        _check_rates_finite(self.box_min[np.arange(T), self.root], self.box_max[np.arange(T), self.root], x)
-        if self.size.max() + 2 > self.capacity:
+        T, C = self.population.shape
+
+        # 1. walk, overflow check and regrow
+        path_tree, path_flat, starts, ends = walked[1] if walked and walked[0] == x.tobytes() else self._walk(x)
+        roots = path_flat.take(starts)
+        _check_rates_finite(self._flat("box_min")[roots], self._flat("box_max")[roots], x)
+        if self.size.max() + 2 > C:
             self._double()  # a doubled row always has room for two more
-            walked = None  # its flat indices are the old capacity's
-        C, TC = self.capacity, self.population.size
+            path_flat = path_flat + path_flat // C * (self.capacity - C)  # as _double moves child entries
+            C = self.capacity
+        TC = T * C
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
         population = self._flat("population")
 
-        # 1. walk
-        path_tree, path_flat, starts = walked[1] if walked and walked[0] == x.tobytes() else self._walk(x)
-
-        # 2. race: rates and parent times on every path node; the candidates
-        # are the nodes with a positive rate, in path order
+        # 2. race: rates and parent times on every path node. The candidates
+        # are the nodes with a positive rate; boxes nest, so a tree's k
+        # candidates are the last k rows of its path, and its clock j is
+        # counter draws + j
         lo, hi = box_min.take(path_flat, axis=0), box_max.take(path_flat, axis=0)
         dev = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
         rate = dev.sum(axis=1)
@@ -753,30 +756,26 @@ class Forest:
         tau[starts] = 0.0  # roots have parent time 0
         cand = np.flatnonzero(rate > 0.0)
         cand_tree = path_tree.take(cand)
-        first, count = _runs(cand_tree)
-        # a tree with k > 0 candidates takes k clocks, then the cut's
-        # dimension and value uniforms: u holds each such tree's k + 2 in turn
-        tree_of = np.repeat(np.arange(first.size), count)
-        at = first + 2 * np.arange(first.size)  # each tree's offset in u
-        u_tree = np.repeat(cand_tree.take(first), count + 2)
-        rank = (np.arange(u_tree.size) - np.repeat(at, count + 2)).astype(np.uint64)
-        u = _uniforms(self.key.take(u_tree), self.draws.take(u_tree) + rank)
-        self.draws[cand_tree.take(first)] += (count + 2).astype(np.uint64)
-        clock = u.take(np.arange(cand.size) + 2 * tree_of)
+        k = np.bincount(cand_tree, minlength=T)
+        rank = (cand - (ends - k).take(cand_tree)).astype(np.uint64)
+        clock = _uniforms(self.key.take(cand_tree), self.draws.take(cand_tree) + rank)
         with np.errstate(over="ignore"):  # a subnormal rate waits forever
             wait = -np.log1p(-clock) / rate.take(cand)
         fire_at = tau.take(cand) + wait
         hit = np.flatnonzero(fire_at < node_time.take(cand))
-        hit = hit.take(_runs(cand_tree.take(hit))[0])  # each tree's first firing
+        hit = hit.take(np.unique(cand_tree.take(hit), return_index=True)[1])  # each tree's first firing
         fired = cand.take(hit)  # its position on the path
+        t = cand_tree.take(hit)
+        cut_at = self.draws.take(t) + k.take(t).astype(np.uint64)  # a fired tree's cut: draws + k and + 1
+        cut_u = _uniforms(self.key.take(t)[:, None], cut_at[:, None] + np.arange(2, dtype=np.uint64))
+        self.draws += (k + 2 * (k > 0)).astype(np.uint64)
 
-        # 3. write: the nodes passed before the clock fired take x
-        t = path_tree.take(fired)
-        stop = np.full(T, path_tree.size)
+        # 3. write: the nodes before each tree's stop (its fired node, or the
+        # end of its path) take x
+        stop = ends.copy()
         stop[t] = fired
-        passed = np.arange(path_tree.size) < stop.take(path_tree)
-        population[path_flat[passed]] += 1
-        moved = np.flatnonzero(passed & (rate > 0.0))
+        population[path_flat[np.arange(path_tree.size) < stop.take(path_tree)]] += 1
+        moved = cand[cand < stop.take(cand_tree)]
         box_min[path_flat.take(moved)] = np.minimum(lo.take(moved, axis=0), x)
         box_max[path_flat.take(moved)] = np.maximum(hi.take(moved, axis=0), x)
         if not fired.size:
@@ -786,9 +785,8 @@ class Forest:
         node, up = path_flat.take(fired), path_flat.take(fired - 1)
         node_min, node_max = lo.take(fired, axis=0), hi.take(fired, axis=0)
         over = x > node_max
-        draws = u.take((at + count).take(tree_of.take(hit))[:, None] + np.arange(2))
         gap = np.where(over, node_max, x), np.where(over, x, node_min)  # each dim's interval
-        q, p = _cut(*gap, dev.take(fired, axis=0), rate.take(fired), draws)
+        q, p = _cut(*gap, dev.take(fired, axis=0), rate.take(fired), cut_u)
         above = over.ravel().take(np.arange(t.size) * self.dim + q)
         internal = self.size.take(t)
         self.size[t] += 2
@@ -810,11 +808,12 @@ class Forest:
         up, node, inner = up[~at_root], node[~at_root], inner[~at_root]
         self.child[(self.child.take(up) != node) * TC + up] = inner
 
-    def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _walk(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Phase 1 of ``extend``: the path of x in every tree as tree-major
-        tree and flat node indices, and where each tree's root is on it. A
-        parked lane loops on its leaf; each tree's path is its root and every
-        level at which its lane moved."""
+        tree and flat node indices, and where each tree's path starts (its
+        root) and ends (one past its leaf) on it. A parked lane loops on its
+        leaf; each tree's path is its root and every level at which its lane
+        moved."""
         T, C = self.population.shape
         TC = T * C
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
@@ -833,5 +832,5 @@ class Forest:
         on_path[0] = True
         np.not_equal(walk[1:], walk[:-1], out=on_path[1:])
         length = on_path.sum(axis=0)
-        starts = np.cumsum(length) - length
-        return np.repeat(np.arange(T), length), walk.T[on_path.T], starts
+        ends = np.cumsum(length)
+        return np.repeat(np.arange(T), length), walk.T[on_path.T], ends - length, ends

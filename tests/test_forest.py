@@ -537,11 +537,12 @@ class TestLockstepArena:
         self._assert_matches_reference(forest, reference, points=np.vstack([X, stream]))
         assert forest.total_population == 42
 
-    def test_full_rows_double_before_the_walk(self, monkeypatch):
-        # two points fill every row (3 of 3 slots); a duplicate arrival fires
-        # no clock, and the capacity still doubles, before any walk reads an
-        # index, so the walk its one-point score left is taken again. The
-        # next arrival finds room and reuses its score's walk
+    def test_full_rows_double_after_the_walk(self, monkeypatch):
+        # two points fill every row (3 of 3 slots); an arrival outside every
+        # box doubles the capacity to 8 after taking the walk its one-point
+        # score left, and splices in every tree (a leaf's clock always fires)
+        # through the walk's indices moved to the new capacity. The next
+        # arrival, a duplicate, finds room and reuses its score's walk
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         forest = train_batch(X, ForestConfig(num_trees=3, psi=None, seed=8))
         assert (forest.size == forest.capacity).all()
@@ -554,14 +555,17 @@ class TestLockstepArena:
             return real_walk(arena, x)
 
         monkeypatch.setattr(Forest, "_walk", walk)
-        for x in (X[1], np.array([3.0, -2.0])):
+        sizes = []
+        for x in (np.array([3.0, -2.0]), X[1]):
             score_all([x], forest)
             extend_forest(forest, [x])
             for ref in reference:
                 extend_tree(ref, x)
-        assert walked_at == [3, 8, 8]
+            sizes.append(forest.size.tolist())
+        assert walked_at == [3, 8]
         assert forest.capacity == 8
-        self._assert_matches_reference(forest, reference, points=np.vstack([X, X[1], [3.0, -2.0]]))
+        assert sizes == [[5, 5, 5], [5, 5, 5]]
+        self._assert_matches_reference(forest, reference, points=np.vstack([X, [3.0, -2.0], X[1]]))
 
     def test_tree_views_are_read_only(self):
         X = np.random.default_rng(22).normal(size=(30, 2))
@@ -911,11 +915,11 @@ class TestForkJoinRoute:
         parent, calls = os.getpid(), []
         one_process = Forest._route
 
-        def route_or_fail(arena, X, leaf_depth):
+        def route_or_fail(arena, X, leaf_depth, node_depth):
             if os.getpid() != parent:
                 raise RuntimeError("the child fails, so it exits 1")
             calls.append(X.shape[0])
-            return one_process(arena, X, leaf_depth)
+            return one_process(arena, X, leaf_depth, node_depth)
 
         monkeypatch.setattr(Forest, "_route", route_or_fail)
         for forest, probes in _fork_cases(50):
