@@ -7,7 +7,10 @@ the same commands once per checkout, each in a subprocess whose
 ``PYTHONPATH`` is that checkout's ``src/``:
 
 - ``imondrian fit``: its score export and model file at psi 256 (16,384
-  rows, 100 trees) and at psi 0 (the first 2,048 rows, 20 trees);
+  rows, 100 trees) and at psi 0 (the first 2,048 rows, 20 trees), and its
+  score export at psi 0 on the first 512 rows each written four times in a
+  row (20 trees), whose leaves hold exact duplicates, so that scoring adds
+  their c term;
 - ``imondrian score``: the export of the psi-256 model on its 16,384 rows;
 - an episode on the library: a 100-tree psi-256 forest trained on the first
   2,048 rows takes the next 200 rows one at a time, each scored alone and
@@ -43,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 SHAPES = {
-    "full": {"rows": 16384, "trees": 100, "full_rows": 2048, "full_trees": 20,
+    "full": {"rows": 16384, "trees": 100, "full_rows": 2048, "full_trees": 20, "duplicate_rows": 512,
              "seed_rows": 2048, "arrivals": 200, "every": 50, "window": 2048, "stream_trees": 100},
-    "small": {"rows": 300, "trees": 4, "full_rows": 100, "full_trees": 3,
+    "small": {"rows": 300, "trees": 4, "full_rows": 100, "full_trees": 3, "duplicate_rows": 25,
               "seed_rows": 64, "arrivals": 12, "every": 4, "window": 32, "stream_trees": 3},
 }
 
@@ -98,11 +101,15 @@ def worker(shape: dict, data: Path) -> dict[str, str]:
         if code:
             sys.exit(f"imondrian {argv[0]} exited {code}")
 
-    Path("full.csv").write_text("".join(data.read_text().splitlines(keepends=True)[: shape["full_rows"] + 1]))
+    lines = data.read_text().splitlines(keepends=True)
+    Path("full.csv").write_text("".join(lines[: shape["full_rows"] + 1]))
+    Path("duplicates.csv").write_text(lines[0] + "".join(line * 4 for line in lines[1 : shape["duplicate_rows"] + 1]))
     cli("fit", "--data", str(data), "--trees", str(shape["trees"]), "--psi", "256", "--seed", "0",
         "--out", "fit256.csv", "--model", "fit256.model")
     cli("fit", "--data", "full.csv", "--trees", str(shape["full_trees"]), "--psi", "0", "--seed", "0",
         "--out", "fit0.csv", "--model", "fit0.model")
+    cli("fit", "--data", "duplicates.csv", "--trees", str(shape["full_trees"]), "--psi", "0", "--seed", "0",
+        "--out", "fitdup.csv")
     cli("score", "--data", str(data), "--model", "fit256.model", "--out", "score.csv")
     cli("stream", "--data", "full.csv", "--trees", str(shape["stream_trees"]), "--seed", "0", "--out", "stream.csv")
 
@@ -121,7 +128,8 @@ def worker(shape: dict, data: Path) -> dict[str, str]:
         table = [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(handle)]
     files = {name: digest(Path(file).read_bytes()) for name, file in (
         ("fit psi 256 export", "fit256.csv"), ("fit psi 256 model", "fit256.model"),
-        ("fit psi 0 export", "fit0.csv"), ("fit psi 0 model", "fit0.model"), ("score export", "score.csv"),
+        ("fit psi 0 export", "fit0.csv"), ("fit psi 0 model", "fit0.model"),
+        ("fit duplicates export", "fitdup.csv"), ("score export", "score.csv"),
     )}
     return {
         **files,
@@ -168,8 +176,8 @@ def main() -> None:
         change = run_side(args.change, shape, data, Path(tmp) / "change")
     differ = [name for name in base if base[name] != change.get(name)]
     for name in base:
-        print(f"{name:20s} base   {base[name]}")
-        print(f"{'':20s} change {change.get(name)}  {'DIFFERS' if name in differ else 'same'}")
+        print(f"{name:21s} base   {base[name]}")
+        print(f"{'':21s} change {change.get(name)}  {'DIFFERS' if name in differ else 'same'}")
     print(f"{len(differ)} of {len(base)} outputs differ" if differ else f"all {len(base)} outputs identical")
     sys.exit(1 if differ else 0)
 

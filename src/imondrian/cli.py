@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .data_io import (
+    _GENERATORS,
     CsvSchema,
     SyntheticSpec,
     gen_synthetic,
@@ -41,15 +42,13 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 
-_SYNTH_DEFAULT_INLIERS = {"gaussian-blob": 255, "two-blobs": 100, "ring": 100, "grid-cluster": 100}
-
 
 def _add_data_flags(sub: argparse.ArgumentParser, synthetic: bool = True) -> None:
     sub.add_argument("--data", required=not synthetic, help="CSV dataset path")
     if synthetic:
         sub.add_argument(
             "--synthetic",
-            choices=sorted(_SYNTH_DEFAULT_INLIERS),
+            choices=sorted(_GENERATORS),
             help="generate a 2-D synthetic dataset instead of reading --data",
         )
         sub.add_argument("--inliers", type=int, help="synthetic inlier count (default per shape)")
@@ -143,7 +142,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             if args.synthetic:
                 args.spec = SyntheticSpec(
                     kind=args.synthetic,
-                    n_inliers=_SYNTH_DEFAULT_INLIERS[args.synthetic] if args.inliers is None else args.inliers,
+                    n_inliers=args.inliers,
                     n_outliers=args.outliers,
                     outlier_halfwidth=args.box,
                     seed=args.seed,

@@ -211,7 +211,8 @@ def _parse_cells(
 # -- synthetic data ------------------------------------------------------------
 
 # per-kind inlier sampler and "core" region outliers must avoid:
-# (sampler(rng, n) -> points, core(points) -> bool mask, axis extent of core)
+# (sampler(rng, n) -> points, core(points) -> bool mask, axis extent of core,
+# default inlier count)
 
 
 def _blob(center, sigma, rng, n):
@@ -231,6 +232,7 @@ _GENERATORS = {
         lambda rng, n: _blob((0.0, 0.0), 1.0, rng, n),
         lambda pts: _min_center_distance(pts, [(0.0, 0.0)]) <= 4.0,
         4.0,
+        255,
     ),
     "two-blobs": (
         lambda rng, n: np.concatenate(
@@ -238,17 +240,20 @@ _GENERATORS = {
         ),
         lambda pts: _min_center_distance(pts, [(-4.0, 0.0), (4.0, 0.0)]) <= 3.5,
         7.5,
+        100,
     ),
     "ring": (
         lambda rng, n: _ring_points(rng, n),
         lambda pts: np.abs(np.linalg.norm(pts, axis=1) - 6.0) <= 1.8,
         7.8,
+        100,
     ),
     "grid-cluster": (
         lambda rng, n: _blob((0.0, 0.0), 0.6, rng, n)
         + np.asarray(_GRID_CENTERS, float)[rng.integers(0, len(_GRID_CENTERS), n)],
         lambda pts: _min_center_distance(pts, _GRID_CENTERS) <= 2.0,
         8.0,
+        100,
     ),
 }
 
@@ -265,10 +270,11 @@ class SyntheticSpec:
 
     Inliers come from the chosen shape; outliers are uniform over the
     square [-halfwidth, halfwidth]^2 minus the shape's core region.
+    ``n_inliers=None`` takes the shape's default count.
     """
 
     kind: str = "gaussian-blob"
-    n_inliers: int = 255
+    n_inliers: int | None = None
     n_outliers: int = 45
     outlier_halfwidth: float = 10.0
     seed: int = 0
@@ -276,6 +282,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in _GENERATORS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}; options: {sorted(_GENERATORS)}")
+        if self.n_inliers is None:
+            object.__setattr__(self, "n_inliers", _GENERATORS[self.kind][3])
         if self.n_inliers < 0 or self.n_outliers < 0:
             raise ValueError("counts must be nonnegative")
         if self.n_inliers + self.n_outliers == 0:
@@ -294,7 +302,7 @@ class SyntheticSpec:
 def gen_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     """Deterministic synthetic dataset: inliers labeled 0, outliers 1."""
     rng = np.random.default_rng(spec.seed)
-    sampler, core, _ = _GENERATORS[spec.kind]
+    sampler, core, _, _ = _GENERATORS[spec.kind]
     inliers = sampler(rng, spec.n_inliers) if spec.n_inliers else np.zeros((0, 2))
     outliers = np.zeros((0, 2))
     hw = spec.outlier_halfwidth

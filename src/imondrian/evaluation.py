@@ -24,7 +24,10 @@ from .tree import Forest, as_points
 class LabeledDataset:
     """Feature matrix plus ground-truth anomaly labels (0 normal, 1 anomaly).
 
-    Labels are only ever used for evaluation, never for training.
+    Labels are only ever used for evaluation, never for training. The
+    points are validated by ``as_points``, one label per row: a dataset of
+    no rows (a header-only file) keeps its (0, d) shape, and training
+    rejects it.
     """
 
     points: np.ndarray
@@ -33,10 +36,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.labels = _as_labels(self.labels)
-        if self.labels.size or np.size(self.points):
-            self.points = as_points(self.points)
-        else:  # no rows (a header-only file) is a dataset of (0, d) points; training rejects it
-            self.points = np.zeros((0, np.shape(self.points)[1] if np.ndim(self.points) == 2 else 0))
+        self.points = as_points(self.points)
         if self.labels.size != self.points.shape[0]:
             raise ValueError(
                 f"{self.labels.size} labels for {self.points.shape[0]} points"

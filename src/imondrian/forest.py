@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Forest, as_point, as_points
+from .tree import Forest, as_points
 
 # truncated Euler-Mascheroni constant, exactly as used by the normalization
 EULER_GAMMA = 0.5772156649
@@ -108,40 +108,30 @@ def train_batch(points, config: ForestConfig | None = None) -> Forest:
 
 def score_all(points, forest: Forest) -> tuple[np.ndarray, np.ndarray]:
     """Score a batch: ``(expected_path_length, score)`` float64 arrays in
-    input order. A single point is scored as a one-row batch.
+    input order. A single point is scored as a one-row batch, and an empty
+    batch (see ``as_points``) as no rows.
 
     All trees are walked in lockstep, one depth level per numpy step, and
     the scores are normalised by c(``forest.total_population``).
     """
-    if _is_empty(points):
-        return np.zeros(0), np.zeros(0)
-    expected = forest.route(as_points(points, forest.dim), _leaf_depth) / forest.num_trees
+    X = as_points(points, forest.dim)
+    expected = forest.route(X, _leaf_depth) / forest.num_trees if X.shape[0] else np.zeros(0)
     return expected, anomaly_score(expected, forest.total_population)
-
-
-def _is_empty(points) -> bool:
-    if points is None:
-        return True
-    try:
-        return len(points) == 0
-    except TypeError:
-        return False
 
 
 def extend_forest(forest: Forest, new_points) -> Forest:
     """Insert streamed points one by one, in arrival order, into every tree.
 
-    Each point is validated before any tree sees it, so a bad point aborts
-    without partially mutating the forest for that point; all trees take a
-    point in one lockstep pass (``Forest.extend``), each drawing from
-    its own key only, so a tree grows the same way in any forest.
-    Later scores are normalised by the grown population. Mutates in place
-    and returns the forest.
+    The batch is validated whole (``as_points``) before the first insert,
+    so a ragged, non-finite or wrongly sized point anywhere in it changes
+    nothing; a point whose deviation rate would overflow is refused by
+    ``Forest.extend`` when it arrives. All trees take a point in one
+    lockstep pass, each drawing from its own key only, so a tree grows the
+    same way in any forest. Later scores are normalised by the grown
+    population. Mutates in place and returns the forest.
     """
-    if _is_empty(new_points):
-        return forest
-    for raw in new_points:
-        forest.extend(as_point(raw, forest.dim))
+    for x in as_points(new_points, forest.dim):
+        forest.extend(x)
     return forest
 
 
@@ -153,11 +143,10 @@ def rescore_window(
     """Recompute scores for the last ``window`` retained points (all if None).
 
     Pure read: returns ``(expected_path_length, score)`` arrays whose rows
-    are the last ``window`` rows of ``retained_points``.
+    are the last ``window`` rows of ``retained_points``, validated whole as
+    ``score_all`` validates a batch (so no rows give empty arrays).
     """
     if window is not None and window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    if _is_empty(retained_points):
-        return score_all(retained_points, forest)
     X = as_points(retained_points, forest.dim)
     return score_all(X if window is None else X[-window:], forest)

@@ -112,18 +112,15 @@ def _uniforms(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
     return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Validate a single point as a one-row point set (see ``as_points``)."""
-    return as_points([x], dim)[0]
-
-
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    """Validate a point set as a float (n, d) array.
+    """Validate a point set as a float (n, d) array; a single point x is
+    the one-row set ``[x]``.
 
-    A 1-D sequence is treated as n one-dimensional points. Ragged input and
-    points without coordinates (d = 0) raise DimensionMismatchError; an
-    empty set, coordinates that are not real numbers (text, complex) and
-    non-finite values raise ValueError.
+    A nonempty 1-D sequence is n one-dimensional points, and ``[]`` is no
+    points of dimension ``dim`` (0 if None). Ragged input, a dimension other
+    than ``dim`` (an empty (0, d) array's too) and nonempty points without
+    coordinates raise DimensionMismatchError; coordinates that are not real
+    numbers (text, complex) and non-finite values raise ValueError.
     """
     try:
         arr = np.asarray(points)
@@ -134,12 +131,10 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError("point coordinates are not real numbers") from exc
     if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+        arr = arr.reshape(-1, 1) if arr.size else arr.reshape(0, dim or 0)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected an (n, d) point set, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("point set must be nonempty")
-    if arr.shape[1] == 0:
+    if arr.shape[0] and not arr.shape[1]:
         raise DimensionMismatchError("points have no coordinates")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatchError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from imondrian.tree import FIELD_NAMES, NO_NODE, _check_rates_finite, as_point, as_points, node_fields
+from imondrian.tree import FIELD_NAMES, NO_NODE, _check_rates_finite, as_points, node_fields
 
 # the links a tree holds beside the arena's node fields
 _LINKS = ("left", "right", "parent")
@@ -194,7 +194,7 @@ def walk(tree: Tree, x) -> list[int]:
 
 def path_length(x, tree: Tree) -> int:
     """Number of edges from the root to the leaf the point routes to."""
-    return len(walk(tree, as_point(x, tree.dim))) - 1
+    return len(walk(tree, as_points([x], tree.dim)[0])) - 1
 
 
 def extend_tree(tree: Tree, x_new) -> Tree:
@@ -220,7 +220,7 @@ def extend_tree(tree: Tree, x_new) -> Tree:
     drawing or writing anything, on a read-only tree view and on a point so
     far from the root's box that a deviation rate would overflow.
     """
-    x = as_point(x_new, tree.dim) + 0.0
+    x = as_points([x_new], tree.dim)[0] + 0.0
     if not tree.left.flags.writeable:
         raise ValueError("tree is a read-only view of a forest; extend the forest instead")
     _check_rates_finite(tree.box_min[tree.root], tree.box_max[tree.root], x)

@@ -218,7 +218,7 @@ class TestHeaderOnlyTraining:
         data.write_text("f0,f1,label\n" if label else "f0,f1\n")
         argv = ["fit", "--data", str(data)] + (["--label-column", label] if label else [])
         assert main(argv) == EXIT_DATA
-        assert "point set must be nonempty" in capsys.readouterr().err
+        assert "training needs at least 2 points, got 0" in capsys.readouterr().err
 
     def test_stream_cannot_stratify(self, tmp_path, capsys):
         data = tmp_path / "header.csv"
@@ -449,6 +449,25 @@ class TestStream:
         code = main(["stream", "--data", str(data), "--trees", "5"])
         assert code == EXIT_DATA
 
+    def test_grid_without_out_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["stream", "--synthetic", "gaussian-blob", "--grid", "20"])
+        assert err.value.code == EXIT_USAGE
+        message = "imondrian stream: error: --grid needs --out to name the dump file"
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+class TestKmeansFallback:
+    def test_equal_scores_fall_back_to_the_threshold(self, tmp_path, capsys):
+        # identical rows make every tree one leaf, so every score is equal
+        data, out = tmp_path / "same.csv", tmp_path / "scores.csv"
+        _write_csv(data, np.ones((12, 2)))
+        assert main(["fit", "--data", str(data), "--trees", "3", "--mode", "kmeans", "--out", str(out)]) == EXIT_OK
+        warning = "warning: all scores are equal; 2-means is degenerate; falling back to threshold labeling"
+        assert capsys.readouterr().err.splitlines() == [warning]
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 12 and len({row.split(",", 1)[1] for row in rows}) == 1
+
 
 class TestOneClassLabels:
     """The AUC of labels of one class is undefined, which ``fit`` and
@@ -506,6 +525,15 @@ class TestSyntheticFlags:
         assert err.value.code == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSyntheticDefaults:
+    @pytest.mark.parametrize(
+        "kind, n", [("gaussian-blob", 300), ("two-blobs", 145), ("ring", 145), ("grid-cluster", 145)]
+    )
+    def test_default_inlier_count_per_shape(self, kind, n, capsys):
+        assert main(["fit", "--synthetic", kind, "--trees", "2"]) == EXIT_OK
+        assert f"fit synthetic-{kind}: n={n} d=2 " in capsys.readouterr().out
 
 
 # flag values no run can use, each a usage error of its subcommand

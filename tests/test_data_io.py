@@ -489,6 +489,13 @@ class TestGenSynthetic:
         assert ds.n == 145
         assert ds.anomaly_count == 45
 
+    def test_default_inlier_count_follows_the_shape(self):
+        defaults = {"gaussian-blob": 255, "two-blobs": 100, "ring": 100, "grid-cluster": 100}
+        for kind, inliers in defaults.items():
+            spec = SyntheticSpec(kind=kind)
+            assert spec.n_inliers == inliers
+            assert gen_synthetic(spec).n == inliers + 45
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(kind="spiral")
@@ -797,6 +804,40 @@ class TestModelRoundTrip:
 
         reseal_model(path, edit)
         assert arena_fingerprint(load_model(path)) == arena_fingerprint(forest)
+
+
+class TestModelLoadErrors:
+    def _saved(self, tmp_path):
+        X = np.random.default_rng(21).normal(size=(40, 2))
+        path = tmp_path / "model.imf"
+        save_model(train_batch(X, ForestConfig(num_trees=3, psi=None, seed=0)), path)
+        return path
+
+    def test_malformed_checksum_field(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b" sha256=", b" md5=", 1))
+        with pytest.raises(ModelFormatError, match="malformed checksum field"):
+            load_model(path)
+
+    def test_root_link_out_of_range(self, tmp_path):
+        path = self._saved(tmp_path)
+
+        def root_at_size(meta, arrays):
+            meta["root"][0] = meta["size"][0]
+
+        reseal_model(path, root_at_size)
+        with pytest.raises(ModelFormatError, match="root link out of range"):
+            load_model(path)
+
+    def test_metadata_line_without_newline_under_its_checksum(self, tmp_path):
+        # the read's own ModelFormatError, reported once the checksum matches
+        path = self._saved(tmp_path)
+        magic, version, _ = path.read_bytes().split(b"\n", 1)[0].split()
+        meta = path.read_bytes().split(b"\n", 2)[1]
+        header = b" ".join([magic, version, b"sha256=" + hashlib.sha256(meta).hexdigest().encode()])
+        path.write_bytes(header + b"\n" + meta)
+        with pytest.raises(ModelFormatError, match="no array section after the metadata line"):
+            load_model(path)
 
 
 class TestSaveModelFile:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imondrian.data_io import SyntheticSpec, gen_synthetic
-from imondrian.errors import StratificationError
+from imondrian.errors import DimensionMismatchError, StratificationError
 from imondrian.evaluation import (
     LabeledDataset,
     auc,
@@ -99,6 +99,10 @@ class TestAuc:
     def test_float_and_bool_labels_of_zero_and_one_accepted(self):
         assert auc([0.9, 0.1, 0.5], [1.0, 0.0, 0.0]) == auc([0.9, 0.1, 0.5], [True, False, False]) == 1.0
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="2 scores for 3 labels"):
+            auc([0.9, 0.1], [1, 0, 0])
+
 
 def _toy_dataset(n=40, anomalies=8, seed=0) -> LabeledDataset:
     rng = np.random.default_rng(seed)
@@ -120,8 +124,13 @@ class TestLabeledDataset:
     def test_labels_must_match_points(self):
         with pytest.raises(ValueError, match="0 labels for 3 points"):
             LabeledDataset(points=np.ones((3, 2)), labels=[])
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match="1 labels for 0 points"):
             LabeledDataset(points=np.zeros((0, 2)), labels=[0])
+
+    def test_rows_without_coordinates_rejected(self):
+        # rows of no coordinates are refused as such, not read as no rows
+        with pytest.raises(DimensionMismatchError, match="no coordinates"):
+            LabeledDataset(points=np.zeros((5, 0)), labels=[])
 
     def test_fractional_labels_rejected_not_truncated(self):
         with pytest.raises(ValueError, match=r"labels must be 0 \(normal\) or 1 \(anomaly\)"):
@@ -222,6 +231,10 @@ class TestStreamStages:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             stream_stages(_toy_dataset(n=40, anomalies=10), num_stages=5, seed=-1)
+
+    def test_zero_stages_rejected(self):
+        with pytest.raises(ValueError, match="num_stages must be >= 1, got 0"):
+            stream_stages(_toy_dataset(n=40, anomalies=10), num_stages=0)
 
 
 class TestRunStreamExperiment:

@@ -31,13 +31,24 @@ from imondrian.forest import (
     score_all,
     train_batch,
 )
-from imondrian.tree import FIELD_NAMES, NO_NODE, ROUTE_LANES, Forest, _can_fork, _fork_join
+from imondrian.tree import (
+    FIELD_NAMES,
+    NO_NODE,
+    ROUTE_LANES,
+    Forest,
+    _can_fork,
+    _fork_join,
+    _pin,
+    _unnamed_file,
+    _usable_cpus,
+)
 
 from helpers import (
     EXTENSION_FINGERPRINT,
     ROUTE_FINGERPRINT,
     arena_fingerprint,
     arena_state,
+    assert_no_children,
     check_arena_invariants,
     check_tree_invariants,
     depth_oracle,
@@ -397,8 +408,8 @@ class TestExtendForest:
         pops = [int(t.population[t.root]) for t in views(forest)]
         with pytest.raises(DimensionMismatchError):
             extend_forest(forest, [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])])
-        # first (valid) point landed, offending point mutated nothing
-        assert [int(t.population[t.root]) for t in views(forest)] == [p + 1 for p in pops]
+        # the batch is validated whole: the valid point before it did not land
+        assert [int(t.population[t.root]) for t in views(forest)] == pops
 
     def test_dense_arrivals_drop_scores_in_their_region(self):
         # a region scored as anomalous stops looking anomalous once data
@@ -475,6 +486,56 @@ def _stream(rng, X, count):
         else:
             points.append(X[int(rng.integers(0, X.shape[0]))].copy())
     return np.asarray(points)
+
+
+class TestWholeBatchValidation:
+    """``score_all``, ``extend_forest`` and ``rescore_window`` validate their
+    batch as one array (``as_points``): an empty batch is checked like any
+    other, and no point lands before the whole batch has passed."""
+
+    def _forest(self):
+        X = np.random.default_rng(19).normal(size=(40, 2))
+        return train_batch(X, ForestConfig(num_trees=4, psi=None, seed=0))
+
+    @staticmethod
+    def _calls(forest, points):
+        return (lambda: score_all(points, forest), lambda: rescore_window(forest, points),
+                lambda: rescore_window(forest, points, window=3), lambda: extend_forest(forest, points))
+
+    def test_empty_batch_of_another_width_rejected(self):
+        forest = self._forest()
+        before = arena_state(forest)
+        for empty in (np.zeros((0, 3)), np.zeros((0, 1))):
+            for call in self._calls(forest, empty):
+                with pytest.raises(DimensionMismatchError, match="expected 2"):
+                    call()
+        assert arena_state(forest) == before
+
+    def test_none_is_not_an_empty_batch(self):
+        forest = self._forest()
+        before = arena_state(forest)
+        for call in self._calls(forest, None):
+            with pytest.raises(DimensionMismatchError):
+                call()
+        assert arena_state(forest) == before
+
+    def test_bad_point_anywhere_changes_nothing(self):
+        forest = self._forest()
+        before = arena_state(forest)
+        good = [[0.5, 0.5], [3.0, -3.0]]
+        for bad, error in (([np.nan, 0.0], ValueError), ([0.0, np.inf], ValueError),
+                           ([1.0, 2.0, 3.0], DimensionMismatchError), ([1.0], DimensionMismatchError)):
+            with pytest.raises(error) as raised:
+                extend_forest(forest, good + [bad])
+            assert type(raised.value) is error
+            assert arena_state(forest) == before
+
+    def test_overflowing_rate_is_caught_as_the_point_arrives(self):
+        forest = self._forest()
+        with pytest.raises(ValueError, match="deviation rate overflows"):
+            extend_forest(forest, [[0.5, 0.5], [1e308, -1e308], [0.0, 0.0]])
+        assert forest.total_population == 41
+        check_arena_invariants(forest, expected_population=41)
 
 
 class TestLockstepArena:
@@ -1062,6 +1123,49 @@ class TestForkJoinGrow:
         with pytest.raises(ValueError) as forked:
             _grow(X, sample_size, 6, seed=3)
         assert str(forked.value) == str(one_process.value) == "box is too large: its linear dimension overflows to infinity"
+
+
+class TestForkJoinPortable:
+    """The fork-join's branches for an OS without ``memfd_create`` or an
+    affinity mask, run here with those calls removed."""
+
+    @staticmethod
+    def _without_linux_calls(monkeypatch, cpus):
+        for name in ("memfd_create", "sched_getaffinity", "sched_setaffinity"):
+            monkeypatch.delattr(os, name, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def test_cpus_pinning_and_files_fall_back(self, monkeypatch):
+        self._without_linux_calls(monkeypatch, 3)
+        assert _usable_cpus() == [0, 1, 2]
+        assert _pin({0}) is None
+        with _unnamed_file() as out:
+            out.write(b"imondrian")
+            out.seek(0)
+            assert out.read() == b"imondrian"
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == [0]
+
+    def test_forked_route_and_grow_match_one_process(self, monkeypatch):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        cases = _fork_cases(50)
+        routes = [forest._route(probes, _leaf_depth).tobytes() for forest, probes in cases]
+        builds = [arena_fingerprint(_grow(*case)) for case in _build_cases()]
+        self._without_linux_calls(monkeypatch, 3)
+        monkeypatch.setattr("imondrian.tree.FORK_LANES", 1)
+        monkeypatch.setattr("imondrian.tree.FORK_BUILD_LANES", 1)
+        forks, real_fork = [], os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert [forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases] == routes
+        assert [arena_fingerprint(_grow(*case)) for case in _build_cases()] == builds
+        assert len(forks) == 2 * len(cases) + sum(min(3, trees) - 1 for _, _, trees in _build_cases())
+        assert_no_children()
 
 
 class TestRescoreWindow:

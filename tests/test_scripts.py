@@ -15,5 +15,5 @@ def test_same_outputs_reads_one_checkout_as_identical():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-1] == "all 11 outputs identical"
-    assert sum(line.endswith("  same") for line in lines) == 11
+    assert lines[-1] == "all 12 outputs identical"
+    assert sum(line.endswith("  same") for line in lines) == 12

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from imondrian.errors import DimensionMismatchError
 from imondrian.forest import ForestConfig, _leaf_depth, train_batch
-from imondrian.tree import NO_NODE, Forest, _uniforms, as_point, as_points
+from imondrian.tree import NO_NODE, Forest, _cut, _uniforms, as_points
 
 from helpers import (
     arena_state,
     bbox_oracle,
+    check_arena_invariants,
     check_tree_invariants,
     depth_oracle,
     deterministic,
@@ -26,7 +27,7 @@ from helpers import (
     structurally_equal,
     tree_bits,
 )
-from reference import extend_tree, fit_tree, path_length, uniform, view, views, walk
+from reference import _cut_rule, extend_tree, fit_tree, path_length, uniform, view, views, walk
 
 
 def _assert_boxes_are_smallest_blocks(tree, X):
@@ -88,9 +89,11 @@ class TestSmallestBlock:
                     assert not np.signbit(box[box == 0.0]).any()
         assert tree_bits(view(Forest.grow(X, [0]), 0)) == tree_bits(fit_tree(X, key=0))
 
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            as_points([])
+    def test_empty_set_is_no_rows(self):
+        assert as_points([]).shape == (0, 0)
+        assert as_points([], 3).shape == (0, 3)
+        with pytest.raises(DimensionMismatchError):
+            as_points(np.zeros((0, 2)), 3)
 
     def test_mixed_dimensionality_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -105,16 +108,16 @@ class TestSmallestBlock:
             with pytest.raises(DimensionMismatchError):
                 as_points(bad)
         with pytest.raises(DimensionMismatchError):
-            as_point([])
+            as_points([[]])
 
 
 class TestAsPoint:
     """A single point is validated as a one-row point set."""
 
     def test_valid_points(self):
-        assert as_point(2.5).tolist() == [2.5]
-        assert as_point([1, 2], dim=2).tolist() == [1.0, 2.0]
-        assert as_point(np.array([3.0, -1.0])).dtype == np.float64
+        assert as_points([2.5])[0].tolist() == [2.5]
+        assert as_points([[1, 2]], dim=2)[0].tolist() == [1.0, 2.0]
+        assert as_points([np.array([3.0, -1.0])])[0].dtype == np.float64
 
     @pytest.mark.parametrize(
         "x, dim, error",
@@ -130,16 +133,16 @@ class TestAsPoint:
     )
     def test_error_types(self, x, dim, error):
         with pytest.raises(ValueError) as raised:
-            as_point(x, dim)
+            as_points([x], dim)[0]
         assert type(raised.value) is error
 
     def test_coordinates_that_are_not_real_numbers(self):
         # text and complex values are refused as such, not as ragged input,
         # and a complex array converts without a ComplexWarning
         for bad in (["a", "b"], [1 + 2j], [[1, "x"]], np.array([1 + 2j])):
-            for check in (as_points, as_point):
+            for check in (bad, [bad]):
                 with pytest.raises(ValueError, match="not real numbers") as raised:
-                    check(bad)
+                    as_points(check)
                 assert type(raised.value) is ValueError
         with pytest.raises(DimensionMismatchError, match="single dimensionality"):
             as_points([(1.0, 2.0), (1.0,)])
@@ -429,6 +432,40 @@ class TestFitTree:
         assert tree.split_val[tree.root] == X[:, 0].max()
         assert tree.population[tree.right[tree.root]] == 1
         check_tree_invariants(tree, points=X, expected_population=10)
+
+    def test_level_reranks_after_infinite_split_times(self):
+        # the box of (0, 0) and (5e-324, 0) has a subnormal rate, so its split
+        # time is infinite and it stays a leaf with its draws spent, while
+        # nodes of its level split; the level's splits are then ranked again.
+        # In this 20-tree build of seed 0, four levels do so
+        X = np.array([(0, 0), (5e-324, 0), (10, 10), (11, 10.5), (12, 11), (13, 15), (3, 7), (8, 1)], dtype=float)
+        forest = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
+        check_arena_invariants(forest, points=X, expected_population=8)
+        TC = forest.population.size
+        leaf = (forest.child[:TC] == np.arange(TC)).reshape(forest.population.shape)
+        wide = (forest.box_max > forest.box_min).any(axis=2)
+        assert np.count_nonzero(leaf & wide & (forest.population > 1)) >= 4
+        for t, tree in enumerate(views(forest)):
+            assert tree_bits(tree) == tree_bits(fit_tree(X, key=int(forest.key[t])))
+
+
+class TestCut:
+    def test_roundoff_past_the_last_width_takes_the_last_positive_one(self):
+        # with the largest uniform, 1 - 2**-53, a subnormal rate rounds
+        # u * rate up to rate, so every cumulative width is within it and the
+        # raw q is d; the cut falls back to the last positive width
+        widths = np.array([[5e-324, 0.0], [0.0, 5e-324], [2.5e-323, 5e-324]])
+        rate = widths.sum(axis=1)
+        u = np.tile([1.0 - 2.0**-53, 0.5], (3, 1))
+        assert (u[:, 0] * rate == rate).all()
+        assert ((np.cumsum(widths, axis=1) <= rate[:, None]).sum(axis=1) == 2).all()
+        lo, hi = np.zeros_like(widths), widths
+        q, p = _cut(lo, hi, widths, rate, u)
+        assert q.tolist() == [0, 1, 1]
+        rows = np.arange(3)
+        assert ((lo[rows, q] < p) & (p <= hi[rows, q])).all()
+        for i in rows:
+            assert (q[i], p[i]) == _cut_rule(widths[i], rate[i], lo[i], hi[i], u[i])
 
 
 class TestPathLength:
