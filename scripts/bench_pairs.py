@@ -4,9 +4,12 @@
 
 For each seed, runs ``perfbench/run.py`` once in each checkout (BASE first on
 even pairs, CHANGE first on odd ones), reads the JSON object on the last line
-of its output and the cycle count on its ``cycles:`` line, and prints both
-runs' cycle counts beside their metrics: a metric pooled over the cycles that
-fit in the run, such as ``stream`` ``auc``, can move with the count alone.
+of its output, the cycle count on its ``cycles:`` line and the unadjusted
+throughput on its ``raw_points_per_s:`` line (``parse``), and prints both
+runs' cycle counts and raw throughput beside their metrics: a metric pooled
+over the cycles that fit in the run, such as ``stream`` ``auc``, can move
+with the count alone, and ``points_per_s`` is scaled by a speed kernel
+timed between blocks, which a block's own work can slow.
 For each metric it then prints both sides' median and quartiles, the median
 of the per-pair ratios (change over base), and the number of pairs the
 change won, ties counting for neither, with the better direction taken from
@@ -18,29 +21,39 @@ distance between BASE's quartiles; the ratio does not enter the verdict.
 An end-to-end metric also reads ``regress`` in the last column when the
 change's median is worse than BASE's by more than the metric's ``bound``
 in BASE's ``BENCHMARK.json`` times BASE's median (``ok`` otherwise): the
-no-regression rule, which needs no count of wins. Uses the standard library
-only.
+no-regression rule, which needs no count of wins. The raw throughput's
+quartiles follow the ``points_per_s`` row, for reading only: no verdict is
+taken on them. Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run(checkout: Path, args, seed: int) -> tuple[dict, str]:
+def parse(lines: list[str]) -> tuple[dict, str, float]:
+    """The metrics of a ``perfbench/run.py`` run from the lines it printed,
+    its cycle count ("?" if not printed) and its ``raw_points_per_s`` (nan
+    if not printed, as in a traced run)."""
+    cycles = next((line.split()[1] for line in lines if line.startswith("cycles:")), "?")
+    raw = next((float(line.split()[1]) for line in lines if line.startswith("raw_points_per_s:")), math.nan)
+    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}, cycles, raw
+
+
+def run(checkout: Path, args, seed: int) -> tuple[dict, str, float]:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode or not lines:
         sys.exit(f"{checkout} seed {seed} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    cycles = next((line.split()[1] for line in lines if line.startswith("cycles:")), "?")
-    return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}, cycles
+    return parse(lines)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -61,13 +74,14 @@ def main() -> None:
     contract = json.loads((args.base / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher" for m in contract["end_to_end"] + contract["per_layer"]}
     bounds = {m["name"]: m["bound"] for m in contract["end_to_end"]}
-    pairs = []
+    pairs, raws = [], []
     for i, seed in enumerate(range(first, last + 1)):
         order = (args.base, args.change) if i % 2 == 0 else (args.change, args.base)
         got = {side: run(side, args, seed) for side in order}
-        (b, base_cycles), (c, change_cycles) = got[args.base], got[args.change]
+        (b, base_cycles, base_raw), (c, change_cycles, change_raw) = got[args.base], got[args.change]
         pairs.append((b, c))
-        print(f"seed {seed}: cycles {base_cycles} -> {change_cycles}  "
+        raws.append((base_raw, change_raw))
+        print(f"seed {seed}: cycles {base_cycles} -> {change_cycles}  raw_points_per_s {base_raw:.4g} -> {change_raw:.4g}  "
               + "  ".join(f"{n} {b[n]:.4g} -> {c[n]:.4g}" for n in b if n in c and n in higher), flush=True)
     print(f"{'metric':40s} {'base q1 / median / q3':>29s}  {'change q1 / median / q3':>29s}  ratio  wins  verdict  rule")
     for name in pairs[0][0]:
@@ -86,6 +100,9 @@ def main() -> None:
         if name in bounds:
             rule = "regress" if sign * (bm - cm) > bounds[name] * abs(bm) else "ok"
         print(f"{name:40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}  {ratio:5.3f}  {wins:2d}/{len(pairs)}  {verdict:7s}  {rule}")
+        if name == "points_per_s" and not any(math.isnan(v) for pair in raws for v in pair):
+            (b1, bm, b3), (c1, cm, c3) = (quartiles([pair[side] for pair in raws]) for side in (0, 1))
+            print(f"{'  raw_points_per_s (not judged)':40s} {b1:9.4g} {bm:9.4g} {b3:9.4g}  {c1:9.4g} {cm:9.4g} {c3:9.4g}")
 
 
 if __name__ == "__main__":

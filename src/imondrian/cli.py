@@ -25,7 +25,7 @@ from .data_io import (
     write_scores,
 )
 from .decision import KMEANS, THRESHOLD, assign_all, fit_kmeans2
-from .errors import DataFormatError, DimensionMismatchError, ModelFormatError, StratificationError
+from .errors import DataFormatError, ModelFormatError, StratificationError
 from .evaluation import (
     LabeledDataset,
     auc,
@@ -223,14 +223,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     forest = load_model(args.model)
     points, labels, _ = _load_any(args)
-    if points.shape[0] == 0:
-        if points.shape[1] not in (0, forest.dim):  # d = 0: no column is named
-            raise DimensionMismatchError(f"points have dimension {points.shape[1]}, expected {forest.dim}")
+    _, scores = score_all(points, forest)
+    if not scores.size:
         if args.out:
             write_scores(args.out, [], [], args.mode)
             print(f"0 score rows written to {args.out}")
         return EXIT_OK
-    _, scores = score_all(points, forest)
     _, predicted = _decide(scores, args.mode, args.threshold)
     if args.out:
         write_scores(args.out, scores, predicted, args.mode)

@@ -335,10 +335,10 @@ def save_model(forest: Forest, path) -> None:
     2. ``split_dim``, ``split_val`` and ``split_time`` of the internal slots;
     3. ``population``, ``box_min`` and ``box_max`` of the leaf slots.
     A tree of s slots has (s + 1) / 2 leaves, so the byte count follows from
-    ``size``. An internal node's box and population are the union and the
-    sum of its children's (see ``Forest``), and a leaf's cut fields the
-    unused-slot values, so neither is stored. The checksum covers everything
-    after the header line.
+    ``size``. Only leaves count points, an internal node's box is the union
+    of its children's (see ``Forest``) and a leaf's cut fields hold the
+    unused-slot values, so none of these is stored. The checksum covers
+    everything after the header line.
 
     The arrays are hashed and then written one block of tree rows at a time
     (``_put_arrays``). The file is written beside the target under a
@@ -416,8 +416,8 @@ def load_model(path) -> Forest:
     hashed and scattered into its slots. A file whose checksum does not
     match reports that, whatever else is wrong with it: on any other problem
     the rest of the file is hashed, in blocks, before the error is chosen.
-    The internal boxes and populations are derived once the links are known
-    to form trees (see ``_structure_problem``).
+    The internal boxes are derived once the links are known to form trees
+    (see ``_structure_problem``).
     """
     with Path(path).open("rb") as handle:
         header = handle.readline()
@@ -520,9 +520,9 @@ def _structure_problem(forest: Forest) -> str | None:
     of its sides are self loops; every used slot but the root is entered by
     exactly one side that is not a self loop, and the root by none; split
     times rise from parent to child, so links cannot form a cycle. Then the
-    internal boxes and populations are rebuilt from the leaves
-    (``Forest._derive_inner``), and: every node holds a point or more; every
-    root the same number, at least 2; split dimensions lie in [0, dim);
+    internal boxes are rebuilt from the leaves (``Forest._derive_inner``),
+    and: every leaf holds a point or more; every tree the same count sum, at
+    least 2; split dimensions lie in [0, dim);
     boxes are ordered; each cut separates its children, the left one's box
     below the split value and the right one's at or above it.
     """
@@ -551,9 +551,9 @@ def _structure_problem(forest: Forest) -> str | None:
     if not ((split_time[roots] > 0.0).all() and all((split_time[kid] > inner_time).all() for kid in kids)):
         return "split times do not increase from parent to child"
     forest._derive_inner()
-    if (forest.population[used] < 1).any():
+    if (forest.population[used & leaf] < 1).any():
         return "population below 1"
-    held = forest.population.ravel()[roots]
+    held = forest.population.sum(axis=1)
     if (held != held[0]).any() or held[0] < 2:
         return "root populations differ between trees or are below 2"
     q = forest.split_dim.ravel()[inner].astype(np.int64)

@@ -116,11 +116,11 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
     """Validate a point set as a float (n, d) array; a single point x is
     the one-row set ``[x]``.
 
-    A nonempty 1-D sequence is n one-dimensional points, and ``[]`` is no
-    points of dimension ``dim`` (0 if None). Ragged input, a dimension other
-    than ``dim`` (an empty (0, d) array's too) and nonempty points without
-    coordinates raise DimensionMismatchError; coordinates that are not real
-    numbers (text, complex) and non-finite values raise ValueError.
+    A nonempty 1-D sequence is n one-dimensional points; ``[]`` and a (0, 0)
+    array are no points of dimension ``dim`` (0 if None). Ragged input, a
+    dimension other than ``dim`` (a (0, d > 0) array's too) and nonempty
+    points without coordinates raise DimensionMismatchError; coordinates that
+    are not real numbers (text, complex) and non-finite values raise ValueError.
     """
     try:
         arr = np.asarray(points)
@@ -130,7 +130,7 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         arr = arr.astype(float, casting="unsafe" if arr.dtype == object else "same_kind", copy=False)
     except (TypeError, ValueError) as exc:
         raise ValueError("point coordinates are not real numbers") from exc
-    if arr.ndim == 1:
+    if arr.ndim == 1 or arr.shape == (0, 0):
         arr = arr.reshape(-1, 1) if arr.size else arr.reshape(0, dim or 0)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected an (n, d) point set, got shape {arr.shape}")
@@ -302,9 +302,10 @@ class Forest:
     structure-of-arrays arena.
 
     Every tree holds every point the forest took (its sample, then every
-    arrival): ``total_population``. An internal node's box is the union of
-    its children's, bit for bit (points enter with their zero signs pinned
-    to +0.0), and its population their sum; ``_derive_inner`` rebuilds both.
+    arrival): ``total_population``, its count sum: only leaves count points,
+    and an internal slot holds 0 like an unused one. An internal node's box
+    is the union of its children's, bit for bit (points enter with their
+    zero signs pinned to +0.0); ``_derive_inner`` rebuilds it.
 
     Each node field has shape ``(num_trees, capacity)`` (boxes add a
     ``dim`` axis); row t holds tree t. ``root``, ``size``, ``key`` and
@@ -340,7 +341,8 @@ class Forest:
     time plus waiting time is below its own split time fires; by
     memorylessness the later clocks go unused, as in Mondrian-forest
     extension (Lakshminarayanan, Roy & Teh 2014). The rows before a tree's
-    ``stop`` (its fired node, or ``ends[t]``) count x.
+    ``stop`` (its fired node, or ``ends[t]``) admit x to their boxes, and x
+    is counted at the new leaf of a fired tree or at the leaf of any other.
 
     The links live only in ``child``, an int64 table of length 2 * T * C
     (T trees, capacity C). Entry ``side * T * C + g`` holds the flat index
@@ -446,10 +448,11 @@ class Forest:
 
         Each open node owns a contiguous segment of columns; segments are in
         (tree, slot) order. One pass per depth level:
-        1. boxes and populations of the open nodes, by segment min/max;
+        1. boxes and point counts of the open nodes, by segment min/max;
         2. nodes with one point or a zero-width box stay leaves and their
            points drop out; the rest draw split times and cuts, and those
-           whose split time is not finite stay leaves too;
+           whose split time is not finite stay leaves too; the nodes that
+           split drop their counts;
         3. each tree's children take the next slots in order, and a stable
            partition makes each node's points the segments of its children.
         """
@@ -506,6 +509,7 @@ class Forest:
             k = split.size
             q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u[:, 1:])
             flat = flat[split]
+            self._flat("population")[flat] = 0
             self._flat("split_dim")[flat] = q
             self._flat("split_val")[flat] = p
             self._flat("split_time")[flat] = time
@@ -539,9 +543,9 @@ class Forest:
 
     @property
     def total_population(self) -> int:
-        """Points each tree holds (its sample plus every arrival): the n of
-        the score's c(n)."""
-        return int(self.population[0, self.root[0]])
+        """Points each tree holds (its sample plus every arrival), its leaves'
+        count sum: the n of the score's c(n)."""
+        return int(self.population[0].sum())
 
     def _double(self) -> None:
         """Double every row's capacity, one field at a time, so that each old
@@ -617,8 +621,7 @@ class Forest:
         ns per element per array, ``flatnonzero`` and ``take`` 2). Each
         lane's edge count is then read off ``node_depth`` at its leaf.
 
-        A tree of L leaves whose root holds more than L points has a leaf of
-        two or more. Without such a tree every depth is an edge count and
+        Without a leaf of two or more points every depth is an edge count and
         sums exactly; with one, ``leaf_depth`` is applied once per pass and
         the sums are taken tree by tree in tree order, so that a point's sum
         does not depend on the batch it is in.
@@ -627,7 +630,7 @@ class Forest:
         T, C = self.population.shape
         split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
         population, kids = self._flat("population"), self.child.reshape(2, -1)
-        duplicates = bool((self.population[np.arange(T), self.root] > (self.size + 1) // 2).any())
+        duplicates = bool(self.population.max() > 1)
         if node_depth is None:
             node_depth = self._node_depths()
         depth_sum = np.zeros(n)
@@ -695,14 +698,12 @@ class Forest:
         return depth
 
     def _derive_inner(self) -> None:
-        """Set every internal node's box and population to the union and the
-        sum of its children's, one gather per level, deepest level first."""
+        """Set every internal node's box to the union of its children's, one
+        gather per level, deepest level first."""
         box_min, box_max = self._flat("box_min"), self._flat("box_max")
-        population = self._flat("population")
         for node, left, right in reversed(list(self._levels())):
             box_min[node] = np.minimum(box_min.take(left, axis=0), box_min.take(right, axis=0))
             box_max[node] = np.maximum(box_max.take(left, axis=0), box_max.take(right, axis=0))
-            population[node] = population.take(left) + population.take(right)
 
     def extend(self, x: np.ndarray) -> None:
         """Insert one validated point into every tree.
@@ -717,10 +718,10 @@ class Forest:
         2. races: every deviation rate on the paths at once, every clock
            hashed at once (see the class docstring), and each tree's first
            firing candidate;
-        3. writes: the nodes passed before the clock fired count x, and
-           those that x lies outside of (a positive rate) enlarge their
-           boxes to it; a new internal node and a leaf for x are spliced
-           above each node where a clock fired.
+        3. writes: the nodes passed before the clock fired that x lies
+           outside of (a positive rate) enlarge their boxes to it; a new
+           internal node and a leaf for x are spliced above each node where
+           a clock fired, and every other tree counts x at its leaf.
         """
         walked, self._walked = self._walked, None
         x = x + 0.0  # a fresh array: -0.0 is read as +0.0, as the build reads it
@@ -766,10 +767,10 @@ class Forest:
         self.draws += (k + 2 * (k > 0)).astype(np.uint64)
 
         # 3. write: the nodes before each tree's stop (its fired node, or the
-        # end of its path) take x
+        # end of its path) admit x, and an unfired tree's leaf counts it
         stop = ends.copy()
         stop[t] = fired
-        population[path_flat[np.arange(path_tree.size) < stop.take(path_tree)]] += 1
+        population[path_flat.take(np.delete(ends, t) - 1)] += 1
         moved = cand[cand < stop.take(cand_tree)]
         box_min[path_flat.take(moved)] = np.minimum(lo.take(moved, axis=0), x)
         box_max[path_flat.take(moved)] = np.maximum(hi.take(moved, axis=0), x)
@@ -795,7 +796,6 @@ class Forest:
         self._flat("split_time")[inner] = fire_at.take(hit)
         box_min[inner] = np.minimum(node_min, x)
         box_max[inner] = np.maximum(node_max, x)
-        population[inner] = population.take(node) + 1
         self.child[inner] = np.where(above, node, leaf)
         self.child[TC + inner] = np.where(above, leaf, node)
         at_root = fired == starts.take(t)

@@ -21,7 +21,7 @@ from imondrian.data_io import _structure_problem
 from imondrian.forest import c_factor
 from imondrian.tree import FIELD_NAMES, NO_NODE, node_fields
 
-from reference import Tree, links, walk
+from reference import Tree, links, subtree_counts, walk
 
 
 def check_tree_invariants(
@@ -83,9 +83,11 @@ def check_tree_invariants(
 
 def check_arena_invariants(arena, points=None, expected_population: int | None = None) -> dict:
     """``check_tree_invariants`` for every tree of a ``Forest`` in one
-    pass over its arrays, the links read off its child table as they are;
-    returns each tree's leaf and internal counts. Written apart from the
-    model loader's validator, which it then runs too."""
+    pass over its arrays, the links read off its child table as they are,
+    where only used leaves count points: each at least one, a tree's counts
+    summing to ``expected_population``. Returns each tree's leaf and
+    internal counts. Written apart from the model loader's validator, which
+    it then runs too."""
     T, C = arena.population.shape
     TC = T * C
     flat = np.arange(TC)
@@ -115,7 +117,8 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
     split_time = arena.split_time.ravel()
     population = arena.population.ravel()
     box_min, box_max = arena.box_min.reshape(TC, -1), arena.box_max.reshape(TC, -1)
-    assert (population[used] >= 1).all(), "node with empty population"
+    assert (population[used & leaf] >= 1).all(), "leaf with empty population"
+    assert not population[~(used & leaf)].any(), "a count outside the leaves"
     assert (box_min[used] <= box_max[used]).all(), "box inverted"
     assert np.isposinf(split_time[used & leaf]).all(), "leaf must have infinite split time"
     inner = np.flatnonzero(used & ~leaf)
@@ -128,7 +131,6 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
     p = arena.split_val.ravel()[inner]
     lo_kid, hi_kid = left[inner], right[inner]
     assert ((box_max[lo_kid, q] < p) & (p <= box_min[hi_kid, q])).all(), "a cut does not separate its children"
-    assert (population[inner] == population[lo_kid] + population[hi_kid]).all(), "population mismatch"
     # bit for bit, so a zero bound's sign counts
     assert np.minimum(box_min[lo_kid], box_min[hi_kid]).tobytes() == box_min[inner].tobytes(), "box not a union"
     assert np.maximum(box_max[lo_kid], box_max[hi_kid]).tobytes() == box_max[inner].tobytes(), "box not a union"
@@ -136,7 +138,7 @@ def check_arena_invariants(arena, points=None, expected_population: int | None =
     internals = np.bincount(tree_of[inner], minlength=T)
     assert (leaves == internals + 1).all(), "not a proper binary tree"
     if expected_population is not None:
-        assert (population[roots] == expected_population).all(), "root population"
+        assert (arena.population.sum(axis=1) == expected_population).all(), "tree count sum"
     if points is not None:
         # walk every (tree, point) lane down its tree, one level per step
         X = np.atleast_2d(np.asarray(points, dtype=float))
@@ -472,8 +474,14 @@ TREE_FIELDS = ("box_min", "box_max", "split_dim", "split_val", "split_time", "le
 
 def node_arrays(arena) -> dict[str, np.ndarray]:
     """Every per-node array of an arena by name, in ``TREE_FIELDS`` order,
-    with the links read off its child table by ``reference.links``."""
+    with the links read off its child table by ``reference.links`` and each
+    internal slot's population the count sum of its children's, as a
+    reference tree keeps it (``reference.subtree_counts``)."""
     read = dict(zip(("left", "right", "parent"), links(arena)))
+    read["population"] = np.stack([
+        subtree_counts(arena.population[t], read["left"][t], read["right"][t], int(arena.root[t]))
+        for t in range(arena.num_trees)
+    ])
     return {name: read[name] if name in read else getattr(arena, name) for name in TREE_FIELDS}
 
 

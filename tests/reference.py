@@ -8,7 +8,9 @@ and without calling the kernels, their cut rule or their hash of a tree's
 draws, so each must leave a tree bit-identical to the kernel's, draw count
 included. ``view`` and ``views`` read an arena's trees into the same
 struct, read-only, so that a reference tree and a kernel's tree compare
-field by field.
+field by field. A reference tree counts the points below every node, while
+an arena counts them at its leaves only, so a view fills each internal
+slot with its children's count sum (``subtree_counts``).
 """
 
 from __future__ import annotations
@@ -51,10 +53,27 @@ def links(arena, trees=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return left, right, parent
 
 
+def subtree_counts(counts: np.ndarray, left: np.ndarray, right: np.ndarray, root: int) -> np.ndarray:
+    """A copy of one tree's leaf ``counts`` in which each internal slot
+    holds the sum of its children's, from the deepest level up; ``left``
+    and ``right`` are its links (``NO_NODE`` at a leaf)."""
+    counts = counts.copy()
+    levels, level = [], np.array([root])
+    while level.size:
+        level = level[left[level] != NO_NODE]
+        levels.append(level)
+        level = np.concatenate((left[level], right[level]))
+    for inner in reversed(levels):
+        counts[inner] = counts[left[inner]] + counts[right[inner]]
+    return counts
+
+
 def view(arena, t: int) -> Tree:
     """Read-only view of tree t of ``arena`` as it is now: its node fields
-    alias the arena's row, its links are read off ``child`` and its key
-    and draw count are copied. Take a fresh view after extending."""
+    but ``population`` alias the arena's row, its links are read off
+    ``child``, its ``population`` fills the internal slots of the arena's
+    row by ``subtree_counts``, and its key and draw count are copied. Take a
+    fresh view after extending."""
     tree = Tree()
     tree.dim = arena.dim
     tree.key, tree.draws = int(arena.key[t]), int(arena.draws[t])
@@ -62,6 +81,7 @@ def view(arena, t: int) -> Tree:
     tree.size = int(arena.size[t])
     rows = dict(zip(_LINKS, links(arena, t)))
     rows.update((name, getattr(arena, name)[t]) for name in FIELD_NAMES)
+    rows["population"] = subtree_counts(rows["population"], rows["left"], rows["right"], tree.root)
     for name, row in rows.items():
         row.flags.writeable = False
         setattr(tree, name, row)
@@ -123,6 +143,8 @@ def fit_tree(points, key: int = 0) -> Tree:
     """
     X = as_points(points)
     n, d = X.shape
+    if not n:
+        raise ValueError("a tree needs at least one point")
     tree = Tree()
     tree.dim, tree.key, tree.draws, tree.root, tree.size = d, key, 0, 0, 1
     links = [(name, np.dtype(np.int32), (2 * n - 1,), NO_NODE) for name in _LINKS]

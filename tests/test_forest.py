@@ -314,7 +314,7 @@ class TestScoreAll:
     def test_empty_input(self):
         X = np.random.default_rng(8).normal(size=(30, 2))
         forest = train_batch(X, ForestConfig(num_trees=2, psi=None, seed=0))
-        for empty in ([], np.zeros((0, 2))):
+        for empty in ([], np.zeros((0, 2)), np.zeros((0, 0))):
             epl, s = score_all(empty, forest)
             assert epl.dtype == s.dtype == np.float64
             assert epl.shape == s.shape == (0,)
@@ -653,6 +653,49 @@ class TestLockstepArena:
         for tree, before in zip(views(forest), snapshot):
             assert structurally_equal(tree, before)
             assert tree.draws == before.draws
+
+
+class TestLeafCounts:
+    """Only leaves count points: an internal slot holds 0 like an unused one,
+    and each tree's counts sum to the points it holds."""
+
+    @pytest.mark.parametrize("case", ["one process", "forked", "regrown", "loaded"])
+    def test_internal_slots_hold_zero(self, monkeypatch, tmp_path, case):
+        if case == "forked":
+            if not _can_fork():
+                pytest.skip("this process cannot fork without a warning")
+            forks = fork_on(monkeypatch, cpus=2, build_lanes=1)
+        X = np.random.default_rng(30).normal(size=(64, 3))
+        forest = train_batch(X, ForestConfig(num_trees=6, psi=None, seed=3))
+        held = 64
+        if case == "forked":
+            assert forks
+        if case in ("regrown", "loaded"):
+            start = forest.capacity
+            extend_forest(forest, np.vstack([np.random.default_rng(31).uniform(-9.0, 9.0, size=(80, 3)), X[:5]]))
+            assert forest.capacity > start
+            held += 85
+        if case == "loaded":
+            save_model(forest, tmp_path / "m.imf")
+            loaded = load_model(tmp_path / "m.imf")
+            assert np.array_equal(loaded.population, forest.population[:, : loaded.capacity])
+            forest = loaded
+        TC = forest.population.size
+        inner = (forest.child[:TC] != np.arange(TC)).reshape(forest.population.shape)
+        assert inner.any() and not forest.population[inner].any()
+        check_arena_invariants(forest, expected_population=held)
+
+    def test_duplicate_arrival_counts_once_at_its_leaf(self):
+        X = np.random.default_rng(32).normal(size=(40, 2))
+        forest = train_batch(X, ForestConfig(num_trees=8, psi=None, seed=5))
+        leaves = [walk(tree, X[7])[-1] for tree in views(forest)]
+        before, sizes = forest.population.copy(), forest.size.copy()
+        extend_forest(forest, X[7:8])  # full rows: the capacity doubles first
+        assert np.array_equal(forest.size, sizes) and forest.capacity > before.shape[1]
+        delta = forest.population[:, : before.shape[1]] - before
+        assert not forest.population[:, before.shape[1] :].any()
+        assert (np.count_nonzero(delta, axis=1) == 1).all()
+        assert (delta[np.arange(8), leaves] == 1).all()
 
 
 def _assert_table_current(arena):

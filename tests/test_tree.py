@@ -369,7 +369,7 @@ class TestFitTree:
             fit_tree([[-1e308, -1e308], [1e308, 1e308]], key=0)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one point"):
             fit_tree([], key=0)
 
     def test_deterministic_under_seed(self):
