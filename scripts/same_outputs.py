@@ -18,6 +18,13 @@ the same commands once per checkout, each in a subprocess whose
   its output is every score in order, and the model file it ends with;
 - ``imondrian stream`` on the 2,048 rows: its stage table without the
   ``seconds`` column;
+- a subnormal episode, on 1-D points a few subnormals apart, so that some
+  split times are infinite, some leaves hold distinct points and some
+  clock sums overflow: the export of a 20-tree ``imondrian fit`` at psi 0,
+  then a 100-tree forest on the same points that takes ``SUBNORMAL_ARRIVALS``
+  one at a time, each scored alone and then inserted. Its output is the
+  export, every score, the arrivals refused as too far out, the scores of
+  the points and arrivals at the end, and the model file it ends with;
 - each of the three model files as that checkout's own ``load_model`` reads
   it: every node field's used slots (the child table's row-local), tree by
   tree, then ``root``, ``size``, ``key`` and ``draws``. So a change of
@@ -51,6 +58,15 @@ SHAPES = {
     "small": {"rows": 300, "trees": 4, "full_rows": 100, "full_trees": 3, "duplicate_rows": 25,
               "seed_rows": 64, "arrivals": 12, "every": 4, "window": 32, "stream_trees": 3},
 }
+
+
+# 1-D points a few subnormals apart: zeros, points up to 1e-308 and three
+# of the smallest subnormals, whose box has a subnormal rate
+SUBNORMAL_POINTS = [0.0, 0.0, 5e-324, 1e-323, 1.5e-323] + [k * 1e-309 for k in (1, 3, 4, 7, 9, 10)]
+# arrivals of the same scale, then the most negative float, which splices
+# roots above everything, and the largest one, which a rate overflow refuses
+SUBNORMAL_ARRIVALS = [1e-308, 0.25e-308, 0.6e-308, 0.1e-308, 2e-323, -1.7976931348623157e308,
+                      1.7976931348623157e308, 2e-308, 0.0, -1e308, 3e-309]
 
 
 def write_data(path: Path, rows: int) -> None:
@@ -124,6 +140,20 @@ def worker(shape: dict, data: Path) -> dict[str, str]:
             scores.update(rescore_window(forest, points[: i + 1], window=shape["window"])[1].tobytes())
     save_model(forest, "episode.model")
 
+    Path("subnormal.csv").write_text("x,label\n" + "".join(f"{x!r},{int(x > 5e-309)}\n" for x in SUBNORMAL_POINTS))
+    cli("fit", "--data", "subnormal.csv", "--trees", "20", "--psi", "0", "--seed", "0", "--out", "fitsub.csv")
+    forest = train_batch(np.array(SUBNORMAL_POINTS)[:, None], ForestConfig(num_trees=100, psi=None, seed=0))
+    subnormal = hashlib.sha256(Path("fitsub.csv").read_bytes())
+    for i, x in enumerate(SUBNORMAL_ARRIVALS):
+        subnormal.update(score_all([[x]], forest)[1].tobytes())
+        try:
+            extend_forest(forest, [[x]])
+        except ValueError:
+            subnormal.update(f"refused {i}".encode())
+    subnormal.update(score_all(np.array(SUBNORMAL_POINTS + SUBNORMAL_ARRIVALS)[:, None], forest)[1].tobytes())
+    save_model(forest, "subnormal.model")
+    subnormal.update(Path("subnormal.model").read_bytes())
+
     with open("stream.csv", newline="") as handle:
         table = [{k: v for k, v in row.items() if k != "seconds"} for row in csv.DictReader(handle)]
     files = {name: digest(Path(file).read_bytes()) for name, file in (
@@ -136,6 +166,7 @@ def worker(shape: dict, data: Path) -> dict[str, str]:
         "episode scores": scores.hexdigest(),
         "episode model": digest(Path("episode.model").read_bytes()),
         "stream table": digest(json.dumps(table).encode()),
+        "subnormal episode": subnormal.hexdigest(),
         **{f"{name} forest": forest_digest(load_model(file)) for name, file in (
             ("fit psi 256", "fit256.model"), ("fit psi 0", "fit0.model"), ("episode", "episode.model"),
         )},

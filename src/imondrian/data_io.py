@@ -22,6 +22,7 @@ import math
 import os
 import stat
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -413,11 +414,14 @@ def load_model(path) -> Forest:
     The file is streamed into a fresh arena: the byte count the metadata
     declares is checked against the file's size before anything is
     allocated, then each array is read one block of tree rows at a time,
-    hashed and scattered into its slots. A file whose checksum does not
-    match reports that, whatever else is wrong with it: on any other problem
-    the rest of the file is hashed, in blocks, before the error is chosen.
-    The internal boxes are derived once the links are known to form trees
-    (see ``_structure_problem``).
+    hashed and scattered into its slots. A file that is not a regular file,
+    such as a pipe, is first spooled to an unnamed temporary file, up to one
+    byte past the declared count, so that this check holds for it too. An
+    arena too large to allocate is a malformed file. A file whose checksum
+    does not match reports that, whatever else is wrong with it: on any
+    other problem the rest of the file is hashed, in blocks, before the
+    error is chosen. The internal boxes are derived once the links are known
+    to form trees (see ``_structure_problem``).
     """
     with Path(path).open("rb") as handle:
         header = handle.readline()
@@ -437,7 +441,7 @@ def load_model(path) -> Forest:
         error = None
         try:
             forest = _read_forest(handle, digest, path)
-        except (ModelFormatError, AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (ModelFormatError, AttributeError, KeyError, MemoryError, OverflowError, TypeError, ValueError) as exc:
             error = exc
             for block in iter(lambda: handle.read(_BLOCK_BYTES), b""):  # the checksum has the first word
                 digest.update(block)
@@ -457,7 +461,8 @@ def _read_forest(handle, digest, path) -> Forest:
     """The forest whose metadata line and arrays follow in the open model
     file ``handle``, with every byte read fed to ``digest``; ValueError if
     they do not fit together. Slots the file does not store keep a fresh
-    arena's fill values and self loops."""
+    arena's fill values and self loops. The arrays of a file that is not a
+    regular file are read from a spool of them (see ``load_model``)."""
     line = handle.readline()
     digest.update(line)
     if not line.endswith(b"\n"):
@@ -478,10 +483,25 @@ def _read_forest(handle, digest, path) -> Forest:
     width = {name: dtype.itemsize * math.prod(shape) for name, dtype, shape, _ in node_fields((), dim)}
     inner, leaves = (slots - trees) // 2, (slots + trees) // 2
     expected = 8 * slots + sum(inner * width[n] for n in _INNER_FIELDS) + sum(leaves * width[n] for n in _LEAF_FIELDS)
-    info = os.fstat(handle.fileno())
-    if stat.S_ISREG(info.st_mode) and info.st_size - handle.tell() != expected:
-        raise ValueError(f"array section holds {info.st_size - handle.tell()} bytes, expected {expected}")
-    forest = Forest(trees, dim, max(meta["size"]))
+    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+        return _read_arrays(handle, meta, expected, digest)
+    with tempfile.TemporaryFile() as spool:
+        for block in iter(lambda: handle.read(min(expected + 1 - spool.tell(), _BLOCK_BYTES)), b""):
+            digest.update(block)
+            spool.write(block)
+        spool.seek(0)
+        return _read_arrays(spool, meta, expected, hashlib.sha256())  # its bytes are hashed already
+
+
+def _read_arrays(handle, meta: dict, expected: int, digest) -> Forest:
+    """The forest of the metadata ``meta`` whose arrays, ``expected`` bytes
+    in all, are the rest of the regular file ``handle`` (see ``_read_forest``)."""
+    held = os.fstat(handle.fileno()).st_size - handle.tell()
+    if held > expected:  # a pipe's spool holds one byte more at most
+        raise ValueError(f"array section holds more than {expected} bytes")
+    if held < expected:
+        raise ValueError(f"array section holds {held} bytes, expected {expected}")
+    forest = Forest(len(meta["size"]), meta["dim"], max(meta["size"]))
     forest.size[:] = meta["size"]
     used = _slots(forest)[0]
     for side in forest.child.reshape(2, -1):  # self loops in a fresh arena

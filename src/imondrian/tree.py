@@ -167,7 +167,17 @@ def _cut(lo: np.ndarray, hi: np.ndarray, widths: np.ndarray, rate: np.ndarray, u
     return q, np.where(p <= lo, hi, p)
 
 
-# a box this large would make the split clock fire at time 0 forever
+def _split_time(tau: np.ndarray, u: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """The split times tau + -log1p(-u) / rate of nodes whose parents split at
+    tau, each not above tau rounded up to the next float; overflow is inf."""
+    with np.errstate(over="ignore"):  # a subnormal rate waits forever
+        time = tau + -np.log1p(-u) / rate
+    tied = np.flatnonzero(time <= tau)
+    time[tied] = np.nextafter(tau[tied], np.inf)
+    return time
+
+
+# a box this large has an infinite rate: no waiting time and no cut
 _OVERFLOW = "box is too large: its linear dimension overflows to infinity"
 
 
@@ -322,14 +332,15 @@ class Forest:
     past the counters it used, so a tree depends on its key and the data
     alone, not on the other trees, on how trees are grouped or on which
     process builds them. A uniform u gives the waiting time -log1p(-u) /
-    rate, the Exp(rate) clock of the Mondrian process (Roy & Teh 2008).
+    rate, the Exp(rate) clock of the Mondrian process (Roy & Teh 2008); in
+    the build and extension alike a node's time is its parent's plus that
+    wait, rounded up past the parent's where they tie (``_split_time``).
 
     ``grow`` builds every node of a depth in one pass over the trees of a
     group. A subsample comes from a generator seeded with the tree's key,
     which is not kept. The r-th node of a level to split in tree t, in slot
-    order, takes counters draws[t] + 3r, 3r + 1 and 3r + 2: its clock, then
-    its cut's dimension and value. A waiting time that underflows to 0
-    takes the tree's next counter until it is positive.
+    order, takes counters draws[t] + 3r, 3r + 1 and 3r + 2, and no other:
+    its clock, then its cut's dimension and value.
 
     ``extend`` is one body: walk, overflow check, regrow, race and write.
     Tree t's candidates are the k nodes on x's path with a positive
@@ -337,8 +348,8 @@ class Forest:
     ``ends[t] - k .. ends[t] - 1``. With k = 0 the tree draws nothing and
     absorbs x; otherwise counters draws[t] .. draws[t] + k - 1 are their
     clocks, and a tree whose clock fired takes the next two for its cut;
-    draws[t] advances by k + 2 whether a clock fired or not. The first candidate whose parent
-    time plus waiting time is below its own split time fires; by
+    draws[t] advances by k + 2 whether a clock fired or not. The first
+    candidate whose clock's time is below its own split time fires; by
     memorylessness the later clocks go unused, as in Mondrian-forest
     extension (Lakshminarayanan, Roy & Teh 2014). The rows before a tree's
     ``stop`` (its fired node, or ``ends[t]``) admit x to their boxes, and x
@@ -490,23 +501,14 @@ class Forest:
             at = self.draws.take(t) + np.uint64(3) * rank.astype(np.uint64)  # each node's first counter
             u = _uniforms(self.key.take(t)[:, None], at[:, None] + np.arange(3, dtype=np.uint64))
             self.draws += np.uint64(3) * count.astype(np.uint64)
-            with np.errstate(over="ignore"):
-                e = -np.log1p(-u[:, 0]) / rate
-                for j in np.flatnonzero(e == 0.0).tolist():  # underflowed: the tree's next counter
-                    while e[j] == 0.0:
-                        e[j] = -np.log1p(-_uniforms(self.key[t[j : j + 1]], self.draws[t[j : j + 1]]))[0] / rate[j]
-                        self.draws[t[j]] += np.uint64(1)
-                time = seg_tau[split] + e
+            time = _split_time(seg_tau[split], u[:, 0], rate)
             # a subnormal rate can push the split time to infinity, a leaf's
             # time: such a node stays a leaf, with its draws spent
             finite = np.isfinite(time)
             if not finite.all():
                 split, t, rate, time, u = (a[finite] for a in (split, t, rate, time, u))
-                if not split.size:
-                    break
                 count = np.bincount(t, minlength=self.num_trees)
                 rank = np.arange(t.size) - (np.cumsum(count) - count).take(t)
-            k = split.size
             q, p = _cut(lo.take(split, axis=0), hi.take(split, axis=0), widths.take(split, axis=0), rate, u[:, 1:])
             flat = flat[split]
             self._flat("population")[flat] = 0
@@ -520,15 +522,15 @@ class Forest:
             self.child[TC + flat] = t * C + kid_l + 1
             # the stable partition: each split node's points, left side first
             rank = np.full(seg_len.size, -1)
-            rank[split] = np.arange(k)
+            rank[split] = np.arange(split.size)
             lane_seg = np.repeat(rank, seg_len)
             keep = np.flatnonzero(lane_seg >= 0)
             lane_seg = lane_seg.take(keep)
             go_right = pts.ravel().take(q.take(lane_seg) * pts.shape[1] + keep) >= p.take(lane_seg)
             kid_seg = 2 * lane_seg + go_right  # each point's child, in the children's order
-            key = kid_seg.astype(np.uint16) if 2 * k <= 1 << 16 else kid_seg  # 16-bit keys radix-sort
+            key = kid_seg.astype(np.uint16) if 2 * split.size <= 1 << 16 else kid_seg  # 16-bit keys radix-sort
             pts = pts.take(keep.take(np.argsort(key, kind="stable")), axis=1)
-            seg_len = np.bincount(kid_seg, minlength=2 * k)
+            seg_len = np.bincount(kid_seg, minlength=2 * split.size)
             seg_tree = np.repeat(t, 2)
             seg_node = np.column_stack((kid_l, kid_l + 1)).ravel()
             seg_tau = np.repeat(time, 2)
@@ -755,9 +757,7 @@ class Forest:
         k = np.bincount(cand_tree, minlength=T)
         rank = (cand - (ends - k).take(cand_tree)).astype(np.uint64)
         clock = _uniforms(self.key.take(cand_tree), self.draws.take(cand_tree) + rank)
-        with np.errstate(over="ignore"):  # a subnormal rate waits forever
-            wait = -np.log1p(-clock) / rate.take(cand)
-        fire_at = tau.take(cand) + wait
+        fire_at = _split_time(tau.take(cand), clock, rate.take(cand))
         hit = np.flatnonzero(fire_at < node_time.take(cand))
         hit = hit.take(np.unique(cand_tree.take(hit), return_index=True)[1])  # each tree's first firing
         fired = cand.take(hit)  # its position on the path

@@ -126,17 +126,27 @@ def _cut_rule(widths: np.ndarray, rate, lo: np.ndarray, hi: np.ndarray, draws: n
     return q, hi[q] if p <= lo[q] else p
 
 
+def _clock_time(tau, u: float, rate) -> float:
+    """A node's split time from its parent's, ``tau``, its clock's uniform u
+    and its rate: tau plus the waiting time -log1p(-u) / rate, or the next
+    float above tau where that sum is not above it; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        time = tau + -np.log1p(-u) / rate
+    return time if time > tau else np.nextafter(tau, np.inf)
+
+
 def fit_tree(points, key: int = 0) -> Tree:
     """The tree ``Forest.grow`` builds on ``points`` (no subsample) from
     ``key``, built here node by node, one level at a time, from a draw count
     of 0.
 
     At each level the open nodes, in slot order, take the min/max box (a
-    zero bound as +0.0) and the count of their points. Those with two or more points and a positive
-    rate (their box's row sum) split: each draws three uniforms in turn, a
-    clock and the cut's dimension and value, then each waiting time that
-    rounded to 0 is redrawn, node by node, from the tree's next uniforms
-    until it is positive. A node whose split time is not finite stays a leaf;
+    zero bound as +0.0) and the count of their points. Those with two or
+    more points and a positive rate (their box's row sum) split: each draws
+    three uniforms in turn, a clock and the cut's dimension and value, and
+    no more. A node's split time is its parent's plus its waiting time,
+    rounded up to the next float above the parent's where they tie
+    (``_clock_time``). A node whose split time is not finite stays a leaf;
     each other one cuts, and its left and right children take the next two
     slots with its points in their order. Raises ValueError on an empty
     point set and on a rate that overflows.
@@ -165,16 +175,10 @@ def fit_tree(points, key: int = 0) -> Tree:
         if np.isinf(rates[split]).any():
             raise ValueError("a box's linear dimension overflows")
         draws = np.array([[_draw(tree) for _ in range(3)] for _ in split])
-        with np.errstate(over="ignore"):
-            waits = [-np.log1p(-draws[j, 0]) / rates[i] for j, i in enumerate(split)]
-            for j, i in enumerate(split):
-                while waits[j] == 0.0:
-                    waits[j] = -np.log1p(-_draw(tree)) / rates[i]
         opened = []
         for j, i in enumerate(split):
             node, rows, tau = level[i]
-            with np.errstate(over="ignore"):
-                time = tau + waits[j]
+            time = _clock_time(tau, draws[j, 0], rates[i])
             if not np.isfinite(time):
                 continue
             q, p = _cut_rule(widths[i], rates[i], tree.box_min[node], tree.box_max[node], draws[j, 1:])
@@ -225,7 +229,8 @@ def extend_tree(tree: Tree, x_new) -> Tree:
     The nodes on the point's routing path with a positive deviation rate
     (the point's total distance outside the node's box) are the candidates.
     Each carries an exponential clock of that rate started at its parent's
-    split time (0 at the root). The first candidate, in path order, whose
+    split time (0 at the root), its firing time rounded as in
+    ``_clock_time``. The first candidate, in path order, whose
     clock fires before its own split time gets a new internal node (cutting
     between box and point) spliced above it, with a fresh single-point leaf
     as sibling; every node passed before it has its box enlarged to admit
@@ -250,22 +255,20 @@ def extend_tree(tree: Tree, x_new) -> Tree:
     dev = np.maximum(tree.box_min[path] - x, 0.0) + np.maximum(x - tree.box_max[path], 0.0)
     rates = dev.sum(axis=1)
     cand = np.flatnonzero(rates > 0.0).tolist()
-    fired, time = len(path), None
+    fired = len(path)
     if cand:
         u = np.array([_draw(tree) for _ in range(len(cand) + 2)])
         for i, j in enumerate(cand):
-            tau = 0.0 if j == 0 else tree.split_time[path[j - 1]]
-            with np.errstate(over="ignore"):
-                e = -np.log1p(-u[i]) / rates[j]
-            if tau + e < tree.split_time[path[j]]:
-                fired, time = j, tau + e
+            time = _clock_time(0.0 if j == 0 else tree.split_time[path[j - 1]], u[i], rates[j])
+            if time < tree.split_time[path[j]]:
+                fired = j
                 break
     for node, rate in zip(path[:fired], rates):
         if rate > 0.0:  # any other box already holds x, up to the sign of a zero bound
             tree.box_min[node] = np.minimum(tree.box_min[node], x)
             tree.box_max[node] = np.maximum(tree.box_max[node], x)
         tree.population[node] += 1
-    if time is not None:
+    if fired < len(path):
         _splice_above(tree, path[fired], x, time, dev[fired], rates[fired], u[-2:])
     return tree
 

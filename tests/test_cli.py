@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import imondrian
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
 from imondrian.tree import _can_fork
@@ -262,6 +268,22 @@ class TestScore:
         _write_csv(bad, np.zeros((4, 3)))
         code = main(["score", "--model", str(model), "--data", str(bad)])
         assert code == EXIT_DATA
+
+    def test_pipe_declaring_a_huge_arena_is_data_error(self, tmp_path, blob_csv, capsys):
+        # a well-sealed metadata line for one tree of 2**50 - 1 slots, an
+        # 8 PiB arena, and no array bytes: the pipe is spooled before the
+        # arena is allocated, and it held none of the bytes declared
+        meta = b'{"dim":1,"root":[0],"size":[1125899906842623],"key":[0],"draws":[0]}\n'
+        header = f"imondrian-forest v5 sha256={hashlib.sha256(meta).hexdigest()}\n".encode()
+        pipe = tmp_path / "model.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(header + meta,), daemon=True)
+        writer.start()
+        code = main(["score", "--model", str(pipe), "--data", str(blob_csv), "--label-column", "label"])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == EXIT_DATA
+        assert "array section holds 0 bytes" in capsys.readouterr().err
 
     def test_resealed_bad_split_dim_is_data_error(self, tmp_path, blob_csv, fitted, capsys):
         model, _ = fitted
@@ -647,6 +669,21 @@ def _csv_case(draw):
     if label_at is not None:
         flags += ["--label-column", draw(st.sampled_from([str(label_at), f"c{label_at}", str(width), "-1"]))]
     return text, flags
+
+
+class TestStreamIsQuiet:
+    def test_subnormal_stream_prints_no_warning(self, tmp_path):
+        # a stream whose clock starts near the largest float, so that a start
+        # plus a wait overflows (see test_overflowing_clock_sum_is_silent);
+        # run in a process of its own, so that a warning reaches stderr
+        data = tmp_path / "tiny.csv"
+        data.write_text("x,label\n0,0\n0,0\n1e-308,1\n0.25e-308,0\n0.6e-308,1\n0.1e-308,0\n")
+        script = "import sys; from imondrian.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["stream", "--data", str(data), "--label-column", "label", "--stages", "2", "--trees", "100", "--psi", "0"]
+        env = {**os.environ, "PYTHONPATH": str(Path(imondrian.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "Warning" not in done.stderr
 
 
 class TestNeverTracebacks:

@@ -829,6 +829,16 @@ class TestModelLoadErrors:
         with pytest.raises(ModelFormatError, match="root link out of range"):
             load_model(path)
 
+    def test_arena_too_large_to_allocate_is_malformed(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate the arena")
+
+        monkeypatch.setattr("imondrian.data_io.Forest", no_memory)
+        with pytest.raises(ModelFormatError, match="malformed payload: Unable to allocate"):
+            load_model(path)
+
     def test_metadata_line_without_newline_under_its_checksum(self, tmp_path):
         # the read's own ModelFormatError, reported once the checksum matches
         path = self._saved(tmp_path)
@@ -906,6 +916,26 @@ else:
         writer.join(timeout=30)
         assert not writer.is_alive()
         assert all(structurally_equal(a, b) for a, b in zip(views(forest), views(loaded)))
+
+    @pytest.mark.parametrize("edit, message", [(lambda body: body[:-1], r"holds \d+ bytes, expected"),
+                                               (lambda body: body + b"\0", "more than")], ids=["short", "long"])
+    def test_pipe_of_the_wrong_length_is_refused(self, tmp_path, edit, message):
+        # a pipe is spooled up to one byte past the count its metadata
+        # declares, and that count is checked as a regular file's is
+        regular = tmp_path / "model.imf"
+        save_model(TestModelRoundTrip()._forest()[1], regular)
+        header, body = regular.read_bytes().split(b"\n", 1)
+        body = edit(body)
+        magic, version, _ = header.split()
+        header = b" ".join([magic, version, b"sha256=" + hashlib.sha256(body).hexdigest().encode()])
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(header + b"\n" + body,), daemon=True)
+        writer.start()
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(pipe)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 class TestModelMemory:

@@ -377,6 +377,18 @@ class TestExtendForest:
             extend_forest(forest, empty)
         assert [t.size for t in views(forest)] == snapshots
 
+    def test_overflowing_clock_sum_is_silent(self):
+        # the first arrival splices, in most trees, a root whose time is near
+        # the largest float (a wait of Exp(1) / 1e-308) above the leaf of the
+        # two zeros; the second's clocks start there, and in some tree a
+        # start plus a wait overflows. That clock never fires, and numpy
+        # does not warn
+        forest = train_batch([[0.0], [0.0]], ForestConfig(num_trees=100, psi=None, seed=0))
+        extend_forest(forest, [[1e-308], [0.25e-308]])
+        roots = forest.split_time[np.arange(100), forest.root]
+        assert (roots[np.isfinite(roots)] > 1e307).any()
+        check_arena_invariants(forest, expected_population=4)
+
     def test_population_grows_in_every_tree(self):
         X, forest = self._forest(trees=10)
         new = np.random.default_rng(99).normal(scale=2.0, size=(5, 2))

@@ -17,8 +17,8 @@ def test_same_outputs_reads_one_checkout_as_identical():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-1] == "all 12 outputs identical"
-    assert sum(line.endswith("  same") for line in lines) == 12
+    assert lines[-1] == "all 13 outputs identical"
+    assert sum(line.endswith("  same") for line in lines) == 13
 
 
 # the tail of an untraced perfbench/run.py run, as it prints it

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from imondrian.data_io import load_model, save_model
 from imondrian.errors import DimensionMismatchError
 from imondrian.forest import ForestConfig, _leaf_depth, train_batch
 from imondrian.tree import NO_NODE, Forest, _cut, _uniforms, as_points
@@ -400,10 +401,11 @@ class TestFitTree:
         assert tree.root == 0 and tree.parent[0] == NO_NODE
         assert np.all(np.diff(depth) >= 0)
 
-    def test_zero_waiting_time_is_redrawn(self, monkeypatch):
+    def test_zero_waiting_time_is_rounded_up(self, monkeypatch):
         # the root's clock, counter 0, is made to give a waiting time of 0, as
-        # a rate near the largest float can; it is redrawn from the tree's
-        # next counter, 3, after the three of its level
+        # a rate near the largest float can; the root's time is then the
+        # smallest float above its parent time 0, and nothing is redrawn:
+        # each split node takes the three counters of its level
         def zero_first_clock(key, counter):
             u = _uniforms(key, counter)
             if counter.ndim == 2 and counter[0, 0] == 0:
@@ -413,8 +415,8 @@ class TestFitTree:
         monkeypatch.setattr("imondrian.tree._uniforms", zero_first_clock)
         X = np.random.default_rng(13).normal(size=(10, 2))
         tree = view(Forest.grow(X, [5]), 0)
-        rate = (X.max(axis=0) - X.min(axis=0)).sum()
-        assert tree.split_time[tree.root] == -np.log1p(-uniform(5, 3)) / rate
+        assert tree.split_time[tree.root] == np.nextafter(0.0, 1.0)
+        assert tree.draws == 3 * (tree.size - 1) // 2
         check_tree_invariants(tree, points=X, expected_population=10)
 
     def test_cut_on_lower_end_moves_to_upper_end(self, monkeypatch):
@@ -447,6 +449,82 @@ class TestFitTree:
         assert np.count_nonzero(leaf & wide & (forest.population > 1)) >= 4
         for t, tree in enumerate(views(forest)):
             assert tree_bits(tree) == tree_bits(fit_tree(X, key=int(forest.key[t])))
+
+
+# a key whose counter 3 is the smallest uniform, 2**-53: its finaliser
+# input, key + 4 * 0x9E3779B97F4A7C15, hashes to 7, whose top 52 bits are 0
+TIED_KEY = (_unmix(7) - 4 * 0x9E3779B97F4A7C15) & _MASK
+
+
+def _tiny_share(period: int, offset: int):
+    """``_uniforms`` with every counter c where c % period == offset drawing
+    the smallest uniform, 2**-53: a waiting time below half an ulp of most
+    parent times."""
+
+    def draw(key, counter):
+        return np.where(counter % np.uint64(period) == offset, 2.0**-53, _uniforms(key, counter))
+
+    return draw
+
+
+class TestTiedSplitTimes:
+    """A waiting time too small to move its parent's time is rounded up to
+    the next float above it, in the build and in extension alike, so a child
+    always splits after its parent."""
+
+    def test_build_rounds_a_tied_time_up(self):
+        # counter 3 is the clock of the two-point node at depth 1
+        assert uniform(TIED_KEY, 3) == 2.0**-53
+        X = np.array([[0.0], [5.0], [10.0]])
+        forest = Forest.grow(X, np.array([TIED_KEY], dtype=np.uint64))
+        tree = view(forest, 0)
+        inner = [node for node in (tree.left[tree.root], tree.right[tree.root]) if tree.left[node] != NO_NODE]
+        assert len(inner) == 1
+        assert tree.split_time[inner[0]] == np.nextafter(tree.split_time[tree.root], np.inf)
+        assert tree.draws == 6
+        check_arena_invariants(forest, points=X, expected_population=3)
+        assert tree_bits(tree) == tree_bits(fit_tree(X, key=TIED_KEY))
+
+    def test_extension_rounds_a_tied_time_up(self, tmp_path):
+        # the point lands inside the root's box, outside its leaf's: the
+        # leaf is the one candidate, and its clock is counter 3
+        forest = Forest.grow(np.array([[0.0], [10.0]]), np.array([TIED_KEY], dtype=np.uint64))
+        reference = fit_tree([[0.0], [10.0]], key=TIED_KEY)
+        x = np.array([0.999 * forest.split_val[0, forest.root[0]]])
+        assert x.tolist() == [2.8116187174231153]
+        forest.extend(x)
+        extend_tree(reference, x)
+        tree = view(forest, 0)
+        assert tree.size == 5 and tree.draws == 6
+        spliced = tree.left[tree.root] if tree.left[tree.left[tree.root]] != NO_NODE else tree.right[tree.root]
+        assert tree.split_time[spliced] == np.nextafter(tree.split_time[tree.root], np.inf)
+        assert tree_bits(tree) == tree_bits(reference)
+        check_arena_invariants(forest, expected_population=3)
+        save_model(forest, tmp_path / "model.imf")
+        assert tree_bits(view(load_model(tmp_path / "model.imf"), 0)) == tree_bits(tree)
+
+    @deterministic(80)
+    @given(
+        data=st.data(),
+        period=st.integers(1, 4),
+        arrivals=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+    )
+    def test_forests_stay_valid_under_tiny_waits(self, tmp_path_factory, data, period, arrivals):
+        offset = data.draw(st.integers(0, period - 1), label="offset")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        d = data.draw(st.integers(1, 3), label="d")
+        X = rng.normal(size=(data.draw(st.integers(2, 24), label="n"), d))
+        stream = np.array(arrivals)[:, None] * rng.uniform(0.5, 1.5, size=(len(arrivals), d))
+        path = tmp_path_factory.mktemp("tied") / "model.imf"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("imondrian.tree._uniforms", _tiny_share(period, offset))
+            forest = Forest.grow(X, np.arange(4, dtype=np.uint64), data.draw(st.none() | st.just(2), label="m"))
+            for x in stream:
+                forest.extend(x)
+        check_arena_invariants(forest)
+        save_model(forest, path)
+        loaded = load_model(path)
+        assert [tree_bits(tree) for tree in views(loaded)] == [tree_bits(tree) for tree in views(forest)]
 
 
 class TestCut:
