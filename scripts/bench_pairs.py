@@ -23,7 +23,9 @@ change's median is worse than BASE's by more than the metric's ``bound``
 in BASE's ``BENCHMARK.json`` times BASE's median (``ok`` otherwise): the
 no-regression rule, which needs no count of wins. The raw throughput's
 quartiles follow the ``points_per_s`` row, for reading only: no verdict is
-taken on them. Uses the standard library only.
+taken on them. Each run has a session of its own, and a pair fails, naming
+the pids, when a process of that session outlives its run (see
+``survivors``); they are killed then. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -46,13 +51,39 @@ def parse(lines: list[str]) -> tuple[dict, str, float]:
     return {name: m["value"] for name, m in json.loads(lines[-1])["metrics"].items()}, cycles, raw
 
 
+def survivors(session: int) -> list[int]:
+    """The pids of the processes of session ``session`` that still run (a
+    zombie has exited), read off ``/proc``; none where there is no ``/proc``."""
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            stat = entry.read_text()
+        except OSError:  # it exited meanwhile
+            continue
+        state, _, _, sid = stat[stat.rindex(")") + 2 :].split()[:4]
+        if int(sid) == session and state != "Z":
+            pids.append(int(entry.parent.name))
+    return sorted(pids)
+
+
 def run(checkout: Path, args, seed: int) -> tuple[dict, str, float]:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
             "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
-        sys.exit(f"{checkout} seed {seed} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    # files, not pipes, so that a process left holding them cannot stall the read
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err, text=True, start_new_session=True)
+        proc.wait()
+        out.seek(0)
+        err.seek(0)
+        out, err = out.read(), err.read()
+    left = survivors(proc.pid)  # the run's session id is its pid
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    if left:
+        sys.exit(f"{checkout} seed {seed} left processes running: {' '.join(map(str, left))}")
+    lines = out.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"{checkout} seed {seed} exited {proc.returncode}:\n{err[-2000:]}")
     return parse(lines)
 
 

@@ -513,7 +513,9 @@ def _read_arrays(handle, meta: dict, expected: int, digest) -> Forest:
             field = forest._flat(name)
             for at in _picks(forest, mask):
                 field[at] = _read_array(handle, at.shape + field.shape[1:], field.dtype, digest)
-    if handle.read(1):
+    surplus = handle.read(1)
+    digest.update(surplus)
+    if surplus:
         raise ValueError(f"array section holds more than {expected} bytes")
     for name in ("root", "key", "draws"):
         getattr(forest, name)[:] = meta[name]
@@ -522,11 +524,14 @@ def _read_arrays(handle, meta: dict, expected: int, digest) -> Forest:
 
 def _read_array(handle, shape: tuple[int, ...], dtype, digest) -> np.ndarray:
     """A native-order array of ``shape`` from the file's next little-endian
-    bytes, fed to ``digest``; ValueError if the file ends first."""
+    bytes, fed to ``digest`` (as many as there are); ValueError if the file
+    ends first."""
     array = np.empty(shape, dtype=dtype)
-    if handle.readinto(memoryview(array).cast("B")) != array.nbytes:
+    view = memoryview(array).cast("B")
+    got = handle.readinto(view)
+    digest.update(view[:got])
+    if got != array.nbytes:
         raise ValueError("array section ends early")
-    digest.update(array)
     if sys.byteorder == "big":
         array.byteswap(inplace=True)
     return array

@@ -36,16 +36,27 @@ against (``fit_tree``, ``path_length`` and ``extend_tree``) live in
 ``tests/reference.py``.
 
 A large forest is built, and a large batch routed, on every CPU in the
-process's affinity mask (so ``taskset -c 0`` keeps them on one) by one
-fork-join, ``_fork_join``, bit for bit as one process would (see
-``Forest.grow`` and ``Forest.route``).
+process's affinity mask, bit for bit as one process would (see
+``Forest.grow`` and ``Forest.route``), by ``_fork_join``: this process does
+one block of the work and a helper process each other block. The first call
+that splits work forks the helpers it needs, one per usable CPU beyond the
+first, each bound to its CPU while it works; they live until the
+interpreter exits, which reaps them, or until their caller's end of their
+job pipe closes. A helper holds a copy of its caller's memory from when it
+was forked and no descriptor of the caller's but its two pipe ends and one
+unnamed file, through which every job passes all of its data and the
+helper its result. ``taskset -c 0`` keeps all the work in one process.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import itertools
 import os
+import pickle
+import signal
+import struct
 import sys
 import tempfile
 import threading
@@ -74,20 +85,21 @@ FIELD_NAMES = tuple(name for name, _, _ in _FIELDS)
 # tree group of Forest.grow holds one to two passes' worth
 ROUTE_LANES = 1 << 14
 
-# (tree, point) lanes each process of Forest.route must have before it
-# forks: on a 2-core VM a routed lane took about 205 ns in one process, and
-# two processes (fork, copy-on-write faults and wait: 8-10 ms) were 15-24%
-# slower than one at 65,500 lanes and broke even near 100,000 (medians of 15
-# routes on psi-256 trees); at this floor one-point calls and a 20-tree fit
-# on 2,048 rows stay in-process, and a 2,048-point rescore of 100 trees forks
-FORK_LANES = 3 * ROUTE_LANES
+# (tree, point) lanes each process of Forest.route must have before the
+# work is split: on a 2-core VM, with a warm helper (see _fork_join), two
+# processes routed 25,600 lanes of psi-256 trees 7% faster than one (28 of
+# 31 alternating pairs), 51,200 lanes 17% faster and 40,960 lanes of 20 full
+# trees on 2,048 rows 26% faster (30 of 31), while 20,480 lanes of those
+# trees broke even (13 of 31). So one-point calls stay in-process, and a
+# 20-tree fit on 2,048 rows and a 2,048-point rescore of 100 trees split
+FORK_LANES = ROUTE_LANES
 
-# (tree, point) lanes each process of Forest.grow must have before it
-# forks: on a 2-core VM (medians of 21 builds) two processes built 8,192
-# lanes 4% slower than one, 12,800 lanes 3% faster and 16,384 lanes 5-13%
-# faster, so they break even near 6,000 lanes each; at this floor the
-# paper's 100 trees on subsamples of 256 fork and most test builds do not
-FORK_BUILD_LANES = 8192
+# (tree, point) lanes each process of Forest.grow must have before the work
+# is split: on a 2-core VM, with a warm helper (medians of 21 alternating
+# builds of 20 trees), two processes built 2,560 lanes 5% faster than one,
+# 1,280 lanes 18% slower and 5,120 lanes 27% faster; at this floor the
+# paper's 100 trees on subsamples of 256 split, 20 trees on 256 rows do not
+FORK_BUILD_LANES = 4096
 
 
 def node_fields(lead: tuple[int, ...], dim: int) -> list[tuple[str, np.dtype, tuple[int, ...], object]]:
@@ -226,85 +238,285 @@ def _can_fork() -> bool:
         return False
 
 
-def _unnamed_file():
-    """An unnamed read-write binary file: in memory where the OS has
-    ``memfd_create``, a temporary file elsewhere."""
+def _unnamed_file() -> int:
+    """The descriptor of an unnamed read-write file: in memory where the OS
+    has ``memfd_create``, an unlinked temporary file elsewhere."""
     if hasattr(os, "memfd_create"):
-        return open(os.memfd_create("imondrian"), "w+b")
-    return tempfile.TemporaryFile()
+        return os.memfd_create("imondrian")
+    fd, path = tempfile.mkstemp()
+    os.unlink(path)
+    return fd
 
 
-def _read_into(src, rows: np.ndarray) -> None:
-    """Fill the contiguous array ``rows`` with the next bytes of ``src``."""
-    if src.readinto(rows) != rows.nbytes:
-        raise EOFError("a forked block's result ended early")
+def _transfer(call, fd: int, buffers, offset: int = 0) -> int:
+    """Move every byte of ``buffers`` (C-contiguous arrays or buffers) to or
+    from the file ``fd`` from ``offset`` on, by ``call``: ``os.pwritev`` or
+    ``os.preadv``, as many times as it takes. Returns the byte count; raises
+    EOFError if a read meets the end of the file first."""
+    views = [view for view in (memoryview(b).cast("B") for b in buffers) if view.nbytes]
+    total = sum(view.nbytes for view in views)
+    while views:
+        done = call(fd, views, offset)
+        if not done:
+            raise EOFError("a helper's file ended early")
+        offset += done
+        while done and done >= views[0].nbytes:
+            done -= views.pop(0).nbytes
+        if done:
+            views[0] = views[0][done:]
+    return total
 
 
-def _fork_join(count: int, lanes: int, floor: int, child, local, take) -> None:
+# a job message: the CPU to run on and the byte length of the job's head; a
+# reply: the byte count of the result, or -1 if the job raised
+_JOB, _REPLY = struct.Struct("qq"), struct.Struct("q")
+
+
+class _Helper:
+    """A helper process as its caller holds it (see ``_fork_join``): its pid,
+    the caller's ends of its job and reply pipes, and the unnamed file that
+    jobs and results pass through."""
+
+    def __init__(self, pid: int, jobs: int, replies: int, file: int):
+        self.pid, self.jobs, self.replies, self.file = pid, jobs, replies, file
+
+    def send(self, cpu: int, name: str, args: tuple) -> None:
+        """Have the helper run this module's function ``name`` on ``args`` on
+        CPU ``cpu``. The file gets the head, a pickle of the call's pickle
+        (its arrays out of band) and of their byte counts, then the arrays'
+        bytes; the pipe gets ``cpu`` and the head's length."""
+        arrays = []
+        call = pickle.dumps((name, args), protocol=5, buffer_callback=arrays.append)
+        arrays = [array.raw() for array in arrays]
+        head = pickle.dumps((call, [array.nbytes for array in arrays]))
+        _transfer(os.pwritev, self.file, [head, *arrays])
+        os.write(self.jobs, _JOB.pack(cpu, len(head)))
+
+    def receive(self, out: list[np.ndarray]) -> bool:
+        """Read the result of the job sent last into the arrays ``out``, in
+        turn; False if the job raised or its result does not fit them.
+        EOFError if the helper ended first."""
+        reply = os.read(self.replies, _REPLY.size)
+        if len(reply) != _REPLY.size:
+            raise EOFError("a helper ended before its reply")
+        if _REPLY.unpack(reply)[0] != sum(array.nbytes for array in out):
+            return False
+        _transfer(os.preadv, self.file, out)
+        return True
+
+    def alive(self) -> bool:
+        """Whether the helper still runs; if it has exited, it is reaped."""
+        try:
+            return os.waitpid(self.pid, os.WNOHANG)[0] == 0
+        except ChildProcessError:  # reaped elsewhere
+            return False
+
+    def close(self) -> None:
+        """Close this process's ends of the helper's pipes and its file."""
+        for fd in (self.jobs, self.replies, self.file):
+            os.close(fd)
+
+    def stop(self, kill: bool = False) -> None:
+        """Close this process's ends, so that the helper reads EOF and exits,
+        killing it first if ``kill`` (a helper that may be mid-job), and reap it."""
+        if kill:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+        self.close()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+
+
+class _Helpers:
+    """This process's helpers: slot s holds the one that works on CPU s + 1
+    of the affinity mask, or None. There is one set per process, since a
+    helper is a forked copy of the process that made it; ``lock`` lets one
+    call at a time use them."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.slots: list[_Helper | None] = []
+
+    def ready(self, count: int) -> list[tuple[int, _Helper]]:
+        """(slot, helper) for every slot of 0..count-1 that has a running
+        helper; an empty slot is given a new one where ``_can_fork`` allows."""
+        self.slots += [None] * (count - len(self.slots))
+        forkable = None
+        for slot, helper in enumerate(self.slots[:count]):
+            if helper is not None and not helper.alive():  # killed between calls
+                helper.close()
+                helper = self.slots[slot] = None
+            if helper is None:
+                forkable = _can_fork() if forkable is None else forkable
+                self.slots[slot] = _spawn() if forkable else None
+        return [(slot, helper) for slot, helper in enumerate(self.slots[:count]) if helper is not None]
+
+    def drop(self, slot: int) -> None:
+        """Kill and reap the helper of ``slot``, which may be out of step."""
+        self.slots[slot].stop(kill=True)
+        self.slots[slot] = None
+
+    def close(self) -> None:
+        """Stop every helper: each reads EOF, exits and is reaped."""
+        with self.lock:
+            for helper in self.slots:
+                if helper is not None:
+                    helper.stop()
+            self.slots.clear()
+
+
+_HELPERS = _Helpers()
+
+
+def _close_helpers() -> None:
+    """Stop this process's helpers; it runs at interpreter exit."""
+    _HELPERS.close()
+
+
+def _forget_helpers() -> None:
+    """In a forked child: close the parent's helper descriptors and start
+    with none, so that the child makes its own helpers and the parent's
+    still read EOF when the parent exits."""
+    global _HELPERS
+    for helper in _HELPERS.slots:
+        if helper is not None:
+            helper.close()
+    _HELPERS = _Helpers()
+
+
+atexit.register(_close_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _spawn() -> _Helper | None:
+    """Fork a helper (see ``_serve``), or return None if its file, a pipe or
+    the fork raised OSError."""
+    opened = []
+    try:
+        opened.append(_unnamed_file())
+        opened += os.pipe()
+        opened += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in opened:
+            os.close(fd)
+        return None
+    file, jobs_in, jobs, replies, replies_out = opened
+    if pid == 0:
+        try:
+            _serve(jobs_in, replies_out, file)
+        finally:
+            os._exit(0)
+    os.close(jobs_in)
+    os.close(replies_out)
+    return _Helper(pid, jobs, replies, file)
+
+
+def _serve(jobs: int, replies: int, file: int) -> None:
+    """A helper's life. It keeps no descriptor of its caller's but its pipe
+    ends ``jobs`` and ``replies`` and its ``file`` (0, 1 and 2 open
+    /dev/null), so that a reader of the caller's output sees EOF when the
+    caller exits, and leaves a terminal's interrupt to the caller. Then, for
+    each job (see ``_Helper.send``), it binds itself to the job's CPU, runs
+    it, writes the array or list of arrays it returns to the start of the
+    file and replies with their byte count, or -1 if the job raised; it
+    returns at EOF."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    keep = sorted((jobs, replies, file))
+    for low, high in zip([0] + [fd + 1 for fd in keep], keep + [os.sysconf("SC_OPEN_MAX")]):
+        os.closerange(low, high)
+    null = os.open(os.devnull, os.O_RDWR)
+    for std in {0, 1, 2} - {null, *keep}:
+        os.dup2(null, std)
+    cpu = None
+    while len(message := os.read(jobs, _JOB.size)) == _JOB.size:
+        want, size = _JOB.unpack(message)
+        try:
+            if want != cpu:
+                _pin({want})
+                cpu = want
+            head = bytearray(size)
+            _transfer(os.preadv, file, [head])
+            call, sizes = pickle.loads(head)
+            arrays = [np.empty(n, dtype=np.uint8) for n in sizes]
+            _transfer(os.preadv, file, arrays, size)
+            name, args = pickle.loads(call, buffers=arrays)
+            result = globals()[name](*args)
+            done = _transfer(os.pwritev, file, [result] if isinstance(result, np.ndarray) else result)
+        except Exception:  # the caller does the job again itself, where it raises
+            done = -1
+        os.write(replies, _REPLY.pack(done))
+
+
+def _fork_join(count: int, lanes: int, floor: int, local, job, into) -> None:
     """Do items 0..count-1, ``lanes`` lanes of work in all, in contiguous
     blocks on every CPU of the affinity mask: one block per usable CPU, at
-    most one per ``floor`` lanes and one per item. When that makes fewer than
-    two blocks or this process cannot fork safely (see ``_can_fork``), it
-    forks nothing and does all the items itself with ``local(0, count)``.
+    most one per ``floor`` lanes and one per item. This process does the
+    first block with ``local(a, b)``, which does items a..b-1, and a helper
+    process each other block.
 
-    Each block but the first goes to a forked child, which calls ``child(a,
-    b, out)`` to do items a..b-1 and write the result to ``out``, an unnamed
-    file of its own, and leaves by ``os._exit``, so it never returns into
-    the caller's code. All forks come first, so a child shares no page that
-    the parent writes afterwards. The parent then does the first block with
-    ``local(a, b)``, reaps every child, and reads each child's result with
-    ``take(a, b, src)`` from the start of its file. A block whose file or
-    fork raised OSError, or whose child did not exit 0, is done again by
-    ``local``, so errors surface as they would without the fork.
+    A helper is forked by the first call that needs it, where ``_can_fork``
+    allows, and lives until this process exits (see ``_Helpers``). Its
+    memory is a copy of this process's from when it was forked, so a job
+    carries all of its data: ``job(a, b)`` gives the name of a function of
+    this module and its arguments, arrays and scalars, and the helper writes
+    the array or arrays the function returns to its file, from which they
+    are read into ``into(a, b)``, a list of arrays of the same sizes. Jobs
+    go out before the first block is done and their results come back in
+    order. A block goes to no helper, and the blocks are fewer, when one cannot be
+    forked; it is done again by ``local`` when its job raised, its helper
+    ended or the job could not be sent, so errors surface as they would in
+    one process. A helper whose reply is not read, since this call raised
+    first, is killed and reaped: it might answer a later call. With fewer
+    than two blocks, no helper, or another thread using the helpers, this
+    process does all the items itself with ``local(0, count)``.
 
     Each process is bound to its own CPU of the mask while it works, and
-    the parent's mask is restored afterwards: on a 2-core VM the OS kept a
+    the caller's mask is restored afterwards: on a 2-core VM the OS kept a
     new child on its parent's CPU for tens of milliseconds, so that unbound,
     a 2,048-point batch routed slower in two processes than in one.
     """
     cpus = _usable_cpus()
     workers = min(len(cpus), lanes // floor, count)
-    if workers < 2 or not _can_fork():
+    helpers = _HELPERS
+    if workers < 2 or not helpers.lock.acquire(blocking=False):
         local(0, count)
         return
-    bounds = [count * w // workers for w in range(workers + 1)]
-    blocks = list(zip(bounds[1:-1], bounds[2:]))  # the children's blocks
-    with contextlib.ExitStack() as files:
-        children, status, mask = {}, {}, None
+    pending = {}  # block: slot of the helper whose reply is unread
+    try:
+        ready = helpers.ready(workers - 1)
+        bounds = [count * w // (len(ready) + 1) for w in range(len(ready) + 2)]
+        blocks = list(zip(bounds[1:-1], bounds[2:]))  # the helpers' blocks
+        for (slot, helper), block in zip(ready, blocks):
+            try:
+                helper.send(cpus[slot + 1], *job(*block))
+            except OSError:
+                helpers.drop(slot)
+                continue
+            pending[block] = slot
+        mask = _pin({cpus[0]}) if pending else None
         try:
-            for cpu, block in zip(cpus[1:], blocks):
-                try:
-                    out = files.enter_context(_unnamed_file())
-                    pid = os.fork()
-                except OSError:
-                    continue
-                if pid == 0:
-                    code = 1
-                    try:
-                        _pin({cpu})
-                        child(*block, out)
-                        out.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
-                children[block] = pid, out
-            mask = _pin({cpus[0]})
             local(0, bounds[1])
         finally:
             if mask is not None:
                 _pin(mask)
-            for block, (pid, _) in children.items():
-                try:
-                    status[block] = os.waitpid(pid, 0)[1]
-                except ChildProcessError:  # reaped elsewhere: outcome unknown
-                    pass
         for block in blocks:
-            if status.get(block) == 0:
-                src = children[block][1]
-                src.seek(0)
-                take(*block, src)
-            else:
-                local(*block)
+            if block in pending:
+                slot = pending[block]
+                try:
+                    done = helpers.slots[slot].receive(into(*block))
+                except (EOFError, OSError):
+                    helpers.drop(slot)
+                    done = False
+                del pending[block]
+                if done:
+                    continue
+            local(*block)
+    finally:
+        for slot in pending.values():
+            helpers.drop(slot)
+        helpers.lock.release()
 
 
 class Forest:
@@ -388,14 +600,16 @@ class Forest:
         None. Raises ValueError when a box's linear dimension overflows.
 
         A large forest is built on every CPU in the process's affinity mask,
-        by a fork-join over contiguous blocks of trees (see ``_fork_join``):
-        one worker per FORK_BUILD_LANES (tree, point) lanes, at most one per
-        usable CPU and per tree. A child builds its block in an arena of its
-        own and writes the block's rows of everything ``_rows`` lists to its
-        file; the parent allocates the arena only after forking, builds the
-        first block in it and reads each child's rows straight into their
-        place. A tree depends on its key alone (see the class docstring), so
-        the forest is the one a single process builds, bit for bit.
+        over contiguous blocks of trees (see ``_fork_join``): one worker per
+        FORK_BUILD_LANES (tree, point) lanes, at most one per usable CPU and
+        per tree. A helper's job is ``_grow_block``: it gets ``X``, its
+        block's keys and the sample size, builds the block in an arena of its
+        own and returns the block's rows of everything ``_rows`` lists, which
+        are read straight into their place. This process allocates the arena
+        only after any helper is forked, builds the first block in it, and
+        reads the rest. A tree depends on its key alone (see the class
+        docstring), so the forest is the one a single process builds, bit
+        for bit.
         """
         key = np.array(key, dtype=np.uint64)
         n, d = X.shape
@@ -405,24 +619,14 @@ class Forest:
 
         def local(a, b):
             nonlocal forest
-            if forest is None:  # after the forks: see _fork_join
+            if forest is None:  # after any fork, so that no page of it is shared
                 forest = cls(T, d, C)
                 forest.key[:] = key
             forest._grow_trees(X, a, b, sample_size)
 
-        def child(a, b, out):
-            part = cls(b - a, d, C)
-            part.key[:] = key[a:b]
-            part._grow_trees(X, 0, b - a, sample_size)
-            part.child += a * C  # flat indices of the whole forest
-            for rows in part._rows(0, b - a):
-                out.write(rows)
-
-        def take(a, b, src):
-            for rows in forest._rows(a, b):
-                _read_into(src, rows)
-
-        _fork_join(T, T * m, FORK_BUILD_LANES, child, local, take)
+        _fork_join(T, T * m, FORK_BUILD_LANES, local,
+                   lambda a, b: ("_grow_block", (X, key[a:b], sample_size, a)),
+                   lambda a, b: forest._rows(a, b))
         return forest
 
     def _grow_trees(self, X: np.ndarray, a: int, b: int, sample_size: int | None) -> None:
@@ -576,17 +780,18 @@ class Forest:
         ``X`` is a validated (n, dim) array.
 
         A large batch is routed on every CPU in the process's affinity mask,
-        by a fork-join over contiguous blocks of points (see ``_fork_join``):
-        one worker per FORK_LANES (tree, point) lanes, at most one per usable
-        CPU and per point. The node-depth table is built once, before the
-        forks; a child reads it and the arena copy-on-write and writes its
-        block's sums to its file. The split is by points, not trees, so each
+        over contiguous blocks of points (see ``_fork_join``): one worker per
+        FORK_LANES (tree, point) lanes, at most one per usable CPU and per
+        point. Every block reads the one set of tables ``_route_tables``
+        builds, and a helper's job, ``_route_block``, carries its block's
+        points and those tables. The split is by points, not trees, so each
         point's sum is taken by one process in tree order, bit for bit the
-        one-process sum (``_route``).
+        one-process sum.
 
         A one-point batch is walked as ``extend`` walks (``_walk``), its
-        depths added in tree order one at a time, bit for bit as in ``_route``;
-        the walk is left, keyed by the point's bytes, for the next ``extend``.
+        depths added in tree order one at a time, bit for bit as in
+        ``_route_block``; the walk is left, keyed by the point's bytes, for
+        the next ``extend``.
         """
         n = X.shape[0]
         if n == 1:  # walked as extend walks, and left for its extend
@@ -595,86 +800,30 @@ class Forest:
             depth = ends - 1 - starts + leaf_depth(self._flat("population").take(path_flat.take(ends - 1)))
             return np.add.accumulate(depth)[-1:]
         depth_sum = np.empty(n)
-        node_depth = self._node_depths()  # before the forks, so children read this one
+        tables = self._route_tables(leaf_depth)
 
         def local(a, b):
-            depth_sum[a:b] = self._route(X[a:b], leaf_depth, node_depth)
+            depth_sum[a:b] = _route_block(X[a:b], *tables)
 
-        def child(a, b, out):
-            out.write(self._route(X[a:b], leaf_depth, node_depth))
-
-        def take(a, b, src):
-            _read_into(src, depth_sum[a:b])
-
-        _fork_join(n, n * self.num_trees, FORK_LANES, child, local, take)
+        _fork_join(n, n * self.num_trees, FORK_LANES, local,
+                   lambda a, b: ("_route_block", (X[a:b], *tables)),
+                   lambda a, b: [depth_sum[a:b]])
         return depth_sum
 
-    def _route(self, X: np.ndarray, leaf_depth, node_depth: np.ndarray | None = None) -> np.ndarray:
-        """``route`` in this process, reading edge counts off ``node_depth``
-        (``_node_depths()``, built here if not given). Lanes are (tree,
-        point) pairs in tree-major order, routed about ROUTE_LANES at a time
-        so memory stays flat, and carry only their lane number, node and
-        point. Points are read feature-major, so lanes at one node read one
-        column, and a pass numbers its trees' nodes from 0. A parked lane
-        loops on its leaf, so only every second level checks for movement;
-        the walk ends when none moved. Once half of the lanes have parked,
-        every lane's node is recorded, to be overwritten later for the lanes
-        still moving, and those are gathered by index (a boolean mask cost 7
-        ns per element per array, ``flatnonzero`` and ``take`` 2). Each
-        lane's edge count is then read off ``node_depth`` at its leaf.
+    def _route(self, X: np.ndarray, leaf_depth) -> np.ndarray:
+        """``route`` in this process."""
+        return _route_block(X, *self._route_tables(leaf_depth))
 
-        Without a leaf of two or more points every depth is an edge count and
-        sums exactly; with one, ``leaf_depth`` is applied once per pass and
-        the sums are taken tree by tree in tree order, so that a point's sum
-        does not depend on the batch it is in.
+    def _route_tables(self, leaf_depth) -> tuple[np.ndarray, ...]:
+        """What ``_route_block`` reads of the forest: the flat ``split_dim``
+        and ``split_val``, ``child``, ``root``, and each flat node's scoring
+        depth, its ``_node_depths`` entry, to which a forest with a leaf of
+        two or more points adds ``leaf_depth`` of its population as float64.
         """
-        n = X.shape[0]
-        T, C = self.population.shape
-        split_dim, split_val = self._flat("split_dim"), self._flat("split_val")
-        population, kids = self._flat("population"), self.child.reshape(2, -1)
-        duplicates = bool(self.population.max() > 1)
-        if node_depth is None:
-            node_depth = self._node_depths()
-        depth_sum = np.zeros(n)
-        block = min(n, ROUTE_LANES)
-        trees_per_pass = max(ROUTE_LANES // block, 1)
-        leaf = np.empty(block * min(trees_per_pass, T), dtype=np.int64)
-        for p0 in range(0, n, block):
-            m = min(block, n - p0)
-            xt = X[p0 : p0 + m].T.ravel()  # feature-major: x[q] of point i at q * m + i
-            acc = depth_sum[p0 : p0 + m]
-            for t0 in range(0, T, trees_per_pass):
-                # the pass's trees, with their nodes numbered from 0
-                k = min(trees_per_pass, T - t0)
-                a, width = t0 * C, k * C
-                dims = np.multiply(split_dim[a : a + width], m, dtype=np.int64)
-                vals = split_val[a : a + width]
-                kid = (kids[:, a : a + width] - a).ravel()
-                node = np.repeat(np.arange(k) * C + self.root[t0 : t0 + k], m)
-                point = np.tile(np.arange(m), k)
-                lane = np.arange(node.size)
-                for level in itertools.count():
-                    nxt = kid[(xt[dims[node] + point] >= vals[node]) * width + node]
-                    if not level % 2:
-                        moved = nxt != node
-                        live = np.count_nonzero(moved)
-                        if not live:
-                            break
-                        if 2 * live <= moved.size:
-                            leaf[lane] = nxt
-                            keep = np.flatnonzero(moved)
-                            lane, nxt, point = lane.take(keep), nxt.take(keep), point.take(keep)
-                    node = nxt
-                leaf[lane] = node
-                reached = leaf[: k * m]
-                depth = node_depth[a : a + width].take(reached)
-                if not duplicates:
-                    acc += depth.reshape(k, m).sum(axis=0)
-                    continue
-                for row in (depth + leaf_depth(population[a : a + width].take(reached))).reshape(k, m):
-                    acc += row
-            del xt  # before the next block's copy, so one transposed block is held at a time
-        return depth_sum
+        depth = self._node_depths()
+        if self.population.max() > 1:
+            depth = depth + leaf_depth(self._flat("population"))
+        return self._flat("split_dim"), self._flat("split_val"), self.child, self.root, depth
 
     def _levels(self):
         """Each depth's internal nodes, roots' depth first, with their left
@@ -829,3 +978,79 @@ class Forest:
         length = on_path.sum(axis=0)
         ends = np.cumsum(length)
         return np.repeat(np.arange(T), length), walk.T[on_path.T], ends - length, ends
+
+
+def _grow_block(X: np.ndarray, key: np.ndarray, sample_size: int | None, first: int) -> list[np.ndarray]:
+    """A helper's share of ``Forest.grow``: the trees of keys ``key``, trees
+    first.. of the forest, built on ``X`` in an arena of their own; returns
+    the block's ``_rows``, its links as flat indices of the whole forest."""
+    m = X.shape[0] if sample_size is None else sample_size
+    part = Forest(key.size, X.shape[1], 2 * m - 1)
+    part.key[:] = key
+    part._grow_trees(X, 0, key.size, sample_size)
+    part.child += first * part.capacity
+    return part._rows(0, key.size)
+
+
+def _route_block(X: np.ndarray, split_dim: np.ndarray, split_val: np.ndarray, child: np.ndarray,
+                 root: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """``Forest.route`` of the validated (n, d) ``X`` in this process, from
+    the forest's ``_route_tables``. Lanes are (tree, point) pairs in
+    tree-major order, routed about ROUTE_LANES at a time so memory stays
+    flat, and carry only their lane number, node and point. Points are read
+    feature-major, so lanes at one node read one column, and a pass numbers
+    its trees' nodes from 0. A parked lane loops on its leaf, so only every
+    second level checks for movement; the walk ends when none moved. Once
+    half of the lanes have parked, every lane's node is recorded, to be
+    overwritten later for the lanes still moving, and those are gathered by
+    index (a boolean mask cost 7 ns per element per array, ``flatnonzero``
+    and ``take`` 2). Each lane's scoring depth is then read off ``depth`` at
+    its leaf.
+
+    Integer depths are edge counts and sum exactly; float64 depths (a
+    forest with a leaf of two or more points) are summed tree by tree in
+    tree order, so that a point's sum does not depend on the batch it is in.
+    """
+    n = X.shape[0]
+    T = root.size
+    C = split_val.size // T
+    kids = child.reshape(2, -1)
+    depth_sum = np.zeros(n)
+    block = min(n, ROUTE_LANES)
+    trees_per_pass = max(ROUTE_LANES // block, 1)
+    leaf = np.empty(block * min(trees_per_pass, T), dtype=np.int64)
+    for p0 in range(0, n, block):
+        m = min(block, n - p0)
+        xt = X[p0 : p0 + m].T.ravel()  # feature-major: x[q] of point i at q * m + i
+        acc = depth_sum[p0 : p0 + m]
+        for t0 in range(0, T, trees_per_pass):
+            # the pass's trees, with their nodes numbered from 0
+            k = min(trees_per_pass, T - t0)
+            a, width = t0 * C, k * C
+            dims = np.multiply(split_dim[a : a + width], m, dtype=np.int64)
+            vals = split_val[a : a + width]
+            kid = (kids[:, a : a + width] - a).ravel()
+            node = np.repeat(np.arange(k) * C + root[t0 : t0 + k], m)
+            point = np.tile(np.arange(m), k)
+            lane = np.arange(node.size)
+            for level in itertools.count():
+                nxt = kid[(xt[dims[node] + point] >= vals[node]) * width + node]
+                if not level % 2:
+                    moved = nxt != node
+                    live = np.count_nonzero(moved)
+                    if not live:
+                        break
+                    if 2 * live <= moved.size:
+                        leaf[lane] = nxt
+                        keep = np.flatnonzero(moved)
+                        lane, nxt, point = lane.take(keep), nxt.take(keep), point.take(keep)
+                node = nxt
+            leaf[lane] = node
+            lane_depth = depth[a : a + width].take(leaf[: k * m]).reshape(k, m)
+            if depth.dtype.kind != "f":
+                acc += lane_depth.sum(axis=0)
+                continue
+            for row in lane_depth:
+                acc += row
+        del xt  # before the next block's copy, so one transposed block is held at a time
+    return depth_sum

@@ -587,7 +587,8 @@ def fork_on(monkeypatch, cpus: int, fork_lanes: int | None = None, build_lanes: 
     see ``cpus`` usable CPUs (and, if given, per-worker lane floors of
     ``fork_lanes`` for routing and ``build_lanes`` for building), and count
     their forks: the returned list gains one entry per ``os.fork`` call in
-    this process."""
+    this process, which is one per helper made, since helpers serve every
+    later call until they are stopped."""
     monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: list(range(cpus)))
     if fork_lanes is not None:
         monkeypatch.setattr("imondrian.tree.FORK_LANES", fork_lanes)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import imondrian
 from imondrian.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from imondrian.data_io import SyntheticSpec, gen_synthetic
-from imondrian.tree import _can_fork
+from imondrian.tree import _can_fork, _close_helpers
 
 from helpers import BAD_DRAW_STATES, V1_MODEL, V2_MODEL, V3_MODEL, V4_MODEL, deterministic, fork_on, reseal_model
 
@@ -156,17 +156,19 @@ class TestFit:
 
     def test_failed_fork_fits_in_process(self, tmp_path, monkeypatch):
         # 100 trees on subsamples of 256 of 1,000 rows: 25,600 lanes, enough
-        # for two build workers; scoring the rows (100,000 lanes) forks once more
+        # for two build workers; scoring the rows (100,000 lanes) uses the
+        # same helper
         data = tmp_path / "big.csv"
         _write_csv(data, np.random.default_rng(9).normal(size=(1000, 3)))
         forks = fork_on(monkeypatch, cpus=2)
         forked, in_process = tmp_path / "forked.imf", tmp_path / "in_process.imf"
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(forked)]) == EXIT_OK
-        assert len(forks) == (2 if _can_fork() else 0)
+        assert len(forks) == (1 if _can_fork() else 0)
 
         def fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
+        _close_helpers()  # so that the next fit must fork to split its work
         monkeypatch.setattr(os, "fork", fork)
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(in_process)]) == EXIT_OK
         assert in_process.read_bytes() == forked.read_bytes()
@@ -368,6 +370,7 @@ class TestScore:
         _write_csv(data, np.random.default_rng(8).normal(size=(1000, 3)))
         model = tmp_path / "model.imf"
         assert main(["fit", "--data", str(data), "--trees", "100", "--model", str(model)]) == EXIT_OK
+        _close_helpers()  # each score below starts without a helper
         forks = fork_on(monkeypatch, cpus=2)
         forked, in_process = tmp_path / "forked.csv", tmp_path / "in_process.csv"
         assert main(["score", "--model", str(model), "--data", str(data), "--out", str(forked)]) == EXIT_OK
@@ -376,6 +379,7 @@ class TestScore:
         def fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
+        _close_helpers()
         monkeypatch.setattr(os, "fork", fork)
         assert main(["score", "--model", str(model), "--data", str(data), "--out", str(in_process)]) == EXIT_OK
         assert in_process.read_bytes() == forked.read_bytes()

@@ -121,6 +121,15 @@ def _leaf_across_cut(meta, arrays):
     arrays["box_min"][k, q] = arrays["box_max"][k, q] = arrays["split_val"][j]
 
 
+def _root_becomes_leaf(meta, arrays):  # both of its sides become self loops
+    root = meta["root"][0]
+    arrays["child"][:, root] = root
+
+
+def _leaf_becomes_inner(meta, arrays):  # tree 0's first leaf links to the root
+    arrays["child"][0, _tree0(meta, arrays)[3][0]] = meta["root"][0]
+
+
 def _even_size(meta, arrays):
     meta["size"][0] += 1
 
@@ -746,6 +755,24 @@ class TestModelRoundTrip:
 
         reseal_model(path, shrink)  # arrays keep their old length
         with pytest.raises(ModelFormatError, match="bytes"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (_root_becomes_leaf, "array section ends early"),
+            (_leaf_becomes_inner, "array section holds more than"),
+        ],
+    )
+    def test_resealed_leaf_count_reports_the_array_size(self, tmp_path, edit, problem):
+        # the links set how many leaves the arrays hold; one more or one
+        # fewer than (s + 1) / 2 makes the arrays run past the file's end or
+        # stop short of it, and every byte read still goes to the checksum
+        X, forest = self._forest()
+        path = tmp_path / "model.imf"
+        save_model(forest, path)
+        reseal_model(path, edit)
+        with pytest.raises(ModelFormatError, match=problem):
             load_model(path)
 
     @pytest.mark.parametrize(

@@ -6,10 +6,15 @@ import copy
 import errno
 import hashlib
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
+import time
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from imondrian.tree import (
     ROUTE_LANES,
     Forest,
     _can_fork,
+    _close_helpers,
     _fork_join,
     _pin,
     _unnamed_file,
@@ -60,6 +66,8 @@ from helpers import (
     tree_bits,
 )
 from reference import extend_tree, fit_tree, links, path_length, view, views, walk
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # frozen from 40-digit evaluation of ln(i) + 0.5772156649
 H_10 = 2.8798007578940457
@@ -991,15 +999,59 @@ class TestForkJoinRoute:
         for forest, probes in _fork_cases(rows):
             expected = forest._route(probes, _leaf_depth)
             assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
-        assert len(forks) == 3 * (min(workers, rows) - 1)
+        assert len(forks) == min(workers, rows) - 1  # helpers, forked once for the three forests
         # the parent runs its block bound to one CPU and is unbound afterwards
         assert mask is None or os.sched_getaffinity(0) == mask
 
+    def test_helpers_route_their_blocks(self, monkeypatch):
+        # more points than a helper's file takes in one vector of writes
+        # would be, if a block's sums were written one float at a time
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        forks = fork_on(monkeypatch, cpus=3, fork_lanes=1)
+        forest, probes = _fork_cases(3000)[2]
+        expected = forest._route(probes, _leaf_depth)
+        parent, calls = os.getpid(), []
+        one_process = imondrian.tree._route_block
+
+        def route(X, *tables):
+            if os.getpid() == parent:
+                calls.append(X.shape[0])
+            return one_process(X, *tables)
+
+        monkeypatch.setattr("imondrian.tree._route_block", route)
+        for _ in range(2):
+            assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
+        assert calls == [1000, 1000]  # the caller's own block, each time
+        assert len(forks) == 2
+
+    def test_full_fit_route_splits(self, monkeypatch):
+        # subsampling off, 20 trees on 2,048 rows: 40,960 lanes, two workers
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        X = np.random.default_rng(41).normal(size=(2048, 8))
+        full = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
+        expected = full._route(X, _leaf_depth)
+        monkeypatch.setattr("imondrian.tree._usable_cpus", lambda: [0, 1])
+        parent, calls = os.getpid(), []
+        one_process = imondrian.tree._route_block
+
+        def route(X, *tables):
+            if os.getpid() == parent:
+                calls.append(X.shape[0])
+            return one_process(X, *tables)
+
+        monkeypatch.setattr("imondrian.tree._route_block", route)
+        assert full.route(X, _leaf_depth).tobytes() == expected.tobytes()
+        assert calls == [1024]
+
     def test_small_batches_never_fork(self, monkeypatch):
-        # the builds may fork; only the routing below is under the trap
+        # the builds may fork; only the routing below is under the trap, and
+        # without helpers, a route that split its work would have to fork
         X = np.random.default_rng(41).normal(size=(2048, 8))
         paper = train_batch(X, ForestConfig(num_trees=100, psi=256, seed=0))
         full = train_batch(X, ForestConfig(num_trees=20, psi=None, seed=0))
+        _close_helpers()
 
         def fork():
             raise AssertionError("route forked for a small batch")
@@ -1009,8 +1061,8 @@ class TestForkJoinRoute:
         for x in X[:5]:
             score_all([x], paper)
         score_all(X[:200], paper)
-        # subsampling off, 20 trees on 2,048 rows: 40,960 lanes, one worker
-        score_all(X, full)
+        # subsampling off, 20 trees on 256 rows: 5,120 lanes, one worker
+        score_all(X[:256], full)
 
     @pytest.mark.parametrize("call", ["os.fork", "os.memfd_create"])
     def test_failed_fork_routes_in_process(self, monkeypatch, call):
@@ -1027,23 +1079,23 @@ class TestForkJoinRoute:
     def test_failed_child_block_is_routed_again(self, monkeypatch):
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
+        cases = [(forest, probes, forest._route(probes, _leaf_depth)) for forest, probes in _fork_cases(50)]
         forks = fork_on(monkeypatch, cpus=3, fork_lanes=1)
         parent, calls = os.getpid(), []
-        one_process = Forest._route
+        one_process = imondrian.tree._route_block
 
-        def route_or_fail(arena, X, leaf_depth, node_depth):
+        def route_or_fail(X, *tables):
             if os.getpid() != parent:
-                raise RuntimeError("the child fails, so it exits 1")
+                raise RuntimeError("the helper's job fails, so it replies -1")
             calls.append(X.shape[0])
-            return one_process(arena, X, leaf_depth, node_depth)
+            return one_process(X, *tables)
 
-        monkeypatch.setattr(Forest, "_route", route_or_fail)
-        for forest, probes in _fork_cases(50):
+        monkeypatch.setattr("imondrian.tree._route_block", route_or_fail)
+        for forest, probes, expected in cases:
             calls.clear()
-            expected = one_process(forest, probes, _leaf_depth)
             assert forest.route(probes, _leaf_depth).tobytes() == expected.tobytes()
-            assert sorted(calls) == [16, 17, 17]  # the parent routed all three blocks
-        assert len(forks) == 6
+            assert sorted(calls) == [16, 17, 17]  # the caller routed all three blocks
+        assert len(forks) == 2  # a failed job leaves its helper running
 
 
 def _build_cases():
@@ -1071,7 +1123,7 @@ class TestForkJoinUnforked:
 
         monkeypatch.setattr(os, "fork", fork)
         calls = []
-        assert _fork_join(7, lanes, 100, None, lambda a, b: calls.append((a, b)), None) is None
+        assert _fork_join(7, lanes, 100, lambda a, b: calls.append((a, b)), None, None) is None
         assert calls == [(0, 7)]
 
 
@@ -1115,24 +1167,44 @@ class TestForkJoinGrow:
             arena = _grow(*case)
             assert arena_fingerprint(arena) == fingerprint
             check_arena_invariants(arena, points=case[0] if case[1] is None else None)
-        assert len(forks) == sum(min(workers, trees) - 1 for _, _, trees in _build_cases())
+        assert len(forks) == max(min(workers, trees) for _, _, trees in _build_cases()) - 1  # helpers, forked once
         assert mask is None or os.sched_getaffinity(0) == mask
 
     def test_paper_shapes_fork_above_the_floor(self, monkeypatch):
         # 100 trees on psi 256 and 20 trees on 2,048 rows have 25,600 and
-        # 40,960 lanes: two build workers each; 20 trees on 256 rows, one
+        # 40,960 lanes: two build workers each, so one helper serves both; 20
+        # trees on 256 rows, one worker
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
         X = np.random.default_rng(43).normal(size=(2048, 8))
         expected = [arena_fingerprint(_grow(X, 256, 100)), arena_fingerprint(_grow(X, None, 20))]
+        _close_helpers()
         forks = fork_on(monkeypatch, cpus=2)
         arenas = [_grow(X, 256, 100), _grow(X, None, 20)]
         assert [arena_fingerprint(arena) for arena in arenas] == expected
         for arena in arenas:
             check_arena_invariants(arena)
-        assert len(forks) == 2
+        assert len(forks) == 1
         _grow(X[:256], None, 20)
-        assert len(forks) == 2
+        assert len(forks) == 1
+
+    def test_helpers_build_their_blocks(self, monkeypatch):
+        if not _can_fork():
+            pytest.skip("this process cannot fork without a warning")
+        X, sample_size, trees = _build_cases()[0]
+        expected = arena_fingerprint(_grow(X, sample_size, trees))
+        fork_on(monkeypatch, cpus=3, build_lanes=1)
+        parent, calls = os.getpid(), []
+        one_process = Forest._grow_trees
+
+        def grow(arena, X, a, b, sample_size):
+            if os.getpid() == parent:
+                calls.append((a, b))
+            return one_process(arena, X, a, b, sample_size)
+
+        monkeypatch.setattr(Forest, "_grow_trees", grow)
+        assert arena_fingerprint(_grow(X, sample_size, trees)) == expected
+        assert calls == [(0, 2)]  # the caller's own block of 7 trees in 3
 
     @pytest.mark.parametrize("call", ["os.fork", "os.memfd_create"])
     def test_failed_fork_builds_in_process(self, monkeypatch, call):
@@ -1194,10 +1266,12 @@ class TestForkJoinPortable:
         self._without_linux_calls(monkeypatch, 3)
         assert _usable_cpus() == [0, 1, 2]
         assert _pin({0}) is None
-        with _unnamed_file() as out:
-            out.write(b"imondrian")
-            out.seek(0)
-            assert out.read() == b"imondrian"
+        fd = _unnamed_file()
+        try:
+            os.write(fd, b"imondrian")
+            assert os.pread(fd, 16, 0) == b"imondrian"
+        finally:
+            os.close(fd)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _usable_cpus() == [0]
 
@@ -1219,8 +1293,144 @@ class TestForkJoinPortable:
         monkeypatch.setattr(os, "fork", fork)
         assert [forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases] == routes
         assert [arena_fingerprint(_grow(*case)) for case in _build_cases()] == builds
-        assert len(forks) == 2 * len(cases) + sum(min(3, trees) - 1 for _, _, trees in _build_cases())
+        assert len(forks) == 2  # two helpers serve every route and build
+        _close_helpers()
         assert_no_children()
+
+
+def _helper_pids() -> list[int]:
+    return [helper.pid for helper in imondrian.tree._HELPERS.slots if helper is not None]
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` runs: it is listed in /proc and not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+# trains and scores at splitting sizes on two CPUs, prints its helpers'
+# pids, then exits, or waits to be killed
+_CALLER = """
+import sys
+import numpy as np
+from imondrian import tree
+from imondrian.forest import ForestConfig, score_all, train_batch
+assert not tree._HELPERS.slots  # importing starts no helper
+tree._usable_cpus = lambda: [0, 1]
+X = np.random.default_rng(0).normal(size=(1024, 3))
+score_all(X, train_batch(X, ForestConfig(num_trees=100, psi=256, seed=0)))
+print(*[helper.pid for helper in tree._HELPERS.slots if helper], flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.read()
+"""
+
+
+class TestHelperLifecycle:
+    """The helpers of ``_fork_join``: they outlive no caller, hold none of
+    its descriptors, serve only the process that made them, and every way a
+    job or a helper can fail gives one process's results."""
+
+    @pytest.fixture(autouse=True)
+    def _forkable(self):
+        if not _can_fork() or not os.path.exists("/proc/self/stat"):
+            pytest.skip("this process cannot fork without a warning, or has no /proc")
+
+    @pytest.mark.parametrize("end", ["exit", "kill"])
+    def test_no_process_outlives_its_caller(self, end):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen([sys.executable, "-c", _CALLER, "wait" if end == "kill" else "exit"], env=env,
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as caller:
+            pids = [int(pid) for pid in caller.stdout.readline().split()]
+            if end == "kill":
+                caller.kill()
+            assert caller.stdout.read() == ""  # EOF, though a helper may still run
+            caller.wait(timeout=60)
+        assert pids  # the caller split its work
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+
+    def test_helper_holds_no_caller_descriptor(self, monkeypatch, tmp_path):
+        forks = fork_on(monkeypatch, cpus=2, fork_lanes=1)
+        forest, probes = _fork_cases(50)[0]
+        with open(tmp_path / "held", "w"):  # open while the helper is forked
+            forest.route(probes, _leaf_depth)
+        assert len(forks) == 1
+        fds = Path(f"/proc/{_helper_pids()[0]}/fd")
+        held = {int(fd.name): os.readlink(fd) for fd in fds.iterdir()}
+        assert [held.pop(fd) for fd in (0, 1, 2)] == [os.devnull] * 3
+        assert sorted(target.split(":")[0] for target in held.values()) == ["/memfd", "pipe", "pipe"]
+
+    def test_forked_caller_makes_its_own_helpers(self, monkeypatch):
+        forks = fork_on(monkeypatch, cpus=2, fork_lanes=1)
+        cases = _fork_cases(50)
+        expected = [forest._route(probes, _leaf_depth).tobytes() for forest, probes in cases]
+        assert [forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases] == expected
+        parents = _helper_pids()
+        pid = os.fork()
+        if pid == 0:  # a caller whose pid changed
+            code = 1
+            try:
+                assert not _helper_pids()
+                assert [forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases] == expected
+                assert _helper_pids() and not set(_helper_pids()) & set(parents)
+                code = 0
+            finally:
+                _close_helpers()
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        # the parent's helper is still in step with it
+        assert [forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases] == expected
+        assert _helper_pids() == parents and len(forks) == 2
+
+    def test_helper_killed_between_calls(self, monkeypatch):
+        fork_on(monkeypatch, cpus=2, fork_lanes=1)
+        for forest, probes in _fork_cases(50):
+            expected = forest._route(probes, _leaf_depth).tobytes()
+            assert forest.route(probes, _leaf_depth).tobytes() == expected
+            os.kill(_helper_pids()[0], signal.SIGKILL)
+            # routed again in this process, or by a new helper
+            assert forest.route(probes, _leaf_depth).tobytes() == expected
+
+    def test_raising_job_keeps_its_helper(self, monkeypatch):
+        # on subsamples of two, only tree 5 of seed 3 overflows, in the
+        # helper's block; the helper replies that its job raised and serves on
+        X = np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        expected = arena_fingerprint(_grow(*_build_cases()[0]))
+        fork_on(monkeypatch, cpus=2, build_lanes=1)
+        with pytest.raises(ValueError, match="overflows"):
+            _grow(X, 2, 6, seed=3)
+        helpers = _helper_pids()
+        assert arena_fingerprint(_grow(*_build_cases()[0])) == expected
+        assert _helper_pids() == helpers
+
+    def test_two_threads_route_at_once(self, monkeypatch):
+        fork_on(monkeypatch, cpus=2, fork_lanes=1)
+        cases = _fork_cases(300)
+        expected = [forest._route(probes, _leaf_depth).tobytes() for forest, probes in cases]
+        cases[0][0].route(cases[0][1], _leaf_depth)  # the helper is made while one thread runs
+        assert _helper_pids()
+        results, interval = [[], []], sys.getswitchinterval()
+
+        def work(out):
+            for _ in range(5):
+                out.append([forest.route(probes, _leaf_depth).tobytes() for forest, probes in cases])
+
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected] * 5] * 2
 
 
 class TestRescoreWindow:

@@ -6,7 +6,11 @@ import importlib.util
 import math
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,3 +50,27 @@ def test_bench_pairs_reads_metrics_cycles_and_raw_throughput():
     assert bench_pairs.parse(lines) == ({"points_per_s": 767.009935205081, "auc": 0.8897499700203861}, "6", 795.167)
     metrics, cycles, raw = bench_pairs.parse([line for line in lines if not line.startswith(("cycles", "raw"))])
     assert (metrics["auc"], cycles, math.isnan(raw)) == (0.8897499700203861, "?", True)
+
+
+def test_bench_pairs_fails_a_run_that_leaves_a_process(tmp_path):
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("no /proc to find a session's processes in")
+    spec = importlib.util.spec_from_file_location("bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    (tmp_path / "perfbench").mkdir()
+    canned = tmp_path / "perfbench" / "run.py"
+    args = types.SimpleNamespace(workload="stream", seconds=1.0, trace=0)
+    canned.write_text(f"import sys\nsys.stdout.write({RUN_OUTPUT!r})\n")
+    assert bench_pairs.run(tmp_path, args, 1)[1] == "6"
+    # the same run, leaving a sleep behind in its session
+    canned.write_text(f"import subprocess, sys\nprint(subprocess.Popen(['sleep', '60']).pid)\n"
+                      f"sys.stdout.write({RUN_OUTPUT!r})\n")
+    with pytest.raises(SystemExit) as failed:
+        bench_pairs.run(tmp_path, args, 1)
+    message = str(failed.value)
+    assert "left processes running" in message
+    sleeper = int(message.rsplit(":", 1)[1])
+    time.sleep(0.1)  # the sleep was killed; its exit reaches /proc
+    stat = Path(f"/proc/{sleeper}/stat")
+    assert not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z"
