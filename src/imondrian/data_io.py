@@ -21,7 +21,6 @@ import json
 import math
 import os
 import stat
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,10 +39,20 @@ MODEL_VERSION = 5
 # bytes at most, so that no step holds a copy of the file
 _BLOCK_BYTES = 1 << 20
 
-# the node fields a model file stores, after the child entries: the cut of
-# each internal node, then the population and box of each leaf
-_INNER_FIELDS = ("split_dim", "split_val", "split_time")
-_LEAF_FIELDS = ("population", "box_min", "box_max")
+# the arrays of a model file in file order: (field, child side or None,
+# slots it is stored for, stored little-endian dtype). The child table's
+# sides come first, over each tree's used slots, as slots of the same tree;
+# then the cut of each internal node and the population and box of each leaf
+_LAYOUT = (
+    ("child", 0, "used", "<i4"),
+    ("child", 1, "used", "<i4"),
+    ("split_dim", None, "inner", "<i4"),
+    ("split_val", None, "inner", "<f8"),
+    ("split_time", None, "inner", "<f8"),
+    ("population", None, "leaf", "<i8"),
+    ("box_min", None, "leaf", "<f8"),
+    ("box_max", None, "leaf", "<f8"),
+)
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -72,12 +81,18 @@ def _where(row: int, line: int) -> str:
 
 
 def _numbered(reader):
-    """(first file line, cells) of each non-empty row of a ``csv.reader``."""
-    line = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield line, row
-        line = reader.line_num + 1
+    """(first file line, cells) of each non-empty row of a ``csv.reader``
+    from the file's start; DataFormatError naming the row where the reader
+    fails, as on a cell longer than ``csv.field_size_limit()``."""
+    line, count = reader.line_num + 1, 1
+    try:
+        for row in reader:
+            if row:
+                yield line, row
+                count += 1
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataFormatError(f"{_where(count, line)}: {exc}") from None
 
 
 def _parse_feature(cell: str, where: str, col: int) -> float:
@@ -329,12 +344,9 @@ def save_model(forest: Forest, path) -> None:
 
     The file is a header line ``imondrian-forest v5 sha256=<hex>``, one JSON
     line (``dim``, and every tree's ``root``, ``size``, ``key`` and
-    ``draws``), then raw little-endian arrays, each over every tree in turn
-    and, within a tree, over its slots in order:
-    1. the child table's two sides over the used slots, as int32 slots of
-       the same tree (a leaf holds its own slot on both sides);
-    2. ``split_dim``, ``split_val`` and ``split_time`` of the internal slots;
-    3. ``population``, ``box_min`` and ``box_max`` of the leaf slots.
+    ``draws``), then the raw arrays of ``_LAYOUT`` in its order, each over
+    every tree in turn and, within a tree, over the slots it is stored for
+    in order (a leaf holds its own slot on both sides of the child table).
     A tree of s slots has (s + 1) / 2 leaves, so the byte count follows from
     ``size``. Only leaves count points, an internal node's box is the union
     of its children's (see ``Forest``) and a leaf's cut fields hold the
@@ -375,36 +387,38 @@ def save_model(forest: Forest, path) -> None:
         raise
 
 
-def _slots(forest: Forest) -> tuple[np.ndarray, np.ndarray]:
-    """(used, leaf): (T, C) masks of each tree's used slots and of those
-    used slots that are their own left child."""
-    T, C = forest.population.shape
-    used = np.arange(C) < forest.size[:, None]
-    return used, used & (forest.child[: T * C].reshape(T, C) == np.arange(T * C).reshape(T, C))
-
-
-def _picks(forest: Forest, mask: np.ndarray):
-    """The flat indices of the slots in the (T, C) ``mask``, a block of whole
-    tree rows at a time, whose box field rows take ``_BLOCK_BYTES`` at most."""
+def _blocks(forest: Forest):
+    """(array, child side or None, stored dtype, flat indices) of each block
+    of a model file in file order: for each ``_LAYOUT`` entry, the slots it
+    is stored for, a block of whole tree rows at a time, whose box field
+    rows take ``_BLOCK_BYTES`` at most. A leaf is a used slot that is its own
+    left child, read off the child table as each block is reached: a load
+    finds the leaves in the child entries it has read already."""
     T, C = forest.population.shape
     rows = max(1, _BLOCK_BYTES // (8 * forest.dim * C))
-    for a in range(0, T, rows):
-        yield np.flatnonzero(mask[a : a + rows]) + a * C
+    used = np.arange(C) < forest.size[:, None]
+    split = {}  # the inner and leaf masks of the block from row a, once it is read
+    for name, side, slots, dtype in _LAYOUT:
+        array = forest._flat(name) if side is None else forest.child.reshape(2, -1)[side]
+        for a in range(0, T, rows):
+            mask = used[a : a + rows]
+            if slots != "used":
+                if a not in split:
+                    flat = np.arange(a * C, a * C + mask.size)
+                    leaf = mask & (forest.child[a * C : a * C + mask.size] == flat).reshape(mask.shape)
+                    split[a] = {"inner": mask & ~leaf, "leaf": leaf}
+                mask = split[a][slots]
+            yield array, side, dtype, np.flatnonzero(mask) + a * C
 
 
 def _put_arrays(forest: Forest, put) -> None:
-    """Pass the arrays of a model file to ``put`` in file order, one block of
-    tree rows at a time (``_picks``) as a C-contiguous little-endian copy."""
-    used, leaf = _slots(forest)
-    C = forest.capacity
-    for side in forest.child.reshape(2, -1):
-        for at in _picks(forest, used):
-            put((side.take(at) % C).astype("<i4"))
-    for names, mask in ((_INNER_FIELDS, used & ~leaf), (_LEAF_FIELDS, leaf)):
-        for name in names:
-            field = forest._flat(name)
-            for at in _picks(forest, mask):
-                put(field.take(at, axis=0).astype(field.dtype.newbyteorder("<"), copy=False))
+    """Pass the arrays of a model file to ``put`` in file order, one block at
+    a time (``_blocks``), each as a C-contiguous copy in its stored dtype."""
+    for array, side, dtype, at in _blocks(forest):
+        if side is None:
+            put(array.take(at, axis=0).astype(dtype, copy=False))
+        else:  # a child entry as a slot of its own tree
+            put((array.take(at) % forest.capacity).astype(dtype))
 
 
 def load_model(path) -> Forest:
@@ -424,7 +438,7 @@ def load_model(path) -> Forest:
     to form trees (see ``_structure_problem``).
     """
     with Path(path).open("rb") as handle:
-        header = handle.readline()
+        header = handle.readline(256)  # a v5 header line is 92 bytes
         if not header.endswith(b"\n"):
             raise ModelFormatError(f"{path}: not a model file (missing header)")
         header = header[:-1]
@@ -480,9 +494,9 @@ def _read_forest(handle, digest, path) -> Forest:
     if any(s % 2 == 0 for s in meta["size"]):
         raise ValueError("a tree size is even: a tree of s slots has (s + 1) / 2 leaves")
     slots = sum(meta["size"])
-    width = {name: dtype.itemsize * math.prod(shape) for name, dtype, shape, _ in node_fields((), dim)}
-    inner, leaves = (slots - trees) // 2, (slots + trees) // 2
-    expected = 8 * slots + sum(inner * width[n] for n in _INNER_FIELDS) + sum(leaves * width[n] for n in _LEAF_FIELDS)
+    count = {"used": slots, "inner": (slots - trees) // 2, "leaf": (slots + trees) // 2}
+    shapes = {name: shape for name, _, shape, _ in node_fields((), dim)}  # a child entry's is ()
+    expected = sum(count[s] * np.dtype(t).itemsize * math.prod(shapes.get(n, ())) for n, _, s, t in _LAYOUT)
     if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
         return _read_arrays(handle, meta, expected, digest)
     with tempfile.TemporaryFile() as spool:
@@ -503,16 +517,16 @@ def _read_arrays(handle, meta: dict, expected: int, digest) -> Forest:
         raise ValueError(f"array section holds {held} bytes, expected {expected}")
     forest = Forest(len(meta["size"]), meta["dim"], max(meta["size"]))
     forest.size[:] = meta["size"]
-    used = _slots(forest)[0]
-    for side in forest.child.reshape(2, -1):  # self loops in a fresh arena
-        for at in _picks(forest, used):  # a row's first flat index plus a row-local slot
-            side[at] = at - at % forest.capacity + _read_array(handle, at.shape, np.int32, digest)
-    leaf = _slots(forest)[1]  # a leaf count off (s + 1) / 2 misreads the length of the file
-    for names, mask in ((_INNER_FIELDS, used & ~leaf), (_LEAF_FIELDS, leaf)):
-        for name in names:
-            field = forest._flat(name)
-            for at in _picks(forest, mask):
-                field[at] = _read_array(handle, at.shape + field.shape[1:], field.dtype, digest)
+    # hashed as it is read; a leaf count off (s + 1) / 2 misreads the file's length
+    for array, side, dtype, at in _blocks(forest):
+        block = np.empty(at.shape + array.shape[1:], dtype=dtype)
+        view = memoryview(block.reshape(-1).view(np.uint8))
+        got = handle.readinto(view)
+        digest.update(view[:got])
+        if got != block.nbytes:
+            raise ValueError("array section ends early")
+        # a child entry goes over a self loop: its row's first flat index plus a row-local slot
+        array[at] = block if side is None else at - at % forest.capacity + block
     surplus = handle.read(1)
     digest.update(surplus)
     if surplus:
@@ -520,21 +534,6 @@ def _read_arrays(handle, meta: dict, expected: int, digest) -> Forest:
     for name in ("root", "key", "draws"):
         getattr(forest, name)[:] = meta[name]
     return forest
-
-
-def _read_array(handle, shape: tuple[int, ...], dtype, digest) -> np.ndarray:
-    """A native-order array of ``shape`` from the file's next little-endian
-    bytes, fed to ``digest`` (as many as there are); ValueError if the file
-    ends first."""
-    array = np.empty(shape, dtype=dtype)
-    view = memoryview(array).cast("B")
-    got = handle.readinto(view)
-    digest.update(view[:got])
-    if got != array.nbytes:
-        raise ValueError("array section ends early")
-    if sys.byteorder == "big":
-        array.byteswap(inplace=True)
-    return array
 
 
 def _structure_problem(forest: Forest) -> str | None:

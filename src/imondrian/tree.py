@@ -473,9 +473,9 @@ def _fork_join(count: int, lanes: int, floor: int, local, job, into) -> None:
     process does all the items itself with ``local(0, count)``.
 
     Each process is bound to its own CPU of the mask while it works, and
-    the caller's mask is restored afterwards: on a 2-core VM the OS kept a
-    new child on its parent's CPU for tens of milliseconds, so that unbound,
-    a 2,048-point batch routed slower in two processes than in one.
+    the caller's mask is restored afterwards: on a 2-core VM, unbound warm
+    helpers ran 1.51-1.94x slower on every shape measured, and one bound
+    only when forked, with the caller unbound, 3-17% slower.
     """
     cpus = _usable_cpus()
     workers = min(len(cpus), lanes // floor, count)

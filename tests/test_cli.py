@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import hashlib
 import os
@@ -217,6 +218,18 @@ class TestLabelOnlyHeader:
         data.write_text(text)
         assert main(["stream", "--data", str(data), "--label-column", "y"]) == EXIT_DATA
         assert "no feature columns besides the label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "score", "stream"])
+def test_cell_past_the_field_limit_is_data_error(tmp_path, blob_csv, command, capsys):
+    model = tmp_path / "model.imf"
+    assert main(["fit", "--data", str(blob_csv), "--label-column", "label", "--model", str(model)]) == EXIT_OK
+    data = tmp_path / "long.csv"  # the header and 100 rows, then a row with a cell the csv module refuses
+    data.write_text(blob_csv.read_text() + "0.5," + "1" * (csv.field_size_limit() + 1) + ",0\n")
+    capsys.readouterr()
+    argv = [command, "--data", str(data), "--label-column", "label"] + (["--model", str(model)] if command == "score" else [])
+    assert main(argv) == EXIT_DATA
+    assert f"row 102: field larger than field limit ({csv.field_size_limit()})" in capsys.readouterr().err
 
 
 class TestHeaderOnlyTraining:

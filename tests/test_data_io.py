@@ -391,6 +391,16 @@ class TestCsvDialect:
         assert self._error(tmp_path, "\n1,2\n", header=False, label_column=4) == "row 1 (line 2): no column 4 for the label"
         assert self._error(tmp_path, "\na\n", label_column=4) == "row 1 (line 2): no column 4 for the label"
 
+    def test_cell_past_the_field_limit_is_named_by_row(self, tmp_path):
+        # the csv module refuses such a cell; a header name, a number after a
+        # blank line and a quoted cell that spans lines
+        long = "9" * (csv.field_size_limit() + 1)
+        message = f"field larger than field limit ({csv.field_size_limit()})"
+        assert self._error(tmp_path, f"a,{long}\n1,2\n") == f"row 1: {message}"
+        assert self._error(tmp_path, f"a,b\n1,2\n\n3,{long}\n") == f"row 3 (line 4): {message}"
+        assert self._error(tmp_path, 'a,b\n1,2\n3,"' + "1\n" * len(long) + '"\n') == f"row 3: {message}"
+        assert self._error(tmp_path, f"1,{long}\n", header=False) == f"row 1: {message}"
+
     @pytest.mark.parametrize("line", ["  ", "\t", " \t "])
     def test_whitespace_only_line_is_a_bad_row(self, tmp_path, line):
         message = "row 3, column 1: could not parse '' as a number"
@@ -631,6 +641,26 @@ class TestModelRoundTrip:
         assert arrays["child"].shape == (2, slots)
         assert arrays["box_min"].shape == ((slots + forest.num_trees) // 2, forest.dim)
 
+    @pytest.mark.parametrize("rows", [2, 0.5], ids=["two-tree-rows", "part-of-a-row"])
+    def test_blocks_of_few_tree_rows(self, tmp_path, monkeypatch, rows):
+        # a doubled forest whose trees differ in size, saved and loaded in
+        # blocks of `rows` tree rows (at least one) instead of all at once
+        X = np.random.default_rng(11).integers(0, 5, size=(300, 2)).astype(float)
+        forest = train_batch(X, ForestConfig(num_trees=9, psi=24, seed=11))
+        start, rng = forest.capacity, np.random.default_rng(12)
+        while forest.capacity == start:
+            extend_forest(forest, rng.uniform(-40.0, 40.0, size=(10, 2)))
+        assert forest.size.min() < forest.size.max() < forest.capacity
+        whole, blocked = tmp_path / "whole.imf", tmp_path / "blocked.imf"
+        save_model(forest, whole)
+        row_bytes = 8 * forest.dim * forest.capacity
+        monkeypatch.setattr("imondrian.data_io._BLOCK_BYTES", int(rows * row_bytes))
+        save_model(forest, blocked)
+        assert blocked.read_bytes() == whole.read_bytes()
+        row_bytes = 8 * forest.dim * int(forest.size.max())  # a loaded row holds the widest tree
+        monkeypatch.setattr("imondrian.data_io._BLOCK_BYTES", int(rows * row_bytes))
+        assert arena_fingerprint(load_model(blocked)) == arena_fingerprint(forest)
+
     def test_negative_zeros_load_bit_for_bit(self, tmp_path):
         # -0.0 in the batch and in the arrivals, among duplicates: every zero
         # bound is +0.0, so the boxes the loader derives are the live ones
@@ -662,6 +692,19 @@ class TestModelRoundTrip:
         path.write_text("")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_long_first_line_is_read_in_part(self, tmp_path):
+        # 16 MB without a line break: the header is looked for in its first bytes
+        path = tmp_path / "long.imf"
+        path.write_bytes(b"x" * (16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="not a model file \\(missing header\\)"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_binary_garbage_rejected(self, tmp_path):
         path = tmp_path / "garbage.imf"

@@ -1003,13 +1003,14 @@ class TestForkJoinRoute:
         # the parent runs its block bound to one CPU and is unbound afterwards
         assert mask is None or os.sched_getaffinity(0) == mask
 
-    def test_helpers_route_their_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("case", range(3), ids=["clean", "duplicate-leaves", "extended"])
+    def test_helpers_route_their_blocks(self, monkeypatch, case):
         # more points than a helper's file takes in one vector of writes
         # would be, if a block's sums were written one float at a time
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
         forks = fork_on(monkeypatch, cpus=3, fork_lanes=1)
-        forest, probes = _fork_cases(3000)[2]
+        forest, probes = _fork_cases(3000)[case]
         expected = forest._route(probes, _leaf_depth)
         parent, calls = os.getpid(), []
         one_process = imondrian.tree._route_block
@@ -1188,10 +1189,12 @@ class TestForkJoinGrow:
         _grow(X[:256], None, 20)
         assert len(forks) == 1
 
-    def test_helpers_build_their_blocks(self, monkeypatch):
+    # every build case but the one-tree one, which does not split
+    @pytest.mark.parametrize("case", range(4), ids=["subsampled", "full", "duplicates", "two-trees"])
+    def test_helpers_build_their_blocks(self, monkeypatch, case):
         if not _can_fork():
             pytest.skip("this process cannot fork without a warning")
-        X, sample_size, trees = _build_cases()[0]
+        X, sample_size, trees = _build_cases()[case]
         expected = arena_fingerprint(_grow(X, sample_size, trees))
         fork_on(monkeypatch, cpus=3, build_lanes=1)
         parent, calls = os.getpid(), []
@@ -1204,7 +1207,7 @@ class TestForkJoinGrow:
 
         monkeypatch.setattr(Forest, "_grow_trees", grow)
         assert arena_fingerprint(_grow(X, sample_size, trees)) == expected
-        assert calls == [(0, 2)]  # the caller's own block of 7 trees in 3
+        assert calls == [(0, trees // min(trees, 3))]  # the caller's own block of the trees in 3 or fewer
 
     @pytest.mark.parametrize("call", ["os.fork", "os.memfd_create"])
     def test_failed_fork_builds_in_process(self, monkeypatch, call):
